@@ -2,7 +2,7 @@
 
 * exact vs greedy canonicalisation of constraint matrices (correctness is
   exactness of class separation; cost is the p!·q! search);
-* scipy vs pure-python all-pairs distance backends;
+* scipy all-pairs distances vs the stacked pure-python BFS oracle;
 * raw vs interval vs default-port routing-table coders on different graph
   families (the constant factor of the ``Θ(n log n)`` upper bound).
 """
@@ -15,7 +15,7 @@ import pytest
 from conftest import print_rows
 from repro.constraints.matrix import ConstraintMatrix, canonical_form, canonical_form_greedy
 from repro.graphs import generators
-from repro.graphs.shortest_paths import distance_matrix
+from repro.graphs.shortest_paths import bfs_distances, distance_matrix
 from repro.memory.coder import DefaultPortCoder, IntervalTableCoder, RawTableCoder
 from repro.routing.tables import ShortestPathTableScheme
 
@@ -40,11 +40,15 @@ def test_canonicalisation_modes(benchmark, mode):
 
 
 @pytest.mark.benchmark(group="ablation-distance")
-@pytest.mark.parametrize("backend", ["python", "scipy"])
+@pytest.mark.parametrize("backend", ["bfs-stack", "scipy"])
 def test_distance_backend(benchmark, backend):
     graph = generators.random_connected_graph(200, extra_edge_prob=0.03, seed=7)
-    result = benchmark(distance_matrix, graph, backend)
-    assert result.shape == (200, 200)
+    oracle = np.vstack([bfs_distances(graph, s) for s in range(graph.n)])
+    if backend == "scipy":
+        result = benchmark(distance_matrix, graph)
+    else:
+        result = benchmark(lambda: np.vstack([bfs_distances(graph, s) for s in range(graph.n)]))
+    assert result.tobytes() == oracle.tobytes()
 
 
 @pytest.mark.benchmark(group="ablation-coders")

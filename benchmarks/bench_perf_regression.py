@@ -33,6 +33,8 @@ Two jobs:
   the layered subtree-sum load accumulator against the per-hop frontier
   walk on the same n = 1024 hypercube program under uniform demand
   (plus a warm-cache ``flow_sweep`` smoke over three medium families).
+  ``test_table_compile_n1024`` pins a cold shortest-path table compile on
+  the n = 1024 hypercube and prints its distance / ports / lower split.
 
 Refresh the snapshot after an intentional perf-relevant change with::
 
@@ -75,7 +77,7 @@ from repro.constraints.verifier import forced_first_arcs
 from repro.graphs import generators
 from repro.graphs.shortest_paths import distance_matrix
 from repro.routing.interval import IntervalRoutingScheme
-from repro.routing.model import SchemeInapplicableError
+from repro.routing.model import SchemeInapplicableError, TableRoutingFunction
 from repro.routing.paths import all_pairs_routing_lengths
 from repro.routing.program import (
     DELTA_PATCHED,
@@ -83,11 +85,12 @@ from repro.routing.program import (
     apply_delta,
     compile_scheme_program,
     load_program,
+    lower_next_hop,
     program_from_bytes,
     save_program,
     transition_dtype,
 )
-from repro.routing.tables import ShortestPathTableScheme
+from repro.routing.tables import ShortestPathTableScheme, shortest_path_ports
 from repro.routing.verify import verify_program
 from repro.sim.engine import (
     _execute_next_hop_compact,
@@ -312,10 +315,10 @@ def test_first_arcs_fast_path(benchmark):
 @pytest.mark.benchmark(group="perf-regression")
 def test_distance_matrix_cached_csr(benchmark):
     graph = generators.random_connected_graph(512, extra_edge_prob=0.01, seed=7)
-    distance_matrix(graph, backend="scipy")  # warm the CSR cache
+    distance_matrix(graph)  # warm the CSR cache
 
     def _run():
-        return distance_matrix(graph, backend="scipy")
+        return distance_matrix(graph)
 
     dist = benchmark.pedantic(_run, rounds=3, iterations=1)
     _check_budget("distance_matrix_scipy_n512", benchmark.stats.stats.median)
@@ -664,10 +667,10 @@ def test_program_mmap_load_vs_decode(benchmark, tmp_path):
 @pytest.mark.benchmark(group="perf-regression")
 def test_churn_delta_speedup_vs_recompile_n1024(benchmark):
     # The churn acceptance pin: patching a compiled table program after a
-    # single-edge flip must beat recompiling from scratch at n = 1024 —
-    # even in the delta compiler's worst case (a hypercube edge removal
-    # dirties every destination column), so the measured gap is the batched
-    # column rebuild + dirty-row patch vs the full table construction.
+    # single-edge flip must beat recompiling from scratch at n = 1024.  The
+    # removal rebuilds only the 2 distance columns whose endpoint lost its
+    # last shortest-path parent, so the measured gap is those columns + the
+    # dirty-entry patch vs the full table construction.
     # ``dist_before`` is passed in, matching the chained-delta steady state
     # of ``ShardedRunner.churn_sweep`` (each delta threads the previous
     # snapshot's distance matrix forward).
@@ -707,6 +710,41 @@ def test_churn_delta_speedup_vs_recompile_n1024(benchmark):
     assert speedup >= floor, (
         f"churn delta speedup {speedup:.1f}x below the {floor:.0f}x floor"
     )
+
+
+@pytest.mark.benchmark(group="perf-regression")
+def test_table_compile_n1024(benchmark):
+    # The compile-path pin: a cold compile of the shortest-path table scheme
+    # on the n = 1024 hypercube (compile_scheme_program copies the graph, so
+    # every round rebuilds its CSR cache).  The stage split is printed so a
+    # regression names its stage: all-pairs distances, the vectorised port
+    # primitive, and the class-owned next-node lowering.
+    graph = generators.hypercube(CHURN_FLIP_DIM)
+    scheme = ShortestPathTableScheme(tie_break="lowest_port")
+
+    def _run():
+        return compile_scheme_program(scheme, graph)
+
+    program = benchmark.pedantic(_run, rounds=3, iterations=1)
+    compile_s = benchmark.stats.stats.median
+    _check_budget("table_compile_n1024", compile_s)
+    cold = graph.copy()
+    dist, dist_s = _time(distance_matrix, cold)
+    ports, ports_s = _time(shortest_path_ports, cold, "lowest_port", dist)
+    lowered, lower_s = _time(lower_next_hop, TableRoutingFunction(cold, ports, validate=False))
+    print_rows(
+        "Cold table compile (n=1024 hypercube, tables-lowest-port)",
+        [
+            {
+                "case": f"dim={CHURN_FLIP_DIM} n={graph.n}",
+                "compile_s": compile_s,
+                "distance_s": dist_s,
+                "ports_s": ports_s,
+                "lower_s": lower_s,
+            }
+        ],
+    )
+    assert lowered.to_bytes() == program.to_bytes()
 
 
 @pytest.mark.benchmark(group="perf-regression")
@@ -867,8 +905,8 @@ def _measure_pinned_paths() -> dict:
         forced_first_arcs, cg.graph, cg.constrained, cg.targets, 2.0, strict=True, method="bfs"
     )
     graph = generators.random_connected_graph(512, extra_edge_prob=0.01, seed=7)
-    distance_matrix(graph, backend="scipy")
-    _, dist_s = _time(distance_matrix, graph, backend="scipy")
+    distance_matrix(graph)
+    _, dist_s = _time(distance_matrix, graph)
     rf = _simulator_routing_function()
     _, sim_s = _time(simulate_all_pairs, rf)
     interval_rf = _interval_routing_function()
@@ -910,6 +948,7 @@ def _measure_pinned_paths() -> dict:
         dist_before=churn_dist,
     )
     _, verify_s = _time(verify_program, churn_prog)
+    _, table_compile_s = _time(compile_scheme_program, churn_scheme, churn_graph)
 
     flow_prog = _hypercube_ecube_program(CHURN_FLIP_DIM)
     flow_report = verify_program(flow_prog)
@@ -935,6 +974,7 @@ def _measure_pinned_paths() -> dict:
         "next_hop_n4096_hypercube": next_hop_s,
         "program_mmap_load_n4096": mmap_s,
         "churn_delta_flip_n1024": churn_s,
+        "table_compile_n1024": table_compile_s,
         "verify_vs_simulate_n1024": verify_s,
         "flow_subtree_n1024": flow_subtree_s,
         "flow_sweep_warm_medium": flow_sweep_s,

@@ -277,7 +277,7 @@ class PortLabeledGraph:
 
         Built from :meth:`adjacency_arrays` without any Python-level edge
         loop and invalidated on mutation; used by the scipy all-pairs
-        distance backend.
+        distances of :func:`~repro.graphs.shortest_paths.distance_matrix`.
         """
         if self._csr_cache is None:
             from scipy.sparse import csr_matrix

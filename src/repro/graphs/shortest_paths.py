@@ -10,9 +10,8 @@ to ``b`` of length at most ``s * d(a, b)``.
 This module provides:
 
 * plain BFS (:func:`bfs_distances`, :func:`bfs_parents`) for single sources,
-* a vectorised all-pairs distance matrix (:func:`distance_matrix`) backed by
-  :func:`scipy.sparse.csgraph.shortest_path` for large instances with a pure
-  Python fallback,
+* an all-pairs distance matrix (:func:`distance_matrix`) backed by
+  :func:`scipy.sparse.csgraph.shortest_path` on all but tiny graphs,
 * shortest-path extraction and enumeration
   (:func:`shortest_path`, :func:`all_shortest_paths`,
   :func:`shortest_path_dag`),
@@ -127,18 +126,14 @@ def bfs_parents(graph: PortLabeledGraph, source: int) -> Tuple[np.ndarray, np.nd
     return dist, parent
 
 
-def distance_matrix(graph: PortLabeledGraph, backend: str = "auto") -> np.ndarray:
+def distance_matrix(graph: PortLabeledGraph) -> np.ndarray:
     """All-pairs distance matrix of the graph.
 
-    Parameters
-    ----------
-    graph:
-        The graph.
-    backend:
-        ``"scipy"`` uses :func:`scipy.sparse.csgraph.shortest_path` (BFS on an
-        unweighted CSR adjacency), ``"python"`` runs one BFS per source, and
-        ``"auto"`` (default) selects scipy for graphs with at least 64
-        vertices.
+    Graphs of at least 64 vertices go through
+    :func:`scipy.sparse.csgraph.shortest_path` (BFS on the unweighted,
+    cached CSR adjacency); smaller ones stack one :func:`bfs_distances` per
+    source, so small-graph workloads never import ``scipy.sparse`` (about
+    30 MB of resident memory) for a matrix a few dozen BFS sweeps produce.
 
     Returns
     -------
@@ -148,35 +143,16 @@ def distance_matrix(graph: PortLabeledGraph, backend: str = "auto") -> np.ndarra
     n = graph.n
     if n == 0:
         return np.zeros((0, 0), dtype=np.int64)
-    if backend not in ("auto", "scipy", "python"):
-        raise ValueError(f"unknown backend {backend!r}")
-    use_scipy = backend == "scipy" or (backend == "auto" and n >= 64)
-    if use_scipy:
-        return _distance_matrix_scipy(graph)
-    return np.vstack([bfs_distances(graph, s) for s in range(n)])
-
-
-def _distance_matrix_scipy(graph: PortLabeledGraph) -> np.ndarray:
+    if n < 64:
+        return np.vstack([bfs_distances(graph, s) for s in range(n)])
     from scipy.sparse.csgraph import shortest_path as _sp
 
-    n = graph.n
-    # The CSR adjacency is cached on the graph: repeated distance_matrix
-    # calls (the verifier, the stretch analysis, the benchmarks) no longer
-    # re-extract Python edge lists per call.
-    adj = graph.csr_adjacency()
-    dist = _sp(adj, method="D", unweighted=True, directed=False)
-    out = np.full((n, n), UNREACHABLE, dtype=np.int64)
-    finite = np.isfinite(dist)
-    out[finite] = dist[finite].astype(np.int64)
-    return out
+    dist = _sp(graph.csr_adjacency(), method="D", unweighted=True, directed=False)
+    return np.where(np.isfinite(dist), dist, UNREACHABLE).astype(np.int64)
 
 
-#: Compatibility alias: :func:`distance_matrix` is the one documented
-#: entry point for all-pairs distances (all internal callers use it and
-#: grid sweeps cache its result, see
-#: :func:`repro.analysis.runner.cached_distance_matrix`).  The old name is
-#: kept as a true alias so existing imports keep working — and gain the
-#: ``backend`` parameter.
+#: Old name of :func:`distance_matrix`, the one documented entry point for
+#: all-pairs distances; kept as a true alias so existing imports keep working.
 all_pairs_distances = distance_matrix
 
 

@@ -68,7 +68,7 @@ from repro.routing.paths import (
     stretch_of_pair,
     verify_routing_function,
 )
-from repro.routing.tables import ShortestPathTableScheme, build_next_hop_matrix
+from repro.routing.tables import ShortestPathTableScheme, shortest_path_ports
 from repro.routing.interval import (
     IntervalRoutingFunction,
     IntervalRoutingScheme,
@@ -124,7 +124,7 @@ __all__ = [
     "all_pairs_routing_lengths",
     "verify_routing_function",
     "ShortestPathTableScheme",
-    "build_next_hop_matrix",
+    "shortest_path_ports",
     "IntervalRoutingFunction",
     "IntervalRoutingScheme",
     "TreeIntervalRoutingScheme",

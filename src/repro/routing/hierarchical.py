@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Optional
 
+import numpy as np
+
 from repro.graphs.digraph import PortLabeledGraph
 from repro.routing.landmark import CowenLandmarkScheme, LandmarkAddress, LandmarkRoutingFunction
 from repro.routing.model import BaseRoutingScheme, DELIVER, LabeledRoutingFunction
@@ -73,6 +75,15 @@ class HierarchicalSpannerRoutingFunction(LabeledRoutingFunction):
             return DELIVER
         neighbor = self._spanner.neighbor_at_port(node, inner_port)
         return self._graph.port(node, neighbor)
+
+    def next_node_matrix(self) -> Optional[np.ndarray]:
+        """The inner function's matrix: spanner arcs are network arcs."""
+        cls = type(self)
+        if cls.port is not HierarchicalSpannerRoutingFunction.port or (
+            cls.address is not HierarchicalSpannerRoutingFunction.address
+        ):
+            return None
+        return self._inner.next_node_matrix()
 
     def table_entries(self, node: int) -> Dict[int, int]:
         """Stored ``target -> port`` entries at ``node``, with network ports."""

@@ -29,7 +29,7 @@ from repro.graphs.digraph import PortLabeledGraph
 from repro.graphs.properties import is_tree
 from repro.graphs.shortest_paths import UNREACHABLE, distance_matrix
 from repro.routing.model import DELIVER, BaseRoutingScheme, RoutingFunction
-from repro.routing.tables import TieBreak, build_next_hop_matrix
+from repro.routing.tables import TieBreak, check_tie_break, shortest_path_ports
 
 __all__ = [
     "cyclic_intervals_of_set",
@@ -56,33 +56,26 @@ def cyclic_intervals_of_set(labels: Sequence[int], n: int) -> List[Interval]:
     label_set = set(int(x) for x in labels)
     if len(label_set) != len(list(labels)):
         raise ValueError("duplicate labels")
-    if not label_set:
-        return []
     if any(not 0 <= x < n for x in label_set):
         raise ValueError(f"labels must lie in 0..{n - 1}")
-    if len(label_set) == n:
-        return [(0, n - 1)]
-    # Walk the cycle once, recording maximal runs.
     in_set = np.zeros(n, dtype=bool)
     in_set[list(label_set)] = True
-    # Start scanning right after a gap so that no run is split at position 0.
-    gaps = np.nonzero(~in_set)[0]
-    start_scan = int(gaps[0]) + 1
-    intervals: List[Interval] = []
-    run_start: Optional[int] = None
-    for offset in range(n):
-        pos = (start_scan + offset) % n
-        if in_set[pos]:
-            if run_start is None:
-                run_start = pos
-            run_end = pos
-        else:
-            if run_start is not None:
-                intervals.append((run_start, run_end))
-                run_start = None
-    if run_start is not None:
-        intervals.append((run_start, run_end))
-    return intervals
+    return _cyclic_runs(in_set)
+
+
+def _cyclic_runs(in_set: np.ndarray) -> List[Interval]:
+    """Maximal cyclic runs of ``True`` in ``in_set``, in scan order.
+
+    The scan starts right after the first gap, so no run is split at 0.
+    """
+    n = in_set.size
+    if in_set.all():
+        return [(0, n - 1)]
+    start = int(np.argmin(in_set)) + 1
+    scan = np.concatenate(([False], in_set[start:], in_set[:start], [False]))
+    edges = np.diff(scan.view(np.int8))
+    starts, stops = (np.nonzero(edges == step)[0] + start for step in (1, -1))
+    return [(a % n, (b - 1) % n) for a, b in zip(starts.tolist(), stops.tolist())]
 
 
 def _interval_contains(interval: Interval, label: int, n: int) -> bool:
@@ -136,7 +129,6 @@ class IntervalRoutingFunction(RoutingFunction):
         validate: bool = True,
     ) -> None:
         super().__init__(graph)
-        n = graph.n
         self._label_of: Dict[int, int] = {int(v): int(l) for v, l in labeling.items()}
         self._vertex_of_label: Dict[int, int] = {l: v for v, l in self._label_of.items()}
         self._port_intervals: Dict[int, Dict[int, Tuple[Interval, ...]]] = {
@@ -151,25 +143,28 @@ class IntervalRoutingFunction(RoutingFunction):
         if sorted(self._label_of.values()) != list(range(n)):
             raise ValueError("labeling must be a bijection onto 0..n-1")
         for x in range(n):
-            ports = self._port_intervals.get(x, {})
-            covered: Dict[int, int] = {}
-            for p, ivs in ports.items():
+            for p in self._port_intervals.get(x, {}):
                 if not 1 <= p <= self._graph.degree(x):
                     raise ValueError(f"vertex {x}: invalid port {p}")
-                for iv in ivs:
-                    lo, hi = iv
-                    length = (hi - lo) % n + 1
-                    for k in range(length):
-                        lab = (lo + k) % n
-                        if lab in covered:
-                            raise ValueError(
-                                f"vertex {x}: label {lab} covered by ports {covered[lab]} and {p}"
-                            )
-                        covered[lab] = p
-            expected = set(range(n)) - {self._label_of[x]}
-            if set(covered) != expected:
-                missing = sorted(expected - set(covered))
-                raise ValueError(f"vertex {x}: labels {missing[:5]} not covered by any interval")
+            expected = np.ones(n, dtype=np.int64)
+            expected[self._label_of[x]] = 0
+            covered = np.bincount(self._expanded(x)[0], minlength=n)
+            if (covered != expected).any():
+                lab = int(np.argmax(covered != expected))
+                raise ValueError(
+                    f"vertex {x}: label {lab} lies in {covered[lab]} intervals, "
+                    f"expected {expected[lab]}"
+                )
+
+    def _expanded(self, node: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Every label of every interval at ``node`` with its port, in lookup order."""
+        n = self._graph.n
+        intervals = self._port_intervals.get(node, {}).items()
+        flat = [(p, lo, hi) for p, ivs in intervals for lo, hi in ivs]
+        ports, los, his = np.array(flat, dtype=np.int64).reshape(-1, 3).T
+        lengths = (his - los) % n + 1
+        offsets = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        return (np.repeat(los, lengths) + offsets) % n, np.repeat(ports, lengths)
 
     # ------------------------------------------------------------------
     def label_of(self, vertex: int) -> int:
@@ -231,6 +226,30 @@ class IntervalRoutingFunction(RoutingFunction):
                 if _interval_contains(iv, label, n):
                     return p
         raise ValueError(f"vertex {node} has no interval containing label {label}")
+
+    def next_node_matrix(self) -> Optional[np.ndarray]:
+        """Every port's cyclic intervals expanded, the first match winning.
+
+        Raises the lookup's own :class:`ValueError` for the first
+        (destination-major) label no interval covers.
+        """
+        if type(self).port is not IntervalRoutingFunction.port:
+            return None
+        from repro.routing.program import next_nodes_of_ports
+
+        n = self._graph.n
+        by_label = np.full((n, n), -1, dtype=np.int64)
+        for x in range(n):
+            labels, ports = self._expanded(x)
+            covered, first = np.unique(labels, return_index=True)
+            by_label[x, covered] = ports[first]
+        label_of = np.array([self._label_of[v] for v in range(n)])
+        by_dest = by_label[:, label_of]
+        np.fill_diagonal(by_dest, DELIVER)
+        if (by_dest < 0).any():
+            dest, x = (int(i[0]) for i in np.nonzero(by_dest.T < 0))
+            raise ValueError(f"vertex {x} has no interval containing label {label_of[dest]}")
+        return next_nodes_of_ports(self._graph, by_dest)
 
     def local_map(self, node: int) -> Dict[int, int]:
         """The ``dest -> port`` map induced by the interval lookup (for checks)."""
@@ -319,7 +338,7 @@ class IntervalRoutingScheme(BaseRoutingScheme):
 
     def __init__(self, root: int = 0, tie_break: TieBreak = "lowest_port") -> None:
         self.root = root
-        self.tie_break: TieBreak = tie_break
+        self.tie_break: TieBreak = check_tie_break(tie_break)
 
     def build(self, graph: PortLabeledGraph) -> IntervalRoutingFunction:
         """Build the interval routing function for an arbitrary connected graph."""
@@ -328,17 +347,14 @@ class IntervalRoutingScheme(BaseRoutingScheme):
         if n > 1 and (dist == UNREACHABLE).any():
             raise ValueError("interval routing requires a connected graph")
         labeling = self._dfs_labeling(graph)
-        next_hop = build_next_hop_matrix(graph, tie_break=self.tie_break, dist=dist)
+        ports = shortest_path_ports(graph, tie_break=self.tie_break, dist=dist)
+        by_label = np.empty_like(ports)
+        by_label[:, [labeling[v] for v in range(n)]] = ports
         port_intervals: Dict[int, Dict[int, List[Interval]]] = {}
         for x in range(n):
-            by_port: Dict[int, List[int]] = {}
-            for dest in range(n):
-                if dest == x:
-                    continue
-                p = graph.port(x, int(next_hop[x, dest]))
-                by_port.setdefault(p, []).append(labeling[dest])
+            used, first = np.unique(np.delete(ports[x], x), return_index=True)
             port_intervals[x] = {
-                p: cyclic_intervals_of_set(labels, n) for p, labels in by_port.items()
+                int(p): _cyclic_runs(by_label[x] == p) for p in used[np.argsort(first)]
             }
         return IntervalRoutingFunction(graph, labeling, port_intervals)
 

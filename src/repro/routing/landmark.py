@@ -41,7 +41,7 @@ import numpy as np
 from repro.graphs.digraph import PortLabeledGraph
 from repro.graphs.shortest_paths import UNREACHABLE, distance_matrix
 from repro.routing.model import BaseRoutingScheme, DELIVER, LabeledRoutingFunction
-from repro.routing.tables import build_next_hop_matrix
+from repro.routing.tables import shortest_path_ports
 
 __all__ = [
     "LandmarkAddress",
@@ -69,29 +69,42 @@ class LandmarkRoutingFunction(LabeledRoutingFunction):
         Underlying connected graph.
     landmarks:
         The landmark set (non-empty).
-    cluster_ports:
-        ``cluster_ports[u][v]`` is the port used at ``u`` towards cluster
-        member ``v`` (shortest-path port).
-    landmark_ports:
-        ``landmark_ports[u][l]`` is the port used at ``u`` towards landmark
-        ``l`` (shortest-path port); absent for ``u == l``.
-    addresses:
-        Precomputed :class:`LandmarkAddress` per destination.
+    ports:
+        ``(n, n)`` shortest-path port matrix
+        (:func:`~repro.routing.tables.shortest_path_ports`); a vertex
+        stores the entries of its row for its cluster and for the other
+        landmarks.
+    clusters:
+        ``(n, n)`` boolean matrix, ``clusters[u, v]`` iff ``v`` is in the
+        cluster of ``u`` (never ``u`` itself).
+    nearest:
+        ``nearest[v]`` is the landmark of ``v``.
     """
 
     def __init__(
         self,
         graph: PortLabeledGraph,
         landmarks: FrozenSet[int],
-        cluster_ports: Dict[int, Dict[int, int]],
-        landmark_ports: Dict[int, Dict[int, int]],
-        addresses: Dict[int, LandmarkAddress],
+        ports: np.ndarray,
+        clusters: np.ndarray,
+        nearest: np.ndarray,
     ) -> None:
         super().__init__(graph)
         self._landmarks = landmarks
-        self._cluster_ports = cluster_ports
-        self._landmark_ports = landmark_ports
-        self._addresses = addresses
+        self._ports = ports
+        self._clusters = clusters
+        self._nearest = nearest
+        landmark_list = sorted(landmarks)
+        self._cluster_ports: Dict[int, Dict[int, int]] = {}
+        self._landmark_ports: Dict[int, Dict[int, int]] = {}
+        for u, row in enumerate(ports):
+            members = np.flatnonzero(clusters[u]).tolist()
+            self._cluster_ports[u] = dict(zip(members, row[members].tolist()))
+            self._landmark_ports[u] = {l: int(row[l]) for l in landmark_list if l != u}
+        self._addresses = {
+            v: LandmarkAddress(dest=v, landmark=int(l), port_at_landmark=int(ports[l, v]))
+            for v, l in enumerate(nearest.tolist())
+        }
 
     # ------------------------------------------------------------------
     @property
@@ -130,6 +143,23 @@ class LandmarkRoutingFunction(LabeledRoutingFunction):
         if node == header.landmark:
             return header.port_at_landmark
         return self._landmark_ports[node][header.landmark]
+
+    def next_node_matrix(self) -> Optional[np.ndarray]:
+        """``next_hop[x, dest]`` when ``dest`` is in the cluster of ``x`` or has
+        ``x`` as its landmark, else ``next_hop[x, nearest[dest]]`` (which is
+        ``next_hop[x, dest]`` again when ``dest`` is itself a landmark).
+        """
+        cls = type(self)
+        if cls.port is not LandmarkRoutingFunction.port or (
+            cls.address is not LandmarkRoutingFunction.address
+        ):
+            return None
+        from repro.routing.program import next_nodes_of_ports
+
+        direct = self._clusters | (np.arange(self._graph.n)[:, None] == self._nearest)
+        np.fill_diagonal(direct, True)
+        next_hop = next_nodes_of_ports(self._graph, self._ports)
+        return np.where(direct, next_hop, next_hop[:, self._nearest])
 
 
 class RewritingLandmarkRoutingFunction(LandmarkRoutingFunction):
@@ -246,44 +276,19 @@ class CowenLandmarkScheme(BaseRoutingScheme):
         if n > 1 and (dist == UNREACHABLE).any():
             raise ValueError("landmark routing requires a connected graph")
         landmarks = self._pick_landmarks(graph)
-        next_hop = build_next_hop_matrix(graph, tie_break="lowest_port", dist=dist)
+        ports = shortest_path_ports(graph, tie_break="lowest_port", dist=dist)
 
         landmark_list = sorted(landmarks)
         # Nearest landmark of every vertex (ties broken towards the smallest label).
         dist_to_landmarks = dist[:, landmark_list]  # shape (n, |L|)
         nearest_idx = np.argmin(dist_to_landmarks, axis=1)
-        nearest_landmark = {v: landmark_list[int(nearest_idx[v])] for v in range(n)}
-        dist_to_nearest = {v: int(dist_to_landmarks[v, int(nearest_idx[v])]) for v in range(n)}
-
-        def port_towards(u: int, target: int) -> int:
-            return graph.port(u, int(next_hop[u, target]))
-
+        nearest = np.asarray(landmark_list)[nearest_idx]
+        dist_to_nearest = dist_to_landmarks[np.arange(n), nearest_idx]
         # Clusters: C(u) = { v != u : d(u, v) < d(v, L) }.
-        cluster_ports: Dict[int, Dict[int, int]] = {u: {} for u in range(n)}
-        for u in range(n):
-            for v in range(n):
-                if v == u:
-                    continue
-                if dist[u, v] < dist_to_nearest[v]:
-                    cluster_ports[u][v] = port_towards(u, v)
-
-        # Every vertex stores a port towards every landmark.
-        landmark_ports: Dict[int, Dict[int, int]] = {u: {} for u in range(n)}
-        for u in range(n):
-            for l in landmark_list:
-                if l != u:
-                    landmark_ports[u][l] = port_towards(u, l)
-
-        # Addresses.
-        addresses: Dict[int, LandmarkAddress] = {}
-        for v in range(n):
-            l = nearest_landmark[v]
-            port_at_l = DELIVER if l == v else port_towards(l, v)
-            addresses[v] = LandmarkAddress(dest=v, landmark=l, port_at_landmark=port_at_l)
+        clusters = dist < dist_to_nearest[None, :]
+        np.fill_diagonal(clusters, False)
 
         function_class = (
             RewritingLandmarkRoutingFunction if self.rewriting else LandmarkRoutingFunction
         )
-        return function_class(
-            graph, landmarks, cluster_ports, landmark_ports, addresses
-        )
+        return function_class(graph, landmarks, ports, clusters, nearest)

@@ -39,8 +39,11 @@ from typing import (
     Mapping,
     Optional,
     Protocol,
+    Union,
     runtime_checkable,
 )
+
+import numpy as np
 
 from repro.graphs.digraph import PortLabeledGraph
 
@@ -60,6 +63,9 @@ __all__ = [
 
 #: Reserved port value meaning "deliver the message here".
 DELIVER = 0
+
+#: Port-matrix value of a :class:`TableRoutingFunction` entry its tables lack.
+_NO_ENTRY = -1
 
 
 class SchemeInapplicableError(ValueError):
@@ -132,6 +138,15 @@ class RoutingFunction(abc.ABC):
         from repro.routing.program import lower
 
         return lower(self, max_states=max_states)
+
+    def next_node_matrix(self) -> Optional[np.ndarray]:
+        """Vectorised next-node matrix of the next-hop lowering, if the class has one.
+
+        ``None`` (the default, also once a subclass overrides ``port`` or the
+        address it reads) makes :func:`repro.routing.program.lower_next_hop`
+        evaluate ``P`` per pair.
+        """
+        return None
 
     @abc.abstractmethod
     def initial_header(self, source: int, dest: int) -> Hashable:
@@ -224,6 +239,9 @@ class TableRoutingFunction(DestinationBasedRoutingFunction):
     tables:
         ``tables[x][dest]`` is the output port used at ``x`` for destination
         ``dest``; every node must have an entry for every other vertex.
+        Either per-node dicts or an ``(n, n)`` port matrix (the output of
+        :func:`repro.routing.tables.shortest_path_ports`), held as a port
+        matrix; :meth:`local_map` dicts are built only when asked for.
     validate:
         When true (default), table completeness and port validity are checked
         eagerly.
@@ -232,42 +250,61 @@ class TableRoutingFunction(DestinationBasedRoutingFunction):
     def __init__(
         self,
         graph: PortLabeledGraph,
-        tables: Mapping[int, Mapping[int, int]],
+        tables: Union[Mapping[int, Mapping[int, int]], np.ndarray],
         validate: bool = True,
     ) -> None:
         super().__init__(graph)
-        self._tables: Dict[int, Dict[int, int]] = {
-            int(x): {int(d): int(p) for d, p in t.items()} for x, t in tables.items()
-        }
+        if isinstance(tables, np.ndarray):
+            self._ports = tables
+        else:
+            n = graph.n
+            self._ports = np.full((n, n), _NO_ENTRY, dtype=np.int64)
+            for x, table in tables.items():
+                self._ports[int(x), list(table)] = list(table.values())
         if validate:
-            self._validate()
-
-    def _validate(self) -> None:
-        n = self._graph.n
-        for x in range(n):
-            table = self._tables.get(x)
-            if table is None:
-                raise ValueError(f"missing routing table for vertex {x}")
-            for dest in range(n):
-                if dest == x:
-                    continue
-                if dest not in table:
-                    raise ValueError(f"vertex {x} has no table entry for destination {dest}")
-                port = table[dest]
-                if not 1 <= port <= self._graph.degree(x):
-                    raise ValueError(
-                        f"vertex {x} routes to destination {dest} through invalid port {port}"
-                    )
+            self._next_nodes()
 
     def port_to(self, node: int, dest: int) -> int:
-        return self._tables[node][dest]
+        return int(self._ports[node, dest])
 
     def local_map(self, node: int) -> Dict[int, int]:
-        return dict(self._tables[node])
+        row = self._ports[node].tolist()
+        return {d: p for d, p in enumerate(row) if d != node and p != _NO_ENTRY}
 
     def table(self, node: int) -> Dict[int, int]:
         """Alias of :meth:`local_map` matching the routing-table vocabulary."""
         return self.local_map(node)
+
+    def next_node_matrix(self) -> Optional[np.ndarray]:
+        """The neighbour behind every table port, read off the port matrix."""
+        cls = type(self)
+        if cls.port is not DestinationBasedRoutingFunction.port or (
+            cls.port_to is not TableRoutingFunction.port_to
+        ):
+            return None
+        return self._next_nodes()
+
+    def _next_nodes(self) -> np.ndarray:
+        """Next-node matrix of the tables; a malformed row (possible with
+        ``validate=False``) raises a :class:`ValueError` naming it.
+        """
+        from repro.routing.program import next_nodes_of_ports
+
+        n = self._graph.n
+        diag = np.diag(self._ports)
+        entries = (self._ports != _NO_ENTRY).sum(axis=1) - (diag != _NO_ENTRY)
+        malformed = np.flatnonzero((diag > DELIVER) | (entries != n - 1))
+        if malformed.size:
+            x = int(malformed[0])
+            if diag[x] > DELIVER:
+                raise ValueError(f"routing table of vertex {x} contains a self-entry")
+            raise ValueError(
+                f"routing table of vertex {x} has {entries[x]} entries, "
+                f"expected {n - 1} (one per other vertex)"
+            )
+        ports = self._ports.copy()
+        np.fill_diagonal(ports, DELIVER)
+        return next_nodes_of_ports(self._graph, ports)
 
 
 class LabeledRoutingFunction(RoutingFunction):

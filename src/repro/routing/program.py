@@ -57,7 +57,6 @@ from repro.routing.model import (
     RoutingFunction,
     RoutingScheme,
     SchemeInapplicableError,
-    TableRoutingFunction,
 )
 
 if TYPE_CHECKING:  # circular at runtime: repro.sim imports this module
@@ -87,6 +86,7 @@ __all__ = [
     "lower",
     "lower_header_state",
     "lower_next_hop",
+    "next_nodes_of_ports",
     "program_from_bytes",
     "save_program",
     "transition_dtype",
@@ -727,8 +727,34 @@ def compile_scheme_program(
     return rf.compile_program(max_states=max_states)
 
 
+def next_nodes_of_ports(graph: PortLabeledGraph, ports: np.ndarray) -> np.ndarray:
+    """Next-node matrix of an ``(n, n)`` matrix of ``P`` answers.
+
+    ``next_node[x, dest]`` is the neighbour of ``x`` behind port
+    ``ports[x, dest]``; :data:`~repro.routing.model.DELIVER` maps to ``x``
+    itself on the diagonal and to :data:`MISDELIVER` anywhere else.  Raises
+    :class:`ValueError` on the first (row-major) port outside
+    ``1..deg(x)``, like the per-pair lowering.
+    """
+    indptr, indices = graph.adjacency_arrays()
+    degrees = np.diff(indptr)
+    deliver = ports == DELIVER
+    invalid = ~deliver & ((ports < 1) | (ports > degrees[:, None]))
+    if invalid.any():
+        x, dest = (int(i[0]) for i in np.nonzero(invalid))
+        raise ValueError(
+            f"routing function used invalid port {int(ports[x, dest])} at vertex {x} "
+            f"(degree {degrees[x]})"
+        )
+    slots = np.where(deliver, 0, indptr[:-1, None] + ports - 1)
+    next_node = np.where(deliver, MISDELIVER, indices[slots] if indices.size else 0)
+    at_dest = np.nonzero(np.diag(deliver))[0]
+    next_node[at_dest, at_dest] = at_dest
+    return next_node
+
+
 def lower_next_hop(rf: RoutingFunction) -> NextHopProgram:
-    """Compile the per-node ``dest -> port`` maps into a next-hop program.
+    """Compile a header-constant routing function into a next-hop program.
 
     Returns the ``(n, n)`` domain-dtype matrix ``next_node`` (see
     :func:`transition_dtype`) with
@@ -740,66 +766,29 @@ def lower_next_hop(rf: RoutingFunction) -> NextHopProgram:
     so the simulated message passes through exactly as the legacy
     interpreter would.  Raises :class:`ValueError` on invalid ports, like
     the legacy simulator (but eagerly, for every pair at once).
+
+    The routing class supplies the matrix when it has a vectorised form
+    (:meth:`~repro.routing.model.RoutingFunction.next_node_matrix`);
+    otherwise ``P`` is evaluated once per pair.
     """
     graph = rf.graph
     n = graph.n
-    next_node = np.empty((n, n), dtype=transition_dtype(n))
-    diag = np.arange(n)
-    next_node[diag, diag] = diag
-    if n < 2:
-        return NextHopProgram(next_node=next_node)
-    indptr, indices = graph.adjacency_arrays()
-    degrees = np.diff(indptr)
-
-    if type(rf).port is DestinationBasedRoutingFunction.port and isinstance(
-        rf, TableRoutingFunction
-    ):
-        # Tables are already the dest -> port map; skip the port() dispatch.
-        # An unvalidated table (validate=False) may be malformed, so check
-        # completeness eagerly with a specific error instead of corrupting
-        # the diagonal or reporting a nonsensical port.
-        for x in range(n):
-            table = rf.local_map(x)
-            if x in table:
-                raise ValueError(f"routing table of vertex {x} contains a self-entry")
-            if len(table) != n - 1:
-                raise ValueError(
-                    f"routing table of vertex {x} has {len(table)} entries, "
-                    f"expected {n - 1} (one per other vertex)"
-                )
-            dests = np.fromiter(table.keys(), count=len(table), dtype=np.int64)
-            ports = np.fromiter(table.values(), count=len(table), dtype=np.int64)
-            invalid = (ports < 1) | (ports > degrees[x])
-            if invalid.any():
-                raise ValueError(
-                    f"routing function used invalid port {int(ports[invalid][0])} "
-                    f"at vertex {x} (degree {degrees[x]})"
-                )
-            next_node[x, dests] = indices[indptr[x] + ports - 1]
-        return NextHopProgram(next_node=next_node)
-
-    # Skipping P at the destination is only sound when the base
-    # destination-based implementation (which hard-codes DELIVER there) is
-    # in force; a subclass overriding port() gets evaluated at its own
-    # destination so a broken forward-past-dest decision surfaces exactly
-    # as in the legacy interpreter.
-    delivers_at_dest = type(rf).port is DestinationBasedRoutingFunction.port
-    for dest in range(n):
-        header = rf.initial_header((dest + 1) % n, dest)
-        for x in range(n):
-            if x == dest and delivers_at_dest:
-                continue  # P hard-codes DELIVER at the destination
-            port = rf.port(x, header)
-            if port == DELIVER:
-                next_node[x, dest] = dest if x == dest else MISDELIVER
-                continue
-            if not 1 <= port <= degrees[x]:
-                raise ValueError(
-                    f"routing function used invalid port {port} at vertex {x} "
-                    f"(degree {degrees[x]})"
-                )
-            next_node[x, dest] = indices[indptr[x] + port - 1]
-    return NextHopProgram(next_node=next_node)
+    matrix = rf.next_node_matrix()
+    if matrix is None:
+        # Skipping P at the destination is only sound when the base
+        # destination-based implementation (which hard-codes DELIVER there)
+        # is in force; a subclass overriding port() gets evaluated at its
+        # own destination so a broken forward-past-dest decision surfaces
+        # exactly as in the legacy interpreter.
+        delivers_at_dest = type(rf).port is DestinationBasedRoutingFunction.port
+        ports = np.zeros((n, n), dtype=np.int64)
+        for dest in range(n):
+            header = rf.initial_header((dest + 1) % n, dest)
+            for x in range(n):
+                if x != dest or not delivers_at_dest:
+                    ports[x, dest] = rf.port(x, header)
+        matrix = next_nodes_of_ports(graph, ports)
+    return NextHopProgram(next_node=matrix.astype(transition_dtype(n)))
 
 
 def lower_header_state(
@@ -938,7 +927,8 @@ class DeltaResult:
         fired) — the "steps to reconvergence" of the routing state.
     recomputed_columns:
         Destination columns whose distances were rebuilt by a targeted BFS
-        because a removed edge lay on one of their shortest paths.
+        because a removal left an endpoint with no shortest-path parent
+        towards them (see :func:`incremental_distance_matrix`).
     n:
         Vertex count of the snapshots.
     dist_after:
@@ -978,31 +968,17 @@ _UNREACHABLE = -1
 
 
 def _bfs_columns(graph: PortLabeledGraph, sources: np.ndarray) -> np.ndarray:
-    """BFS distance rows from ``sources``, batched through scipy when present.
+    """BFS distance rows from ``sources``, batched through one scipy call.
 
     Returns an ``(len(sources), n)`` int64 array with ``_UNREACHABLE`` for
-    unreachable pairs.  One scipy call replaces ``len(sources)`` Python-level
-    BFS traversals — the difference between a removal delta that beats a
-    recompile and one that merely matches it — with the pure-Python
-    per-column walk kept as the dependency-free fallback.
+    unreachable pairs — one call instead of ``len(sources)`` Python-level
+    BFS traversals, the difference between a removal delta that beats a
+    recompile and one that merely matches it.
     """
-    try:
-        from scipy.sparse.csgraph import dijkstra
-    except ImportError:
-        from repro.graphs.shortest_paths import bfs_distances
+    from scipy.sparse.csgraph import dijkstra
 
-        return np.stack(
-            [
-                np.asarray(bfs_distances(graph, int(t)), dtype=np.int64)
-                for t in sources
-            ]
-        )
-    raw = dijkstra(graph.csr_adjacency(), unweighted=True, indices=sources)
-    raw = np.atleast_2d(raw)
-    out = np.full(raw.shape, _UNREACHABLE, dtype=np.int64)
-    finite = np.isfinite(raw)
-    out[finite] = raw[finite].astype(np.int64)
-    return out
+    raw = np.atleast_2d(dijkstra(graph.csr_adjacency(), unweighted=True, indices=sources))
+    return np.where(np.isfinite(raw), raw, _UNREACHABLE).astype(np.int64)
 
 
 def incremental_distance_matrix(
@@ -1020,11 +996,17 @@ def incremental_distance_matrix(
 
     The update is exact and change-proportional in the common churn regime:
 
-    * **Removals** invalidate only the destination columns some removed
-      edge had a shortest path through (``|d(u, t) - d(v, t)| == 1`` — the
-      affected-destination frontier); those columns are rebuilt by one
-      targeted BFS each on ``graph_after``.  Every other column is provably
-      untouched by the removal (all its shortest-path DAGs survive).
+    * **Removals** invalidate only the destination columns ``t`` where an
+      endpoint ``a`` of a removed edge lost a shortest-path parent edge
+      towards ``t`` (``d(a, t) == d(b, t) + 1``) *and* has no neighbour at
+      ``d(a, t) - 1`` left in ``graph_after``; those columns are rebuilt by
+      one targeted BFS each on ``graph_after``.  In every other column
+      each vertex keeps a neighbour at its old distance minus one, so the
+      old distances are realised by paths of ``graph_after``; removals
+      never shorten a path, so the additions' relaxation below makes the
+      column exact.  A single-edge flip on a hypercube rebuilds 2
+      columns (the looser ``|d(u, t) - d(v, t)| == 1`` frontier is every
+      column of a bipartite graph).
     * **Additions** then run a vectorised relaxation ``d(x, y) <- min(d(x,
       y), d(x, u) + 1 + d(v, y))`` over the added edges to a fixpoint; the
       sweep count is the steps-to-reconvergence metric (a shortest path
@@ -1035,9 +1017,14 @@ def incremental_distance_matrix(
     d = np.array(dist_before, dtype=np.int64, copy=True)
     recomputed = 0
     if removed:
+        indptr, indices = graph_after.adjacency_arrays()
         affected = np.zeros(n, dtype=bool)
         for u, v in removed:
-            affected |= np.abs(d[u, :] - d[v, :]) == 1
+            for a, b in ((u, v), (v, u)):
+                lost = (d[a] == d[b] + 1) & (d[b] != _UNREACHABLE)
+                if lost.any():
+                    nbrs = indices[indptr[a] : indptr[a + 1]]
+                    affected |= lost & ~(d[nbrs] == d[a] - 1).any(axis=0)
         sources = np.nonzero(affected)[0]
         if sources.size:
             cols = _bfs_columns(graph_after, sources)
@@ -1173,9 +1160,9 @@ def apply_delta(
       frontier propagated one hop (the next-hop choice reads exactly those
       distances).
 
-    Only dirty entries are recomputed (replicating
-    :func:`repro.routing.tables.build_next_hop_matrix`'s tie-break
-    vectorised per row); distances themselves are maintained by
+    Only dirty entries are recomputed, by the very primitive a fresh build
+    uses (:func:`repro.routing.tables.shortest_path_ports` with the dirty
+    mask); distances themselves are maintained by
     :func:`incremental_distance_matrix`.  Everything else — other schemes,
     header-state/generic programs, vertex-count changes, dirty sets above
     ``dirty_threshold`` (a fraction of the off-diagonal entries), or a
@@ -1194,7 +1181,7 @@ def apply_delta(
     the first offending pair; the recompile/unchanged paths return fresh or
     untouched compiles and are not re-proven.
     """
-    from repro.routing.tables import ShortestPathTableScheme
+    from repro.routing.tables import ShortestPathTableScheme, shortest_path_ports
 
     if graph_before.n != program.n:
         raise ValueError(
@@ -1273,26 +1260,11 @@ def apply_delta(
         return _recompiled()
     dirty_destinations = int(dirty.any(axis=0).sum())
 
-    tie_break = scheme.tie_break
-    next_node = np.array(program.next_node, copy=True)  # mmap views are read-only
+    ports = shortest_path_ports(graph_after, scheme.tie_break, dist_after, dirty=dirty)
+    xs, dests = np.nonzero(dirty)
     indptr, indices = graph_after.adjacency_arrays()
-    for x in np.nonzero(dirty.any(axis=1))[0]:
-        dests = np.nonzero(dirty[x])[0]
-        nbrs = indices[indptr[x] : indptr[x + 1]]  # port order: port k+1 = nbrs[k]
-        on_shortest = dist_after[nbrs[:, None], dests[None, :]] == (
-            dist_after[x, dests] - 1
-        )
-        if tie_break == "lowest_port":
-            pick = on_shortest.argmax(axis=0)
-        elif tie_break == "highest_port":
-            pick = on_shortest.shape[0] - 1 - on_shortest[::-1].argmax(axis=0)
-        elif tie_break == "lowest_neighbor":
-            pick = np.where(on_shortest, nbrs[:, None], np.iinfo(np.int64).max).argmin(
-                axis=0
-            )
-        else:  # pragma: no cover - guarded by ShortestPathTableScheme
-            raise ValueError(f"unknown tie break rule {tie_break!r}")
-        next_node[x, dests] = nbrs[pick].astype(next_node.dtype)
+    next_node = np.array(program.next_node, copy=True)  # mmap views are read-only
+    next_node[xs, dests] = indices[indptr[xs] + ports[xs, dests] - 1]
 
     patched = program.with_next_node(next_node)
     if faults is not None:

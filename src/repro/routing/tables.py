@@ -15,60 +15,69 @@ benefits from the ``lowest_port`` rule on ring-like graphs).
 
 from __future__ import annotations
 
-from typing import Dict, Literal, Optional
+from typing import Literal, Optional, get_args
 
 import numpy as np
 
 from repro.graphs.digraph import PortLabeledGraph
-from repro.graphs.shortest_paths import UNREACHABLE, bfs_distances, distance_matrix
+from repro.graphs.shortest_paths import UNREACHABLE, distance_matrix
 from repro.routing.model import BaseRoutingScheme, TableRoutingFunction
 
-__all__ = ["ShortestPathTableScheme", "build_next_hop_matrix"]
+__all__ = ["ShortestPathTableScheme", "TIE_BREAKS", "shortest_path_ports"]
 
 TieBreak = Literal["lowest_neighbor", "lowest_port", "highest_port"]
 
+TIE_BREAKS = get_args(TieBreak)
 
-def build_next_hop_matrix(
+
+def check_tie_break(tie_break: str) -> TieBreak:
+    """Return ``tie_break`` if it names a rule of :data:`TIE_BREAKS`, else raise."""
+    if tie_break not in TIE_BREAKS:
+        raise ValueError(f"tie_break must be one of {TIE_BREAKS}, got {tie_break!r}")
+    return tie_break  # type: ignore[return-value]
+
+
+def shortest_path_ports(
     graph: PortLabeledGraph,
     tie_break: TieBreak = "lowest_port",
     dist: Optional[np.ndarray] = None,
+    dirty: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Next-hop matrix ``next_hop[x, dest]`` of one shortest-path routing.
+    """Port matrix ``ports[x, dest]`` of one shortest-path routing.
 
-    ``next_hop[x, x] = x``; entries for unreachable destinations are ``-1``.
+    ``ports[x, dest]`` is the port at ``x`` of the shortest-path neighbour
+    towards ``dest`` picked by ``tie_break`` (lowest port, highest port or
+    lowest neighbour label); the diagonal and unreachable destinations hold
+    ``0`` (:data:`~repro.routing.model.DELIVER`).  With a boolean ``dirty``
+    mask only the masked entries are computed (the rest stay ``0``): the
+    patch step of :func:`repro.routing.program.apply_delta`, of which a
+    fresh build is the all-dirty case.
 
-    The computation runs one BFS per destination and picks, among the
-    neighbours of ``x`` lying on a shortest path to ``dest``, the one
-    selected by ``tie_break``.
+    One vectorised pass per row: among the port-ordered neighbours
+    ``nbrs`` of ``x`` the shortest-path ones satisfy
+    ``dist[nbrs, dest] == dist[x, dest] - 1``, and the rule is an
+    argmax/argmin over that boolean matrix (``O(deg(x) * n)`` scratch).
     """
+    check_tie_break(tie_break)
     n = graph.n
-    next_hop = np.full((n, n), -1, dtype=np.int64)
-    np.fill_diagonal(next_hop, np.arange(n))
     if dist is None:
         dist = distance_matrix(graph)
-    for dest in range(n):
-        dist_to_dest = dist[:, dest]
-        for x in range(n):
-            if x == dest or dist_to_dest[x] == UNREACHABLE:
-                continue
-            best_neighbor = -1
-            best_key = None
-            for v in graph.neighbors(x):
-                if dist_to_dest[v] != dist_to_dest[x] - 1:
-                    continue
-                if tie_break == "lowest_neighbor":
-                    key = v
-                elif tie_break == "lowest_port":
-                    key = graph.port(x, v)
-                elif tie_break == "highest_port":
-                    key = -graph.port(x, v)
-                else:  # pragma: no cover - guarded by the Literal type
-                    raise ValueError(f"unknown tie break rule {tie_break!r}")
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_neighbor = v
-            next_hop[x, dest] = best_neighbor
-    return next_hop
+    ports = np.zeros((n, n), dtype=np.int64)
+    indptr, indices = graph.adjacency_arrays()
+    for x in range(n):
+        dests = np.nonzero((dist[x] > 0) if dirty is None else (dist[x] > 0) & dirty[x])[0]
+        if not dests.size:
+            continue
+        nbrs = indices[indptr[x] : indptr[x + 1]]  # port order: port k+1 = nbrs[k]
+        on_shortest = dist[nbrs] == dist[x] - 1  # whole rows: cheaper than a gather
+        if tie_break == "lowest_port":
+            pick = on_shortest.argmax(axis=0)
+        elif tie_break == "highest_port":
+            pick = nbrs.size - 1 - on_shortest[::-1].argmax(axis=0)
+        else:
+            pick = np.where(on_shortest, nbrs[:, None], n).argmin(axis=0)
+        ports[x, dests] = pick[dests] + 1
+    return ports
 
 
 class ShortestPathTableScheme(BaseRoutingScheme):
@@ -77,7 +86,8 @@ class ShortestPathTableScheme(BaseRoutingScheme):
     Parameters
     ----------
     tie_break:
-        Rule used to pick a next hop when several shortest paths exist.
+        Rule used to pick a next hop when several shortest paths exist; one
+        of :data:`TIE_BREAKS` (anything else raises :class:`ValueError`).
 
     Notes
     -----
@@ -89,7 +99,7 @@ class ShortestPathTableScheme(BaseRoutingScheme):
     stretch_guarantee = 1.0
 
     def __init__(self, tie_break: TieBreak = "lowest_port") -> None:
-        self.tie_break: TieBreak = tie_break
+        self.tie_break: TieBreak = check_tie_break(tie_break)
 
     def build(self, graph: PortLabeledGraph) -> TableRoutingFunction:
         """Build the shortest-path table routing function for ``graph``.
@@ -100,13 +110,5 @@ class ShortestPathTableScheme(BaseRoutingScheme):
         dist = distance_matrix(graph)
         if graph.n > 1 and (dist == UNREACHABLE).any():
             raise ValueError("routing tables require a connected graph")
-        next_hop = build_next_hop_matrix(graph, tie_break=self.tie_break, dist=dist)
-        tables: Dict[int, Dict[int, int]] = {}
-        for x in range(graph.n):
-            table: Dict[int, int] = {}
-            for dest in range(graph.n):
-                if dest == x:
-                    continue
-                table[dest] = graph.port(x, int(next_hop[x, dest]))
-            tables[x] = table
-        return TableRoutingFunction(graph, tables, validate=False)
+        ports = shortest_path_ports(graph, tie_break=self.tie_break, dist=dist)
+        return TableRoutingFunction(graph, ports, validate=False)

@@ -120,10 +120,12 @@ class ProgramVerificationError(ValueError):
 def _exact_max_ratio(lengths: np.ndarray, dists: np.ndarray) -> Fraction:
     """Exact maximum of ``lengths / dists`` as a :class:`Fraction`.
 
-    Same refinement as the engine's stretch kernel (duplicated here because
-    :mod:`repro.routing` must not import :mod:`repro.sim`): the float argmax
-    is sharpened by re-comparing, as true rationals, every pair within one
-    representable step of the float maximum.  Empty input returns ``1``.
+    The one stretch kernel of the verifier,
+    :meth:`repro.sim.engine.SimulationResult.max_stretch` and
+    :meth:`repro.sim.faults.FaultSimulationResult.max_stretch`: the float
+    argmax is sharpened by re-comparing, as true rationals, every pair
+    within one representable step of the float maximum.  Empty input
+    returns ``1``.
     """
     if not lengths.size:
         return Fraction(1)

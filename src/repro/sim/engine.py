@@ -86,6 +86,7 @@ from repro.routing.program import (
     lower_header_state,
     lower_next_hop,
 )
+from repro.routing.verify import _exact_max_ratio
 
 __all__ = [
     "MISDELIVER",
@@ -113,29 +114,6 @@ _KIND_MODES = {
 
 #: Backward-compatible name of the header-state artifact (PR 3 vintage).
 HeaderProgram = HeaderStateProgram
-
-
-def _exact_max_ratio(lengths: np.ndarray, dists: np.ndarray) -> Fraction:
-    """Exact maximum of ``lengths / dists`` as a :class:`Fraction`.
-
-    The shared stretch kernel of :meth:`SimulationResult.max_stretch` and
-    :meth:`repro.sim.faults.FaultSimulationResult.max_stretch`: the float
-    argmax is refined exactly by collecting every pair whose float ratio is
-    within one representable step of the max and comparing those few as
-    true rationals.  Empty inputs (nothing delivered) return
-    ``Fraction(1)``.
-    """
-    if not lengths.size:
-        return Fraction(1)
-    ratios = lengths / dists
-    best = float(ratios.max())
-    near = ratios >= np.nextafter(best, 0.0)
-    worst = Fraction(0)
-    for length, d in zip(lengths[near], dists[near]):
-        s = Fraction(int(length), int(d))
-        if s > worst:
-            worst = s
-    return worst if worst > 0 else Fraction(1)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,11 @@ Hypothesis-driven suites share two things from here:
   :class:`~repro.sim.churn.ChurnTrace` sequences).  Both are built from
   drawn integers only, so hypothesis shrinks them toward small graphs,
   short traces, and low seeds.
+
+:func:`build_next_hop_matrix` is the slow reference oracle of
+:func:`repro.routing.tables.shortest_path_ports`: the per-entry Python loop
+over every (node, destination, neighbour) triple the library once built
+its tables with.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from __future__ import annotations
 import functools
 import os
 
+import numpy as np
 import pytest
 
 from repro.graphs import generators
@@ -107,6 +113,44 @@ if _HAS_HYPOTHESIS:
         return random_churn_trace(
             graph, steps=steps, flips_per_step=flips, seed=trace_seed, p_add=p_add
         )
+
+
+def build_next_hop_matrix(graph, tie_break="lowest_port", dist=None):
+    """Next-hop matrix ``next_hop[x, dest]`` of one shortest-path routing.
+
+    ``next_hop[x, x] = x``; entries for unreachable destinations are ``-1``.
+    Among the neighbours of ``x`` on a shortest path to ``dest``, picks the
+    one with the lowest port, highest port or lowest label, one
+    ``graph.port`` call at a time.
+    """
+    from repro.graphs.shortest_paths import UNREACHABLE, distance_matrix
+
+    n = graph.n
+    next_hop = np.full((n, n), -1, dtype=np.int64)
+    np.fill_diagonal(next_hop, np.arange(n))
+    if dist is None:
+        dist = distance_matrix(graph)
+    for dest in range(n):
+        dist_to_dest = dist[:, dest]
+        for x in range(n):
+            if x == dest or dist_to_dest[x] == UNREACHABLE:
+                continue
+            best_neighbor, best_key = -1, None
+            for v in graph.neighbors(x):
+                if dist_to_dest[v] != dist_to_dest[x] - 1:
+                    continue
+                if tie_break == "lowest_neighbor":
+                    key = v
+                elif tie_break == "lowest_port":
+                    key = graph.port(x, v)
+                elif tie_break == "highest_port":
+                    key = -graph.port(x, v)
+                else:
+                    raise ValueError(f"unknown tie break rule {tie_break!r}")
+                if best_key is None or key < best_key:
+                    best_key, best_neighbor = key, v
+            next_hop[x, dest] = best_neighbor
+    return next_hop
 
 
 @functools.lru_cache(maxsize=None)

@@ -35,12 +35,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import profile_settings
+from conftest import build_next_hop_matrix, profile_settings
 from repro.graphs import generators
 from repro.graphs.shortest_paths import UNREACHABLE, distance_matrix
 from repro.routing.model import DELIVER, DestinationBasedRoutingFunction, RoutingFunction
 from repro.routing.program import DROPPED, GenericProgram, functional_hops
-from repro.routing.tables import ShortestPathTableScheme, build_next_hop_matrix
+from repro.routing.tables import ShortestPathTableScheme
 from repro.sim import simulate_all_pairs
 from repro.sim.engine import execute_masked_program
 from repro.sim.faults import (

@@ -220,7 +220,7 @@ def test_vectorised_canonical_matches_reference():
 # ----------------------------------------------------------------------
 def test_distance_matrix_does_not_reextract_edges(monkeypatch):
     graph = generators.random_connected_graph(80, extra_edge_prob=0.05, seed=1)
-    first = distance_matrix(graph, backend="scipy")
+    first = distance_matrix(graph)
 
     def _poisoned_edges():
         raise AssertionError("distance_matrix re-extracted the edge list")
@@ -229,7 +229,7 @@ def test_distance_matrix_does_not_reextract_edges(monkeypatch):
     monkeypatch.setattr(
         graph, "neighbors", lambda u: pytest.fail("distance_matrix walked neighbour dicts")
     )
-    again = distance_matrix(graph, backend="scipy")
+    again = distance_matrix(graph)
     assert np.array_equal(first, again)
     assert graph.csr_adjacency() is graph.csr_adjacency()
 
@@ -328,9 +328,9 @@ def test_scheme_port_relabeling_refreshes_distances():
     from repro.routing.complete import ModularCompleteGraphScheme
 
     graph = generators.complete_graph(8)
-    before = distance_matrix(graph, backend="scipy")
+    before = distance_matrix(graph)
     rf = ModularCompleteGraphScheme().build(graph)
-    after = distance_matrix(graph, backend="scipy")
+    after = distance_matrix(graph)
     assert np.array_equal(before, after)  # relabelling preserves the edges
     for x in range(8):
         for dest in range(8):

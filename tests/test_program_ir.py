@@ -448,7 +448,7 @@ def test_partial_schemes_skip_in_program_sweep(tmp_path):
 def test_generic_kind_cells_are_cached_and_interpreted(tmp_path):
     from repro.analysis.runner import ShardedRunner
     from repro.routing.model import RoutingFunction
-    from repro.routing.tables import build_next_hop_matrix
+    from conftest import build_next_hop_matrix
 
     class _TTLFunction(RoutingFunction):
         def __init__(self, graph):

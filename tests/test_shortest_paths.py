@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -49,21 +53,47 @@ class TestBFS:
 
 
 class TestDistanceMatrix:
-    def test_backends_agree(self):
-        g = generators.random_connected_graph(30, extra_edge_prob=0.1, seed=5)
-        d_py = distance_matrix(g, backend="python")
-        d_sp = distance_matrix(g, backend="scipy")
-        assert np.array_equal(d_py, d_sp)
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            generators.hypercube(7),
+            generators.torus_2d(8, 8),
+            generators.grid_2d(9, 11),
+            generators.cycle_graph(130),
+            generators.random_connected_graph(100, extra_edge_prob=0.05, seed=5),
+            PortLabeledGraph(70, [(v, v + 1) for v in range(69) if v != 40]),
+        ],
+        ids=["hypercube7", "torus8x8", "grid9x11", "cycle130", "random100", "split-path70"],
+    )
+    def test_scipy_matches_stacked_bfs_oracle(self, graph):
+        # Graphs of >= 64 vertices take the scipy path; the one-BFS-per-source
+        # stack is its oracle: byte-equal values and dtype, -1 when unreachable.
+        oracle = np.vstack([bfs_distances(graph, s) for s in range(graph.n)])
+        d = distance_matrix(graph)
+        assert d.dtype == oracle.dtype
+        assert d.tobytes() == oracle.tobytes()
+
+    def test_small_graphs_do_not_import_scipy(self):
+        # Below 64 vertices the stacked BFS answers directly, so small-graph
+        # workloads never pay scipy.sparse's import and resident memory.
+        code = (
+            "import sys\n"
+            "from repro.graphs import generators\n"
+            "from repro.graphs.shortest_paths import distance_matrix\n"
+            "distance_matrix(generators.grid_2d(7, 9))\n"
+            "print('scipy.sparse' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert out.stdout.strip() == "False"
 
     def test_symmetric_and_zero_diagonal(self):
         g = generators.petersen_graph()
         d = distance_matrix(g)
         assert np.array_equal(d, d.T)
         assert np.array_equal(np.diag(d), np.zeros(g.n, dtype=np.int64))
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            distance_matrix(generators.path_graph(3), backend="gpu")
 
     def test_empty_graph(self):
         g = PortLabeledGraph(0)

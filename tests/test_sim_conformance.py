@@ -30,12 +30,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import profile_settings
+from conftest import build_next_hop_matrix, profile_settings
 from repro.graphs import generators
 from repro.graphs.shortest_paths import distance_matrix
 from repro.routing.model import DELIVER, DestinationBasedRoutingFunction, RoutingFunction
 from repro.routing.paths import all_pairs_routing_lengths, route, stretch_factor
-from repro.routing.tables import ShortestPathTableScheme, build_next_hop_matrix
+from repro.routing.tables import ShortestPathTableScheme
 from repro.sim import (
     HeaderStateExplosionError,
     compile_header_program,

@@ -10,15 +10,29 @@ import pytest
 from repro.graphs import generators
 from repro.graphs.digraph import PortLabeledGraph
 from repro.graphs.shortest_paths import distance_matrix
+from conftest import build_next_hop_matrix
 from repro.routing.paths import all_pairs_routing_lengths, stretch_factor
-from repro.routing.tables import ShortestPathTableScheme, build_next_hop_matrix
+from repro.routing.tables import ShortestPathTableScheme, shortest_path_ports
+
+
+def next_hop_matrix(graph, tie_break="lowest_port", dist=None):
+    """Next hops of the library primitive, in the oracle's format.
+
+    The neighbour behind every port of :func:`shortest_path_ports`, ``x``
+    on the diagonal and ``-1`` for unreachable destinations.
+    """
+    ports = shortest_path_ports(graph, tie_break=tie_break, dist=dist)
+    indptr, indices = graph.adjacency_arrays()
+    hops = np.where(ports > 0, indices[np.maximum(indptr[:-1, None] + ports - 1, 0)], -1)
+    np.fill_diagonal(hops, np.arange(graph.n))
+    return hops
 
 
 class TestNextHopMatrix:
     def test_next_hops_decrease_distance(self):
         g = generators.random_connected_graph(20, extra_edge_prob=0.1, seed=3)
         dist = distance_matrix(g)
-        next_hop = build_next_hop_matrix(g, dist=dist)
+        next_hop = next_hop_matrix(g, dist=dist)
         for x in g.vertices():
             for dest in g.vertices():
                 if x == dest:
@@ -30,24 +44,24 @@ class TestNextHopMatrix:
 
     def test_diagonal_is_identity(self):
         g = generators.cycle_graph(5)
-        next_hop = build_next_hop_matrix(g)
+        next_hop = next_hop_matrix(g)
         assert (np.diag(next_hop) == np.arange(5)).all()
 
     def test_disconnected_marked_minus_one(self):
         g = PortLabeledGraph(4, [(0, 1), (2, 3)])
-        next_hop = build_next_hop_matrix(g)
+        next_hop = next_hop_matrix(g)
         assert next_hop[0, 2] == -1
 
     def test_tie_break_lowest_neighbor(self):
         g = generators.cycle_graph(4)
-        next_hop = build_next_hop_matrix(g, tie_break="lowest_neighbor")
+        next_hop = next_hop_matrix(g, tie_break="lowest_neighbor")
         # From 0 to 2 both neighbours 1 and 3 are on shortest paths.
         assert next_hop[0, 2] == 1
 
     def test_tie_break_rules_differ(self):
         g = generators.complete_bipartite_graph(2, 3)
-        low = build_next_hop_matrix(g, tie_break="lowest_port")
-        high = build_next_hop_matrix(g, tie_break="highest_port")
+        low = next_hop_matrix(g, tie_break="lowest_port")
+        high = next_hop_matrix(g, tie_break="highest_port")
         assert (low != high).any()
 
 
@@ -110,8 +124,8 @@ class TestTieBreakDeterminism:
     @pytest.mark.parametrize("rule", TIE_BREAKS)
     def test_next_hop_matrix_identical_across_runs(self, rule):
         g = generators.random_connected_graph(24, extra_edge_prob=0.15, seed=9)
-        first = build_next_hop_matrix(g, tie_break=rule)
-        assert np.array_equal(first, build_next_hop_matrix(g, tie_break=rule))
+        first = next_hop_matrix(g, tie_break=rule)
+        assert np.array_equal(first, next_hop_matrix(g, tie_break=rule))
 
     @pytest.mark.parametrize("rule", TIE_BREAKS)
     def test_next_hop_matrix_identical_across_graph_rebuilds(self, rule):
@@ -121,7 +135,7 @@ class TestTieBreakDeterminism:
         g1 = generators.random_connected_graph(24, extra_edge_prob=0.15, seed=9)
         g2 = generators.random_connected_graph(24, extra_edge_prob=0.15, seed=9)
         assert np.array_equal(
-            build_next_hop_matrix(g1, tie_break=rule), build_next_hop_matrix(g2, tie_break=rule)
+            next_hop_matrix(g1, tie_break=rule), next_hop_matrix(g2, tie_break=rule)
         )
 
     @pytest.mark.parametrize("rule", TIE_BREAKS)
@@ -150,6 +164,6 @@ class TestTieBreakDeterminism:
         # On C4, 0 -> 2 has the two tied neighbours 1 (port 1) and 3 (port 2)
         # under the canonical labelling.
         g = generators.cycle_graph(4)
-        assert build_next_hop_matrix(g, tie_break="lowest_neighbor")[0, 2] == 1
-        assert build_next_hop_matrix(g, tie_break="lowest_port")[0, 2] == 1
-        assert build_next_hop_matrix(g, tie_break="highest_port")[0, 2] == 3
+        assert next_hop_matrix(g, tie_break="lowest_neighbor")[0, 2] == 1
+        assert next_hop_matrix(g, tie_break="lowest_port")[0, 2] == 1
+        assert next_hop_matrix(g, tie_break="highest_port")[0, 2] == 3
