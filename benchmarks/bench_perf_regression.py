@@ -35,6 +35,9 @@ Two jobs:
   (plus a warm-cache ``flow_sweep`` smoke over three medium families).
   ``test_table_compile_n1024`` pins a cold shortest-path table compile on
   the n = 1024 hypercube and prints its distance / ports / lower split.
+  ``test_header_state_compile_n1024`` pins a cold ``landmark-rewriting``
+  compile on the same hypercube (about 1.1M header states) and prints its
+  build / closure / hops-peel split.
 
 Refresh the snapshot after an intentional perf-relevant change with::
 
@@ -84,7 +87,9 @@ from repro.routing.program import (
     NextHopProgram,
     apply_delta,
     compile_scheme_program,
+    functional_hops,
     load_program,
+    lower_header_state,
     lower_next_hop,
     program_from_bytes,
     save_program,
@@ -748,6 +753,41 @@ def test_table_compile_n1024(benchmark):
 
 
 @pytest.mark.benchmark(group="perf-regression")
+def test_header_state_compile_n1024(benchmark):
+    # The header-state compile pin: a cold compile of the two-phase
+    # rewriting landmark scheme on the n = 1024 hypercube.  The split names
+    # the stage of a regression: the scheme build, the level-synchronous
+    # state closure over the class-owned transitions, and the
+    # hops-to-delivery peel over the closed state graph.
+    graph = generators.hypercube(CHURN_FLIP_DIM)
+    scheme = scheme_registry(seed=0)["landmark-rewriting"]
+
+    def _run():
+        return compile_scheme_program(scheme, graph)
+
+    program = benchmark.pedantic(_run, rounds=3, iterations=1)
+    compile_s = benchmark.stats.stats.median
+    _check_budget("header_state_compile_n1024", compile_s)
+    rf, build_s = _time(scheme.build, graph.copy())
+    lowered, lower_s = _time(lower_header_state, rf)
+    _, peel_s = _time(functional_hops, lowered.succ, lowered.deliver)
+    print_rows(
+        "Cold header-state compile (n=1024 hypercube, landmark-rewriting)",
+        [
+            {
+                "case": f"dim={CHURN_FLIP_DIM} n={graph.n}",
+                "states": lowered.num_states,
+                "compile_s": compile_s,
+                "build_s": build_s,
+                "closure_s": lower_s - peel_s,
+                "hops_peel_s": peel_s,
+            }
+        ],
+    )
+    assert lowered.to_bytes() == program.to_bytes()
+
+
+@pytest.mark.benchmark(group="perf-regression")
 def test_verify_speedup_vs_simulate_n1024(benchmark):
     # The static-analysis acceptance pin: proving every pair's fate and
     # exact hop count by functional-graph analysis (no message executed)
@@ -949,6 +989,9 @@ def _measure_pinned_paths() -> dict:
     )
     _, verify_s = _time(verify_program, churn_prog)
     _, table_compile_s = _time(compile_scheme_program, churn_scheme, churn_graph)
+    _, header_compile_s = _time(
+        compile_scheme_program, scheme_registry(seed=0)["landmark-rewriting"], churn_graph
+    )
 
     flow_prog = _hypercube_ecube_program(CHURN_FLIP_DIM)
     flow_report = verify_program(flow_prog)
@@ -975,6 +1018,7 @@ def _measure_pinned_paths() -> dict:
         "program_mmap_load_n4096": mmap_s,
         "churn_delta_flip_n1024": churn_s,
         "table_compile_n1024": table_compile_s,
+        "header_state_compile_n1024": header_compile_s,
         "verify_vs_simulate_n1024": verify_s,
         "flow_subtree_n1024": flow_subtree_s,
         "flow_sweep_warm_medium": flow_sweep_s,

@@ -131,9 +131,10 @@ def distance_matrix(graph: PortLabeledGraph) -> np.ndarray:
 
     Graphs of at least 64 vertices go through
     :func:`scipy.sparse.csgraph.shortest_path` (BFS on the unweighted,
-    cached CSR adjacency); smaller ones stack one :func:`bfs_distances` per
-    source, so small-graph workloads never import ``scipy.sparse`` (about
-    30 MB of resident memory) for a matrix a few dozen BFS sweeps produce.
+    cached CSR adjacency).  Smaller ones run one BFS from every source at
+    once over the dense 0/1 adjacency: the ``(n, n)`` frontier advances by
+    one matrix product per level.  Small-graph workloads therefore never
+    import ``scipy.sparse`` (about 30 MB of resident memory).
 
     Returns
     -------
@@ -144,7 +145,18 @@ def distance_matrix(graph: PortLabeledGraph) -> np.ndarray:
     if n == 0:
         return np.zeros((0, 0), dtype=np.int64)
     if n < 64:
-        return np.vstack([bfs_distances(graph, s) for s in range(n)])
+        indptr, indices = graph.adjacency_arrays()
+        # float64 so the product runs in BLAS; path counts stay exact.
+        adjacency = np.zeros((n, n))
+        adjacency[np.repeat(np.arange(n), np.diff(indptr)), indices] = 1.0
+        dist = np.full((n, n), UNREACHABLE, dtype=np.int64)
+        frontier = np.eye(n, dtype=bool)
+        level = 0
+        while frontier.any():
+            dist[frontier] = level
+            level += 1
+            frontier = (frontier @ adjacency > 0) & (dist == UNREACHABLE)
+        return dist
     from scipy.sparse.csgraph import shortest_path as _sp
 
     dist = _sp(graph.csr_adjacency(), method="D", unweighted=True, directed=False)

@@ -38,6 +38,7 @@ from repro.routing.model import (
     DELIVER,
     BaseRoutingScheme,
     DestinationBasedRoutingFunction,
+    HeaderTransitions,
     LabeledRoutingFunction,
     RoutingFunction,
     RoutingScheme,
@@ -98,6 +99,7 @@ from repro.routing.hierarchical import (
 
 __all__ = [
     "DELIVER",
+    "HeaderTransitions",
     "RoutingFunction",
     "DestinationBasedRoutingFunction",
     "LabeledRoutingFunction",

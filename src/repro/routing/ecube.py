@@ -12,11 +12,18 @@ measurements of experiment E7).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable
+from typing import Dict, Hashable, Optional, Tuple
+
+import numpy as np
 
 from repro.graphs.digraph import PortLabeledGraph
 from repro.graphs.properties import is_hypercube
-from repro.routing.model import BaseRoutingScheme, DELIVER, DestinationBasedRoutingFunction
+from repro.routing.model import (
+    BaseRoutingScheme,
+    DELIVER,
+    DestinationBasedRoutingFunction,
+    HeaderTransitions,
+)
 
 __all__ = [
     "ECubeRoutingFunction",
@@ -91,6 +98,31 @@ class MaskECubeRoutingFunction(ECubeRoutingFunction):
     def next_header(self, node: int, header: Hashable) -> int:
         mask = int(header)  # type: ignore[call-overload]
         return mask & (mask - 1)  # clear the bit corrected by this hop
+
+    def header_transitions(self) -> Optional[HeaderTransitions]:
+        """Header id = mask, ``initial = x ^ y``; every mask's port and
+        successor are tabulated once."""
+        cls = type(self)
+        if (
+            cls.port is not MaskECubeRoutingFunction.port
+            or cls.next_header is not MaskECubeRoutingFunction.next_header
+            or cls.initial_header is not MaskECubeRoutingFunction.initial_header
+        ):
+            return None
+        n = self._graph.n
+        # Every x ^ y fits in the bit length of n - 1.
+        masks = np.arange(1 << (n - 1).bit_length() if n > 1 else n)
+        # frexp(2**k) has exponent k + 1: the port of the lowest set bit
+        # (mask 0 has exponent 0, i.e. DELIVER).
+        port_of = np.frexp(masks & -masks)[1].astype(masks.dtype)
+        next_of = masks & (masks - 1)
+
+        def step(nodes: np.ndarray, header_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            return port_of[header_ids], next_of[header_ids]
+
+        vertices = np.arange(n)
+        initial = vertices[:, None] ^ vertices[None, :]
+        return HeaderTransitions(tuple(masks.tolist()), initial, step)
 
 
 class ECubeRoutingScheme(BaseRoutingScheme):

@@ -18,13 +18,18 @@ sparser graph; the measured trade-off curve is experiment E8.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional
+from typing import Dict, Hashable, Optional, Tuple
 
 import numpy as np
 
 from repro.graphs.digraph import PortLabeledGraph
 from repro.routing.landmark import CowenLandmarkScheme, LandmarkAddress, LandmarkRoutingFunction
-from repro.routing.model import BaseRoutingScheme, DELIVER, LabeledRoutingFunction
+from repro.routing.model import (
+    BaseRoutingScheme,
+    DELIVER,
+    HeaderTransitions,
+    LabeledRoutingFunction,
+)
 from repro.routing.spanner import greedy_spanner
 
 __all__ = [
@@ -112,6 +117,48 @@ class RewritingHierarchicalSpannerRoutingFunction(HierarchicalSpannerRoutingFunc
 
     def next_header(self, node: int, header: Hashable) -> Hashable:
         return self._inner.next_header(node, header)
+
+    def header_transitions(self) -> Optional[HeaderTransitions]:
+        """The inner function's transitions, spanner ports translated to
+        network ports by one lookup per spanner arc."""
+        cls = type(self)
+        if (
+            cls.port is not HierarchicalSpannerRoutingFunction.port
+            or cls.next_header is not RewritingHierarchicalSpannerRoutingFunction.next_header
+            or cls.initial_header is not LabeledRoutingFunction.initial_header
+            or cls.address is not HierarchicalSpannerRoutingFunction.address
+        ):
+            return None
+        inner = self._inner.header_transitions()
+        if inner is None:
+            return None
+        n = self._graph.n
+        sp_indptr, sp_indices = self._spanner.adjacency_arrays()
+        indptr, indices = self._graph.adjacency_arrays()
+        # Network arcs sorted by (tail, head) key; the port of an arc is its
+        # rank within its tail's port-ordered row, plus one.
+        tails = np.repeat(np.arange(n), np.diff(indptr))
+        arc_keys = tails * n + indices
+        by_key = np.argsort(arc_keys)
+        sp_tails = np.repeat(np.arange(n), np.diff(sp_indptr))
+        arcs = by_key[np.searchsorted(arc_keys[by_key], sp_tails * n + sp_indices)]
+        # Indexed by spanner arc; the trailing DELIVER is the slot (-1) of
+        # delivering states.
+        network_port = np.append(arcs - indptr[sp_tails] + 1, DELIVER)
+        sp_degrees = np.diff(sp_indptr)
+        inner_step = inner.step
+
+        def step(nodes: np.ndarray, header_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            ports, next_ids = inner_step(nodes, header_ids)
+            moves = ports != DELIVER
+            bad = moves & ((ports < 1) | (ports > sp_degrees[nodes]))
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise KeyError(f"vertex {nodes[i]} has no port {ports[i]}")
+            arc = np.where(moves, sp_indptr[nodes] + ports - 1, -1)
+            return network_port[arc], next_ids
+
+        return HeaderTransitions(inner.alphabet, inner.initial, step)
 
 
 class HierarchicalSpannerScheme(BaseRoutingScheme):

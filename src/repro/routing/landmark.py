@@ -40,7 +40,12 @@ import numpy as np
 
 from repro.graphs.digraph import PortLabeledGraph
 from repro.graphs.shortest_paths import UNREACHABLE, distance_matrix
-from repro.routing.model import BaseRoutingScheme, DELIVER, LabeledRoutingFunction
+from repro.routing.model import (
+    BaseRoutingScheme,
+    DELIVER,
+    HeaderTransitions,
+    LabeledRoutingFunction,
+)
 from repro.routing.tables import shortest_path_ports
 
 __all__ = [
@@ -214,6 +219,49 @@ class RewritingLandmarkRoutingFunction(LandmarkRoutingFunction):
         ):
             return dest
         return header
+
+    def header_transitions(self) -> Optional[HeaderTransitions]:
+        """Header ``d`` is the address of ``d``, header ``n + d`` its bare label.
+
+        ``stored[x, d]`` marks the destinations ``x`` keeps a port for (its
+        cluster and the landmarks); ``direct`` adds the destinations whose
+        landmark is ``x``.  An address takes ``ports[x, d]`` and becomes the
+        bare label when ``direct`` holds, else it heads for ``nearest[d]``;
+        a bare label needs ``stored``.
+        """
+        cls = type(self)
+        if (
+            cls.port is not RewritingLandmarkRoutingFunction.port
+            or cls.next_header is not RewritingLandmarkRoutingFunction.next_header
+            or cls.initial_header is not LabeledRoutingFunction.initial_header
+            or cls.address is not LandmarkRoutingFunction.address
+        ):
+            return None
+        n = self._graph.n
+        vertices = np.arange(n)
+        stored = self._clusters.copy()
+        stored[:, sorted(self._landmarks)] = True
+        np.fill_diagonal(stored, True)
+        direct = stored | (vertices[:, None] == self._nearest)
+        ports, nearest = self._ports, self._nearest
+
+        def step(nodes: np.ndarray, header_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            bare = header_ids >= n
+            dest = np.where(bare, header_ids - n, header_ids)
+            lost = bare & ~stored[nodes, dest]
+            if lost.any():
+                i = int(np.argmax(lost))
+                raise ValueError(
+                    f"rewriting-landmark invariant broken: node {nodes[i]} stores no port "
+                    f"for rewritten destination {dest[i]}"
+                )
+            rewrite = bare | direct[nodes, dest]
+            port = np.where(rewrite, ports[nodes, dest], ports[nodes, nearest[dest]])
+            port[nodes == dest] = DELIVER
+            return port, np.where(rewrite, dest + n, header_ids)
+
+        alphabet = tuple(self._addresses[v] for v in range(n)) + tuple(range(n))
+        return HeaderTransitions(alphabet, np.broadcast_to(vertices, (n, n)), step)
 
 
 class CowenLandmarkScheme(BaseRoutingScheme):

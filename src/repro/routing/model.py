@@ -37,8 +37,11 @@ from typing import (
     Hashable,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Protocol,
+    Sequence,
+    Tuple,
     Union,
     runtime_checkable,
 )
@@ -52,6 +55,7 @@ if TYPE_CHECKING:  # circular at runtime: program.py imports this module
 
 __all__ = [
     "DELIVER",
+    "HeaderTransitions",
     "RoutingFunction",
     "DestinationBasedRoutingFunction",
     "TableRoutingFunction",
@@ -79,11 +83,32 @@ class SchemeInapplicableError(ValueError):
     """
 
 
+class HeaderTransitions(NamedTuple):
+    """Vectorised ``(I, H, P)`` over a finite header alphabet.
+
+    What :meth:`RoutingFunction.header_transitions` returns for
+    :func:`repro.routing.program.lower_header_state`.  Headers are named by
+    their index in ``alphabet``:
+
+    * ``initial[src, dest]`` is the id of ``I(src, dest)`` (the diagonal is
+      never read);
+    * ``step(nodes, header_ids)`` returns ``(ports, next_header_ids)``, the
+      ``P`` and ``H`` answers of every ``(node, header)`` state it is given.
+      The next header of a delivering state is never read.  A state the
+      function cannot route raises the error ``P`` or ``H`` would raise, for
+      the first such state in input order.
+    """
+
+    alphabet: Sequence[Hashable]
+    initial: np.ndarray
+    step: Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
+
+
 class RoutingFunction(abc.ABC):
     """Abstract routing function ``R = (I, H, P)`` on a fixed graph."""
 
     #: Capability flag of the header-compiled simulator path
-    #: (:func:`repro.sim.engine.compile_header_program`).  ``True`` promises
+    #: (:func:`repro.routing.program.lower_header_state`).  ``True`` promises
     #: that headers are hashable and that the set of ``(node, header)``
     #: states reachable from the initial headers is finite and small
     #: (roughly ``O(n^2)``), so the simulator may enumerate the header
@@ -145,6 +170,15 @@ class RoutingFunction(abc.ABC):
         ``None`` (the default, also once a subclass overrides ``port`` or the
         address it reads) makes :func:`repro.routing.program.lower_next_hop`
         evaluate ``P`` per pair.
+        """
+        return None
+
+    def header_transitions(self) -> Optional[HeaderTransitions]:
+        """Vectorised header transitions of the header-state lowering, if any.
+
+        ``None`` (the default, also once a subclass overrides a method the
+        transitions read) makes :func:`repro.routing.program.lower_header_state`
+        call ``I`` once per pair and ``P``/``H`` once per state instead.
         """
         return None
 

@@ -46,7 +46,7 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -54,6 +54,7 @@ from repro.graphs.digraph import PortLabeledGraph
 from repro.routing.model import (
     DELIVER,
     DestinationBasedRoutingFunction,
+    HeaderTransitions,
     RoutingFunction,
     RoutingScheme,
     SchemeInapplicableError,
@@ -791,82 +792,192 @@ def lower_next_hop(rf: RoutingFunction) -> NextHopProgram:
     return NextHopProgram(next_node=matrix.astype(transition_dtype(n)))
 
 
+def _per_state_transitions(rf: RoutingFunction) -> HeaderTransitions:
+    """Header transitions of a class without a vectorised form.
+
+    ``I`` is evaluated once per pair, and ``step`` calls ``P`` once per
+    state it is handed, then ``H`` when the port is valid; headers are
+    interned as they are met, so the alphabet grows while the closure runs.
+    """
+    graph = rf.graph
+    n = graph.n
+    alphabet: List[Hashable] = []
+    header_id: Dict[Hashable, int] = {}
+
+    def intern(header: Hashable) -> int:
+        hid = header_id.get(header)
+        if hid is None:
+            hid = header_id[header] = len(alphabet)
+            alphabet.append(header)
+        return hid
+
+    initial = np.zeros((n, n), dtype=np.int64)
+    for dest in range(n):
+        for src in range(n):
+            if src != dest:
+                initial[src, dest] = intern(rf.initial_header(src, dest))
+    degrees = graph.degrees()
+
+    def step(nodes: np.ndarray, header_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        ports: List[int] = []
+        next_ids: List[int] = []
+        for node, hid in zip(nodes.tolist(), header_ids.tolist()):
+            header = alphabet[hid]
+            port = rf.port(node, header)
+            ports.append(port)
+            moves = port != DELIVER and 1 <= port <= degrees[node]
+            next_ids.append(intern(rf.next_header(node, header)) if moves else hid)
+        return np.asarray(ports, dtype=np.int64), np.asarray(next_ids, dtype=np.int64)
+
+    return HeaderTransitions(alphabet, initial, step)
+
+
+def _step_until_error(
+    step: Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]],
+    nodes: np.ndarray,
+    header_ids: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, Optional[Exception]]:
+    """``step`` over the states before the first one it cannot route, and that state's error.
+
+    ``step`` raises for the first failing state of its input, so the
+    failing state is found by bisecting over prefixes (error path only).
+    """
+    try:
+        ports, next_ids = step(nodes, header_ids)
+        return ports, next_ids, None
+    except Exception as exc:  # the state's own error, re-raised by the caller
+        error = exc
+    lo, hi = 0, nodes.size - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            step(nodes[: mid + 1], header_ids[: mid + 1])
+        except Exception:
+            hi = mid
+        else:
+            lo = mid + 1
+    ports, next_ids = step(nodes[:lo], header_ids[:lo])
+    return ports, next_ids, error
+
+
 def lower_header_state(
     rf: RoutingFunction, max_states: Optional[int] = None
 ) -> HeaderStateProgram:
     """Enumerate the reachable header alphabet and compile transition arrays.
 
-    Starting from the ``n * (n - 1)`` initial states ``(x, I(x, y))``, the
-    closure under ``(node, h) -> (neighbour at P(node, h), H(node, h))`` is
-    explored once; every state pays exactly one ``P`` (and at most one
-    ``H``) evaluation, after which simulation is pure integer indexing.
+    Starting from the ``n * (n - 1)`` initial states ``(x, I(x, y))`` in
+    ``(y, x)`` order, the closure under
+    ``(node, h) -> (neighbour at P(node, h), H(node, h))`` is explored one
+    level at a time: each level's states go through one vectorised step,
+    and its new successors are numbered in first-occurrence order (one
+    ``np.unique`` per level).  This is exactly the numbering of a FIFO
+    worklist that interns states one by one.  The step comes from the
+    class (:meth:`~repro.routing.model.RoutingFunction.header_transitions`)
+    or, for a class without one, from an adapter calling ``I``/``P``/``H``
+    once per pair or state.
+
     ``max_states`` caps the exploration (default ``1024 + 64 * n^2``)
     against schemes whose ``can_vectorize`` promise is broken — exceeding
-    it raises :class:`HeaderStateExplosionError`.  Invalid ports raise the
-    legacy :class:`ValueError`.
+    it raises :class:`HeaderStateExplosionError`.  An invalid port raises
+    :class:`ValueError`, and a state the class cannot route raises its own
+    error; of these, the first failing state in id order decides.
     """
     graph = rf.graph
     n = graph.n
     if max_states is None:
         max_states = 1024 + 64 * n * n
+    transitions = rf.header_transitions()
+    if transitions is None:
+        transitions = _per_state_transitions(rf)
+    alphabet, initial_ids, step = transitions
+    indptr, indices = graph.adjacency_arrays()
+    degrees = np.diff(indptr)
 
-    state_id: Dict[Tuple[int, Hashable], int] = {}
-    nodes: List[int] = []
-    headers: List[Hashable] = []
+    def explosion() -> HeaderStateExplosionError:
+        return HeaderStateExplosionError(
+            f"{type(rf).__name__} reached {max_states} (node, header) states "
+            f"on a {n}-vertex graph; its can_vectorize promise of a finite "
+            "header alphabet looks broken — use method='generic'"
+        )
 
-    def intern(node: int, header: Hashable) -> int:
-        key = (node, header)
-        sid = state_id.get(key)
-        if sid is None:
-            sid = len(nodes)
-            if sid >= max_states:
-                raise HeaderStateExplosionError(
-                    f"{type(rf).__name__} reached {max_states} (node, header) states "
-                    f"on a {n}-vertex graph; its can_vectorize promise of a finite "
-                    "header alphabet looks broken — use method='generic'"
-                )
-            state_id[key] = sid
-            nodes.append(node)
-            headers.append(header)
-        return sid
+    # State (node, header id) has key ``header_id * n + node``; ``state_of``
+    # maps keys to state ids (-1: not yet discovered) and grows with the
+    # alphabet, which the per-state adapter extends as it meets headers.
+    state_of = np.full(n * len(alphabet), -1, dtype=np.int64)
 
-    # Interned ids are assigned while states are still being discovered, so
-    # the scratch matrix is int64; it is cast to the state-domain dtype
-    # once the alphabet is closed (below).
-    initial = np.full((n, n), -1, dtype=np.int64)
-    for dest in range(n):
-        for src in range(n):
-            if src != dest:
-                initial[src, dest] = intern(src, rf.initial_header(src, dest))
+    def discover(keys: np.ndarray, count: int) -> Tuple[np.ndarray, np.ndarray]:
+        """State ids of ``keys`` (new states numbered from ``count`` in
+        first-occurrence order) and the new keys in id order."""
+        nonlocal state_of
+        if keys.size and keys.max() >= state_of.size:
+            grown = np.full(max(2 * state_of.size, int(keys.max()) + 1), -1, dtype=np.int64)
+            grown[: state_of.size] = state_of
+            state_of = grown
+        ids = state_of[keys]
+        fresh = np.flatnonzero(ids < 0)
+        new_keys, first, inverse = np.unique(
+            keys[fresh], return_index=True, return_inverse=True
+        )
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        ids[fresh] = count + rank[inverse]
+        new_keys = new_keys[order]
+        state_of[new_keys] = count + np.arange(new_keys.size)
+        return ids, new_keys
 
-    port_fn = rf.port
-    next_header = rf.next_header
-    neighbor_at_port = graph.neighbor_at_port
-    succ: List[int] = []
-    deliver: List[bool] = []
-    idx = 0
-    while idx < len(nodes):  # intern() appends newly discovered states
-        node, header = nodes[idx], headers[idx]
-        port = port_fn(node, header)
-        if port == DELIVER:
-            succ.append(idx)
-            deliver.append(True)
-        else:
-            try:
-                nxt = neighbor_at_port(node, port)
-            except KeyError as exc:
-                raise ValueError(
-                    f"routing function used invalid port {port} at vertex {node} "
-                    f"(degree {graph.degree(node)})"
-                ) from exc
-            succ.append(intern(nxt, next_header(node, header)))
-            deliver.append(False)
-        idx += 1
+    off = ~np.eye(n, dtype=bool)
+    # (dest, src) order: row dest of the transposed header ids, column src.
+    initial_keys = (np.asarray(initial_ids, dtype=np.int64).T * n + np.arange(n))[off]
+    initial_states, level = discover(initial_keys, 0)
+    if level.size > max_states:
+        raise explosion()
+    initial = np.full((n, n), NO_ROUTE, dtype=np.int64)
+    initial.T[off] = initial_states
 
-    sdt = transition_dtype(len(nodes))
-    succ_arr = np.asarray(succ, dtype=sdt)
-    deliver_arr = np.asarray(deliver, dtype=bool)
-    node_arr = np.asarray(nodes, dtype=transition_dtype(n))
+    node_parts: List[np.ndarray] = []
+    header_parts: List[np.ndarray] = []
+    succ_parts: List[np.ndarray] = []
+    deliver_parts: List[np.ndarray] = []
+    count = level.size
+    while level.size:
+        nodes = level % n
+        header_ids = level // n
+        ports, next_ids, error = _step_until_error(step, nodes, header_ids)
+        ports = np.asarray(ports, dtype=np.int64)
+        deliver = ports == DELIVER
+        invalid = ~deliver & ((ports < 1) | (ports > degrees[nodes[: ports.size]]))
+        stop = int(np.argmax(invalid)) if invalid.any() else ports.size
+        moving = np.flatnonzero(~deliver[:stop])
+        succ_nodes = indices[indptr[nodes[moving]] + ports[moving] - 1]
+        succ_keys = np.asarray(next_ids, dtype=np.int64)[moving] * n + succ_nodes
+        succ_ids, new_level = discover(succ_keys, count)
+        if count + new_level.size > max_states:
+            # The states before the first failing one already overflow.
+            raise explosion()
+        if stop < ports.size:
+            node = int(nodes[stop])
+            raise ValueError(
+                f"routing function used invalid port {int(ports[stop])} at vertex {node} "
+                f"(degree {graph.degree(node)})"
+            )
+        if error is not None:
+            raise error
+        succ = np.arange(count - level.size, count)
+        succ[moving] = succ_ids
+        node_parts.append(nodes)
+        header_parts.append(header_ids)
+        succ_parts.append(succ)
+        deliver_parts.append(deliver)
+        count += new_level.size
+        level = new_level
+
+    sdt = transition_dtype(count)
+    empty = np.zeros(0, dtype=np.int64)
+    succ_arr = np.concatenate([empty, *succ_parts]).astype(sdt)
+    deliver_arr = np.concatenate([empty.astype(bool), *deliver_parts])
+    node_arr = np.concatenate([empty, *node_parts]).astype(transition_dtype(n))
+    header_arr = np.concatenate([empty, *header_parts])
 
     return HeaderStateProgram(
         succ=succ_arr,
@@ -878,7 +989,7 @@ def lower_header_state(
         # dtype (hops are bounded by the state count).
         hops_to_deliver=functional_hops(succ_arr, deliver_arr).astype(sdt),
         initial=initial.astype(sdt),
-        headers=tuple(headers),
+        headers=tuple([alphabet[h] for h in header_arr.tolist()]),
     )
 
 

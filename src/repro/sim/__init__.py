@@ -83,7 +83,6 @@ from repro.sim.engine import (
     HeaderProgram,
     MaskedExecution,
     SimulationResult,
-    compile_header_program,
     compile_next_hop,
     execute_masked_program,
     execute_program,
@@ -144,7 +143,6 @@ __all__ = [
     "apply_delta",
     "apply_faults",
     "churn_scenarios",
-    "compile_header_program",
     "compile_next_hop",
     "execute_masked_program",
     "execute_program",

@@ -94,7 +94,6 @@ __all__ = [
     "HeaderStateExplosionError",
     "MaskedExecution",
     "SimulationResult",
-    "compile_header_program",
     "compile_next_hop",
     "execute_masked_program",
     "execute_program",
@@ -279,17 +278,6 @@ def compile_next_hop(rf: RoutingFunction) -> np.ndarray:
     because the raw matrix is a convenient object for tests and analyses.
     """
     return lower_next_hop(rf).next_node
-
-
-def compile_header_program(
-    rf: RoutingFunction, max_states: Optional[int] = None
-) -> HeaderStateProgram:
-    """Compile ``rf`` into a header-state program.
-
-    Thin wrapper over :func:`repro.routing.program.lower_header_state`
-    (the historical engine-side entry point of the header-compiled path).
-    """
-    return lower_header_state(rf, max_states=max_states)
 
 
 # ----------------------------------------------------------------------

@@ -221,3 +221,84 @@ def hypercube_3():
 def cycle_8():
     """The 8-cycle used by the ring-routing stretch tests."""
     return generators.cycle_graph(8)
+
+
+def lower_header_state_per_state(rf, max_states=None):
+    """Header-state program of ``rf``, one ``P``/``H``/intern call per state.
+
+    The FIFO worklist :func:`repro.routing.program.lower_header_state` once
+    ran: initial states interned in ``(dest, src)`` order, then every state
+    in id order pays one ``P`` and (when it moves) one ``H`` call, interning
+    its successor.  The first failing state raises, in id order.
+    """
+    from repro.routing.model import DELIVER
+    from repro.routing.program import (
+        HeaderStateExplosionError,
+        HeaderStateProgram,
+        functional_hops,
+        transition_dtype,
+    )
+
+    graph = rf.graph
+    n = graph.n
+    if max_states is None:
+        max_states = 1024 + 64 * n * n
+
+    state_id = {}
+    nodes = []
+    headers = []
+
+    def intern(node, header):
+        key = (node, header)
+        sid = state_id.get(key)
+        if sid is None:
+            sid = len(nodes)
+            if sid >= max_states:
+                raise HeaderStateExplosionError(
+                    f"{type(rf).__name__} reached {max_states} (node, header) states "
+                    f"on a {n}-vertex graph; its can_vectorize promise of a finite "
+                    "header alphabet looks broken — use method='generic'"
+                )
+            state_id[key] = sid
+            nodes.append(node)
+            headers.append(header)
+        return sid
+
+    initial = np.full((n, n), -1, dtype=np.int64)
+    for dest in range(n):
+        for src in range(n):
+            if src != dest:
+                initial[src, dest] = intern(src, rf.initial_header(src, dest))
+
+    succ = []
+    deliver = []
+    idx = 0
+    while idx < len(nodes):  # intern() appends newly discovered states
+        node, header = nodes[idx], headers[idx]
+        port = rf.port(node, header)
+        if port == DELIVER:
+            succ.append(idx)
+            deliver.append(True)
+        else:
+            try:
+                nxt = graph.neighbor_at_port(node, port)
+            except KeyError as exc:
+                raise ValueError(
+                    f"routing function used invalid port {port} at vertex {node} "
+                    f"(degree {graph.degree(node)})"
+                ) from exc
+            succ.append(intern(nxt, rf.next_header(node, header)))
+            deliver.append(False)
+        idx += 1
+
+    sdt = transition_dtype(len(nodes))
+    succ_arr = np.asarray(succ, dtype=sdt)
+    deliver_arr = np.asarray(deliver, dtype=bool)
+    return HeaderStateProgram(
+        succ=succ_arr,
+        deliver=deliver_arr,
+        node_of=np.asarray(nodes, dtype=transition_dtype(n)),
+        hops_to_deliver=functional_hops(succ_arr, deliver_arr).astype(sdt),
+        initial=initial.astype(sdt),
+        headers=tuple(headers),
+    )

@@ -73,9 +73,31 @@ class TestDistanceMatrix:
         assert d.dtype == oracle.dtype
         assert d.tobytes() == oracle.tobytes()
 
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            PortLabeledGraph(1),
+            generators.petersen_graph(),
+            generators.hypercube(5),
+            generators.grid_2d(7, 9),
+            generators.random_tree(40, seed=3),
+            generators.random_connected_graph(63, extra_edge_prob=0.1, seed=8),
+            PortLabeledGraph(12, [(v, v + 1) for v in range(11) if v not in (3, 7)]),
+        ],
+        ids=["single", "petersen", "hypercube5", "grid7x9", "tree40", "random63", "split-path12"],
+    )
+    def test_dense_frontier_bfs_matches_stacked_bfs_oracle(self, graph):
+        # Below 64 vertices all sources advance together, one matrix product
+        # per level; the one-BFS-per-source stack is its oracle.
+        oracle = np.vstack([bfs_distances(graph, s) for s in range(graph.n)])
+        d = distance_matrix(graph)
+        assert d.dtype == oracle.dtype
+        assert d.tobytes() == oracle.tobytes()
+
     def test_small_graphs_do_not_import_scipy(self):
-        # Below 64 vertices the stacked BFS answers directly, so small-graph
-        # workloads never pay scipy.sparse's import and resident memory.
+        # Below 64 vertices the dense frontier BFS answers directly, so
+        # small-graph workloads never pay scipy.sparse's import and resident
+        # memory.
         code = (
             "import sys\n"
             "from repro.graphs import generators\n"

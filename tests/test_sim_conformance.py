@@ -35,10 +35,10 @@ from repro.graphs import generators
 from repro.graphs.shortest_paths import distance_matrix
 from repro.routing.model import DELIVER, DestinationBasedRoutingFunction, RoutingFunction
 from repro.routing.paths import all_pairs_routing_lengths, route, stretch_factor
+from repro.routing.program import lower_header_state
 from repro.routing.tables import ShortestPathTableScheme
 from repro.sim import (
     HeaderStateExplosionError,
-    compile_header_program,
     compile_next_hop,
     run_conformance_suite,
     simulate_all_pairs,
@@ -252,7 +252,7 @@ def test_header_program_states_are_shared_across_sources():
     # smaller than the sum of route lengths the generic interpreter pays.
     graph = FAMILIES["random-sparse"].copy()
     rf = SCHEMES["landmark-rewriting"].build(graph)
-    program = compile_header_program(rf)
+    program = lower_header_state(rf)
     n = graph.n
     # Phase-1 states are (node, address(dest)) pairs, phase-2 states
     # (node, dest) pairs: at most 2 n^2 in total, and every initial state
