@@ -20,24 +20,24 @@ Two jobs:
   all-pairs routing simulator against legacy per-pair routing on an
   n = 256 random connected graph, >= 5x for the header-compiled
   state-machine path against the generic per-message interpreter on an
-  interval-routing scheme over the n = 128 grid, >= 5x for the
-  frontier-compacted next-hop kernel against the pre-compaction dense
-  kernel on the n = 4096 hypercube (plus a >= 3x deterministic
-  working-set reduction), >= 10x for a zero-copy mmap program load
-  against decoding the v1 blob it replaced, >= 5x for an incremental
-  churn delta (single-edge flip on the n = 1024 hypercube) against
+  interval-routing scheme over the n = 128 grid, >= 10x for a zero-copy
+  mmap program load against decoding the v1 blob it replaced, >= 5x for
+  an incremental churn delta (single-edge flip on the n = 1024 hypercube) against
   recompiling the table program from scratch, >= 5x for the static
   program verifier against the generic per-message interpreter on the
   n = 1024 hypercube table program (while staying at least as fast as
-  the compact compiled executor on the same artifact), and >= 5x for
+  the compiled executor on the same artifact), and >= 5x for
   the layered subtree-sum load accumulator against the per-hop frontier
   walk on the same n = 1024 hypercube program under uniform demand
   (plus a warm-cache ``flow_sweep`` smoke over three medium families).
+  ``test_next_hop_execute_n4096`` pins ``execute_program`` on the n = 4096
+  hypercube e-cube program and checks its closed form: every pair is
+  delivered in ``popcount(src ^ dst)`` hops.
   ``test_table_compile_n1024`` pins a cold shortest-path table compile on
   the n = 1024 hypercube and prints its distance / ports / lower split.
   ``test_header_state_compile_n1024`` pins a cold ``landmark-rewriting``
   compile on the same hypercube (about 1.1M header states) and prints its
-  build / closure / hops-peel split.
+  build / closure / hops-resolution split.
 
 Refresh the snapshot after an intentional perf-relevant change with::
 
@@ -87,22 +87,17 @@ from repro.routing.program import (
     NextHopProgram,
     apply_delta,
     compile_scheme_program,
-    functional_hops,
     load_program,
     lower_header_state,
     lower_next_hop,
     program_from_bytes,
+    resolve_functional,
     save_program,
     transition_dtype,
 )
 from repro.routing.tables import ShortestPathTableScheme, shortest_path_ports
 from repro.routing.verify import verify_program
-from repro.sim.engine import (
-    _execute_next_hop_compact,
-    _execute_next_hop_dense,
-    kernel_working_set,
-    simulate_all_pairs,
-)
+from repro.sim.engine import execute_program, simulate_all_pairs
 from repro.sim.faults import simulate_with_faults, surviving_distance_matrix
 from repro.sim.registry import fault_scenarios, graph_families, scheme_registry
 
@@ -159,9 +154,9 @@ PROGRAM_SWEEP_FAMILIES = (
 RESILIENCE_FAMILIES = ("grid", "torus", "random-sparse")
 RESILIENCE_SCENARIOS = dict(edge_ks=(1, 2), node_ks=(1,), per_k=2)
 
-#: The large-n workload of the compact-kernel acceptance pin: e-cube
+#: The large-n workload of the next-hop execution pin: e-cube
 #: (dimension-ordered) routing on the 12-dimensional hypercube, n = 4096 —
-#: 16.7M in-flight messages.  Built directly as a next-hop matrix (the
+#: 16.7M ordered pairs.  Built directly as a next-hop matrix (the
 #: generic per-scheme builder is a Python double loop, far too slow at
 #: this size to be part of a pinned measurement).
 N4096_DIM = 12
@@ -580,52 +575,30 @@ def test_resilience_sweep_warm_vs_recompile_per_scenario(benchmark, tmp_path):
 
 
 @pytest.mark.benchmark(group="perf-regression")
-def test_compact_next_hop_speedup_n4096(benchmark):
-    # The frontier-compaction acceptance pin: the compact kernel on a
-    # domain-dtype program must run the n = 4096 hypercube e-cube walk at
-    # least 5x faster than the pre-PR dense kernel on the pre-PR int64
-    # layout, with bit-identical results and a >= 3x smaller deterministic
-    # working set (dtype shrink + two-code frontier vs three int64 arrays
-    # plus the per-hop scatter matrix).
+def test_next_hop_execute_n4096(benchmark):
+    # The large-n execution pin: execute_program resolves every pair of the
+    # n = 4096 hypercube e-cube program (16.7M pairs).  The closed form
+    # checks the answer: e-cube routing corrects one differing bit per
+    # hop, so every pair is delivered in popcount(src ^ dst) hops.
     prog = _hypercube_ecube_program()
-    legacy = NextHopProgram(next_node=prog.next_node.astype(np.int64))
-    ref, dense_s = _time(_execute_next_hop_dense, legacy, None)
 
     def _run():
-        return _execute_next_hop_compact(prog, None)
+        return execute_program(prog)
 
     result = benchmark.pedantic(_run, rounds=3, iterations=1)
-    # Best-of-rounds: at 16.7M messages a single OS-scheduling spike can
-    # double a round on a shared host, and the floor pins the kernel's
-    # warm steady state (round 1 additionally pays the one-time frontier
-    # build that later executions share).
+    # Best-of-rounds: at 16.7M pairs a single OS-scheduling spike can
+    # double a round on a shared host.
     fast_s = benchmark.stats.stats.min
     _check_budget("next_hop_n4096_hypercube", fast_s)
-    speedup = dense_s / fast_s
-    working_set = kernel_working_set(prog)
     print_rows(
-        "Compact vs dense next-hop kernel (n=4096 hypercube e-cube)",
-        [
-            {
-                "case": f"dim={N4096_DIM} n={prog.n}",
-                "dense_s": dense_s,
-                "compact_s": fast_s,
-                "speedup": speedup,
-                "ws_reduction": working_set["reduction"],
-            }
-        ],
+        "Next-hop execution (n=4096 hypercube e-cube)",
+        [{"case": f"dim={N4096_DIM} n={prog.n}", "execute_s": fast_s, "steps": result.steps}],
     )
-    assert np.array_equal(result.lengths, ref.lengths)
-    assert np.array_equal(result.delivered, ref.delivered)
-    assert np.array_equal(result.misdelivered, ref.misdelivered)
-    assert result.steps == ref.steps
-    floor = 5.0 / SPEEDUP_MARGIN
-    assert speedup >= floor, (
-        f"compact next-hop kernel speedup {speedup:.1f}x below the {floor:.1f}x floor"
-    )
-    assert working_set["reduction"] >= 3.0, (
-        f"working-set reduction {working_set['reduction']:.2f}x below the 3x floor"
-    )
+    assert result.all_delivered and not result.misdelivered.any()
+    ids = np.arange(prog.n)
+    popcount = np.array([bin(v).count("1") for v in range(prog.n)])
+    assert np.array_equal(result.lengths, popcount[ids[:, None] ^ ids[None, :]])
+    assert result.steps == N4096_DIM
 
 
 @pytest.mark.benchmark(group="perf-regression")
@@ -758,7 +731,8 @@ def test_header_state_compile_n1024(benchmark):
     # rewriting landmark scheme on the n = 1024 hypercube.  The split names
     # the stage of a regression: the scheme build, the level-synchronous
     # state closure over the class-owned transitions, and the
-    # hops-to-delivery peel over the closed state graph.
+    # hops-to-delivery resolution over the closed state graph (the
+    # ``hops_peel_s`` column).
     graph = generators.hypercube(CHURN_FLIP_DIM)
     scheme = scheme_registry(seed=0)["landmark-rewriting"]
 
@@ -770,7 +744,7 @@ def test_header_state_compile_n1024(benchmark):
     _check_budget("header_state_compile_n1024", compile_s)
     rf, build_s = _time(scheme.build, graph.copy())
     lowered, lower_s = _time(lower_header_state, rf)
-    _, peel_s = _time(functional_hops, lowered.succ, lowered.deliver)
+    _, peel_s = _time(resolve_functional, lowered.succ, lowered.deliver)
     print_rows(
         "Cold header-state compile (n=1024 hypercube, landmark-rewriting)",
         [
@@ -794,15 +768,14 @@ def test_verify_speedup_vs_simulate_n1024(benchmark):
     # must beat dynamically discovering the same matrices with the
     # engine's generic per-message interpreter by at least 5x on the
     # n = 1024 hypercube table program — and must stay at least as fast
-    # as the compact compiled executor on the same artifact, which the
-    # verifier additionally beats on *strength* (livelocks are proven,
-    # not inferred from an exhausted hop budget).
+    # as the compiled executor on the same artifact, which resolves the
+    # same fates and additionally shapes them into a SimulationResult.
     graph = generators.hypercube(CHURN_FLIP_DIM)
     scheme = ShortestPathTableScheme(tie_break="lowest_port")
     rf = scheme.build(graph.copy())
     program = compile_scheme_program(scheme, graph)
     generic, generic_s = _time(simulate_all_pairs, rf, method="generic")
-    compact, compact_s = _time(simulate_all_pairs, program)
+    compiled, compiled_s = _time(simulate_all_pairs, program)
 
     def _run():
         return verify_program(program)
@@ -813,17 +786,17 @@ def test_verify_speedup_vs_simulate_n1024(benchmark):
     fast_s = benchmark.stats.stats.min
     _check_budget("verify_vs_simulate_n1024", fast_s)
     speedup = generic_s / fast_s
-    vs_compact = compact_s / fast_s
+    vs_compiled = compiled_s / fast_s
     print_rows(
         "Static verification vs simulation (n=1024 hypercube tables)",
         [
             {
                 "case": f"dim={CHURN_FLIP_DIM} n={graph.n}",
                 "generic_sim_s": generic_s,
-                "compact_sim_s": compact_s,
+                "compiled_sim_s": compiled_s,
                 "verify_s": fast_s,
                 "speedup_vs_generic": speedup,
-                "speedup_vs_compact": vs_compact,
+                "speedup_vs_compiled": vs_compiled,
             }
         ],
     )
@@ -832,16 +805,16 @@ def test_verify_speedup_vs_simulate_n1024(benchmark):
     # misdelivered classification — lost pairs carry -1).
     assert report.all_delivered and report.ok
     assert np.array_equal(report.hops, generic.lengths)
-    assert np.array_equal(report.hops, compact.lengths)
+    assert np.array_equal(report.hops, compiled.lengths)
     floor = 5.0 / SPEEDUP_MARGIN
     assert speedup >= floor, (
         f"static verification speedup {speedup:.1f}x below the {floor:.0f}x "
         f"floor against the generic interpreter"
     )
     exec_floor = 1.0 / SPEEDUP_MARGIN
-    assert vs_compact >= exec_floor, (
-        f"static verification is {1 / vs_compact:.1f}x slower than the "
-        f"compact executor (floor: no slower than {1 / exec_floor:.1f}x)"
+    assert vs_compiled >= exec_floor, (
+        f"static verification is {1 / vs_compiled:.1f}x slower than the "
+        f"compiled executor (floor: no slower than {1 / exec_floor:.1f}x)"
     )
 
 
@@ -967,7 +940,7 @@ def _measure_pinned_paths() -> dict:
         )
 
     prog = _hypercube_ecube_program()
-    _, next_hop_s = _time(_execute_next_hop_compact, prog, None)
+    _, next_hop_s = _time(execute_program, prog)
     with tempfile.TemporaryDirectory() as store_dir:
         rpg = Path(store_dir) / "ecube.rpg"
         save_program(prog, rpg)

@@ -24,8 +24,8 @@ traffic actually lands:
 The fast path never walks hops per pair.  A next-hop program's routes
 toward one destination ``d`` form a functional in-tree, and the exact hop
 depth of every (destination, node) state is already known statically
-(:attr:`~repro.routing.verify.VerificationReport.hops`, the same
-pointer-doubling analysis as :func:`~repro.routing.program.functional_hops`).
+(:attr:`~repro.routing.verify.VerificationReport.hops`, from the
+pointer-doubling :func:`~repro.routing.program.resolve_functional`).
 Ordering the flat destination-major states by that depth turns load
 accumulation into layer-by-layer **subtree sums**: each layer pushes its
 accumulated demand one hop down the tree with a single ``np.add.at``, and
@@ -33,9 +33,9 @@ one final ``np.bincount`` over arc codes ``u * n + v`` converts the
 per-state subtree sums into arc loads.  Total scatter volume is one write
 per state (``O(n^2)``) instead of one per pair-hop (``O(n^2 * avg hops)``).
 
-The compact frontier walk (the same destination-major frontier discipline
-as the step kernels in :mod:`repro.sim.engine`) remains available as the
-differential fallback, and is the only path for header-state programs and
+The compact frontier walk (one gather per surviving pair per hop, over
+pairs already known to deliver) remains available as the differential
+fallback, and is the only path for header-state programs and
 fault-masked views, whose delivered pairs are known from the same
 verification report and therefore walk without any sentinel handling.
 
@@ -476,8 +476,7 @@ def _next_hop_steps(
     """Yield ``(frontier positions, arc codes, head nodes)`` per hop.
 
     The frontier only ever holds delivered pairs with remaining budget,
-    so every gathered transition is a real node — no sentinel handling,
-    exactly like the compacted kernels once their retirements are known.
+    so every gathered transition is a real node — no sentinel handling.
     """
     n = program.n
     cur = (pairs // n).astype(np.int64)

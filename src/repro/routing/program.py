@@ -14,7 +14,7 @@ shapes the simulator historically special-cased:
 * :class:`HeaderStateProgram` (``kind = "header-state"``) — finite-header
   *rewriting* schemes lower to interned ``(node, header)`` states with
   functional transition arrays ``succ``/``deliver``/``node_of`` plus the
-  exact reverse-BFS ``hops_to_deliver`` livelock analysis.
+  exact ``hops_to_deliver`` livelock analysis.
 * :class:`GenericProgram` (``kind = "generic"``) — the explicit opt-out
   marker for schemes whose header evolution is unbounded (or undeclared):
   execution requires the live routing function, and the program records
@@ -81,7 +81,6 @@ __all__ = [
     "RoutingProgram",
     "apply_delta",
     "compile_scheme_program",
-    "functional_hops",
     "incremental_distance_matrix",
     "load_program",
     "lower",
@@ -89,6 +88,7 @@ __all__ = [
     "lower_next_hop",
     "next_nodes_of_ports",
     "program_from_bytes",
+    "resolve_functional",
     "save_program",
     "transition_dtype",
 ]
@@ -113,8 +113,8 @@ MISDELIVER = -2
 #: would take crosses a failed edge or enters a failed node, so a message
 #: attempting it is dropped at the fault instead of moving.  Produced by
 #: :func:`repro.sim.faults.apply_faults` through the :meth:`with_next_node`
-#: / :meth:`with_transitions` view API; only the masked executors of
-#: :mod:`repro.sim.engine` understand it — the plain executors never see it
+#: / :meth:`with_transitions` view API; only the masked executor of
+#: :mod:`repro.sim.engine` accepts it — the plain executor refuses it
 #: because an unmasked lowering never emits it.
 DROPPED = -3
 
@@ -391,8 +391,8 @@ class HeaderStateProgram(RoutingProgram):
         delivering state; on a masked view (:func:`repro.sim.faults.apply_faults`)
         a :data:`DROPPED` transition stops the walk too, so the field is
         the exact stop analysis either way — ``-1`` always means the walk
-        cycles forever.  Computed by one reverse BFS over the functional
-        graph (:func:`functional_hops`).
+        cycles forever.  Computed by :func:`resolve_functional` over the
+        functional graph.
     initial:
         ``initial[x, y]`` is the state id of ``(x, I(x, y))``; the diagonal
         is ``-1`` (no message is sent to oneself).
@@ -463,15 +463,13 @@ class HeaderStateProgram(RoutingProgram):
         :func:`repro.sim.faults.apply_faults` rewrites blocked successors to
         :data:`DROPPED` here instead of re-enumerating the header alphabet.
         ``hops_to_deliver`` is recomputed by default with **one**
-        :func:`functional_hops` peel whose stopping set counts
+        :func:`resolve_functional` pass whose stopping set counts
         :data:`DROPPED` transitions as stops, keeping the field's
         invariant (``-1`` iff the walk provably cycles) truthful on masked
-        views — the same peel the masked executor's exact hop budget reads
-        back, so masking never pays a second analysis.  A caller that
-        already knows the analysis is unchanged (an identity view) may
-        pass it explicitly to skip the recompute.  State identity
-        (``node_of``, ``initial``, debug ``headers``) is shared — a view
-        edits behaviour, not the alphabet.
+        views.  A caller that already knows the analysis is unchanged (an
+        identity view) may pass it explicitly to skip the recompute.
+        State identity (``node_of``, ``initial``, debug ``headers``) is
+        shared — a view edits behaviour, not the alphabet.
         """
         new_succ = (
             self.succ
@@ -487,9 +485,8 @@ class HeaderStateProgram(RoutingProgram):
                 f"size {self.succ.shape[0]}"
             )
         if hops_to_deliver is None:
-            hops_to_deliver = functional_hops(
-                new_succ, new_deliver | (new_succ == DROPPED)
-            ).astype(self.hops_to_deliver.dtype)
+            _, hops = resolve_functional(new_succ, new_deliver | (new_succ == DROPPED))
+            hops_to_deliver = hops.astype(self.hops_to_deliver.dtype)
         elif hops_to_deliver.shape != self.hops_to_deliver.shape:
             raise ValueError(
                 "replacement hops_to_deliver must keep the state-alphabet "
@@ -644,48 +641,69 @@ def load_program(
     return program
 
 
-def functional_hops(succ: np.ndarray, stopping: np.ndarray) -> np.ndarray:
-    """Exact hops from each state of a functional graph to a stopping state.
+def resolve_functional(
+    succ: np.ndarray, terminal: np.ndarray, limit: Optional[int] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Where, and after how many transitions, every walk of a functional graph stops.
 
-    ``succ`` is a functional transition array (each state has exactly one
-    successor); ``stopping`` marks the absorbing states.  Returns, per
-    state, the number of forwarding hops until a stopping state is entered
-    (``0`` at the stopping states themselves) or ``-1`` when none is ever
-    reached — the walk provably cycles.  Computed by peeling the graph
-    backwards from the stopping states, one vectorised round per hop count.
+    The one functional-graph primitive of the IR: the executors, the
+    static verifier and the compile-time ``hops_to_deliver`` analysis all
+    answer their fate questions through it.  ``succ`` maps each state to
+    its unique successor; ``terminal`` marks the states where a walk stops
+    (their own successor is ignored).  A :data:`DROPPED` successor on a
+    non-terminal state ends the walk off-program: that state never stops.
+    ``limit`` bounds the length of any stopping walk (default: the state
+    count — a longer walk revisits a state and therefore cycles).
 
-    A :data:`DROPPED` successor (a masked transition, see
-    :func:`repro.sim.faults.apply_faults`) is treated as absorbing and
-    *non*-stopping: the walk ends off-program there, so unless the state is
-    itself marked stopping it reports ``-1``.  This is what both the
-    compile-time ``hops_to_deliver`` analysis and the masked executors'
-    exact hop budgets (stopping = delivering-or-dropping) share.
+    Returns ``(target, hops)``: for a state whose walk stops, the terminal
+    it stops at and the exact number of transitions to get there (``0`` at
+    a terminal); for a state whose walk provably cycles, ``hops`` is
+    :data:`NO_ROUTE` and ``target`` some non-terminal state.  Both come
+    back in a domain-sized dtype (``int32`` until the state count or the
+    walk bound needs more).
+
+    Pointer doubling: every round composes each state's pointer with
+    itself, keeping the invariant *"``steps[s]`` is the exact distance from
+    ``s`` to ``target[s]``"*.  Terminals carry ``(self, 0)``, which makes
+    every round idempotent on resolved states, so the rounds run over the
+    full state vector — two ``np.take`` gathers each, no compaction and no
+    scatter — for ``O(states · log(limit))`` work with an early exit once
+    every walk has stopped.
     """
-    succ = np.asarray(succ)
-    if not np.issubdtype(succ.dtype, np.signedinteger):
-        succ = succ.astype(np.int64)
-    stopping = np.asarray(stopping, dtype=bool)
-    # Self-loop the masked transitions: an absorbing non-stopping state
-    # keeps hops = NO_ROUTE through every peeling round, which is the
-    # semantics we want for walks that fall off the program at a fault.
-    # The sentinel scan runs once and the copy happens only when a
-    # sentinel actually exists — the unmasked common case peels the input
-    # array directly, in its own (domain-sized) dtype: hop counts are
-    # bounded by the state count, so the narrowest dtype that indexes the
-    # states also holds every finite hop value, and the sentinels are
-    # negative at every width.
-    dropped = succ == DROPPED
-    if succ.size and dropped.any():
-        succ = np.where(dropped, np.arange(succ.shape[0], dtype=succ.dtype), succ)
-    zero = succ.dtype.type(0)
-    hops = np.where(stopping, zero, succ.dtype.type(NO_ROUTE))
-    while True:
-        downstream = hops[succ]
-        newly = (hops < zero) & (downstream >= zero)
-        if not newly.any():
-            break
-        hops[newly] = downstream[newly] + 1
-    return hops
+    num_states = succ.shape[0]
+    if limit is None:
+        limit = num_states
+    terminal = np.asarray(terminal, dtype=bool)
+    # int32 state ids halve the gather traffic of the hot loop; resolved
+    # steps are bounded by limit and an unresolved state's accumulator by
+    # 2 * limit, so the 2**30 guard keeps even the transient values exact.
+    compute_dtype = (
+        np.int32  # repro-lint: allow-dtype
+        if num_states <= 2**30 and limit <= 2**30
+        else np.int64
+    )
+    idx = np.arange(num_states, dtype=compute_dtype)
+    target = succ.astype(compute_dtype, copy=True)
+    target[terminal] = idx[terminal]
+    off_program = target < 0
+    if off_program.any():
+        target[off_program] = idx[off_program]
+    steps = (~terminal).astype(compute_dtype)
+    resolved = np.take(terminal, target)
+    span = 1
+    rounds = 0
+    while span <= limit and not resolved.all():
+        steps += np.take(steps, target)
+        target = np.take(target, target)
+        span *= 2
+        rounds += 1
+        # The resolved gather exists only to exit early; every other round
+        # (and on the provable-cycle bound) keeps it exact where it
+        # matters while halving the bookkeeping gathers.
+        if rounds % 2 == 0 or span > limit:
+            resolved = np.take(terminal, target)
+    hops = np.where(resolved, steps, steps.dtype.type(NO_ROUTE))
+    return target, hops
 
 
 # ----------------------------------------------------------------------
@@ -985,9 +1003,8 @@ def lower_header_state(
         node_of=node_arr,
         # Exact hops-to-delivery over the functional transition graph;
         # states that never reach a delivering state cycle forever — the
-        # provable livelocks.  The peel runs directly in the state-domain
-        # dtype (hops are bounded by the state count).
-        hops_to_deliver=functional_hops(succ_arr, deliver_arr).astype(sdt),
+        # provable livelocks.
+        hops_to_deliver=resolve_functional(succ_arr, deliver_arr)[1].astype(sdt),
         initial=initial.astype(sdt),
         headers=tuple([alphabet[h] for h in header_arr.tolist()]),
     )

@@ -14,15 +14,16 @@ IR instead of running it:
   ``(node, header)`` states, and every pair's fate is its initial state's.
 
 Both reduce to the same question — *which terminal does each state's walk
-reach, and in how many steps?* — answered here by a compacted
-pointer-doubling resolution (:func:`_resolve_functional`): ``O(states)``
-memory and ``O(states · log(path length))`` work, instead of the executor's
-``O(pairs · hops)`` simulation.  The result is a closed-form
-:class:`VerificationReport` whose outcome codes and hop counts are
-*definitionally equal* to what :func:`repro.sim.engine.simulate_all_pairs` /
-:func:`repro.sim.engine.execute_masked_program` would observe (the
-differential suite in ``tests/test_verify.py`` pins this across every
-registry scheme and graph family).
+reach, and in how many steps?* — answered by the pointer-doubling
+resolution :func:`repro.routing.program.resolve_functional`: ``O(states)``
+memory and ``O(states · log(path length))`` work, instead of an
+``O(pairs · hops)`` simulation.  :func:`resolve_fates` turns it into a
+closed-form :class:`VerificationReport` per program, and it is the only
+fate computation of the compiled kinds: the executors
+:func:`repro.sim.engine.execute_program` /
+:func:`repro.sim.engine.execute_masked_program` are adapters over the
+same report (the differential suites in ``tests/test_verify.py`` and
+``tests/test_execution.py`` pin both against per-step reference loops).
 
 Verdict codes are numerically identical to the ``PAIR_*`` outcome taxonomy
 of :mod:`repro.sim.faults`, so a report's ``outcome`` matrix can be compared
@@ -61,16 +62,13 @@ import numpy as np
 
 from repro.routing.program import (
     DROPPED,
-    KIND_GENERIC,
-    KIND_HEADER_STATE,
-    KIND_NEXT_HOP,
     MISDELIVER,
     NO_ROUTE,
     GenericProgram,
     HeaderStateProgram,
     NextHopProgram,
     RoutingProgram,
-    functional_hops,
+    resolve_functional,
 )
 
 __all__ = [
@@ -82,6 +80,7 @@ __all__ = [
     "VERDICT_NAMES",
     "ProgramVerificationError",
     "VerificationReport",
+    "resolve_fates",
     "verify_program",
     "verify_structure",
 ]
@@ -298,7 +297,7 @@ def _require(condition: bool, message: str) -> None:
         raise ProgramVerificationError(message)
 
 
-def _check_next_hop_structure(program: NextHopProgram) -> List[str]:
+def _check_next_hop_ranges(program: NextHopProgram) -> None:
     nn = program.next_node
     _require(
         nn.ndim == 2 and nn.shape[0] == nn.shape[1],
@@ -320,6 +319,11 @@ def _check_next_hop_structure(program: NextHopProgram) -> List[str]:
             f"are node ids 0..{n - 1}, MISDELIVER ({MISDELIVER}) and "
             f"DROPPED ({DROPPED})"
         )
+
+
+def _next_hop_issues(program: NextHopProgram) -> List[str]:
+    nn = program.next_node
+    n = nn.shape[0]
     issues: List[str] = []
     diag = nn.diagonal()
     non_absorbing = np.nonzero(diag != np.arange(n))[0]
@@ -333,7 +337,7 @@ def _check_next_hop_structure(program: NextHopProgram) -> List[str]:
     return issues
 
 
-def _check_header_state_structure(program: HeaderStateProgram) -> List[str]:
+def _check_header_state_ranges(program: HeaderStateProgram) -> None:
     succ, deliver = program.succ, program.deliver
     node_of, hops_field = program.node_of, program.hops_to_deliver
     initial = program.initial
@@ -384,6 +388,10 @@ def _check_header_state_structure(program: HeaderStateProgram) -> List[str]:
             f"state ids: first at initial[{x}, {y}] value "
             f"{int(initial[x, y])}; valid state ids are 0..{num_states - 1}"
         )
+
+
+def _header_state_issues(program: HeaderStateProgram) -> List[str]:
+    succ, initial = program.succ, program.initial
     issues: List[str] = []
     diag_bad = np.nonzero(initial.diagonal() != NO_ROUTE)[0]
     if diag_bad.size:
@@ -393,16 +401,42 @@ def _check_header_state_structure(program: HeaderStateProgram) -> List[str]:
             f"{diag_bad.size} vertice(s), first: initial[{d}, {d}] = "
             f"{int(initial[d, d])}"
         )
-    recomputed = functional_hops(succ, deliver | (succ == DROPPED))
-    mismatch = np.nonzero(hops_field != recomputed)[0]
+    _, recomputed = resolve_functional(succ, program.deliver | (succ == DROPPED))
+    mismatch = np.nonzero(program.hops_to_deliver != recomputed)[0]
     if mismatch.size:
         s = int(mismatch[0])
         issues.append(
             f"hops_to_deliver disagrees with the recomputed stop analysis at "
             f"{mismatch.size} state(s), first: state {s} stores "
-            f"{int(hops_field[s])}, analysis proves {int(recomputed[s])}"
+            f"{int(program.hops_to_deliver[s])}, analysis proves "
+            f"{int(recomputed[s])}"
         )
     return issues
+
+
+def _check_ranges(program: RoutingProgram) -> None:
+    """Raise :class:`ProgramVerificationError` on structural corruption."""
+    if isinstance(program, NextHopProgram):
+        _check_next_hop_ranges(program)
+    elif isinstance(program, HeaderStateProgram):
+        _check_header_state_ranges(program)
+    elif isinstance(program, GenericProgram):
+        raise ProgramVerificationError(
+            f"generic program over {program.n} vertices is interpreted, not "
+            f"compiled; static verification needs a next-hop or header-state "
+            f"artifact"
+        )
+    else:
+        raise ProgramVerificationError(
+            f"unknown program kind {program.kind!r}: cannot verify"
+        )
+
+
+def _semantic_issues(program: RoutingProgram) -> List[str]:
+    if isinstance(program, NextHopProgram):
+        return _next_hop_issues(program)
+    assert isinstance(program, HeaderStateProgram)
+    return _header_state_issues(program)
 
 
 def verify_structure(program: RoutingProgram) -> List[str]:
@@ -416,94 +450,29 @@ def verify_structure(program: RoutingProgram) -> List[str]:
     destinations, a stale ``hops_to_deliver``, a non-``-1`` initial
     diagonal).
     """
-    if isinstance(program, NextHopProgram):
-        return _check_next_hop_structure(program)
-    if isinstance(program, HeaderStateProgram):
-        return _check_header_state_structure(program)
-    if isinstance(program, GenericProgram):
-        raise ProgramVerificationError(
-            f"generic program over {program.n} vertices is interpreted, not "
-            f"compiled; static verification needs a next-hop or header-state "
-            f"artifact"
-        )
-    raise ProgramVerificationError(
-        f"unknown program kind {program.kind!r}: cannot verify"
-    )
+    _check_ranges(program)
+    return _semantic_issues(program)
 
 
 # ----------------------------------------------------------------------
 # functional-graph resolution
 # ----------------------------------------------------------------------
-def _resolve_functional(
-    succ: np.ndarray, terminal: np.ndarray, limit: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pointer-doubling resolution of a functional graph with terminals.
-
-    ``succ`` maps each state to its unique successor (terminal states must
-    self-loop); ``terminal`` marks the absorbing states; ``limit`` is an
-    upper bound on the length of any terminal-reaching walk (the state
-    count of one connected analysis domain suffices — a longer walk would
-    revisit a state and therefore never terminate).
-
-    Returns ``(target, steps, resolved)``: for every resolved state, the
-    terminal its walk reaches and the exact number of transitions to get
-    there; states left unresolved after ``ceil(log2(limit))`` doubling
-    rounds provably cycle.  The loop keeps the invariant *"``steps[s]`` is
-    the exact distance from ``s`` to ``target[s]``"* — terminals carry
-    ``(self, 0)``, which also makes every round *idempotent on resolved
-    states* (their target self-loops contributing 0 further steps), so the
-    doubling runs unconditionally over the full state vector: two
-    ``np.take`` gathers per round, no index compaction, no scatter
-    writes.  That is the fastest shape numpy offers for this recurrence —
-    ``O(states · log(limit))`` contiguous work with early exit once
-    everything resolved — and the gathers stay cache-local because a
-    functional-graph successor never leaves its own analysis domain.
-    ``steps`` comes back in a domain-sized dtype (``int32`` until the
-    state count or walk bound needs more); callers widen on output.
-    """
-    num_states = succ.shape[0]
-    # int32 state ids halve the gather traffic of the hot loop; resolved
-    # steps are bounded by limit and an unresolved state's accumulator by
-    # 2 * limit, so the 2**30 guard keeps even the transient values exact.
-    compute_dtype = np.int32 if num_states <= 2**30 and limit <= 2**30 else np.int64
-    target = succ.astype(compute_dtype, copy=True)
-    tidx = np.flatnonzero(terminal)
-    target[tidx] = tidx.astype(compute_dtype)
-    steps = (~terminal).astype(compute_dtype)
-    resolved = np.take(terminal, target)
-    span = 1
-    rounds = 0
-    while span <= limit and not resolved.all():
-        steps += np.take(steps, target)
-        target = np.take(target, target)
-        span *= 2
-        rounds += 1
-        # The resolved gather exists only to exit early; every other round
-        # (and on the provable-cycle bound) keeps it exact where it
-        # matters while halving the bookkeeping gathers.
-        if rounds % 2 == 0 or span > limit:
-            resolved = np.take(terminal, target)
-    return target, steps, resolved
-
-
 def _mark_infeasible(
     outcome: np.ndarray, hops: np.ndarray, n: int, alive: Optional[np.ndarray]
 ) -> None:
     """Apply the diagonal / dead-endpoint conventions of the fault taxonomy."""
     if alive is not None:
-        dead = ~np.asarray(alive, dtype=bool)
+        dead = ~alive
         outcome[dead, :] = VERDICT_INFEASIBLE
         outcome[:, dead] = VERDICT_INFEASIBLE
         hops[dead, :] = NO_ROUTE
         hops[:, dead] = NO_ROUTE
     diag = np.arange(n)
     outcome[diag, diag] = VERDICT_INFEASIBLE
-    hops[diag, diag] = 0
-    if alive is not None:
-        hops[diag, diag] = np.where(np.asarray(alive, dtype=bool), 0, NO_ROUTE)
+    hops[diag, diag] = 0 if alive is None else np.where(alive, 0, NO_ROUTE)
 
 
-def _verify_next_hop(
+def _resolve_next_hop(
     program: NextHopProgram, alive: Optional[np.ndarray]
 ) -> Tuple[np.ndarray, np.ndarray, bool]:
     n = program.n
@@ -515,34 +484,29 @@ def _verify_next_hop(
         _mark_infeasible(outcome, hops, n, alive)
         return outcome, hops, masked
     # Flat destination-major state space: state d*n + c is "the message is
-    # at node c, destined to d" — the same layout as the executor's
-    # location table, which keeps every walk inside its own destination
-    # column (one cache-resident 4·n-byte block per column).  Widen BEFORE
-    # adding column offsets: the stored dtype is domain-sized and would
-    # overflow at d*n.  int32 ids (n² permitting) halve the gather traffic
-    # of the resolution loop.
+    # at node c, destined to d", which keeps every walk inside its own
+    # destination column (one cache-resident 4·n-byte block per column).
+    # Widen BEFORE adding column offsets: the stored dtype is domain-sized
+    # and would overflow at d*n.  int32 ids (n² permitting) halve the
+    # gather traffic of the resolution loop.
     idx_dtype = np.int32 if n * n <= 2**30 else np.int64
-    nt = nn.T.astype(idx_dtype)  # fused strided cast, lands C-contiguous
+    nt = nn.T.astype(idx_dtype, order="C")  # one fused strided cast
     is_mis = nt == MISDELIVER
     is_drop = nt == DROPPED
     masked = bool(is_drop.any())
     diag = np.arange(n)
     absorbing = nn[diag, diag] == diag
-    # Terminal flat states, mirroring executor precedence exactly:
+    # Terminal flat states:
     # * (d, d) with absorbing d — the arrival hop was already counted, so
     #   the terminal contributes 0 further steps (delivered = walk length);
     # * any (d, c) whose successor is a sentinel — the message stops AT c
     #   before taking the hop (misdeliver/drop = walked prefix length).
-    # A non-absorbing (d, d) is NOT terminal: messages pass through it,
-    # exactly like every executor kernel.
+    # A non-absorbing (d, d) is NOT terminal: messages pass through it.
     terminal = is_mis | is_drop
     terminal[diag, diag] |= absorbing
-    offsets = (diag.astype(idx_dtype) * idx_dtype(n))[:, None]
-    flat_succ = (nt + offsets).ravel()
+    nt += (diag.astype(idx_dtype) * idx_dtype(n))[:, None]
     term = terminal.ravel()
-    tidx = np.flatnonzero(term)
-    flat_succ[tidx] = tidx.astype(idx_dtype)
-    target, steps, resolved = _resolve_functional(flat_succ, term, limit=n)
+    target, hops_flat = resolve_functional(nt.ravel(), term, limit=n)
     # Classify each terminal once, then read every pair's verdict off its
     # walk's target: an unresolved walk's target is some non-terminal
     # state, whose class is the LIVELOCKED default — so one gather covers
@@ -553,51 +517,43 @@ def _verify_next_hop(
     dd = diag[absorbing]
     term_class[dd * n + dd] = VERDICT_DELIVERED
     outcome_flat = np.take(term_class, target)
-    hops_flat = np.where(resolved, steps, steps.dtype.type(NO_ROUTE))
-    # Flat layout is (dest, source); reports are (source, dest).  Transpose
-    # in the narrow dtype, then widen hops to the report's int64 contract.
+    # Flat layout is (dest, source); reports are (source, dest).  Hops are
+    # widened to the report's int64 contract in the same transposing copy.
     outcome = np.ascontiguousarray(outcome_flat.reshape(n, n).T)
-    hops = np.ascontiguousarray(hops_flat.reshape(n, n).T).astype(np.int64)
+    hops = hops_flat.reshape(n, n).T.astype(np.int64, order="C")
     _mark_infeasible(outcome, hops, n, alive)
     return outcome, hops, masked
 
 
-def _verify_header_state(
+def _resolve_header_state(
     program: HeaderStateProgram, alive: Optional[np.ndarray]
 ) -> Tuple[np.ndarray, np.ndarray, bool]:
     n = program.n
     succ, deliver, node_of = program.succ, program.deliver, program.node_of
-    masked = bool((succ == DROPPED).any())
+    is_drop = succ == DROPPED
+    masked = bool(is_drop.any())
     if n < 2 or not succ.size:
         outcome = np.full((n, n), VERDICT_INFEASIBLE, dtype=np.int8)
         hops = np.zeros((n, n), dtype=np.int64)
         _mark_infeasible(outcome, hops, n, alive)
         return outcome, hops, masked
-    # Stopping mirrors the executors: a delivering state stops the walk
-    # first (delivery wins over a masked successor), and a DROPPED
-    # successor stops it AT the current state — both before the would-be
-    # hop, so every stop kind's length is the walked prefix.
-    is_drop = succ == DROPPED
-    terminal = np.asarray(deliver, dtype=bool) | is_drop
-    idx = np.arange(succ.shape[0], dtype=np.intp)
-    state_succ = succ.astype(np.intp, copy=True)
-    state_succ[terminal] = idx[terminal]
-    target, steps, resolved = _resolve_functional(
-        state_succ, terminal, limit=succ.shape[0]
-    )
+    # A delivering state stops the walk first (delivery wins over a masked
+    # successor), and a DROPPED successor stops it AT the current state —
+    # both before the would-be hop, so every stop kind's length is the
+    # walked prefix.
+    deliver = np.asarray(deliver, dtype=bool)
+    target, state_hops = resolve_functional(succ, deliver | is_drop)
     start = program.initial.astype(np.intp)
-    start_safe = np.where(start >= 0, start, 0)
-    t = target[start_safe]
-    res = resolved[start_safe]
-    deliv_t = np.asarray(deliver, dtype=bool)[t]
-    node_t = node_of[t].astype(np.int64)
-    dst = np.arange(n, dtype=np.int64)[None, :]
+    np.fill_diagonal(start, 0)  # no self-message; overwritten below
+    t = target[start]
+    res = state_hops[start] >= 0
+    at_dest = node_of[t] == np.arange(n)[None, :]
     outcome = np.where(
         res,
         np.where(
-            deliv_t,
+            deliver[t],
             np.where(
-                node_t == dst,
+                at_dest,
                 np.int8(VERDICT_DELIVERED),
                 np.int8(VERDICT_MISDELIVERED),
             ),
@@ -605,11 +561,49 @@ def _verify_header_state(
         ),
         np.int8(VERDICT_LIVELOCKED),
     ).astype(np.int8)
-    hops = np.where(res, steps[start_safe], steps.dtype.type(NO_ROUTE)).astype(
-        np.int64
-    )
+    hops = state_hops[start].astype(np.int64)
     _mark_infeasible(outcome, hops, n, alive)
     return outcome, hops, masked
+
+
+def resolve_fates(
+    program: RoutingProgram, alive: Optional[np.ndarray] = None
+) -> VerificationReport:
+    """The exact fate and hop count of every ordered pair of a compiled program.
+
+    The single answer to *"what happens to every pair?"*: the executors
+    (:func:`repro.sim.engine.execute_program`,
+    :func:`repro.sim.engine.execute_masked_program`) and
+    :func:`verify_program` are adapters over it.  Structural corruption
+    raises :class:`ProgramVerificationError` (the range checks of
+    :func:`verify_structure`), so a corrupt artifact can never be
+    mistaken for a routing outcome; semantic issues are not scanned
+    (``issues`` is empty).  ``alive`` marks dead-endpoint pairs
+    :data:`VERDICT_INFEASIBLE`.
+    """
+    _check_ranges(program)
+    n = program.n
+    if alive is not None:
+        alive = np.asarray(alive, dtype=bool)
+        if alive.shape != (n,):
+            raise ProgramVerificationError(
+                f"alive mask has shape {alive.shape}, expected ({n},)"
+            )
+    if isinstance(program, NextHopProgram):
+        outcome, hops, masked = _resolve_next_hop(program, alive)
+        num_states = n * n
+    else:
+        assert isinstance(program, HeaderStateProgram)
+        outcome, hops, masked = _resolve_header_state(program, alive)
+        num_states = program.num_states
+    return VerificationReport(
+        kind=program.kind,
+        n=n,
+        num_states=num_states,
+        masked=masked,
+        outcome=outcome,
+        hops=hops,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -625,45 +619,27 @@ def verify_program(
     """Statically verify a compiled routing program.
 
     Proves the exact fate (verdict + hop count) of every ordered pair by
-    functional-graph analysis — no message is ever executed.  ``dist``
-    (the true distance matrix) additionally populates the report's exact
-    max/mean stretch; ``alive`` (a boolean vertex mask, the fault model's
-    survivor set) marks dead-endpoint pairs :data:`VERDICT_INFEASIBLE`
-    exactly like :func:`repro.sim.faults.simulate_with_faults`.
+    functional-graph analysis (:func:`resolve_fates`) — no message is ever
+    executed — and adds the semantic-issue scan of
+    :func:`verify_structure`.  ``dist`` (the true distance matrix)
+    additionally populates the report's exact max/mean stretch; ``alive``
+    (a boolean vertex mask, the fault model's survivor set) marks
+    dead-endpoint pairs :data:`VERDICT_INFEASIBLE` exactly like
+    :func:`repro.sim.faults.simulate_with_faults`.
 
     Structural corruption always raises :class:`ProgramVerificationError`;
-    with ``strict=True`` the semantic issues of :func:`verify_structure`
-    raise too instead of being returned on the report.  Generic programs
-    are not statically verifiable and always raise.
+    with ``strict=True`` the semantic issues raise too instead of being
+    returned on the report.  Generic programs are not statically
+    verifiable and always raise.
     """
-    issues = verify_structure(program)
+    report = resolve_fates(program, alive)
+    issues = _semantic_issues(program)
     if strict and issues:
         raise ProgramVerificationError(
             f"program failed strict verification with {len(issues)} "
             f"issue(s): " + "; ".join(issues)
         )
-    if alive is not None:
-        alive = np.asarray(alive, dtype=bool)
-        if alive.shape != (program.n,):
-            raise ProgramVerificationError(
-                f"alive mask must have shape ({program.n},), got {alive.shape}"
-            )
-    if isinstance(program, NextHopProgram):
-        outcome, hops, masked = _verify_next_hop(program, alive)
-        num_states = program.n * program.n
-    else:
-        assert isinstance(program, HeaderStateProgram)
-        outcome, hops, masked = _verify_header_state(program, alive)
-        num_states = program.num_states
-    report = VerificationReport(
-        kind=program.kind,
-        n=program.n,
-        num_states=num_states,
-        masked=masked,
-        outcome=outcome,
-        hops=hops,
-        issues=tuple(issues),
-    )
+    report = replace(report, issues=tuple(issues))
     if dist is not None:
         max_stretch, mean_stretch = report.stretch(np.asarray(dist))
         report = replace(

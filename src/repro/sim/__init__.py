@@ -15,12 +15,14 @@ system built around a **compile-once pipeline**:
   content fingerprint, so the sharded runner caches them on disk and ships
   them to workers as bytes.
 
-* :mod:`repro.sim.engine` — a thin executor over programs that routes
-  **all n(n-1) ordered pairs at once**: one vectorised step function per
-  program kind (``"compiled"`` next-hop gathers, ``"header-compiled"``
-  state-id gathers, ``"generic"`` batched interpretation).  Livelock
-  detection is exact on both compiled kinds (functional-graph arguments)
-  and budget-based on the generic path.
+* :mod:`repro.sim.engine` — a thin executor over programs that answers
+  for **all n(n-1) ordered pairs at once**: both compiled kinds
+  (``"compiled"`` next-hop, ``"header-compiled"`` header-state) resolve
+  every pair's fate in closed form through
+  :func:`repro.routing.verify.resolve_fates`, and ``"generic"`` programs
+  run a batched per-message interpreter.  Livelock detection is exact on
+  both compiled kinds (functional-graph arguments) and budget-based on the
+  generic path.
 
 * :mod:`repro.sim.registry` — seeded instances of every graph-generator
   family and every implemented routing scheme, the executable domain of the
@@ -29,7 +31,7 @@ system built around a **compile-once pipeline**:
 
 * :mod:`repro.sim.faults` — vectorized fault injection on compiled
   programs: a :class:`~repro.sim.faults.FaultSet` masks a program's
-  transition arrays (no recompilation) and the masked executors classify
+  transition arrays (no recompilation) and the masked executor classifies
   every feasible pair as delivered / dropped-at-fault / livelocked /
   misdelivered, with stretch inflation measured against shortest paths
   recomputed on the surviving graph.

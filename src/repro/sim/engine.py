@@ -1,30 +1,30 @@
-"""Batched routing simulation: a thin executor over compiled routing programs.
+"""Batched routing simulation: thin adapters over compiled routing programs.
 
 The legacy simulator (:func:`repro.routing.paths.route`) forwards one message
 at a time through Python-level ``P``/``H`` calls, which makes all-pairs
-measurements quadratic in *interpreted* work.  This module routes **all
-ordered pairs at once** by executing the compiled-program IR of
+measurements quadratic in *interpreted* work.  This module answers for
+**all ordered pairs at once** from the compiled-program IR of
 :mod:`repro.routing.program`: every routing function lowers itself
 (``rf.compile_program()``, dispatched on the class-owned
-``rf.program_kind()``) to one of three artifact kinds, and the engine keeps
-exactly one vectorised step function per kind:
+``rf.program_kind()``) to one of three artifact kinds.
 
-* :class:`~repro.routing.program.NextHopProgram` (mode ``"compiled"``) —
-  header-constant schemes become a ``next_node[x, dest]`` matrix; every
-  in-flight message advances one hop per step as a pure numpy gather.
-  Livelock detection is exact: the walk towards a fixed destination lives
-  in a functional graph, so ``n`` steps suffice.
-* :class:`~repro.routing.program.HeaderStateProgram` (mode
-  ``"header-compiled"``) — finite-header *rewriting* schemes become
-  interned ``(node, header)`` state-transition arrays; the exact
-  ``hops_to_deliver`` reverse-BFS bound makes livelock detection exact here
-  too.
+* :class:`~repro.routing.program.NextHopProgram` (mode ``"compiled"``) and
+  :class:`~repro.routing.program.HeaderStateProgram` (mode
+  ``"header-compiled"``) are functional graphs — per destination column on
+  nodes, or on interned ``(node, header)`` states — so every pair's fate
+  (delivered, misdelivered, dropped at a fault, or livelocked) and hop
+  count is a closed-form property of the program.  Both kinds execute
+  through the one resolver :func:`repro.routing.verify.resolve_fates` (the
+  same analysis :func:`~repro.routing.verify.verify_program` reports); no
+  message is stepped, and livelocks are proven rather than inferred from
+  an exhausted hop budget.  ``SimulationResult.steps`` is read off the
+  fates as the number of synchronous steps a per-step executor would run.
 * :class:`~repro.routing.program.GenericProgram` (mode ``"generic"``) — the
-  explicit opt-out: a batched per-message interpreter that still advances
-  every in-flight message one hop per step but evaluates ``P``/``H`` per
+  explicit opt-out: a batched per-message interpreter that advances every
+  in-flight message one hop per step but evaluates ``P``/``H`` per
   message, matching :func:`repro.routing.paths.route` decision for
   decision.  It survives as the differential oracle for both compiled
-  kinds.
+  kinds, and is the only path with a ``max_hops`` budget.
 
 :func:`simulate_all_pairs` accepts either a live routing function (lowered
 on the fly, or executed against a pre-compiled ``program=`` artifact) or a
@@ -36,21 +36,9 @@ wrong node) is recorded per pair — distinctly from livelocks — in
 :attr:`SimulationResult.misdelivered` on every path rather than raised, so
 conformance layers can report *which* pairs a broken scheme loses and *how*;
 :meth:`SimulationResult.require_all_delivered` restores the legacy
-fail-fast behaviour.
-
-Both compiled kinds execute through **frontier-compacted** step kernels:
-every in-flight message is a single flat ``uint32`` code (``pair = src * n
-+ dst`` plus its current location ``cur * n + dst`` / interned state id),
-retired messages land in append-only buffers instead of per-hop ``(n, n)``
-boolean scatters, the dense result matrices are reconstructed once at
-exit, and the frontier is periodically re-sorted by current location for
-gather locality — per-hop work is proportional to the *surviving*
-frontier, not to ``n (n - 1)``.  The historical dense kernels survive as
-``_execute_*_dense`` (selectable via ``REPRO_SIM_KERNEL=dense``) and are
-the differential reference the compact kernels are pinned against; when
-:mod:`numba` is importable an ``@njit`` per-pair walk takes over the
-next-hop path (``REPRO_PURE_NUMPY=1`` opts out).  All kernels produce
-byte-identical :class:`SimulationResult`\\ s.
+fail-fast behaviour.  A structurally corrupt program (an out-of-range
+transition) raises :class:`~repro.routing.verify.ProgramVerificationError`
+instead of producing outcomes.
 
 Program-kind eligibility is declared by the routing classes themselves
 (``rf.program_kind()`` / the ``can_vectorize`` class attribute) — the
@@ -59,20 +47,16 @@ engine never sniffs capabilities.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, List, Optional, Sequence, Tuple
+from typing import Hashable, List, Optional, Tuple
 
 import numpy as np
-
-import repro.sim._kernels as _kernels
 
 from repro.graphs.digraph import PortLabeledGraph
 from repro.graphs.shortest_paths import UNREACHABLE, distance_matrix
 from repro.routing.model import DELIVER, RoutingFunction
 from repro.routing.program import (
-    DROPPED,
     KIND_GENERIC,
     KIND_HEADER_STATE,
     KIND_NEXT_HOP,
@@ -81,12 +65,20 @@ from repro.routing.program import (
     GenericProgram,
     HeaderStateExplosionError,
     HeaderStateProgram,
-    NextHopProgram,
     RoutingProgram,
     lower_header_state,
     lower_next_hop,
 )
-from repro.routing.verify import _exact_max_ratio
+from repro.routing.verify import (
+    VERDICT_DELIVERED,
+    VERDICT_DROPPED,
+    VERDICT_INFEASIBLE,
+    VERDICT_LIVELOCKED,
+    VERDICT_MISDELIVERED,
+    VerificationReport,
+    _exact_max_ratio,
+    resolve_fates,
+)
 
 __all__ = [
     "MISDELIVER",
@@ -97,7 +89,6 @@ __all__ = [
     "compile_next_hop",
     "execute_masked_program",
     "execute_program",
-    "kernel_working_set",
     "simulate_all_pairs",
     "simulated_routing_lengths",
     "simulated_stretch_factor",
@@ -135,8 +126,9 @@ class SimulationResult:
         misdelivery (``misdelivered``) or a livelock (undelivered and not
         misdelivered).
     steps:
-        Number of synchronous steps the simulation ran for (the longest
-        delivered route, or the hop budget if something livelocked).
+        Number of synchronous steps a per-step execution runs for (the
+        longest delivered route, or the hop budget if something
+        livelocked); compiled programs read it off their resolved fates.
     mode:
         ``"compiled"`` (next-hop program), ``"header-compiled"``
         (header-state program) or ``"generic"`` (per-message interpreter).
@@ -281,488 +273,45 @@ def compile_next_hop(rf: RoutingFunction) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# executors: one vectorised step function per program kind
+# executors: adapters over the one fate resolver
 # ----------------------------------------------------------------------
-#: Environment switch between the kernel implementations: ``auto`` (the
-#: default — numba when importable, else the compact numpy kernels),
-#: ``compact``, ``dense`` (the historical reference kernels) or ``numba``
-#: (loudly refuse to run when numba is missing).
-KERNEL_ENV = "REPRO_SIM_KERNEL"
-_KERNEL_CHOICES = ("auto", "compact", "dense", "numba")
-
-#: Steps between locality sorts of the compact *header-state* frontier,
-#: and the frontier size below which sorting is skipped (small frontiers
-#: are cache-resident anyway).  Only the header-state kernels re-sort:
-#: their gather key (the automaton state) drifts as messages advance.  The
-#: next-hop kernels never need to — their gather key is destination-major
-#: by construction (:func:`_dst_major`) and destinations are immutable, so
-#: compaction preserves the order.  The period is deliberately long:
-#: measured on the n=4096 hypercube pin, one ``argsort`` + permutation of
-#: a full 16.7M-message frontier costs ~20x what it saves per subsequent
-#: gather (random int16 gathers from a 33MB table run at ~2x a sorted
-#: gather, but the sort itself is ~2s), so sorting only pays on long walks
-#: whose frontier stays large — exactly the regime a period of 32 targets.
-_SORT_PERIOD = 32
-_SORT_MIN_FRONTIER = 1 << 16
-
-
-def _kernel_choice() -> str:
-    choice = os.environ.get(KERNEL_ENV, "auto")
-    if choice not in _KERNEL_CHOICES:
-        raise ValueError(
-            f"{KERNEL_ENV}={choice!r} is not one of {_KERNEL_CHOICES}"
-        )
-    if choice == "numba" and not _kernels.HAVE_NUMBA:
-        raise ValueError(
-            f"{KERNEL_ENV}=numba but numba is not importable "
-            f"(or {_kernels.PURE_NUMPY_ENV} is set)"
-        )
-    return choice
-
-
 def _offdiag_mask(n: int) -> np.ndarray:
-    """The off-diagonal boolean mask, allocated **once** per executor call.
-
-    Replaces the historical per-expression ``~np.eye(n, dtype=bool)``
-    allocations (each of which built an eye *and* its negation).
-    """
+    """The off-diagonal boolean mask, allocated once per call."""
     mask = np.ones((n, n), dtype=bool)
     np.fill_diagonal(mask, False)
     return mask
 
 
-def _pair_dtype(n: int) -> np.dtype:
-    """Dtype of the flat pair/location codes ``a * n + b`` (``a, b < n``).
-
-    Signed, because the next-hop location table reuses the code space's
-    negative range for retirement sentinels (:data:`_HOME` and the
-    program's own ``MISDELIVER`` / ``DROPPED``).
-    """
-    # Pair codes are n*n-sized, not domain-sized: transition_dtype's
-    # int16 floor cannot hold them, so this ladder is deliberate.
-    return (
-        np.dtype(np.int32)  # repro-lint: allow-dtype
-        if n * n - 1 <= np.iinfo(np.int32).max  # repro-lint: allow-dtype
-        else np.dtype(np.int64)
-    )
-
-
-def _pair_codes(n: int, pdt: np.dtype) -> np.ndarray:
-    """Flat codes ``src * n + dst`` of every ordered off-diagonal pair."""
-    codes = np.arange(n * n, dtype=pdt)
-    return codes[_offdiag_mask(n).ravel()]
-
-
-def _alive_pair_codes(n: int, alive: np.ndarray, pdt: np.dtype) -> np.ndarray:
-    """Flat codes of the ordered off-diagonal pairs with both endpoints alive.
-
-    Cached per ``(n, alive)``: a resilience or churn cell executes many
-    masked programs of one (graph, scheme) pair back to back — every
-    scenario of the cell, every delta of a churn chain — and the alive
-    universe repeats, so the O(n^2) mask build is paid once per distinct
-    mask instead of once per execution (see :data:`_MASKED_FRONTIER_CACHE`).
-    """
-    key = (n, alive.tobytes())
-    cached = _ALIVE_CODES_CACHE.get(key)
-    if cached is not None:
-        return cached
-    keep = _offdiag_mask(n)
-    keep &= alive[:, None]
-    keep &= alive[None, :]
-    codes = np.arange(n * n, dtype=pdt)[keep.ravel()]
-    codes.flags.writeable = False
-    if len(_ALIVE_CODES_CACHE) >= _MASKED_CACHE_LIMIT:
-        _ALIVE_CODES_CACHE.clear()
-    _ALIVE_CODES_CACHE[key] = codes
-    return codes
-
-
-#: Location-table sentinel for "next hop delivers": the cell's next hop is
-#: the pair's absorbing destination.  Distinct from MISDELIVER (-2) and
-#: DROPPED (-3), which the table passes through from the program.
-_HOME = -1
-
-
-def _dst_major_frontier(
-    n: int, pdt: np.dtype, alive: Optional[np.ndarray] = None
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Initial ``(pair, loc)`` arrays of the next-hop kernels, destination-major.
-
-    ``pair = src * n + dst`` is the message's immutable identity;
-    ``loc = dst * n + src`` is its starting index into the location table
-    of :func:`_loc_table` (``cur == src`` initially).  Both come straight
-    out of one symmetric boolean mask — the mask admits ``(a, b)`` iff it
-    admits ``(b, a)``, so indexing the code matrix and its transpose with
-    the *same* mask yields elementwise-corresponding ``dst * n + src`` and
-    ``src * n + dst`` codes, enumerated destination-major.  No sort.
-
-    Destination-major order is what makes the per-step gather fast: a
-    contiguous frontier block reads one n-entry row of the table
-    (cache-resident) instead of probing the whole table at random, a
-    message's destination never changes, and compaction preserves the
-    order — so the locality holds for the entire walk with no per-step
-    re-sort (see ``_SORT_PERIOD`` for the header-state kernels, whose
-    gather key does drift).
-    """
-    if alive is not None and alive.all():
-        # An all-alive mask *is* the full frontier; routing it through the
-        # alive=None path keeps masked sweeps over fault-free topologies
-        # (the edge-fault common case — apply_faults marks edges in the
-        # program, not the mask) on the cached arrays.
-        alive = None
-    if alive is None and n in _FRONTIER_CACHE:
-        return _FRONTIER_CACHE[n]
-    if alive is not None:
-        key = (n, alive.tobytes())
-        cached = _MASKED_FRONTIER_CACHE.get(key)
-        if cached is not None:
-            return cached
-    mask = _offdiag_mask(n)
-    if alive is not None:
-        mask &= alive[:, None]
-        mask &= alive[None, :]
-    codes = np.arange(n * n, dtype=pdt).reshape(n, n)
-    pair = np.ascontiguousarray(codes.T)[mask]
-    loc = codes[mask]
-    # Frontier arrays are deterministic per (n, alive) and the kernels
-    # never mutate them in place (compaction allocates), so they are safe
-    # to share read-only across executions.
-    pair.flags.writeable = False
-    loc.flags.writeable = False
-    if alive is None:
-        _FRONTIER_CACHE.clear()
-        _FRONTIER_CACHE[n] = (pair, loc)
-    else:
-        if len(_MASKED_FRONTIER_CACHE) >= _MASKED_CACHE_LIMIT:
-            _MASKED_FRONTIER_CACHE.clear()
-        _MASKED_FRONTIER_CACHE[key] = (pair, loc)
-    return pair, loc
-
-
-#: Single-entry cache of the full (alive=None) destination-major frontier:
-#: sweeps execute many programs of one size back to back.
-_FRONTIER_CACHE: dict = {}
-
-#: Keyed caches of *masked* frontiers and alive pair codes: the resilience
-#: and churn cells execute the same ``(n, alive)`` universe for every
-#: scenario / delta of a (graph, scheme) cell, so the compacted frontier is
-#: rebuilt once per distinct mask rather than once per execution.  Bounded
-#: (cleared wholesale at the cap) — masks are small but sweeps can visit
-#: many of them.
-_MASKED_FRONTIER_CACHE: dict = {}
-_ALIVE_CODES_CACHE: dict = {}
-_MASKED_CACHE_LIMIT = 8
-
-
-def _loc_table(next_node: np.ndarray, absorbing: np.ndarray, pdt: np.dtype) -> np.ndarray:
-    """Location-transition table: ``tbl[dst * n + cur] = dst * n + next_node[cur, dst]``.
-
-    One gather maps a message's location code straight to its next
-    location code, so the hot loop is a single table lookup per message
-    per step — no per-step modulo, widening cast, or index arithmetic.
-    Cells that retire the message hold a negative verdict instead:
-    :data:`_HOME` when the hop lands on the pair's absorbing destination
-    (the ``absorbing`` home test is folded in at build time), or the
-    program's own ``MISDELIVER`` / ``DROPPED`` sentinels passed through.
-    A destination that routes to itself without being absorbing keeps its
-    plain self-loop code — the message parks there until the budget runs
-    out, exactly the dense kernel's livelock behaviour.
-    """
-    n = next_node.shape[0]
-    nt = next_node.T
-    home = nt == np.arange(n, dtype=next_node.dtype)[:, None]
-    home &= absorbing[:, None]
-    mis = nt == MISDELIVER
-    drop = nt == DROPPED
-    tbl = nt.astype(pdt)
-    tbl += (np.arange(n, dtype=pdt) * pdt.type(n))[:, None]
-    tbl[home] = _HOME
-    tbl[mis] = MISDELIVER
-    tbl[drop] = DROPPED
-    return tbl.ravel()
-
-
-def _scatter_retired(
-    matrices: Sequence[Tuple[np.ndarray, List[Tuple[np.ndarray, Optional[int]]]]],
-    lengths: np.ndarray,
-) -> None:
-    """Replay append-only retire buffers into the dense result matrices.
-
-    ``matrices`` pairs each flat outcome matrix (raveled view) with its
-    list of ``(pair codes, hop count)`` retirements; ``lengths`` is the
-    raveled length matrix (``None`` hop counts skip the length write).
-    """
-    for flat_matrix, entries in matrices:
-        for codes, hops in entries:
-            flat_matrix[codes] = True
-            if lengths is not None and hops is not None:
-                lengths[codes] = hops
-
-
-def _execute_next_hop_dense(
-    program: NextHopProgram, max_hops: Optional[int]
-) -> SimulationResult:
-    """Historical dense next-hop kernel, kept as the differential reference."""
-    n = program.n
-    lengths = np.zeros((n, n), dtype=np.int64)
-    delivered = np.eye(n, dtype=bool)
-    misdelivered = np.zeros((n, n), dtype=bool)
-    if n < 2:
-        return SimulationResult(lengths, delivered, misdelivered, steps=0, mode="compiled")
-    next_node = program.next_node
-    # Header-constant routing is a functional-graph walk per destination: a
-    # message not home after n hops has revisited a node and cycles forever.
-    budget = n if max_hops is None else max_hops
-    # absorbing[d] is False for a broken scheme that forwards past its own
-    # destination instead of delivering; such messages pass through.
-    absorbing = next_node[np.arange(n), np.arange(n)] == np.arange(n)
-
-    src, dst = np.nonzero(_offdiag_mask(n))
-    cur = src.copy()
-    steps = 0
-    while cur.size and steps < budget:
-        steps += 1
-        cur = next_node[cur, dst]
-        lost = cur == MISDELIVER
-        if lost.any():
-            misdelivered[src[lost], dst[lost]] = True
-            keep = ~lost
-            src, dst, cur = src[keep], dst[keep], cur[keep]
-        lengths[src, dst] += 1
-        home = (cur == dst) & absorbing[dst]
-        if home.any():
-            delivered[src[home], dst[home]] = True
-            keep = ~home
-            src, dst, cur = src[keep], dst[keep], cur[keep]
-    lengths[~delivered] = NO_ROUTE
-    return SimulationResult(lengths, delivered, misdelivered, steps=steps, mode="compiled")
-
-
-def _execute_next_hop_compact(
-    program: NextHopProgram, max_hops: Optional[int]
-) -> SimulationResult:
-    """Frontier-compacted next-hop kernel (the default numpy path).
-
-    Every in-flight message is two flat codes: ``pair = src * n + dst``
-    (immutable identity) and ``loc = dst * n + cur`` (its index into the
-    location-transition table of :func:`_loc_table`).  The hot loop is a
-    single gather — ``tbl[loc]`` *is* the next location code, with
-    negative codes meaning the message retires this step — over a
-    destination-major frontier whose gather locality compaction preserves
-    (see :func:`_dst_major_frontier`).  Retired messages are appended to
-    per-step buffers; the dense result matrices are reconstructed once at
-    exit.  Observable behaviour is identical to
-    :func:`_execute_next_hop_dense` — the differential suite pins it.
-    """
-    n = program.n
-    if n < 2:
-        return SimulationResult(
-            np.zeros((n, n), dtype=np.int64),
-            np.eye(n, dtype=bool),
-            np.zeros((n, n), dtype=bool),
-            steps=0,
-            mode="compiled",
-        )
-    # Undelivered pairs keep the -1 initialization; delivered is derived
-    # from it at exit (one >= 0 compare), so neither a full-matrix
-    # ``lengths[~delivered]`` pass nor a second scatter is needed.
-    lengths = np.full((n, n), NO_ROUTE, dtype=np.int64)
-    np.fill_diagonal(lengths, 0)
-    misdelivered = np.zeros((n, n), dtype=bool)
-    next_node = program.next_node
-    budget = n if max_hops is None else max_hops
-    diag = np.arange(n)
-    absorbing = next_node[diag, diag] == diag
-    # Per-call gate hoisted off the hot loop: a program with no sentinel
-    # entry anywhere retires messages only by delivery, so the per-step
-    # retire split collapses to one append.
-    has_neg = bool((next_node == MISDELIVER).any() or (next_node == DROPPED).any())
-    pdt = _pair_dtype(n)
-    tbl = _loc_table(next_node, absorbing, pdt)
-    pair, loc = _dst_major_frontier(n, pdt)
-    delivered_runs: List[Tuple[np.ndarray, int]] = []
-    mis_runs: List[Tuple[np.ndarray, Optional[int]]] = []
-    steps = 0
-    while pair.size and steps < budget:
-        steps += 1
-        nxt = tbl[loc]
-        retire = nxt < 0
-        if retire.any():
-            if has_neg:
-                delivered_runs.append((pair[nxt == _HOME], steps))
-                mis_runs.append((pair[nxt == MISDELIVER], None))
-                # A DROPPED cell reached outside masked execution retires
-                # the pair unrecorded: not delivered, length -1.
-            else:
-                delivered_runs.append((pair[retire], steps))
-            keep = ~retire
-            pair, nxt = pair[keep], nxt[keep]
-        loc = nxt
-    flat_lengths = lengths.ravel()
-    for codes, hops in delivered_runs:
-        flat_lengths[codes] = hops
-    _scatter_retired([(misdelivered.ravel(), mis_runs)], None)
-    # Misdelivered and livelocked pairs kept -1, the diagonal kept 0.
-    delivered = lengths >= 0
-    return SimulationResult(lengths, delivered, misdelivered, steps=steps, mode="compiled")
-
-
-def _execute_next_hop_numba(
-    program: NextHopProgram, max_hops: Optional[int]
-) -> SimulationResult:
-    n = program.n
-    if n < 2:
-        return SimulationResult(
-            np.zeros((n, n), dtype=np.int64),
-            np.eye(n, dtype=bool),
-            np.zeros((n, n), dtype=bool),
-            steps=0,
-            mode="compiled",
-        )
-    next_node = program.next_node
-    diag = np.arange(n)
-    absorbing = next_node[diag, diag] == diag
-    budget = n if max_hops is None else max_hops
-    lengths, delivered, misdelivered, steps = _kernels.next_hop_walk(
-        next_node, absorbing, budget
-    )
-    return SimulationResult(lengths, delivered, misdelivered, steps=steps, mode="compiled")
-
-
-def _execute_next_hop(
-    program: NextHopProgram, max_hops: Optional[int]
-) -> SimulationResult:
-    choice = _kernel_choice()
-    if choice == "dense":
-        return _execute_next_hop_dense(program, max_hops)
-    if choice in ("auto", "numba") and _kernels.HAVE_NUMBA:
-        return _execute_next_hop_numba(program, max_hops)
-    return _execute_next_hop_compact(program, max_hops)
-
-
-def _execute_header_state_dense(
-    program: HeaderStateProgram, max_hops: Optional[int]
-) -> SimulationResult:
-    """Historical dense header-state kernel, kept as the differential reference."""
-    n = program.n
-    lengths = np.zeros((n, n), dtype=np.int64)
-    delivered = np.eye(n, dtype=bool)
-    misdelivered = np.zeros((n, n), dtype=bool)
-    if n < 2:
-        return SimulationResult(
-            lengths, delivered, misdelivered, steps=0, mode="header-compiled"
-        )
-    src, dst = np.nonzero(_offdiag_mask(n))
-    cur = program.initial[src, dst]
-    budget = _header_state_budget(program, cur, max_hops)
-    steps = 0
-    while cur.size and steps < budget:
-        steps += 1
-        stopping = program.deliver[cur]
-        if stopping.any():
-            at_node = program.node_of[cur[stopping]]
-            s_stop, d_stop = src[stopping], dst[stopping]
-            home = at_node == d_stop
-            delivered[s_stop[home], d_stop[home]] = True
-            misdelivered[s_stop[~home], d_stop[~home]] = True
-            keep = ~stopping
-            src, dst, cur = src[keep], dst[keep], cur[keep]
-            if not cur.size:
-                break
-        lengths[src, dst] += 1
-        cur = program.succ[cur]
-    lengths[~delivered] = NO_ROUTE
-    return SimulationResult(
-        lengths, delivered, misdelivered, steps=steps, mode="header-compiled"
-    )
-
-
-def _header_state_budget(
-    program: HeaderStateProgram, cur: np.ndarray, max_hops: Optional[int]
-) -> int:
-    """Exact hop budget of a header-state frontier.
-
-    From the functional-graph analysis: every message that delivers at all
-    does so within the largest finite ``hops_to_deliver`` of an initial
-    state (plus the delivering step itself); anything alive beyond that
-    provably cycles.  An empty frontier (n < 2, or every pair masked out)
-    skips the ``hops_to_deliver`` scan entirely — its budget is 0.
-    """
+def _refuse_max_hops(max_hops: Optional[int]) -> None:
     if max_hops is not None:
-        return max_hops
-    if not cur.size:
-        return 0
-    pending = program.hops_to_deliver[cur]
-    finite = pending[pending >= 0]
-    return int(finite.max()) + 1 if finite.size else 0
-
-
-def _execute_header_state_compact(
-    program: HeaderStateProgram, max_hops: Optional[int]
-) -> SimulationResult:
-    """Frontier-compacted header-state kernel (the default path).
-
-    The frontier is ``pair`` (flat identity code) plus ``cur`` (interned
-    state id, already the gather index into every transition array);
-    retirements append to per-step buffers and the dense matrices are
-    rebuilt once at exit.  Pinned equal to
-    :func:`_execute_header_state_dense` by the differential suite.
-    """
-    n = program.n
-    lengths = np.zeros((n, n), dtype=np.int64)
-    delivered = np.eye(n, dtype=bool)
-    misdelivered = np.zeros((n, n), dtype=bool)
-    if n < 2:
-        return SimulationResult(
-            lengths, delivered, misdelivered, steps=0, mode="header-compiled"
+        raise ValueError(
+            "max_hops is a budget of the per-message interpreter only: the "
+            "fates of a compiled program are exact, with no hop budget"
         )
-    succ, deliver, node_of = program.succ, program.deliver, program.node_of
-    pdt = _pair_dtype(n)
-    pn = pdt.type(n)
-    pair = _pair_codes(n, pdt)
-    cur = np.ascontiguousarray(program.initial).ravel()[pair]
-    budget = _header_state_budget(program, cur, max_hops)
-    delivered_runs: List[Tuple[np.ndarray, int]] = []
-    mis_runs: List[Tuple[np.ndarray, Optional[int]]] = []
-    steps = 0
-    until_sort = _SORT_PERIOD
-    while cur.size and steps < budget:
-        steps += 1
-        stopping = deliver[cur]
-        if stopping.any():
-            stop_pair = pair[stopping]
-            home = node_of[cur[stopping]].astype(pdt) == stop_pair % pn
-            # A message stopping at step s was removed before that step's
-            # hop was counted: its route length is s - 1 (dense semantics).
-            delivered_runs.append((stop_pair[home], steps - 1))
-            mis_runs.append((stop_pair[~home], None))
-            keep = ~stopping
-            pair, cur = pair[keep], cur[keep]
-            if not cur.size:
-                break
-        cur = succ[cur]
-        until_sort -= 1
-        if until_sort == 0:
-            until_sort = _SORT_PERIOD
-            if cur.size > _SORT_MIN_FRONTIER:
-                order = np.argsort(cur)
-                pair, cur = pair[order], cur[order]
-    _scatter_retired(
-        [(delivered.ravel(), delivered_runs), (misdelivered.ravel(), mis_runs)],
-        lengths.ravel(),
-    )
-    lengths[~delivered] = NO_ROUTE
-    return SimulationResult(
-        lengths, delivered, misdelivered, steps=steps, mode="header-compiled"
-    )
 
 
-def _execute_header_state(
-    program: HeaderStateProgram, max_hops: Optional[int]
-) -> SimulationResult:
-    if _kernel_choice() == "dense":
-        return _execute_header_state_dense(program, max_hops)
-    return _execute_header_state_compact(program, max_hops)
+def _steps(report: VerificationReport) -> int:
+    """Synchronous steps a per-step executor runs before every pair retires.
+
+    Read off the fates, so results keep the historical ``steps`` figure.
+    On a next-hop program a message retires at the step that delivers it
+    (after ``h`` hops) or one step after its walked prefix of ``h`` hops
+    ends at a stop; a livelock keeps the walk going for the full ``n``-hop
+    budget.  On a header-state program every stop kind is detected one
+    step after the hops it walked, and livelocks never extend the walk.
+    No simulated pair means 0 steps.
+    """
+    outcome, hops = report.outcome, report.hops
+    # Only stopped pairs carry a positive hop count: livelocked and
+    # infeasible pairs hold NO_ROUTE, the diagonal 0.
+    last = int(hops.max(initial=0))
+    if report.kind == KIND_NEXT_HOP:
+        if (outcome == VERDICT_LIVELOCKED).any():
+            return report.n
+        early = (outcome == VERDICT_MISDELIVERED) | (outcome == VERDICT_DROPPED)
+        return max(last, int(hops[early].max(initial=-1)) + 1)
+    stopped = (outcome != VERDICT_INFEASIBLE) & (outcome != VERDICT_LIVELOCKED)
+    return last + 1 if stopped.any() else 0
 
 
 def _simulate_generic(rf: RoutingFunction, max_hops: Optional[int]) -> SimulationResult:
@@ -815,7 +364,7 @@ def _simulate_generic(rf: RoutingFunction, max_hops: Optional[int]) -> Simulatio
 
 
 # ----------------------------------------------------------------------
-# masked execution (fault injection): one step function per compiled kind
+# masked execution (fault injection)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class MaskedExecution:
@@ -824,8 +373,8 @@ class MaskedExecution:
     The engine-level half of the fault-injection subsystem
     (:mod:`repro.sim.faults` owns the fault model and the outcome
     taxonomy): a masked program carries :data:`~repro.routing.program.DROPPED`
-    sentinels in its transition arrays, and the masked step functions below
-    classify every simulated pair as delivered, misdelivered (``DELIVER``
+    sentinels in its transition arrays, and :func:`execute_masked_program`
+    classifies every simulated pair as delivered, misdelivered (``DELIVER``
     at the wrong node), or **dropped at a fault** (the walk attempted a
     masked transition).  Pairs in none of the three matrices are the
     provable livelocks.  ``lengths`` counts the hops actually taken —
@@ -845,322 +394,6 @@ class MaskedExecution:
     mode: str
 
 
-def _masked_frames(
-    n: int, alive: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Shared setup of the masked executors: matrices + alive pair universe."""
-    lengths = np.full((n, n), NO_ROUTE, dtype=np.int64)
-    delivered = np.zeros((n, n), dtype=bool)
-    np.fill_diagonal(delivered, alive)
-    np.fill_diagonal(lengths, np.where(alive, 0, NO_ROUTE))
-    misdelivered = np.zeros((n, n), dtype=bool)
-    dropped = np.zeros((n, n), dtype=bool)
-    universe = _offdiag_mask(n)
-    universe &= alive[:, None]
-    universe &= alive[None, :]
-    src, dst = np.nonzero(universe)
-    lengths[src, dst] = 0
-    return lengths, delivered, misdelivered, dropped, src, dst
-
-
-def _execute_next_hop_masked_dense(
-    program: NextHopProgram, alive: np.ndarray, max_hops: Optional[int]
-) -> MaskedExecution:
-    """Historical dense masked next-hop kernel (differential reference)."""
-    n = program.n
-    lengths, delivered, misdelivered, dropped, src, dst = _masked_frames(n, alive)
-    next_node = program.next_node
-    # The walk toward a fixed destination still lives in a functional graph
-    # (masking only removes transitions), so n steps stay an exact budget:
-    # a message neither home nor stopped after n hops has revisited a node.
-    budget = n if max_hops is None else max_hops
-    absorbing = next_node[np.arange(n), np.arange(n)] == np.arange(n)
-    cur = src.copy()
-    steps = 0
-    while cur.size and steps < budget:
-        steps += 1
-        nxt = next_node[cur, dst]
-        # Stopping transitions first, before any hop is counted: a blocked
-        # hop is never taken (the message dies at its current node) and a
-        # wrong-node delivery happens at the current node too.
-        stopped = (nxt == DROPPED) | (nxt == MISDELIVER)
-        if stopped.any():
-            was_dropped = nxt == DROPPED
-            dropped[src[was_dropped], dst[was_dropped]] = True
-            was_mis = nxt == MISDELIVER
-            misdelivered[src[was_mis], dst[was_mis]] = True
-            keep = ~stopped
-            src, dst, nxt = src[keep], dst[keep], nxt[keep]
-            if not nxt.size:
-                break
-        cur = nxt
-        lengths[src, dst] += 1
-        home = (cur == dst) & absorbing[dst]
-        if home.any():
-            delivered[src[home], dst[home]] = True
-            keep = ~home
-            src, dst, cur = src[keep], dst[keep], cur[keep]
-    lengths[src, dst] = NO_ROUTE  # survivors of the budget: provable livelocks
-    return MaskedExecution(
-        delivered, misdelivered, dropped, lengths, steps=steps, mode="compiled-masked"
-    )
-
-
-def _execute_next_hop_masked_compact(
-    program: NextHopProgram, alive: np.ndarray, max_hops: Optional[int]
-) -> MaskedExecution:
-    """Frontier-compacted masked next-hop kernel (the default path).
-
-    Same single-gather location-table loop as
-    :func:`_execute_next_hop_compact`, with a third retire bucket for
-    pairs dropped at a fault.  A blocked hop is never taken (the message
-    dies at its current node) and a wrong-node delivery happens at the
-    current node too — both walked ``steps - 1`` hops, while a real
-    delivery walked ``steps``.  Pairs still in flight when the budget
-    runs out simply keep the ``-1`` initialization of the length matrix —
-    the livelock accounting the dense kernel writes explicitly at exit.
-    """
-    n = program.n
-    lengths = np.full((n, n), NO_ROUTE, dtype=np.int64)
-    delivered = np.zeros((n, n), dtype=bool)
-    np.fill_diagonal(delivered, alive)
-    np.fill_diagonal(lengths, np.where(alive, 0, NO_ROUTE))
-    misdelivered = np.zeros((n, n), dtype=bool)
-    dropped = np.zeros((n, n), dtype=bool)
-    next_node = program.next_node
-    budget = n if max_hops is None else max_hops
-    diag = np.arange(n)
-    absorbing = next_node[diag, diag] == diag
-    # One sentinel scan gates the per-step drop/misdeliver split: the only
-    # negatives a (masked) program carries are the two sentinels.
-    has_stop = bool((next_node == MISDELIVER).any() or (next_node == DROPPED).any())
-    pdt = _pair_dtype(n)
-    tbl = _loc_table(next_node, absorbing, pdt)
-    pair, loc = _dst_major_frontier(n, pdt, alive)
-    delivered_runs: List[Tuple[np.ndarray, int]] = []
-    mis_runs: List[Tuple[np.ndarray, int]] = []
-    drop_runs: List[Tuple[np.ndarray, int]] = []
-    steps = 0
-    while pair.size and steps < budget:
-        steps += 1
-        nxt = tbl[loc]
-        retire = nxt < 0
-        if retire.any():
-            if has_stop:
-                drop_runs.append((pair[nxt == DROPPED], steps - 1))
-                mis_runs.append((pair[nxt == MISDELIVER], steps - 1))
-                delivered_runs.append((pair[nxt == _HOME], steps))
-            else:
-                delivered_runs.append((pair[retire], steps))
-            keep = ~retire
-            pair, nxt = pair[keep], nxt[keep]
-        loc = nxt
-    _scatter_retired(
-        [
-            (delivered.ravel(), delivered_runs),
-            (misdelivered.ravel(), mis_runs),
-            (dropped.ravel(), drop_runs),
-        ],
-        lengths.ravel(),
-    )
-    return MaskedExecution(
-        delivered, misdelivered, dropped, lengths, steps=steps, mode="compiled-masked"
-    )
-
-
-def _execute_next_hop_masked(
-    program: NextHopProgram, alive: np.ndarray, max_hops: Optional[int]
-) -> MaskedExecution:
-    if _kernel_choice() == "dense":
-        return _execute_next_hop_masked_dense(program, alive, max_hops)
-    return _execute_next_hop_masked_compact(program, alive, max_hops)
-
-
-def _execute_header_state_masked_dense(
-    program: HeaderStateProgram, alive: np.ndarray, max_hops: Optional[int]
-) -> MaskedExecution:
-    """Historical dense masked header-state kernel (differential reference)."""
-    n = program.n
-    lengths, delivered, misdelivered, dropped, src, dst = _masked_frames(n, alive)
-    succ, deliver, node_of = program.succ, program.deliver, program.node_of
-    cur = program.initial[src, dst]
-    # Exact budget without any fresh analysis: ``hops_to_deliver`` is
-    # the program's stop analysis — DROPPED transitions count as stops
-    # whenever a view edits the relation (see ``with_transitions``),
-    # so every message that stops at all does so within the largest
-    # finite entry of its initial state (plus the stopping step) and
-    # anything alive beyond that provably cycles.
-    budget = _header_state_budget(program, cur, max_hops)
-    steps = 0
-    while cur.size and steps < budget:
-        steps += 1
-        stopping = deliver[cur]
-        if stopping.any():
-            at_node = node_of[cur[stopping]]
-            s_stop, d_stop = src[stopping], dst[stopping]
-            home = at_node == d_stop
-            delivered[s_stop[home], d_stop[home]] = True
-            misdelivered[s_stop[~home], d_stop[~home]] = True
-            keep = ~stopping
-            src, dst, cur = src[keep], dst[keep], cur[keep]
-            if not cur.size:
-                break
-        nxt = succ[cur]
-        blocked = nxt == DROPPED
-        if blocked.any():
-            dropped[src[blocked], dst[blocked]] = True
-            keep = ~blocked
-            src, dst, nxt = src[keep], dst[keep], nxt[keep]
-            if not nxt.size:
-                break
-        cur = nxt
-        lengths[src, dst] += 1
-    lengths[src, dst] = NO_ROUTE  # survivors of the budget: provable livelocks
-    return MaskedExecution(
-        delivered,
-        misdelivered,
-        dropped,
-        lengths,
-        steps=steps,
-        mode="header-compiled-masked",
-    )
-
-
-def _execute_header_state_masked_compact(
-    program: HeaderStateProgram, alive: np.ndarray, max_hops: Optional[int]
-) -> MaskedExecution:
-    """Frontier-compacted masked header-state kernel (the default path).
-
-    All three stop kinds (delivered, misdelivered, dropped at a fault)
-    retire *before* the step's hop is counted, so each records length
-    ``steps - 1`` — the dense kernel's semantics exactly.  An empty alive
-    universe (n < 2, every vertex failed, or all-self-pairs) never touches
-    ``hops_to_deliver`` at all (see :func:`_header_state_budget`).
-    """
-    n = program.n
-    lengths = np.full((n, n), NO_ROUTE, dtype=np.int64)
-    delivered = np.zeros((n, n), dtype=bool)
-    np.fill_diagonal(delivered, alive)
-    np.fill_diagonal(lengths, np.where(alive, 0, NO_ROUTE))
-    misdelivered = np.zeros((n, n), dtype=bool)
-    dropped = np.zeros((n, n), dtype=bool)
-    succ, deliver, node_of = program.succ, program.deliver, program.node_of
-    pdt = _pair_dtype(n)
-    pn = pdt.type(n)
-    pair = _alive_pair_codes(n, alive, pdt)
-    cur = np.ascontiguousarray(program.initial).ravel()[pair]
-    budget = _header_state_budget(program, cur, max_hops)
-    delivered_runs: List[Tuple[np.ndarray, int]] = []
-    mis_runs: List[Tuple[np.ndarray, int]] = []
-    drop_runs: List[Tuple[np.ndarray, int]] = []
-    steps = 0
-    until_sort = _SORT_PERIOD
-    while cur.size and steps < budget:
-        steps += 1
-        stopping = deliver[cur]
-        if stopping.any():
-            stop_pair = pair[stopping]
-            home = node_of[cur[stopping]].astype(pdt) == stop_pair % pn
-            delivered_runs.append((stop_pair[home], steps - 1))
-            mis_runs.append((stop_pair[~home], steps - 1))
-            keep = ~stopping
-            pair, cur = pair[keep], cur[keep]
-            if not cur.size:
-                break
-        nxt = succ[cur]
-        blocked = nxt == DROPPED
-        if blocked.any():
-            drop_runs.append((pair[blocked], steps - 1))
-            keep = ~blocked
-            pair, nxt = pair[keep], nxt[keep]
-            if not nxt.size:
-                break
-        cur = nxt
-        until_sort -= 1
-        if until_sort == 0:
-            until_sort = _SORT_PERIOD
-            if cur.size > _SORT_MIN_FRONTIER:
-                order = np.argsort(cur)
-                pair, cur = pair[order], cur[order]
-    _scatter_retired(
-        [
-            (delivered.ravel(), delivered_runs),
-            (misdelivered.ravel(), mis_runs),
-            (dropped.ravel(), drop_runs),
-        ],
-        lengths.ravel(),
-    )
-    return MaskedExecution(
-        delivered,
-        misdelivered,
-        dropped,
-        lengths,
-        steps=steps,
-        mode="header-compiled-masked",
-    )
-
-
-def _execute_header_state_masked(
-    program: HeaderStateProgram, alive: np.ndarray, max_hops: Optional[int]
-) -> MaskedExecution:
-    if _kernel_choice() == "dense":
-        return _execute_header_state_masked_dense(program, alive, max_hops)
-    return _execute_header_state_masked_compact(program, alive, max_hops)
-
-
-def kernel_working_set(program: RoutingProgram) -> dict:
-    """Deterministic working-set accounting: compact kernel vs the dense layout.
-
-    Bytes of the steady-state per-hop working set — the transition arrays
-    plus the per-message frontier (plus, dense only, the ``(n, n)`` int64
-    length matrix the dense kernel scatters into on every hop).  "Dense"
-    prices the pre-compaction layout exactly: int64 program arrays and
-    three int64 per-message arrays (``src``, ``dst``, ``cur``); "compact"
-    prices this module's layout: domain-dtype program arrays and two flat
-    code arrays per message.  This is accounting, not a heap measurement —
-    it is what the memory-reduction acceptance pin in
-    ``benchmarks/bench_perf_regression.py`` asserts against, deterministic
-    by construction.
-    """
-    n = program.n
-    pairs = n * max(n - 1, 0)
-    pdt = _pair_dtype(n)
-    if isinstance(program, NextHopProgram):
-        # The per-hop table the compact kernel actually gathers from is
-        # the derived location table (_loc_table), pdt-sized; the domain-
-        # dtype program array is untouched in the loop.
-        table_compact = program.next_node.size * pdt.itemsize
-        table_dense = program.next_node.size * 8
-        frontier_compact = pairs * 2 * pdt.itemsize  # pair + loc codes
-        frontier_dense = pairs * 3 * 8  # src, dst, cur int64
-    elif isinstance(program, HeaderStateProgram):
-        arrays = (
-            program.succ,
-            program.deliver,
-            program.node_of,
-            program.hops_to_deliver,
-            program.initial,
-        )
-        table_compact = sum(a.size * a.dtype.itemsize for a in arrays)
-        table_dense = sum(a.size * (1 if a.dtype == bool else 8) for a in arrays)
-        # pair code + interned state id vs src, dst, cur int64.
-        frontier_compact = pairs * (pdt.itemsize + program.succ.dtype.itemsize)
-        frontier_dense = pairs * 3 * 8
-    else:
-        raise ValueError(
-            f"no step kernel exists for a {type(program).__name__}; "
-            "working-set accounting is defined for the compiled kinds only"
-        )
-    scatter_dense = n * n * 8  # lengths[src, dst] += 1, every hop
-    compact = table_compact + frontier_compact
-    dense = table_dense + frontier_dense + scatter_dense
-    return {
-        "compact_bytes": int(compact),
-        "dense_bytes": int(dense),
-        "reduction": dense / compact if compact else float("inf"),
-    }
-
-
 def execute_masked_program(
     program: RoutingProgram,
     alive: Optional[np.ndarray] = None,
@@ -1176,25 +409,53 @@ def execute_masked_program(
     program works too and simply never drops anything.  Generic programs
     have no transition arrays to mask; fault-inject them through the
     reference interpreter (:func:`repro.sim.faults.simulate_with_faults`
-    with the live routing function).
+    with the live routing function).  ``max_hops`` must stay ``None``:
+    compiled fates are exact.
     """
-    if alive is None:
-        alive = np.ones(program.n, dtype=bool)
-    alive = np.asarray(alive, dtype=bool)
-    if alive.shape != (program.n,):
-        raise ValueError(
-            f"alive mask has shape {alive.shape}, expected ({program.n},)"
-        )
-    if isinstance(program, NextHopProgram):
-        return _execute_next_hop_masked(program, alive, max_hops)
-    if isinstance(program, HeaderStateProgram):
-        return _execute_header_state_masked(program, alive, max_hops)
     if isinstance(program, GenericProgram):
         raise ValueError(
             "a generic program has no transition arrays to mask; interpret the "
             "live routing function via repro.sim.faults.simulate_with_faults"
         )
-    raise TypeError(f"not a RoutingProgram: {type(program).__name__}")
+    if not isinstance(program, RoutingProgram):
+        raise TypeError(f"not a RoutingProgram: {type(program).__name__}")
+    _refuse_max_hops(max_hops)
+    report = resolve_fates(program, alive)
+    outcome = report.outcome
+    delivered = outcome == VERDICT_DELIVERED
+    np.fill_diagonal(delivered, True if alive is None else np.asarray(alive, dtype=bool))
+    return MaskedExecution(
+        delivered=delivered,
+        misdelivered=outcome == VERDICT_MISDELIVERED,
+        dropped=outcome == VERDICT_DROPPED,
+        lengths=report.hops,
+        steps=_steps(report),
+        mode=_KIND_MODES[program.kind] + "-masked",
+    )
+
+
+def _execute_compiled(
+    program: RoutingProgram, max_hops: Optional[int]
+) -> SimulationResult:
+    """The fates of an unmasked compiled program as a :class:`SimulationResult`."""
+    _refuse_max_hops(max_hops)
+    report = resolve_fates(program)
+    if report.masked:
+        raise ValueError(
+            f"this {program.kind} program carries fault masks (DROPPED "
+            "entries); execute it with repro.sim.engine.execute_masked_program"
+        )
+    delivered = report.outcome == VERDICT_DELIVERED
+    np.fill_diagonal(delivered, True)
+    # Lost pairs carry -1 here, not their walked prefix.
+    lengths = report.hops if delivered.all() else np.where(delivered, report.hops, NO_ROUTE)
+    return SimulationResult(
+        lengths=lengths,
+        delivered=delivered,
+        misdelivered=report.outcome == VERDICT_MISDELIVERED,
+        steps=_steps(report),
+        mode=_KIND_MODES[program.kind],
+    )
 
 
 def execute_program(
@@ -1211,29 +472,14 @@ def execute_program(
     When ``rf`` accompanies a compiled program, their vertex counts must
     agree — a program cached for a different graph must fail loudly, not
     produce lengths that downstream stretch ratios would silently trust.
+    ``max_hops`` budgets the generic interpreter only; passing it with a
+    compiled program raises :class:`ValueError`.
     """
     if rf is not None and rf.graph.n != program.n:
         raise ValueError(
             f"program was compiled for n={program.n} but the routing "
             f"function lives on an n={rf.graph.n} graph"
         )
-    if isinstance(program, NextHopProgram):
-        if (program.next_node == DROPPED).any():
-            # A DROPPED sentinel would silently index from the array's end
-            # in the plain gather loop; masked views must go through the
-            # fault-aware executor.
-            raise ValueError(
-                "this next-hop program carries fault masks (DROPPED entries); "
-                "execute it with repro.sim.engine.execute_masked_program"
-            )
-        return _execute_next_hop(program, max_hops)
-    if isinstance(program, HeaderStateProgram):
-        if (program.succ == DROPPED).any():
-            raise ValueError(
-                "this header-state program carries fault masks (DROPPED "
-                "entries); execute it with repro.sim.engine.execute_masked_program"
-            )
-        return _execute_header_state(program, max_hops)
     if isinstance(program, GenericProgram):
         if rf is None:
             raise ValueError(
@@ -1241,7 +487,9 @@ def execute_program(
                 "live routing function (pass rf=...)"
             )
         return _simulate_generic(rf, max_hops)
-    raise TypeError(f"not a RoutingProgram: {type(program).__name__}")
+    if not isinstance(program, RoutingProgram):
+        raise TypeError(f"not a RoutingProgram: {type(program).__name__}")
+    return _execute_compiled(program, max_hops)
 
 
 def simulate_all_pairs(
@@ -1260,18 +508,18 @@ def simulate_all_pairs(
         program cannot be executed this way; pass the routing function and
         the program separately).
     max_hops:
-        Hop budget per message before declaring a livelock.  Defaults to
-        ``n`` on the next-hop path and to the exact functional-graph bound
-        on the header-state path (both provably exact, see the module
-        docstring), and to ``4 * n`` on the generic path (the legacy
-        default).
+        Hop budget per message of the generic per-message interpreter
+        before it declares a livelock (default ``4 * n``, the legacy
+        default).  Compiled programs have exact fates and no budget:
+        passing ``max_hops`` when a compiled program executes raises
+        :class:`ValueError`.
     method:
         ``"auto"`` executes the program kind the routing function itself
         declares (``rf.program_kind()``), falling back to the generic
         interpreter if a header-state enumeration explodes.  ``"compiled"``
         forces the next-hop matrix (raising :class:`ValueError` for
         header-rewriting schemes); ``"header-compiled"`` forces the
-        header-state engine (raising :class:`ValueError` when the scheme
+        header-state program (raising :class:`ValueError` when the scheme
         does not declare ``can_vectorize``,
         :class:`HeaderStateExplosionError` when its promise breaks);
         ``"generic"`` forces the per-message interpreter (useful for
@@ -1302,30 +550,35 @@ def simulate_all_pairs(
                 "than the destination) and cannot be compiled to a next-hop "
                 "matrix; use method='header-compiled' or method='generic'"
             )
-        return _execute_next_hop(lower_next_hop(rf), max_hops)
+        return _execute_compiled(lower_next_hop(rf), max_hops)
     if method == "header-compiled":
         if not getattr(type(rf), "can_vectorize", False):
             raise ValueError(
                 f"{type(rf).__name__} does not declare can_vectorize (its header "
                 "alphabet is not promised finite); use method='generic'"
             )
-        return _execute_header_state(lower_header_state(rf), max_hops)
+        return _execute_compiled(lower_header_state(rf), max_hops)
     # auto: execute whatever the routing function lowers itself to.
     kind = rf.program_kind()
     if kind == KIND_HEADER_STATE:
         try:
-            return _execute_header_state(lower_header_state(rf), max_hops)
+            return _execute_compiled(lower_header_state(rf), max_hops)
         except HeaderStateExplosionError:
             return _simulate_generic(rf, max_hops)
     if kind == KIND_NEXT_HOP:
-        return _execute_next_hop(lower_next_hop(rf), max_hops)
+        return _execute_compiled(lower_next_hop(rf), max_hops)
     return _simulate_generic(rf, max_hops)
 
 
 def simulated_routing_lengths(
     rf: RoutingFunction, max_hops: Optional[int] = None
 ) -> np.ndarray:
-    """Batched drop-in for :func:`repro.routing.paths.all_pairs_routing_lengths`."""
+    """Batched drop-in for :func:`repro.routing.paths.all_pairs_routing_lengths`.
+
+    ``max_hops`` is the generic interpreter's hop budget, as in
+    :func:`simulate_all_pairs`; passing it for a scheme that executes as a
+    compiled program raises :class:`ValueError`.
+    """
     return simulate_all_pairs(rf, max_hops=max_hops).require_all_delivered()
 
 

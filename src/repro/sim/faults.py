@@ -8,8 +8,8 @@ transition array**.  :func:`apply_faults` rewrites the transitions a
 :class:`~repro.sim.faults.FaultSet` blocks to the
 :data:`~repro.routing.program.DROPPED` sentinel — through the program view
 API (``with_next_node`` / ``with_transitions``), *without recompiling the
-scheme* — and the masked executors of :mod:`repro.sim.engine` classify every
-ordered pair in one vectorised sweep.  Thousands of failure scenarios
+scheme* — and the masked executor of :mod:`repro.sim.engine` resolves every
+ordered pair's fate in one vectorised pass.  Thousands of failure scenarios
 therefore reuse a single cached compile (see
 :meth:`repro.analysis.runner.ShardedRunner.resilience_sweep`).
 
@@ -76,7 +76,6 @@ from repro.routing.program import (
 from repro.sim.engine import (
     MaskedExecution,
     _exact_max_ratio,
-    _masked_frames,
     execute_masked_program,
 )
 
@@ -383,7 +382,7 @@ def apply_faults(
         if faults.is_empty:
             # Identity view: the transition relation is untouched, so the
             # existing livelock analysis is passed through verbatim rather
-            # than re-peeled (the k = 0 no-op must be free).
+            # than recomputed (the k = 0 no-op must be free).
             return program.with_transitions(
                 succ=program.succ, hops_to_deliver=program.hops_to_deliver
             )
@@ -413,6 +412,24 @@ def apply_faults(
 # ----------------------------------------------------------------------
 # the reference interpreter (differential oracle + generic execution path)
 # ----------------------------------------------------------------------
+def _masked_frames(
+    n: int, alive: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Empty masked-execution matrices plus the alive pair universe ``(src, dst)``."""
+    lengths = np.full((n, n), NO_ROUTE, dtype=np.int64)
+    delivered = np.zeros((n, n), dtype=bool)
+    np.fill_diagonal(delivered, alive)
+    np.fill_diagonal(lengths, np.where(alive, 0, NO_ROUTE))
+    misdelivered = np.zeros((n, n), dtype=bool)
+    dropped = np.zeros((n, n), dtype=bool)
+    universe = ~np.eye(n, dtype=bool)
+    universe &= alive[:, None]
+    universe &= alive[None, :]
+    src, dst = np.nonzero(universe)
+    lengths[src, dst] = 0
+    return lengths, delivered, misdelivered, dropped, src, dst
+
+
 def _reference_masked(
     rf: RoutingFunction,
     graph: PortLabeledGraph,
@@ -423,7 +440,7 @@ def _reference_masked(
 
     Applies the fault model decision by decision — ``DELIVER`` checked
     before the fault (a delivering node never hops), the blocked hop never
-    counted — so the vectorised masked executors can be asserted equal to
+    counted — so the vectorised masked executor can be asserted equal to
     it matrix for matrix.  Budget follows the generic interpreter
     (``4 * n``); cycles that never touch a fault classify as livelocks
     exactly as they do there.
@@ -638,9 +655,10 @@ def simulate_with_faults(
         Pre-computed surviving distances (sweep drivers cache them per
         ``(graph, faults)``); computed on demand otherwise.
     max_hops:
-        Hop budget override; defaults match the masked executors (exact on
-        both compiled kinds) and the generic ``4 * n`` on the reference
-        path.
+        Hop budget of the per-message reference interpreter (default
+        ``4 * n``).  The compiled path has exact fates and no budget:
+        passing ``max_hops`` when a compiled program is masked raises
+        :class:`ValueError`.
     method:
         ``"auto"`` masks the compiled program (lowering the routing
         function first if no ``program`` was passed; generic kinds fall

@@ -29,6 +29,14 @@ Hypothesis-driven suites share two things from here:
 :func:`repro.routing.tables.shortest_path_ports`: the per-entry Python loop
 over every (node, destination, neighbour) triple the library once built
 its tables with.
+
+The fate oracles of the compiled executors live here too:
+:func:`functional_hops` (the backwards peel that computed
+``hops_to_deliver`` before the pointer-doubling resolver) and the four
+per-step dense loops :func:`execute_dense` / :func:`execute_masked_dense`
+dispatch to — every in-flight message advances one hop per step, exactly
+as the engine once executed programs.  ``tests/test_execution.py`` pins the
+resolver-backed executors against them.
 """
 
 from __future__ import annotations
@@ -235,7 +243,6 @@ def lower_header_state_per_state(rf, max_states=None):
     from repro.routing.program import (
         HeaderStateExplosionError,
         HeaderStateProgram,
-        functional_hops,
         transition_dtype,
     )
 
@@ -302,3 +309,211 @@ def lower_header_state_per_state(rf, max_states=None):
         initial=initial.astype(sdt),
         headers=tuple(headers),
     )
+
+
+# ----------------------------------------------------------------------
+# per-step reference oracles of the compiled executors
+# ----------------------------------------------------------------------
+def functional_hops(succ, stopping):
+    """Hops from each state of a functional graph to a stopping state.
+
+    The backwards peel: stopping states get ``0``, then every round assigns
+    ``hops[succ] + 1`` to the states whose successor was resolved in the
+    previous round.  ``-1`` marks states that never stop.  A ``DROPPED``
+    successor self-loops its state (the walk ends off-program), so unless
+    that state is itself stopping it reports ``-1``.
+    """
+    from repro.routing.program import DROPPED, NO_ROUTE
+
+    succ = np.asarray(succ).astype(np.int64)
+    stopping = np.asarray(stopping, dtype=bool)
+    dropped = succ == DROPPED
+    succ = np.where(dropped, np.arange(succ.shape[0]), succ)
+    hops = np.where(stopping, 0, NO_ROUTE)
+    while True:
+        downstream = hops[succ]
+        newly = (hops < 0) & (downstream >= 0)
+        if not newly.any():
+            return hops
+        hops[newly] = downstream[newly] + 1
+
+
+def _offdiag(n):
+    return ~np.eye(n, dtype=bool)
+
+
+def _next_hop_dense(program):
+    """Per-step next-hop loop: ``n`` steps, a livelock never retires."""
+    from repro.routing.program import MISDELIVER, NO_ROUTE
+    from repro.sim.engine import SimulationResult
+
+    n = program.n
+    lengths = np.zeros((n, n), dtype=np.int64)
+    delivered = np.eye(n, dtype=bool)
+    misdelivered = np.zeros((n, n), dtype=bool)
+    if n < 2:
+        return SimulationResult(lengths, delivered, misdelivered, steps=0, mode="compiled")
+    next_node = program.next_node.astype(np.int64)
+    # A non-absorbing destination forwards messages past itself.
+    absorbing = next_node[np.arange(n), np.arange(n)] == np.arange(n)
+    src, dst = np.nonzero(_offdiag(n))
+    cur = src.copy()
+    steps = 0
+    while cur.size and steps < n:
+        steps += 1
+        cur = next_node[cur, dst]
+        lost = cur == MISDELIVER
+        if lost.any():
+            misdelivered[src[lost], dst[lost]] = True
+            keep = ~lost
+            src, dst, cur = src[keep], dst[keep], cur[keep]
+        lengths[src, dst] += 1
+        home = (cur == dst) & absorbing[dst]
+        if home.any():
+            delivered[src[home], dst[home]] = True
+            keep = ~home
+            src, dst, cur = src[keep], dst[keep], cur[keep]
+    lengths[~delivered] = NO_ROUTE
+    return SimulationResult(lengths, delivered, misdelivered, steps=steps, mode="compiled")
+
+
+def _header_state_budget(program, cur):
+    """Largest finite ``hops_to_deliver`` of the initial states, plus one."""
+    if not cur.size:
+        return 0
+    pending = program.hops_to_deliver[cur]
+    finite = pending[pending >= 0]
+    return int(finite.max()) + 1 if finite.size else 0
+
+
+def _header_state_dense(program):
+    """Per-step header-state loop, budgeted by ``hops_to_deliver``."""
+    from repro.routing.program import NO_ROUTE
+    from repro.sim.engine import SimulationResult
+
+    n = program.n
+    lengths = np.zeros((n, n), dtype=np.int64)
+    delivered = np.eye(n, dtype=bool)
+    misdelivered = np.zeros((n, n), dtype=bool)
+    mode = "header-compiled"
+    if n < 2:
+        return SimulationResult(lengths, delivered, misdelivered, steps=0, mode=mode)
+    src, dst = np.nonzero(_offdiag(n))
+    cur = program.initial[src, dst].astype(np.int64)
+    budget = _header_state_budget(program, cur)
+    steps = 0
+    while cur.size and steps < budget:
+        steps += 1
+        stopping = program.deliver[cur]
+        if stopping.any():
+            at_node = program.node_of[cur[stopping]]
+            s_stop, d_stop = src[stopping], dst[stopping]
+            home = at_node == d_stop
+            delivered[s_stop[home], d_stop[home]] = True
+            misdelivered[s_stop[~home], d_stop[~home]] = True
+            keep = ~stopping
+            src, dst, cur = src[keep], dst[keep], cur[keep]
+            if not cur.size:
+                break
+        lengths[src, dst] += 1
+        cur = program.succ[cur].astype(np.int64)
+    lengths[~delivered] = NO_ROUTE
+    return SimulationResult(lengths, delivered, misdelivered, steps=steps, mode=mode)
+
+
+def _next_hop_masked_dense(program, alive):
+    """Per-step masked next-hop loop: stops are detected before the hop."""
+    from repro.routing.program import DROPPED, MISDELIVER, NO_ROUTE
+    from repro.sim.engine import MaskedExecution
+    from repro.sim.faults import _masked_frames
+
+    n = program.n
+    lengths, delivered, misdelivered, dropped, src, dst = _masked_frames(n, alive)
+    next_node = program.next_node.astype(np.int64)
+    absorbing = next_node[np.arange(n), np.arange(n)] == np.arange(n)
+    cur = src.copy()
+    steps = 0
+    while cur.size and steps < n:
+        steps += 1
+        nxt = next_node[cur, dst]
+        stopped = (nxt == DROPPED) | (nxt == MISDELIVER)
+        if stopped.any():
+            was_dropped = nxt == DROPPED
+            dropped[src[was_dropped], dst[was_dropped]] = True
+            was_mis = nxt == MISDELIVER
+            misdelivered[src[was_mis], dst[was_mis]] = True
+            keep = ~stopped
+            src, dst, nxt = src[keep], dst[keep], nxt[keep]
+            if not nxt.size:
+                break
+        cur = nxt
+        lengths[src, dst] += 1
+        home = (cur == dst) & absorbing[dst]
+        if home.any():
+            delivered[src[home], dst[home]] = True
+            keep = ~home
+            src, dst, cur = src[keep], dst[keep], cur[keep]
+    lengths[src, dst] = NO_ROUTE  # survivors of the budget livelock
+    return MaskedExecution(
+        delivered, misdelivered, dropped, lengths, steps=steps, mode="compiled-masked"
+    )
+
+
+def _header_state_masked_dense(program, alive):
+    """Per-step masked header-state loop: deliver, then a DROPPED successor."""
+    from repro.routing.program import DROPPED, NO_ROUTE
+    from repro.sim.engine import MaskedExecution
+    from repro.sim.faults import _masked_frames
+
+    n = program.n
+    lengths, delivered, misdelivered, dropped, src, dst = _masked_frames(n, alive)
+    succ, deliver, node_of = program.succ, program.deliver, program.node_of
+    cur = program.initial[src, dst].astype(np.int64)
+    budget = _header_state_budget(program, cur)
+    steps = 0
+    while cur.size and steps < budget:
+        steps += 1
+        stopping = deliver[cur]
+        if stopping.any():
+            at_node = node_of[cur[stopping]]
+            s_stop, d_stop = src[stopping], dst[stopping]
+            home = at_node == d_stop
+            delivered[s_stop[home], d_stop[home]] = True
+            misdelivered[s_stop[~home], d_stop[~home]] = True
+            keep = ~stopping
+            src, dst, cur = src[keep], dst[keep], cur[keep]
+            if not cur.size:
+                break
+        nxt = succ[cur].astype(np.int64)
+        blocked = nxt == DROPPED
+        if blocked.any():
+            dropped[src[blocked], dst[blocked]] = True
+            keep = ~blocked
+            src, dst, nxt = src[keep], dst[keep], nxt[keep]
+            if not nxt.size:
+                break
+        cur = nxt
+        lengths[src, dst] += 1
+    lengths[src, dst] = NO_ROUTE  # survivors of the budget livelock
+    return MaskedExecution(
+        delivered, misdelivered, dropped, lengths, steps=steps, mode="header-compiled-masked"
+    )
+
+
+def execute_dense(program):
+    """Per-step reference of :func:`repro.sim.engine.execute_program`."""
+    from repro.routing.program import NextHopProgram
+
+    if isinstance(program, NextHopProgram):
+        return _next_hop_dense(program)
+    return _header_state_dense(program)
+
+
+def execute_masked_dense(program, alive=None):
+    """Per-step reference of :func:`repro.sim.engine.execute_masked_program`."""
+    from repro.routing.program import NextHopProgram
+
+    alive = np.ones(program.n, dtype=bool) if alive is None else np.asarray(alive, dtype=bool)
+    if isinstance(program, NextHopProgram):
+        return _next_hop_masked_dense(program, alive)
+    return _header_state_masked_dense(program, alive)

@@ -1,0 +1,457 @@
+"""The resolver-backed executors against the per-step dense oracles.
+
+:func:`repro.sim.engine.execute_program` and
+:func:`repro.sim.engine.execute_masked_program` answer every pair's fate in
+closed form through :func:`repro.routing.verify.resolve_fates`.  Every test
+here pins them field for field — ``lengths``, ``delivered``,
+``misdelivered``, ``dropped``, ``steps`` and ``mode`` — against the
+per-step loops of ``tests/conftest.py`` (:func:`conftest.execute_dense`,
+:func:`conftest.execute_masked_dense`), which advance every in-flight
+message one hop per step: over the registry, under fault masks, on
+livelocks, misdelivery and drop sentinels, non-absorbing destinations,
+degenerate sizes and empty alive universes, and over random programs.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from conftest import (
+    _corpus,
+    execute_dense,
+    execute_masked_dense,
+    functional_hops,
+    profile_settings,
+)
+from repro.graphs import generators
+from repro.routing.landmark import CowenLandmarkScheme
+from repro.routing.model import SchemeInapplicableError
+from repro.routing.program import (
+    DROPPED,
+    MISDELIVER,
+    HeaderStateExplosionError,
+    HeaderStateProgram,
+    NextHopProgram,
+    compile_scheme_program,
+    resolve_functional,
+    transition_dtype,
+)
+from repro.routing.tables import ShortestPathTableScheme
+from repro.routing.verify import (
+    ProgramVerificationError,
+    resolve_fates,
+    verify_program,
+    verify_structure,
+)
+from repro.sim.engine import execute_masked_program, execute_program, simulate_all_pairs
+from repro.sim.faults import _classify, apply_faults, random_fault_set, simulate_with_faults
+from repro.sim.registry import fault_scenarios, scheme_registry
+
+
+def _graphs():
+    yield "random-20", generators.random_connected_graph(20, extra_edge_prob=0.15, seed=11)
+    yield "hypercube-4", generators.hypercube(4)
+    yield "grid-5x4", generators.grid_2d(5, 4)
+    yield "cycle-9", generators.cycle_graph(9)
+
+
+def _next_hop_programs():
+    for name, graph in _graphs():
+        program = ShortestPathTableScheme().build(graph).compile_program()
+        assert isinstance(program, NextHopProgram)
+        yield name, graph, program
+
+
+def _assert_same_result(a, b):
+    assert np.array_equal(a.lengths, b.lengths)
+    assert np.array_equal(a.delivered, b.delivered)
+    assert np.array_equal(a.misdelivered, b.misdelivered)
+    assert a.steps == b.steps
+    assert a.mode == b.mode
+
+
+def _assert_same_masked(a, b):
+    _assert_same_result(a, b)
+    assert np.array_equal(a.dropped, b.dropped)
+
+
+def _has_drops(program):
+    table = program.next_node if isinstance(program, NextHopProgram) else program.succ
+    return bool((table == DROPPED).any())
+
+
+def _assert_matches_oracle(program, alive=None):
+    """Both executors equal their oracle; a masked program refuses the plain one."""
+    if _has_drops(program):
+        with pytest.raises(ValueError, match="masked"):
+            execute_program(program)
+    else:
+        _assert_same_result(execute_program(program), execute_dense(program))
+    _assert_same_masked(
+        execute_masked_program(program, alive), execute_masked_dense(program, alive)
+    )
+
+
+def _without_drops(program):
+    """``program`` with every DROPPED transition turned into a plain stop or loop."""
+    if isinstance(program, NextHopProgram):
+        return program.with_next_node(
+            np.where(program.next_node == DROPPED, MISDELIVER, program.next_node)
+        )
+    succ = np.where(program.succ == DROPPED, np.arange(program.num_states), program.succ)
+    return HeaderStateProgram(
+        succ=succ.astype(program.succ.dtype),
+        deliver=program.deliver,
+        node_of=program.node_of,
+        hops_to_deliver=functional_hops(succ, program.deliver).astype(program.succ.dtype),
+        initial=program.initial,
+    )
+
+
+# ----------------------------------------------------------------------
+# the registry, fault-free and under k = 2 edge and node faults
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("size", ["small", "medium"])
+def test_registry_matches_dense_oracle(size):
+    checked = 0
+    for family, graph in sorted(_corpus(size).items()):
+        scenarios = fault_scenarios(graph, seed=3, edge_ks=(2,), node_ks=(2,), per_k=1)
+        for label, scheme in sorted(scheme_registry(seed=0).items()):
+            try:
+                program = compile_scheme_program(scheme, graph)
+            except (SchemeInapplicableError, HeaderStateExplosionError):
+                continue
+            if program.kind == "generic":
+                continue
+            _assert_same_result(execute_program(program), execute_dense(program))
+            for _, faults in scenarios:
+                masked = apply_faults(program, graph, faults)
+                alive = faults.alive_mask(graph.n)
+                oracle = execute_masked_dense(masked, alive)
+                _assert_same_masked(execute_masked_program(masked, alive), oracle)
+                result = simulate_with_faults(program, faults, graph=graph)
+                assert np.array_equal(result.lengths, oracle.lengths), (label, family)
+                assert np.array_equal(result.outcome, _classify(oracle, alive))
+                assert (result.steps, result.mode) == (oracle.steps, oracle.mode)
+            checked += 1
+    assert checked > 50
+
+
+@pytest.mark.parametrize("size", ["small", "medium"])
+def test_registry_hops_to_deliver_match_the_peel(size):
+    # Lowering and masked views take hops_to_deliver from the resolver;
+    # the backwards peel it replaced must agree byte for byte.
+    checked = 0
+    for family, graph in sorted(_corpus(size).items()):
+        scenarios = fault_scenarios(graph, seed=5, edge_ks=(2,), node_ks=(2,), per_k=1)
+        for label, scheme in sorted(scheme_registry(seed=0).items()):
+            try:
+                program = compile_scheme_program(scheme, graph)
+            except (SchemeInapplicableError, HeaderStateExplosionError):
+                continue
+            if program.kind != "header-state":
+                continue
+            views = [program] + [apply_faults(program, graph, f) for _, f in scenarios]
+            for view in views:
+                stopping = view.deliver | (view.succ == DROPPED)
+                expected = functional_hops(view.succ, stopping).astype(view.succ.dtype)
+                assert view.hops_to_deliver.dtype == expected.dtype, (label, family)
+                assert view.hops_to_deliver.tobytes() == expected.tobytes(), (label, family)
+            checked += 1
+    assert checked > 5
+
+
+@pytest.mark.parametrize("size", ["small", "medium"])
+def test_resolve_fates_is_verify_program_without_issues(size):
+    for family, graph in sorted(_corpus(size).items()):
+        for label in ("tables-lowest-port", "landmark-rewriting"):
+            try:
+                program = compile_scheme_program(scheme_registry(seed=0)[label], graph)
+            except SchemeInapplicableError:
+                continue
+            alive = np.arange(graph.n) % 3 != 1
+            for mask in (None, alive):
+                fates = resolve_fates(program, mask)
+                report = verify_program(program, alive=mask)
+                assert fates.issues == ()
+                assert (fates.kind, fates.n, fates.num_states, fates.masked) == (
+                    report.kind, report.n, report.num_states, report.masked
+                )
+                assert np.array_equal(fates.outcome, report.outcome), (label, family)
+                assert np.array_equal(fates.hops, report.hops), (label, family)
+
+
+def test_resolve_functional_degenerate_inputs():
+    empty = np.zeros(0, dtype=np.int16)
+    target, hops = resolve_functional(empty, np.zeros(0, dtype=bool))
+    assert target.size == 0 and hops.size == 0
+    # Every state terminal: no round runs, each state is its own target.
+    succ = np.array([1, 2, 0], dtype=np.int16)
+    target, hops = resolve_functional(succ, np.ones(3, dtype=bool))
+    assert target.tolist() == [0, 1, 2] and hops.tolist() == [0, 0, 0]
+    # No terminal at all: a pure cycle never stops.
+    _, hops = resolve_functional(succ, np.zeros(3, dtype=bool))
+    assert hops.tolist() == [-1, -1, -1]
+
+
+def test_masked_execution_rejects_a_wrong_alive_shape():
+    program = ShortestPathTableScheme().build(generators.cycle_graph(5)).compile_program()
+    with pytest.raises(ValueError, match="alive mask"):
+        execute_masked_program(program, np.ones(4, dtype=bool))
+
+
+# ----------------------------------------------------------------------
+# hand-built cases
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "name,graph,program", list(_next_hop_programs()), ids=lambda v: v if isinstance(v, str) else ""
+)
+def test_next_hop_matches_dense(name, graph, program):
+    _assert_same_result(execute_program(program), execute_dense(program))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_header_state_matches_dense(seed):
+    graph = generators.random_connected_graph(16, extra_edge_prob=0.2, seed=seed)
+    program = CowenLandmarkScheme(seed=seed, rewriting=True).build(graph).compile_program()
+    _assert_same_result(execute_program(program), execute_dense(program))
+
+
+@pytest.mark.parametrize("kind,k", [("edge", 3), ("node", 2)])
+def test_masked_next_hop_matches_dense_under_faults(kind, k):
+    graph = generators.random_connected_graph(18, extra_edge_prob=0.2, seed=4)
+    program = ShortestPathTableScheme().build(graph).compile_program()
+    faults = random_fault_set(graph, k, kind=kind, seed=9)
+    masked = apply_faults(program, graph, faults)
+    alive = faults.alive_mask(graph.n)
+    _assert_same_masked(
+        execute_masked_program(masked, alive), execute_masked_dense(masked, alive)
+    )
+
+
+@pytest.mark.parametrize("kind,k", [("edge", 3), ("node", 2)])
+def test_masked_header_state_matches_dense_under_faults(kind, k):
+    graph = generators.random_connected_graph(16, extra_edge_prob=0.2, seed=6)
+    program = CowenLandmarkScheme(seed=6, rewriting=True).build(graph).compile_program()
+    faults = random_fault_set(graph, k, kind=kind, seed=2)
+    masked = apply_faults(program, graph, faults)
+    alive = faults.alive_mask(graph.n)
+    _assert_same_masked(
+        execute_masked_program(masked, alive), execute_masked_dense(masked, alive)
+    )
+
+
+def test_livelock_ring_agrees_and_exhausts_budget():
+    # A unanimous "route clockwise, never absorb" table: every off-diagonal
+    # pair livelocks, lengths stay -1, and steps report the n-hop walk.
+    n = 8
+    table = np.empty((n, n), dtype=np.int16)
+    for cur in range(n):
+        table[cur, :] = (cur + 1) % n
+    program = NextHopProgram(next_node=table)
+    result = execute_program(program)
+    _assert_same_result(result, execute_dense(program))
+    assert result.steps == n
+    offdiag = ~np.eye(n, dtype=bool)
+    assert (result.lengths[offdiag] == -1).all()
+    assert not result.delivered[offdiag].any()
+
+
+def test_misdelivery_sentinels_agree():
+    graph = generators.cycle_graph(7)
+    program = ShortestPathTableScheme().build(graph).compile_program()
+    table = program.next_node.copy()
+    table[2, 5] = MISDELIVER
+    table[3, 0] = MISDELIVER
+    bad = NextHopProgram(next_node=table)
+    result = execute_program(bad)
+    _assert_same_result(result, execute_dense(bad))
+    assert result.misdelivered.any()
+    assert (result.lengths[result.misdelivered] == -1).all()
+    _assert_same_masked(execute_masked_program(bad), execute_masked_dense(bad))
+
+
+def test_non_absorbing_destinations_pass_messages_through():
+    # Destination 2 forwards onwards instead of delivering: messages for it
+    # pass through and circle forever, every other destination delivers.
+    graph = generators.cycle_graph(6)
+    program = ShortestPathTableScheme().build(graph).compile_program()
+    table = program.next_node.copy()
+    table[2, 2] = 3
+    bad = NextHopProgram(next_node=table)
+    assert verify_structure(bad)  # a semantic issue, not a structural error
+    result = execute_program(bad)
+    _assert_same_result(result, execute_dense(bad))
+    assert not result.delivered[[0, 1, 3, 4, 5], 2].any()
+    assert result.steps == graph.n
+    _assert_same_masked(execute_masked_program(bad), execute_masked_dense(bad))
+
+
+@pytest.mark.parametrize("kind", ["next-hop", "header-state"])
+def test_unmasked_dropped_program_is_rejected(kind):
+    graph = generators.cycle_graph(6)
+    if kind == "next-hop":
+        program = ShortestPathTableScheme().build(graph).compile_program()
+        table = program.next_node.copy()
+        table[1, 4] = DROPPED
+        masked = program.with_next_node(table)
+    else:
+        program = CowenLandmarkScheme(seed=0, rewriting=True).build(graph).compile_program()
+        succ = program.succ.copy()
+        succ[np.flatnonzero(~program.deliver)[0]] = DROPPED
+        masked = program.with_transitions(succ=succ)
+    with pytest.raises(ValueError, match="masked"):
+        execute_program(masked)
+    _assert_same_masked(execute_masked_program(masked), execute_masked_dense(masked))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_degenerate_sizes_agree(n):
+    program = NextHopProgram(next_node=np.zeros((n, n), dtype=np.int16))
+    result = execute_program(program)
+    _assert_same_result(result, execute_dense(program))
+    assert result.steps == 0
+    _assert_same_masked(execute_masked_program(program), execute_masked_dense(program))
+
+
+def test_all_dead_and_single_survivor_masks():
+    graph = generators.grid_2d(3, 3)
+    next_hop = ShortestPathTableScheme().build(graph).compile_program()
+    header_state = CowenLandmarkScheme(seed=1, rewriting=True).build(graph).compile_program()
+    n = graph.n
+    for program in (next_hop, header_state):
+        for alive in (np.zeros(n, dtype=bool), np.eye(1, n, 4, dtype=bool)[0]):
+            result = execute_masked_program(program, alive)
+            _assert_same_masked(result, execute_masked_dense(program, alive))
+            assert result.steps == 0  # no alive pair is ever simulated
+
+
+# ----------------------------------------------------------------------
+# corrupt programs raise instead of "delivering"
+# ----------------------------------------------------------------------
+def _corrupt_programs():
+    graph = generators.cycle_graph(6)
+    program = ShortestPathTableScheme().build(graph).compile_program()
+    for value in (-4, 9):
+        table = program.next_node.copy()
+        table[1, 3] = value
+        yield f"next-hop-{value}", NextHopProgram(next_node=table)
+    hs = CowenLandmarkScheme(seed=0, rewriting=True).build(graph).compile_program()
+    for value in (-4, hs.num_states):
+        succ = hs.succ.copy()
+        succ[np.flatnonzero(~hs.deliver)[0]] = value
+        yield f"header-state-{value}", HeaderStateProgram(
+            succ=succ,
+            deliver=hs.deliver,
+            node_of=hs.node_of,
+            hops_to_deliver=hs.hops_to_deliver,
+            initial=hs.initial,
+        )
+
+
+@pytest.mark.parametrize(
+    "name,program", list(_corrupt_programs()), ids=lambda v: v if isinstance(v, str) else ""
+)
+def test_corrupt_program_raises_in_both_executors(name, program):
+    with pytest.raises(ProgramVerificationError) as expected:
+        verify_structure(program)
+    for execute in (execute_program, execute_masked_program):
+        with pytest.raises(ProgramVerificationError) as raised:
+            execute(program)
+        assert str(raised.value) == str(expected.value)
+
+
+def test_max_hops_is_refused_on_compiled_programs():
+    graph = generators.cycle_graph(6)
+    rf = ShortestPathTableScheme().build(graph)
+    program = rf.compile_program()
+    for call in (
+        lambda: execute_program(program, max_hops=3),
+        lambda: execute_masked_program(program, max_hops=3),
+        lambda: simulate_all_pairs(rf, max_hops=3),
+    ):
+        with pytest.raises(ValueError, match="max_hops"):
+            call()
+    # The per-message interpreter keeps its budget.
+    short = simulate_all_pairs(rf, max_hops=1, method="generic")
+    assert not short.all_delivered
+
+
+# ----------------------------------------------------------------------
+# random programs: sentinels, cycles, masked and unmasked
+# ----------------------------------------------------------------------
+def _random_next_hop(seed, n, p_sentinel, p_absorbing):
+    rng = np.random.default_rng(seed)
+    table = rng.integers(0, n, size=(n, n))
+    sentinel = rng.random((n, n)) < p_sentinel
+    table[sentinel] = rng.choice([MISDELIVER, DROPPED], size=int(sentinel.sum()))
+    absorbing = rng.random(n) < p_absorbing
+    diag = np.arange(n)
+    table[diag[absorbing], diag[absorbing]] = diag[absorbing]
+    return NextHopProgram(next_node=table.astype(transition_dtype(n)))
+
+
+def _random_header_state(seed, n, num_states, p_drop, p_deliver):
+    rng = np.random.default_rng(seed)
+    idx = np.arange(num_states)
+    succ = rng.integers(0, num_states, size=num_states)
+    succ[rng.random(num_states) < p_drop] = DROPPED
+    deliver = rng.random(num_states) < p_deliver
+    succ[deliver] = idx[deliver]  # delivering states self-loop
+    initial = rng.integers(0, num_states, size=(n, n))
+    np.fill_diagonal(initial, -1)
+    sdt = transition_dtype(num_states)
+    return HeaderStateProgram(
+        succ=succ.astype(sdt),
+        deliver=deliver,
+        node_of=rng.integers(0, n, size=num_states).astype(transition_dtype(n)),
+        hops_to_deliver=functional_hops(succ, deliver | (succ == DROPPED)).astype(sdt),
+        initial=initial.astype(sdt),
+    )
+
+
+_probability = st.sampled_from([0.0, 0.1, 0.3, 0.7])
+
+
+@profile_settings(base_examples=40)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(2, 9),
+    p_sentinel=_probability,
+    p_absorbing=st.sampled_from([0.5, 0.9, 1.0]),
+    p_alive=st.sampled_from([None, 0.5, 0.8]),
+)
+def test_random_next_hop_programs_match_oracle(seed, n, p_sentinel, p_absorbing, p_alive):
+    program = _random_next_hop(seed, n, p_sentinel, p_absorbing)
+    alive = None if p_alive is None else np.random.default_rng(seed + 1).random(n) < p_alive
+    _assert_matches_oracle(program, alive)
+    if alive is None:
+        _assert_matches_oracle(_without_drops(program))
+
+
+@profile_settings(base_examples=40)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(2, 7),
+    num_states=st.integers(1, 40),
+    p_drop=_probability,
+    p_deliver=st.sampled_from([0.1, 0.3, 0.6]),
+    p_alive=st.sampled_from([None, 0.5, 0.8]),
+)
+def test_random_header_state_programs_match_oracle(
+    seed, n, num_states, p_drop, p_deliver, p_alive
+):
+    program = _random_header_state(seed, n, num_states, p_drop, p_deliver)
+    stopping = program.deliver | (program.succ == DROPPED)
+    # The resolver's stop analysis is the peel's, byte for byte.
+    _, hops = resolve_functional(program.succ, stopping)
+    assert np.array_equal(
+        hops.astype(program.hops_to_deliver.dtype), program.hops_to_deliver
+    )
+    alive = None if p_alive is None else np.random.default_rng(seed + 1).random(n) < p_alive
+    _assert_matches_oracle(program, alive)
+    if alive is None:
+        _assert_matches_oracle(_without_drops(program))

@@ -4,7 +4,7 @@ Four layers of guarantees:
 
 * **Differential** — for every registry scheme and a spread of small-corpus
   families, the vectorised masked execution (mask a compiled program's
-  transition arrays, run the masked step functions) produces exactly the
+  transition arrays, run the masked executor) produces exactly the
   outcome and length matrices of the per-message reference interpreter,
   which applies the same fault model to the live routing function decision
   by decision.  Hypothesis extends this to random graphs x random fault
@@ -39,7 +39,7 @@ from conftest import build_next_hop_matrix, profile_settings
 from repro.graphs import generators
 from repro.graphs.shortest_paths import UNREACHABLE, distance_matrix
 from repro.routing.model import DELIVER, DestinationBasedRoutingFunction, RoutingFunction
-from repro.routing.program import DROPPED, GenericProgram, functional_hops
+from repro.routing.program import DROPPED, GenericProgram, resolve_functional
 from repro.routing.tables import ShortestPathTableScheme
 from repro.sim import simulate_all_pairs
 from repro.sim.engine import execute_masked_program
@@ -462,11 +462,13 @@ def test_surviving_graph_relabels_and_drops_faulted_components():
 def test_functional_hops_treats_dropped_as_absorbing():
     succ = np.array([1, 2, 2, DROPPED, 0], dtype=np.int64)
     stop = np.array([False, False, True, False, False])
-    hops = functional_hops(succ, stop)
+    target, hops = resolve_functional(succ, stop)
     assert hops.tolist() == [2, 1, 0, -1, 3]
+    assert target[hops >= 0].tolist() == [2, 2, 2, 2]
     # Marking the dropped state itself as stopping makes it hop 0.
-    hops2 = functional_hops(succ, stop | (succ == DROPPED))
+    target2, hops2 = resolve_functional(succ, stop | (succ == DROPPED))
     assert hops2.tolist() == [2, 1, 0, 0, 3]
+    assert target2.tolist() == [2, 2, 2, 3, 2]
 
 
 def test_fault_scenario_generator_is_seeded_and_skips_oversized_ks():
