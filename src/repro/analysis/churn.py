@@ -229,9 +229,11 @@ def churn_cell(
                 load_delta_fraction = moved / carried if carried else 0.0
                 prev_flow = step_flow
             step_graph_fp = step.graph.fingerprint()
-            key = cache.key("program", step_graph_fp, scheme_fp)
             cache.store_program_entry(
-                key, result.program, graph=step_graph_fp, scheme=scheme_fp
+                cache.program_key(step_graph_fp, scheme_fp),
+                result.program,
+                graph=step_graph_fp,
+                scheme=scheme_fp,
             )
             rows.append(
                 ChurnCellResult(

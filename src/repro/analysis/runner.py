@@ -30,15 +30,22 @@ incremental sweep:
   counted in :attr:`ShardStats.degraded`, so a store rotting on disk shows
   up in sweep output instead of silently recomputing forever.
 
-* :class:`ShardedRunner` — fans grid cells over a
-  :class:`concurrent.futures.ProcessPoolExecutor` (``processes <= 1`` runs
-  serially in-process, sharing one cache instance), collects results in
-  deterministic grid order, and reports a :class:`ShardStats` with the
-  cache hit rate — and the compiled-program hit rate — so benchmark output
-  can show how incremental a re-run was.  :meth:`ShardedRunner.program_sweep`
-  is the pure compile-once workload: fetch-or-compile every cell's program,
-  execute it straight off its mmap, cache no results, so a warm re-sweep
-  runs without re-building a single scheme.
+* :class:`ShardedRunner` — one dispatcher for every sweep.  A sweep kind
+  is a :class:`SweepSpec` (a module-level cell body, the registry grid and
+  the per-cell arguments); :meth:`ShardedRunner.stream` runs its cells in
+  deterministic family-major order — serially in-process against the
+  runner's own cache (``processes <= 1``), or through one
+  :class:`concurrent.futures.ProcessPoolExecutor` mapped with
+  ``chunksize=1`` — and yields one typed :class:`CellOutcome` per cell:
+  its rows or skip reason plus its cache-counter deltas.  The sweep
+  methods collect that stream into ``(rows, skipped, stats)`` with a
+  :class:`ShardStats` carrying the cache hit rate — and the
+  compiled-program hit rate — so benchmark output can show how
+  incremental a re-run was; the ``repro`` CLI emits the same stream row
+  by row.  :meth:`ShardedRunner.program_sweep` is the pure compile-once
+  workload: fetch-or-compile every cell's program, execute it straight
+  off its mmap, cache no results, so a warm re-sweep runs without
+  re-building a single scheme.
 
 Cells whose scheme declines the graph
 (:class:`~repro.routing.model.SchemeInapplicableError` from ``build``) are
@@ -56,26 +63,17 @@ import pickle
 import tempfile
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.graphs.digraph import PortLabeledGraph
 from repro.graphs.shortest_paths import distance_matrix
 from repro.routing.model import RoutingFunction, SchemeInapplicableError
-from repro.routing.program import (
-    GenericProgram,
-    HeaderStateExplosionError,
-    RoutingProgram,
-    program_from_bytes,
-)
-from repro.routing.verify import (
-    ProgramVerificationError,
-    VerificationReport,
-    verify_program,
-)
+from repro.routing.program import GenericProgram, HeaderStateExplosionError, RoutingProgram
+from repro.routing.verify import verify_program
 from repro.store import ProgramStore
 from repro.analysis.table1 import (
     SchemeMeasurement,
@@ -87,14 +85,20 @@ from repro.analysis.table1 import (
 
 __all__ = [
     "CACHE_SCHEMA",
+    "CellOutcome",
     "ExperimentCache",
     "ProgramCellResult",
     "ShardStats",
     "ShardedRunner",
+    "SweepSpec",
     "VerifyCellResult",
     "cached_distance_matrix",
     "cached_program",
+    "cell_spec",
+    "churn_spec",
+    "flow_spec",
     "measure_cell",
+    "resilience_spec",
     "scheme_fingerprint",
 ]
 
@@ -203,6 +207,14 @@ class ShardStats:
     def compile_hit_rate(self) -> float:
         """Fraction of program lookups served from cached bytes (0.0 when none ran)."""
         return self.compile_hits / self.compile_lookups if self.compile_lookups else 0.0
+
+    def add(self, outcome: "CellOutcome") -> None:
+        """Fold one cell's cache-counter deltas into the totals."""
+        self.hits += outcome.hits
+        self.misses += outcome.misses
+        self.compile_hits += outcome.compile_hits
+        self.compile_misses += outcome.compile_misses
+        self.degraded += outcome.degraded
 
     def describe(self) -> str:
         """One-line summary for benchmark output."""
@@ -342,6 +354,10 @@ class ExperimentCache:
         """Hash key of ``parts`` (strings/ints/fingerprints) plus the schema."""
         return hashlib.sha256(repr((CACHE_SCHEMA,) + parts).encode()).hexdigest()
 
+    def program_key(self, graph_fp: str, scheme_fp: str) -> str:
+        """Key of the compiled program of a (graph, scheme config) pair."""
+        return self.key("program", graph_fp, scheme_fp)
+
     def _path(self, key: str) -> Path:
         assert self.root is not None
         return self.root / key[:2] / f"{key}.pkl"
@@ -425,11 +441,9 @@ class ExperimentCache:
         The value is a live :class:`~repro.routing.program.RoutingProgram`
         (mmap-backed when it came from disk) or the ``("inapplicable",
         reason)`` verdict tuple of a scheme whose build refused the graph.
-        Lookup order: this process's memory, the content-addressed
+        Lookup order: this process's memory, then the content-addressed
         :class:`~repro.store.ProgramStore` (manifest lookup → mmapped
-        object, O(1)), then the legacy pickle store — which still holds
-        pre-store verdict tuples and any pre-mmap cached bytes.
-        Corruption at any layer warns, counts as a degraded entry, and
+        object, O(1)).  Corruption warns, counts as a degraded entry, and
         degrades to a miss (callers recompile and overwrite).
 
         ``verify=True`` adds two gates on anything that came from *disk*:
@@ -447,31 +461,12 @@ class ExperimentCache:
         """
         if key in self._memory:
             return True, self._memory[key]
-        if self.program_store is not None:
-            found, entry = self.program_store.get(key, verify=verify)
-            if found:
-                self._memory[key] = entry
-                return True, entry
-        if self.root is None:
+        if self.program_store is None:
             return False, None
-        found, blob = self.load(key)
-        if not found:
-            return False, None
-        if isinstance(blob, tuple):
-            return True, blob
-        try:
-            program = program_from_bytes(blob)
-        except (ValueError, TypeError) as exc:
-            self._note_degraded(self._path(key), exc)
-            return False, None
-        if verify and not isinstance(program, GenericProgram):
-            try:
-                verify_program(program, strict=True)
-            except ProgramVerificationError:
-                self._memory.pop(key, None)
-                return False, None
-        self._memory[key] = program
-        return True, program
+        found, entry = self.program_store.get(key, verify=verify)
+        if found:
+            self._memory[key] = entry
+        return found, entry
 
     def store_program_entry(
         self,
@@ -547,7 +542,7 @@ def _cached_program_with_rf(
     """
     graph_fp = graph.fingerprint()
     scheme_fp = scheme_fingerprint(scheme)
-    key = cache.key("program", graph_fp, scheme_fp)
+    key = cache.program_key(graph_fp, scheme_fp)
     found, entry = cache.load_program_entry(key, verify=verify)
     if found:
         if isinstance(entry, tuple) and entry and entry[0] == "inapplicable":
@@ -570,9 +565,7 @@ def _cached_program_with_rf(
             # refuses to build.
             if cache.program_store is not None:
                 cache.program_store.put_verdict(key, str(exc), graph_fp, scheme_fp)
-                cache._memory[key] = ("inapplicable", str(exc))
-            else:
-                cache.store(key, ("inapplicable", str(exc)))
+            cache._memory[key] = ("inapplicable", str(exc))
             raise SchemeInapplicableError(str(exc)) from exc
     try:
         program = rf.compile_program()
@@ -663,16 +656,16 @@ def _compile_cell(
     a store ahead of a fleet of sweeps.
     """
     program = cached_program(scheme, graph, cache)
-    path = cache.program_artifact_path(
-        cache.key("program", graph.fingerprint(), scheme_fingerprint(scheme))
-    )
+    object_id = program.fingerprint()
+    store = cache.program_store
+    path = store.object_path(object_id) if store is not None else None
     nbytes = path.stat().st_size if path is not None and path.exists() else 0
     return CompileCellResult(
         scheme=label,
         family=family,
         n=program.n,
         kind=program.kind,
-        object_id=program.fingerprint(),
+        object_id=object_id,
         nbytes=nbytes,
     )
 
@@ -763,150 +756,235 @@ def _verify_cell(
     )
 
 
+def _table1_cell(scheme, graph: PortLabeledGraph, family: str, label: str, cache):
+    """:func:`measure_cell` in the cell-body calling convention."""
+    return measure_cell(scheme, graph, family, cache)
+
+
 # ----------------------------------------------------------------------
-# process-pool workers (top level: payloads must pickle)
+# the cell protocol: one spec per sweep kind, one outcome per cell
 # ----------------------------------------------------------------------
-#: One cache instance per (worker process, directory): cells executed by
-#: the same worker share unpickled artefacts in memory instead of
-#: re-reading the directory per cell.
+@dataclass(frozen=True)
+class CellOutcome:
+    """What one (scheme, family) cell of a sweep produced.
+
+    ``status`` is ``"ok"`` (``rows`` holds the cell's result rows) or
+    ``"skip"`` (the scheme declined the graph; ``reason`` says why).  The
+    five counters are the cell's cache-counter deltas, so
+    :meth:`ShardStats.add` sums the same totals whichever process ran the
+    cell.
+    """
+
+    scheme: str
+    family: str
+    status: str
+    rows: Tuple[object, ...]
+    reason: str
+    hits: int
+    misses: int
+    compile_hits: int
+    compile_misses: int
+    degraded: int
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    """One sweep kind: a module-level cell body over a family-major grid.
+
+    Every cell runs ``body(scheme, graph, family, label, cache=cache,
+    **kwargs)``, with ``kwargs`` the shared ``params`` updated by the
+    cell's ``family_params`` entry (its fault scenarios or churn traces).
+    The body must live at module level: pooled cells pickle it by name.
+    """
+
+    body: Callable[..., object]
+    schemes: Tuple[Tuple[str, object], ...]
+    families: Tuple[Tuple[str, PortLabeledGraph], ...]
+    params: Mapping[str, object] = field(default_factory=dict)
+    family_params: Mapping[str, Mapping[str, object]] = field(default_factory=dict)
+
+    def cells(self) -> List[tuple]:
+        """``(scheme, graph, family, label, kwargs)`` in family-major order."""
+        cells = []
+        for family, graph in self.families:
+            kwargs = {**self.params, **self.family_params.get(family, {})}
+            for label, scheme in self.schemes:
+                cells.append((scheme, graph, family, label, kwargs))
+        return cells
+
+
+def cell_spec(
+    body: Callable[..., object],
+    schemes: Optional[Dict[str, object]] = None,
+    families: Optional[Dict[str, PortLabeledGraph]] = None,
+    size: str = "medium",
+    seed: int = 0,
+    per_family: Optional[Callable[[str, PortLabeledGraph], Dict[str, object]]] = None,
+    **params,
+) -> SweepSpec:
+    """A spec of ``body`` over the registries.
+
+    ``None`` picks the whole scheme registry / every ``size`` family;
+    ``per_family(name, graph)`` gives a family's extra cell arguments and
+    ``params`` the shared ones.  Alone it specs the one-result-per-cell
+    sweeps (compile, program, conformance, verify).
+    """
+    from repro.sim.registry import graph_families, scheme_registry
+
+    if schemes is None:
+        schemes = scheme_registry(seed=seed)
+    if families is None:
+        families = graph_families(size=size, seed=seed)
+    family_params = {}
+    if per_family is not None:
+        family_params = {name: per_family(name, graph) for name, graph in families.items()}
+    return SweepSpec(
+        body, tuple(schemes.items()), tuple(families.items()), params, family_params
+    )
+
+
+def resilience_spec(
+    schemes: Optional[Dict[str, object]] = None,
+    families: Optional[Dict[str, PortLabeledGraph]] = None,
+    size: str = "medium",
+    seed: int = 0,
+    edge_ks: Sequence[int] = (1, 2, 4),
+    node_ks: Sequence[int] = (1, 2),
+    per_k: int = 2,
+    scenarios: Optional[Dict[str, Sequence]] = None,
+    flow=None,
+    demand_seed: int = 0,
+) -> SweepSpec:
+    """Spec of :meth:`ShardedRunner.resilience_sweep` (same arguments)."""
+    from repro.analysis.resilience import resilience_cell
+    from repro.sim.registry import fault_scenarios
+
+    def per_family(name, graph):
+        if scenarios is not None:
+            return {"scenarios": tuple(scenarios[name])}
+        drawn = fault_scenarios(
+            graph, seed=seed, edge_ks=edge_ks, node_ks=node_ks, per_k=per_k
+        )
+        return {"scenarios": tuple(drawn)}
+
+    return cell_spec(
+        resilience_cell, schemes, families, size, seed, per_family,
+        flow=flow, demand_seed=demand_seed,
+    )
+
+
+def churn_spec(
+    schemes: Optional[Dict[str, object]] = None,
+    families: Optional[Dict[str, PortLabeledGraph]] = None,
+    size: str = "small",
+    seed: int = 0,
+    steps: int = 4,
+    flips_per_step: int = 1,
+    traces: Optional[Dict[str, Sequence]] = None,
+    verify=True,
+    flow=None,
+    demand_seed: int = 0,
+) -> SweepSpec:
+    """Spec of :meth:`ShardedRunner.churn_sweep` (same arguments).
+
+    ``schemes`` defaults to the ``tables-*`` subset of the registry.
+    """
+    from repro.analysis.churn import churn_cell
+    from repro.sim.churn import churn_scenarios
+    from repro.sim.registry import scheme_registry
+
+    if schemes is None:
+        schemes = {
+            name: scheme
+            for name, scheme in scheme_registry(seed=seed).items()
+            if name.startswith("tables-")
+        }
+
+    def per_family(name, graph):
+        if traces is not None:
+            return {"traces": tuple(traces[name])}
+        drawn = churn_scenarios(graph, seed=seed, steps=steps, flips_per_step=flips_per_step)
+        return {"traces": tuple(drawn)}
+
+    return cell_spec(
+        churn_cell, schemes, families, size, seed, per_family,
+        verify=verify, flow=flow, demand_seed=demand_seed,
+    )
+
+
+def flow_spec(
+    schemes: Optional[Dict[str, object]] = None,
+    families: Optional[Dict[str, PortLabeledGraph]] = None,
+    size: str = "medium",
+    seed: int = 0,
+    models: Sequence[str] = ("uniform", "zipf", "gravity"),
+    demand_seed: int = 0,
+    total: float = 1_000_000.0,
+) -> SweepSpec:
+    """Spec of :meth:`ShardedRunner.flow_sweep` (same arguments)."""
+    from repro.analysis.flow import flow_cell
+
+    return cell_spec(
+        flow_cell, schemes, families, size, seed,
+        models=tuple(models), demand_seed=demand_seed, total=total,
+    )
+
+
+def _run_cell(
+    cache: ExperimentCache,
+    body: Callable[..., object],
+    scheme,
+    graph: PortLabeledGraph,
+    family: str,
+    label: str,
+    kwargs: Mapping[str, object],
+) -> CellOutcome:
+    """Run one cell body against ``cache``; its outcome and counter deltas."""
+
+    def counters() -> Tuple[int, ...]:
+        return (
+            cache.hits,
+            cache.misses,
+            cache.program_hits,
+            cache.program_misses,
+            cache.degraded_entries,
+        )
+
+    before = counters()
+    try:
+        value = body(scheme, graph, family, label, cache=cache, **kwargs)
+    except SchemeInapplicableError as exc:
+        status, rows, reason = "skip", (), str(exc)
+    else:
+        status, reason = "ok", ""
+        rows = tuple(value) if isinstance(value, (list, tuple)) else (value,)
+    deltas = (after - prior for after, prior in zip(counters(), before))
+    return CellOutcome(label, family, status, rows, reason, *deltas)
+
+
+#: One cache instance per (pool worker process, directory): cells executed
+#: by the same worker share unpickled artefacts in memory instead of
+#: re-reading the directory per cell.  Only :func:`_pool_worker` reads it;
+#: in-process cells run against their runner's own cache.
 _WORKER_CACHES: Dict[str, ExperimentCache] = {}
 
 
-def _worker_cache(cache_dir: Optional[str]) -> ExperimentCache:
-    if cache_dir is None:
-        return ExperimentCache(None)
+def _pool_worker(payload: tuple) -> CellOutcome:
+    """The process-pool entry point (top level: payloads must pickle)."""
+    cache_dir, body, *cell = payload
     cache = _WORKER_CACHES.get(cache_dir)
     if cache is None:
-        cache = _WORKER_CACHES.setdefault(cache_dir, ExperimentCache(cache_dir))
-    return cache
-
-
-def _run_cell(cache: ExperimentCache, body) -> tuple:
-    """Run one cell body, returning its outcome plus cache-counter deltas.
-
-    The common frame of every worker: outcomes are
-    ``(tag, value, hits, misses, program_hits, program_misses, degraded)``
-    so the pool path can reconstitute :class:`ShardStats` (including the
-    compile hit-rate and corruption count) from per-cell deltas.
-    """
-    before = (
-        cache.hits,
-        cache.misses,
-        cache.program_hits,
-        cache.program_misses,
-        cache.degraded_entries,
-    )
-    try:
-        value = body()
-        tag = "ok"
-    except SchemeInapplicableError as exc:
-        value = str(exc)
-        tag = "skip"
-    after = (
-        cache.hits,
-        cache.misses,
-        cache.program_hits,
-        cache.program_misses,
-        cache.degraded_entries,
-    )
-    return (tag, value) + tuple(b - a for b, a in zip(after, before))
-
-
-def _measure_cell_worker(payload):
-    scheme, graph, graph_name, cache_dir = payload
-    cache = _worker_cache(cache_dir)
-    return _run_cell(cache, lambda: measure_cell(scheme, graph, graph_name, cache))
-
-
-def _conformance_cell_worker(payload):
-    scheme, graph, family, label, cache_dir = payload
-    cache = _worker_cache(cache_dir)
-    return _run_cell(
-        cache, lambda: _conformance_cell(scheme, graph, family, label, cache)
-    )
-
-
-def _compile_cell_worker(payload):
-    scheme, graph, family, label, cache_dir = payload
-    cache = _worker_cache(cache_dir)
-    return _run_cell(cache, lambda: _compile_cell(scheme, graph, family, label, cache))
-
-
-def _program_cell_worker(payload):
-    scheme, graph, family, label, cache_dir = payload
-    cache = _worker_cache(cache_dir)
-    return _run_cell(cache, lambda: _program_cell(scheme, graph, family, label, cache))
-
-
-def _verify_cell_worker(payload):
-    scheme, graph, family, label, cache_dir = payload
-    cache = _worker_cache(cache_dir)
-    return _run_cell(cache, lambda: _verify_cell(scheme, graph, family, label, cache))
-
-
-def _resilience_cell_worker(payload):
-    scheme, graph, family, label, scenarios, flow, demand_seed, cache_dir = payload
-    from repro.analysis.resilience import resilience_cell
-
-    cache = _worker_cache(cache_dir)
-    return _run_cell(
-        cache,
-        lambda: resilience_cell(
-            scheme,
-            graph,
-            family,
-            label,
-            scenarios,
-            cache,
-            flow=flow,
-            demand_seed=demand_seed,
-        ),
-    )
-
-
-def _churn_cell_worker(payload):
-    scheme, graph, family, label, traces, verify, flow, demand_seed, cache_dir = payload
-    from repro.analysis.churn import churn_cell
-
-    cache = _worker_cache(cache_dir)
-    return _run_cell(
-        cache,
-        lambda: churn_cell(
-            scheme,
-            graph,
-            family,
-            label,
-            traces,
-            cache,
-            verify=verify,
-            flow=flow,
-            demand_seed=demand_seed,
-        ),
-    )
-
-
-def _flow_cell_worker(payload):
-    scheme, graph, family, label, models, demand_seed, total, cache_dir = payload
-    from repro.analysis.flow import flow_cell
-
-    cache = _worker_cache(cache_dir)
-    return _run_cell(
-        cache,
-        lambda: flow_cell(
-            scheme,
-            graph,
-            family,
-            label,
-            models,
-            cache,
-            demand_seed=demand_seed,
-            total=total,
-        ),
-    )
+        cache = _WORKER_CACHES[cache_dir] = ExperimentCache(cache_dir)
+    return _run_cell(cache, body, *cell)
 
 
 class ShardedRunner:
     """Fan experiment grids over worker processes with a shared disk cache.
+
+    Every sweep is a :class:`SweepSpec` consumed by one generator,
+    :meth:`stream`, which yields a :class:`CellOutcome` per cell in
+    family-major order; the sweep methods collect that stream and the
+    ``repro`` CLI emits it row by row.
 
     Parameters
     ----------
@@ -933,39 +1011,42 @@ class ShardedRunner:
         self.cache = ExperimentCache(self.cache_dir)
 
     # ------------------------------------------------------------------
-    def _run(self, worker, payloads: Sequence[tuple], serial) -> Tuple[List[tuple], ShardStats]:
-        """Run cells, preserving payload order; returns outcomes + stats."""
-        stats = ShardStats(processes=1 if len(payloads) <= 1 else self.processes)
+    def _pooled(self, spec: SweepSpec) -> bool:
         # Without a cache directory, pool workers would share nothing (each
         # cell would rebuild its distance matrix from scratch); the serial
         # path's in-process cache deduplicates, so it wins outright there.
-        if self.processes <= 1 or len(payloads) <= 1 or self.cache_dir is None:
-            cache = self.cache
-            before = (
-                cache.hits,
-                cache.misses,
-                cache.program_hits,
-                cache.program_misses,
-                cache.degraded_entries,
-            )
-            outcomes = [serial(payload) for payload in payloads]
-            stats.hits = cache.hits - before[0]
-            stats.misses = cache.misses - before[1]
-            stats.compile_hits = cache.program_hits - before[2]
-            stats.compile_misses = cache.program_misses - before[3]
-            stats.degraded = cache.degraded_entries - before[4]
-            stats.processes = 1
-            return outcomes, stats
+        num_cells = len(spec.schemes) * len(spec.families)
+        return self.processes > 1 and num_cells > 1 and self.cache_dir is not None
+
+    def stream(self, spec: SweepSpec) -> Iterator[CellOutcome]:
+        """Run every cell of ``spec``, yielding outcomes in family-major order.
+
+        Serially against :attr:`cache`, or through a process pool mapped
+        with ``chunksize=1`` so a finished cell is never held back behind
+        an unfinished chunk-mate.  Exceptions other than
+        :class:`~repro.routing.model.SchemeInapplicableError` propagate.
+        """
+        cells = spec.cells()
+        if not self._pooled(spec):
+            for cell in cells:
+                yield _run_cell(self.cache, spec.body, *cell)
+            return
+        payloads = [(str(self.cache_dir), spec.body) + cell for cell in cells]
         with ProcessPoolExecutor(max_workers=self.processes) as pool:
-            chunksize = max(1, len(payloads) // (4 * self.processes))
-            outcomes = list(pool.map(worker, payloads, chunksize=chunksize))
-        for outcome in outcomes:
-            stats.hits += outcome[2]
-            stats.misses += outcome[3]
-            stats.compile_hits += outcome[4]
-            stats.compile_misses += outcome[5]
-            stats.degraded += outcome[6]
-        return outcomes, stats
+            yield from pool.map(_pool_worker, payloads, chunksize=1)
+
+    def _collect(self, spec: SweepSpec) -> Tuple[list, List[Tuple[str, str]], ShardStats]:
+        """``(rows, skipped, stats)`` of a whole :meth:`stream`."""
+        stats = ShardStats(processes=self.processes if self._pooled(spec) else 1)
+        rows: list = []
+        skipped: List[Tuple[str, str]] = []
+        for outcome in self.stream(spec):
+            stats.add(outcome)
+            if outcome.status == "ok":
+                rows.extend(outcome.rows)
+            else:
+                skipped.append((outcome.scheme, outcome.family))
+        return rows, skipped, stats
 
     # ------------------------------------------------------------------
     def table1_report(
@@ -981,21 +1062,8 @@ class ShardedRunner:
         """
         if schemes is None:
             schemes = _default_schemes()
-        cache_dir = str(self.cache_dir) if self.cache_dir is not None else None
-        payloads = [
-            (scheme, graph, name, cache_dir)
-            for name, graph in graphs
-            for scheme in schemes
-        ]
-
-        def serial(payload):
-            scheme, graph, name, _ = payload
-            return _run_cell(
-                self.cache, lambda: measure_cell(scheme, graph, name, self.cache)
-            )
-
-        outcomes, stats = self._run(_measure_cell_worker, payloads, serial)
-        measurements = [value for tag, value, *_ in outcomes if tag == "ok"]
+        labelled = tuple((getattr(s, "name", type(s).__name__), s) for s in schemes)
+        measurements, _, stats = self._collect(SweepSpec(_table1_cell, labelled, tuple(graphs)))
         if reference_n is None:
             reference_n = max((g.n for _, g in graphs), default=0)
         return group_measurements(measurements, reference_n, eps=eps), stats
@@ -1013,37 +1081,7 @@ class ShardedRunner:
         Returns ``(reports, skipped, stats)`` with reports in the serial
         driver's deterministic (family-major) order.
         """
-        from repro.sim.registry import graph_families, scheme_registry
-
-        if schemes is None:
-            schemes = scheme_registry(seed=seed)
-        if families is None:
-            families = graph_families(size=size, seed=seed)
-        cache_dir = str(self.cache_dir) if self.cache_dir is not None else None
-        payloads = [
-            (scheme, graph, family_name, scheme_name, cache_dir)
-            for family_name, graph in families.items()
-            for scheme_name, scheme in schemes.items()
-        ]
-
-        def serial(payload):
-            scheme, graph, family_name, scheme_name, _ = payload
-            return _run_cell(
-                self.cache,
-                lambda: _conformance_cell(
-                    scheme, graph, family_name, scheme_name, self.cache
-                ),
-            )
-
-        outcomes, stats = self._run(_conformance_cell_worker, payloads, serial)
-        reports = []
-        skipped: List[Tuple[str, str]] = []
-        for payload, (tag, value, *_) in zip(payloads, outcomes):
-            if tag == "ok":
-                reports.append(value)
-            else:
-                skipped.append((payload[3], payload[2]))
-        return reports, skipped, stats
+        return self._collect(cell_spec(_conformance_cell, schemes, families, size, seed))
 
     # ------------------------------------------------------------------
     def program_sweep(
@@ -1064,37 +1102,7 @@ class ShardedRunner:
         Returns ``(results, skipped, stats)`` in deterministic family-major
         order, skips mirroring :meth:`conformance_suite`.
         """
-        from repro.sim.registry import graph_families, scheme_registry
-
-        if schemes is None:
-            schemes = scheme_registry(seed=seed)
-        if families is None:
-            families = graph_families(size=size, seed=seed)
-        cache_dir = str(self.cache_dir) if self.cache_dir is not None else None
-        payloads = [
-            (scheme, graph, family_name, scheme_name, cache_dir)
-            for family_name, graph in families.items()
-            for scheme_name, scheme in schemes.items()
-        ]
-
-        def serial(payload):
-            scheme, graph, family_name, scheme_name, _ = payload
-            return _run_cell(
-                self.cache,
-                lambda: _program_cell(
-                    scheme, graph, family_name, scheme_name, self.cache
-                ),
-            )
-
-        outcomes, stats = self._run(_program_cell_worker, payloads, serial)
-        results: List[ProgramCellResult] = []
-        skipped: List[Tuple[str, str]] = []
-        for payload, (tag, value, *_) in zip(payloads, outcomes):
-            if tag == "ok":
-                results.append(value)
-            else:
-                skipped.append((payload[3], payload[2]))
-        return results, skipped, stats
+        return self._collect(cell_spec(_program_cell, schemes, families, size, seed))
 
     # ------------------------------------------------------------------
     def verify_sweep(
@@ -1116,37 +1124,7 @@ class ShardedRunner:
         ``(results, skipped, stats)`` in deterministic family-major order,
         skips mirroring :meth:`conformance_suite`.
         """
-        from repro.sim.registry import graph_families, scheme_registry
-
-        if schemes is None:
-            schemes = scheme_registry(seed=seed)
-        if families is None:
-            families = graph_families(size=size, seed=seed)
-        cache_dir = str(self.cache_dir) if self.cache_dir is not None else None
-        payloads = [
-            (scheme, graph, family_name, scheme_name, cache_dir)
-            for family_name, graph in families.items()
-            for scheme_name, scheme in schemes.items()
-        ]
-
-        def serial(payload):
-            scheme, graph, family_name, scheme_name, _ = payload
-            return _run_cell(
-                self.cache,
-                lambda: _verify_cell(
-                    scheme, graph, family_name, scheme_name, self.cache
-                ),
-            )
-
-        outcomes, stats = self._run(_verify_cell_worker, payloads, serial)
-        results: List[VerifyCellResult] = []
-        skipped: List[Tuple[str, str]] = []
-        for payload, (tag, value, *_) in zip(payloads, outcomes):
-            if tag == "ok":
-                results.append(value)
-            else:
-                skipped.append((payload[3], payload[2]))
-        return results, skipped, stats
+        return self._collect(cell_spec(_verify_cell, schemes, families, size, seed))
 
     # ------------------------------------------------------------------
     def resilience_sweep(
@@ -1164,10 +1142,10 @@ class ShardedRunner:
     ):
         """Fault-injection fan-out: every registry cell x its seeded scenarios.
 
-        One payload per (scheme, family) cell carrying *all* of that
-        family's fault scenarios (``scenarios`` maps family name to
-        ``(label, FaultSet)`` pairs and defaults to
-        :func:`repro.sim.registry.fault_scenarios` with the given ``ks``):
+        Each (scheme, family) cell carries *all* of that family's fault
+        scenarios (``scenarios`` maps family name to ``(label, FaultSet)``
+        pairs and defaults to :func:`repro.sim.registry.fault_scenarios`
+        with the given ``ks``):
         the cell fetches its compiled program from the shared cache once
         and applies every fault mask to it, which is what makes a warm
         sweep run thousands of failure scenarios with
@@ -1180,62 +1158,12 @@ class ShardedRunner:
         ``(cells, skipped, stats)`` with cells in deterministic
         family-major, scenario order.
         """
-        from repro.sim.registry import fault_scenarios, graph_families, scheme_registry
-
-        if schemes is None:
-            schemes = scheme_registry(seed=seed)
-        if families is None:
-            families = graph_families(size=size, seed=seed)
-        if scenarios is None:
-            scenarios = {
-                name: fault_scenarios(
-                    graph, seed=seed, edge_ks=edge_ks, node_ks=node_ks, per_k=per_k
-                )
-                for name, graph in families.items()
-            }
-        cache_dir = str(self.cache_dir) if self.cache_dir is not None else None
-        payloads = [
-            (
-                scheme,
-                graph,
-                family_name,
-                scheme_name,
-                tuple(scenarios[family_name]),
-                flow,
-                demand_seed,
-                cache_dir,
+        return self._collect(
+            resilience_spec(
+                schemes, families, size, seed, edge_ks, node_ks, per_k,
+                scenarios, flow, demand_seed,
             )
-            for family_name, graph in families.items()
-            for scheme_name, scheme in schemes.items()
-        ]
-
-        def serial(payload):
-            from repro.analysis.resilience import resilience_cell
-
-            scheme, graph, family_name, scheme_name, cell_scenarios, *_ = payload
-            return _run_cell(
-                self.cache,
-                lambda: resilience_cell(
-                    scheme,
-                    graph,
-                    family_name,
-                    scheme_name,
-                    cell_scenarios,
-                    self.cache,
-                    flow=flow,
-                    demand_seed=demand_seed,
-                ),
-            )
-
-        outcomes, stats = self._run(_resilience_cell_worker, payloads, serial)
-        cells = []
-        skipped: List[Tuple[str, str]] = []
-        for payload, (tag, value, *_) in zip(payloads, outcomes):
-            if tag == "ok":
-                cells.extend(value)
-            else:
-                skipped.append((payload[3], payload[2]))
-        return cells, skipped, stats
+        )
 
     # ------------------------------------------------------------------
     def churn_sweep(
@@ -1253,8 +1181,8 @@ class ShardedRunner:
     ):
         """Dynamic-topology fan-out: every table cell x its seeded churn traces.
 
-        One payload per (scheme, family) cell carrying *all* of that
-        family's churn traces (``traces`` maps family name to
+        Each (scheme, family) cell carries *all* of that family's churn
+        traces (``traces`` maps family name to
         ``(label, ChurnTrace)`` pairs and defaults to
         :func:`repro.sim.churn.churn_scenarios` over the registry
         instance): the cell fetches its **base** compiled program from the
@@ -1269,69 +1197,12 @@ class ShardedRunner:
         :class:`~repro.analysis.churn.ChurnCellResult` rows in
         deterministic family-major, trace, step order.
         """
-        from repro.sim.churn import churn_scenarios
-        from repro.sim.registry import graph_families, scheme_registry
-
-        if schemes is None:
-            schemes = {
-                name: scheme
-                for name, scheme in scheme_registry(seed=seed).items()
-                if name.startswith("tables-")
-            }
-        if families is None:
-            families = graph_families(size=size, seed=seed)
-        if traces is None:
-            traces = {
-                name: churn_scenarios(
-                    graph, seed=seed, steps=steps, flips_per_step=flips_per_step
-                )
-                for name, graph in families.items()
-            }
-        cache_dir = str(self.cache_dir) if self.cache_dir is not None else None
-        payloads = [
-            (
-                scheme,
-                graph,
-                family_name,
-                scheme_name,
-                tuple(traces[family_name]),
-                verify,
-                flow,
-                demand_seed,
-                cache_dir,
+        return self._collect(
+            churn_spec(
+                schemes, families, size, seed, steps, flips_per_step,
+                traces, verify, flow, demand_seed,
             )
-            for family_name, graph in families.items()
-            for scheme_name, scheme in schemes.items()
-        ]
-
-        def serial(payload):
-            from repro.analysis.churn import churn_cell
-
-            scheme, graph, family_name, scheme_name, cell_traces, cell_verify, *_ = payload
-            return _run_cell(
-                self.cache,
-                lambda: churn_cell(
-                    scheme,
-                    graph,
-                    family_name,
-                    scheme_name,
-                    cell_traces,
-                    self.cache,
-                    verify=cell_verify,
-                    flow=flow,
-                    demand_seed=demand_seed,
-                ),
-            )
-
-        outcomes, stats = self._run(_churn_cell_worker, payloads, serial)
-        cells = []
-        skipped: List[Tuple[str, str]] = []
-        for payload, (tag, value, *_) in zip(payloads, outcomes):
-            if tag == "ok":
-                cells.extend(value)
-            else:
-                skipped.append((payload[3], payload[2]))
-        return cells, skipped, stats
+        )
 
     # ------------------------------------------------------------------
     def flow_sweep(
@@ -1346,7 +1217,7 @@ class ShardedRunner:
     ):
         """Traffic fan-out: every registry cell x the demand-skew models.
 
-        One payload per (scheme, family) cell carrying all of that cell's
+        Each (scheme, family) cell carries all of that cell's
         demand models: the cell fetches its compiled program from the
         shared cache once, statically verifies it once, and routes every
         demand matrix against that single hop-count array
@@ -1356,55 +1227,9 @@ class ShardedRunner:
         reported under ``skipped``.  Returns ``(cells, skipped, stats)``
         with cells in deterministic family-major, demand-model order.
         """
-        from repro.sim.registry import graph_families, scheme_registry
-
-        if schemes is None:
-            schemes = scheme_registry(seed=seed)
-        if families is None:
-            families = graph_families(size=size, seed=seed)
-        cache_dir = str(self.cache_dir) if self.cache_dir is not None else None
-        payloads = [
-            (
-                scheme,
-                graph,
-                family_name,
-                scheme_name,
-                tuple(models),
-                demand_seed,
-                total,
-                cache_dir,
-            )
-            for family_name, graph in families.items()
-            for scheme_name, scheme in schemes.items()
-        ]
-
-        def serial(payload):
-            from repro.analysis.flow import flow_cell
-
-            scheme, graph, family_name, scheme_name, cell_models, *_ = payload
-            return _run_cell(
-                self.cache,
-                lambda: flow_cell(
-                    scheme,
-                    graph,
-                    family_name,
-                    scheme_name,
-                    cell_models,
-                    self.cache,
-                    demand_seed=demand_seed,
-                    total=total,
-                ),
-            )
-
-        outcomes, stats = self._run(_flow_cell_worker, payloads, serial)
-        cells = []
-        skipped: List[Tuple[str, str]] = []
-        for payload, (tag, value, *_) in zip(payloads, outcomes):
-            if tag == "ok":
-                cells.extend(value)
-            else:
-                skipped.append((payload[3], payload[2]))
-        return cells, skipped, stats
+        return self._collect(
+            flow_spec(schemes, families, size, seed, models, demand_seed, total)
+        )
 
     # ------------------------------------------------------------------
     def cached_row(self, kind: str, scheme, graph: PortLabeledGraph, compute):

@@ -1,14 +1,15 @@
 """Argument wiring for the ``repro`` console entry point.
 
-Each sweep subcommand builds the same family-major payload list as its
-:class:`~repro.analysis.runner.ShardedRunner` counterpart and drives the
-*same* top-level cell workers — serially in-process for ``--jobs 1``,
-through a :class:`~concurrent.futures.ProcessPoolExecutor` with
-``chunksize=1`` otherwise — so CLI rows are field-for-field the Python
-API's results, just streamed as they complete instead of returned at the
-end.  All caching goes through one :class:`~repro.analysis.runner.\
-ExperimentCache` rooted at the resolved store directory, which makes every
-invocation share the content-addressed program store.
+Each sweep subcommand builds the same :class:`~repro.analysis.runner.\
+SweepSpec` as its :class:`~repro.analysis.runner.ShardedRunner` method and
+emits that runner's :meth:`~repro.analysis.runner.ShardedRunner.stream` of
+typed cell outcomes row by row — serially in-process for ``--jobs 1``,
+through the runner's process pool otherwise — so CLI rows are
+field-for-field the Python API's results, just streamed as cells finish
+instead of returned at the end.  Every invocation builds its own
+``ShardedRunner(store, processes=--jobs)``, whose cache is rooted at the
+resolved store directory: invocations share the content-addressed program
+store on disk, never a cache in memory.
 
 Exit codes: ``0`` success, ``1`` a ``--check`` found failing cells,
 ``2`` invalid usage (unknown scheme/family/flag).
@@ -20,9 +21,8 @@ import argparse
 import dataclasses
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from repro.cli._output import emit, emit_error
 from repro.store import ProgramStore, default_store_root
@@ -176,233 +176,103 @@ def _store_root(args: argparse.Namespace) -> Path:
     return default_store_root()
 
 
-def _registries(
-    args: argparse.Namespace,
-) -> Tuple[Dict[str, object], Dict[str, object]]:
+def _spec(args: argparse.Namespace):
+    """The :class:`~repro.analysis.runner.SweepSpec` a sweep subcommand runs.
+
+    Unset flags fall through to the spec builders' defaults (whole
+    registry, fault scenarios, churn traces, the ``tables-*`` churn
+    subset), which are also the Python API's.
+    """
+    from repro.analysis import runner
     from repro.sim.registry import resolve_families, resolve_schemes
 
-    schemes = resolve_schemes(args.scheme, seed=args.seed)
-    families = resolve_families(args.family, size=args.registry, seed=args.seed)
-    return schemes, families
+    grid = dict(
+        schemes=resolve_schemes(args.scheme, seed=args.seed) if args.scheme else None,
+        families=resolve_families(args.family, size=args.registry, seed=args.seed),
+        seed=args.seed,
+    )
+    if args.command == "resilience":
+        ks = {"edge_ks": args.edge_k, "node_ks": args.node_k}
+        return runner.resilience_spec(
+            **grid,
+            **{name: value for name, value in ks.items() if value is not None},
+            per_k=args.per_k,
+            flow=args.flow,
+            demand_seed=args.demand_seed,
+        )
+    if args.command == "churn":
+        return runner.churn_spec(
+            **grid,
+            steps=args.steps,
+            flips_per_step=args.flips_per_step,
+            verify=not args.no_verify,
+            flow=args.flow,
+            demand_seed=args.demand_seed,
+        )
+    if args.command == "flow":
+        return runner.flow_spec(
+            **grid,
+            models=args.model or DEMAND_MODELS,
+            demand_seed=args.demand_seed,
+            total=args.total,
+        )
+    body = {
+        "compile": runner._compile_cell,
+        "sweep": runner._program_cell,
+        "simulate": runner._conformance_cell,
+        "verify": runner._verify_cell,
+    }[args.command]
+    return runner.cell_spec(body, **grid)
 
 
-def _stream_outcomes(
-    jobs: int, worker: Callable, payloads: Sequence[tuple]
-) -> Iterator[Tuple[tuple, tuple]]:
-    """Yield ``(payload, outcome)`` pairs with bounded per-cell delay.
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    """Stream one sweep: data and skip rows as cells finish, then the summary.
 
-    The serial path calls the worker in-process (its per-directory cache
-    persists across cells); the pooled path maps with ``chunksize=1`` so a
-    finished cell is never held back behind an unfinished chunk-mate.
-    Order is payload order either way — identical to the runner API.
+    No rows are kept; ``verify --check`` folds its failing flag on the way.
     """
-    if jobs <= 1 or len(payloads) <= 1:
-        for payload in payloads:
-            yield payload, worker(payload)
-        return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield from zip(payloads, pool.map(worker, payloads, chunksize=1))
+    from repro.analysis.runner import ShardedRunner, ShardStats
 
-
-class _Tally:
-    """Accumulates per-cell stat deltas into one summary row."""
-
-    def __init__(self, command: str, store_root: Path) -> None:
-        self.command = command
-        self.store_root = store_root
-        self.cells = 0
-        self.skipped = 0
-        self.hits = 0
-        self.misses = 0
-        self.compile_hits = 0
-        self.compile_misses = 0
-        self.degraded = 0
-
-    def absorb(self, outcome: tuple) -> None:
-        self.hits += outcome[2]
-        self.misses += outcome[3]
-        self.compile_hits += outcome[4]
-        self.compile_misses += outcome[5]
-        self.degraded += outcome[6]
-
-    def summary(self) -> dict:
-        lookups = self.compile_hits + self.compile_misses
-        return {
-            "event": "summary",
-            "command": self.command,
-            "store": str(self.store_root),
-            "cells": self.cells,
-            "skipped": self.skipped,
-            "hits": self.hits,
-            "misses": self.misses,
-            "compile_hits": self.compile_hits,
-            "compile_misses": self.compile_misses,
-            "compile_hit_rate": (self.compile_hits / lookups) if lookups else 0.0,
-            "degraded": self.degraded,
-        }
-
-
-def _emit_rows(value: object) -> Iterator[dict]:
-    """A cell outcome is one result dataclass or a list of them."""
-    if isinstance(value, (list, tuple)):
-        for item in value:
-            yield dataclasses.asdict(item)
-    else:
-        yield dataclasses.asdict(value)
-
-
-def _run_streaming(
-    command: str,
-    args: argparse.Namespace,
-    worker: Callable,
-    payloads: Sequence[tuple],
-    store_root: Path,
-) -> Tuple[int, List[dict]]:
-    """Shared sweep loop: stream rows/skips, then the summary; returns rows."""
-    tally = _Tally(command, store_root)
-    rows: List[dict] = []
-    for payload, outcome in _stream_outcomes(args.jobs, worker, payloads):
-        tally.absorb(outcome)
-        tag, value = outcome[0], outcome[1]
-        if tag == "skip":
-            tally.skipped += 1
+    store_root = _store_root(args)
+    spec = _spec(args)
+    check = getattr(args, "check", False)
+    stats = ShardStats()
+    rows = skipped = 0
+    failing = False
+    for outcome in ShardedRunner(store_root, processes=args.jobs).stream(spec):
+        stats.add(outcome)
+        if outcome.status == "skip":
+            skipped += 1
             emit(
                 {
                     "event": "skip",
-                    "scheme": payload[3],
-                    "family": payload[2],
-                    "reason": value,
+                    "scheme": outcome.scheme,
+                    "family": outcome.family,
+                    "reason": outcome.reason,
                 }
             )
             continue
-        for row in _emit_rows(value):
-            tally.cells += 1
-            rows.append(row)
+        for result in outcome.rows:
+            row = dataclasses.asdict(result)
+            rows += 1
+            if check and row["verified"] and (not row["all_delivered"] or row["issues"]):
+                failing = True
             emit(row)
-    emit(tally.summary())
-    return EXIT_OK, rows
-
-
-def _cell_payloads(
-    schemes: Dict[str, object],
-    families: Dict[str, object],
-    store_root: Path,
-    extra: Callable[[str], tuple] = lambda family: (),
-) -> List[tuple]:
-    """Family-major ``(scheme, graph, family, label, *extra, cache_dir)`` list."""
-    return [
-        (scheme, graph, family, label) + extra(family) + (str(store_root),)
-        for family, graph in families.items()
-        for label, scheme in schemes.items()
-    ]
-
-
-# ---------------------------------------------------------------------------
-def _cmd_simple_sweep(command: str, args: argparse.Namespace) -> int:
-    from repro.analysis import runner as runner_mod
-
-    worker = {
-        "compile": runner_mod._compile_cell_worker,
-        "sweep": runner_mod._program_cell_worker,
-        "simulate": runner_mod._conformance_cell_worker,
-        "verify": runner_mod._verify_cell_worker,
-    }[command]
-    store_root = _store_root(args)
-    schemes, families = _registries(args)
-    payloads = _cell_payloads(schemes, families, store_root)
-    code, rows = _run_streaming(command, args, worker, payloads, store_root)
-    if command == "verify" and getattr(args, "check", False):
-        failing = [
-            row
-            for row in rows
-            if row.get("verified") and (not row["all_delivered"] or row["issues"])
-        ]
-        if failing:
-            return EXIT_CHECK_FAILED
-    return code
-
-
-def _cmd_resilience(args: argparse.Namespace) -> int:
-    from repro.analysis.runner import _resilience_cell_worker
-    from repro.sim.registry import fault_scenarios
-
-    store_root = _store_root(args)
-    schemes, families = _registries(args)
-    edge_ks = tuple(args.edge_k) if args.edge_k else (1, 2, 4)
-    node_ks = tuple(args.node_k) if args.node_k else (1, 2)
-    scenarios = {
-        family: tuple(
-            fault_scenarios(
-                graph, seed=args.seed, edge_ks=edge_ks, node_ks=node_ks, per_k=args.per_k
-            )
-        )
-        for family, graph in families.items()
-    }
-    payloads = _cell_payloads(
-        schemes,
-        families,
-        store_root,
-        extra=lambda family: (scenarios[family], args.flow, args.demand_seed),
-    )
-    code, _ = _run_streaming("resilience", args, _resilience_cell_worker, payloads, store_root)
-    return code
-
-
-def _cmd_churn(args: argparse.Namespace) -> int:
-    from repro.analysis.runner import _churn_cell_worker
-    from repro.sim.churn import churn_scenarios
-    from repro.sim.registry import resolve_families, resolve_schemes
-
-    store_root = _store_root(args)
-    if args.scheme is None:
-        schemes = {
-            name: scheme
-            for name, scheme in resolve_schemes(None, seed=args.seed).items()
-            if name.startswith("tables-")
+    emit(
+        {
+            "event": "summary",
+            "command": args.command,
+            "store": str(store_root),
+            "cells": rows,
+            "skipped": skipped,
+            "hits": stats.hits,
+            "misses": stats.misses,
+            "compile_hits": stats.compile_hits,
+            "compile_misses": stats.compile_misses,
+            "compile_hit_rate": stats.compile_hit_rate,
+            "degraded": stats.degraded,
         }
-    else:
-        schemes = resolve_schemes(args.scheme, seed=args.seed)
-    families = resolve_families(args.family, size=args.registry, seed=args.seed)
-    traces = {
-        family: tuple(
-            churn_scenarios(
-                graph,
-                seed=args.seed,
-                steps=args.steps,
-                flips_per_step=args.flips_per_step,
-            )
-        )
-        for family, graph in families.items()
-    }
-    payloads = _cell_payloads(
-        schemes,
-        families,
-        store_root,
-        extra=lambda family: (
-            traces[family],
-            not args.no_verify,
-            args.flow,
-            args.demand_seed,
-        ),
     )
-    code, _ = _run_streaming("churn", args, _churn_cell_worker, payloads, store_root)
-    return code
-
-
-def _cmd_flow(args: argparse.Namespace) -> int:
-    from repro.analysis.runner import _flow_cell_worker
-
-    store_root = _store_root(args)
-    schemes, families = _registries(args)
-    models = tuple(args.model) if args.model else DEMAND_MODELS
-    payloads = _cell_payloads(
-        schemes,
-        families,
-        store_root,
-        extra=lambda family: (models, args.demand_seed, args.total),
-    )
-    code, _ = _run_streaming("flow", args, _flow_cell_worker, payloads, store_root)
-    return code
+    return EXIT_CHECK_FAILED if failing else EXIT_OK
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
@@ -424,15 +294,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command in ("compile", "sweep", "simulate", "verify"):
-            return _cmd_simple_sweep(args.command, args)
-        if args.command == "resilience":
-            return _cmd_resilience(args)
-        if args.command == "churn":
-            return _cmd_churn(args)
-        if args.command == "flow":
-            return _cmd_flow(args)
-        return _cmd_store(args)
+        if args.command == "store":
+            return _cmd_store(args)
+        return _cmd_sweep(args)
     except KeyError as exc:
         emit_error(str(exc.args[0]) if exc.args else str(exc))
         return EXIT_USAGE

@@ -409,11 +409,11 @@ def test_patched_programs_roundtrip_rpg_artifacts(tmp_path):
     assert rows and all(r.outcome_equal for r in rows)
 
     scheme_fp = scheme_fingerprint(scheme)
-    base_key = cache.key("program", graph.fingerprint(), scheme_fp)
+    base_key = cache.program_key(graph.fingerprint(), scheme_fp)
     seen_keys = {base_key}
     _, trace = traces[0]
     for step in trace.steps:
-        key = cache.key("program", step.graph.fingerprint(), scheme_fp)
+        key = cache.program_key(step.graph.fingerprint(), scheme_fp)
         # Never collides with the pre-churn fingerprint (or any earlier
         # snapshot's: the graph fingerprint covers edges and ports).
         assert key not in seen_keys

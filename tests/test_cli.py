@@ -5,9 +5,11 @@ The contract under test, per docs/cli.md:
 * **Stream shape** — every stdout line is one JSON object; data rows carry
   the subcommand's result-dataclass fields and no ``"event"`` key; skip
   rows and exactly one trailing summary row carry one.
-* **Parity** — CLI rows are field-for-field equal to the corresponding
-  :class:`~repro.analysis.runner.ShardedRunner` sweep because both drive
-  the same cell workers over the same family-major payloads.
+* **Parity** — CLI rows, skip rows and summary counters are
+  field-for-field equal to the corresponding
+  :class:`~repro.analysis.runner.ShardedRunner` sweep because both consume
+  the same :meth:`~repro.analysis.runner.ShardedRunner.stream` of cell
+  outcomes over the same spec.
 * **Store reuse** — a second sweep against the same ``--store`` is warm:
   ``compile_hit_rate >= 0.95`` (the PR's acceptance bar).
 * **Exit codes** — 0 success, 1 ``verify --check`` failure, 2 usage
@@ -20,7 +22,6 @@ Every flag documented in docs/cli.md is exercised somewhere in this file
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -30,6 +31,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.runner import ShardedRunner, VerifyCellResult
+from repro.cli._output import jsonable
 from repro.cli.main import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -97,22 +99,72 @@ def test_partial_schemes_stream_skip_rows(tmp_path, capsys):
 # ----------------------------------------------------------------------
 # parity with the Python API
 # ----------------------------------------------------------------------
-def test_sweep_rows_field_equal_to_sharded_runner(tmp_path, capsys):
-    wanted_schemes = ["tables-lowest-port", "landmark-rewriting"]
+#: CLI subcommand -> the ShardedRunner method it mirrors.
+RUNNER_METHODS = {
+    "sweep": "program_sweep",
+    "verify": "verify_sweep",
+    "simulate": "conformance_suite",
+    "resilience": "resilience_sweep",
+    "churn": "churn_sweep",
+    "flow": "flow_sweep",
+}
+#: Per-row wall-clock fields, which differ between any two runs.
+WALL_CLOCK = ("delta_seconds", "recompile_seconds", "speedup")
+
+
+def _as_emitted(rows):
+    """Rows as the JSONL stream carries them, minus the wall-clock fields."""
+    rows = json.loads(json.dumps(rows, default=jsonable))
+    return [{k: v for k, v in row.items() if k not in WALL_CLOCK} for row in rows]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("command", sorted(RUNNER_METHODS))
+def test_sweep_rows_field_equal_to_sharded_runner(tmp_path, capsys, command, jobs):
+    # ecube builds on the hypercube and declines the cycle, so the grid has
+    # data rows and a skip row; churn patches shortest-path tables only.
+    # No two cells share a graph, so even pooled cache counters are
+    # deterministic.
+    schemes = ["tables-lowest-port" if command == "churn" else "ecube"]
+    families = ["cycle", "hypercube"]
     code, data, meta, _ = _run(
         capsys,
-        ["sweep", "--store", str(tmp_path / "cli")]
-        + FAST
-        + [flag for name in wanted_schemes for flag in ("--scheme", name)],
+        [command, "--store", str(tmp_path / "cli"), "--jobs", str(jobs)]
+        + [flag for name in schemes for flag in ("--scheme", name)]
+        + [flag for name in families for flag in ("--family", name)],
     )
     assert code == EXIT_OK
-    runner = ShardedRunner(cache_dir=tmp_path / "api", processes=1)
-    results, skipped, _ = runner.program_sweep(
-        schemes=resolve_schemes(wanted_schemes, seed=0),
-        families=resolve_families(["cycle", "petersen"], size="small", seed=0),
+    runner = ShardedRunner(cache_dir=tmp_path / "api", processes=jobs)
+    results, skipped, stats = getattr(runner, RUNNER_METHODS[command])(
+        schemes=resolve_schemes(schemes, seed=0),
+        families=resolve_families(families, size="small", seed=0),
     )
-    assert skipped == []
-    assert data == [dataclasses.asdict(result) for result in results]
+    assert data, "the grid must produce data rows"
+    assert _as_emitted(data) == _as_emitted(results)
+    skip_rows = [(m["scheme"], m["family"]) for m in meta if m["event"] == "skip"]
+    assert skip_rows == skipped
+    assert skipped == ([] if command == "churn" else [("ecube", "cycle")])
+    summary = meta[-1]
+    assert (summary["cells"], summary["skipped"]) == (len(results), len(skipped))
+    for field in ("hits", "misses", "compile_hits", "compile_misses", "degraded"):
+        assert summary[field] == getattr(stats, field), field
+
+
+def test_each_invocation_owns_its_cache(tmp_path, capsys):
+    """A second in-process ``main`` against a deleted store recompiles to disk."""
+    import shutil
+
+    store = tmp_path / "store"
+    argv = ["sweep", "--store", str(store), "--registry", "small",
+            "--family", "cycle", "--scheme", "tables-lowest-port"]
+    _, _, first, _ = _run(capsys, argv)
+    assert first[-1]["compile_misses"] == 1
+    shutil.rmtree(store)
+    code, data, second, _ = _run(capsys, argv)
+    assert code == EXIT_OK and len(data) == 1
+    assert second[-1]["compile_misses"] == 1
+    assert second[-1]["compile_hit_rate"] == 0.0
+    assert (store / "manifest.jsonl").is_file()
 
 
 def test_pooled_jobs_stream_the_same_rows_in_payload_order(tmp_path, capsys):
@@ -216,9 +268,7 @@ def test_verify_check_fails_on_a_non_delivering_cell(tmp_path, capsys, monkeypat
         verified=True, all_delivered=False, delivered=5, livelocked=4,
         misdelivered=0, dropped=0, max_finite_hops=2, issues=("livelock",),
     )
-    monkeypatch.setattr(
-        runner_mod, "_verify_cell_worker", lambda payload: ("ok", failing, 0, 0, 0, 1, 0)
-    )
+    monkeypatch.setattr(runner_mod, "_verify_cell", lambda *args, **kwargs: failing)
     code, data, _, _ = _run(
         capsys,
         ["verify", "--check", "--store", str(tmp_path), "--family", "cycle",

@@ -22,9 +22,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.runner import ExperimentCache
+from repro.analysis.runner import ExperimentCache, cached_program, scheme_fingerprint
 from repro.graphs import generators
 from repro.routing.landmark import CowenLandmarkScheme
+from repro.routing.model import SchemeInapplicableError
 from repro.routing.program import (
     DROPPED,
     MISDELIVER,
@@ -218,25 +219,28 @@ def test_cache_program_store_round_trips_via_rpg(tmp_path):
     assert not loaded.next_node.flags["OWNDATA"]  # mmap view, not a pickle copy
 
 
-def test_cache_program_store_reads_legacy_pickled_bytes(tmp_path):
-    cache = ExperimentCache(tmp_path)
-    program = _next_hop_program()
-    key = cache.key("program", "legacy-entry")
-    cache.store(key, program.to_bytes(version=1))  # pre-mmap cache layout
-
-    fresh = ExperimentCache(tmp_path)
-    found, loaded = fresh.load_program_entry(key)
-    assert found
-    assert loaded.fingerprint() == program.fingerprint()
-
-
 def test_cache_program_store_keeps_inapplicable_verdicts(tmp_path):
-    cache = ExperimentCache(tmp_path)
-    key = cache.key("program", "inapplicable")
-    cache.store(key, ("inapplicable", "scheme rejects the family"))
-    found, value = ExperimentCache(tmp_path).load_program_entry(key)
-    assert found
-    assert value == ("inapplicable", "scheme rejects the family")
+    class RefusingScheme:
+        builds = 0
+
+        def build(self, graph):
+            RefusingScheme.builds += 1
+            raise ValueError("scheme rejects the family")
+
+    scheme, graph = RefusingScheme(), generators.cycle_graph(6)
+    with pytest.raises(SchemeInapplicableError):
+        cached_program(scheme, graph, ExperimentCache(tmp_path))
+    assert RefusingScheme.builds == 1
+
+    fresh = ExperimentCache(tmp_path)  # cold memory: the verdict is on disk
+    key = fresh.program_key(graph.fingerprint(), scheme_fingerprint(scheme))
+    assert fresh.load_program_entry(key) == (
+        True, ("inapplicable", "scheme rejects the family")
+    )
+    with pytest.raises(SchemeInapplicableError, match="rejects the family"):
+        cached_program(scheme, graph, fresh)
+    assert RefusingScheme.builds == 1  # served from the verdict, never rebuilt
+    assert (fresh.program_hits, fresh.program_misses) == (1, 0)
 
 
 def test_corrupt_rpg_degrades_to_a_cache_miss(tmp_path):

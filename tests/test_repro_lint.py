@@ -217,6 +217,45 @@ class TestCliPrintRule:
         assert _lint(tmp_path, "tools/x.py", 'print("x")\n') == []
 
 
+class TestPoolImportRule:
+    POOLS = (
+        "import concurrent.futures\n",
+        "from concurrent.futures import ProcessPoolExecutor\n",
+        "from concurrent import futures\n",
+        "import multiprocessing\n",
+        "import multiprocessing.pool as mp\n",
+        "from multiprocessing import Pool\n",
+        "def f():\n    from multiprocessing import get_context\n",
+    )
+
+    @pytest.mark.parametrize("source", POOLS)
+    @pytest.mark.parametrize(
+        "rel", ["src/repro/cli/main.py", "src/repro/sim/x.py", "src/repro/analysis/flow.py"]
+    )
+    def test_pool_imports_flagged_outside_the_dispatcher(self, tmp_path, rel, source):
+        findings = _lint(tmp_path, rel, source)
+        assert _codes(findings) == ["REP006"]
+        assert "ShardedRunner.stream" in findings[0].message
+
+    @pytest.mark.parametrize("source", POOLS)
+    def test_runner_owns_the_pool(self, tmp_path, source):
+        assert _lint(tmp_path, "src/repro/analysis/runner.py", source) == []
+
+    def test_out_of_scope_modules_ignored(self, tmp_path):
+        # The enumeration pool in repro.constraints is not a grid sweep.
+        src = "import multiprocessing\n"
+        assert _lint(tmp_path, "src/repro/constraints/enumeration.py", src) == []
+        assert _lint(tmp_path, "tools/x.py", src) == []
+
+    def test_lookalike_names_allowed(self, tmp_path):
+        src = "import concurrent\nimport multiprocessing_logging\nfrom . import futures\n"
+        assert _lint(tmp_path, "src/repro/cli/x.py", src) == []
+
+    def test_escape_comment_does_not_apply(self, tmp_path):
+        src = "import multiprocessing  # repro-lint: allow-pool\n"
+        assert _codes(_lint(tmp_path, "src/repro/sim/x.py", src)) == ["REP006"]
+
+
 class TestDriver:
     def test_syntax_error_reported_not_raised(self, tmp_path):
         findings = _lint(tmp_path, "src/repro/sim/x.py", "def f(:\n")

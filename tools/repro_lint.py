@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific AST lint for the routing/sim core.
 
-Five rules guard invariants that generic linters cannot see, all scoped
+Six rules guard invariants that generic linters cannot see, all scoped
 to the modules where the invariant lives:
 
 REP001  Raw ``-2`` / ``-3`` integer literals anywhere in ``repro.sim`` or
@@ -50,6 +50,15 @@ REP005  Bare ``print`` calls in the CLI package (``repro/cli``).  The
         line can never corrupt a consumer's parse.  Escape with
         ``# repro-lint: allow-print`` and a reason.
 
+REP006  Process pools outside the sweep dispatcher.  In
+        ``repro/analysis``, ``repro/cli`` and ``repro/sim`` only
+        ``analysis/runner.py`` may import ``concurrent.futures`` or
+        ``multiprocessing``: every grid sweep goes through
+        :meth:`repro.analysis.runner.ShardedRunner.stream`, so failure
+        isolation, timings and ordering live in one place instead of a
+        second hand-rolled pool.  There is no escape comment: a new pool
+        belongs in the dispatcher.
+
 Pure stdlib (``ast`` + ``tokenize``): runs anywhere CPython runs, no
 installs.  Exit status 1 when any finding is emitted, 0 on a clean tree.
 """
@@ -92,6 +101,11 @@ FLOW_SCOPE = ("src/repro/analysis/flow.py",)
 
 #: REP005 scope: all CLI output must flow through the JSONL writer.
 CLI_SCOPE = ("src/repro/cli",)
+
+#: REP006 scope, and the one module in it allowed to own a process pool.
+POOL_SCOPE = ("src/repro/analysis", "src/repro/cli", "src/repro/sim")
+POOL_OWNER = "src/repro/analysis/runner.py"
+POOL_MODULES = ("concurrent.futures", "multiprocessing")
 
 #: Identifier substrings that mark a per-pair/per-arc array in that scope.
 PAIR_MARKERS = (
@@ -384,6 +398,32 @@ def check_cli_prints(path: Path, tree: ast.Module, source: str) -> Iterator[Find
         )
 
 
+def _is_pool_module(name: str) -> bool:
+    return any(name == mod or name.startswith(mod + ".") for mod in POOL_MODULES)
+
+
+def check_pool_imports(path: Path, tree: ast.Module, source: str) -> Iterator[Finding]:
+    """REP006: process-pool imports outside the sweep dispatcher."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            # ``from concurrent import futures`` names the pool module too.
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in names:
+            if _is_pool_module(name):
+                yield Finding(
+                    path,
+                    node.lineno,
+                    "REP006",
+                    f"{name} imported outside analysis/runner.py: run grid "
+                    "cells through ShardedRunner.stream, the one dispatcher",
+                )
+                break
+
+
 def _in_scope(path: Path, scope: Sequence[str], root: Path) -> bool:
     try:
         rel = path.relative_to(root).as_posix()
@@ -413,6 +453,8 @@ def lint_file(path: Path, root: Path = ROOT) -> List[Finding]:
         findings.extend(check_pair_loops(path, tree, source))
     if _in_scope(path, CLI_SCOPE, root):
         findings.extend(check_cli_prints(path, tree, source))
+    if _in_scope(path, POOL_SCOPE, root) and not _in_scope(path, (POOL_OWNER,), root):
+        findings.extend(check_pool_imports(path, tree, source))
     return findings
 
 
@@ -420,7 +462,9 @@ def lint_tree(root: Path = ROOT) -> List[Finding]:
     """Lint every scoped python file under ``root``."""
     findings: List[Finding] = []
     seen: Set[Path] = set()
-    for scope in (SENTINEL_SCOPE, DTYPE_SCOPE, DETERMINISM_SCOPE, FLOW_SCOPE, CLI_SCOPE):
+    for scope in (
+        SENTINEL_SCOPE, DTYPE_SCOPE, DETERMINISM_SCOPE, FLOW_SCOPE, CLI_SCOPE, POOL_SCOPE
+    ):
         for entry in scope:
             target = root / entry
             paths = sorted(target.rglob("*.py")) if target.is_dir() else [target]
