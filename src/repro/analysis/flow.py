@@ -21,29 +21,30 @@ traffic actually lands:
   — computed analytically from per-pair path bottlenecks instead of
   LRSIM's per-flow loop.
 
-The fast path never walks hops per pair.  A next-hop program's routes
-toward one destination ``d`` form a functional in-tree, and the exact hop
-depth of every (destination, node) state is already known statically
-(:attr:`~repro.routing.verify.VerificationReport.hops`, from the
-pointer-doubling :func:`~repro.routing.program.resolve_functional`).
-Ordering the flat destination-major states by that depth turns load
-accumulation into layer-by-layer **subtree sums**: each layer pushes its
-accumulated demand one hop down the tree with a single ``np.add.at``, and
-one final ``np.bincount`` over arc codes ``u * n + v`` converts the
-per-state subtree sums into arc loads.  Total scatter volume is one write
-per state (``O(n^2)``) instead of one per pair-hop (``O(n^2 * avg hops)``).
+Flow never walks hops per pair.  Every compiled program is a functional
+state graph — flat destination-major ``(destination, node)`` states of a
+next-hop program (one in-tree per destination), or the interned
+``(node, header)`` states of a header-state program — and the exact hop
+depth of every state is already known statically
+(:attr:`~repro.routing.verify.VerificationReport.state_hops`, from the
+pointer-doubling :func:`~repro.routing.program.resolve_functional`; a
+stored ``hops_to_deliver`` field is never trusted).  Injecting each
+delivered pair's demand at its start state and ordering the states by
+depth turns load accumulation into layer-by-layer **subtree sums**: each
+layer pushes its accumulated demand one hop down with a single
+``np.add.at``, and one final ``np.bincount`` over arc codes ``u * n + v``
+converts the per-state sums into arc loads.  Total scatter volume is one
+write per state instead of one per pair-hop (``O(n^2 * avg hops)``).
+Fault-masked views need nothing extra: a state whose walk ends at a
+``DROPPED`` successor is on no delivered route, so it carries zero weight.
+This is RouteFlow's parent/children ``Path`` load sum, vectorised.
 
-The compact frontier walk (one gather per surviving pair per hop, over
-pairs already known to deliver) remains available as the differential
-fallback, and is the only path for header-state programs and
-fault-masked views, whose delivered pairs are known from the same
-verification report and therefore walk without any sentinel handling.
-
-Both accumulators are **exact** on integer-valued demand (which the
+The accumulator is **exact** on integer-valued demand (which the
 generators always emit): every partial sum is an integer far below
 ``2**53``, so float64 addition is associative here and the subtree sums,
-the frontier walk, and a brute-force per-pair path walk agree byte for
-byte — ``tests/test_flow.py`` pins this differentially.
+a per-hop frontier walk and a brute-force per-pair path walk agree byte
+for byte — ``tests/test_flow.py`` pins this differentially against both
+walks (kept as oracles in ``tests/``).
 
 Minimal example — route a uniform demand matrix through a compiled
 shortest-path program and read off congestion:
@@ -63,7 +64,7 @@ shortest-path program and read off congestion:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -78,6 +79,7 @@ from repro.routing.verify import (
     VERDICT_DELIVERED,
     VERDICT_INFEASIBLE,
     VerificationReport,
+    resolve_fates,
     verify_program,
 )
 from repro.sim.engine import SimulationResult
@@ -276,9 +278,10 @@ class FlowResult:
     Attributes
     ----------
     kind / n / mode:
-        Program kind, vertex count, and which accumulator ran
-        (``"subtree"`` for the layered subtree sums, ``"walk"`` for the
-        compact frontier walk).
+        Program kind, vertex count, and which accumulator ran — always
+        ``"subtree"`` (the layered subtree sums cover every next-hop and
+        header-state program, masked or not; the field keeps flow rows'
+        schema stable).
     model:
         The demand matrix's model name (``"uniform"`` / ``"zipf"`` /
         ``"gravity"`` / ``"custom"``).
@@ -286,8 +289,8 @@ class FlowResult:
         Total demand over feasible pairs, and the subset whose pairs the
         program provably delivers.  Load counts **delivered traffic
         only** — a dropped message's walked prefix does not occupy
-        capacity in this model, which is what keeps the subtree and walk
-        accumulators exactly interchangeable.
+        capacity in this model, so a state off every delivered route
+        carries no weight in the subtree sums.
     demand / delivered / lengths:
         The routed demand matrix, the delivered-pair mask, and the exact
         per-pair hop counts.  ``lengths`` **is** the verification
@@ -401,160 +404,104 @@ class FlowResult:
 
 
 # ----------------------------------------------------------------------
-# subtree-sum fast path (unmasked next-hop programs)
+# the subtree-sum accumulator
 # ----------------------------------------------------------------------
-def _subtree_loads(
-    program: NextHopProgram,
-    routed: np.ndarray,
-    delivered: np.ndarray,
-    lengths: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Accumulate loads as layered subtree sums over the in-trees.
+def _state_graph(
+    program: RoutingProgram, routed: np.ndarray, delivered: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The program's functional state graph, with the demand injected.
 
-    ``routed`` is the demand matrix already zeroed outside the delivered
-    pairs.  Flat destination-major states ``d * n + c`` are bucketed by
-    ``lengths[c, d] + 1`` (bucket 0 collects every undelivered state, so
-    no subset gather is ever needed: undelivered states carry zero weight
-    and their clipped arc codes contribute nothing); processing layers
-    deepest first pushes each state's accumulated subtree demand one hop
-    down with a single ``np.add.at`` per layer (a parent is exactly one
-    layer shallower than its children, so its own push happens only after
-    every child's arrived).  After the pushes, ``acc[state]`` is the full
-    demand of the state's subtree — the load on its outgoing arc — so one
-    ``np.bincount`` over arc codes materialises every arc load, node
-    loads are a reshape-sum, and a second ascending pass propagates the
-    per-path bottleneck (max arc load en route) top-down.  Diagonal
-    states accumulate each destination's arrived traffic; they are zeroed
-    after the node sums so arrival mass never loads a phantom self-arc.
-
-    Index codes fit int32 whenever ``n * n`` does and depths fit int16
-    whenever ``n`` does (a delivered walk is shorter than ``n``), which
-    keeps the argsort and the gathers in narrow integers at every
-    realistic size.
+    Returns ``(acc, succ, arc, start)``: per-state injected demand (each
+    delivered pair's ``routed`` demand at its start state), each state's
+    successor, the directed-arc code ``u * n + v`` of its outgoing hop, and
+    the ``(n, n)`` start state of every pair (meaningful where
+    ``delivered``).  A next-hop program has the flat destination-major
+    states ``d * n + c`` (pair ``(s, d)`` starts at ``d * n + s``, so
+    injection is a transpose); a header-state program has its interned
+    states (pair ``(s, d)`` starts at ``initial[s, d]``).  Sentinel
+    successors clip to state / node 0: such states are on no delivered
+    route, so the fabricated codes only ever carry zero weight.
     """
     n = program.n
-    idx_t = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
-    sort_t = np.int16 if n <= np.iinfo(np.int16).max else np.int64
-    acc = np.ascontiguousarray(routed.T).ravel()  # acc[d * n + c] = routed[c, d]
-    depth = np.where(delivered.T, lengths.T + 1, 0).astype(sort_t).ravel()
-    # Sentinel transitions (undelivered states) clip to node 0: their
-    # weight is identically zero, so the fabricated codes are inert.
-    nxt = np.maximum(program.next_node.T, 0).astype(idx_t)
-    rows = np.arange(n, dtype=idx_t)[:, None]
-    cols = np.arange(n, dtype=idx_t)[None, :]
-    succ = (rows * n + nxt).ravel()  # same-destination next state
-    arc = (cols * n + nxt).ravel()  # directed edge (cur, nxt)
+    if isinstance(program, NextHopProgram):
+        idx_t = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
+        nxt = np.maximum(program.next_node.T, 0).astype(idx_t)
+        rows = np.arange(n, dtype=idx_t)[:, None]
+        cols = np.arange(n, dtype=idx_t)[None, :]
+        succ = (rows * n + nxt).ravel()  # same-destination next state
+        arc = (cols * n + nxt).ravel()  # directed edge (cur, nxt)
+        acc = np.ascontiguousarray(routed.T).ravel()  # acc[d * n + c] = routed[c, d]
+        return acc, succ, arc, np.arange(n * n, dtype=idx_t).reshape(n, n).T
+    assert isinstance(program, HeaderStateProgram)
+    size = max(n * n, program.num_states)
+    idx_t = np.int32 if size <= np.iinfo(np.int32).max else np.int64
+    succ = np.maximum(program.succ, 0).astype(idx_t)
+    node_of = program.node_of.astype(idx_t)
+    start = np.where(delivered, program.initial, 0).astype(idx_t)
+    acc = np.bincount(start.ravel(), weights=routed.ravel(), minlength=program.num_states)
+    return acc, succ, node_of * n + node_of[succ], start
+
+
+def _subtree_loads(
+    program: RoutingProgram,
+    routed: np.ndarray,
+    delivered: np.ndarray,
+    state_hops: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Accumulate loads as layered subtree sums over the state graph.
+
+    The demand arrives injected at each delivered pair's start state
+    (:func:`_state_graph`).  States are bucketed by their resolved
+    ``state_hops + 1``: bucket 0 collects the states whose walk cycles,
+    bucket 1 the stopping states, and no subset gather is ever needed,
+    since a state off every delivered route carries zero weight.
+    Processing layers deepest first pushes each state's accumulated
+    demand one hop down with a single ``np.add.at`` per layer (a
+    successor is exactly one layer shallower, so its own push happens
+    only after every predecessor's arrived).  After the pushes,
+    ``acc[state]`` is the full demand passing through the state — the
+    load on its outgoing arc — so one ``np.bincount`` over arc codes
+    materialises every arc load, node loads are a sum of ``acc`` per
+    node, and a second ascending pass propagates the per-path bottleneck
+    (max arc load en route) from the stopping states upwards.  Stopping
+    states accumulate the arrived traffic; they are zeroed after the
+    node sums so arrival mass never loads an arc.
+
+    Index codes fit int32 whenever ``n * n`` and the state count do, and
+    depths fit int16 whenever the longest stopping walk does, which keeps
+    the argsort and the gathers in narrow integers at every realistic
+    size.
+    """
+    n = program.n
+    if not state_hops.size:  # a header-state program over n = 1 has no states
+        return np.zeros((n, n)), np.zeros(n), np.zeros((n, n))
+    acc, succ, arc, start = _state_graph(program, routed, delivered)
+    top = int(state_hops.max()) + 1
+    sort_t = np.int16 if top <= np.iinfo(np.int16).max else np.int64
+    depth = (state_hops + 1).astype(sort_t)  # NO_ROUTE (-1) lands in bucket 0
     order = np.argsort(depth, kind="stable")
     succ_o = succ[order]
     arc_o = arc[order]
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(depth))))
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(depth, minlength=2))))
     for layer in range(len(bounds) - 2, 1, -1):
         lo, hi = int(bounds[layer]), int(bounds[layer + 1])
         if lo < hi:
             np.add.at(acc, succ_o[lo:hi], acc[order[lo:hi]])
-    node_load = acc.reshape(n, n).sum(axis=0)
-    acc[:: n + 1] = 0.0  # diagonal states d * n + d: arrived traffic
+    if isinstance(program, NextHopProgram):
+        node_load = acc.reshape(n, n).sum(axis=0)
+    else:
+        node_load = np.bincount(program.node_of, weights=acc, minlength=n)
+    acc[order[: bounds[2]]] = 0.0  # arrived traffic, or a state off every route
     edge_load = np.bincount(arc, weights=acc, minlength=n * n)
-    bottleneck = np.zeros(n * n, dtype=np.float64)
+    bottleneck = np.zeros(acc.size, dtype=np.float64)
     for layer in range(2, len(bounds) - 1):
         lo, hi = int(bounds[layer]), int(bounds[layer + 1])
         if lo < hi:
-            idx = order[lo:hi]
-            bottleneck[idx] = np.maximum(
+            bottleneck[order[lo:hi]] = np.maximum(
                 edge_load[arc_o[lo:hi]], bottleneck[succ_o[lo:hi]]
             )
-    path_max = np.ascontiguousarray(bottleneck.reshape(n, n).T)
+    path_max = np.where(delivered, bottleneck[start], 0.0)
     return edge_load.reshape(n, n), node_load, path_max
-
-
-# ----------------------------------------------------------------------
-# compact frontier walk (header-state + fault-masked + differential)
-# ----------------------------------------------------------------------
-def _next_hop_steps(
-    program: NextHopProgram, pairs: np.ndarray, hop_budget: np.ndarray
-) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield ``(frontier positions, arc codes, head nodes)`` per hop.
-
-    The frontier only ever holds delivered pairs with remaining budget,
-    so every gathered transition is a real node — no sentinel handling.
-    """
-    n = program.n
-    cur = (pairs // n).astype(np.int64)
-    dst = (pairs % n).astype(np.int64)
-    remaining = hop_budget.copy()
-    idx = np.arange(pairs.size, dtype=np.int64)
-    while idx.size:
-        nxt = program.next_node[cur, dst].astype(np.int64)
-        yield idx, cur * n + nxt, nxt
-        remaining -= 1
-        keep = remaining > 0
-        idx = idx[keep]
-        cur = nxt[keep]
-        dst = dst[keep]
-        remaining = remaining[keep]
-
-
-def _header_state_steps(
-    program: HeaderStateProgram, pairs: np.ndarray, hop_budget: np.ndarray
-) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The header-state twin of :func:`_next_hop_steps` (state frontier)."""
-    n = program.n
-    node_of = program.node_of.astype(np.int64)
-    src = (pairs // n).astype(np.int64)
-    dst = (pairs % n).astype(np.int64)
-    cur = program.initial[src, dst].astype(np.int64)
-    remaining = hop_budget.copy()
-    idx = np.arange(pairs.size, dtype=np.int64)
-    while idx.size:
-        nxt = program.succ[cur].astype(np.int64)
-        yield idx, node_of[cur] * n + node_of[nxt], node_of[nxt]
-        remaining -= 1
-        keep = remaining > 0
-        idx = idx[keep]
-        cur = nxt[keep]
-        remaining = remaining[keep]
-
-
-def _walk_loads(
-    program: RoutingProgram,
-    routed: np.ndarray,
-    delivered: np.ndarray,
-    lengths: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Accumulate loads by walking the delivered frontier hop by hop.
-
-    The differential fallback for the subtree fast path, and the only
-    accumulator for header-state programs and fault-masked views.  Two
-    passes: the first scatters demand onto every traversed arc and node,
-    the second replays the same walk to record each pair's bottleneck
-    (max arc load en route) once the loads are complete.
-    """
-    n = program.n
-    edge_load = np.zeros(n * n, dtype=np.float64)
-    node_load = np.zeros(n, dtype=np.float64)
-    path_max = np.zeros(n * n, dtype=np.float64)
-    pairs = np.flatnonzero(delivered.ravel())
-    if pairs.size:
-        weights = routed.ravel()[pairs]
-        budget = lengths.ravel()[pairs].astype(np.int64)
-        np.add.at(node_load, pairs // n, weights)  # the origination visit
-        for idx, arc, heads in _program_steps(program, pairs, budget):
-            np.add.at(edge_load, arc, weights[idx])
-            np.add.at(node_load, heads, weights[idx])
-        bneck = np.zeros(pairs.size, dtype=np.float64)
-        for idx, arc, _ in _program_steps(program, pairs, budget):
-            bneck[idx] = np.maximum(bneck[idx], edge_load[arc])
-        path_max[pairs] = bneck
-    return edge_load.reshape(n, n), node_load, path_max.reshape(n, n)
-
-
-def _program_steps(
-    program: RoutingProgram, pairs: np.ndarray, budget: np.ndarray
-) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    if isinstance(program, NextHopProgram):
-        return _next_hop_steps(program, pairs, budget)
-    assert isinstance(program, HeaderStateProgram)
-    return _header_state_steps(program, pairs, budget)
 
 
 # ----------------------------------------------------------------------
@@ -566,20 +513,20 @@ def route_demand(
     *,
     alive: Optional[np.ndarray] = None,
     report: Optional[VerificationReport] = None,
-    path: str = "auto",
 ) -> FlowResult:
     """Push a demand matrix through a compiled program.
 
-    ``report`` accepts a precomputed :func:`verify_program` result so a
-    cell computes its hop-count array once and shares it between flow and
-    verification (the returned :attr:`FlowResult.lengths` is that array);
-    when omitted it is computed here (with ``alive`` forwarded).  ``path``
-    selects the accumulator: ``"auto"`` takes the subtree fast path for
-    unmasked next-hop programs and the frontier walk everywhere else;
-    ``"subtree"`` / ``"walk"`` force one (``"subtree"`` is only defined
-    for unmasked next-hop programs — fault-masked and header-state
-    traffic always walks).  Generic programs carry no transition arrays
-    to aggregate over and raise.
+    ``report`` accepts a precomputed :func:`~repro.routing.verify.resolve_fates`
+    / :func:`verify_program` result so a cell computes its hop-count array
+    once and shares it between flow and verification (the returned
+    :attr:`FlowResult.lengths` is that array); when omitted it is computed
+    here with ``alive`` forwarded.  A report passed together with ``alive``
+    must already mark every dead-endpoint pair infeasible — otherwise
+    dead-endpoint demand would count as offered — and raises
+    :class:`ValueError` if it does not.  Every next-hop and header-state
+    program, fault-masked or not, goes through the one subtree-sum
+    accumulator, layered by the report's per-state hop counts.  Generic
+    programs carry no transition arrays to aggregate over and raise.
     """
     if isinstance(program, GenericProgram):
         raise ValueError(
@@ -602,38 +549,30 @@ def route_demand(
     if not np.isfinite(dm.demand).all() or (dm.demand < 0).any():
         raise ValueError("demand must be finite and nonnegative")
     if report is None:
-        report = verify_program(program, alive=alive)
+        report = resolve_fates(program, alive)
     elif report.n != n:
         raise ValueError(f"report is over n={report.n}, program has n={n}")
-    masked = report.masked or alive is not None
-    if path == "auto":
-        mode = "subtree" if isinstance(program, NextHopProgram) and not masked else "walk"
-    elif path in ("subtree", "walk"):
-        mode = path
-        if mode == "subtree" and not (isinstance(program, NextHopProgram) and not masked):
+    elif alive is not None:
+        dead = ~np.asarray(alive, dtype=bool)
+        if not (
+            (report.outcome[dead, :] == VERDICT_INFEASIBLE).all()
+            and (report.outcome[:, dead] == VERDICT_INFEASIBLE).all()
+        ):
             raise ValueError(
-                "the subtree accumulator is only defined for unmasked "
-                "next-hop programs; header-state and fault-masked traffic "
-                "goes through the frontier walk"
+                "the report does not mark every dead-endpoint pair infeasible: "
+                "resolve it with the same alive mask (resolve_fates(program, "
+                "alive)) or drop one of report= / alive="
             )
-    else:
-        raise ValueError(f"unknown path {path!r}: expected auto, subtree, or walk")
     delivered = report.outcome == VERDICT_DELIVERED
     routed = np.where(delivered, dm.demand, 0.0)
-    if mode == "subtree":
-        assert isinstance(program, NextHopProgram)
-        edge_load, node_load, path_max = _subtree_loads(
-            program, routed, delivered, report.hops
-        )
-    else:
-        edge_load, node_load, path_max = _walk_loads(
-            program, routed, delivered, report.hops
-        )
+    edge_load, node_load, path_max = _subtree_loads(
+        program, routed, delivered, report.state_hops
+    )
     feasible = report.outcome != VERDICT_INFEASIBLE
     return FlowResult(
         kind=program.kind,
         n=n,
-        mode=mode,
+        mode="subtree",
         model=dm.model,
         offered_demand=float(np.where(feasible, dm.demand, 0.0).sum()),
         delivered_demand=float(routed.sum()),

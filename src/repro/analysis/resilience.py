@@ -35,7 +35,6 @@ from repro.routing.model import SchemeInapplicableError
 from repro.routing.program import GenericProgram
 from repro.sim.faults import (
     FaultSet,
-    apply_faults,
     simulate_with_faults,
     surviving_distance_matrix,
 )
@@ -122,7 +121,8 @@ def resilience_cell(
     :class:`~repro.analysis.runner.ExperimentCache`
     (:func:`~repro.analysis.runner.cached_program` semantics — compiled and
     stored as bytes on first encounter, executed from bytes afterwards);
-    every scenario then costs one mask + one vectorised execution.
+    every scenario then costs one mask + one fate resolution, which the
+    flow metrics reuse.
     Surviving-graph distances are cached per ``(graph, fault set)`` so
     re-sweeps skip the shortest-path recomputation too.  Generic (opt-out)
     programs are interpreted through the reference fault path, which needs
@@ -176,10 +176,9 @@ def resilience_cell(
         if demand is not None:
             from repro.analysis.flow import route_demand
 
-            masked = apply_faults(program, graph, faults)
-            flow_result = route_demand(
-                masked, demand, alive=faults.alive_mask(graph.n)
-            )
+            # The compiled path already masked and resolved this scenario:
+            # route over that view and its fate report.
+            flow_result = route_demand(result.program, demand, report=result.report)
             # Same denominator policy as survival_rate: only the traffic of
             # pairs the surviving topology can still connect counts.
             routable_demand = float(

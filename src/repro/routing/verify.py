@@ -174,6 +174,15 @@ class VerificationReport:
         pairs (the masked executor's ``lengths`` convention);
         :data:`NO_ROUTE` for livelocked and infeasible pairs; ``0`` on the
         alive diagonal.
+    state_hops:
+        Flat per-state hop counts of the analyzed functional graph, straight
+        from the resolver: transitions until the state's walk stops
+        (``0`` at a stopping state), :data:`NO_ROUTE` where it cycles.
+        States are destination-major ``d * n + c`` for a next-hop program
+        and the interned state ids for a header-state program.  Unlike
+        ``hops`` it ignores ``alive`` (it describes states, not pairs), and
+        it never reads a stored ``hops_to_deliver`` field — the flow
+        accumulator layers its subtree sums by it.
     issues:
         Semantic oddities found by well-formedness analysis (empty on a
         healthy artifact); see :func:`verify_structure`.
@@ -189,6 +198,7 @@ class VerificationReport:
     masked: bool
     outcome: np.ndarray
     hops: np.ndarray
+    state_hops: np.ndarray
     issues: Tuple[str, ...] = ()
     max_stretch: Optional[Fraction] = None
     mean_stretch: Optional[float] = None
@@ -474,7 +484,7 @@ def _mark_infeasible(
 
 def _resolve_next_hop(
     program: NextHopProgram, alive: Optional[np.ndarray]
-) -> Tuple[np.ndarray, np.ndarray, bool]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
     n = program.n
     nn = program.next_node
     if n < 2:
@@ -482,7 +492,7 @@ def _resolve_next_hop(
         outcome = np.full((n, n), VERDICT_INFEASIBLE, dtype=np.int8)
         hops = np.zeros((n, n), dtype=np.int64)
         _mark_infeasible(outcome, hops, n, alive)
-        return outcome, hops, masked
+        return outcome, hops, np.zeros(n * n, dtype=np.int64), masked
     # Flat destination-major state space: state d*n + c is "the message is
     # at node c, destined to d", which keeps every walk inside its own
     # destination column (one cache-resident 4·n-byte block per column).
@@ -522,12 +532,12 @@ def _resolve_next_hop(
     outcome = np.ascontiguousarray(outcome_flat.reshape(n, n).T)
     hops = hops_flat.reshape(n, n).T.astype(np.int64, order="C")
     _mark_infeasible(outcome, hops, n, alive)
-    return outcome, hops, masked
+    return outcome, hops, hops_flat, masked
 
 
 def _resolve_header_state(
     program: HeaderStateProgram, alive: Optional[np.ndarray]
-) -> Tuple[np.ndarray, np.ndarray, bool]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
     n = program.n
     succ, deliver, node_of = program.succ, program.deliver, program.node_of
     is_drop = succ == DROPPED
@@ -536,7 +546,7 @@ def _resolve_header_state(
         outcome = np.full((n, n), VERDICT_INFEASIBLE, dtype=np.int8)
         hops = np.zeros((n, n), dtype=np.int64)
         _mark_infeasible(outcome, hops, n, alive)
-        return outcome, hops, masked
+        return outcome, hops, np.zeros(succ.size, dtype=np.int64), masked
     # A delivering state stops the walk first (delivery wins over a masked
     # successor), and a DROPPED successor stops it AT the current state —
     # both before the would-be hop, so every stop kind's length is the
@@ -563,7 +573,7 @@ def _resolve_header_state(
     ).astype(np.int8)
     hops = state_hops[start].astype(np.int64)
     _mark_infeasible(outcome, hops, n, alive)
-    return outcome, hops, masked
+    return outcome, hops, state_hops, masked
 
 
 def resolve_fates(
@@ -590,11 +600,11 @@ def resolve_fates(
                 f"alive mask has shape {alive.shape}, expected ({n},)"
             )
     if isinstance(program, NextHopProgram):
-        outcome, hops, masked = _resolve_next_hop(program, alive)
+        outcome, hops, state_hops, masked = _resolve_next_hop(program, alive)
         num_states = n * n
     else:
         assert isinstance(program, HeaderStateProgram)
-        outcome, hops, masked = _resolve_header_state(program, alive)
+        outcome, hops, state_hops, masked = _resolve_header_state(program, alive)
         num_states = program.num_states
     return VerificationReport(
         kind=program.kind,
@@ -603,6 +613,7 @@ def resolve_fates(
         masked=masked,
         outcome=outcome,
         hops=hops,
+        state_hops=state_hops,
     )
 
 

@@ -383,7 +383,9 @@ class MaskedExecution:
     livelocked pairs (their walk is infinite).  Pairs outside the alive
     universe (a failed source or destination) appear in no matrix and
     carry length ``-1``; the diagonal of ``delivered`` is ``True`` exactly
-    at alive vertices.
+    at alive vertices.  ``report`` is the fate report the matrices were
+    read off (``None`` for the per-message reference interpreter), kept
+    so traffic can be routed over the same resolution.
     """
 
     delivered: np.ndarray
@@ -392,6 +394,7 @@ class MaskedExecution:
     lengths: np.ndarray
     steps: int
     mode: str
+    report: Optional[VerificationReport] = None
 
 
 def execute_masked_program(
@@ -431,6 +434,7 @@ def execute_masked_program(
         lengths=report.hops,
         steps=_steps(report),
         mode=_KIND_MODES[program.kind] + "-masked",
+        report=report,
     )
 
 

@@ -73,6 +73,7 @@ from repro.routing.program import (
     NextHopProgram,
     RoutingProgram,
 )
+from repro.routing.verify import VerificationReport
 from repro.sim.engine import (
     MaskedExecution,
     _exact_max_ratio,
@@ -521,6 +522,13 @@ class FaultSimulationResult:
     mode:
         ``"compiled-masked"``, ``"header-compiled-masked"`` or
         ``"generic-masked"`` (the reference interpreter).
+    program / report:
+        On the compiled path, the masked program view that was executed
+        and its fate report (resolved with the scenario's ``alive`` mask),
+        so a caller can route traffic through the same scenario —
+        ``route_demand(result.program, demand, report=result.report)`` —
+        without masking or resolving it again.  ``None`` on the
+        reference interpreter's path.
     """
 
     outcome: np.ndarray
@@ -530,6 +538,8 @@ class FaultSimulationResult:
     dist: np.ndarray
     steps: int
     mode: str
+    program: Optional[RoutingProgram] = None
+    report: Optional[VerificationReport] = None
 
     @property
     def n(self) -> int:
@@ -680,6 +690,7 @@ def simulate_with_faults(
     faults.validate(graph)
     alive = faults.alive_mask(graph.n)
 
+    masked: Optional[RoutingProgram] = None
     if method == "reference" or (program is None and rf is not None and rf.program_kind() == "generic"):
         if rf is None:
             raise ValueError("the reference interpreter needs the live routing function")
@@ -711,4 +722,6 @@ def simulate_with_faults(
         dist=dist,
         steps=execution.steps,
         mode=execution.mode,
+        program=masked,
+        report=execution.report,
     )

@@ -37,6 +37,11 @@ per-step dense loops :func:`execute_dense` / :func:`execute_masked_dense`
 dispatch to — every in-flight message advances one hop per step, exactly
 as the engine once executed programs.  ``tests/test_execution.py`` pins the
 resolver-backed executors against them.
+
+:func:`walk_loads` is the per-hop frontier walk of the flow engine, the
+vectorised oracle of :func:`repro.analysis.flow.route_demand`'s subtree
+sums: ``tests/test_flow.py`` asserts byte-equal loads for next-hop,
+header-state and fault-masked programs.
 """
 
 from __future__ import annotations
@@ -517,3 +522,83 @@ def execute_masked_dense(program, alive=None):
     if isinstance(program, NextHopProgram):
         return _next_hop_masked_dense(program, alive)
     return _header_state_masked_dense(program, alive)
+
+
+# ----------------------------------------------------------------------
+# per-hop reference oracle of the flow accumulator
+# ----------------------------------------------------------------------
+def _next_hop_walk_steps(program, pairs, hop_budget):
+    """Yield ``(frontier positions, arc codes, head nodes)`` per hop.
+
+    The frontier only ever holds delivered pairs with remaining budget,
+    so every gathered transition is a real node — no sentinel handling.
+    """
+    n = program.n
+    cur = (pairs // n).astype(np.int64)
+    dst = (pairs % n).astype(np.int64)
+    remaining = hop_budget.copy()
+    idx = np.arange(pairs.size, dtype=np.int64)
+    while idx.size:
+        nxt = program.next_node[cur, dst].astype(np.int64)
+        yield idx, cur * n + nxt, nxt
+        remaining -= 1
+        keep = remaining > 0
+        idx = idx[keep]
+        cur = nxt[keep]
+        dst = dst[keep]
+        remaining = remaining[keep]
+
+
+def _header_state_walk_steps(program, pairs, hop_budget):
+    """The header-state twin of :func:`_next_hop_walk_steps` (state frontier)."""
+    n = program.n
+    node_of = program.node_of.astype(np.int64)
+    src = (pairs // n).astype(np.int64)
+    dst = (pairs % n).astype(np.int64)
+    cur = program.initial[src, dst].astype(np.int64)
+    remaining = hop_budget.copy()
+    idx = np.arange(pairs.size, dtype=np.int64)
+    while idx.size:
+        nxt = program.succ[cur].astype(np.int64)
+        yield idx, node_of[cur] * n + node_of[nxt], node_of[nxt]
+        remaining -= 1
+        keep = remaining > 0
+        idx = idx[keep]
+        cur = nxt[keep]
+        remaining = remaining[keep]
+
+
+def walk_loads(program, demand, report):
+    """Per-hop frontier walk: the vectorised oracle of ``route_demand``'s loads.
+
+    Walks every delivered pair of ``report`` one hop per round (one gather
+    per surviving pair per hop) for its proven ``report.hops[s, d]`` hops,
+    scattering its demand onto every traversed arc and node, then replays
+    the same walk to record each pair's bottleneck (max arc load en route)
+    once the loads are complete.  Returns ``(edge_load, node_load,
+    path_max_load)`` shaped like :class:`repro.analysis.flow.FlowResult`'s.
+    This is the accumulator the library used for header-state programs and
+    fault-masked views before the subtree sums covered every state graph.
+    """
+    from repro.routing.program import NextHopProgram
+    from repro.routing.verify import VERDICT_DELIVERED
+
+    steps = _next_hop_walk_steps if isinstance(program, NextHopProgram) else _header_state_walk_steps
+    n = program.n
+    delivered = report.outcome == VERDICT_DELIVERED
+    edge_load = np.zeros(n * n, dtype=np.float64)
+    node_load = np.zeros(n, dtype=np.float64)
+    path_max = np.zeros(n * n, dtype=np.float64)
+    pairs = np.flatnonzero(delivered.ravel())
+    if pairs.size:
+        weights = np.asarray(demand, dtype=np.float64).ravel()[pairs]
+        budget = report.hops.ravel()[pairs].astype(np.int64)
+        np.add.at(node_load, pairs // n, weights)  # the origination visit
+        for idx, arc, heads in steps(program, pairs, budget):
+            np.add.at(edge_load, arc, weights[idx])
+            np.add.at(node_load, heads, weights[idx])
+        bneck = np.zeros(pairs.size, dtype=np.float64)
+        for idx, arc, _ in steps(program, pairs, budget):
+            bneck[idx] = np.maximum(bneck[idx], edge_load[arc])
+        path_max[pairs] = bneck
+    return edge_load.reshape(n, n), node_load, path_max.reshape(n, n)

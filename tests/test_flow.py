@@ -2,14 +2,17 @@
 
 Layers of guarantees over :mod:`repro.analysis.flow`:
 
-* **Differential** — the subtree-sum fast path, the compact frontier walk,
-  and a brute-force pure-python per-pair path walk agree **byte for byte**
-  (``np.array_equal``, no tolerance) on every compiled registry cell:
-  next-hop programs, header-state programs, and fault-masked views.  The
-  demand generators emit integer-valued float64 counts precisely so this
-  equality is exact — see the module docstring of ``flow.py``.  Hypothesis
-  extends the subtree/walk equality to random graphs and random integer
-  demand matrices, scaled by ``REPRO_HYP_PROFILE``.
+* **Differential** — the subtree-sum accumulator (``mode == "subtree"``
+  for every program), the per-hop frontier walk of ``conftest.walk_loads``
+  and a brute-force pure-python per-pair path walk agree **byte for
+  byte** (``np.array_equal``, no tolerance) on every compiled registry
+  cell: next-hop programs, header-state programs, and fault-masked views
+  of both.  The demand generators emit integer-valued float64 counts
+  precisely so this equality is exact — see the module docstring of
+  ``flow.py``.  Hypothesis extends the equality to random graphs, random
+  fault sets and random integer demand matrices, scaled by
+  ``REPRO_HYP_PROFILE``; a corrupted stored ``hops_to_deliver`` must not
+  move a single load.
 
 * **Conservation** — total arc load equals demand-weighted route length,
   node load equals arc load plus one origination visit per message, and
@@ -19,9 +22,10 @@ Layers of guarantees over :mod:`repro.analysis.flow`:
   integer-valued, and hit the requested total.
 
 * **Integration** — ``lengths`` is the verification report's ``hops`` array
-  (shared, not copied), ``SimulationResult.from_lengths`` round-trips
-  against the executor, and ``flow_sweep`` / ``resilience_sweep(flow=)`` /
-  ``churn_sweep(flow=)`` run end-to-end on the small registry.
+  (shared, not copied), a report that ignores ``alive`` is refused,
+  ``SimulationResult.from_lengths`` round-trips against the executor, and
+  ``flow_sweep`` / ``resilience_sweep(flow=)`` / ``churn_sweep(flow=)``
+  run end-to-end on the small registry.
 """
 
 from __future__ import annotations
@@ -51,12 +55,12 @@ from repro.routing.program import (
     HeaderStateProgram,
     NextHopProgram,
 )
-from repro.routing.verify import VERDICT_DELIVERED, verify_program
+from repro.routing.verify import VERDICT_DELIVERED, resolve_fates, verify_program
 from repro.sim import simulate_all_pairs
-from repro.sim.faults import apply_faults
+from repro.sim.faults import FaultSet, apply_faults, random_fault_set, simulate_with_faults
 from repro.sim.registry import fault_scenarios, graph_families, scheme_registry
 
-from conftest import connected_graphs, profile_settings
+from conftest import connected_graphs, profile_settings, walk_loads
 
 SCHEMES = scheme_registry()
 FAMILIES = graph_families(size="small", seed=0)
@@ -147,10 +151,17 @@ def _brute_force_loads(program, demand, report):
 
 
 def _assert_flow_equals_oracle(flow, program, dm, report):
-    edge, node, path_max = _brute_force_loads(program, dm.demand, report)
-    assert np.array_equal(flow.edge_load, edge)
-    assert np.array_equal(flow.node_load, node)
-    assert np.array_equal(flow.path_max_load, path_max)
+    """Subtree sums == per-hop walk == per-pair python walk, byte for byte."""
+    assert flow.mode == "subtree"
+    for edge, node, path_max in (
+        _brute_force_loads(program, dm.demand, report),
+        walk_loads(program, dm.demand, report),
+    ):
+        assert np.array_equal(flow.edge_load, edge)
+        assert np.array_equal(flow.node_load, node)
+        assert np.array_equal(flow.path_max_load, path_max)
+    routed = np.where(report.outcome == VERDICT_DELIVERED, dm.demand, 0.0)
+    assert flow.delivered_demand == routed.sum()
 
 
 # ----------------------------------------------------------------------
@@ -158,14 +169,14 @@ def _assert_flow_equals_oracle(flow, program, dm, report):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("scheme_name,family,graph,program", CELLS, ids=CELL_IDS)
 def test_loads_match_brute_force_across_registry(scheme_name, family, graph, program):
-    # Every compiled registry cell, zipf demand: the auto path (subtree for
-    # next-hop, walk for header-state) must equal the per-pair python walk
-    # byte for byte — integer-valued demand makes float64 accumulation
-    # order-independent, so there is no tolerance here.
+    # Every compiled registry cell, zipf demand: the subtree sums (over the
+    # destination in-trees of a next-hop program, over the interned states
+    # of a header-state one) must equal both walks byte for byte —
+    # integer-valued demand makes float64 accumulation order-independent,
+    # so there is no tolerance here.
     report = verify_program(program)
     dm = zipf_demand(graph.n, total=10_000.0, seed=3)
     flow = route_demand(program, dm, report=report)
-    assert flow.mode == ("subtree" if isinstance(program, NextHopProgram) else "walk")
     _assert_flow_equals_oracle(flow, program, dm, report)
 
 
@@ -180,33 +191,16 @@ def test_all_demand_models_match_brute_force(scheme_name, family, graph, program
 
 
 @pytest.mark.parametrize("scheme_name,family,graph,program", SUBSET, ids=SUBSET_IDS)
-def test_walk_path_equals_subtree_path(scheme_name, family, graph, program):
-    # Forcing the two accumulators against the same report must agree
-    # exactly (the differential the benchmark's speedup pin relies on).
-    if not isinstance(program, NextHopProgram):
-        pytest.skip("subtree path is defined for next-hop programs only")
-    report = verify_program(program)
-    dm = zipf_demand(graph.n, total=25_000.0, seed=11)
-    fast = route_demand(program, dm, report=report, path="subtree")
-    slow = route_demand(program, dm, report=report, path="walk")
-    assert fast.mode == "subtree" and slow.mode == "walk"
-    assert np.array_equal(fast.edge_load, slow.edge_load)
-    assert np.array_equal(fast.node_load, slow.node_load)
-    assert np.array_equal(fast.path_max_load, slow.path_max_load)
-    assert fast.delivered_demand == slow.delivered_demand
-
-
-@pytest.mark.parametrize("scheme_name,family,graph,program", SUBSET, ids=SUBSET_IDS)
 def test_fault_masked_loads_match_brute_force(scheme_name, family, graph, program):
-    # Masked programs must take the walk path and still match the oracle,
-    # loading only the traffic the masked program provably delivers.
+    # Masked views of both kinds go through the same subtree sums and
+    # still match both walks, loading only the traffic the masked program
+    # provably delivers (DROPPED successors carry zero weight).
     for label, faults in fault_scenarios(graph, seed=5, edge_ks=(1, 2), node_ks=(1,), per_k=1):
         masked = apply_faults(program, graph, faults)
         alive = faults.alive_mask(graph.n)
         report = verify_program(masked, alive=alive)
         dm = zipf_demand(graph.n, total=10_000.0, seed=13)
         flow = route_demand(masked, dm, alive=alive, report=report)
-        assert flow.mode == "walk"
         _assert_flow_equals_oracle(flow, masked, dm, report)
 
 
@@ -228,40 +222,98 @@ def integer_demands(draw, n):
     return demand
 
 
-@profile_settings(base_examples=25)
-@given(data=st.data())
-def test_subtree_equals_walk_on_random_graphs(data):
-    graph = data.draw(connected_graphs(min_n=4, max_n=14))
-    scheme = SCHEMES["tables-lowest-port"]
-    program = scheme.build(graph.copy()).compile_program()
-    assert isinstance(program, NextHopProgram)
-    demand = data.draw(integer_demands(graph.n))
+def _draw_demand(data, n):
+    demand = data.draw(integer_demands(n))
     if demand.sum() == 0.0:
         demand[0, 1] = 1.0
+    return DemandMatrix(demand=demand, model="custom", seed=None)
+
+
+def _draw_faults(data, graph):
+    """A seeded random edge or node fault set, possibly empty."""
+    kind = data.draw(st.sampled_from(["edge", "node"]))
+    limit = graph.num_edges if kind == "edge" else graph.n - 2
+    k = data.draw(st.integers(min_value=0, max_value=min(3, limit)))
+    seed = data.draw(st.integers(min_value=0, max_value=10**6))
+    return random_fault_set(graph, k, kind=kind, seed=seed)
+
+
+@profile_settings(base_examples=25)
+@given(data=st.data())
+def test_next_hop_matches_oracle_on_random_graphs(data):
+    graph = data.draw(connected_graphs(min_n=4, max_n=14))
+    program = SCHEMES["tables-lowest-port"].build(graph.copy()).compile_program()
+    assert isinstance(program, NextHopProgram)
+    dm = _draw_demand(data, graph.n)
     report = verify_program(program)
-    dm = DemandMatrix(demand=demand, model="custom", seed=None)
-    fast = route_demand(program, dm, report=report, path="subtree")
-    slow = route_demand(program, dm, report=report, path="walk")
-    assert np.array_equal(fast.edge_load, slow.edge_load)
-    assert np.array_equal(fast.node_load, slow.node_load)
-    assert np.array_equal(fast.path_max_load, slow.path_max_load)
+    flow = route_demand(program, dm, report=report)
+    _assert_flow_equals_oracle(flow, program, dm, report)
 
 
 @profile_settings(base_examples=15)
 @given(data=st.data())
-def test_header_state_walk_matches_oracle_on_random_graphs(data):
+def test_header_state_matches_oracle_on_random_graphs(data):
     graph = data.draw(connected_graphs(min_n=4, max_n=10))
     scheme = SCHEMES["landmark-rewriting"]
     program = scheme.build(graph.copy()).compile_program()
     assert isinstance(program, HeaderStateProgram)
-    demand = data.draw(integer_demands(graph.n))
-    if demand.sum() == 0.0:
-        demand[0, 1] = 1.0
+    dm = _draw_demand(data, graph.n)
     report = verify_program(program)
-    dm = DemandMatrix(demand=demand, model="custom", seed=None)
     flow = route_demand(program, dm, report=report)
-    assert flow.mode == "walk"
     _assert_flow_equals_oracle(flow, program, dm, report)
+
+
+@profile_settings(base_examples=20)
+@given(data=st.data())
+def test_masked_next_hop_matches_oracle_under_random_faults(data):
+    graph = data.draw(connected_graphs(min_n=4, max_n=14))
+    program = SCHEMES["tables-lowest-port"].build(graph.copy()).compile_program()
+    faults = _draw_faults(data, graph)
+    masked = apply_faults(program, graph, faults)
+    alive = faults.alive_mask(graph.n)
+    dm = _draw_demand(data, graph.n)
+    flow = route_demand(masked, dm, alive=alive)
+    report = verify_program(masked, alive=alive)
+    _assert_flow_equals_oracle(flow, masked, dm, report)
+
+
+@profile_settings(base_examples=15)
+@given(data=st.data())
+def test_masked_header_state_matches_oracle_under_random_faults(data):
+    graph = data.draw(connected_graphs(min_n=4, max_n=10))
+    program = SCHEMES["landmark-rewriting"].build(graph.copy()).compile_program()
+    assert isinstance(program, HeaderStateProgram)
+    faults = _draw_faults(data, graph)
+    masked = apply_faults(program, graph, faults)
+    alive = faults.alive_mask(graph.n)
+    dm = _draw_demand(data, graph.n)
+    flow = route_demand(masked, dm, alive=alive)
+    report = verify_program(masked, alive=alive)
+    _assert_flow_equals_oracle(flow, masked, dm, report)
+
+
+@pytest.mark.parametrize("family", ["petersen", "random-dense", "grid"])
+def test_corrupt_stored_hops_to_deliver_does_not_move_loads(family):
+    # The accumulator layers states by the resolver's own per-state depth,
+    # never by the artifact's stored hops_to_deliver: a stale field that is
+    # still in range (so nothing indexes out of bounds) must not move a
+    # single load.
+    graph = FAMILIES[family]
+    program = SCHEMES["landmark-rewriting"].build(graph.copy()).compile_program()
+    assert isinstance(program, HeaderStateProgram)
+    stored = program.hops_to_deliver
+    corrupted = program.with_transitions(
+        hops_to_deliver=np.where(stored >= 0, stored.max() - stored, stored)
+    )
+    assert not np.array_equal(corrupted.hops_to_deliver, stored)
+    report = verify_program(corrupted)
+    assert any("hops_to_deliver" in issue for issue in report.issues)
+    dm = zipf_demand(graph.n, total=20_000.0, seed=5)
+    flow = route_demand(corrupted, dm, report=report)
+    _assert_flow_equals_oracle(flow, corrupted, dm, report)
+    clean = route_demand(program, dm)
+    assert np.array_equal(flow.edge_load, clean.edge_load)
+    assert np.array_equal(flow.path_max_load, clean.path_max_load)
 
 
 # ----------------------------------------------------------------------
@@ -384,18 +436,36 @@ def test_generic_program_raises(petersen):
         route_demand(program, uniform_demand(petersen.n))
 
 
-def test_forcing_subtree_on_masked_or_header_state_raises(petersen):
+def test_report_ignoring_alive_is_refused(petersen):
+    # A report resolved without the scenario's alive mask counts
+    # dead-endpoint demand as offered (9000 vs 7200 here); passing it next
+    # to alive= used to be accepted silently.
     program = SCHEMES["tables-lowest-port"].build(petersen.copy()).compile_program()
-    faults = fault_scenarios(petersen, seed=0, edge_ks=(1,), node_ks=(), per_k=1)[0][1]
+    faults = FaultSet.from_nodes([3])
     masked = apply_faults(program, petersen, faults)
-    dm = uniform_demand(petersen.n)
-    with pytest.raises(ValueError, match="subtree accumulator"):
-        route_demand(masked, dm, alive=faults.alive_mask(petersen.n), path="subtree")
-    header = SCHEMES["landmark-rewriting"].build(petersen.copy()).compile_program()
-    with pytest.raises(ValueError, match="subtree accumulator"):
-        route_demand(header, dm, path="subtree")
-    with pytest.raises(ValueError, match="unknown path"):
-        route_demand(program, dm, path="fastest")
+    alive = faults.alive_mask(petersen.n)
+    dm = uniform_demand(petersen.n, total=9_000.0)
+    expected = route_demand(masked, dm, alive=alive)
+    assert expected.offered_demand == 7_200.0
+    with pytest.raises(ValueError, match="dead-endpoint"):
+        route_demand(masked, dm, alive=alive, report=verify_program(masked))
+    for report in (verify_program(masked, alive=alive), resolve_fates(masked, alive)):
+        flow = route_demand(masked, dm, alive=alive, report=report)
+        assert flow.offered_demand == expected.offered_demand
+        assert flow.delivered_fraction == expected.delivered_fraction
+        assert np.array_equal(flow.edge_load, expected.edge_load)
+
+
+@pytest.mark.parametrize("scheme_name", ["tables-lowest-port", "landmark-rewriting"])
+def test_single_vertex_program_routes_nothing(scheme_name):
+    # n = 1 has no pairs; its header-state program has no states at all.
+    from repro.graphs.digraph import PortLabeledGraph
+
+    program = SCHEMES[scheme_name].build(PortLabeledGraph(1)).compile_program()
+    flow = route_demand(program, np.zeros((1, 1)))
+    for array in (flow.edge_load, flow.node_load, flow.path_max_load):
+        assert array.dtype == np.float64 and not array.any()
+    assert flow.delivered_fraction == 1.0
 
 
 def test_shape_mismatch_raises(petersen):
@@ -461,6 +531,37 @@ def test_resilience_sweep_flow_hook():
     )
     assert all(c.delivered_traffic is None for c in cells2)
     assert "traffic" not in format_resilience(curves2)
+
+
+@pytest.mark.parametrize("scheme_name", ["tables-lowest-port", "landmark-rewriting"])
+def test_resilience_flow_reuses_the_scenarios_masked_view(scheme_name):
+    # The compiled fault path hands its masked view and fate report to the
+    # flow metrics; they must equal an independent mask + alive-aware
+    # resolution of the same scenario, field for field.
+    from repro.analysis.resilience import resilience_cell
+    from repro.analysis.runner import ExperimentCache
+    from repro.graphs.shortest_paths import UNREACHABLE
+
+    graph = FAMILIES["petersen"]
+    scheme = SCHEMES[scheme_name]
+    program = scheme.build(graph.copy()).compile_program()
+    scenarios = fault_scenarios(graph, seed=2, edge_ks=(1, 2), node_ks=(1, 2), per_k=1)
+    rows = resilience_cell(
+        scheme, graph, "petersen", scheme_name, scenarios, ExperimentCache(None), flow="zipf"
+    )
+    dm = demand_matrix("zipf", graph.n, seed=0, dist=distance_matrix(graph))
+    assert len(rows) == len(scenarios)
+    for row, (_, faults) in zip(rows, scenarios):
+        result = simulate_with_faults(program, faults, graph=graph)
+        alive = faults.alive_mask(graph.n)
+        masked = apply_faults(program, graph, faults)
+        assert result.program.to_bytes() == masked.to_bytes()
+        assert np.array_equal(result.report.outcome, resolve_fates(masked, alive).outcome)
+        flow = route_demand(masked, dm, alive=alive)
+        routable = (result.dist != UNREACHABLE) & ~np.eye(graph.n, dtype=bool)
+        routable_demand = float(dm.demand[routable].sum())
+        assert row.delivered_traffic == flow.delivered_demand / routable_demand
+        assert row.peak_load == flow.max_congestion
 
 
 def test_churn_sweep_flow_hook():

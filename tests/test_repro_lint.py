@@ -172,11 +172,36 @@ class TestPairLoopRule:
         # unmarked names are the module's sanctioned iteration shapes.
         src = (
             "for layer in range(depth):\n    pass\n"
-            "for idx, arc, heads in _program_steps(program, pairs, budget):\n    pass\n"
+            "for lo, hi in _layer_bounds(bounds):\n    pass\n"
             "for name, dm in registry.items():\n    pass\n"
             "for model in models:\n    pass\n"
         )
         assert _lint(tmp_path, self.FLOW, src) == []
+
+    def test_while_walker_flagged(self, tmp_path):
+        # The per-hop frontier walk's shape: advance until no pair is left.
+        src = (
+            "def walk(idx, cur):\n"
+            "    while idx.size:\n"
+            "        idx = idx[cur[idx] > 0]\n"
+        )
+        findings = _lint(tmp_path, self.FLOW, src)
+        assert _codes(findings) == ["REP004"]
+        assert findings[0].line == 2
+        assert "per-hop walker" in findings[0].message
+
+    def test_any_while_flagged_even_without_pair_names(self, tmp_path):
+        src = "while True:\n    break\nwhile layer > 0:\n    layer -= 1\n"
+        assert _codes(_lint(tmp_path, self.FLOW, src)) == ["REP004", "REP004"]
+
+    def test_while_escape_comment_does_not_apply(self, tmp_path):
+        src = "while frontier.size:  # repro-lint: allow-pair-loop (walk)\n    pass\n"
+        assert _codes(_lint(tmp_path, self.FLOW, src)) == ["REP004"]
+
+    def test_while_out_of_scope_module_ignored(self, tmp_path):
+        src = "while frontier.size:\n    pass\n"
+        assert _lint(tmp_path, "src/repro/routing/program.py", src) == []
+        assert _lint(tmp_path, "tests/conftest.py", src) == []
 
     def test_constants_exempt(self, tmp_path):
         src = "out = [build(name) for name in DEMAND_MODELS]\n"

@@ -41,7 +41,14 @@ REP004  Python-level loops over per-pair arrays in the flow module
         Python objects and demotes the vectorised accumulators to
         interpreter speed.  Layer loops (``range(...)``) and generator
         pipelines (calls to ordinary functions) stay legal.  Escape with
-        ``# repro-lint: allow-pair-loop`` and a reason.
+        ``# repro-lint: allow-pair-loop`` and a reason.  Any ``while``
+        loop in the module is flagged too: it is the shape of a per-hop
+        frontier walk (advance every in-flight pair until none is left),
+        which the subtree-sum accumulator replaced — every functional
+        state graph has exact depths, so the module's loops are bounded
+        ``range`` loops over depth layers.  The escape comment does not
+        apply to ``while`` loops; the walk lives on as a test oracle
+        (``tests/conftest.py``), outside the rule's scope.
 
 REP005  Bare ``print`` calls in the CLI package (``repro/cli``).  The
         ``repro`` command's stdout is a machine-readable JSONL stream —
@@ -350,11 +357,20 @@ def _pair_iterable(node: ast.AST) -> str | None:
 
 
 def check_pair_loops(path: Path, tree: ast.Module, source: str) -> Iterator[Finding]:
-    """REP004: python-level loops over per-pair arrays in the flow module."""
+    """REP004: per-pair loops and per-hop ``while`` walkers in the flow module."""
     escaped = _escaped_lines(source, "allow-pair-loop")
     loops: List[tuple] = []
     for node in ast.walk(tree):
-        if isinstance(node, (ast.For, ast.AsyncFor)):
+        if isinstance(node, ast.While):
+            yield Finding(
+                path,
+                node.lineno,
+                "REP004",
+                "while loop in the flow module: a per-hop walker — layer the "
+                "states by their resolved depth and accumulate subtree sums "
+                "over range() layers instead",
+            )
+        elif isinstance(node, (ast.For, ast.AsyncFor)):
             loops.append((node.lineno, node.iter))
         elif isinstance(
             node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
