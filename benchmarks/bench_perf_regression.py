@@ -20,8 +20,7 @@ Two jobs:
   all-pairs routing simulator against legacy per-pair routing on an
   n = 256 random connected graph, >= 5x for the header-compiled
   state-machine path against the generic per-message interpreter on an
-  interval-routing scheme over the n = 128 grid, >= 10x for a zero-copy
-  mmap program load against decoding the v1 blob it replaced, >= 5x for
+  interval-routing scheme over the n = 128 grid, >= 5x for
   an incremental churn delta (single-edge flip on the n = 1024 hypercube) against
   recompiling the table program from scratch, >= 5x for the static
   program verifier against the generic per-message interpreter on the
@@ -37,11 +36,14 @@ Two jobs:
   ``test_next_hop_execute_n4096`` pins ``execute_program`` on the n = 4096
   hypercube e-cube program and checks its closed form: every pair is
   delivered in ``popcount(src ^ dst)`` hops.
+  ``test_program_mmap_load_n4096`` pins ``load_program`` of the same
+  program's ``.rpg`` file and checks that the loaded array is a
+  read-only zero-copy view over the mapping.
   ``test_table_compile_n1024`` pins a cold shortest-path table compile on
   the n = 1024 hypercube and prints its distance / ports / lower split.
   ``test_header_state_compile_n1024`` pins a cold ``landmark-rewriting``
   compile on the same hypercube (about 1.1M header states) and prints its
-  build / closure / hops-resolution split.
+  build / closure split.
 
 Refresh the snapshot after an intentional perf-relevant change with::
 
@@ -94,8 +96,6 @@ from repro.routing.program import (
     load_program,
     lower_header_state,
     lower_next_hop,
-    program_from_bytes,
-    resolve_functional,
     save_program,
     transition_dtype,
 )
@@ -614,16 +614,13 @@ def test_next_hop_execute_n4096(benchmark):
 
 
 @pytest.mark.benchmark(group="perf-regression")
-def test_program_mmap_load_vs_decode(benchmark, tmp_path):
-    # The zero-copy format acceptance pin: load_program must hand back
-    # read-only views over the mapped file (no array copies), making a
-    # worker's program load much faster than decoding the v1 blob it
-    # replaced (which materialises int64 copies of every section).
+def test_program_mmap_load_n4096(benchmark, tmp_path):
+    # The zero-copy format pin: load_program must hand back read-only views
+    # over the mapped file (no array copies), so a worker's program load is
+    # O(1) in the program size.
     prog = _hypercube_ecube_program()
-    v1_blob = prog.to_bytes(version=1)
     path = tmp_path / "ecube.rpg"
     save_program(prog, path)
-    _, decode_s = _time(program_from_bytes, v1_blob)
 
     def _run():
         return load_program(path)
@@ -631,27 +628,14 @@ def test_program_mmap_load_vs_decode(benchmark, tmp_path):
     loaded = benchmark.pedantic(_run, rounds=3, iterations=1)
     mmap_s = benchmark.stats.stats.median
     _check_budget("program_mmap_load_n4096", mmap_s)
-    speedup = decode_s / mmap_s
     print_rows(
-        "Program load: v2 mmap vs v1 decode (n=4096 next-hop table)",
-        [
-            {
-                "case": f"{path.stat().st_size / 1e6:.1f}MB .rpg",
-                "v1_decode_s": decode_s,
-                "mmap_load_s": mmap_s,
-                "speedup": speedup,
-            }
-        ],
+        "Program load: mmap (n=4096 next-hop table)",
+        [{"case": f"{path.stat().st_size / 1e6:.1f}MB .rpg", "mmap_load_s": mmap_s}],
     )
     assert not loaded.next_node.flags["OWNDATA"]  # view over the mapping
     assert not loaded.next_node.flags["WRITEABLE"]
     assert loaded.fingerprint() == prog.fingerprint()
     assert np.array_equal(loaded.next_node, prog.next_node)
-    floor = 10.0 / SPEEDUP_MARGIN
-    assert speedup >= floor, (
-        f"mmap program load only {speedup:.1f}x faster than v1 decode, "
-        f"below the {floor:.0f}x floor"
-    )
 
 
 @pytest.mark.benchmark(group="perf-regression")
@@ -741,10 +725,8 @@ def test_table_compile_n1024(benchmark):
 def test_header_state_compile_n1024(benchmark):
     # The header-state compile pin: a cold compile of the two-phase
     # rewriting landmark scheme on the n = 1024 hypercube.  The split names
-    # the stage of a regression: the scheme build, the level-synchronous
-    # state closure over the class-owned transitions, and the
-    # hops-to-delivery resolution over the closed state graph (the
-    # ``hops_peel_s`` column).
+    # the stage of a regression: the scheme build and the
+    # level-synchronous state closure over the class-owned transitions.
     graph = generators.hypercube(CHURN_FLIP_DIM)
     scheme = scheme_registry(seed=0)["landmark-rewriting"]
 
@@ -756,7 +738,6 @@ def test_header_state_compile_n1024(benchmark):
     _check_budget("header_state_compile_n1024", compile_s)
     rf, build_s = _time(scheme.build, graph.copy())
     lowered, lower_s = _time(lower_header_state, rf)
-    _, peel_s = _time(resolve_functional, lowered.succ, lowered.deliver)
     print_rows(
         "Cold header-state compile (n=1024 hypercube, landmark-rewriting)",
         [
@@ -765,8 +746,7 @@ def test_header_state_compile_n1024(benchmark):
                 "states": lowered.num_states,
                 "compile_s": compile_s,
                 "build_s": build_s,
-                "closure_s": lower_s - peel_s,
-                "hops_peel_s": peel_s,
+                "closure_s": lower_s,
             }
         ],
     )

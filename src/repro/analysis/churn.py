@@ -63,7 +63,7 @@ class ChurnCellResult:
     recompile when that is what the delta decided to do);
     ``recompile_seconds``/``speedup``/``outcome_equal`` are populated only
     when the cell ran with verification, and ``outcome_equal`` compares
-    the *fingerprints* — byte-level v2 ``to_bytes`` equality, which
+    the *fingerprints* — byte-level ``to_bytes`` equality, which
     subsumes array, dtype, and layout equality.
 
     With a demand matrix attached (``flow=`` on :func:`churn_cell`),

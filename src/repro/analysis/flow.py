@@ -27,12 +27,11 @@ next-hop program (one in-tree per destination), or the interned
 ``(node, header)`` states of a header-state program — and the exact hop
 depth of every state is already known statically
 (:attr:`~repro.routing.verify.VerificationReport.state_hops`, from the
-pointer-doubling :func:`~repro.routing.program.resolve_functional`; a
-stored ``hops_to_deliver`` field is never trusted).  Injecting each
-delivered pair's demand at its start state and ordering the states by
-depth turns load accumulation into layer-by-layer **subtree sums**: each
-layer pushes its accumulated demand one hop down with a single
-``np.add.at``, and one final ``np.bincount`` over arc codes ``u * n + v``
+pointer-doubling :func:`~repro.routing.program.resolve_functional`).
+Injecting each delivered pair's demand at its start state and ordering
+the states by depth turns load accumulation into layer-by-layer
+**subtree sums**: each layer pushes its accumulated demand one hop down
+with a single ``np.add.at``, and one final ``np.bincount`` over arc codes ``u * n + v``
 converts the per-state sums into arc loads.  Total scatter volume is one
 write per state instead of one per pair-hop (``O(n^2 * avg hops)``).
 Fault-masked views need nothing extra: a state whose walk ends at a
@@ -80,7 +79,6 @@ from repro.routing.verify import (
     VERDICT_INFEASIBLE,
     VerificationReport,
     resolve_fates,
-    verify_program,
 )
 from repro.sim.engine import SimulationResult
 
@@ -516,9 +514,11 @@ def route_demand(
 ) -> FlowResult:
     """Push a demand matrix through a compiled program.
 
-    ``report`` accepts a precomputed :func:`~repro.routing.verify.resolve_fates`
-    / :func:`verify_program` result so a cell computes its hop-count array
-    once and shares it between flow and verification (the returned
+    ``report`` accepts a precomputed
+    :func:`~repro.routing.verify.resolve_fates` /
+    :func:`~repro.routing.verify.verify_program` result so a cell computes
+    its hop-count array once and shares it between flow and verification
+    (the returned
     :attr:`FlowResult.lengths` is that array); when omitted it is computed
     here with ``alive`` forwarded.  A report passed together with ``alive``
     must already mark every dead-endpoint pair infeasible — otherwise
@@ -621,9 +621,12 @@ def flow_cell(
     """All demand models of one (scheme, graph) cell off one cached compile.
 
     The cell fetches its compiled program from the shared cache
-    (:func:`~repro.analysis.runner.cached_program` semantics), verifies it
-    **once**, and routes every demand skew against that single hop-count
-    array — the lengths-sharing economy the sweep is built around.
+    (:func:`~repro.analysis.runner.cached_program` semantics), resolves
+    its fates **once** (:func:`~repro.routing.verify.resolve_fates`; a
+    structurally corrupt program raises
+    :class:`~repro.routing.verify.ProgramVerificationError`), and routes
+    every demand skew against that single hop-count array — the
+    lengths-sharing economy the sweep is built around.
     Generic programs decline the cell (nothing to aggregate over).
     """
     from repro.analysis.runner import _cached_program_with_rf, cached_distance_matrix
@@ -633,7 +636,7 @@ def flow_cell(
         raise SchemeInapplicableError(
             "generic programs carry no transition arrays to aggregate demand over"
         )
-    report = verify_program(program)
+    report = resolve_fates(program)
     dist = cached_distance_matrix(graph, cache)
     rows: List[FlowCellResult] = []
     for name in models:

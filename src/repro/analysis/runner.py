@@ -106,7 +106,9 @@ __all__ = [
 #: cached value means (fields, measurement semantics) to orphan old
 #: entries instead of replaying them.  3: compile-once measurement cells
 #: (simulation and memory scored against the cached RoutingProgram).
-CACHE_SCHEMA = 3
+#: 4: program format version 3 (header-state programs store transitions
+#: only); old records become orphans for ``repro store gc``.
+CACHE_SCHEMA = 4
 
 
 def _canonical(obj) -> object:

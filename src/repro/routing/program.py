@@ -13,15 +13,18 @@ shapes the simulator historically special-cased:
   is one ``(n, n)`` integer array.
 * :class:`HeaderStateProgram` (``kind = "header-state"``) — finite-header
   *rewriting* schemes lower to interned ``(node, header)`` states with
-  functional transition arrays ``succ``/``deliver``/``node_of`` plus the
-  exact ``hops_to_deliver`` livelock analysis.
+  functional transition arrays ``succ``/``deliver``/``node_of`` and the
+  ``initial`` state of every pair.
 * :class:`GenericProgram` (``kind = "generic"``) — the explicit opt-out
   marker for schemes whose header evolution is unbounded (or undeclared):
   execution requires the live routing function, and the program records
   only that fact (plus ``n``).
 
-Every program serializes to a stable binary form (:meth:`RoutingProgram.to_bytes`
-/ :func:`program_from_bytes`) and carries a content :meth:`~RoutingProgram.fingerprint`
+A program stores its routing function and nothing derived from it: every
+fate question (delivery, hop counts, livelocks) is answered on demand by
+:func:`resolve_functional`.  Every program serializes to one stable binary
+form (:meth:`RoutingProgram.to_bytes` / :func:`program_from_bytes`) and
+carries a content :meth:`~RoutingProgram.fingerprint`
 (sha256 of the bytes) that is independent of process, hash seed and
 platform — the property :class:`repro.analysis.runner.ExperimentCache`
 relies on to cache compiled programs on disk and ship them across shard
@@ -119,9 +122,10 @@ MISDELIVER = -2
 DROPPED = -3
 
 #: The ``-1`` "no route / never stops" marker shared by every hop-count
-#: array of the IR and its executors: ``HeaderStateProgram.hops_to_deliver``
-#: entries (the walk provably cycles), ``HeaderStateProgram.initial``'s
-#: diagonal (no message is sent to oneself), the length matrices of
+#: array of the IR and its executors: the per-state hops of
+#: :func:`resolve_functional` (the walk provably cycles),
+#: ``HeaderStateProgram.initial``'s diagonal (no message is sent to
+#: oneself), the length matrices of
 #: :class:`repro.sim.engine.SimulationResult` /
 #: :class:`repro.sim.engine.MaskedExecution` (undelivered pairs), and the
 #: per-pair hops of :class:`repro.routing.verify.VerificationReport`.
@@ -136,25 +140,22 @@ KIND_HEADER_STATE = "header-state"
 KIND_GENERIC = "generic"
 
 #: Serialization magic + format version.  Bump the version on any change to
-#: the byte layout; :func:`program_from_bytes` refuses unknown versions so a
-#: cached artifact can never be silently misinterpreted.  Version 1 is the
-#: historical copy-on-deserialize framing (every payload widened to
-#: ``<i8``); version 2 writes aligned ``.npy``-style sections in canonical
-#: domain-sized dtypes, which deserialize as **zero-copy views** over the
-#: source buffer (an ``mmap`` through :func:`load_program`).  Version 1
-#: blobs keep loading forever (version negotiation); everything encodes as
-#: version 2 by default.
+#: the byte layout; :func:`program_from_bytes` refuses every other version,
+#: so a cached artifact can never be silently misinterpreted (a store
+#: degrades such an object to a recompile).  The format writes aligned
+#: ``.npy``-style sections in canonical domain-sized dtypes, which
+#: deserialize as **zero-copy views** over the source buffer (an ``mmap``
+#: through :func:`load_program`).  A blob holds the program's transitions
+#: and nothing derived from them.
 _MAGIC = b"RPRG"
-_FORMAT_VERSION = 2
-_V1 = 1
-_SUPPORTED_VERSIONS = (1, 2)
+_FORMAT_VERSION = 3
 
 #: Section payloads start on 64-byte boundaries (counted from the blob
 #: start) so zero-copy views are cache-line / SIMD aligned when the blob
 #: itself is page-aligned, as an mmap always is.
 _SECTION_ALIGN = 64
 
-#: v2 dtype codes.  Explicitly little-endian specs: the on-disk layout is
+#: Section dtype codes.  Explicitly little-endian specs: the on-disk layout is
 #: platform independent, and big-endian hosts fall back to a byteswapping
 #: copy on load (numpy handles this through the explicit dtype).
 _DTYPE_CODES = {np.dtype("|b1"): 1, np.dtype("<i2"): 2, np.dtype("<i4"): 3, np.dtype("<i8"): 4}
@@ -170,8 +171,8 @@ def transition_dtype(num_values: int) -> np.dtype:
     The dtype policy of compiled programs: node and state ids are stored in
     the narrowest of ``int16``/``int32``/``int64`` that fits the domain.
     Signed on purpose — the :data:`MISDELIVER` (-2) and :data:`DROPPED`
-    (-3) sentinels (and the ``-1`` of ``initial``/``hops_to_deliver``)
-    stay representable verbatim at every width, so no executor or analysis
+    (-3) sentinels (and the ``-1`` diagonal of ``initial``) stay
+    representable verbatim at every width, so no executor or analysis
     ever needs sentinel remapping: ``== DROPPED`` comparisons behave
     identically on an int16 and an int64 program.  The int16 floor caps
     addressable domains at 32767 ids, far above the n >= 4096 target.
@@ -200,39 +201,8 @@ class HeaderStateExplosionError(ValueError):
 # ----------------------------------------------------------------------
 # binary array framing (shared by to_bytes / program_from_bytes)
 # ----------------------------------------------------------------------
-def _pack_array_v1(array: np.ndarray) -> bytes:
-    """v1 frame of one array: ndim (u8) | dims (u64 LE each) | '<i8' payload.
-
-    Bools are widened to int64 so the payload layout has exactly one dtype;
-    kept verbatim so :meth:`RoutingProgram.to_bytes` can still emit v1 blobs
-    for compatibility tests against archived caches.
-    """
-    data = np.ascontiguousarray(array, dtype="<i8")
-    head = struct.pack("<B", data.ndim) + struct.pack(
-        f"<{data.ndim}Q", *data.shape
-    )
-    return head + data.tobytes()
-
-
-def _unpack_array_v1(blob: Any, offset: int) -> Tuple[np.ndarray, int]:
-    (ndim,) = struct.unpack_from("<B", blob, offset)
-    offset += 1
-    shape = struct.unpack_from(f"<{ndim}Q", blob, offset)
-    offset += 8 * ndim
-    count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-    if len(blob) - offset < 8 * count:
-        raise ValueError(
-            f"truncated RoutingProgram payload: array of shape {shape} needs "
-            f"{8 * count} bytes at offset {offset}, only "
-            f"{max(len(blob) - offset, 0)} remain"
-        )
-    array = np.frombuffer(blob, dtype="<i8", count=count, offset=offset)
-    offset += 8 * count
-    return array.reshape(shape).astype(np.int64), offset
-
-
 def _pack_section(parts: List[bytes], offset: int, array: np.ndarray, dtype: np.dtype) -> int:
-    """Append one v2 section: dtype (u8) | ndim (u8) | dims (u64 LE each) |
+    """Append one section: dtype (u8) | ndim (u8) | dims (u64 LE each) |
     zero padding to the next 64-byte boundary | raw C-order payload.
 
     ``offset`` is the running byte offset of the whole blob (the alignment
@@ -253,7 +223,7 @@ def _pack_section(parts: List[bytes], offset: int, array: np.ndarray, dtype: np.
 
 
 def _unpack_section(blob: Any, offset: int) -> Tuple[np.ndarray, int]:
-    """Read one v2 section as a zero-copy (read-only) view over ``blob``."""
+    """Read one section as a zero-copy (read-only) view over ``blob``."""
     code, ndim = struct.unpack_from("<BB", blob, offset)
     dtype = _CODE_DTYPES.get(code)
     if dtype is None:
@@ -277,14 +247,8 @@ def _unpack_section(blob: Any, offset: int) -> Tuple[np.ndarray, int]:
     return array.reshape(shape), offset + needed
 
 
-def _header(kind: str, version: int) -> bytes:
-    return _MAGIC + struct.pack("<BB", version, _KIND_CODES[kind])
-
-
-def _check_version(version: int) -> int:
-    if version not in _SUPPORTED_VERSIONS:
-        raise ValueError(f"unsupported RoutingProgram format version {version}")
-    return version
+def _header(kind: str) -> bytes:
+    return _MAGIC + struct.pack("<BB", _FORMAT_VERSION, _KIND_CODES[kind])
 
 
 # ----------------------------------------------------------------------
@@ -304,16 +268,16 @@ class RoutingProgram:
     def n(self) -> int:
         raise NotImplementedError
 
-    def to_bytes(self, version: int = _FORMAT_VERSION) -> bytes:
+    def to_bytes(self) -> bytes:
         raise NotImplementedError
 
     def fingerprint(self) -> str:
         """Hex sha256 of the serialized program — process/hash-seed independent.
 
-        Always hashes the *current* (v2) encoding, whose array dtypes are
-        canonicalized from the domain sizes at encode time — so a program
-        deserialized from a v1 blob (int64 arrays) fingerprints identically
-        to the same program freshly compiled (domain-sized arrays).
+        The encoding's array dtypes are canonicalized from the domain sizes
+        at encode time, so a program built with wider (say int64) arrays
+        fingerprints identically to the same program freshly compiled
+        (domain-sized arrays).
         """
         return hashlib.sha256(self.to_bytes()).hexdigest()
 
@@ -337,10 +301,8 @@ class NextHopProgram(RoutingProgram):
     def n(self) -> int:
         return int(self.next_node.shape[0])
 
-    def to_bytes(self, version: int = _FORMAT_VERSION) -> bytes:
-        if _check_version(version) == _V1:
-            return _header(self.kind, _V1) + _pack_array_v1(self.next_node)
-        head = _header(self.kind, version)
+    def to_bytes(self) -> bytes:
+        head = _header(self.kind)
         parts = [head]
         _pack_section(parts, len(head), self.next_node, transition_dtype(self.n))
         return b"".join(parts)
@@ -371,8 +333,9 @@ class HeaderStateProgram(RoutingProgram):
 
     States are the reachable ``(node, header)`` pairs; the transition
     relation is functional (each non-delivering state has exactly one
-    successor), which is what makes both the vectorised advance (one gather
-    per step) and the exact livelock analysis possible.
+    successor), which is what makes the exact fate analysis of
+    :func:`resolve_functional` possible.  Only the transitions are stored:
+    hop counts and livelocks are derived on demand, never cached here.
 
     Attributes
     ----------
@@ -384,15 +347,6 @@ class HeaderStateProgram(RoutingProgram):
         (at :attr:`node_of` ``[s]`` — which need not be the destination).
     node_of:
         The node component of each state.
-    hops_to_deliver:
-        Exact number of forwarding hops from state ``s`` until the walk
-        *stops*, or ``-1`` when it never does (a provable livelock).
-        On a compiled (unmasked) program stopping means entering a
-        delivering state; on a masked view (:func:`repro.sim.faults.apply_faults`)
-        a :data:`DROPPED` transition stops the walk too, so the field is
-        the exact stop analysis either way — ``-1`` always means the walk
-        cycles forever.  Computed by :func:`resolve_functional` over the
-        functional graph.
     initial:
         ``initial[x, y]`` is the state id of ``(x, I(x, y))``; the diagonal
         is ``-1`` (no message is sent to oneself).
@@ -408,7 +362,6 @@ class HeaderStateProgram(RoutingProgram):
     succ: np.ndarray
     deliver: np.ndarray
     node_of: np.ndarray
-    hops_to_deliver: np.ndarray
     initial: np.ndarray
     headers: Optional[Tuple[Hashable, ...]] = None
 
@@ -421,31 +374,19 @@ class HeaderStateProgram(RoutingProgram):
         """Number of reachable ``(node, header)`` states."""
         return int(self.succ.shape[0])
 
-    def to_bytes(self, version: int = _FORMAT_VERSION) -> bytes:
-        if _check_version(version) == _V1:
-            return _header(self.kind, _V1) + b"".join(
-                _pack_array_v1(a)
-                for a in (
-                    self.succ,
-                    self.deliver,
-                    self.node_of,
-                    self.hops_to_deliver,
-                    self.initial,
-                )
-            )
+    def to_bytes(self) -> bytes:
         # Canonical dtypes are recomputed from the domain sizes here, not
-        # taken from the in-memory arrays: a program loaded from a v1 blob
-        # (int64 arrays) re-encodes byte-identically to a fresh compile.
+        # taken from the in-memory arrays: a program built with int64
+        # arrays encodes byte-identically to a fresh compile.
         sdt = transition_dtype(self.num_states)
         ndt = transition_dtype(self.n)
-        head = _header(self.kind, version)
+        head = _header(self.kind)
         parts = [head]
         offset = len(head)
         for array, dtype in (
             (self.succ, sdt),
             (self.deliver, np.dtype(bool)),
             (self.node_of, ndt),
-            (self.hops_to_deliver, sdt),
             (self.initial, sdt),
         ):
             offset = _pack_section(parts, offset, array, dtype)
@@ -455,19 +396,12 @@ class HeaderStateProgram(RoutingProgram):
         self,
         succ: Optional[np.ndarray] = None,
         deliver: Optional[np.ndarray] = None,
-        hops_to_deliver: Optional[np.ndarray] = None,
     ) -> "HeaderStateProgram":
         """A new program over the same state alphabet with edited transitions.
 
         The mutation/view entry point of the fault-injection machinery:
         :func:`repro.sim.faults.apply_faults` rewrites blocked successors to
         :data:`DROPPED` here instead of re-enumerating the header alphabet.
-        ``hops_to_deliver`` is recomputed by default with **one**
-        :func:`resolve_functional` pass whose stopping set counts
-        :data:`DROPPED` transitions as stops, keeping the field's
-        invariant (``-1`` iff the walk provably cycles) truthful on masked
-        views.  A caller that already knows the analysis is unchanged (an
-        identity view) may pass it explicitly to skip the recompute.
         State identity (``node_of``, ``initial``, debug ``headers``) is
         shared — a view edits behaviour, not the alphabet.
         """
@@ -484,19 +418,10 @@ class HeaderStateProgram(RoutingProgram):
                 "replacement transition arrays must keep the state-alphabet "
                 f"size {self.succ.shape[0]}"
             )
-        if hops_to_deliver is None:
-            _, hops = resolve_functional(new_succ, new_deliver | (new_succ == DROPPED))
-            hops_to_deliver = hops.astype(self.hops_to_deliver.dtype)
-        elif hops_to_deliver.shape != self.hops_to_deliver.shape:
-            raise ValueError(
-                "replacement hops_to_deliver must keep the state-alphabet "
-                f"size {self.succ.shape[0]}"
-            )
         return HeaderStateProgram(
             succ=new_succ,
             deliver=new_deliver,
             node_of=self.node_of,
-            hops_to_deliver=hops_to_deliver,
             initial=self.initial,
             headers=self.headers,
         )
@@ -520,62 +445,42 @@ class GenericProgram(RoutingProgram):
     def n(self) -> int:
         return int(self.num_vertices)
 
-    def to_bytes(self, version: int = _FORMAT_VERSION) -> bytes:
-        # Same <Q payload under both versions; only the version byte moves.
-        return _header(self.kind, _check_version(version)) + struct.pack(
-            "<Q", self.num_vertices
-        )
+    def to_bytes(self) -> bytes:
+        return _header(self.kind) + struct.pack("<Q", self.num_vertices)
 
 
 def program_from_bytes(blob: Union[bytes, bytearray, memoryview]) -> RoutingProgram:
     """Deserialize a program produced by :meth:`RoutingProgram.to_bytes`.
 
     Accepts any buffer (``bytes``, a ``memoryview`` over an ``mmap``, …).
-    Version 2 blobs deserialize as **zero-copy read-only views** over the
-    buffer — nothing but the few header bytes is touched, so loading an
-    mmapped artifact is O(1) and pages fault in lazily as the engine
-    gathers.  Version 1 blobs (the historical ``<i8`` framing) still load,
-    with their arrays cast down to the canonical domain-sized dtypes so a
-    v1-loaded program is indistinguishable from a fresh compile.  Raises
-    :class:`ValueError` on bad magic, unknown format versions or truncated
-    payloads — a cached artifact is either read back exactly or rejected
+    Arrays deserialize as **zero-copy read-only views** over the buffer —
+    nothing but the few header bytes is touched, so loading an mmapped
+    artifact is O(1) and pages fault in lazily as the engine gathers.
+    Raises :class:`ValueError` on bad magic, any format version other
+    than the current one, or truncated payloads — a cached artifact is either read back exactly or rejected
     loudly (callers degrade to recompilation).
     """
     if bytes(blob[: len(_MAGIC)]) != _MAGIC:
         raise ValueError("not a serialized RoutingProgram (bad magic)")
     try:
         version, code = struct.unpack_from("<BB", blob, len(_MAGIC))
-        if version not in _SUPPORTED_VERSIONS:
+        if version != _FORMAT_VERSION:
             raise ValueError(f"unsupported RoutingProgram format version {version}")
         kind = _CODE_KINDS.get(code)
         offset = len(_MAGIC) + 2
-        unpack = _unpack_array_v1 if version == _V1 else _unpack_section
         if kind == KIND_GENERIC:
             (n,) = struct.unpack_from("<Q", blob, offset)
             return GenericProgram(num_vertices=int(n))
         if kind == KIND_NEXT_HOP:
-            next_node, offset = unpack(blob, offset)
-            if version == _V1:
-                next_node = next_node.astype(transition_dtype(next_node.shape[0]))
+            next_node, offset = _unpack_section(blob, offset)
             return NextHopProgram(next_node=next_node)
         if kind == KIND_HEADER_STATE:
-            succ, offset = unpack(blob, offset)
-            deliver, offset = unpack(blob, offset)
-            node_of, offset = unpack(blob, offset)
-            hops, offset = unpack(blob, offset)
-            initial, offset = unpack(blob, offset)
-            if version == _V1:
-                sdt = transition_dtype(succ.shape[0])
-                succ = succ.astype(sdt)
-                hops = hops.astype(sdt)
-                initial = initial.astype(sdt)
-                node_of = node_of.astype(transition_dtype(initial.shape[0]))
+            succ, offset = _unpack_section(blob, offset)
+            deliver, offset = _unpack_section(blob, offset)
+            node_of, offset = _unpack_section(blob, offset)
+            initial, offset = _unpack_section(blob, offset)
             return HeaderStateProgram(
-                succ=succ,
-                deliver=deliver.astype(bool) if version == _V1 else deliver,
-                node_of=node_of,
-                hops_to_deliver=hops,
-                initial=initial,
+                succ=succ, deliver=deliver, node_of=node_of, initial=initial
             )
     except struct.error as exc:
         raise ValueError(f"truncated RoutingProgram payload: {exc}") from exc
@@ -583,7 +488,7 @@ def program_from_bytes(blob: Union[bytes, bytearray, memoryview]) -> RoutingProg
 
 
 def save_program(program: RoutingProgram, path: Union[str, Path]) -> Path:
-    """Write ``program`` to ``path`` in the current (v2, mmap-able) format.
+    """Write ``program`` to ``path`` in the (mmap-able) program format.
 
     The write is atomic (temp file + ``os.replace`` in the same directory),
     so a concurrent :func:`load_program` never observes a half-written
@@ -647,8 +552,8 @@ def resolve_functional(
     """Where, and after how many transitions, every walk of a functional graph stops.
 
     The one functional-graph primitive of the IR: the executors, the
-    static verifier and the compile-time ``hops_to_deliver`` analysis all
-    answer their fate questions through it.  ``succ`` maps each state to
+    static verifier and the flow accumulator all answer their fate
+    questions through it.  ``succ`` maps each state to
     its unique successor; ``terminal`` marks the states where a walk stops
     (their own successor is ignored).  A :data:`DROPPED` successor on a
     non-terminal state ends the walk off-program: that state never stops.
@@ -1001,10 +906,6 @@ def lower_header_state(
         succ=succ_arr,
         deliver=deliver_arr,
         node_of=node_arr,
-        # Exact hops-to-delivery over the functional transition graph;
-        # states that never reach a delivering state cycle forever — the
-        # provable livelocks.
-        hops_to_deliver=resolve_functional(succ_arr, deliver_arr)[1].astype(sdt),
         initial=initial.astype(sdt),
         headers=tuple([alphabet[h] for h in header_arr.tolist()]),
     )
@@ -1272,7 +1173,7 @@ def apply_delta(
     then masked too, so deltas compose with the fault-injection workload
     without ever unmasking.  Returns a :class:`DeltaResult` whose program
     is **indistinguishable from a fresh compile at** ``graph_after`` —
-    same arrays, same domain dtypes, same v2 byte layout, same
+    same arrays, same domain dtypes, same byte layout, same
     :meth:`~RoutingProgram.fingerprint` (the differential contract
     ``tests/test_churn.py`` pins across the registry grid).
 

@@ -34,9 +34,11 @@ other way — so the equality is pinned by a test, not by sharing names).
 Structural corruption (an out-of-range successor, a sentinel that does not
 exist, a wrong shape) always raises :class:`ProgramVerificationError` with a
 diagnostic naming the first offending entry.  *Semantic* oddities that the
-executors handle deterministically — a non-absorbing destination, a stale
-``hops_to_deliver`` field — are collected as ``issues`` on the report and
-only raise under ``strict=True`` (the cache integrity gate's mode).
+executors handle deterministically — a non-absorbing destination, a
+non-``-1`` initial diagonal — are collected as ``issues`` on the report and
+only raise under ``strict=True`` (the cache integrity gate's mode).  A
+program stores transitions only, so verification resolves each functional
+graph exactly once.
 
 Minimal example — prove a compiled program delivers every pair without
 executing a single message:
@@ -180,9 +182,8 @@ class VerificationReport:
         (``0`` at a stopping state), :data:`NO_ROUTE` where it cycles.
         States are destination-major ``d * n + c`` for a next-hop program
         and the interned state ids for a header-state program.  Unlike
-        ``hops`` it ignores ``alive`` (it describes states, not pairs), and
-        it never reads a stored ``hops_to_deliver`` field — the flow
-        accumulator layers its subtree sums by it.
+        ``hops`` it ignores ``alive`` (it describes states, not pairs); the
+        flow accumulator layers its subtree sums by it.
     issues:
         Semantic oddities found by well-formedness analysis (empty on a
         healthy artifact); see :func:`verify_structure`.
@@ -349,16 +350,13 @@ def _next_hop_issues(program: NextHopProgram) -> List[str]:
 
 def _check_header_state_ranges(program: HeaderStateProgram) -> None:
     succ, deliver = program.succ, program.deliver
-    node_of, hops_field = program.node_of, program.hops_to_deliver
-    initial = program.initial
+    node_of, initial = program.node_of, program.initial
     _require(
         succ.ndim == 1
         and deliver.shape == succ.shape
-        and node_of.shape == succ.shape
-        and hops_field.shape == succ.shape,
+        and node_of.shape == succ.shape,
         f"state arrays must be 1-D and equally sized, got succ {succ.shape}, "
-        f"deliver {deliver.shape}, node_of {node_of.shape}, "
-        f"hops_to_deliver {hops_field.shape}",
+        f"deliver {deliver.shape}, node_of {node_of.shape}",
     )
     _require(
         initial.ndim == 2 and initial.shape[0] == initial.shape[1],
@@ -401,7 +399,7 @@ def _check_header_state_ranges(program: HeaderStateProgram) -> None:
 
 
 def _header_state_issues(program: HeaderStateProgram) -> List[str]:
-    succ, initial = program.succ, program.initial
+    initial = program.initial
     issues: List[str] = []
     diag_bad = np.nonzero(initial.diagonal() != NO_ROUTE)[0]
     if diag_bad.size:
@@ -410,16 +408,6 @@ def _header_state_issues(program: HeaderStateProgram) -> List[str]:
             f"initial diagonal should be {NO_ROUTE} (no self-message) at "
             f"{diag_bad.size} vertice(s), first: initial[{d}, {d}] = "
             f"{int(initial[d, d])}"
-        )
-    _, recomputed = resolve_functional(succ, program.deliver | (succ == DROPPED))
-    mismatch = np.nonzero(program.hops_to_deliver != recomputed)[0]
-    if mismatch.size:
-        s = int(mismatch[0])
-        issues.append(
-            f"hops_to_deliver disagrees with the recomputed stop analysis at "
-            f"{mismatch.size} state(s), first: state {s} stores "
-            f"{int(program.hops_to_deliver[s])}, analysis proves "
-            f"{int(recomputed[s])}"
         )
     return issues
 
@@ -457,8 +445,7 @@ def verify_structure(program: RoutingProgram) -> List[str]:
     entries — including a stray ``-1``, which is never a valid transition).
     Returns the list of *semantic* issues: conditions the executors handle
     deterministically but that no healthy compile produces (non-absorbing
-    destinations, a stale ``hops_to_deliver``, a non-``-1`` initial
-    diagonal).
+    destinations, a non-``-1`` initial diagonal).
     """
     _check_ranges(program)
     return _semantic_issues(program)

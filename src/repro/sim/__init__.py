@@ -82,10 +82,8 @@ from repro.sim.churn import (
 )
 from repro.sim.engine import (
     MISDELIVER,
-    HeaderProgram,
     MaskedExecution,
     SimulationResult,
-    compile_next_hop,
     execute_masked_program,
     execute_program,
     simulate_all_pairs,
@@ -135,7 +133,6 @@ __all__ = [
     "FaultSet",
     "FaultSimulationResult",
     "GenericProgram",
-    "HeaderProgram",
     "HeaderStateExplosionError",
     "HeaderStateProgram",
     "MaskedExecution",
@@ -145,7 +142,6 @@ __all__ = [
     "apply_delta",
     "apply_faults",
     "churn_scenarios",
-    "compile_next_hop",
     "execute_masked_program",
     "execute_program",
     "leo_grid_trace",

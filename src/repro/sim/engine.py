@@ -64,7 +64,6 @@ from repro.routing.program import (
     NO_ROUTE,
     GenericProgram,
     HeaderStateExplosionError,
-    HeaderStateProgram,
     RoutingProgram,
     lower_header_state,
     lower_next_hop,
@@ -82,11 +81,9 @@ from repro.routing.verify import (
 
 __all__ = [
     "MISDELIVER",
-    "HeaderProgram",
     "HeaderStateExplosionError",
     "MaskedExecution",
     "SimulationResult",
-    "compile_next_hop",
     "execute_masked_program",
     "execute_program",
     "simulate_all_pairs",
@@ -101,10 +98,6 @@ _KIND_MODES = {
     KIND_HEADER_STATE: "header-compiled",
     KIND_GENERIC: "generic",
 }
-
-#: Backward-compatible name of the header-state artifact (PR 3 vintage).
-HeaderProgram = HeaderStateProgram
-
 
 @dataclass(frozen=True)
 class SimulationResult:
@@ -261,15 +254,6 @@ class SimulationResult:
         if (dist[off] == UNREACHABLE).any():
             raise ValueError("stretch is undefined on disconnected graphs")
         return _exact_max_ratio(self.lengths[off], dist[off])
-
-
-def compile_next_hop(rf: RoutingFunction) -> np.ndarray:
-    """The next-hop matrix of ``rf`` (the payload of its compiled program).
-
-    Thin wrapper over :func:`repro.routing.program.lower_next_hop`, kept
-    because the raw matrix is a convenient object for tests and analyses.
-    """
-    return lower_next_hop(rf).next_node
 
 
 # ----------------------------------------------------------------------

@@ -381,12 +381,8 @@ def apply_faults(
         return program.with_next_node(next_node)
     if isinstance(program, HeaderStateProgram):
         if faults.is_empty:
-            # Identity view: the transition relation is untouched, so the
-            # existing livelock analysis is passed through verbatim rather
-            # than recomputed (the k = 0 no-op must be free).
-            return program.with_transitions(
-                succ=program.succ, hops_to_deliver=program.hops_to_deliver
-            )
+            # Identity view: the transition relation is untouched.
+            return program.with_transitions()
         alive = faults.alive_mask(n)
         hop_tail = program.node_of
         hop_head = program.node_of[program.succ]
@@ -413,30 +409,12 @@ def apply_faults(
 # ----------------------------------------------------------------------
 # the reference interpreter (differential oracle + generic execution path)
 # ----------------------------------------------------------------------
-def _masked_frames(
-    n: int, alive: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Empty masked-execution matrices plus the alive pair universe ``(src, dst)``."""
-    lengths = np.full((n, n), NO_ROUTE, dtype=np.int64)
-    delivered = np.zeros((n, n), dtype=bool)
-    np.fill_diagonal(delivered, alive)
-    np.fill_diagonal(lengths, np.where(alive, 0, NO_ROUTE))
-    misdelivered = np.zeros((n, n), dtype=bool)
-    dropped = np.zeros((n, n), dtype=bool)
-    universe = ~np.eye(n, dtype=bool)
-    universe &= alive[:, None]
-    universe &= alive[None, :]
-    src, dst = np.nonzero(universe)
-    lengths[src, dst] = 0
-    return lengths, delivered, misdelivered, dropped, src, dst
-
-
 def _reference_masked(
     rf: RoutingFunction,
     graph: PortLabeledGraph,
     faults: FaultSet,
     max_hops: Optional[int],
-) -> MaskedExecution:
+) -> Tuple[MaskedExecution, np.ndarray]:
     """Per-message fault interpretation of the live routing function.
 
     Applies the fault model decision by decision — ``DELIVER`` checked
@@ -444,12 +422,18 @@ def _reference_masked(
     counted — so the vectorised masked executor can be asserted equal to
     it matrix for matrix.  Budget follows the generic interpreter
     (``4 * n``); cycles that never touch a fault classify as livelocks
-    exactly as they do there.
+    exactly as they do there.  Returns the execution and the ``PAIR_*``
+    outcome matrix, written as each pair's fate is decided.
     """
     n = graph.n
     alive = faults.alive_mask(n)
     failed_edges = set(faults.edges)
-    lengths, delivered, misdelivered, dropped, src, dst = _masked_frames(n, alive)
+    universe = alive[:, None] & alive[None, :] & ~np.eye(n, dtype=bool)
+    src, dst = np.nonzero(universe)
+    # A simulated pair is livelocked until its walk stops.
+    outcome = np.where(universe, PAIR_LIVELOCKED, PAIR_INFEASIBLE).astype(np.int8)
+    lengths = np.where(universe, 0, NO_ROUTE).astype(np.int64)
+    np.fill_diagonal(lengths, np.where(alive, 0, NO_ROUTE))
     budget = 4 * n if max_hops is None else max_hops
 
     flights: List[Tuple[int, int, int, Hashable]] = [
@@ -466,10 +450,7 @@ def _reference_masked(
         for source, dest, node, header in flights:
             port = port_fn(node, header)
             if port == DELIVER:
-                if node == dest:
-                    delivered[source, dest] = True
-                else:
-                    misdelivered[source, dest] = True
+                outcome[source, dest] = PAIR_DELIVERED if node == dest else PAIR_MISDELIVERED
                 continue
             try:
                 nxt = neighbor_at_port(node, port)
@@ -480,16 +461,24 @@ def _reference_masked(
                 ) from exc
             edge = (node, nxt) if node < nxt else (nxt, node)
             if not alive[nxt] or edge in failed_edges:
-                dropped[source, dest] = True
+                outcome[source, dest] = PAIR_DROPPED
                 continue
             lengths[source, dest] += 1
             survivors.append((source, dest, nxt, next_header(node, header)))
         flights = survivors
     for source, dest, _, _ in flights:
         lengths[source, dest] = NO_ROUTE  # budget exhausted: livelock
-    return MaskedExecution(
-        delivered, misdelivered, dropped, lengths, steps=steps, mode="generic-masked"
+    delivered = outcome == PAIR_DELIVERED
+    np.fill_diagonal(delivered, alive)
+    execution = MaskedExecution(
+        delivered,
+        outcome == PAIR_MISDELIVERED,
+        outcome == PAIR_DROPPED,
+        lengths,
+        steps=steps,
+        mode="generic-masked",
     )
+    return execution, outcome
 
 
 # ----------------------------------------------------------------------
@@ -622,19 +611,6 @@ class FaultSimulationResult:
         return float((lengths / dists).mean())
 
 
-def _classify(execution: MaskedExecution, alive: np.ndarray) -> np.ndarray:
-    n = execution.lengths.shape[0]
-    outcome = np.full((n, n), PAIR_INFEASIBLE, dtype=np.int8)
-    feasible = alive[:, None] & alive[None, :] & ~np.eye(n, dtype=bool)
-    # Simulated pairs in none of the three stop matrices walked forever.
-    outcome[feasible] = PAIR_LIVELOCKED
-    off_delivered = execution.delivered & ~np.eye(n, dtype=bool)
-    outcome[off_delivered] = PAIR_DELIVERED
-    outcome[execution.dropped] = PAIR_DROPPED
-    outcome[execution.misdelivered] = PAIR_MISDELIVERED
-    return outcome
-
-
 def simulate_with_faults(
     rf: RoutingFunction,
     faults: FaultSet,
@@ -694,7 +670,7 @@ def simulate_with_faults(
     if method == "reference" or (program is None and rf is not None and rf.program_kind() == "generic"):
         if rf is None:
             raise ValueError("the reference interpreter needs the live routing function")
-        execution = _reference_masked(rf, graph, faults, max_hops)
+        execution, outcome = _reference_masked(rf, graph, faults, max_hops)
     else:
         if program is None:
             try:
@@ -707,15 +683,17 @@ def simulate_with_faults(
                     "a generic program is an opt-out marker: fault-injecting it "
                     "needs the live routing function (pass rf=...)"
                 )
-            execution = _reference_masked(rf, graph, faults, max_hops)
+            execution, outcome = _reference_masked(rf, graph, faults, max_hops)
         else:
             masked = apply_faults(program, graph, faults)
             execution = execute_masked_program(masked, alive=alive, max_hops=max_hops)
+            # Verdict codes equal the PAIR_* codes (pinned by a test).
+            outcome = execution.report.outcome
 
     if dist is None:
         dist = surviving_distance_matrix(graph, faults)
     return FaultSimulationResult(
-        outcome=_classify(execution, alive),
+        outcome=outcome,
         lengths=execution.lengths,
         alive=alive,
         faults=faults,

@@ -31,12 +31,14 @@ over every (node, destination, neighbour) triple the library once built
 its tables with.
 
 The fate oracles of the compiled executors live here too:
-:func:`functional_hops` (the backwards peel that computed
-``hops_to_deliver`` before the pointer-doubling resolver) and the four
-per-step dense loops :func:`execute_dense` / :func:`execute_masked_dense`
-dispatch to — every in-flight message advances one hop per step, exactly
-as the engine once executed programs.  ``tests/test_execution.py`` pins the
-resolver-backed executors against them.
+:func:`functional_hops` (the backwards peel that computed per-state stop
+hops before the pointer-doubling resolver) and the four per-step dense
+loops :func:`execute_dense` / :func:`execute_masked_dense` dispatch to —
+every in-flight message advances one hop per step, exactly as the engine
+once executed programs.  The header-state loops take their step budget
+from the peel, never from the resolver they are an oracle of.
+``tests/test_execution.py`` pins the resolver-backed executors against
+them.
 
 :func:`walk_loads` is the per-hop frontier walk of the flow engine, the
 vectorised oracle of :func:`repro.analysis.flow.route_demand`'s subtree
@@ -304,13 +306,10 @@ def lower_header_state_per_state(rf, max_states=None):
         idx += 1
 
     sdt = transition_dtype(len(nodes))
-    succ_arr = np.asarray(succ, dtype=sdt)
-    deliver_arr = np.asarray(deliver, dtype=bool)
     return HeaderStateProgram(
-        succ=succ_arr,
-        deliver=deliver_arr,
+        succ=np.asarray(succ, dtype=sdt),
+        deliver=np.asarray(deliver, dtype=bool),
         node_of=np.asarray(nodes, dtype=transition_dtype(n)),
-        hops_to_deliver=functional_hops(succ_arr, deliver_arr).astype(sdt),
         initial=initial.astype(sdt),
         headers=tuple(headers),
     )
@@ -383,16 +382,19 @@ def _next_hop_dense(program):
 
 
 def _header_state_budget(program, cur):
-    """Largest finite ``hops_to_deliver`` of the initial states, plus one."""
+    """Largest finite peeled stop distance of the initial states, plus one."""
+    from repro.routing.program import DROPPED
+
     if not cur.size:
         return 0
-    pending = program.hops_to_deliver[cur]
+    stopping = program.deliver | (program.succ == DROPPED)
+    pending = functional_hops(program.succ, stopping)[cur]
     finite = pending[pending >= 0]
     return int(finite.max()) + 1 if finite.size else 0
 
 
 def _header_state_dense(program):
-    """Per-step header-state loop, budgeted by ``hops_to_deliver``."""
+    """Per-step header-state loop, budgeted by the peel."""
     from repro.routing.program import NO_ROUTE
     from repro.sim.engine import SimulationResult
 
@@ -426,11 +428,26 @@ def _header_state_dense(program):
     return SimulationResult(lengths, delivered, misdelivered, steps=steps, mode=mode)
 
 
+def _masked_frames(n, alive):
+    """Empty masked-execution matrices plus the alive pair universe ``(src, dst)``."""
+    from repro.routing.program import NO_ROUTE
+
+    lengths = np.full((n, n), NO_ROUTE, dtype=np.int64)
+    delivered = np.zeros((n, n), dtype=bool)
+    np.fill_diagonal(delivered, alive)
+    np.fill_diagonal(lengths, np.where(alive, 0, NO_ROUTE))
+    misdelivered = np.zeros((n, n), dtype=bool)
+    dropped = np.zeros((n, n), dtype=bool)
+    universe = _offdiag(n) & alive[:, None] & alive[None, :]
+    src, dst = np.nonzero(universe)
+    lengths[src, dst] = 0
+    return lengths, delivered, misdelivered, dropped, src, dst
+
+
 def _next_hop_masked_dense(program, alive):
     """Per-step masked next-hop loop: stops are detected before the hop."""
     from repro.routing.program import DROPPED, MISDELIVER, NO_ROUTE
     from repro.sim.engine import MaskedExecution
-    from repro.sim.faults import _masked_frames
 
     n = program.n
     lengths, delivered, misdelivered, dropped, src, dst = _masked_frames(n, alive)
@@ -468,7 +485,6 @@ def _header_state_masked_dense(program, alive):
     """Per-step masked header-state loop: deliver, then a DROPPED successor."""
     from repro.routing.program import DROPPED, NO_ROUTE
     from repro.sim.engine import MaskedExecution
-    from repro.sim.faults import _masked_frames
 
     n = program.n
     lengths, delivered, misdelivered, dropped, src, dst = _masked_frames(n, alive)

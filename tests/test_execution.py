@@ -14,6 +14,8 @@ degenerate sizes and empty alive universes, and over random programs.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -26,6 +28,8 @@ from conftest import (
     functional_hops,
     profile_settings,
 )
+from repro.analysis.flow import flow_cell
+from repro.analysis.runner import ExperimentCache
 from repro.graphs import generators
 from repro.routing.landmark import CowenLandmarkScheme
 from repro.routing.model import SchemeInapplicableError
@@ -36,6 +40,7 @@ from repro.routing.program import (
     HeaderStateProgram,
     NextHopProgram,
     compile_scheme_program,
+    lower_header_state,
     resolve_functional,
     transition_dtype,
 )
@@ -47,7 +52,17 @@ from repro.routing.verify import (
     verify_structure,
 )
 from repro.sim.engine import execute_masked_program, execute_program, simulate_all_pairs
-from repro.sim.faults import _classify, apply_faults, random_fault_set, simulate_with_faults
+from repro.sim.faults import (
+    PAIR_DELIVERED,
+    PAIR_DROPPED,
+    PAIR_INFEASIBLE,
+    PAIR_LIVELOCKED,
+    PAIR_MISDELIVERED,
+    FaultSet,
+    apply_faults,
+    random_fault_set,
+    simulate_with_faults,
+)
 from repro.sim.registry import fault_scenarios, scheme_registry
 
 
@@ -102,13 +117,20 @@ def _without_drops(program):
             np.where(program.next_node == DROPPED, MISDELIVER, program.next_node)
         )
     succ = np.where(program.succ == DROPPED, np.arange(program.num_states), program.succ)
-    return HeaderStateProgram(
-        succ=succ.astype(program.succ.dtype),
-        deliver=program.deliver,
-        node_of=program.node_of,
-        hops_to_deliver=functional_hops(succ, program.deliver).astype(program.succ.dtype),
-        initial=program.initial,
-    )
+    return program.with_transitions(succ=succ)
+
+
+def _pair_outcome(execution, alive):
+    """The ``PAIR_*`` matrix of a masked execution's stop matrices."""
+    n = execution.lengths.shape[0]
+    off = ~np.eye(n, dtype=bool)
+    outcome = np.full((n, n), PAIR_INFEASIBLE, dtype=np.int8)
+    # Simulated pairs in none of the three stop matrices walked forever.
+    outcome[alive[:, None] & alive[None, :] & off] = PAIR_LIVELOCKED
+    outcome[execution.delivered & off] = PAIR_DELIVERED
+    outcome[execution.dropped] = PAIR_DROPPED
+    outcome[execution.misdelivered] = PAIR_MISDELIVERED
+    return outcome
 
 
 # ----------------------------------------------------------------------
@@ -134,16 +156,16 @@ def test_registry_matches_dense_oracle(size):
                 _assert_same_masked(execute_masked_program(masked, alive), oracle)
                 result = simulate_with_faults(program, faults, graph=graph)
                 assert np.array_equal(result.lengths, oracle.lengths), (label, family)
-                assert np.array_equal(result.outcome, _classify(oracle, alive))
+                assert np.array_equal(result.outcome, _pair_outcome(oracle, alive))
                 assert (result.steps, result.mode) == (oracle.steps, oracle.mode)
             checked += 1
     assert checked > 50
 
 
 @pytest.mark.parametrize("size", ["small", "medium"])
-def test_registry_hops_to_deliver_match_the_peel(size):
-    # Lowering and masked views take hops_to_deliver from the resolver;
-    # the backwards peel it replaced must agree byte for byte.
+def test_registry_state_hops_match_the_peel(size):
+    # The resolver's per-state stop analysis of every header-state program
+    # and masked view equals the backwards peel, state for state.
     checked = 0
     for family, graph in sorted(_corpus(size).items()):
         scenarios = fault_scenarios(graph, seed=5, edge_ks=(2,), node_ks=(2,), per_k=1)
@@ -157,9 +179,9 @@ def test_registry_hops_to_deliver_match_the_peel(size):
             views = [program] + [apply_faults(program, graph, f) for _, f in scenarios]
             for view in views:
                 stopping = view.deliver | (view.succ == DROPPED)
-                expected = functional_hops(view.succ, stopping).astype(view.succ.dtype)
-                assert view.hops_to_deliver.dtype == expected.dtype, (label, family)
-                assert view.hops_to_deliver.tobytes() == expected.tobytes(), (label, family)
+                expected = functional_hops(view.succ, stopping)
+                state_hops = resolve_fates(view).state_hops
+                assert np.array_equal(state_hops, expected), (label, family)
             checked += 1
     assert checked > 5
 
@@ -195,6 +217,47 @@ def test_resolve_functional_degenerate_inputs():
     # No terminal at all: a pure cycle never stops.
     _, hops = resolve_functional(succ, np.zeros(3, dtype=bool))
     assert hops.tolist() == [-1, -1, -1]
+
+
+@pytest.fixture()
+def resolve_calls(monkeypatch):
+    """State counts of every ``resolve_functional`` call, in call order.
+
+    The counter replaces the function in every loaded ``repro`` module that
+    holds it, so a call through any import path is seen.
+    """
+    calls = []
+    real = resolve_functional
+
+    def counting(succ, terminal, limit=None):
+        calls.append(int(succ.shape[0]))
+        return real(succ, terminal, limit)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "repro" and getattr(module, "resolve_functional", None) is real:
+            monkeypatch.setattr(module, "resolve_functional", counting)
+    return calls
+
+
+def test_each_header_state_question_resolves_at_most_once(resolve_calls):
+    # A program stores transitions only: lowering and masking never
+    # resolve, and a verification or a flow cell resolves exactly once.
+    graph = generators.random_connected_graph(16, extra_edge_prob=0.2, seed=3)
+    scheme = CowenLandmarkScheme(seed=3, rewriting=True)
+    program = lower_header_state(scheme.build(graph.copy()))
+    assert isinstance(program, HeaderStateProgram)
+    assert resolve_calls == []
+    for faults in (FaultSet.empty(), random_fault_set(graph, 2, kind="edge", seed=1)):
+        apply_faults(program, graph, faults)
+    assert resolve_calls == []
+    verify_program(program)
+    assert resolve_calls == [program.num_states]
+    del resolve_calls[:]
+    rows = flow_cell(
+        scheme, graph, "random", "landmark-rewriting", ("uniform", "zipf"), ExperimentCache(None)
+    )
+    assert [row.kind for row in rows] == ["header-state"] * 2
+    assert resolve_calls == [program.num_states]
 
 
 def test_masked_execution_rejects_a_wrong_alive_shape():
@@ -344,11 +407,7 @@ def _corrupt_programs():
         succ = hs.succ.copy()
         succ[np.flatnonzero(~hs.deliver)[0]] = value
         yield f"header-state-{value}", HeaderStateProgram(
-            succ=succ,
-            deliver=hs.deliver,
-            node_of=hs.node_of,
-            hops_to_deliver=hs.hops_to_deliver,
-            initial=hs.initial,
+            succ=succ, deliver=hs.deliver, node_of=hs.node_of, initial=hs.initial
         )
 
 
@@ -408,7 +467,6 @@ def _random_header_state(seed, n, num_states, p_drop, p_deliver):
         succ=succ.astype(sdt),
         deliver=deliver,
         node_of=rng.integers(0, n, size=num_states).astype(transition_dtype(n)),
-        hops_to_deliver=functional_hops(succ, deliver | (succ == DROPPED)).astype(sdt),
         initial=initial.astype(sdt),
     )
 
@@ -446,11 +504,9 @@ def test_random_header_state_programs_match_oracle(
 ):
     program = _random_header_state(seed, n, num_states, p_drop, p_deliver)
     stopping = program.deliver | (program.succ == DROPPED)
-    # The resolver's stop analysis is the peel's, byte for byte.
+    # The resolver's stop analysis is the peel's, state for state.
     _, hops = resolve_functional(program.succ, stopping)
-    assert np.array_equal(
-        hops.astype(program.hops_to_deliver.dtype), program.hops_to_deliver
-    )
+    assert np.array_equal(hops, functional_hops(program.succ, stopping))
     alive = None if p_alive is None else np.random.default_rng(seed + 1).random(n) < p_alive
     _assert_matches_oracle(program, alive)
     if alive is None:

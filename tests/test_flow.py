@@ -11,8 +11,7 @@ Layers of guarantees over :mod:`repro.analysis.flow`:
   precisely so this equality is exact — see the module docstring of
   ``flow.py``.  Hypothesis extends the equality to random graphs, random
   fault sets and random integer demand matrices, scaled by
-  ``REPRO_HYP_PROFILE``; a corrupted stored ``hops_to_deliver`` must not
-  move a single load.
+  ``REPRO_HYP_PROFILE``.
 
 * **Conservation** — total arc load equals demand-weighted route length,
   node load equals arc load plus one origination visit per message, and
@@ -290,30 +289,6 @@ def test_masked_header_state_matches_oracle_under_random_faults(data):
     flow = route_demand(masked, dm, alive=alive)
     report = verify_program(masked, alive=alive)
     _assert_flow_equals_oracle(flow, masked, dm, report)
-
-
-@pytest.mark.parametrize("family", ["petersen", "random-dense", "grid"])
-def test_corrupt_stored_hops_to_deliver_does_not_move_loads(family):
-    # The accumulator layers states by the resolver's own per-state depth,
-    # never by the artifact's stored hops_to_deliver: a stale field that is
-    # still in range (so nothing indexes out of bounds) must not move a
-    # single load.
-    graph = FAMILIES[family]
-    program = SCHEMES["landmark-rewriting"].build(graph.copy()).compile_program()
-    assert isinstance(program, HeaderStateProgram)
-    stored = program.hops_to_deliver
-    corrupted = program.with_transitions(
-        hops_to_deliver=np.where(stored >= 0, stored.max() - stored, stored)
-    )
-    assert not np.array_equal(corrupted.hops_to_deliver, stored)
-    report = verify_program(corrupted)
-    assert any("hops_to_deliver" in issue for issue in report.issues)
-    dm = zipf_demand(graph.n, total=20_000.0, seed=5)
-    flow = route_demand(corrupted, dm, report=report)
-    _assert_flow_equals_oracle(flow, corrupted, dm, report)
-    clean = route_demand(program, dm)
-    assert np.array_equal(flow.edge_load, clean.edge_load)
-    assert np.array_equal(flow.path_max_load, clean.path_max_load)
 
 
 # ----------------------------------------------------------------------
@@ -600,4 +575,34 @@ def test_flow_cell_declines_generic_schemes(petersen):
     with pytest.raises(SchemeInapplicableError):
         flow_cell(
             OpaqueScheme(), petersen, "petersen", "opaque", ("uniform",), ExperimentCache(None)
+        )
+
+
+def test_flow_cell_raises_on_a_structurally_corrupt_program(petersen):
+    from repro.analysis.runner import ExperimentCache
+    from repro.routing.verify import ProgramVerificationError
+
+    program = SCHEMES["landmark-rewriting"].build(petersen.copy()).compile_program()
+    succ = np.array(program.succ, copy=True)
+    succ[0] = program.num_states + 3
+    corrupt = HeaderStateProgram(
+        succ=succ, deliver=program.deliver, node_of=program.node_of, initial=program.initial
+    )
+
+    class CorruptScheme:
+        name = "corrupt"
+
+        def config_fingerprint(self):
+            return "corrupt"
+
+        def build(self, graph):
+            class RF:
+                def compile_program(self):
+                    return corrupt
+
+            return RF()
+
+    with pytest.raises(ProgramVerificationError, match="succ contains"):
+        flow_cell(
+            CorruptScheme(), petersen, "petersen", "corrupt", ("uniform",), ExperimentCache(None)
         )

@@ -1,12 +1,13 @@
 """Format versioning, domain dtypes, and the zero-copy mmap program store.
 
-Pins the v2 container contract end to end:
+Pins the container contract end to end:
 
-* **Version negotiation** — v1 blobs still load (cast down to domain
-  dtypes on the way in), v2 blobs decode to zero-copy views, and the
-  fingerprint is canonical: a program loaded from a v1 blob, a v2 blob,
-  an mmap'd ``.rpg`` file, or hand-built with int64 arrays all fingerprint
-  identically, so cache keys never split across format generations.
+* **One format version** — blobs decode to zero-copy views, every other
+  version (the retired ``<i8`` version 1 and the version 2 layout that
+  still carried a per-state stop-hops section) is refused, and a store
+  object in an old layout degrades to a recompile.  The fingerprint is
+  canonical: a program loaded from a blob, an mmap'd ``.rpg`` file, or
+  hand-built with int64 arrays all fingerprint identically.
 * **Domain-sized dtypes** — transition arrays shrink to the smallest
   signed dtype that holds the domain, and the negative MISDELIVER /
   DROPPED sentinels survive the shrink at every width.
@@ -19,6 +20,8 @@ Pins the v2 container contract end to end:
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -27,17 +30,20 @@ from repro.graphs import generators
 from repro.routing.landmark import CowenLandmarkScheme
 from repro.routing.model import SchemeInapplicableError
 from repro.routing.program import (
+    _KIND_CODES,
+    _MAGIC,
     DROPPED,
     MISDELIVER,
     HeaderStateProgram,
     NextHopProgram,
+    _pack_section,
     load_program,
     program_from_bytes,
+    resolve_functional,
     save_program,
     transition_dtype,
 )
 from repro.routing.tables import ShortestPathTableScheme
-from repro.sim.engine import execute_program
 
 
 def _next_hop_program(n=18, seed=3):
@@ -73,7 +79,6 @@ def test_lowered_programs_carry_domain_dtypes():
     state_dtype = transition_dtype(num_states)
     assert header.succ.dtype == state_dtype
     assert header.initial.dtype == state_dtype
-    assert header.hops_to_deliver.dtype == state_dtype
     assert header.node_of.dtype == transition_dtype(header.n)
 
 
@@ -96,45 +101,65 @@ def test_sentinels_survive_the_dtype_shrink(wide_dtype):
 
 
 # ----------------------------------------------------------------------
-# version negotiation + canonical fingerprints
+# one format version + canonical fingerprints
 # ----------------------------------------------------------------------
-def test_v1_blobs_still_load_and_cast_down():
-    program = _next_hop_program()
-    v1 = program_from_bytes(program.to_bytes(version=1))
-    assert np.array_equal(v1.next_node, program.next_node)
-    # v1 payloads are int64 on disk; the loader casts to the domain dtype.
-    assert v1.next_node.dtype == transition_dtype(program.n)
+def _version_2_blob(program):
+    """``program`` in the retired version-2 layout.
 
-    header = _header_state_program()
-    v1h = program_from_bytes(header.to_bytes(version=1))
-    for field in ("succ", "deliver", "node_of", "hops_to_deliver", "initial"):
-        reloaded, original = getattr(v1h, field), getattr(header, field)
-        assert np.array_equal(reloaded, original)
-        assert reloaded.dtype == original.dtype
+    Version 2 framed the same sections as today, plus a per-state stop-hops
+    section between ``node_of`` and ``initial``.
+    """
+    head = _MAGIC + struct.pack("<BB", 2, _KIND_CODES[program.kind])
+    parts = [head]
+    offset = len(head)
+    sdt = transition_dtype(program.num_states)
+    _, hops = resolve_functional(program.succ, program.deliver)
+    for array, dtype in (
+        (program.succ, sdt),
+        (program.deliver, np.dtype(bool)),
+        (program.node_of, transition_dtype(program.n)),
+        (hops, sdt),
+        (program.initial, sdt),
+    ):
+        offset = _pack_section(parts, offset, array, dtype)
+    return b"".join(parts)
 
 
-def test_fingerprint_is_canonical_across_formats_and_dtypes(tmp_path):
+def _with_version_byte(blob, version):
+    return blob[:4] + bytes([version]) + blob[5:]
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_blobs_of_retired_versions_are_refused(version):
+    for program in (_next_hop_program(), _header_state_program()):
+        blob = _with_version_byte(program.to_bytes(), version)
+        with pytest.raises(ValueError, match="unsupported RoutingProgram format version"):
+            program_from_bytes(blob)
+    with pytest.raises(ValueError, match=f"format version {version}"):
+        program_from_bytes(_with_version_byte(_version_2_blob(_header_state_program()), version))
+
+
+def test_fingerprint_is_canonical_across_loads_and_dtypes(tmp_path):
     program = _next_hop_program()
     expected = program.fingerprint()
-    via_v1 = program_from_bytes(program.to_bytes(version=1)).fingerprint()
-    via_v2 = program_from_bytes(program.to_bytes()).fingerprint()
+    via_bytes = program_from_bytes(program.to_bytes()).fingerprint()
     int64_layout = NextHopProgram(
         next_node=program.next_node.astype(np.int64)
     ).fingerprint()
     path = tmp_path / "p.rpg"
     save_program(program, path)
     via_mmap = load_program(path).fingerprint()
-    assert via_v1 == via_v2 == int64_layout == via_mmap == expected
+    assert via_bytes == int64_layout == via_mmap == expected
 
 
-def test_v1_and_v2_loads_execute_identically():
+def test_header_state_fingerprint_ignores_in_memory_widths():
     program = _header_state_program()
-    a = execute_program(program_from_bytes(program.to_bytes(version=1)))
-    b = execute_program(program_from_bytes(program.to_bytes()))
-    assert np.array_equal(a.lengths, b.lengths)
-    assert np.array_equal(a.delivered, b.delivered)
-    assert np.array_equal(a.misdelivered, b.misdelivered)
-    assert a.steps == b.steps
+    wide = HeaderStateProgram(
+        **{f: getattr(program, f).astype(np.int64) for f in ("succ", "node_of", "initial")},
+        deliver=program.deliver,
+    )
+    assert wide.to_bytes() == program.to_bytes()
+    assert wide.fingerprint() == program.fingerprint()
 
 
 # ----------------------------------------------------------------------
@@ -145,7 +170,7 @@ def test_load_program_returns_readonly_views_over_the_mapping(tmp_path):
     path = tmp_path / "header.rpg"
     save_program(program, path)
     loaded = load_program(path)
-    for field in ("succ", "deliver", "node_of", "hops_to_deliver", "initial"):
+    for field in ("succ", "deliver", "node_of", "initial"):
         array = getattr(loaded, field)
         assert not array.flags["OWNDATA"], f"{field} was copied, not mapped"
         assert not array.flags["WRITEABLE"]
@@ -253,6 +278,28 @@ def test_corrupt_rpg_degrades_to_a_cache_miss(tmp_path):
 
     found, _ = ExperimentCache(tmp_path).load_program_entry(key)
     assert not found  # miss, not an exception: the cell recomputes
+
+
+def test_old_layout_store_object_degrades_recompiles_then_hits(tmp_path):
+    scheme = CowenLandmarkScheme(seed=5, rewriting=True)
+    graph = generators.random_connected_graph(14, extra_edge_prob=0.2, seed=5)
+    cache = ExperimentCache(tmp_path)
+    program = cached_program(scheme, graph, cache)
+    key = cache.program_key(graph.fingerprint(), scheme_fingerprint(scheme))
+    # The object a version-2 writer left under the same address.
+    cache.program_artifact_path(key).write_bytes(_version_2_blob(program))
+
+    cold = ExperimentCache(tmp_path)
+    with pytest.warns(RuntimeWarning, match="format version 2"):
+        again = cached_program(scheme, graph, cold)
+    assert cold.degraded_entries == 1
+    assert (cold.program_hits, cold.program_misses) == (0, 1)
+    assert again.fingerprint() == program.fingerprint()
+
+    warm = ExperimentCache(tmp_path)
+    loaded = cached_program(scheme, graph, warm)
+    assert (warm.program_hits, warm.program_misses, warm.degraded_entries) == (1, 0, 0)
+    assert loaded.to_bytes() == program.to_bytes()
 
 
 def test_in_memory_cache_has_no_artifact_path():

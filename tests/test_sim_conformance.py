@@ -35,11 +35,11 @@ from repro.graphs import generators
 from repro.graphs.shortest_paths import distance_matrix
 from repro.routing.model import DELIVER, DestinationBasedRoutingFunction, RoutingFunction
 from repro.routing.paths import all_pairs_routing_lengths, route, stretch_factor
-from repro.routing.program import lower_header_state
+from repro.routing.program import lower_header_state, lower_next_hop
 from repro.routing.tables import ShortestPathTableScheme
+from repro.routing.verify import resolve_fates
 from repro.sim import (
     HeaderStateExplosionError,
-    compile_next_hop,
     run_conformance_suite,
     simulate_all_pairs,
     simulated_routing_lengths,
@@ -261,7 +261,7 @@ def test_header_program_states_are_shared_across_sources():
     assert (program.initial[~np.eye(n, dtype=bool)] >= 0).all()
     assert (np.diag(program.initial) == -1).all()
     # All-delivered scheme: every reachable state has a finite hop count.
-    assert (program.hops_to_deliver >= 0).all()
+    assert (resolve_fates(program).state_hops >= 0).all()
 
 
 @_SETTINGS
@@ -518,7 +518,7 @@ def test_malformed_unvalidated_tables_raise_specific_errors():
 def test_compiled_next_hop_matrix_shape_and_diagonal():
     graph = generators.grid_2d(3, 3)
     rf = ShortestPathTableScheme().build(graph)
-    next_node = compile_next_hop(rf)
+    next_node = lower_next_hop(rf).next_node
     assert next_node.shape == (9, 9)
     assert (np.diag(next_node) == np.arange(9)).all()
     dist = distance_matrix(graph)

@@ -149,13 +149,14 @@ class TestTieBreakDeterminism:
 
     @pytest.mark.parametrize("rule", TIE_BREAKS)
     def test_simulator_and_legacy_paths_agree_per_rule(self, rule, small_corpus_graph):
-        from repro.sim import compile_next_hop, simulate_all_pairs
+        from repro.routing.program import lower_next_hop
+        from repro.sim import simulate_all_pairs
 
         g = small_corpus_graph
         rf_a = ShortestPathTableScheme(tie_break=rule).build(g)
         rf_b = ShortestPathTableScheme(tie_break=rule).build(g.copy())
         # Two independent builds compile to identical next-hop matrices...
-        assert np.array_equal(compile_next_hop(rf_a), compile_next_hop(rf_b))
+        assert np.array_equal(lower_next_hop(rf_a).next_node, lower_next_hop(rf_b).next_node)
         # ...and the batched and per-pair simulations of either coincide.
         result = simulate_all_pairs(rf_a)
         assert np.array_equal(result.require_all_delivered(), all_pairs_routing_lengths(rf_b))
