@@ -2,7 +2,8 @@
 
 * exact vs greedy canonicalisation of constraint matrices (correctness is
   exactness of class separation; cost is the p!·q! search);
-* scipy all-pairs distances vs the stacked pure-python BFS oracle;
+* the bit-parallel BFS kernel vs scipy's all-pairs BFS vs the stacked
+  pure-python BFS oracle;
 * raw vs interval vs default-port routing-table coders on different graph
   families (the constant factor of the ``Θ(n log n)`` upper bound).
 """
@@ -15,7 +16,7 @@ import pytest
 from conftest import print_rows
 from repro.constraints.matrix import ConstraintMatrix, canonical_form, canonical_form_greedy
 from repro.graphs import generators
-from repro.graphs.shortest_paths import bfs_distances, distance_matrix
+from repro.graphs.shortest_paths import bfs_distances, bfs_rows
 from repro.memory.coder import DefaultPortCoder, IntervalTableCoder, RawTableCoder
 from repro.routing.tables import ShortestPathTableScheme
 
@@ -40,12 +41,20 @@ def test_canonicalisation_modes(benchmark, mode):
 
 
 @pytest.mark.benchmark(group="ablation-distance")
-@pytest.mark.parametrize("backend", ["bfs-stack", "scipy"])
+@pytest.mark.parametrize("backend", ["bfs-stack", "bit-parallel", "scipy"])
 def test_distance_backend(benchmark, backend):
     graph = generators.random_connected_graph(200, extra_edge_prob=0.03, seed=7)
+    indptr, indices = graph.adjacency_arrays()
     oracle = np.vstack([bfs_distances(graph, s) for s in range(graph.n)])
-    if backend == "scipy":
-        result = benchmark(distance_matrix, graph)
+    if backend == "bit-parallel":
+        result = benchmark(bfs_rows, indptr, indices, graph.n)
+    elif backend == "scipy":
+        csgraph = pytest.importorskip("scipy.sparse.csgraph")
+        from scipy.sparse import csr_matrix
+
+        adjacency = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(graph.n, graph.n))
+        raw = benchmark(csgraph.shortest_path, adjacency, unweighted=True, directed=False)
+        result = raw.astype(np.int64)
     else:
         result = benchmark(lambda: np.vstack([bfs_distances(graph, s) for s in range(graph.n)]))
     assert result.tobytes() == oracle.tobytes()

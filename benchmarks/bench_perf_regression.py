@@ -84,7 +84,7 @@ from repro.constraints.enumeration import (
 from repro.constraints.matrix import ConstraintMatrix, clear_canonicalisation_cache
 from repro.constraints.verifier import forced_first_arcs
 from repro.graphs import generators
-from repro.graphs.shortest_paths import distance_matrix
+from repro.graphs.shortest_paths import bfs_rows, distance_matrix
 from repro.routing.interval import IntervalRoutingScheme
 from repro.routing.model import SchemeInapplicableError, TableRoutingFunction
 from repro.routing.paths import all_pairs_routing_lengths
@@ -325,16 +325,25 @@ def test_first_arcs_fast_path(benchmark):
 
 
 @pytest.mark.benchmark(group="perf-regression")
-def test_distance_matrix_cached_csr(benchmark):
+def test_distance_matrix_n512(benchmark):
+    # The bit-parallel BFS kernel itself: distance_matrix memoises its
+    # result on the graph, so the pin times the kernel over the cached
+    # adjacency and checks it byte-equal against scipy's BFS.
     graph = generators.random_connected_graph(512, extra_edge_prob=0.01, seed=7)
-    distance_matrix(graph)  # warm the CSR cache
+    indptr, indices = graph.adjacency_arrays()
 
     def _run():
-        return distance_matrix(graph)
+        return bfs_rows(indptr, indices, graph.n)
 
     dist = benchmark.pedantic(_run, rounds=3, iterations=1)
-    _check_budget("distance_matrix_scipy_n512", benchmark.stats.stats.median)
-    assert dist.shape == (512, 512)
+    _check_budget("distance_matrix_n512", benchmark.stats.stats.median)
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    from scipy.sparse import csr_matrix
+
+    adjacency = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(graph.n, graph.n))
+    oracle = csgraph.shortest_path(adjacency, method="D", unweighted=True, directed=False)
+    assert dist.tobytes() == np.where(np.isfinite(oracle), oracle, -1).astype(np.int64).tobytes()
+    assert distance_matrix(graph).tobytes() == dist.tobytes()
 
 
 @pytest.mark.benchmark(group="perf-regression")
@@ -689,20 +698,21 @@ def test_churn_delta_speedup_vs_recompile_n1024(benchmark):
 @pytest.mark.benchmark(group="perf-regression")
 def test_table_compile_n1024(benchmark):
     # The compile-path pin: a cold compile of the shortest-path table scheme
-    # on the n = 1024 hypercube (compile_scheme_program copies the graph, so
-    # every round rebuilds its CSR cache).  The stage split is printed so a
-    # regression names its stage: all-pairs distances, the vectorised port
-    # primitive, and the class-owned next-node lowering.
+    # on the n = 1024 hypercube.  Copies share the memoised distances, so
+    # every round compiles a freshly generated graph.  The stage split is
+    # printed so a regression names its stage: all-pairs distances, the
+    # vectorised port primitive, and the class-owned next-node lowering.
     graph = generators.hypercube(CHURN_FLIP_DIM)
     scheme = ShortestPathTableScheme(tie_break="lowest_port")
+    fresh = iter([generators.hypercube(CHURN_FLIP_DIM) for _ in range(3)])
 
     def _run():
-        return compile_scheme_program(scheme, graph)
+        return compile_scheme_program(scheme, next(fresh))
 
     program = benchmark.pedantic(_run, rounds=3, iterations=1)
     compile_s = benchmark.stats.stats.median
     _check_budget("table_compile_n1024", compile_s)
-    cold = graph.copy()
+    cold = generators.hypercube(CHURN_FLIP_DIM)
     dist, dist_s = _time(distance_matrix, cold)
     ports, ports_s = _time(shortest_path_ports, cold, "lowest_port", dist)
     lowered, lower_s = _time(lower_next_hop, TableRoutingFunction(cold, ports, validate=False))
@@ -727,11 +737,14 @@ def test_header_state_compile_n1024(benchmark):
     # rewriting landmark scheme on the n = 1024 hypercube.  The split names
     # the stage of a regression: the scheme build and the
     # level-synchronous state closure over the class-owned transitions.
+    # Every round compiles a freshly generated graph (copies would share
+    # the memoised distances).
     graph = generators.hypercube(CHURN_FLIP_DIM)
     scheme = scheme_registry(seed=0)["landmark-rewriting"]
+    fresh = iter([generators.hypercube(CHURN_FLIP_DIM) for _ in range(3)])
 
     def _run():
-        return compile_scheme_program(scheme, graph)
+        return compile_scheme_program(scheme, next(fresh))
 
     program = benchmark.pedantic(_run, rounds=3, iterations=1)
     compile_s = benchmark.stats.stats.median
@@ -940,8 +953,7 @@ def _measure_pinned_paths() -> dict:
         forced_first_arcs, cg.graph, cg.constrained, cg.targets, 2.0, strict=True, method="bfs"
     )
     graph = generators.random_connected_graph(512, extra_edge_prob=0.01, seed=7)
-    distance_matrix(graph)
-    _, dist_s = _time(distance_matrix, graph)
+    _, dist_s = _time(bfs_rows, *graph.adjacency_arrays(), graph.n)
     rf = _simulator_routing_function()
     _, sim_s = _time(simulate_all_pairs, rf)
     interval_rf = _interval_routing_function()
@@ -983,9 +995,13 @@ def _measure_pinned_paths() -> dict:
         dist_before=churn_dist,
     )
     _, verify_s = _time(verify_program, churn_prog)
-    _, table_compile_s = _time(compile_scheme_program, churn_scheme, churn_graph)
+    _, table_compile_s = _time(
+        compile_scheme_program, churn_scheme, generators.hypercube(CHURN_FLIP_DIM)
+    )
     _, header_compile_s = _time(
-        compile_scheme_program, scheme_registry(seed=0)["landmark-rewriting"], churn_graph
+        compile_scheme_program,
+        scheme_registry(seed=0)["landmark-rewriting"],
+        generators.hypercube(CHURN_FLIP_DIM),
     )
 
     flow_s = {}
@@ -1005,7 +1021,7 @@ def _measure_pinned_paths() -> dict:
     return {
         "enumerate_3_4_3": enum_s,
         "first_arcs_lemma2_p32_q60_d10": arcs_s,
-        "distance_matrix_scipy_n512": dist_s,
+        "distance_matrix_n512": dist_s,
         "simulate_all_pairs_tables_n256": sim_s,
         "header_compiled_interval_n128": header_s,
         "program_sweep_warm_medium": sweep_s,

@@ -34,7 +34,6 @@ from repro.analysis.runner import (
     ExperimentCache,
     ShardStats,
     ShardedRunner,
-    cached_distance_matrix,
     measure_cell,
     scheme_fingerprint,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "ExperimentCache",
     "ShardStats",
     "ShardedRunner",
-    "cached_distance_matrix",
     "measure_cell",
     "scheme_fingerprint",
     "ResilienceCellResult",

@@ -33,6 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.graphs.digraph import PortLabeledGraph
+from repro.graphs.shortest_paths import distance_matrix
 from repro.routing.model import SchemeInapplicableError
 from repro.routing.program import (
     DELTA_PATCHED,
@@ -150,11 +151,7 @@ def churn_cell(
     peak arc load and the fraction of traffic the patch moved between arcs.
     Generic programs skip the flow metrics (``None`` fields).
     """
-    from repro.analysis.runner import (
-        cached_distance_matrix,
-        cached_program,
-        scheme_fingerprint,
-    )
+    from repro.analysis.runner import cached_program, scheme_fingerprint
 
     static_verify = verify == "static"
     rows: List[ChurnCellResult] = []
@@ -175,7 +172,7 @@ def churn_cell(
                     flow,
                     graph.n,
                     seed=demand_seed,
-                    dist=cached_distance_matrix(graph, cache),
+                    dist=distance_matrix(graph),
                 )
             prev_flow = route_demand(program, demand)
         dist = None

@@ -321,11 +321,9 @@ def _measured_cell(
     """
 
     def compute() -> Dict[str, object]:
-        # One shared all-pairs BFS per instance; built on a copy since the
-        # complete-graph schemes relabel ports in place and the cache row
-        # is keyed by the pre-build fingerprint.  The matrix is always
-        # passed down so the stretch computation never re-derives it.
-        dist = distance_matrix(graph) if runner is None else runner.distance_matrix(graph)
+        # Built on a copy since the complete-graph schemes relabel ports
+        # in place and the cache row is keyed by the pre-build fingerprint.
+        dist = distance_matrix(graph)
         m = measure_scheme(scheme, graph.copy(), dist=dist)
         return {"local_bits": m.local_bits, "stretch": m.stretch}
 
@@ -443,7 +441,7 @@ def stretch_tradeoff_experiment(
     for name, scheme in schemes:
 
         def compute(scheme=scheme) -> Dict[str, object]:
-            dist = distance_matrix(graph) if runner is None else runner.distance_matrix(graph)
+            dist = distance_matrix(graph)
             m = measure_scheme(scheme, graph.copy(), dist=dist)
             return {
                 "stretch": m.stretch,

@@ -67,6 +67,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.graphs.shortest_paths import distance_matrix
 from repro.routing.model import SchemeInapplicableError
 from repro.routing.program import (
     GenericProgram,
@@ -629,7 +630,7 @@ def flow_cell(
     lengths-sharing economy the sweep is built around.
     Generic programs decline the cell (nothing to aggregate over).
     """
-    from repro.analysis.runner import _cached_program_with_rf, cached_distance_matrix
+    from repro.analysis.runner import _cached_program_with_rf
 
     program, _ = _cached_program_with_rf(scheme, graph, cache)
     if isinstance(program, GenericProgram):
@@ -637,7 +638,7 @@ def flow_cell(
             "generic programs carry no transition arrays to aggregate demand over"
         )
     report = resolve_fates(program)
-    dist = cached_distance_matrix(graph, cache)
+    dist = distance_matrix(graph)
     rows: List[FlowCellResult] = []
     for name in models:
         dm = demand_matrix(name, graph.n, total=total, seed=demand_seed, dist=dist)

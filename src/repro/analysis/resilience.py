@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.graphs.digraph import PortLabeledGraph
-from repro.graphs.shortest_paths import UNREACHABLE
+from repro.graphs.shortest_paths import UNREACHABLE, distance_matrix
 from repro.routing.model import SchemeInapplicableError
 from repro.routing.program import GenericProgram
 from repro.sim.faults import (
@@ -136,7 +136,7 @@ def resilience_cell(
     program's peak arc load.  Generic programs skip the flow metrics
     (``None`` fields) since they carry no transition arrays to mask.
     """
-    from repro.analysis.runner import _cached_program_with_rf, cached_distance_matrix
+    from repro.analysis.runner import _cached_program_with_rf
 
     program, rf = _cached_program_with_rf(scheme, graph, cache)
     if isinstance(program, GenericProgram) and rf is None:
@@ -152,7 +152,7 @@ def resilience_cell(
             flow,
             graph.n,
             seed=demand_seed,
-            dist=cached_distance_matrix(graph, cache),
+            dist=distance_matrix(graph),
         )
     rows: List[ResilienceCellResult] = []
     graph_fp = graph.fingerprint()  # loop-invariant: hash the graph once

@@ -12,9 +12,9 @@ incremental sweep:
   (:meth:`repro.graphs.digraph.PortLabeledGraph.fingerprint`: topology and
   port labelling, hash-seed independent), a **scheme-config fingerprint**
   (:func:`scheme_fingerprint`: class identity plus every constructor-held
-  attribute) and a schema version.  Pickled artefacts are distance matrices
-  and per-cell simulation/measurement results; **compiled routing
-  programs** (:func:`cached_program`) live in the content-addressed
+  attribute) and a schema version.  Pickled artefacts are per-cell
+  simulation/measurement results and surviving-graph distances;
+  **compiled routing programs** (:func:`cached_program`) live in the content-addressed
   :class:`repro.store.ProgramStore` rooted at the same directory —
   ``objects/<fp[:2]>/<fp>.rpg`` named by the program's own content
   fingerprint plus a JSONL key manifest — so warm lookups mmap the object
@@ -23,7 +23,8 @@ incremental sweep:
   identical programs reached through different keys share one object (see
   ``docs/architecture.md``).  Invalidation is purely by key: editing a
   graph changes its fingerprint, reconfiguring a scheme changes its
-  fingerprint, and bumping :data:`CACHE_SCHEMA` orphans every old entry.
+  fingerprint, and bumping :data:`repro.store.CACHE_SCHEMA` orphans every
+  old entry.
   Writes are atomic (temp file + ``os.replace``) so shard workers may share
   one directory; corrupt or unreadable entries degrade to misses — loudly:
   each one emits a :class:`RuntimeWarning` naming the offending path and is
@@ -74,7 +75,7 @@ from repro.graphs.shortest_paths import distance_matrix
 from repro.routing.model import RoutingFunction, SchemeInapplicableError
 from repro.routing.program import GenericProgram, HeaderStateExplosionError, RoutingProgram
 from repro.routing.verify import verify_program
-from repro.store import ProgramStore
+from repro.store import ProgramStore, cache_key
 from repro.analysis.table1 import (
     SchemeMeasurement,
     Table1Row,
@@ -84,7 +85,6 @@ from repro.analysis.table1 import (
 )
 
 __all__ = [
-    "CACHE_SCHEMA",
     "CellOutcome",
     "ExperimentCache",
     "ProgramCellResult",
@@ -92,7 +92,6 @@ __all__ = [
     "ShardedRunner",
     "SweepSpec",
     "VerifyCellResult",
-    "cached_distance_matrix",
     "cached_program",
     "cell_spec",
     "churn_spec",
@@ -101,15 +100,6 @@ __all__ = [
     "resilience_spec",
     "scheme_fingerprint",
 ]
-
-#: Version tag baked into every cache key; bump on any change to what a
-#: cached value means (fields, measurement semantics) to orphan old
-#: entries instead of replaying them.  3: compile-once measurement cells
-#: (simulation and memory scored against the cached RoutingProgram).
-#: 4: program format version 3 (header-state programs store transitions
-#: only); old records become orphans for ``repro store gc``.
-CACHE_SCHEMA = 4
-
 
 def _canonical(obj) -> object:
     """Deterministic, hash-seed-independent canonical form of a config object.
@@ -293,7 +283,7 @@ class ExperimentCache:
     """Fingerprint-keyed artifact cache, shared safely between shard workers.
 
     Two storage layers under one lookup surface: pickled *results*
-    (distance matrices, measurement cells) keyed directly by hash, and
+    (measurement cells, surviving-graph distances) keyed directly by hash, and
     compiled *programs* in a content-addressed
     :class:`repro.store.ProgramStore` (``objects/`` + JSONL manifest)
     rooted at the same directory — which is what gives program artifacts
@@ -354,7 +344,7 @@ class ExperimentCache:
 
     def key(self, *parts) -> str:
         """Hash key of ``parts`` (strings/ints/fingerprints) plus the schema."""
-        return hashlib.sha256(repr((CACHE_SCHEMA,) + parts).encode()).hexdigest()
+        return cache_key(*parts)
 
     def program_key(self, graph_fp: str, scheme_fp: str) -> str:
         """Key of the compiled program of a (graph, scheme config) pair."""
@@ -492,16 +482,6 @@ class ExperimentCache:
         self.program_store.put(key, program, graph_fp=graph, scheme_fp=scheme)
 
 
-def cached_distance_matrix(graph: PortLabeledGraph, cache: ExperimentCache) -> np.ndarray:
-    """Distance matrix of ``graph``, cached under its fingerprint.
-
-    Distances are invariant under port relabelling, but the fingerprint
-    covers ports anyway — a relabelled graph re-keys conservatively rather
-    than risking a stale hit on a changed instance.
-    """
-    return cache.get(lambda: distance_matrix(graph), "dist", graph.fingerprint())
-
-
 def cached_program(
     scheme,
     graph: PortLabeledGraph,
@@ -597,7 +577,7 @@ def measure_cell(
         cache = ExperimentCache(None)
 
     def compute() -> SchemeMeasurement:
-        dist = cached_distance_matrix(graph, cache)
+        dist = distance_matrix(graph)
         build_copy = graph.copy()
         try:
             rf = scheme.build(build_copy)
@@ -628,7 +608,7 @@ def _conformance_cell(
     from repro.sim.conformance import conformance_report
 
     def compute():
-        dist = cached_distance_matrix(graph, cache)
+        dist = distance_matrix(graph)
         program, rf = _cached_program_with_rf(scheme, graph, cache)
         return conformance_report(
             scheme, graph, family=family, dist=dist, label=label, program=program, rf=rf
@@ -681,7 +661,7 @@ def _program_cell(
 ) -> "ProgramCellResult":
     """One compile+execute cell of a program sweep (results never cached).
 
-    Only the artifacts are cached (program bytes + distance matrix), so a
+    Only the program artifacts are cached, so a
     re-sweep genuinely *executes* cached programs — the compile hit-rate in
     the resulting :class:`ShardStats` measures exactly how many schemes
     were never re-built.
@@ -998,7 +978,7 @@ class ShardedRunner:
     processes:
         Worker processes; ``None`` picks ``min(8, cpu_count)``; values
         ``<= 1`` run cells serially in-process (sharing one cache object,
-        which keeps distance matrices hot across schemes of a family).
+        and each family graph's memoised distance matrix across its schemes).
     """
 
     def __init__(
@@ -1244,14 +1224,6 @@ class ShardedRunner:
         return self.cache.get(
             compute, "row", kind, graph.fingerprint(), scheme_fingerprint(scheme)
         )
-
-    def distance_matrix(self, graph: PortLabeledGraph) -> np.ndarray:
-        """Distance matrix of ``graph`` through the runner's cache.
-
-        Lets row bodies share one all-pairs BFS per instance instead of
-        recomputing it per scheme cell.
-        """
-        return cached_distance_matrix(graph, self.cache)
 
     def stats(self) -> ShardStats:
         """Lifetime hit/miss totals of the runner's own (serial) cache."""

@@ -6,9 +6,10 @@ ports at a vertex ``x`` are labelled ``1..deg(x)``.  This subpackage
 provides:
 
 * :class:`~repro.graphs.digraph.PortLabeledGraph` — the central graph data
-  structure with explicit, mutable port labellings.
-* :mod:`repro.graphs.shortest_paths` — BFS based single-source and all-pairs
-  distances (vectorised with numpy/scipy for the benchmark-scale graphs),
+  structure with explicit, mutable port labellings and memoised
+  per-snapshot distances and fingerprint.
+* :mod:`repro.graphs.shortest_paths` — BFS distances (the pure-numpy
+  bit-parallel kernel ``bfs_rows`` behind every distance matrix),
   shortest-path DAGs, and bounded-length path enumeration (used by the
   matrix-of-constraints verifier).
 * :mod:`repro.graphs.generators` — the graph families the paper discusses
@@ -20,12 +21,13 @@ provides:
   generators and to select applicable routing schemes.
 """
 
-from repro.graphs.digraph import Arc, PortLabeledGraph
+from repro.graphs.digraph import Arc, DerivedState, PortLabeledGraph
 from repro.graphs.shortest_paths import (
     all_pairs_distances,
     all_shortest_paths,
     bfs_distances,
     bfs_parents,
+    bfs_rows,
     bounded_paths,
     distance_matrix,
     eccentricities,
@@ -39,11 +41,13 @@ from repro.graphs import properties
 
 __all__ = [
     "Arc",
+    "DerivedState",
     "PortLabeledGraph",
     "all_pairs_distances",
     "all_shortest_paths",
     "bfs_distances",
     "bfs_parents",
+    "bfs_rows",
     "bounded_paths",
     "distance_matrix",
     "eccentricities",

@@ -25,7 +25,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 
 import numpy as np
 
-__all__ = ["Arc", "PortLabeledGraph"]
+__all__ = ["Arc", "DerivedState", "PortLabeledGraph"]
 
 
 @dataclass(frozen=True, order=True)
@@ -44,6 +44,20 @@ class Arc:
     def reversed_endpoints(self) -> Tuple[int, int]:
         """Return ``(head, tail)`` — the endpoints of the symmetric arc."""
         return (self.head, self.tail)
+
+
+class DerivedState:
+    """Memoised distance matrix and fingerprint of one graph snapshot.
+
+    Shared by a graph and its unmutated copies; a mutation gives the
+    mutated graph a fresh, empty holder.
+    """
+
+    __slots__ = ("distances", "fingerprint")
+
+    def __init__(self) -> None:
+        self.distances: Optional[np.ndarray] = None
+        self.fingerprint: Optional[str] = None
 
 
 class PortLabeledGraph:
@@ -73,9 +87,9 @@ class PortLabeledGraph:
         self._port_of: List[Dict[int, int]] = [dict() for _ in range(self._n)]
         # _neighbor_at[u][p] = v such that arc (u, v) has port p
         self._neighbor_at: List[Dict[int, int]] = [dict() for _ in range(self._n)]
-        # Lazily built adjacency caches (see adjacency_arrays / csr_adjacency).
+        # Lazily built caches (see adjacency_arrays and derived).
         self._adj_arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._csr_cache = None
+        self._derived = DerivedState()
         if edges is not None:
             for u, v in edges:
                 self.add_edge(u, v)
@@ -169,11 +183,12 @@ class PortLabeledGraph:
         return g
 
     def copy(self) -> "PortLabeledGraph":
-        """Return a deep copy preserving the port labelling."""
+        """Deep copy preserving the port labelling, sharing :attr:`derived`."""
         g = PortLabeledGraph(self._n)
         for u in range(self._n):
             g._port_of[u] = dict(self._port_of[u])
             g._neighbor_at[u] = dict(self._neighbor_at[u])
+        g._derived = self._derived
         return g
 
     # ------------------------------------------------------------------
@@ -241,9 +256,14 @@ class PortLabeledGraph:
     # cached adjacency
     # ------------------------------------------------------------------
     def _invalidate_adjacency(self) -> None:
-        """Drop the cached adjacency; called by every mutating operation."""
+        """Drop the caches; every mutator calls it (copies keep the old holder)."""
         self._adj_arrays = None
-        self._csr_cache = None
+        self._derived = DerivedState()
+
+    @property
+    def derived(self) -> DerivedState:
+        """The :class:`DerivedState` of the current snapshot."""
+        return self._derived
 
     def adjacency_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Cached CSR-style adjacency ``(indptr, indices)`` in port order.
@@ -252,9 +272,8 @@ class PortLabeledGraph:
         sorted by output port, so the ``k``-th entry of the slice is the
         neighbour behind port ``k + 1``.  The arrays are built once and
         reused until the graph is mutated (edge/vertex insertion or port
-        relabelling); callers must treat them as read-only.  This is the
-        backbone of the fast BFS and of :func:`~repro.graphs.shortest_paths.distance_matrix`,
-        which previously re-extracted Python edge lists on every call.
+        relabelling); callers must treat them as read-only.  Every BFS of
+        :mod:`repro.graphs.shortest_paths` runs on them.
         """
         if self._adj_arrays is None:
             degrees = np.fromiter(
@@ -271,24 +290,6 @@ class PortLabeledGraph:
                     pos += 1
             self._adj_arrays = (indptr, indices)
         return self._adj_arrays
-
-    def csr_adjacency(self):
-        """Cached :class:`scipy.sparse.csr_matrix` adjacency (0/1 entries).
-
-        Built from :meth:`adjacency_arrays` without any Python-level edge
-        loop and invalidated on mutation; used by the scipy all-pairs
-        distances of :func:`~repro.graphs.shortest_paths.distance_matrix`.
-        """
-        if self._csr_cache is None:
-            from scipy.sparse import csr_matrix
-
-            indptr, indices = self.adjacency_arrays()
-            data = np.ones(indices.shape[0], dtype=np.int8)
-            self._csr_cache = csr_matrix(
-                (data, indices.astype(np.int32, copy=True), indptr.astype(np.int32, copy=True)),
-                shape=(self._n, self._n),
-            )
-        return self._csr_cache
 
     # ------------------------------------------------------------------
     # port labelling
@@ -383,15 +384,18 @@ class PortLabeledGraph:
         hash seed, so it is safe as an on-disk cache key
         (:mod:`repro.analysis.runner`) and as a pin in regression tests —
         a generator or registry change that silently produces a different
-        instance changes the fingerprint.
+        instance changes the fingerprint.  Memoised in :attr:`derived`.
         """
-        digest = hashlib.sha256()
-        digest.update(f"n={self._n}".encode())
-        for u in range(self._n):
-            digest.update(b"|")
-            for v, p in sorted(self._port_of[u].items()):
-                digest.update(f"{v}:{p},".encode())
-        return digest.hexdigest()
+        derived = self._derived
+        if derived.fingerprint is None:
+            digest = hashlib.sha256()
+            digest.update(f"n={self._n}".encode())
+            for u in range(self._n):
+                digest.update(b"|")
+                for v, p in sorted(self._port_of[u].items()):
+                    digest.update(f"{v}:{p},".encode())
+            derived.fingerprint = digest.hexdigest()
+        return derived.fingerprint
 
     def check_port_consistency(self) -> None:
         """Validate internal invariants; raise :class:`AssertionError` on failure.
@@ -411,6 +415,17 @@ class PortLabeledGraph:
     # ------------------------------------------------------------------
     # dunder helpers
     # ------------------------------------------------------------------
+    def __getstate__(self) -> Dict[str, object]:
+        """Pickle the labelled topology only: caches and derived state rebuild."""
+        state = dict(self.__dict__)
+        del state["_adj_arrays"], state["_derived"]
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._adj_arrays = None
+        self._derived = DerivedState()
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PortLabeledGraph(n={self._n}, m={self.num_edges})"
 

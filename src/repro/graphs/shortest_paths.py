@@ -10,8 +10,13 @@ to ``b`` of length at most ``s * d(a, b)``.
 This module provides:
 
 * plain BFS (:func:`bfs_distances`, :func:`bfs_parents`) for single sources,
-* an all-pairs distance matrix (:func:`distance_matrix`) backed by
-  :func:`scipy.sparse.csgraph.shortest_path` on all but tiny graphs,
+* :func:`bfs_rows`, the package's one many-source distance kernel: a
+  bit-parallel BFS, 64 sources per ``uint64`` word (the multi-source BFS
+  of Then et al., "The More the Merrier", VLDB 2014), behind all-pairs,
+  fault-masked and dirty-column distances alike,
+* the all-pairs matrix (:func:`distance_matrix`), computed once per graph
+  snapshot and memoised on the graph, so every scheme build, flow cell
+  and churn delta on one topology reads the same read-only array,
 * shortest-path extraction and enumeration
   (:func:`shortest_path`, :func:`all_shortest_paths`,
   :func:`shortest_path_dag`),
@@ -40,9 +45,8 @@ BFS from the target per pair in the common case:
   ``G - s`` BFS, one per pair.
 
 The legacy exponential enumeration survives as ``method="enumerate"`` and is
-cross-checked bit-for-bit against the oracle by the test-suite.  BFS itself
-runs on the cached CSR adjacency of :class:`~repro.graphs.digraph.PortLabeledGraph`
-instead of per-call dict traversals.
+cross-checked bit-for-bit against the oracle by the test-suite.  Every BFS
+here runs on the cached CSR adjacency of :class:`PortLabeledGraph`.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ from repro.graphs.digraph import Arc, PortLabeledGraph
 __all__ = [
     "bfs_distances",
     "bfs_parents",
+    "bfs_rows",
     "distance_matrix",
     "all_pairs_distances",
     "eccentricities",
@@ -126,41 +131,61 @@ def bfs_parents(graph: PortLabeledGraph, source: int) -> Tuple[np.ndarray, np.nd
     return dist, parent
 
 
-def distance_matrix(graph: PortLabeledGraph) -> np.ndarray:
-    """All-pairs distance matrix of the graph.
+def bfs_rows(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    n: int,
+    sources: Optional[Sequence[int]] = None,
+) -> np.ndarray:
+    """BFS distances from many sources at once, 64 per ``uint64`` word.
 
-    Graphs of at least 64 vertices go through
-    :func:`scipy.sparse.csgraph.shortest_path` (BFS on the unweighted,
-    cached CSR adjacency).  Smaller ones run one BFS from every source at
-    once over the dense 0/1 adjacency: the ``(n, n)`` frontier advances by
-    one matrix product per level.  Small-graph workloads therefore never
-    import ``scipy.sparse`` (about 30 MB of resident memory).
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(n, n)`` int64 matrix; unreachable pairs hold :data:`UNREACHABLE`.
+    ``(indptr, indices)`` is a symmetric CSR adjacency over ``n`` vertices
+    (:meth:`PortLabeledGraph.adjacency_arrays` or a masked copy).  Bit
+    ``i`` of a vertex's word row says source ``i`` has reached it; a level
+    of every BFS is one ``np.bitwise_or.reduceat`` over the neighbours'
+    frontier words, written out through one ``unpackbits`` mask.  Returns
+    int64 rows ``d(sources[i], .)`` (all ``n`` sources when ``None``),
+    :data:`UNREACHABLE` where no path exists.
     """
-    n = graph.n
-    if n == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    if n < 64:
-        indptr, indices = graph.adjacency_arrays()
-        # float64 so the product runs in BLAS; path counts stay exact.
-        adjacency = np.zeros((n, n))
-        adjacency[np.repeat(np.arange(n), np.diff(indptr)), indices] = 1.0
-        dist = np.full((n, n), UNREACHABLE, dtype=np.int64)
-        frontier = np.eye(n, dtype=bool)
+    cols = np.arange(n) if sources is None else np.asarray(sources, dtype=np.int64)
+    k = cols.shape[0]
+    # dist[v, i] = d(cols[i], v): the layout the bit rows unpack into.
+    dist = np.full((n, k), UNREACHABLE, dtype=np.int64)
+    if n and k:
+        bits = np.arange(k)
+        seen = np.zeros((n, (k + 63) // 64), dtype="<u8")
+        np.bitwise_or.at(seen, (cols, bits // 64), np.uint64(1) << (bits % 64).astype(np.uint64))
+        dist[cols, bits] = 0
+        frontier = seen
+        nonempty = np.flatnonzero(np.diff(indptr))
+        starts = indptr[nonempty]
         level = 0
-        while frontier.any():
-            dist[frontier] = level
+        while nonempty.size:
             level += 1
-            frontier = (frontier @ adjacency > 0) & (dist == UNREACHABLE)
-        return dist
-    from scipy.sparse.csgraph import shortest_path as _sp
+            reached = np.zeros_like(seen)
+            reached[nonempty] = np.bitwise_or.reduceat(frontier[indices], starts, axis=0)
+            frontier = reached & ~seen
+            if not frontier.any():
+                break
+            seen = seen | frontier
+            fresh = np.unpackbits(frontier.view(np.uint8), axis=1, count=k, bitorder="little")
+            dist[fresh.view(bool)] = level
+    # All-pairs distances of a symmetric graph are a symmetric matrix.
+    return dist if sources is None else np.ascontiguousarray(dist.T)
 
-    dist = _sp(graph.csr_adjacency(), method="D", unweighted=True, directed=False)
-    return np.where(np.isfinite(dist), dist, UNREACHABLE).astype(np.int64)
+
+def distance_matrix(graph: PortLabeledGraph) -> np.ndarray:
+    """All-pairs ``(n, n)`` int64 distances; :data:`UNREACHABLE` if no path.
+
+    Runs :func:`bfs_rows` once per graph snapshot and memoises the result
+    in :attr:`PortLabeledGraph.derived`, which unmutated copies share.
+    The array is read-only: copy it before editing.
+    """
+    derived = graph.derived
+    if derived.distances is None:
+        derived.distances = bfs_rows(*graph.adjacency_arrays(), graph.n)
+        derived.distances.flags.writeable = False
+    return derived.distances
 
 
 #: Old name of :func:`distance_matrix`, the one documented entry point for

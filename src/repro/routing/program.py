@@ -54,6 +54,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, List, Optional,
 import numpy as np
 
 from repro.graphs.digraph import PortLabeledGraph
+from repro.graphs.shortest_paths import UNREACHABLE, bfs_rows, distance_matrix
 from repro.routing.model import (
     DELIVER,
     DestinationBasedRoutingFunction,
@@ -990,25 +991,6 @@ class DeltaResult:
 #: when two of them and a hop are summed.
 _DIST_INF = np.int64(1) << 40
 
-#: Matches :data:`repro.graphs.shortest_paths.UNREACHABLE` without the
-#: import cycle (shortest_paths is graph-layer, this module routing-layer;
-#: both pin the value in their tests).
-_UNREACHABLE = -1
-
-
-def _bfs_columns(graph: PortLabeledGraph, sources: np.ndarray) -> np.ndarray:
-    """BFS distance rows from ``sources``, batched through one scipy call.
-
-    Returns an ``(len(sources), n)`` int64 array with ``_UNREACHABLE`` for
-    unreachable pairs — one call instead of ``len(sources)`` Python-level
-    BFS traversals, the difference between a removal delta that beats a
-    recompile and one that merely matches it.
-    """
-    from scipy.sparse.csgraph import dijkstra
-
-    raw = np.atleast_2d(dijkstra(graph.csr_adjacency(), unweighted=True, indices=sources))
-    return np.where(np.isfinite(raw), raw, _UNREACHABLE).astype(np.int64)
-
 
 def incremental_distance_matrix(
     graph_after: PortLabeledGraph,
@@ -1029,7 +1011,8 @@ def incremental_distance_matrix(
       endpoint ``a`` of a removed edge lost a shortest-path parent edge
       towards ``t`` (``d(a, t) == d(b, t) + 1``) *and* has no neighbour at
       ``d(a, t) - 1`` left in ``graph_after``; those columns are rebuilt by
-      one targeted BFS each on ``graph_after``.  In every other column
+      one :func:`~repro.graphs.shortest_paths.bfs_rows` call from them on
+      ``graph_after``.  In every other column
       each vertex keeps a neighbour at its old distance minus one, so the
       old distances are realised by paths of ``graph_after``; removals
       never shorten a path, so the additions' relaxation below makes the
@@ -1050,19 +1033,19 @@ def incremental_distance_matrix(
         affected = np.zeros(n, dtype=bool)
         for u, v in removed:
             for a, b in ((u, v), (v, u)):
-                lost = (d[a] == d[b] + 1) & (d[b] != _UNREACHABLE)
+                lost = (d[a] == d[b] + 1) & (d[b] != UNREACHABLE)
                 if lost.any():
                     nbrs = indices[indptr[a] : indptr[a + 1]]
                     affected |= lost & ~(d[nbrs] == d[a] - 1).any(axis=0)
         sources = np.nonzero(affected)[0]
         if sources.size:
-            cols = _bfs_columns(graph_after, sources)
+            cols = bfs_rows(indptr, indices, n, sources=sources)
             d[:, sources] = cols.T
             d[sources, :] = cols
             recomputed = int(sources.size)
     rounds = 0
     if added:
-        work = np.where(d == _UNREACHABLE, _DIST_INF, d)
+        work = np.where(d == UNREACHABLE, _DIST_INF, d)
         while True:
             progressed = False
             for u, v in added:
@@ -1075,8 +1058,16 @@ def incremental_distance_matrix(
             if not progressed:
                 break
             rounds += 1
-        d = np.where(work >= _DIST_INF, np.int64(_UNREACHABLE), work)
+        d = np.where(work >= _DIST_INF, np.int64(UNREACHABLE), work)
     return d, rounds, recomputed
+
+
+def _edge_codes(graph: PortLabeledGraph) -> np.ndarray:
+    """Sorted ``u * n + v`` codes of the undirected edges ``u < v``."""
+    indptr, indices = graph.adjacency_arrays()
+    tails = np.repeat(np.arange(graph.n), np.diff(indptr))
+    keep = tails < indices
+    return np.sort(tails[keep] * graph.n + indices[keep])
 
 
 def _port_dirty_vertices(
@@ -1253,31 +1244,33 @@ def apply_delta(
         return _recompiled()
 
     n = graph_after.n
-    before_edges = set(graph_before.edges())
-    after_edges = set(graph_after.edges())
-    added = sorted(after_edges - before_edges)
-    removed = sorted(before_edges - after_edges)
+    before, after = _edge_codes(graph_before), _edge_codes(graph_after)
+    added = [divmod(int(c), n) for c in after[~np.isin(after, before, assume_unique=True)]]
+    removed = [divmod(int(c), n) for c in before[~np.isin(before, after, assume_unique=True)]]
 
     if dist_before is None:
-        from repro.graphs.shortest_paths import distance_matrix
-
         dist_before = distance_matrix(graph_before)
     dist_after, rounds, recomputed = incremental_distance_matrix(
         graph_after, dist_before, added, removed
     )
-    if n > 1 and (dist_after == _UNREACHABLE).any():
+    if n > 1 and (dist_after == UNREACHABLE).any():
         # The change disconnected the graph: a fresh build would refuse, and
         # the delta must be indistinguishable from it.
         return _recompiled()
 
     changed = dist_after != dist_before
     dirty = np.array(changed)
+    indptr, indices = graph_after.adjacency_arrays()
     if changed.any():
         # One-hop propagation: x's choice for dest reads the distances of
         # its neighbours, so a change at v invalidates every neighbour of v.
-        dirty |= np.asarray(
-            (graph_after.csr_adjacency() @ changed.astype(np.int8)) > 0
-        )
+        # The OR over neighbours runs on the changed columns only, bit-packed.
+        cols = np.flatnonzero(changed.any(axis=0))
+        rows = np.flatnonzero(np.diff(indptr))
+        packed = np.packbits(changed[:, cols], axis=1, bitorder="little")
+        reached = np.bitwise_or.reduceat(packed[indices], indptr[rows], axis=0)
+        unpacked = np.unpackbits(reached, axis=1, count=cols.size, bitorder="little")
+        dirty[np.ix_(rows, cols)] |= unpacked.view(bool)
     port_dirty = _port_dirty_vertices(graph_before, graph_after)
     if port_dirty:
         dirty[port_dirty, :] = True
@@ -1291,7 +1284,6 @@ def apply_delta(
 
     ports = shortest_path_ports(graph_after, scheme.tie_break, dist_after, dirty=dirty)
     xs, dests = np.nonzero(dirty)
-    indptr, indices = graph_after.adjacency_arrays()
     next_node = np.array(program.next_node, copy=True)  # mmap views are read-only
     next_node[xs, dests] = indices[indptr[xs] + ports[xs, dests] - 1]
 

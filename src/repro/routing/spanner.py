@@ -98,13 +98,7 @@ def spanner_stretch(graph: PortLabeledGraph, spanner: PortLabeledGraph) -> float
         return 1.0
     dg = distance_matrix(graph)
     dh = distance_matrix(spanner)
-    worst = 1.0
-    for u in range(graph.n):
-        for v in range(u + 1, graph.n):
-            if dg[u, v] == UNREACHABLE:
-                continue
-            if dh[u, v] == UNREACHABLE:
-                return float("inf")
-            if dg[u, v] > 0:
-                worst = max(worst, dh[u, v] / dg[u, v])
-    return float(worst)
+    pairs = dg > 0  # distinct pairs connected in the original graph
+    if (dh[pairs] == UNREACHABLE).any():
+        return float("inf")
+    return float(np.max(dh[pairs] / dg[pairs], initial=1.0))

@@ -64,7 +64,7 @@ def shortest_path_ports(
         dist = distance_matrix(graph)
     ports = np.zeros((n, n), dtype=np.int64)
     indptr, indices = graph.adjacency_arrays()
-    for x in range(n):
+    for x in range(n) if dirty is None else np.flatnonzero(dirty.any(axis=1)):
         dests = np.nonzero((dist[x] > 0) if dirty is None else (dist[x] > 0) & dirty[x])[0]
         if not dests.size:
             continue

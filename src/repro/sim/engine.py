@@ -227,10 +227,9 @@ class SimulationResult:
     def max_stretch(self, dist: Optional[np.ndarray] = None, graph: Optional[PortLabeledGraph] = None) -> Fraction:
         """Exact worst-case stretch of the delivered routes as a fraction.
 
-        ``dist`` is the distance matrix (computed from ``graph`` when
-        omitted — grid drivers should always pass their cached matrix, see
-        :func:`repro.analysis.runner.cached_distance_matrix`, so sweeps
-        never recompute distances per cell).  Raises :class:`ValueError`
+        ``dist`` is the distance matrix (read from ``graph`` when omitted:
+        :func:`~repro.graphs.shortest_paths.distance_matrix` memoises it on
+        the graph, so sweeps never recompute it per cell).  Raises :class:`ValueError`
         when a pair is undelivered: lost pairs carry the ``-1`` length
         sentinel, which must never leak into a ratio or be silently skipped
         — callers wanting the legacy fail-fast matrix should go through
@@ -578,10 +577,9 @@ def simulated_stretch_factor(
     """Exact stretch factor ``s(R, G)`` computed through the batched simulator.
 
     Equivalent to :func:`repro.routing.paths.stretch_factor` (the test-suite
-    pins the equality) at a fraction of the interpreted work.  Grid drivers
-    pass their cached ``dist`` (recomputing the distance matrix per scheme
-    cell is the waste :func:`repro.analysis.runner.cached_distance_matrix`
-    exists to avoid) and optionally a pre-compiled ``program``.
+    pins the equality) at a fraction of the interpreted work.  ``dist``
+    defaults to the graph's memoised distance matrix; ``program`` may
+    supply a pre-compiled program.
     """
     result = simulate_all_pairs(rf, program=program)
     return result.max_stretch(dist=dist, graph=rf.graph)

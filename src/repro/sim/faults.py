@@ -62,7 +62,7 @@ from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.graphs.digraph import PortLabeledGraph
-from repro.graphs.shortest_paths import UNREACHABLE
+from repro.graphs.shortest_paths import UNREACHABLE, bfs_rows
 from repro.routing.model import DELIVER, RoutingFunction
 from repro.routing.program import (
     DROPPED,
@@ -303,9 +303,6 @@ def surviving_distance_matrix(
     """
     faults.validate(graph)
     n = graph.n
-    dist = np.full((n, n), UNREACHABLE, dtype=np.int64)
-    if n == 0:
-        return dist
     alive = faults.alive_mask(n)
     indptr, indices = graph.adjacency_arrays()
     tails = np.repeat(np.arange(n), np.diff(indptr))
@@ -313,26 +310,9 @@ def surviving_distance_matrix(
     codes = faults.edge_codes(n)
     if codes.size:
         ok &= ~np.isin(tails * n + indices, codes)
-    masked_indices = indices[ok]
-    counts = np.bincount(tails[ok], minlength=n)
     masked_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=masked_indptr[1:])
-
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import shortest_path as _sp
-
-    adj = csr_matrix(
-        (
-            np.ones(masked_indices.shape[0], dtype=np.int8),
-            # scipy's CSR graph routines want int32 index arrays.
-            masked_indices.astype(np.int32, copy=True),  # repro-lint: allow-dtype
-            masked_indptr.astype(np.int32, copy=True),  # repro-lint: allow-dtype
-        ),
-        shape=(n, n),
-    )
-    raw = _sp(adj, method="D", unweighted=True, directed=False)
-    finite = np.isfinite(raw)
-    dist[finite] = raw[finite].astype(np.int64)
+    np.cumsum(np.bincount(tails[ok], minlength=n), out=masked_indptr[1:])
+    dist = bfs_rows(masked_indptr, indices[ok], n)
     dist[~alive, :] = UNREACHABLE
     dist[:, ~alive] = UNREACHABLE
     return dist

@@ -56,6 +56,7 @@ and mmap program loading all read and write through this module.  See
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
@@ -73,9 +74,11 @@ from repro.routing.program import (
 from repro.routing.verify import ProgramVerificationError, verify_program
 
 __all__ = [
+    "CACHE_SCHEMA",
     "GcStats",
     "ProgramStore",
     "StoreRecord",
+    "cache_key",
     "default_store_root",
 ]
 
@@ -84,6 +87,19 @@ STORE_ENV = "REPRO_STORE"
 
 #: Verdict tag for cached build refusals of partial schemes.
 VERDICT_INAPPLICABLE = "inapplicable"
+
+#: Version tag baked into every cache key; bump on any change to what a
+#: cached value means (fields, measurement semantics) to orphan old
+#: entries instead of replaying them.  3: compile-once measurement cells
+#: (simulation and memory scored against the cached RoutingProgram).
+#: 4: program format version 3 (header-state programs store transitions
+#: only).  :meth:`ProgramStore.gc` drops the records an older schema left.
+CACHE_SCHEMA = 4
+
+
+def cache_key(*parts: object) -> str:
+    """Hash key of ``parts`` (strings/ints/fingerprints) under :data:`CACHE_SCHEMA`."""
+    return hashlib.sha256(repr((CACHE_SCHEMA,) + parts).encode()).hexdigest()
 
 
 def default_store_root() -> Path:
@@ -362,9 +378,11 @@ class ProgramStore:
         """Collect garbage; optionally evict LRU objects down to ``max_bytes``.
 
         Three passes: (1) delete **orphans** — objects on disk that no live
-        manifest record references; (2) with ``max_bytes``, evict
-        least-recently-used referenced objects (and every record naming
-        them) until the survivors' total size fits the bound; (3) rewrite
+        manifest record references (a record naming its graph and scheme is
+        live only while its key is theirs under :data:`CACHE_SCHEMA`); (2)
+        with ``max_bytes``, evict least-recently-used referenced objects
+        (and every record naming them) until the survivors' total size fits
+        the bound; (3) rewrite
         the manifest atomically to exactly the surviving records, compacting
         superseded appends away.  A manifest-referenced object is never
         deleted without its records going with it, so the post-gc store is
@@ -374,7 +392,13 @@ class ProgramStore:
         could drop a record appended mid-pass); quiesce sweeps first.
         """
         stats = GcStats()
-        live = {r.key: r for r in self.records()}
+        live = {
+            r.key: r
+            for r in self.records()
+            if r.graph is None
+            or r.scheme is None
+            or r.key == cache_key("program", r.graph, r.scheme)
+        }
         referenced: Dict[str, List[str]] = {}
         for key, record in live.items():
             if record.object_id is not None:

@@ -40,6 +40,11 @@ from the peel, never from the resolver they are an oracle of.
 ``tests/test_execution.py`` pins the resolver-backed executors against
 them.
 
+:func:`scipy_distances` is the distance oracle of the bit-parallel BFS
+:func:`repro.graphs.shortest_paths.bfs_rows`: scipy's unweighted
+shortest paths over the same CSR arrays, the path the library computed
+distances with before scipy left its runtime dependencies.
+
 :func:`walk_loads` is the per-hop frontier walk of the flow engine, the
 vectorised oracle of :func:`repro.analysis.flow.route_demand`'s subtree
 sums: ``tests/test_flow.py`` asserts byte-equal loads for next-hop,
@@ -128,6 +133,32 @@ if _HAS_HYPOTHESIS:
         return random_churn_trace(
             graph, steps=steps, flips_per_step=flips, seed=trace_seed, p_add=p_add
         )
+
+
+def scipy_distances(indptr, indices, n, sources=None):
+    """scipy's BFS distances over a CSR adjacency, in the kernel's layout.
+
+    ``(n, n)`` for all sources, ``(len(sources), n)`` rows otherwise; int64
+    with ``-1`` for unreachable pairs.
+    """
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    from scipy.sparse import csr_matrix
+
+    if n == 0:
+        return np.zeros((0, 0) if sources is None else (len(sources), 0), dtype=np.int64)
+    adjacency = csr_matrix(
+        (np.ones(len(indices), dtype=np.int8), np.asarray(indices), np.asarray(indptr)),
+        shape=(n, n),
+    )
+    if sources is None:
+        raw = csgraph.shortest_path(adjacency, method="D", unweighted=True, directed=False)
+    elif len(sources) == 0:
+        return np.zeros((0, n), dtype=np.int64)
+    else:
+        raw = np.atleast_2d(
+            csgraph.dijkstra(adjacency, unweighted=True, indices=np.asarray(sources))
+        )
+    return np.where(np.isfinite(raw), raw, -1).astype(np.int64)
 
 
 def build_next_hop_matrix(graph, tie_break="lowest_port", dist=None):

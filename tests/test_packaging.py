@@ -39,13 +39,16 @@ def test_pyproject_declares_src_layout_deps_and_extras():
     assert project["name"]
     assert project["version"]
     deps = " ".join(project["dependencies"])
-    for dep in ("numpy", "scipy", "networkx"):
+    for dep in ("numpy", "networkx"):
         assert dep in deps, f"{dep} missing from install dependencies"
+    # scipy is only the distance oracle of the tests and benchmarks.
+    assert "scipy" not in deps, "scipy is not a runtime dependency"
     extras = project["optional-dependencies"]
     assert "test" in extras and "bench" in extras
     test_extra = " ".join(extras["test"])
-    for tool in ("pytest", "hypothesis", "pytest-benchmark", "pytest-cov"):
+    for tool in ("pytest", "hypothesis", "pytest-benchmark", "pytest-cov", "scipy"):
         assert tool in test_extra, f"{tool} missing from the test extra"
+    assert "scipy" in " ".join(extras["bench"]), "scipy missing from the bench extra"
     assert cfg["tool"]["setuptools"]["packages"]["find"]["where"] == ["src"]
     assert cfg["build-system"]["build-backend"] == "setuptools.build_meta"
     assert project["scripts"]["repro"] == "repro.cli.main:main"

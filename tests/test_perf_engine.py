@@ -230,8 +230,8 @@ def test_distance_matrix_does_not_reextract_edges(monkeypatch):
         graph, "neighbors", lambda u: pytest.fail("distance_matrix walked neighbour dicts")
     )
     again = distance_matrix(graph)
-    assert np.array_equal(first, again)
-    assert graph.csr_adjacency() is graph.csr_adjacency()
+    assert again is first  # memoised on the graph's derived state
+    assert graph.derived.distances is first
 
 
 def test_adjacency_arrays_in_port_order():
@@ -244,10 +244,11 @@ def test_adjacency_arrays_in_port_order():
 
 def test_adjacency_cache_invalidated_on_mutation():
     graph = PortLabeledGraph(4, [(0, 1), (1, 2)])
-    csr = graph.csr_adjacency()
+    distance_matrix(graph)
+    derived = graph.derived
     arrays = graph.adjacency_arrays()
     graph.add_edge(2, 3)
-    assert graph.csr_adjacency() is not csr
+    assert graph.derived is not derived and graph.derived.distances is None
     assert graph.adjacency_arrays() is not arrays
     assert list(bfs_distances(graph, 0)) == [0, 1, 2, 3]
     # Port relabelling changes neighbour order, which the arrays encode.
@@ -273,12 +274,13 @@ def test_adjacency_cache_after_add_vertex():
 def test_adjacency_cache_invalidated_on_set_port_labeling():
     graph = generators.petersen_graph()
     arrays = graph.adjacency_arrays()
-    csr = graph.csr_adjacency()
+    distance_matrix(graph)
+    derived = graph.derived
     nbrs = graph.neighbors(0)
     reversed_map = {v: len(nbrs) - i for i, v in enumerate(nbrs)}
     graph.set_port_labeling(0, reversed_map)
     assert graph.adjacency_arrays() is not arrays
-    assert graph.csr_adjacency() is not csr
+    assert graph.derived is not derived and graph.derived.distances is None
     indptr, indices = graph.adjacency_arrays()
     assert [int(v) for v in indices[indptr[0] : indptr[1]]] == [
         graph.neighbor_at_port(0, p) for p in graph.ports(0)
@@ -323,8 +325,8 @@ def test_copy_does_not_share_adjacency_cache():
 
 def test_scheme_port_relabeling_refreshes_distances():
     # ModularCompleteGraphScheme relabels every vertex in place; a distance
-    # matrix computed beforehand (warming the CSR cache) must not leak a
-    # stale adjacency into BFS sweeps afterwards.
+    # matrix memoised beforehand must not leak a stale adjacency into BFS
+    # sweeps afterwards.
     from repro.routing.complete import ModularCompleteGraphScheme
 
     graph = generators.complete_graph(8)

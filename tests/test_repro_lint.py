@@ -90,7 +90,7 @@ class TestDtypeRule:
         assert _lint(tmp_path, "src/repro/sim/faults.py", src) == []
 
     def test_escape_comment(self, tmp_path):
-        src = "import numpy as np\nidx = idx.astype(np.int32)  # repro-lint: allow-dtype (scipy CSR)\n"
+        src = "import numpy as np\nidx = idx.astype(np.int32)  # repro-lint: allow-dtype (ids)\n"
         assert _lint(tmp_path, "src/repro/sim/faults.py", src) == []
 
     def test_out_of_scope_module_ignored(self, tmp_path):
@@ -279,6 +279,45 @@ class TestPoolImportRule:
     def test_escape_comment_does_not_apply(self, tmp_path):
         src = "import multiprocessing  # repro-lint: allow-pool\n"
         assert _codes(_lint(tmp_path, "src/repro/sim/x.py", src)) == ["REP006"]
+
+
+class TestScipyImportRule:
+    SCIPY = (
+        "import scipy\n",
+        "import scipy.sparse\n",
+        "import scipy.sparse.csgraph as csgraph\n",
+        "from scipy import sparse\n",
+        "from scipy.sparse.csgraph import shortest_path\n",
+        "def f():\n    from scipy.sparse import csr_matrix\n",
+    )
+
+    @pytest.mark.parametrize("source", SCIPY)
+    @pytest.mark.parametrize(
+        "rel",
+        [
+            "src/repro/graphs/shortest_paths.py",
+            "src/repro/sim/faults.py",
+            "src/repro/routing/program.py",
+            "src/repro/store.py",
+        ],
+    )
+    def test_scipy_imports_flagged_everywhere_in_the_package(self, tmp_path, rel, source):
+        findings = _lint(tmp_path, rel, source)
+        assert _codes(findings) == ["REP007"]
+        assert "bfs_rows" in findings[0].message
+
+    def test_tests_and_benchmarks_may_import_scipy(self, tmp_path):
+        src = "from scipy.sparse.csgraph import shortest_path\n"
+        assert _lint(tmp_path, "tests/conftest.py", src) == []
+        assert _lint(tmp_path, "benchmarks/bench_x.py", src) == []
+
+    def test_lookalike_names_allowed(self, tmp_path):
+        src = "import scipy_stub\nfrom . import scipy\nfrom repro import scipy_free\n"
+        assert _lint(tmp_path, "src/repro/graphs/x.py", src) == []
+
+    def test_escape_comment_does_not_apply(self, tmp_path):
+        src = "import scipy  # repro-lint: allow-scipy\n"
+        assert _codes(_lint(tmp_path, "src/repro/graphs/x.py", src)) == ["REP007"]
 
 
 class TestDriver:

@@ -27,7 +27,6 @@ from repro.analysis.experiments import (
 from repro.analysis.runner import (
     ExperimentCache,
     ShardedRunner,
-    cached_distance_matrix,
     measure_cell,
     scheme_fingerprint,
 )
@@ -119,10 +118,11 @@ class TestExperimentCache:
     def test_disk_cache_round_trips_across_instances(self, tmp_path):
         first = ExperimentCache(tmp_path)
         graph = generators.grid_2d(3, 3)
-        dist = cached_distance_matrix(graph, first)
+        compute = lambda: np.array(distance_matrix(graph))  # noqa: E731
+        dist = first.get(compute, "probe", graph.fingerprint())
         assert first.misses == 1
         second = ExperimentCache(tmp_path)
-        again = cached_distance_matrix(graph, second)
+        again = second.get(compute, "probe", graph.fingerprint())
         assert second.hits == 1 and second.misses == 0
         assert np.array_equal(dist, again)
         assert np.array_equal(dist, distance_matrix(graph))

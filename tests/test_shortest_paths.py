@@ -2,10 +2,6 @@
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -65,9 +61,10 @@ class TestDistanceMatrix:
         ],
         ids=["hypercube7", "torus8x8", "grid9x11", "cycle130", "random100", "split-path70"],
     )
-    def test_scipy_matches_stacked_bfs_oracle(self, graph):
-        # Graphs of >= 64 vertices take the scipy path; the one-BFS-per-source
-        # stack is its oracle: byte-equal values and dtype, -1 when unreachable.
+    def test_multi_word_graphs_match_stacked_bfs_oracle(self, graph):
+        # Graphs of >= 64 vertices pack their sources into several words;
+        # the one-BFS-per-source stack is the oracle: byte-equal values and
+        # dtype, -1 when unreachable.
         oracle = np.vstack([bfs_distances(graph, s) for s in range(graph.n)])
         d = distance_matrix(graph)
         assert d.dtype == oracle.dtype
@@ -86,30 +83,13 @@ class TestDistanceMatrix:
         ],
         ids=["single", "petersen", "hypercube5", "grid7x9", "tree40", "random63", "split-path12"],
     )
-    def test_dense_frontier_bfs_matches_stacked_bfs_oracle(self, graph):
-        # Below 64 vertices all sources advance together, one matrix product
-        # per level; the one-BFS-per-source stack is its oracle.
+    def test_single_word_graphs_match_stacked_bfs_oracle(self, graph):
+        # Below 64 vertices every source fits one word; the
+        # one-BFS-per-source stack is the oracle.
         oracle = np.vstack([bfs_distances(graph, s) for s in range(graph.n)])
         d = distance_matrix(graph)
         assert d.dtype == oracle.dtype
         assert d.tobytes() == oracle.tobytes()
-
-    def test_small_graphs_do_not_import_scipy(self):
-        # Below 64 vertices the dense frontier BFS answers directly, so
-        # small-graph workloads never pay scipy.sparse's import and resident
-        # memory.
-        code = (
-            "import sys\n"
-            "from repro.graphs import generators\n"
-            "from repro.graphs.shortest_paths import distance_matrix\n"
-            "distance_matrix(generators.grid_2d(7, 9))\n"
-            "print('scipy.sparse' in sys.modules)\n"
-        )
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-        )
-        assert out.stdout.strip() == "False"
 
     def test_symmetric_and_zero_diagonal(self):
         g = generators.petersen_graph()

@@ -269,6 +269,44 @@ def test_gc_compacts_superseded_manifest_appends(tmp_path):
     assert store.get("same-key", verify=True)[0]
 
 
+def test_gc_reclaims_records_of_a_superseded_cache_schema(tmp_path, monkeypatch):
+    import repro.store
+    from repro.analysis.runner import ShardedRunner
+    from repro.sim.registry import graph_families
+
+    families = graph_families("small")
+    both = {name: families[name] for name in ("petersen", "cycle")}
+    ShardedRunner(tmp_path, processes=1).program_sweep(families=both)
+    store = ProgramStore(tmp_path)
+    old = store.records()
+    old_objects = {r.object_id for r in old if r.object_id is not None}
+    assert any(r.verdict for r in old) and old_objects
+    # Under the schema that wrote them every record is live.
+    assert store.gc().orphans_removed == 0 and len(store.records()) == len(old)
+
+    monkeypatch.setattr(repro.store, "CACHE_SCHEMA", 5)
+    ShardedRunner(tmp_path, processes=1).program_sweep(families={"petersen": both["petersen"]})
+    manual = store.put("hand-written", _program(n=13, seed=4))  # no provenance: kept
+    store = ProgramStore(tmp_path)
+    current = [r for r in store.records() if r.key not in {o.key for o in old}]
+    current_objects = {r.object_id for r in current if r.object_id is not None}
+    superseded = old_objects - current_objects
+    assert superseded  # the cycle's programs were not recompiled under 5
+    stats = store.gc()
+    assert stats.orphans_removed == len(superseded)
+    for object_id in superseded:
+        assert not store.object_path(object_id).exists()
+    assert {r.key for r in store.records()} == {r.key for r in current}
+    for record in current:
+        if record.key == manual.key:
+            continue
+        assert record.key == repro.store.cache_key("program", record.graph, record.scheme)
+        found, _ = store.get(record.key, verify=record.object_id is not None)
+        assert found
+    assert store.get("hand-written", verify=True)[0]
+    assert _closure_holds(store)
+
+
 def test_gc_keeps_shared_object_while_any_record_references_it(tmp_path):
     store = ProgramStore(tmp_path)
     shared = store.put("key-a", _program(seed=5))

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific AST lint for the routing/sim core.
 
-Six rules guard invariants that generic linters cannot see, all scoped
+Seven rules guard invariants that generic linters cannot see, all scoped
 to the modules where the invariant lives:
 
 REP001  Raw ``-2`` / ``-3`` integer literals anywhere in ``repro.sim`` or
@@ -21,7 +21,7 @@ REP002  Bare narrow integer dtype literals (``np.int16`` / ``np.int32``)
         width tracks its domain; a hard-coded width either wastes memory
         or overflows.  Escape with ``# repro-lint: allow-dtype`` where a
         fixed width is the point (the ``transition_dtype`` ladder itself,
-        scipy's int32 CSR index arrays).
+        the fate resolver's int32 state ids).
 
 REP003  Nondeterminism in the compile/verify modules
         (``routing/program.py``, ``routing/verify.py``): ``import
@@ -65,6 +65,14 @@ REP006  Process pools outside the sweep dispatcher.  In
         isolation, timings and ordering live in one place instead of a
         second hand-rolled pool.  There is no escape comment: a new pool
         belongs in the dispatcher.
+
+REP007  Any ``scipy`` import anywhere under ``src/repro``.  Distances
+        come from the bit-parallel BFS of
+        :func:`repro.graphs.shortest_paths.bfs_rows`, and scipy is a test
+        and benchmark extra, not a runtime dependency: an import would
+        fail on a plain install, and importing ``scipy.sparse`` costs a
+        quarter second and ~30 MB of resident memory per process.  There
+        is no escape comment; oracles that need scipy live in ``tests/``.
 
 Pure stdlib (``ast`` + ``tokenize``): runs anywhere CPython runs, no
 installs.  Exit status 1 when any finding is emitted, 0 on a clean tree.
@@ -113,6 +121,9 @@ CLI_SCOPE = ("src/repro/cli",)
 POOL_SCOPE = ("src/repro/analysis", "src/repro/cli", "src/repro/sim")
 POOL_OWNER = "src/repro/analysis/runner.py"
 POOL_MODULES = ("concurrent.futures", "multiprocessing")
+
+#: REP007 scope: the whole runtime package.
+SCIPY_SCOPE = ("src/repro",)
 
 #: Identifier substrings that mark a per-pair/per-arc array in that scope.
 PAIR_MARKERS = (
@@ -414,22 +425,28 @@ def check_cli_prints(path: Path, tree: ast.Module, source: str) -> Iterator[Find
         )
 
 
-def _is_pool_module(name: str) -> bool:
-    return any(name == mod or name.startswith(mod + ".") for mod in POOL_MODULES)
+def _is_module(name: str, modules: Sequence[str]) -> bool:
+    return any(name == mod or name.startswith(mod + ".") for mod in modules)
+
+
+def _imported_names(tree: ast.Module) -> Iterator[tuple]:
+    """``(node, names)`` for every absolute import in the module, nested too.
+
+    ``from a import b`` names both ``a`` and ``a.b``, so a rule on the
+    module ``a.b`` also catches ``from a import b``.
+    """
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield node, [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            yield node, [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
 
 
 def check_pool_imports(path: Path, tree: ast.Module, source: str) -> Iterator[Finding]:
     """REP006: process-pool imports outside the sweep dispatcher."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
-            # ``from concurrent import futures`` names the pool module too.
-            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
-        else:
-            continue
+    for node, names in _imported_names(tree):
         for name in names:
-            if _is_pool_module(name):
+            if _is_module(name, POOL_MODULES):
                 yield Finding(
                     path,
                     node.lineno,
@@ -438,6 +455,19 @@ def check_pool_imports(path: Path, tree: ast.Module, source: str) -> Iterator[Fi
                     "cells through ShardedRunner.stream, the one dispatcher",
                 )
                 break
+
+
+def check_scipy_imports(path: Path, tree: ast.Module, source: str) -> Iterator[Finding]:
+    """REP007: scipy imports in the runtime package."""
+    for node, names in _imported_names(tree):
+        if any(_is_module(name, ("scipy",)) for name in names):
+            yield Finding(
+                path,
+                node.lineno,
+                "REP007",
+                "scipy imported under src/repro: it is not a runtime dependency; "
+                "use repro.graphs.shortest_paths.bfs_rows (scipy oracles belong in tests/)",
+            )
 
 
 def _in_scope(path: Path, scope: Sequence[str], root: Path) -> bool:
@@ -471,6 +501,8 @@ def lint_file(path: Path, root: Path = ROOT) -> List[Finding]:
         findings.extend(check_cli_prints(path, tree, source))
     if _in_scope(path, POOL_SCOPE, root) and not _in_scope(path, (POOL_OWNER,), root):
         findings.extend(check_pool_imports(path, tree, source))
+    if _in_scope(path, SCIPY_SCOPE, root):
+        findings.extend(check_scipy_imports(path, tree, source))
     return findings
 
 
@@ -479,7 +511,13 @@ def lint_tree(root: Path = ROOT) -> List[Finding]:
     findings: List[Finding] = []
     seen: Set[Path] = set()
     for scope in (
-        SENTINEL_SCOPE, DTYPE_SCOPE, DETERMINISM_SCOPE, FLOW_SCOPE, CLI_SCOPE, POOL_SCOPE
+        SENTINEL_SCOPE,
+        DTYPE_SCOPE,
+        DETERMINISM_SCOPE,
+        FLOW_SCOPE,
+        CLI_SCOPE,
+        POOL_SCOPE,
+        SCIPY_SCOPE,
     ):
         for entry in scope:
             target = root / entry
