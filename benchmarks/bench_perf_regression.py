@@ -11,13 +11,14 @@ Two jobs:
   machine-to-machine constant factors and catches *algorithmic* regressions
   (someone reintroducing a Python permutation loop or an exponential DFS).
 * **Prove the speedups.**  ``test_*_speedup_vs_seed`` run the seed
-  implementations (``enumerate_canonical_matrices_legacy``,
-  ``method="enumerate"``, per-pair ``all_pairs_routing_lengths``) against
-  the new engines on the same inputs, assert bit-for-bit identical results,
+  implementations, kept as the test oracles of ``tests/oracles.py``
+  (``product_walk_canonical_matrices``, ``enumerated_forced_first_arcs``,
+  per-pair ``all_pairs_routing_lengths``), against the new engines on the
+  same inputs, assert bit-for-bit identical results,
   and assert the speedup floors from the issues: >= 10x for
   ``enumerate_canonical_matrices(3, 4, 3)``-class enumeration, >= 20x for
   the first arcs on a Lemma 2 constraint graph, >= 10x for the batched
-  all-pairs routing simulator against legacy per-pair routing on an
+  all-pairs routing simulator against per-pair routing on an
   n = 256 random connected graph, >= 5x for the header-compiled
   state-machine path against the generic per-message interpreter on an
   interval-routing scheme over the n = 128 grid, >= 5x for
@@ -74,22 +75,24 @@ import pytest
 import numpy as np
 
 from conftest import print_rows
+from oracles import (
+    all_pairs_routing_lengths,
+    enumerated_forced_first_arcs,
+    product_walk_canonical_matrices,
+)
 from repro.analysis.flow import route_demand, uniform_demand
 from repro.analysis.runner import ShardedRunner
 from repro.constraints.builder import build_constraint_graph
-from repro.constraints.enumeration import (
-    enumerate_canonical_matrices,
-    enumerate_canonical_matrices_legacy,
-)
+from repro.constraints.enumeration import enumerate_canonical_matrices
 from repro.constraints.matrix import ConstraintMatrix, clear_canonicalisation_cache
 from repro.constraints.verifier import forced_first_arcs
 from repro.graphs import generators
 from repro.graphs.shortest_paths import bfs_rows, distance_matrix
 from repro.routing.interval import IntervalRoutingScheme
 from repro.routing.model import SchemeInapplicableError, TableRoutingFunction
-from repro.routing.paths import all_pairs_routing_lengths
 from repro.routing.program import (
     DELTA_PATCHED,
+    GenericProgram,
     NextHopProgram,
     apply_delta,
     compile_scheme_program,
@@ -264,6 +267,16 @@ def _interval_routing_function():
     return IntervalRoutingScheme().build(graph)
 
 
+def _header_compiled(rf):
+    """All pairs through the header-state program, lowered on the clock."""
+    return simulate_all_pairs(rf, program=lower_header_state(rf))
+
+
+def _generic(rf):
+    """All pairs through the generic per-message interpreter."""
+    return simulate_all_pairs(rf, program=GenericProgram(num_vertices=rf.graph.n))
+
+
 def _load_baseline() -> dict:
     with BASELINE_PATH.open() as handle:
         return json.load(handle)
@@ -314,9 +327,7 @@ def test_first_arcs_fast_path(benchmark):
     cg = _first_arc_graph()
 
     def _run():
-        return forced_first_arcs(
-            cg.graph, cg.constrained, cg.targets, 2.0, strict=True, method="bfs"
-        )
+        return forced_first_arcs(cg.graph, cg.constrained, cg.targets, 2.0, strict=True)
 
     grid = benchmark.pedantic(_run, rounds=3, iterations=1)
     _check_budget("first_arcs_lemma2_p32_q60_d10", benchmark.stats.stats.median)
@@ -365,7 +376,7 @@ def test_header_compiled_fast_path(benchmark):
     rf = _interval_routing_function()
 
     def _run():
-        return simulate_all_pairs(rf, method="header-compiled")
+        return _header_compiled(rf)
 
     result = benchmark.pedantic(_run, rounds=3, iterations=1)
     _check_budget("header_compiled_interval_n128", benchmark.stats.stats.median)
@@ -379,7 +390,7 @@ def test_header_compiled_fast_path(benchmark):
 @pytest.mark.benchmark(group="perf-regression")
 def test_enumeration_speedup_vs_seed(benchmark):
     p, q, d = ENUMERATION_CASE["p"], ENUMERATION_CASE["q"], ENUMERATION_CASE["d"]
-    legacy, legacy_s = _time(enumerate_canonical_matrices_legacy, p, q, d)
+    legacy, legacy_s = _time(product_walk_canonical_matrices, p, q, d)
 
     def _run():
         clear_canonicalisation_cache()
@@ -403,14 +414,11 @@ def test_enumeration_speedup_vs_seed(benchmark):
 def test_first_arcs_speedup_vs_seed(benchmark):
     cg = _first_arc_graph()
     legacy, legacy_s = _time(
-        forced_first_arcs, cg.graph, cg.constrained, cg.targets, 2.0, strict=True,
-        method="enumerate",
+        enumerated_forced_first_arcs, cg.graph, cg.constrained, cg.targets, 2.0, strict=True
     )
 
     def _run():
-        return forced_first_arcs(
-            cg.graph, cg.constrained, cg.targets, 2.0, strict=True, method="bfs"
-        )
+        return forced_first_arcs(cg.graph, cg.constrained, cg.targets, 2.0, strict=True)
 
     fast = benchmark.pedantic(_run, rounds=3, iterations=1)
     fast_s = benchmark.stats.stats.median
@@ -463,10 +471,10 @@ def test_simulator_speedup_vs_legacy(benchmark):
 @pytest.mark.benchmark(group="perf-regression")
 def test_header_compiled_speedup_vs_generic(benchmark):
     rf = _interval_routing_function()
-    generic, generic_s = _time(simulate_all_pairs, rf, method="generic")
+    generic, generic_s = _time(_generic, rf)
 
     def _run():
-        return simulate_all_pairs(rf, method="header-compiled")
+        return _header_compiled(rf)
 
     result = benchmark.pedantic(_run, rounds=3, iterations=1)
     fast_s = benchmark.stats.stats.median
@@ -484,7 +492,7 @@ def test_header_compiled_speedup_vs_generic(benchmark):
         ],
     )
     # Bit-for-bit differential equality against the generic interpreter and
-    # the legacy per-pair simulator.
+    # the per-pair oracle router.
     assert np.array_equal(result.lengths, generic.lengths)
     assert np.array_equal(result.delivered, generic.delivered)
     assert np.array_equal(result.misdelivered, generic.misdelivered)
@@ -779,7 +787,7 @@ def test_verify_speedup_vs_simulate_n1024(benchmark):
     scheme = ShortestPathTableScheme(tie_break="lowest_port")
     rf = scheme.build(graph.copy())
     program = compile_scheme_program(scheme, graph)
-    generic, generic_s = _time(simulate_all_pairs, rf, method="generic")
+    generic, generic_s = _time(_generic, rf)
     compiled, compiled_s = _time(simulate_all_pairs, program)
 
     def _run():
@@ -949,15 +957,13 @@ def _measure_pinned_paths() -> dict:
 
     _, enum_s = _time(cold_enumeration)
     cg = _first_arc_graph()
-    _, arcs_s = _time(
-        forced_first_arcs, cg.graph, cg.constrained, cg.targets, 2.0, strict=True, method="bfs"
-    )
+    _, arcs_s = _time(forced_first_arcs, cg.graph, cg.constrained, cg.targets, 2.0, strict=True)
     graph = generators.random_connected_graph(512, extra_edge_prob=0.01, seed=7)
     _, dist_s = _time(bfs_rows, *graph.adjacency_arrays(), graph.n)
     rf = _simulator_routing_function()
     _, sim_s = _time(simulate_all_pairs, rf)
     interval_rf = _interval_routing_function()
-    _, header_s = _time(simulate_all_pairs, interval_rf, method="header-compiled")
+    _, header_s = _time(_header_compiled, interval_rf)
 
     with tempfile.TemporaryDirectory() as sweep_dir:
         runner = ShardedRunner(cache_dir=sweep_dir, processes=1)

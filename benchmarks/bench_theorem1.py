@@ -11,37 +11,72 @@ Shape checks (the paper's claims):
   bound (Theorem 1 says tables are optimal, not beatable);
 * the per-router bound is at least the quoted ``n^{1-eps} log n`` form;
 * the reconstruction succeeds on every built instance.
+
+Built instances up to ``LEGACY_WORK_CEILING`` vertices are also verified
+old-vs-new: the BFS first-arc oracle against the seed's path enumeration
+(``tests/oracles.py``), which must force the same arcs.
 """
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from conftest import print_rows
+from oracles import enumerated_forced_first_arcs
 from repro.analysis.experiments import theorem1_experiment
-from repro.constraints.lower_bound import routers_below_threshold_limit, theorem1_bound
+from repro.constraints.lower_bound import (
+    routers_below_threshold_limit,
+    theorem1_bound,
+    worst_case_network,
+)
+
+#: Largest built instance whose verification is raced against the path
+#: enumeration: it needs ~2 minutes for the n=512 builds, the BFS oracle ~1s.
+LEGACY_WORK_CEILING = 256
+
+SEED = 3
+
+
+def _old_vs_new(row):
+    """Add ``verify_enumerate_s`` / ``verify_speedup`` columns to one built row."""
+    cg = worst_case_network(row["n"], row["eps"], seed=SEED)
+    start = time.perf_counter()
+    legacy = enumerated_forced_first_arcs(cg.graph, cg.constrained, cg.targets, 2.0, strict=True)
+    row["verify_enumerate_s"] = time.perf_counter() - start
+    row["verify_speedup"] = (
+        row["verify_enumerate_s"] / row["verify_bfs_s"] if row["verify_bfs_s"] > 0 else float("inf")
+    )
+    forced = [list(arcs) for arcs in cg.verify().forced_arcs]
+    assert forced == legacy, (
+        f"first-arc engines disagree on the n={row['n']}, eps={row['eps']} worst-case network"
+    )
+    return row
 
 
 @pytest.mark.benchmark(group="theorem1")
 def test_theorem1_bound_sweep(benchmark):
     # The grid gains one size step over the seed in both directions: the
     # closed-form sweep reaches n=8192 and instances are now built (and
-    # verified as matrices of constraints, old-vs-new) up to n=512 — the BFS
-    # first-arc oracle makes the stretch<2 verification tractable there.
+    # verified as matrices of constraints) up to n=512 — the BFS first-arc
+    # oracle makes the stretch<2 verification tractable there.
     rows = benchmark.pedantic(
         theorem1_experiment,
         kwargs={
             "sizes": [64, 128, 256, 512, 1024, 2048, 4096, 8192],
             "eps_values": [0.25, 0.5, 0.75],
             "build_instances_up_to": 512,
+            "seed": SEED,
             "time_verification": True,
-            # The legacy enumeration needs ~2 minutes for the n=512 builds
-            # (the BFS oracle needs ~1s); keep the old-vs-new race to n<=256.
-            "legacy_verify_ceiling": 256,
         },
         rounds=1,
         iterations=1,
     )
+    rows = [
+        _old_vs_new(row) if "verify_ok" in row and row["n"] <= LEGACY_WORK_CEILING else row
+        for row in rows
+    ]
     print_rows("Theorem 1: bound accounting and measured instances (old-vs-new verify timings)", rows)
     built = [row for row in rows if "verify_ok" in row]
     assert built and all(row["verify_ok"] for row in built)

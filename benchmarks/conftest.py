@@ -8,7 +8,15 @@ timing results recorded by pytest-benchmark.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
 from typing import Iterable, Mapping, Sequence
+
+# The old-vs-new pins race the slow oracles of ``tests/oracles.py``.
+# Appended, not prepended, so ``conftest`` keeps resolving to this module.
+_TESTS = str(Path(__file__).resolve().parent.parent / "tests")
+if _TESTS not in sys.path:
+    sys.path.append(_TESTS)
 
 
 def print_rows(title: str, rows: Sequence[Mapping[str, object]]) -> None:

@@ -19,8 +19,8 @@ from repro import (
     ShortestPathTableScheme,
     generators,
     memory_profile,
-    route,
-    stretch_factor,
+    simulate_all_pairs,
+    simulated_stretch_factor,
 )
 
 
@@ -40,17 +40,17 @@ def main() -> None:
     for scheme in schemes:
         routing = scheme.build(graph)
         profile = memory_profile(routing)
-        s = float(stretch_factor(routing))
+        s = float(simulated_stretch_factor(routing))
         print(
             f"{scheme.name:<22} {s:>8.2f} {profile.local:>10d} "
             f"{profile.global_:>12d} {profile.mean:>10.1f}"
         )
 
-    # Follow one message hop by hop under the landmark scheme.
+    # One message's fate, read off the all-pairs simulation.
     landmark_routing = CowenLandmarkScheme(seed=1).build(graph)
-    result = route(landmark_routing, 0, 63)
-    print(f"\nroute 0 -> 63 under landmark routing: {' -> '.join(map(str, result.path))}")
-    print(f"delivered: {result.delivered}, length {result.length}")
+    result = simulate_all_pairs(landmark_routing)
+    print(f"\nroute 0 -> 63 under landmark routing: {result.lengths[0, 63]} hops")
+    print(f"delivered: {bool(result.delivered[0, 63])}")
 
 
 if __name__ == "__main__":

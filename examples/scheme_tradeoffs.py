@@ -24,7 +24,7 @@ from repro import (
     TreeIntervalRoutingScheme,
     generators,
     memory_profile,
-    stretch_factor,
+    simulated_stretch_factor,
 )
 from repro.routing.ecube import ECubeRoutingScheme
 
@@ -37,7 +37,7 @@ def measure(name, scheme, graph):
     profile = memory_profile(routing)
     return {
         "scheme": name,
-        "stretch": float(stretch_factor(routing)),
+        "stretch": float(simulated_stretch_factor(routing)),
         "local": profile.local,
         "global": profile.global_,
     }

@@ -24,12 +24,17 @@ The package is organised in five layers (see DESIGN.md):
 
 Quick start::
 
-    from repro import generators, ShortestPathTableScheme, memory_profile, stretch_factor
+    from repro import (
+        generators, ShortestPathTableScheme, memory_profile, simulated_stretch_factor,
+    )
 
     graph = generators.random_connected_graph(32, seed=1)
     routing = ShortestPathTableScheme().build(graph)
     profile = memory_profile(routing)
-    print(profile.local, profile.global_, stretch_factor(routing))
+    print(profile.local, profile.global_, simulated_stretch_factor(routing))
+
+The per-pair router the seed measured stretch with lives on as a test
+oracle in ``tests/oracles.py``.
 """
 
 from repro.graphs import PortLabeledGraph, generators, properties
@@ -39,8 +44,6 @@ from repro.routing import (
     IntervalRoutingScheme,
     ShortestPathTableScheme,
     TreeIntervalRoutingScheme,
-    route,
-    stretch_factor,
 )
 from repro.memory import memory_profile
 from repro.sim import (
@@ -71,8 +74,6 @@ __all__ = [
     "TreeIntervalRoutingScheme",
     "CowenLandmarkScheme",
     "HierarchicalSpannerScheme",
-    "route",
-    "stretch_factor",
     "memory_profile",
     "ConformanceReport",
     "run_conformance_suite",

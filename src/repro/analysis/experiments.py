@@ -19,13 +19,11 @@ from repro.constraints.builder import build_constraint_graph, lemma2_order_bound
 from repro.constraints.enumeration import (
     count_equivalence_classes,
     enumerate_canonical_matrices,
-    enumerate_canonical_matrices_legacy,
     lemma1_lower_bound,
     lemma1_lower_bound_log2,
-    normalized_rows,
 )
 from repro.constraints.lower_bound import theorem1_bound, worst_case_network
-from repro.constraints.matrix import ConstraintMatrix, clear_canonicalisation_cache
+from repro.constraints.matrix import ConstraintMatrix
 from repro.constraints.petersen import petersen_constraint_matrix
 from repro.constraints.reconstruction import verify_reconstruction
 from repro.constraints.verifier import verify_constraint_matrix
@@ -40,10 +38,6 @@ from repro.routing.hierarchical import HierarchicalSpannerScheme
 from repro.routing.interval import IntervalRoutingScheme, TreeIntervalRoutingScheme
 from repro.routing.landmark import CowenLandmarkScheme
 from repro.routing.tables import ShortestPathTableScheme
-
-#: Legacy-walk candidate budget (``|rows|^p * q!``) above which the
-#: old-vs-new timing columns of :func:`lemma1_experiment` skip the legacy run.
-LEGACY_WORK_CEILING = 200_000
 
 __all__ = [
     "figure1_experiment",
@@ -112,18 +106,12 @@ def eq2_enumeration_experiment(p: int = 2, q: int = 3, d: int = 3) -> Dict[str, 
 # ----------------------------------------------------------------------
 def lemma1_experiment(
     cases: Optional[Sequence[Tuple[int, int, int]]] = None,
-    compare_legacy: bool = False,
 ) -> List[Dict[str, float]]:
     """Exact class counts versus the Lemma 1 bound for a sweep of small (p, q, d).
 
     The grid ends at ``(3, 4, 3)`` and ``(2, 6, 3)`` — one size step beyond
     the seed's ``(3, 3, 3)`` ceiling, reachable thanks to the orbit-pruned
-    enumeration engine.  With ``compare_legacy=True`` every case is also
-    timed against the seed's product-walk enumeration and the rows gain
-    ``fast_s`` / ``legacy_s`` / ``speedup`` columns.  Legacy timing is
-    skipped (columns set to ``nan``) when the legacy walk would visit more
-    than ``LEGACY_WORK_CEILING`` permutation candidates — those cases are
-    exactly the ones the seed implementation could not reach.
+    enumeration engine.
     """
     if cases is None:
         cases = [
@@ -141,42 +129,20 @@ def lemma1_experiment(
         ]
     rows: List[Dict[str, float]] = []
     for p, q, d in cases:
-        if compare_legacy:
-            # Cold-start timing: without this, later cases would be timed
-            # against a canonicalisation LRU warmed by earlier cases while
-            # the legacy walk always runs unmemoised.
-            clear_canonicalisation_cache()
-        start = time.perf_counter()
         exact = count_equivalence_classes(p, q, d)
-        fast_s = time.perf_counter() - start
         bound = float(lemma1_lower_bound(p, q, d))
-        row: Dict[str, float] = {
-            "p": p,
-            "q": q,
-            "d": d,
-            "exact_classes": exact,
-            "lemma1_bound": bound,
-            "bound_holds": float(exact >= bound),
-            "log2_exact": math.log2(exact) if exact > 0 else 0.0,
-            "log2_bound": lemma1_lower_bound_log2(p, q, d),
-        }
-        if compare_legacy:
-            row["fast_s"] = fast_s
-            legacy_work = len(normalized_rows(q, d)) ** p * math.factorial(q)
-            if legacy_work > LEGACY_WORK_CEILING:
-                row["legacy_s"] = float("nan")
-                row["speedup"] = float("nan")
-            else:
-                start = time.perf_counter()
-                legacy = len(enumerate_canonical_matrices_legacy(p, q, d))
-                row["legacy_s"] = time.perf_counter() - start
-                row["speedup"] = row["legacy_s"] / fast_s if fast_s > 0 else float("inf")
-                if legacy != exact:
-                    raise RuntimeError(
-                        f"enumeration engines disagree at (p={p}, q={q}, d={d}): "
-                        f"fast counted {exact} classes, legacy {legacy}"
-                    )
-        rows.append(row)
+        rows.append(
+            {
+                "p": p,
+                "q": q,
+                "d": d,
+                "exact_classes": exact,
+                "lemma1_bound": bound,
+                "bound_holds": float(exact >= bound),
+                "log2_exact": math.log2(exact) if exact > 0 else 0.0,
+                "log2_bound": lemma1_lower_bound_log2(p, q, d),
+            }
+        )
     return rows
 
 
@@ -225,7 +191,6 @@ def theorem1_experiment(
     build_instances_up_to: int = 400,
     seed: int = 3,
     time_verification: bool = False,
-    legacy_verify_ceiling: int = 512,
 ) -> List[Dict[str, object]]:
     """Theorem 1 bound accounting (all sizes) plus end-to-end instances (small sizes).
 
@@ -236,11 +201,8 @@ def theorem1_experiment(
     argument is executed for real.
 
     With ``time_verification=True`` every built instance is additionally
-    verified as a matrix of constraints at stretch < 2, once with the BFS
-    first-arc oracle and — up to ``legacy_verify_ceiling`` vertices — once
-    with the legacy path enumeration, adding ``verify_bfs_s`` /
-    ``verify_enumerate_s`` / ``verify_speedup`` columns (the two reports are
-    asserted identical).
+    verified as a matrix of constraints at stretch < 2, adding
+    ``verify_ok`` / ``verify_bfs_s`` columns.
     """
     if sizes is None:
         sizes = [64, 128, 256, 512, 1024, 2048, 4096, 8192]
@@ -271,29 +233,11 @@ def theorem1_experiment(
                     profile.bits_per_node[list(cg.constrained)].max()
                 )
                 row["reconstruction_ok"] = verify_reconstruction(cg, rf)
-                row["upper_vs_lower_consistent"] = (
-                    constrained_bits >= bound.total_constrained_bits * 0.0
-                    and constrained_bits >= 0
-                )
                 if time_verification:
                     start = time.perf_counter()
-                    report_bfs = cg.verify(method="bfs")
+                    report = cg.verify()
                     row["verify_bfs_s"] = time.perf_counter() - start
-                    row["verify_ok"] = report_bfs.ok
-                    if n <= legacy_verify_ceiling:
-                        start = time.perf_counter()
-                        report_enum = cg.verify(method="enumerate")
-                        row["verify_enumerate_s"] = time.perf_counter() - start
-                        row["verify_speedup"] = (
-                            row["verify_enumerate_s"] / row["verify_bfs_s"]
-                            if row["verify_bfs_s"] > 0
-                            else float("inf")
-                        )
-                        if report_enum.forced_arcs != report_bfs.forced_arcs:
-                            raise RuntimeError(
-                                f"first-arc engines disagree on the n={n}, eps={eps} "
-                                "worst-case network"
-                            )
+                    row["verify_ok"] = report.ok
             rows.append(row)
     return rows
 

@@ -499,7 +499,7 @@ def cached_program(
     supply a routing function the caller already built) and lowered once;
     a broken ``can_vectorize`` promise degrades the cached artifact to the
     explicit :class:`~repro.routing.program.GenericProgram` opt-out,
-    mirroring the engine's ``method="auto"`` fallback.  Unreadable cached
+    as :func:`~repro.sim.engine.simulate_all_pairs` does.  Unreadable cached
     bytes degrade to recompilation, like every other cache entry.
     """
     program, _ = _cached_program_with_rf(scheme, graph, cache, rf=rf)

@@ -88,11 +88,11 @@ def measure_scheme(
     """Build ``scheme`` on ``graph`` and measure stretch and memory.
 
     The stretch is measured over all ``n (n - 1)`` pairs through the batched
-    simulator (:mod:`repro.sim.engine`); the legacy per-pair
-    :func:`repro.routing.paths.stretch_factor` survives as the
-    differential-testing oracle.  ``dist`` optionally supplies a
-    precomputed distance matrix (the sharded runner passes its cached one —
-    port relabellings performed by a scheme do not change distances).
+    simulator (:mod:`repro.sim.engine`); the per-pair ``stretch_factor``
+    of ``tests/oracles.py`` is its differential-testing oracle.  ``dist``
+    optionally supplies a precomputed distance matrix (the sharded runner
+    passes its cached one — port relabellings performed by a scheme do not
+    change distances).
     ``program`` optionally supplies the cell's pre-compiled
     :class:`~repro.routing.program.RoutingProgram` (the runner's program
     cache); the scheme is then lowered zero times here, and simulation and

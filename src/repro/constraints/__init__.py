@@ -29,7 +29,6 @@ from repro.constraints.matrix import (
 from repro.constraints.enumeration import (
     count_equivalence_classes,
     enumerate_canonical_matrices,
-    enumerate_canonical_matrices_legacy,
     iter_canonical_matrices,
     lemma1_lower_bound,
     lemma1_lower_bound_log2,
@@ -72,7 +71,6 @@ __all__ = [
     "normalized_rows",
     "iter_canonical_matrices",
     "enumerate_canonical_matrices",
-    "enumerate_canonical_matrices_legacy",
     "count_equivalence_classes",
     "lemma1_lower_bound",
     "lemma1_lower_bound_log2",

@@ -86,16 +86,13 @@ class ConstraintGraph:
         stretch: float = 2.0,
         strict: bool = True,
         use_existing_ports: bool = True,
-        method: str = "bfs",
     ):
         """Check Lemma 2's guarantee on this instance.
 
         Runs :func:`repro.constraints.verifier.verify_constraint_matrix` on
         the bundled graph/matrix/roles with the construction's native budget
         (stretch strictly below 2) and returns the
-        :class:`~repro.constraints.verifier.VerificationReport`.  ``method``
-        selects the first-arc computation — ``"bfs"`` (default, the
-        polynomial oracle) or ``"enumerate"`` (legacy enumeration).
+        :class:`~repro.constraints.verifier.VerificationReport`.
         """
         from repro.constraints.verifier import verify_constraint_matrix
 
@@ -107,7 +104,6 @@ class ConstraintGraph:
             stretch=stretch,
             strict=strict,
             use_existing_ports=use_existing_ports,
-            method=method,
         )
 
 

@@ -46,9 +46,8 @@ The exact passes are memoised behind the bounded LRU of
 discovered, following the incremental-delay framing of enumeration
 complexity: consumers that only need the first few classes (or a count
 prefix) never pay for the full space.  The seed's exhaustive
-product-and-canonicalise walk survives as
-:func:`enumerate_canonical_matrices_legacy` for cross-checks and the
-old-vs-new benchmark columns.
+product-and-canonicalise walk is the test oracle of this engine
+(``tests/oracles.py``), which must return exactly the same representatives.
 """
 
 from __future__ import annotations
@@ -64,8 +63,6 @@ from repro.constraints.matrix import (
     ConstraintMatrix,
     canonical_form,
     canonical_form_greedy,
-    canonical_form_reference,
-    row_normal_form,
 )
 from repro.memory.encoding import log2_factorial
 
@@ -73,7 +70,6 @@ __all__ = [
     "normalized_rows",
     "iter_canonical_matrices",
     "enumerate_canonical_matrices",
-    "enumerate_canonical_matrices_legacy",
     "count_equivalence_classes",
     "lemma1_lower_bound",
     "lemma1_lower_bound_log2",
@@ -220,32 +216,6 @@ def enumerate_canonical_matrices(
     process pool.
     """
     representatives = list(iter_canonical_matrices(p, q, d, max_cells=max_cells, workers=workers))
-    representatives.sort(key=lambda m: m.entries)
-    return representatives
-
-
-def enumerate_canonical_matrices_legacy(
-    p: int, q: int, d: int, max_cells: int = 24
-) -> List[ConstraintMatrix]:
-    """The seed's exhaustive enumeration, kept as a cross-check baseline.
-
-    Walks every ``p``-tuple of row-normal rows via ``itertools.product`` and
-    canonicalises each candidate with the unvectorised, unmemoised
-    :func:`canonical_form_reference` — exponentially more exact passes than
-    :func:`enumerate_canonical_matrices`, which must (and does, see the
-    test-suite) return exactly the same representatives.
-    """
-    _validate_enumeration_parameters(p, q, d, max_cells)
-    rows = normalized_rows(q, d)
-    seen: Set[Tuple[int, ...]] = set()
-    representatives: List[ConstraintMatrix] = []
-    for combo in itertools.product(rows, repeat=p):
-        arr = np.array(combo, dtype=np.int64)
-        canon = canonical_form_reference(arr)
-        key = tuple(int(x) for x in canon.reshape(-1))
-        if key not in seen:
-            seen.add(key)
-            representatives.append(ConstraintMatrix.from_entries(canon))
     representatives.sort(key=lambda m: m.entries)
     return representatives
 

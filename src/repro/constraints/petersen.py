@@ -56,9 +56,7 @@ class PetersenFigure:
         return [" ".join(str(v) for v in row) for row in self.matrix.entries]
 
 
-def petersen_constraint_matrix(
-    stretch: float = 1.0, strict: bool = False, method: str = "bfs"
-) -> PetersenFigure:
+def petersen_constraint_matrix(stretch: float = 1.0, strict: bool = False) -> PetersenFigure:
     """Compute and verify the Petersen-graph matrix of constraints.
 
     Parameters
@@ -67,11 +65,6 @@ def petersen_constraint_matrix(
         Stretch budget used both to extract and to verify the matrix.  The
         default ``stretch=1.0, strict=False`` is shortest-path routing, the
         setting of the paper's figure.
-    method:
-        First-arc computation threaded through extraction and verification:
-        ``"bfs"`` (default, the polynomial oracle) or ``"enumerate"`` (the
-        legacy path enumeration) — see
-        :func:`repro.constraints.verifier.forced_first_arcs`.
 
     Raises
     ------
@@ -81,7 +74,7 @@ def petersen_constraint_matrix(
     """
     graph = petersen_graph()
     matrix = extract_constraint_matrix(
-        graph, CONSTRAINED_VERTICES, TARGET_VERTICES, stretch=stretch, strict=strict, method=method
+        graph, CONSTRAINED_VERTICES, TARGET_VERTICES, stretch=stretch, strict=strict
     )
     if matrix is None:
         raise RuntimeError("the Petersen graph pairs are not all forced at this stretch")
@@ -93,7 +86,6 @@ def petersen_constraint_matrix(
         stretch=stretch,
         strict=strict,
         use_existing_ports=True,
-        method=method,
     )
     if not report.ok:
         raise RuntimeError(f"verification failed: {report.failures}")

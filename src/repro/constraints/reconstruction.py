@@ -28,11 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.constraints.builder import ConstraintGraph
 from repro.constraints.matrix import ConstraintMatrix
 from repro.memory.encoding import BitReader, BitWriter, fixed_width
 from repro.routing.model import RoutingFunction
-from repro.routing.paths import route
+from repro.sim.engine import simulate_all_pairs
 
 __all__ = [
     "ReconstructionWitness",
@@ -158,9 +160,10 @@ def verify_reconstruction(
     deserialises the witness, reconstructs the canonical matrix and compares
     it with the canonical form of ``cg.matrix``.
 
-    With ``check_route_validity`` the full routes from constrained to target
-    vertices are also simulated to confirm delivery (slower; the tests use
-    it on small instances).
+    With ``check_route_validity`` every ordered pair is also simulated
+    (:func:`repro.sim.engine.simulate_all_pairs`) and each constrained-to-target
+    message must be delivered: a misdelivering or livelocking scheme makes
+    the check return ``False``, never raise.
     """
     if rf.graph is not cg.graph and rf.graph != cg.graph:
         raise ValueError("the routing function must be defined on the constraint graph")
@@ -169,11 +172,9 @@ def verify_reconstruction(
     if round_tripped != witness:
         return False
     if check_route_validity:
-        for a in cg.constrained:
-            for b in cg.targets:
-                result = route(rf, a, b)
-                if not result.delivered:
-                    return False
+        delivered = simulate_all_pairs(rf).delivered
+        if not delivered[np.ix_(cg.constrained, cg.targets)].all():
+            return False
     exact = max(cg.matrix.shape) <= 8
     reconstructed = reconstruct_matrix(round_tripped, exact=exact)
     return reconstructed.entries == cg.matrix.canonical(exact=exact).entries

@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.constraints.matrix import ConstraintMatrix
 from repro.graphs.digraph import Arc, PortLabeledGraph
 from repro.graphs.shortest_paths import (
@@ -63,7 +61,6 @@ def forced_first_arcs(
     targets: Sequence[int],
     stretch: float,
     strict: bool = True,
-    method: str = "bfs",
 ) -> List[List[Optional[Arc]]]:
     """Forced first arc of every (constrained, target) pair, or ``None`` if not forced.
 
@@ -71,29 +68,12 @@ def forced_first_arcs(
     (strictly below ``stretch`` times the distance when ``strict`` is true,
     matching the paper's "stretch factor < 2") starts with the same arc.
 
-    With ``method="bfs"`` (default) the arc sets come from the BFS oracle of
+    The arc sets come from the BFS oracle of
     :func:`~repro.graphs.shortest_paths.first_arcs_of_near_shortest_paths`:
     one BFS per *target* is shared across all constrained sources, so the
     whole ``p x q`` grid costs ``q`` sweeps (plus rare per-pair exclusion
     sweeps) instead of an exponential path enumeration per pair.
-    ``method="enumerate"`` keeps the legacy per-source enumeration.
     """
-    if method == "enumerate":
-        out: List[List[Optional[Arc]]] = []
-        for a in constrained:
-            dist_from_a = bfs_distances(graph, a)
-            row: List[Optional[Arc]] = []
-            for b in targets:
-                if a == b:
-                    row.append(None)
-                    continue
-                arcs = first_arcs_of_near_shortest_paths(
-                    graph, a, b, stretch, dist=dist_from_a, strict=strict, method="enumerate"
-                )
-                row.append(next(iter(arcs)) if len(arcs) == 1 else None)
-            out.append(row)
-        return out
-
     grid: List[List[Optional[Arc]]] = [[None] * len(targets) for _ in constrained]
     for j, b in enumerate(targets):
         dist_to_b = bfs_distances(graph, b)
@@ -115,7 +95,6 @@ def verify_constraint_matrix(
     stretch: float = 2.0,
     strict: bool = True,
     use_existing_ports: bool = True,
-    method: str = "bfs",
 ) -> VerificationReport:
     """Verify that ``matrix`` is a matrix of constraints of ``graph`` at the given stretch.
 
@@ -134,10 +113,6 @@ def verify_constraint_matrix(
         requires that *some* port labelling of the constrained vertices
         realises the entries: per row, distinct entry values must correspond
         to distinct forced arcs and no value may exceed the vertex degree.
-    method:
-        First-arc computation: ``"bfs"`` (default, the polynomial oracle) or
-        ``"enumerate"`` (legacy path enumeration); see
-        :func:`forced_first_arcs`.
     """
     p, q = matrix.shape
     failures: List[str] = []
@@ -148,7 +123,7 @@ def verify_constraint_matrix(
     if failures:
         return VerificationReport(False, tuple(failures), ())
 
-    arcs = forced_first_arcs(graph, constrained, targets, stretch, strict=strict, method=method)
+    arcs = forced_first_arcs(graph, constrained, targets, stretch, strict=strict)
     entries = matrix.entries
     for i, a in enumerate(constrained):
         value_to_arc: Dict[int, Arc] = {}
@@ -202,15 +177,13 @@ def extract_constraint_matrix(
     targets: Sequence[int],
     stretch: float = 2.0,
     strict: bool = True,
-    method: str = "bfs",
 ) -> Optional[ConstraintMatrix]:
     """Matrix of constraints induced by the current port labelling, if every pair is forced.
 
     Returns ``None`` when some pair admits two admissible first arcs (the
     matrix then does not exist for these roles at this stretch).
-    ``method`` selects the first-arc computation (see :func:`forced_first_arcs`).
     """
-    arcs = forced_first_arcs(graph, constrained, targets, stretch, strict=strict, method=method)
+    arcs = forced_first_arcs(graph, constrained, targets, stretch, strict=strict)
     entries: List[List[int]] = []
     for row in arcs:
         out_row: List[int] = []

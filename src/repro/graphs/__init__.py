@@ -10,8 +10,8 @@ provides:
   per-snapshot distances and fingerprint.
 * :mod:`repro.graphs.shortest_paths` — BFS distances (the pure-numpy
   bit-parallel kernel ``bfs_rows`` behind every distance matrix),
-  shortest-path DAGs, and bounded-length path enumeration (used by the
-  matrix-of-constraints verifier).
+  shortest-path DAGs, and the first arcs of near-shortest paths (used by
+  the matrix-of-constraints verifier).
 * :mod:`repro.graphs.generators` — the graph families the paper discusses
   (hypercubes, complete graphs, the Petersen graph, trees, outerplanar
   graphs, unit circular-arc graphs, chordal graphs, grids/tori, random
@@ -28,7 +28,6 @@ from repro.graphs.shortest_paths import (
     bfs_distances,
     bfs_parents,
     bfs_rows,
-    bounded_paths,
     distance_matrix,
     eccentricities,
     first_arcs_of_near_shortest_paths,
@@ -48,7 +47,6 @@ __all__ = [
     "bfs_distances",
     "bfs_parents",
     "bfs_rows",
-    "bounded_paths",
     "distance_matrix",
     "eccentricities",
     "first_arcs_of_near_shortest_paths",

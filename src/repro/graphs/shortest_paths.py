@@ -20,19 +20,18 @@ This module provides:
 * shortest-path extraction and enumeration
   (:func:`shortest_path`, :func:`all_shortest_paths`,
   :func:`shortest_path_dag`),
-* bounded-length simple path enumeration (:func:`bounded_paths`) and the
-  derived :func:`first_arcs_of_near_shortest_paths` used by the
-  matrix-of-constraints verifier.
+* :func:`first_arcs_of_near_shortest_paths`, the first arcs of every path
+  within a stretch budget, used by the matrix-of-constraints verifier.
 
 Performance notes
 -----------------
-``first_arcs_of_near_shortest_paths`` defaults to ``method="bfs"``, an exact
-oracle that never enumerates paths.  Any walk shortens to a simple path of no
-greater length, so the admissible *simple* paths from ``s`` to ``t`` starting
-with the arc ``(s, v)`` are governed by the distance from ``v`` to ``t`` in
-the graph with ``s`` removed: the arc is a first arc of an admissible path
-iff ``1 + d_{G - s}(v, t) <= max_len``.  Two refinements keep this at one
-BFS from the target per pair in the common case:
+``first_arcs_of_near_shortest_paths`` never enumerates paths.  Any walk
+shortens to a simple path of no greater length, so the admissible *simple*
+paths from ``s`` to ``t`` starting with the arc ``(s, v)`` are governed by
+the distance from ``v`` to ``t`` in the graph with ``s`` removed: the arc is
+a first arc of an admissible path iff ``1 + d_{G - s}(v, t) <= max_len``.
+Two refinements keep this at one BFS from the target per pair in the common
+case:
 
 * ``d_{G - s}(v, t) = d(v, t)`` whenever ``d(v, t) <= d(s, t)`` — a path
   through ``s`` would cost at least ``1 + d(s, t) > d(v, t)`` — so a single
@@ -44,15 +43,16 @@ BFS from the target per pair in the common case:
   distance-2 pairs as in the Lemma 2 graphs — require the exact
   ``G - s`` BFS, one per pair.
 
-The legacy exponential enumeration survives as ``method="enumerate"`` and is
-cross-checked bit-for-bit against the oracle by the test-suite.  Every BFS
-here runs on the cached CSR adjacency of :class:`PortLabeledGraph`.
+The seed's exponential path enumeration is the test oracle of this
+function (``tests/oracles.py``), which must return identical arc sets.
+Every BFS here runs on the cached CSR adjacency of
+:class:`PortLabeledGraph`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -68,7 +68,6 @@ __all__ = [
     "shortest_path",
     "all_shortest_paths",
     "shortest_path_dag",
-    "bounded_paths",
     "near_shortest_budget",
     "first_arcs_of_near_shortest_paths",
 ]
@@ -279,67 +278,6 @@ def all_shortest_paths(
     return out
 
 
-def bounded_paths(
-    graph: PortLabeledGraph,
-    source: int,
-    target: int,
-    max_length: int,
-    simple: bool = True,
-    limit: Optional[int] = None,
-) -> List[List[int]]:
-    """All paths from ``source`` to ``target`` of length at most ``max_length``.
-
-    Length is counted in edges.  With ``simple=True`` (default) vertices are
-    not repeated, which is sufficient for stretch analysis because any
-    walk can be shortened to a simple path of no greater length.  A
-    distance-to-target pruning bound keeps the enumeration tractable on the
-    constraint graphs of Lemma 2.
-
-    Parameters
-    ----------
-    limit:
-        Optional cap on the number of returned paths.
-    """
-    if max_length < 0:
-        return []
-    if source == target:
-        return [[source]]
-    dist_to_target = bfs_distances(graph, target)
-    if dist_to_target[source] == UNREACHABLE or dist_to_target[source] > max_length:
-        return []
-    out: List[List[int]] = []
-    path = [source]
-    on_path: Set[int] = {source}
-    indptr, indices = graph.adjacency_arrays()
-
-    def _dfs(u: int, remaining: int) -> bool:
-        for v in indices[indptr[u] : indptr[u + 1]]:
-            v = int(v)
-            if v == target:
-                out.append(path + [target])
-                if limit is not None and len(out) >= limit:
-                    return True
-                continue
-            if remaining <= 1:
-                continue
-            if simple and v in on_path:
-                continue
-            d = dist_to_target[v]
-            if d == UNREACHABLE or d > remaining - 1:
-                continue
-            path.append(v)
-            on_path.add(v)
-            stop = _dfs(v, remaining - 1)
-            on_path.discard(v)
-            path.pop()
-            if stop:
-                return True
-        return False
-
-    _dfs(source, max_length)
-    return out
-
-
 def near_shortest_budget(d: int, stretch: float, strict: bool = False) -> int:
     """Maximum admissible path length for a pair at distance ``d``.
 
@@ -358,9 +296,7 @@ def first_arcs_of_near_shortest_paths(
     source: int,
     target: int,
     stretch: float,
-    dist: Optional[np.ndarray] = None,
     strict: bool = False,
-    method: str = "bfs",
     dist_to_target: Optional[np.ndarray] = None,
 ) -> Set[Arc]:
     """Set of first arcs of the paths from ``source`` to ``target`` within stretch.
@@ -372,48 +308,20 @@ def first_arcs_of_near_shortest_paths(
     graph.
 
     This is the semantic core of Definition 1: a matrix of constraints pins
-    the first arc whenever this set is a singleton for the pair.
+    the first arc whenever this set is a singleton for the pair.  Each
+    candidate arc is decided from distances alone (see the module
+    docstring for the walk-shortening argument).
 
     Parameters
     ----------
-    dist:
-        Optional precomputed distance row ``d(source, .)``.  With
-        ``method="enumerate"`` it avoids the BFS entirely; with
-        ``method="bfs"`` it only short-circuits unreachable targets — the
-        oracle needs distances *to* the target, so pass ``dist_to_target``
-        to amortise that sweep instead.
-    method:
-        ``"bfs"`` (default) decides each candidate arc from distances alone
-        — exact, polynomial, and the only practical choice beyond toy sizes
-        (see the module docstring for the walk-shortening argument).
-        ``"enumerate"`` is the legacy bounded-length path enumeration, kept
-        as a cross-check fallback; both return identical sets.
     dist_to_target:
-        Optional precomputed distance row ``d(., target)`` (``method="bfs"``
-        only).  Passing it amortises the one BFS from the target across all
-        sources, as :func:`repro.constraints.verifier.forced_first_arcs` does.
+        Optional precomputed distance row ``d(., target)``.  Passing it
+        amortises the one BFS from the target across all sources, as
+        :func:`repro.constraints.verifier.forced_first_arcs` does.
     """
     if source == target:
         raise ValueError("first arcs are undefined for source == target")
-    if method not in ("bfs", "enumerate"):
-        raise ValueError(f"unknown method {method!r}")
-
-    if method == "enumerate":
-        if dist is None:
-            dist = bfs_distances(graph, source)
-        d = int(dist[target])
-        if d == UNREACHABLE:
-            return set()
-        max_len = near_shortest_budget(d, stretch, strict)
-        arcs: Set[Arc] = set()
-        for path in bounded_paths(graph, source, target, max_len):
-            head = path[1]
-            arcs.add(Arc(source, head, graph.port(source, head)))
-        return arcs
-
     if dist_to_target is None:
-        if dist is not None and int(dist[target]) == UNREACHABLE:
-            return set()
         dist_to_target = bfs_distances(graph, target)
     d = int(dist_to_target[source])
     if d == UNREACHABLE:
@@ -423,7 +331,7 @@ def first_arcs_of_near_shortest_paths(
         return set()
 
     indptr, indices = graph.adjacency_arrays()
-    arcs = set()
+    arcs: Set[Arc] = set()
     ambiguous: List[int] = []
     for offset, v in enumerate(indices[indptr[source] : indptr[source + 1]]):
         v = int(v)

@@ -10,8 +10,8 @@ paper writes ``P(u_k, h_k) = ⊥``).
 
 A *routing scheme* is a function that returns a routing function for any
 network; it is *universal* when it applies to all networks.  This subpackage
-implements the model (:mod:`repro.routing.model`, :mod:`repro.routing.paths`)
-and the concrete universal schemes used to regenerate Table 1:
+implements the model (:mod:`repro.routing.model`) and the concrete
+universal schemes used to regenerate Table 1:
 
 * :mod:`repro.routing.tables` — shortest-path routing tables, the
   ``O(n log n)``-bits-per-router upper bound that Theorem 1 proves optimal
@@ -59,15 +59,6 @@ from repro.routing.verify import (
     VerificationReport,
     verify_program,
     verify_structure,
-)
-from repro.routing.paths import (
-    RouteResult,
-    RoutingLoopError,
-    all_pairs_routing_lengths,
-    route,
-    stretch_factor,
-    stretch_of_pair,
-    verify_routing_function,
 )
 from repro.routing.tables import ShortestPathTableScheme, shortest_path_ports
 from repro.routing.interval import (
@@ -118,13 +109,6 @@ __all__ = [
     "VerificationReport",
     "verify_program",
     "verify_structure",
-    "RouteResult",
-    "RoutingLoopError",
-    "route",
-    "stretch_factor",
-    "stretch_of_pair",
-    "all_pairs_routing_lengths",
-    "verify_routing_function",
     "ShortestPathTableScheme",
     "shortest_path_ports",
     "IntervalRoutingFunction",

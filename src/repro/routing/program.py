@@ -192,10 +192,10 @@ class HeaderStateExplosionError(ValueError):
 
     Raised by :func:`lower_header_state` when a scheme declaring
     ``can_vectorize = True`` turns out to generate more states than the cap
-    allows — i.e. the finite-alphabet promise is (close to) broken.  Under
-    ``method="auto"`` the simulator catches this and falls back to the
-    generic interpreter; a forced ``method="header-compiled"`` propagates
-    it.
+    allows — i.e. the finite-alphabet promise is (close to) broken.  The
+    simulator, the fault injector and the runner catch this and fall back
+    to the generic interpreter; a direct :func:`lower_header_state` call
+    propagates it.
     """
 
 
@@ -291,7 +291,7 @@ class NextHopProgram(RoutingProgram):
     ``dest`` moves to; :data:`MISDELIVER` marks a wrong-node delivery and a
     diagonal entry ``next_node[d, d] != d`` records a broken scheme that
     forwards past its own destination (the executor lets such messages pass
-    through, exactly like the legacy interpreter).
+    through, exactly like the per-message interpreter).
     """
 
     kind = KIND_NEXT_HOP
@@ -688,9 +688,9 @@ def lower_next_hop(rf: RoutingFunction) -> NextHopProgram:
     A diagonal entry ``next_node[dest, dest] = dest`` means the scheme
     delivers at the destination (every correct scheme); a broken scheme
     that keeps forwarding there has the onward neighbour recorded instead,
-    so the simulated message passes through exactly as the legacy
+    so the simulated message passes through exactly as the per-message
     interpreter would.  Raises :class:`ValueError` on invalid ports, like
-    the legacy simulator (but eagerly, for every pair at once).
+    that interpreter (but eagerly, for every pair at once).
 
     The routing class supplies the matrix when it has a vectorised form
     (:meth:`~repro.routing.model.RoutingFunction.next_node_matrix`);
@@ -704,7 +704,7 @@ def lower_next_hop(rf: RoutingFunction) -> NextHopProgram:
         # destination-based implementation (which hard-codes DELIVER there)
         # is in force; a subclass overriding port() gets evaluated at its
         # own destination so a broken forward-past-dest decision surfaces
-        # exactly as in the legacy interpreter.
+        # exactly as in the per-message interpreter.
         delivers_at_dest = type(rf).port is DestinationBasedRoutingFunction.port
         ports = np.zeros((n, n), dtype=np.int64)
         for dest in range(n):
@@ -821,7 +821,7 @@ def lower_header_state(
         return HeaderStateExplosionError(
             f"{type(rf).__name__} reached {max_states} (node, header) states "
             f"on a {n}-vertex graph; its can_vectorize promise of a finite "
-            "header alphabet looks broken — use method='generic'"
+            "header alphabet looks broken — execute it as a GenericProgram"
         )
 
     # State (node, header id) has key ``header_id * n + node``; ``state_of``

@@ -53,10 +53,10 @@ system built around a **compile-once pipeline**:
   the measurement lands in with its closed-form bound curves from
   :mod:`repro.memory.bounds` evaluated at the measured ``n``.
 
-The legacy per-pair simulator (:func:`repro.routing.paths.route`) is kept
-unchanged as the differential-testing oracle; ``tests/test_sim_conformance.py``
-and ``tests/test_program_ir.py`` pin batched == legacy (and
-compiled program == generic interpreter == legacy) across the registries.
+The seed's per-pair router lives in ``tests/oracles.py`` as the
+differential-testing oracle; ``tests/test_sim_conformance.py`` and
+``tests/test_program_ir.py`` pin batched == per-pair (and compiled program
+== generic interpreter == per-pair) across the registries.
 
 Program-kind eligibility is declared by the routing classes themselves —
 use ``rf.program_kind()`` / the ``can_vectorize`` class attribute; the

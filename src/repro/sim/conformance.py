@@ -151,7 +151,7 @@ def conformance_report(
             program = rf.compile_program()
         except HeaderStateExplosionError:
             # Broken finite-alphabet promise: fall back to interpretation,
-            # mirroring the engine's method="auto" behaviour.
+            # as simulate_all_pairs does.
             program = GenericProgram(num_vertices=rf.graph.n)
     result: SimulationResult = simulate_all_pairs(rf, program=program)
 

@@ -1,8 +1,9 @@
 """Batched routing simulation: thin adapters over compiled routing programs.
 
-The legacy simulator (:func:`repro.routing.paths.route`) forwards one message
-at a time through Python-level ``P``/``H`` calls, which makes all-pairs
-measurements quadratic in *interpreted* work.  This module answers for
+Forwarding one message at a time through Python-level ``P``/``H`` calls
+(the per-pair router that survives as the test oracle in
+``tests/oracles.py``) makes all-pairs measurements quadratic in
+*interpreted* work.  This module answers for
 **all ordered pairs at once** from the compiled-program IR of
 :mod:`repro.routing.program`: every routing function lowers itself
 (``rf.compile_program()``, dispatched on the class-owned
@@ -22,9 +23,9 @@ measurements quadratic in *interpreted* work.  This module answers for
 * :class:`~repro.routing.program.GenericProgram` (mode ``"generic"``) — the
   explicit opt-out: a batched per-message interpreter that advances every
   in-flight message one hop per step but evaluates ``P``/``H`` per
-  message, matching :func:`repro.routing.paths.route` decision for
-  decision.  It survives as the differential oracle for both compiled
-  kinds, and is the only path with a ``max_hops`` budget.
+  message, decision for decision like the per-pair oracle.  It is the
+  only execution path of generic schemes and the only one with a
+  ``max_hops`` budget.
 
 :func:`simulate_all_pairs` accepts either a live routing function (lowered
 on the fly, or executed against a pre-compiled ``program=`` artifact) or a
@@ -35,10 +36,10 @@ Misdelivery (``P`` returning :data:`~repro.routing.model.DELIVER` at the
 wrong node) is recorded per pair — distinctly from livelocks — in
 :attr:`SimulationResult.misdelivered` on every path rather than raised, so
 conformance layers can report *which* pairs a broken scheme loses and *how*;
-:meth:`SimulationResult.require_all_delivered` restores the legacy
-fail-fast behaviour.  A structurally corrupt program (an out-of-range
-transition) raises :class:`~repro.routing.verify.ProgramVerificationError`
-instead of producing outcomes.
+:meth:`SimulationResult.require_all_delivered` is the fail-fast view.  A
+structurally corrupt program (an out-of-range transition) raises
+:class:`~repro.routing.verify.ProgramVerificationError` instead of
+producing outcomes.
 
 Program-kind eligibility is declared by the routing classes themselves
 (``rf.program_kind()`` / the ``can_vectorize`` class attribute) — the
@@ -65,8 +66,6 @@ from repro.routing.program import (
     GenericProgram,
     HeaderStateExplosionError,
     RoutingProgram,
-    lower_header_state,
-    lower_next_hop,
 )
 from repro.routing.verify import (
     VERDICT_DELIVERED,
@@ -213,8 +212,7 @@ class SimulationResult:
     def require_all_delivered(self) -> np.ndarray:
         """Return the length matrix, raising if any pair was lost.
 
-        Mirrors :func:`repro.routing.paths.all_pairs_routing_lengths`, which
-        raises on the first misdelivered pair.
+        The fail-fast view for callers that expect every pair delivered.
         """
         if not self.all_delivered:
             raise ValueError(
@@ -232,7 +230,7 @@ class SimulationResult:
         the graph, so sweeps never recompute it per cell).  Raises :class:`ValueError`
         when a pair is undelivered: lost pairs carry the ``-1`` length
         sentinel, which must never leak into a ratio or be silently skipped
-        — callers wanting the legacy fail-fast matrix should go through
+        — callers wanting a fail-fast matrix should go through
         :meth:`require_all_delivered`, callers expecting losses should
         filter :meth:`undelivered_pairs` first.
         """
@@ -339,7 +337,7 @@ def _simulate_generic(rf: RoutingFunction, max_hops: Optional[int]) -> Simulatio
             lengths[source, dest] += 1
             # Delivery requires P to say DELIVER at the head node, so a
             # message reaching its destination stays in flight until the
-            # scheme's own decision next step — exactly the legacy loop.
+            # scheme's own decision next step — exactly the per-pair oracle.
             survivors.append((source, dest, nxt, next_header(node, header)))
         flights = survivors
     lengths[~delivered] = NO_ROUTE
@@ -482,7 +480,6 @@ def execute_program(
 def simulate_all_pairs(
     rf: RoutingFunction,
     max_hops: Optional[int] = None,
-    method: str = "auto",
     program: Optional[RoutingProgram] = None,
 ) -> SimulationResult:
     """Route all ``n * (n - 1)`` ordered pairs at once.
@@ -496,71 +493,34 @@ def simulate_all_pairs(
         the program separately).
     max_hops:
         Hop budget per message of the generic per-message interpreter
-        before it declares a livelock (default ``4 * n``, the legacy
-        default).  Compiled programs have exact fates and no budget:
-        passing ``max_hops`` when a compiled program executes raises
-        :class:`ValueError`.
-    method:
-        ``"auto"`` executes the program kind the routing function itself
-        declares (``rf.program_kind()``), falling back to the generic
-        interpreter if a header-state enumeration explodes.  ``"compiled"``
-        forces the next-hop matrix (raising :class:`ValueError` for
-        header-rewriting schemes); ``"header-compiled"`` forces the
-        header-state program (raising :class:`ValueError` when the scheme
-        does not declare ``can_vectorize``,
-        :class:`HeaderStateExplosionError` when its promise breaks);
-        ``"generic"`` forces the per-message interpreter (useful for
-        differential tests).
+        before it declares a livelock (default ``4 * n``).  Compiled
+        programs have exact fates and no budget: passing ``max_hops`` when
+        a compiled program executes raises :class:`ValueError`.
     program:
         A pre-compiled program for ``rf`` (e.g. from the sharded runner's
         program cache): the engine executes it instead of lowering the
-        scheme again.  Only valid with ``method="auto"``.
+        scheme again.  Without one, the routing function is lowered to the
+        program kind it declares (``rf.program_kind()``); a header-state
+        enumeration that explodes falls back to the generic interpreter.
     """
     if isinstance(rf, RoutingProgram):
         if program is not None:
             raise ValueError("pass the program either positionally or as program=, not both")
         program, rf = rf, None
-    if method not in ("auto", "compiled", "header-compiled", "generic"):
-        raise ValueError(f"unknown simulation method {method!r}")
-    if program is not None:
-        if method != "auto":
-            raise ValueError("a pre-compiled program already fixes the method; use method='auto'")
-        return execute_program(program, rf=rf, max_hops=max_hops)
-    if rf is None:
-        raise ValueError("simulate_all_pairs needs a routing function or a program")
-    if method == "generic":
-        return _simulate_generic(rf, max_hops)
-    if method == "compiled":
-        if rf.program_kind() != KIND_NEXT_HOP:
-            raise ValueError(
-                f"{type(rf).__name__} rewrites headers (or derives them from more "
-                "than the destination) and cannot be compiled to a next-hop "
-                "matrix; use method='header-compiled' or method='generic'"
-            )
-        return _execute_compiled(lower_next_hop(rf), max_hops)
-    if method == "header-compiled":
-        if not getattr(type(rf), "can_vectorize", False):
-            raise ValueError(
-                f"{type(rf).__name__} does not declare can_vectorize (its header "
-                "alphabet is not promised finite); use method='generic'"
-            )
-        return _execute_compiled(lower_header_state(rf), max_hops)
-    # auto: execute whatever the routing function lowers itself to.
-    kind = rf.program_kind()
-    if kind == KIND_HEADER_STATE:
+    if program is None:
+        if rf is None:
+            raise ValueError("simulate_all_pairs needs a routing function or a program")
         try:
-            return _execute_compiled(lower_header_state(rf), max_hops)
+            program = rf.compile_program()
         except HeaderStateExplosionError:
-            return _simulate_generic(rf, max_hops)
-    if kind == KIND_NEXT_HOP:
-        return _execute_compiled(lower_next_hop(rf), max_hops)
-    return _simulate_generic(rf, max_hops)
+            program = GenericProgram(num_vertices=rf.graph.n)
+    return execute_program(program, rf=rf, max_hops=max_hops)
 
 
 def simulated_routing_lengths(
     rf: RoutingFunction, max_hops: Optional[int] = None
 ) -> np.ndarray:
-    """Batched drop-in for :func:`repro.routing.paths.all_pairs_routing_lengths`.
+    """The ``d_R(x, y)`` matrix of every ordered pair; raises if one is lost.
 
     ``max_hops`` is the generic interpreter's hop budget, as in
     :func:`simulate_all_pairs`; passing it for a scheme that executes as a
@@ -576,8 +536,9 @@ def simulated_stretch_factor(
 ) -> Fraction:
     """Exact stretch factor ``s(R, G)`` computed through the batched simulator.
 
-    Equivalent to :func:`repro.routing.paths.stretch_factor` (the test-suite
-    pins the equality) at a fraction of the interpreted work.  ``dist``
+    Equal to the per-pair oracle ``stretch_factor`` of ``tests/oracles.py``
+    (the test-suite pins the equality) at a fraction of the interpreted
+    work.  ``dist``
     defaults to the graph's memoised distance matrix; ``program`` may
     supply a pre-compiled program.
     """

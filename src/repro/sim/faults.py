@@ -46,10 +46,11 @@ surviving graph** (:func:`surviving_distance_matrix`): delivered routes were
 optimal-ish for the intact graph, so their ratio against the surviving
 distances quantifies how much of the scheme's guarantee a failure costs.
 
-The per-message reference interpreter (``method="reference"``) applies the
-same fault model to the live routing function decision by decision; it is
-the differential oracle of the vectorised path and the only execution route
-for generic (opt-out) programs.
+The per-message reference interpreter applies the same fault model to the
+live routing function decision by decision; it is the only execution route
+for generic (opt-out) programs, and — reached by passing
+``program=GenericProgram(num_vertices=n)`` — the differential oracle of the
+vectorised path in the tests.
 """
 
 from __future__ import annotations
@@ -598,7 +599,6 @@ def simulate_with_faults(
     graph: Optional[PortLabeledGraph] = None,
     dist: Optional[np.ndarray] = None,
     max_hops: Optional[int] = None,
-    method: str = "auto",
 ) -> FaultSimulationResult:
     """Route all feasible pairs of a fault scenario and classify every one.
 
@@ -614,7 +614,10 @@ def simulate_with_faults(
     program:
         A pre-compiled program for ``rf`` (e.g. from the sharded runner's
         program cache): masked and executed instead of lowering again —
-        the compile-once economy of the whole subsystem.
+        the compile-once economy of the whole subsystem.  Without one the
+        routing function is lowered first.  A generic program (also the
+        fallback when a header-state enumeration explodes) runs the
+        per-message reference interpreter on the live routing function.
     graph:
         The graph; defaults to ``rf.graph``.
     dist:
@@ -625,18 +628,11 @@ def simulate_with_faults(
         ``4 * n``).  The compiled path has exact fates and no budget:
         passing ``max_hops`` when a compiled program is masked raises
         :class:`ValueError`.
-    method:
-        ``"auto"`` masks the compiled program (lowering the routing
-        function first if no ``program`` was passed; generic kinds fall
-        back to the reference interpreter).  ``"reference"`` forces the
-        per-message oracle — differential tests pin ``auto == reference``.
     """
     if isinstance(rf, RoutingProgram):
         if program is not None:
             raise ValueError("pass the program either positionally or as program=, not both")
         program, rf = rf, None
-    if method not in ("auto", "reference"):
-        raise ValueError(f"unknown fault-simulation method {method!r}")
     if rf is None and program is None:
         raise ValueError("simulate_with_faults needs a routing function or a program")
     if graph is None:
@@ -647,28 +643,23 @@ def simulate_with_faults(
     alive = faults.alive_mask(graph.n)
 
     masked: Optional[RoutingProgram] = None
-    if method == "reference" or (program is None and rf is not None and rf.program_kind() == "generic"):
+    if program is None:
+        try:
+            program = rf.compile_program()
+        except HeaderStateExplosionError:
+            program = GenericProgram(num_vertices=graph.n)
+    if isinstance(program, GenericProgram):
         if rf is None:
-            raise ValueError("the reference interpreter needs the live routing function")
+            raise ValueError(
+                "a generic program is an opt-out marker: fault-injecting it "
+                "needs the live routing function (pass rf=...)"
+            )
         execution, outcome = _reference_masked(rf, graph, faults, max_hops)
     else:
-        if program is None:
-            try:
-                program = rf.compile_program()
-            except HeaderStateExplosionError:
-                program = GenericProgram(num_vertices=graph.n)
-        if isinstance(program, GenericProgram):
-            if rf is None:
-                raise ValueError(
-                    "a generic program is an opt-out marker: fault-injecting it "
-                    "needs the live routing function (pass rf=...)"
-                )
-            execution, outcome = _reference_masked(rf, graph, faults, max_hops)
-        else:
-            masked = apply_faults(program, graph, faults)
-            execution = execute_masked_program(masked, alive=alive, max_hops=max_hops)
-            # Verdict codes equal the PAIR_* codes (pinned by a test).
-            outcome = execution.report.outcome
+        masked = apply_faults(program, graph, faults)
+        execution = execute_masked_program(masked, alive=alive, max_hops=max_hops)
+        # Verdict codes equal the PAIR_* codes (pinned by a test).
+        outcome = execution.report.outcome
 
     if dist is None:
         dist = surviving_distance_matrix(graph, faults)

@@ -190,7 +190,7 @@ def graph_families(
     """One seeded, connected instance of every generator family.
 
     ``size`` is ``"small"`` (n around 10-16, suitable for differential
-    tests against the legacy per-pair simulator) or ``"medium"`` (n around
+    tests against the per-pair oracle router) or ``"medium"`` (n around
     30-40, the conformance-suite default).  Callers that mutate port
     labellings (the complete-graph schemes do) must work on a
     :meth:`~repro.graphs.digraph.PortLabeledGraph.copy`.

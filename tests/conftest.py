@@ -302,7 +302,7 @@ def lower_header_state_per_state(rf, max_states=None):
                 raise HeaderStateExplosionError(
                     f"{type(rf).__name__} reached {max_states} (node, header) states "
                     f"on a {n}-vertex graph; its can_vectorize promise of a finite "
-                    "header alphabet looks broken — use method='generic'"
+                    "header alphabet looks broken — execute it as a GenericProgram"
                 )
             state_id[key] = sid
             nodes.append(node)

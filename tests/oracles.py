@@ -1,0 +1,289 @@
+"""Slow, obviously-correct oracles for the fast paths under ``src/repro``.
+
+Each function here answers one question the package answers fast, the
+simple way the seed reproduction answered it, so the tests (and the
+old-vs-new benchmark pins, which append ``tests/`` to ``sys.path``) can
+race the two:
+
+* :func:`route`, :func:`all_pairs_routing_lengths`, :func:`stretch_factor`
+  — forward one message at a time through Python-level ``I``/``P``/``H``
+  calls, against :func:`repro.sim.engine.simulate_all_pairs` and
+  :func:`repro.sim.engine.simulated_stretch_factor`;
+* :func:`bounded_paths`, :func:`enumerated_first_arcs`,
+  :func:`enumerated_forced_first_arcs` — enumerate every admissible simple
+  path, against the BFS first-arc oracle of
+  :func:`repro.graphs.shortest_paths.first_arcs_of_near_shortest_paths`
+  and :func:`repro.constraints.verifier.forced_first_arcs`;
+* :func:`product_walk_canonical_matrices` — canonicalise every
+  ``p``-tuple of row-normal rows, against the orbit-pruned
+  :func:`repro.constraints.enumeration.enumerate_canonical_matrices`.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
+
+from repro.constraints.enumeration import _validate_enumeration_parameters, normalized_rows
+from repro.constraints.matrix import ConstraintMatrix, canonical_form_reference
+from repro.graphs.digraph import Arc, PortLabeledGraph
+from repro.graphs.shortest_paths import (
+    UNREACHABLE,
+    bfs_distances,
+    distance_matrix,
+    near_shortest_budget,
+)
+from repro.routing.model import DELIVER, RoutingFunction
+
+
+# ----------------------------------------------------------------------
+# per-pair routing
+# ----------------------------------------------------------------------
+class RoutingLoopError(RuntimeError):
+    """Raised when a simulated route exceeds the allowed hop budget."""
+
+    def __init__(self, source: int, dest: int, partial_path: List[int]) -> None:
+        super().__init__(
+            f"routing from {source} to {dest} did not terminate; partial path {partial_path[:20]}..."
+        )
+        self.source = source
+        self.dest = dest
+        self.partial_path = partial_path
+
+
+@dataclass(frozen=True)
+class RouteResult:
+    """Outcome of forwarding one message.
+
+    ``path`` is the sequence of visited vertices (source first, the node
+    where delivery happened last), ``headers[i]`` the header with which
+    ``path[i]`` processed the message, and ``delivered`` whether delivery
+    happened at the intended destination.
+    """
+
+    path: Tuple[int, ...]
+    headers: Tuple[Hashable, ...]
+    delivered: bool
+
+    @property
+    def length(self) -> int:
+        """Number of edges traversed."""
+        return len(self.path) - 1
+
+
+def route(
+    rf: RoutingFunction, source: int, dest: int, max_hops: Optional[int] = None
+) -> RouteResult:
+    """Forward one message from ``source`` to ``dest`` hop by hop.
+
+    Raises :class:`RoutingLoopError` once the message is still in flight
+    after ``max_hops`` hops (default ``4 * n``), and :class:`ValueError`
+    when the routing function emits an invalid port.
+    """
+    graph = rf.graph
+    if source == dest:
+        return RouteResult(path=(source,), headers=(None,), delivered=True)
+    if max_hops is None:
+        max_hops = 4 * max(graph.n, 1)
+    header = rf.initial_header(source, dest)
+    node = source
+    path = [source]
+    headers: List[Hashable] = [header]
+    for _ in range(max_hops):
+        port = rf.port(node, header)
+        if port == DELIVER:
+            return RouteResult(tuple(path), tuple(headers), delivered=(node == dest))
+        try:
+            nxt = graph.neighbor_at_port(node, port)
+        except KeyError as exc:
+            raise ValueError(
+                f"routing function used invalid port {port} at vertex {node} "
+                f"(degree {graph.degree(node)})"
+            ) from exc
+        header = rf.next_header(node, header)
+        node = nxt
+        path.append(node)
+        headers.append(header)
+    raise RoutingLoopError(source, dest, path)
+
+
+def all_pairs_routing_lengths(rf: RoutingFunction, max_hops: Optional[int] = None) -> np.ndarray:
+    """``d_R(x, y)`` for every ordered pair, one :func:`route` per pair.
+
+    The diagonal is 0; a misdelivered pair raises :class:`ValueError`.
+    """
+    n = rf.graph.n
+    lengths = np.zeros((n, n), dtype=np.int64)
+    for x in range(n):
+        for y in range(n):
+            if x == y:
+                continue
+            result = route(rf, x, y, max_hops=max_hops)
+            if not result.delivered:
+                raise ValueError(f"message from {x} to {y} delivered at {result.path[-1]}")
+            lengths[x, y] = result.length
+    return lengths
+
+
+def stretch_factor(
+    rf: RoutingFunction,
+    dist: Optional[np.ndarray] = None,
+    pairs: Optional[Iterable[Tuple[int, int]]] = None,
+) -> Fraction:
+    """Exact ``max d_R(x, y) / d(x, y)`` over all (or the given) ordered pairs.
+
+    Every pair is routed on its own.  ``Fraction(1)`` on graphs with fewer
+    than two vertices; a pair with ``x == y``, a disconnected pair or a
+    misdelivered message raises :class:`ValueError`.
+    """
+    graph = rf.graph
+    if graph.n < 2:
+        return Fraction(1)
+    if dist is None:
+        dist = distance_matrix(graph)
+    if pairs is None:
+        pairs = ((x, y) for x in range(graph.n) for y in range(graph.n) if x != y)
+    worst = Fraction(0)
+    for x, y in pairs:
+        if x == y:
+            raise ValueError("stretch is undefined for source == dest")
+        d = int(dist[x, y])
+        if d == UNREACHABLE:
+            raise ValueError(f"vertices {x} and {y} are not connected")
+        result = route(rf, x, y)
+        if not result.delivered:
+            raise ValueError(f"message from {x} to {y} delivered at {result.path[-1]}")
+        worst = max(worst, Fraction(result.length, d))
+    return worst if worst > 0 else Fraction(1)
+
+
+# ----------------------------------------------------------------------
+# path enumeration
+# ----------------------------------------------------------------------
+def bounded_paths(
+    graph: PortLabeledGraph,
+    source: int,
+    target: int,
+    max_length: int,
+    simple: bool = True,
+    limit: Optional[int] = None,
+) -> List[List[int]]:
+    """All paths from ``source`` to ``target`` of at most ``max_length`` edges.
+
+    With ``simple=True`` (default) no vertex repeats, which loses nothing
+    for stretch analysis: any walk shortens to a simple path of no greater
+    length.  A distance-to-target bound prunes the depth-first search;
+    ``limit`` caps the number of returned paths.
+    """
+    if max_length < 0:
+        return []
+    if source == target:
+        return [[source]]
+    dist_to_target = bfs_distances(graph, target)
+    if dist_to_target[source] == UNREACHABLE or dist_to_target[source] > max_length:
+        return []
+    out: List[List[int]] = []
+    path = [source]
+    on_path: Set[int] = {source}
+    indptr, indices = graph.adjacency_arrays()
+
+    def _dfs(u: int, remaining: int) -> bool:
+        for v in indices[indptr[u] : indptr[u + 1]]:
+            v = int(v)
+            if v == target:
+                out.append(path + [target])
+                if limit is not None and len(out) >= limit:
+                    return True
+                continue
+            if remaining <= 1:
+                continue
+            if simple and v in on_path:
+                continue
+            d = dist_to_target[v]
+            if d == UNREACHABLE or d > remaining - 1:
+                continue
+            path.append(v)
+            on_path.add(v)
+            stop = _dfs(v, remaining - 1)
+            on_path.discard(v)
+            path.pop()
+            if stop:
+                return True
+        return False
+
+    _dfs(source, max_length)
+    return out
+
+
+def enumerated_first_arcs(
+    graph: PortLabeledGraph,
+    source: int,
+    target: int,
+    stretch: float,
+    strict: bool = False,
+    dist: Optional[np.ndarray] = None,
+) -> Set[Arc]:
+    """First arcs of every simple path within the stretch budget, by enumeration.
+
+    ``dist`` is an optional precomputed distance row ``d(source, .)``.
+    """
+    if source == target:
+        raise ValueError("first arcs are undefined for source == target")
+    if dist is None:
+        dist = bfs_distances(graph, source)
+    d = int(dist[target])
+    if d == UNREACHABLE:
+        return set()
+    max_len = near_shortest_budget(d, stretch, strict)
+    return {
+        Arc(source, path[1], graph.port(source, path[1]))
+        for path in bounded_paths(graph, source, target, max_len)
+    }
+
+
+def enumerated_forced_first_arcs(
+    graph: PortLabeledGraph,
+    constrained: Sequence[int],
+    targets: Sequence[int],
+    stretch: float,
+    strict: bool = True,
+) -> List[List[Optional[Arc]]]:
+    """The forced first arc of every (constrained, target) pair, by enumeration."""
+    grid: List[List[Optional[Arc]]] = []
+    for a in constrained:
+        dist = bfs_distances(graph, a)
+        row: List[Optional[Arc]] = []
+        for b in targets:
+            arcs = set() if a == b else enumerated_first_arcs(graph, a, b, stretch, strict, dist)
+            row.append(next(iter(arcs)) if len(arcs) == 1 else None)
+        grid.append(row)
+    return grid
+
+
+# ----------------------------------------------------------------------
+# matrix enumeration
+# ----------------------------------------------------------------------
+def product_walk_canonical_matrices(
+    p: int, q: int, d: int, max_cells: int = 24
+) -> List[ConstraintMatrix]:
+    """Canonical representatives of ``M^d_{p,q}`` by the exhaustive product walk.
+
+    Canonicalises every ``p``-tuple of row-normal rows with the
+    unmemoised :func:`~repro.constraints.matrix.canonical_form_reference`
+    and returns the distinct representatives sorted by their entries.
+    """
+    _validate_enumeration_parameters(p, q, d, max_cells)
+    seen: Set[Tuple[int, ...]] = set()
+    representatives: List[ConstraintMatrix] = []
+    for combo in itertools.product(normalized_rows(q, d), repeat=p):
+        canon = canonical_form_reference(np.array(combo, dtype=np.int64))
+        key = tuple(int(x) for x in canon.reshape(-1))
+        if key not in seen:
+            seen.add(key)
+            representatives.append(ConstraintMatrix.from_entries(canon))
+    representatives.sort(key=lambda m: m.entries)
+    return representatives

@@ -89,6 +89,16 @@ def test_removed_capability_shims_are_not_documented():
         assert "can_header_compile" not in text
 
 
+def test_removed_engine_switches_are_not_documented():
+    # The slow second answers moved to tests/oracles.py; no page may still
+    # send a reader to a method= switch or the deleted per-pair module.
+    for page in (ROOT / "README.md", ROOT / "benchmarks" / "README.md",
+                 ROOT / "docs" / "cli.md", ROOT / "docs" / "architecture.md"):
+        text = page.read_text()
+        assert not re.search(r'method="\w', text), f"{page} documents a method= switch"
+        assert "repro.routing.paths" not in text, f"{page} references a removed module"
+
+
 # ----------------------------------------------------------------------
 # docs <-> tests closure
 # ----------------------------------------------------------------------

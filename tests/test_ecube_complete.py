@@ -6,11 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import all_pairs_routing_lengths, stretch_factor
 from repro.graphs import generators
 from repro.memory.requirement import memory_profile
 from repro.routing.complete import AdversarialCompleteGraphScheme, ModularCompleteGraphScheme
 from repro.routing.ecube import ECubeRoutingScheme
-from repro.routing.paths import all_pairs_routing_lengths, stretch_factor
 from repro.graphs.shortest_paths import distance_matrix
 
 

@@ -36,6 +36,7 @@ from repro.routing.model import SchemeInapplicableError
 from repro.routing.program import (
     DROPPED,
     MISDELIVER,
+    GenericProgram,
     HeaderStateExplosionError,
     HeaderStateProgram,
     NextHopProgram,
@@ -435,7 +436,7 @@ def test_max_hops_is_refused_on_compiled_programs():
         with pytest.raises(ValueError, match="max_hops"):
             call()
     # The per-message interpreter keeps its budget.
-    short = simulate_all_pairs(rf, max_hops=1, method="generic")
+    short = simulate_all_pairs(rf, max_hops=1, program=GenericProgram(num_vertices=graph.n))
     assert not short.all_delivered
 
 

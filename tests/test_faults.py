@@ -110,7 +110,7 @@ def test_masked_execution_matches_reference(scheme_name, family_name):
     fault_free = simulate_all_pairs(rf, program=program if not isinstance(program, GenericProgram) else None)
     for label, faults in _scenarios_for(graph):
         auto = simulate_with_faults(rf, faults, program=program, graph=graph)
-        reference = simulate_with_faults(rf, faults, method="reference")
+        reference = simulate_with_faults(rf, faults, program=GenericProgram(num_vertices=graph.n))
         _fault_results_equal(auto, reference)
 
         off = ~np.eye(graph.n, dtype=bool)
@@ -171,7 +171,7 @@ def test_masked_matches_reference_on_random_graphs(n, extra, seed, k, kind):
     faults = random_fault_set(graph, min(k, limit), kind=kind, seed=seed)
     rf = ShortestPathTableScheme().build(graph)
     auto = simulate_with_faults(rf, faults)
-    reference = simulate_with_faults(rf, faults, method="reference")
+    reference = simulate_with_faults(rf, faults, program=GenericProgram(num_vertices=graph.n))
     _fault_results_equal(auto, reference)
     assert auto.mode == "compiled-masked"
     assert reference.mode == "generic-masked"
@@ -261,7 +261,7 @@ def test_k0_is_exact_noop_on_the_generic_path(n, extra, seed):
     assert rf.program_kind() == "generic"
     result = simulate_with_faults(rf, FaultSet.empty())
     assert result.mode == "generic-masked"
-    _assert_k0_matches_fault_free(result, simulate_all_pairs(rf, method="generic"), n)
+    _assert_k0_matches_fault_free(result, simulate_all_pairs(rf, program=GenericProgram(num_vertices=n)), n)
 
 
 # ----------------------------------------------------------------------
@@ -327,7 +327,7 @@ def test_livelock_under_faults_is_classified_not_dropped():
     rf = _SpinFunction(graph)
     faults = FaultSet.from_edges([(0, 1)])
     auto = simulate_with_faults(rf, faults)
-    reference = simulate_with_faults(rf, faults, method="reference")
+    reference = simulate_with_faults(rf, faults, program=GenericProgram(num_vertices=graph.n))
     _fault_results_equal(auto, reference)
     for src in (1, 2, 3):
         assert auto.outcome[src, 0] == PAIR_LIVELOCKED

@@ -16,15 +16,14 @@ from repro import (
     generators,
     memory_profile,
     petersen_constraint_matrix,
-    route,
-    stretch_factor,
+    simulate_all_pairs,
+    simulated_stretch_factor,
     theorem1_bound,
     verify_constraint_matrix,
     worst_case_network,
 )
 from repro.constraints.reconstruction import verify_reconstruction
 from repro.memory import bounds
-from repro.routing.paths import verify_routing_function
 
 
 class TestPublicAPI:
@@ -33,8 +32,7 @@ class TestPublicAPI:
         rf = ShortestPathTableScheme().build(g)
         profile = memory_profile(rf)
         assert profile.local > 0
-        result = route(rf, 0, g.n - 1)
-        assert result.delivered
+        assert simulate_all_pairs(rf).delivered[0, g.n - 1]
 
     def test_version_string(self):
         import repro
@@ -101,7 +99,8 @@ class TestPaperStoryline:
         tables = memory_profile(ShortestPathTableScheme().build(g))
         landmarks_rf = CowenLandmarkScheme(seed=1).build(g)
         landmarks = memory_profile(landmarks_rf)
-        assert verify_routing_function(landmarks_rf, max_stretch=3.0) <= Fraction(3)
+        # simulated_stretch_factor raises unless every pair is delivered.
+        assert simulated_stretch_factor(landmarks_rf) <= Fraction(3)
         assert landmarks.global_ < tables.global_
 
     def test_figure1_matrix_reconstructible_from_any_scheme(self):

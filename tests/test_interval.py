@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import all_pairs_routing_lengths, stretch_factor
 from repro.graphs import generators
 from repro.graphs.shortest_paths import distance_matrix
 from repro.routing.interval import (
@@ -14,7 +15,6 @@ from repro.routing.interval import (
     TreeIntervalRoutingScheme,
     cyclic_intervals_of_set,
 )
-from repro.routing.paths import all_pairs_routing_lengths, stretch_factor
 from repro.routing.tables import ShortestPathTableScheme
 
 

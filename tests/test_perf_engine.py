@@ -2,13 +2,14 @@
 
 Three families of guarantees:
 
-* the BFS first-arc oracle is bit-for-bit equivalent to the legacy
-  bounded-length path enumeration (property-based: random graphs x random
-  pairs x stretches in {1, 1.25, 1.5, 2}, both open and closed budgets);
+* the BFS first-arc oracle is bit-for-bit equivalent to the
+  bounded-length path enumeration of ``tests/oracles.py`` (property-based:
+  random graphs x random pairs x stretches in {1, 1.25, 1.5, 2}, both open
+  and closed budgets);
 * the orbit-pruned streaming enumerator yields exactly the classes of the
-  seed's exhaustive product walk (every ``p * q <= 12``, ``d <= 3`` within
-  the exact-canonicalisation dimension limit, the seven Equation (2)
-  representatives included);
+  seed's exhaustive product walk (``tests/oracles.py``; every
+  ``p * q <= 12``, ``d <= 3`` within the exact-canonicalisation dimension
+  limit, the seven Equation (2) representatives included);
 * the cached CSR adjacency serves repeated distance/verification queries
   without re-extracting edges and is invalidated by every mutation.
 """
@@ -23,9 +24,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    enumerated_first_arcs,
+    enumerated_forced_first_arcs,
+    product_walk_canonical_matrices,
+)
 from repro.constraints.enumeration import (
     enumerate_canonical_matrices,
-    enumerate_canonical_matrices_legacy,
     iter_canonical_matrices,
     normalized_rows,
 )
@@ -75,11 +80,9 @@ def test_first_arc_oracle_matches_enumeration(n, extra, seed, pair_seed):
         source, target = (int(x) for x in rng.choice(n, size=2, replace=False))
         for stretch in STRETCHES:
             for strict in (False, True):
-                legacy = first_arcs_of_near_shortest_paths(
-                    graph, source, target, stretch, strict=strict, method="enumerate"
-                )
+                legacy = enumerated_first_arcs(graph, source, target, stretch, strict=strict)
                 oracle = first_arcs_of_near_shortest_paths(
-                    graph, source, target, stretch, strict=strict, method="bfs"
+                    graph, source, target, stretch, strict=strict
                 )
                 assert oracle == legacy
 
@@ -89,12 +92,11 @@ def test_first_arc_oracle_on_lemma2_graphs():
         cg = build_constraint_graph(ConstraintMatrix.random(p, q, d, seed=seed))
         for stretch in STRETCHES:
             for strict in (False, True):
-                legacy = forced_first_arcs(
-                    cg.graph, cg.constrained, cg.targets, stretch, strict=strict,
-                    method="enumerate",
+                legacy = enumerated_forced_first_arcs(
+                    cg.graph, cg.constrained, cg.targets, stretch, strict=strict
                 )
                 oracle = forced_first_arcs(
-                    cg.graph, cg.constrained, cg.targets, stretch, strict=strict, method="bfs"
+                    cg.graph, cg.constrained, cg.targets, stretch, strict=strict
                 )
                 assert oracle == legacy
 
@@ -103,9 +105,9 @@ def test_first_arc_oracle_strict_open_bound():
     # d(0, 2) = 2 on C6; the long way round has length 4 = 2 * d, admitted by
     # the closed bound and excluded by the open one.
     graph = generators.cycle_graph(6)
-    for method in ("bfs", "enumerate"):
-        loose = first_arcs_of_near_shortest_paths(graph, 0, 2, 2.0, strict=False, method=method)
-        strict = first_arcs_of_near_shortest_paths(graph, 0, 2, 2.0, strict=True, method=method)
+    for first_arcs in (first_arcs_of_near_shortest_paths, enumerated_first_arcs):
+        loose = first_arcs(graph, 0, 2, 2.0, strict=False)
+        strict = first_arcs(graph, 0, 2, 2.0, strict=True)
         assert len(loose) == 2
         assert len(strict) == 1
 
@@ -118,9 +120,7 @@ def test_first_arc_oracle_excluded_source_detour():
     for stretch in (1.0, 3.0, 10.0):
         for strict in (False, True):
             oracle = first_arcs_of_near_shortest_paths(graph, 1, 2, stretch, strict=strict)
-            legacy = first_arcs_of_near_shortest_paths(
-                graph, 1, 2, stretch, strict=strict, method="enumerate"
-            )
+            legacy = enumerated_first_arcs(graph, 1, 2, stretch, strict=strict)
             assert oracle == legacy
             assert all(arc.head == 2 for arc in oracle)
 
@@ -130,8 +130,6 @@ def test_first_arc_oracle_unreachable_and_errors():
     assert first_arcs_of_near_shortest_paths(graph, 0, 3, 2.0) == set()
     with pytest.raises(ValueError):
         first_arcs_of_near_shortest_paths(graph, 1, 1, 2.0)
-    with pytest.raises(ValueError):
-        first_arcs_of_near_shortest_paths(graph, 0, 1, 2.0, method="dijkstra")
 
 
 def test_near_shortest_budget_open_and_closed():
@@ -161,7 +159,7 @@ def test_streaming_enumerator_matches_sorted_and_legacy(p, q, d):
     assert [m.entries for m in sorted_reps] == sorted(m.entries for m in sorted_reps)
     legacy_work = len(normalized_rows(q, d)) ** p * math.factorial(q)
     if legacy_work <= _LEGACY_BUDGET:
-        legacy = enumerate_canonical_matrices_legacy(p, q, d)
+        legacy = product_walk_canonical_matrices(p, q, d)
         assert [m.entries for m in sorted_reps] == [m.entries for m in legacy]
 
 
@@ -169,7 +167,7 @@ def test_equation2_seven_representatives_streamed():
     reps = list(iter_canonical_matrices(2, 3, 3))
     assert len(reps) == 7
     assert {m.entries for m in reps} == {
-        m.entries for m in enumerate_canonical_matrices_legacy(2, 3, 3)
+        m.entries for m in product_walk_canonical_matrices(2, 3, 3)
     }
 
 

@@ -4,8 +4,8 @@ Four layers of guarantees:
 
 * **Differential** — for every scheme in the registry and every seeded
   generator family, ``execute(rf.compile_program())`` produces exactly the
-  matrices of the generic interpreter and of the legacy per-pair simulator
-  (:func:`repro.routing.paths.route`).  Hypothesis property tests extend
+  matrices of the generic interpreter and of the per-pair oracle router
+  (``route`` in ``tests/oracles.py``).  Hypothesis property tests extend
   this to random graphs for both program kinds.
 
 * **Serialization** — ``program_from_bytes(p.to_bytes())`` executes
@@ -36,6 +36,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import profile_settings
+from oracles import all_pairs_routing_lengths
 from repro.graphs import generators
 from repro.memory.requirement import (
     memory_profile,
@@ -44,7 +45,6 @@ from repro.memory.requirement import (
     program_memory_profile,
 )
 from repro.routing.landmark import CowenLandmarkScheme
-from repro.routing.paths import all_pairs_routing_lengths
 from repro.routing.program import (
     KIND_GENERIC,
     KIND_HEADER_STATE,
@@ -103,7 +103,7 @@ def test_program_execution_matches_generic_and_legacy(scheme_name, family_name):
     assert program.n == rf.graph.n
 
     compiled = execute_program(program)
-    generic = simulate_all_pairs(rf, method="generic")
+    generic = simulate_all_pairs(rf, program=GenericProgram(num_vertices=rf.graph.n))
     assert np.array_equal(compiled.lengths, generic.lengths)
     assert np.array_equal(compiled.delivered, generic.delivered)
     assert np.array_equal(compiled.misdelivered, generic.misdelivered)

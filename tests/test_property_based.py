@@ -6,6 +6,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles import stretch_factor
 from repro.constraints.builder import build_constraint_graph, lemma2_order_bound
 from repro.constraints.enumeration import lemma1_lower_bound_log2, lemma1_simplified_log2
 from repro.constraints.matrix import (
@@ -21,7 +22,6 @@ from repro.graphs.shortest_paths import bfs_distances, distance_matrix
 from repro.memory.coder import DefaultPortCoder, IntervalTableCoder, RawTableCoder
 from repro.memory.encoding import BitReader, BitWriter
 from repro.routing.interval import cyclic_intervals_of_set
-from repro.routing.paths import stretch_factor
 from repro.routing.spanner import greedy_spanner, spanner_stretch
 from repro.routing.tables import ShortestPathTableScheme
 

@@ -15,7 +15,8 @@ from repro.constraints.reconstruction import (
     verify_reconstruction,
 )
 from repro.routing.interval import IntervalRoutingScheme
-from repro.routing.tables import ShortestPathTableScheme
+from repro.routing.model import TableRoutingFunction
+from repro.routing.tables import ShortestPathTableScheme, shortest_path_ports
 
 
 class TestWitness:
@@ -82,6 +83,18 @@ class TestReconstruction:
         cg = build_constraint_graph(m, pad_to_order=50)
         rf = ShortestPathTableScheme().build(cg.graph)
         assert verify_reconstruction(cg, rf, check_route_validity=True)
+
+    def test_route_validity_check_returns_false_on_a_livelock(self):
+        cg = build_constraint_graph(ConstraintMatrix.random(2, 3, 2, seed=1))
+        graph = cg.graph
+        ports = shortest_path_ports(graph, "lowest_port").copy()
+        # Middle vertex 2 sends target 6 back to constrained vertex 0, which
+        # forwards it to 2 again: the first-hop answers are untouched, so
+        # only the route check can see the livelock.
+        ports[2, 6] = graph.port(2, 0)
+        rf = TableRoutingFunction(graph, ports)
+        assert verify_reconstruction(cg, rf)
+        assert verify_reconstruction(cg, rf, check_route_validity=True) is False
 
     def test_verify_reconstruction_on_theorem1_instance(self):
         cg = worst_case_network(90, 0.5, seed=7)

@@ -320,6 +320,52 @@ class TestScipyImportRule:
         assert _codes(_lint(tmp_path, "src/repro/graphs/x.py", src)) == ["REP007"]
 
 
+class TestMethodParameterRule:
+    METHODS = (
+        "def f(graph, method='bfs'):\n    pass\n",
+        "def f(graph, *, method):\n    pass\n",
+        "def f(method, /):\n    pass\n",
+        "class C:\n    def verify(self, method='auto'):\n        pass\n",
+        "async def f(method=None):\n    pass\n",
+        "pick = lambda method: method\n",
+    )
+
+    @pytest.mark.parametrize("source", METHODS)
+    @pytest.mark.parametrize(
+        "rel",
+        [
+            "src/repro/graphs/shortest_paths.py",
+            "src/repro/constraints/verifier.py",
+            "src/repro/sim/engine.py",
+        ],
+    )
+    def test_method_parameters_flagged_everywhere_in_the_package(self, tmp_path, rel, source):
+        findings = _lint(tmp_path, rel, source)
+        assert _codes(findings) == ["REP008"]
+        assert "tests/oracles.py" in findings[0].message
+
+    def test_other_uses_of_the_word_allowed(self, tmp_path):
+        # Methods, attributes, keywords at call sites and local names are
+        # not parameters; only a caller-set switch is rejected.
+        src = (
+            "class C:\n"
+            "    @classmethod\n"
+            "    def make(cls, methods=()):\n"
+            "        method = 'x'\n"
+            "        return csgraph.shortest_path(a, method='D'), self.method\n"
+        )
+        assert _lint(tmp_path, "src/repro/sim/x.py", src) == []
+
+    def test_tests_and_benchmarks_may_take_a_method(self, tmp_path):
+        src = "def test_paths(method):\n    pass\n"
+        assert _lint(tmp_path, "tests/test_x.py", src) == []
+        assert _lint(tmp_path, "benchmarks/bench_x.py", src) == []
+
+    def test_escape_comment_does_not_apply(self, tmp_path):
+        src = "def f(method='bfs'):  # repro-lint: allow-method\n    pass\n"
+        assert _codes(_lint(tmp_path, "src/repro/graphs/x.py", src)) == ["REP008"]
+
+
 class TestDriver:
     def test_syntax_error_reported_not_raised(self, tmp_path):
         findings = _lint(tmp_path, "src/repro/sim/x.py", "def f(:\n")

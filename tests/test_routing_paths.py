@@ -1,4 +1,4 @@
-"""Unit tests for route simulation, stretch factor and verification.
+"""Unit tests for the per-pair router and stretch oracle of ``tests/oracles.py``.
 
 Graph instances come from the shared corpus fixtures of ``conftest.py``
 (one seeded instance per generator family) instead of ad-hoc per-test
@@ -13,16 +13,9 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import RoutingLoopError, all_pairs_routing_lengths, route, stretch_factor
 from repro.graphs import generators
 from repro.routing.model import DELIVER, DestinationBasedRoutingFunction
-from repro.routing.paths import (
-    RoutingLoopError,
-    all_pairs_routing_lengths,
-    route,
-    stretch_factor,
-    stretch_of_pair,
-    verify_routing_function,
-)
 from repro.routing.tables import ShortestPathTableScheme
 
 
@@ -111,13 +104,13 @@ class TestStretch:
 
     def test_stretch_of_pair_exact_fraction(self, cycle_8):
         rf = _ClockwiseRingFunction(cycle_8)
-        assert stretch_of_pair(rf, 0, 6) == Fraction(6, 2)
+        assert stretch_factor(rf, pairs=[(0, 6)]) == Fraction(6, 2)
 
     def test_stretch_of_pair_rejects_same_vertex(self):
         g = generators.cycle_graph(4)
         rf = ShortestPathTableScheme().build(g)
         with pytest.raises(ValueError):
-            stretch_of_pair(rf, 1, 1)
+            stretch_factor(rf, pairs=[(1, 1)])
 
     def test_stretch_over_selected_pairs(self, cycle_8):
         rf = _ClockwiseRingFunction(cycle_8)
@@ -135,19 +128,3 @@ class TestStretch:
         rf = _WrongDeliveryFunction(g)
         with pytest.raises(ValueError):
             all_pairs_routing_lengths(rf)
-
-
-class TestVerification:
-    def test_verify_accepts_shortest_path_tables(self, small_corpus_graph):
-        rf = ShortestPathTableScheme().build(small_corpus_graph)
-        assert verify_routing_function(rf, max_stretch=1.0) == Fraction(1)
-
-    def test_verify_rejects_excess_stretch(self, cycle_8):
-        rf = _ClockwiseRingFunction(cycle_8)
-        with pytest.raises(ValueError):
-            verify_routing_function(rf, max_stretch=2.0)
-
-    def test_verify_without_bound_returns_stretch(self):
-        g = generators.cycle_graph(6)
-        rf = _ClockwiseRingFunction(g)
-        assert verify_routing_function(rf) == Fraction(5, 1)

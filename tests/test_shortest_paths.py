@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import bounded_paths
 from repro.graphs import generators
 from repro.graphs.digraph import PortLabeledGraph
 from repro.graphs.shortest_paths import (
@@ -12,7 +13,6 @@ from repro.graphs.shortest_paths import (
     all_shortest_paths,
     bfs_distances,
     bfs_parents,
-    bounded_paths,
     distance_matrix,
     eccentricities,
     first_arcs_of_near_shortest_paths,

@@ -5,15 +5,17 @@ Three layers of guarantees:
 * **Differential** — for every scheme in :func:`repro.sim.registry.scheme_registry`
   and every generator family in :func:`repro.sim.registry.graph_families`
   (seeded, small sizes), the batched simulator produces exactly the per-pair
-  lengths of the legacy interpreter (:func:`repro.routing.paths.route`),
+  lengths of the oracle router (``route`` in ``tests/oracles.py``),
   delivers all pairs, and measures stretch >= 1 with equality on the
   shortest-path table schemes.  Property-based: random graphs cross-check
-  compiled == generic == legacy, and a header-rewriting scheme exercises the
-  generic fallback against the legacy loop.
+  compiled == generic == per-pair, and a header-rewriting scheme exercises
+  the generic fallback against the per-pair oracle.  A test forces an
+  execution path by passing its program: ``lower_next_hop(rf)``,
+  ``lower_header_state(rf)`` or ``GenericProgram(num_vertices=n)``.
 
 * **Failure modes** — livelocks are detected (exactly, within ``n`` steps on
   the compiled path), misdelivery is recorded per pair, invalid ports raise
-  the legacy error.
+  the oracle's error.
 
 * **Conformance** — :func:`repro.sim.conformance.run_conformance_suite`
   passes for every applicable scheme x family cell of the registries: all
@@ -31,11 +33,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import build_next_hop_matrix, profile_settings
+from oracles import RoutingLoopError, all_pairs_routing_lengths, route, stretch_factor
 from repro.graphs import generators
 from repro.graphs.shortest_paths import distance_matrix
 from repro.routing.model import DELIVER, DestinationBasedRoutingFunction, RoutingFunction
-from repro.routing.paths import all_pairs_routing_lengths, route, stretch_factor
-from repro.routing.program import lower_header_state, lower_next_hop
+from repro.routing.program import GenericProgram, lower_header_state, lower_next_hop
 from repro.routing.tables import ShortestPathTableScheme
 from repro.routing.verify import resolve_fates
 from repro.sim import (
@@ -108,7 +110,7 @@ class _EagerDeliverFunction(DestinationBasedRoutingFunction):
 
 
 # ----------------------------------------------------------------------
-# differential: simulator == legacy for every scheme x family
+# differential: simulator == per-pair oracle for every scheme x family
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("family_name", sorted(FAMILIES))
 @pytest.mark.parametrize("scheme_name", sorted(SCHEMES))
@@ -167,8 +169,8 @@ def test_every_scheme_uses_a_compiled_path_on_some_family(scheme_name):
 def test_compiled_generic_and_legacy_agree_on_random_graphs(n, extra, seed, tie_break):
     graph = generators.random_connected_graph(n, extra_edge_prob=extra, seed=seed)
     rf = ShortestPathTableScheme(tie_break=tie_break).build(graph)
-    compiled = simulate_all_pairs(rf, method="compiled")
-    generic = simulate_all_pairs(rf, method="generic")
+    compiled = simulate_all_pairs(rf, program=lower_next_hop(rf))
+    generic = simulate_all_pairs(rf, program=GenericProgram(num_vertices=n))
     assert np.array_equal(compiled.lengths, generic.lengths)
     assert compiled.all_delivered and generic.all_delivered
     assert np.array_equal(compiled.lengths, all_pairs_routing_lengths(rf))
@@ -188,7 +190,7 @@ def test_generic_fallback_matches_legacy_for_header_rewriting(n, extra, seed):
     result = simulate_all_pairs(rf)
     assert result.mode == "generic"
     assert np.array_equal(result.lengths, all_pairs_routing_lengths(rf))
-    # Spot-check header traces against the legacy interpreter.
+    # Spot-check header traces against the per-pair oracle.
     rng = np.random.default_rng(seed)
     for _ in range(3):
         x, y = (int(v) for v in rng.choice(n, size=2, replace=False))
@@ -198,15 +200,6 @@ def test_generic_fallback_matches_legacy_for_header_rewriting(n, extra, seed):
         assert legacy.headers[-1] == (y, legacy.length)
 
 
-def test_forcing_compiled_on_rewriting_scheme_rejected():
-    graph = generators.cycle_graph(5)
-    rf = _TTLRewritingFunction(graph)
-    with pytest.raises(ValueError):
-        simulate_all_pairs(rf, method="compiled")
-    with pytest.raises(ValueError):
-        simulate_all_pairs(rf, method="telepathy")
-
-
 # ----------------------------------------------------------------------
 # header-compiled path: rewriting schemes across the graph corpus
 # ----------------------------------------------------------------------
@@ -214,8 +207,8 @@ def test_forcing_compiled_on_rewriting_scheme_rejected():
 @pytest.mark.parametrize("scheme_name", ["ecube-mask", "landmark-rewriting", "spanner3-rewriting"])
 def test_header_compiled_matches_generic_and_legacy_per_family(scheme_name, family_name):
     rf = _build(scheme_name, family_name)
-    compiled = simulate_all_pairs(rf, method="header-compiled")
-    generic = simulate_all_pairs(rf, method="generic")
+    compiled = simulate_all_pairs(rf, program=lower_header_state(rf))
+    generic = simulate_all_pairs(rf, program=GenericProgram(num_vertices=rf.graph.n))
     assert compiled.mode == "header-compiled" and generic.mode == "generic"
     assert np.array_equal(compiled.lengths, generic.lengths)
     assert np.array_equal(compiled.delivered, generic.delivered)
@@ -276,8 +269,8 @@ def test_rewriting_landmark_header_compiled_generic_legacy_agree(n, extra, seed)
 
     rf = CowenLandmarkScheme(seed=seed, rewriting=True).build(graph)
     assert rf.program_kind() == "header-state"
-    compiled = simulate_all_pairs(rf, method="header-compiled")
-    generic = simulate_all_pairs(rf, method="generic")
+    compiled = simulate_all_pairs(rf, program=lower_header_state(rf))
+    generic = simulate_all_pairs(rf, program=GenericProgram(num_vertices=n))
     assert np.array_equal(compiled.lengths, generic.lengths)
     assert compiled.all_delivered and generic.all_delivered
     assert np.array_equal(compiled.lengths, all_pairs_routing_lengths(rf))
@@ -293,7 +286,7 @@ def test_mask_ecube_header_compiled_equals_legacy_on_hypercubes(dim):
 
     graph = generators.hypercube(dim)
     rf = MaskECubeRoutingScheme().build(graph)
-    compiled = simulate_all_pairs(rf, method="header-compiled")
+    compiled = simulate_all_pairs(rf, program=lower_header_state(rf))
     assert compiled.all_delivered
     dist = distance_matrix(graph)
     assert np.array_equal(compiled.lengths, dist)  # dimension-order = shortest paths
@@ -316,8 +309,6 @@ def test_livelock_detected_within_n_steps():
 
 
 def test_livelock_matches_legacy_loop_error():
-    from repro.routing.paths import RoutingLoopError
-
     graph = generators.complete_graph(4)
     rf = _BounceFunction(graph)
     result = simulate_all_pairs(rf)
@@ -336,14 +327,27 @@ def test_misdelivery_recorded_per_pair():
     assert result.livelocked_pairs() == []
 
 
-@pytest.mark.parametrize("method", ["compiled", "header-compiled", "generic"])
+#: Execution mode -> the program that forces it for a routing function.
+FORCED_PROGRAMS = {
+    "compiled": lower_next_hop,
+    "header-compiled": lower_header_state,
+    "generic": lambda rf: GenericProgram(num_vertices=rf.graph.n),
+}
+
+
+def _forced(rf, mode):
+    """Simulate ``rf`` through the execution path named ``mode``."""
+    return simulate_all_pairs(rf, program=FORCED_PROGRAMS[mode](rf))
+
+
+@pytest.mark.parametrize("method", sorted(FORCED_PROGRAMS))
 def test_misdelivery_parity_across_all_simulation_paths(method):
     # The satellite guarantee: a DELIVER at the wrong node is recorded in
     # SimulationResult.misdelivered identically on every path —
     # indistinguishable -1 sentinels are no longer the only signal.
     graph = generators.path_graph(5)
-    reference = simulate_all_pairs(_EagerDeliverFunction(graph), method="generic")
-    result = simulate_all_pairs(_EagerDeliverFunction(graph), method=method)
+    reference = _forced(_EagerDeliverFunction(graph), "generic")
+    result = _forced(_EagerDeliverFunction(graph), method)
     assert result.mode == method
     assert np.array_equal(result.misdelivered, reference.misdelivered)
     assert np.array_equal(result.delivered, reference.delivered)
@@ -351,11 +355,11 @@ def test_misdelivery_parity_across_all_simulation_paths(method):
     assert not (result.misdelivered & result.delivered).any()
 
 
-@pytest.mark.parametrize("method", ["compiled", "header-compiled", "generic"])
+@pytest.mark.parametrize("method", sorted(FORCED_PROGRAMS))
 def test_livelock_parity_across_all_simulation_paths(method):
     graph = generators.complete_graph(5)
-    reference = simulate_all_pairs(_BounceFunction(graph), method="generic")
-    result = simulate_all_pairs(_BounceFunction(graph), method=method)
+    reference = _forced(_BounceFunction(graph), "generic")
+    result = _forced(_BounceFunction(graph), method)
     assert np.array_equal(result.delivered, reference.delivered)
     assert np.array_equal(result.misdelivered, reference.misdelivered)
     assert result.livelocked_pairs() == reference.livelocked_pairs()
@@ -365,7 +369,7 @@ def test_livelock_parity_across_all_simulation_paths(method):
 
 def test_livelock_detected_exactly_on_header_compiled_path():
     graph = generators.complete_graph(5)
-    result = simulate_all_pairs(_BounceFunction(graph), method="header-compiled")
+    result = _forced(_BounceFunction(graph), "header-compiled")
     assert result.mode == "header-compiled"
     assert not result.all_delivered
     # The exact functional-graph budget: no 4n interpretation slack.
@@ -416,8 +420,6 @@ def test_forward_past_destination_detected_on_compiled_path():
     result = simulate_all_pairs(rf)
     assert result.mode == "compiled"
     assert not result.delivered[~np.eye(5, dtype=bool)].any()
-    from repro.routing.paths import RoutingLoopError
-
     with pytest.raises(RoutingLoopError):
         route(rf, 0, 2)
 
@@ -466,14 +468,12 @@ def test_can_vectorize_opt_out_falls_back_to_generic():
     assert rf.program_kind() == "generic"
     result = simulate_all_pairs(rf)
     assert result.mode == "generic"
-    with pytest.raises(ValueError, match="can_vectorize"):
-        simulate_all_pairs(rf, method="header-compiled")
 
 
 def test_header_state_explosion_raises_forced_and_falls_back_on_auto():
     # A scheme whose can_vectorize promise is broken (unbounded hop counter
-    # on a livelocking route) must explode loudly when forced and degrade
-    # to the generic interpreter under auto.
+    # on a livelocking route) must explode loudly when lowered directly and
+    # degrade to the generic interpreter in the simulator.
     class _UnboundedCounter(RoutingFunction):
         can_vectorize = True
 
@@ -493,7 +493,7 @@ def test_header_state_explosion_raises_forced_and_falls_back_on_auto():
     graph = generators.complete_graph(4)
     rf = _UnboundedCounter(graph)
     with pytest.raises(HeaderStateExplosionError, match="can_vectorize"):
-        simulate_all_pairs(rf, method="header-compiled")
+        lower_header_state(rf)
     result = simulate_all_pairs(rf)
     assert result.mode == "generic"
 

@@ -12,11 +12,11 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import route, stretch_factor
 from repro.graphs import generators, properties
 from repro.memory.requirement import address_bits, memory_profile
 from repro.routing.hierarchical import HierarchicalSpannerScheme
 from repro.routing.landmark import CowenLandmarkScheme
-from repro.routing.paths import stretch_factor, verify_routing_function
 from repro.routing.spanner import greedy_spanner, spanner_stretch
 from repro.routing.tables import ShortestPathTableScheme
 
@@ -70,10 +70,10 @@ class TestGreedySpanner:
 
 class TestCowenLandmark:
     def test_delivery_and_stretch_at_most_three_on_corpus(self, small_corpus_graph):
-        # verify_routing_function checks every pair is delivered, so this
+        # stretch_factor raises unless every pair is delivered, so this
         # subsumes the old per-family delivery tests.
         rf = CowenLandmarkScheme(seed=1).build(small_corpus_graph)
-        assert verify_routing_function(rf, max_stretch=3.0) <= Fraction(3)
+        assert stretch_factor(rf) <= Fraction(3)
 
     def test_landmark_count_respected(self):
         g = generators.random_connected_graph(30, seed=3)
@@ -144,8 +144,6 @@ class TestHierarchicalSpannerScheme:
 
     def test_routes_only_use_spanner_edges(self, small_corpus_graph):
         import numpy as np
-
-        from repro.routing.paths import route
 
         g = small_corpus_graph
         rf = HierarchicalSpannerScheme(spanner_stretch=3.0, seed=2).build(g)

@@ -11,7 +11,7 @@ from repro.graphs import generators
 from repro.graphs.digraph import PortLabeledGraph
 from repro.graphs.shortest_paths import distance_matrix
 from conftest import build_next_hop_matrix
-from repro.routing.paths import all_pairs_routing_lengths, stretch_factor
+from oracles import all_pairs_routing_lengths, stretch_factor
 from repro.routing.tables import ShortestPathTableScheme, shortest_path_ports
 
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific AST lint for the routing/sim core.
 
-Seven rules guard invariants that generic linters cannot see, all scoped
+Eight rules guard invariants that generic linters cannot see, all scoped
 to the modules where the invariant lives:
 
 REP001  Raw ``-2`` / ``-3`` integer literals anywhere in ``repro.sim`` or
@@ -74,6 +74,14 @@ REP007  Any ``scipy`` import anywhere under ``src/repro``.  Distances
         quarter second and ~30 MB of resident memory per process.  There
         is no escape comment; oracles that need scipy live in ``tests/``.
 
+REP008  Any function parameter named ``method`` anywhere under
+        ``src/repro``.  Which implementation answers a question is the
+        code's choice, not the caller's: the package ships one fast path
+        per question, and the slow second answer it is checked against
+        lives in ``tests/oracles.py``.  A ``method=`` switch is how a
+        second answer creeps back into the runtime package.  There is no
+        escape comment.
+
 Pure stdlib (``ast`` + ``tokenize``): runs anywhere CPython runs, no
 installs.  Exit status 1 when any finding is emitted, 0 on a clean tree.
 """
@@ -124,6 +132,9 @@ POOL_MODULES = ("concurrent.futures", "multiprocessing")
 
 #: REP007 scope: the whole runtime package.
 SCIPY_SCOPE = ("src/repro",)
+
+#: REP008 scope: the whole runtime package.
+METHOD_SCOPE = ("src/repro",)
 
 #: Identifier substrings that mark a per-pair/per-arc array in that scope.
 PAIR_MARKERS = (
@@ -470,6 +481,25 @@ def check_scipy_imports(path: Path, tree: ast.Module, source: str) -> Iterator[F
             )
 
 
+def check_method_parameters(path: Path, tree: ast.Module, source: str) -> Iterator[Finding]:
+    """REP008: function parameters named ``method`` in the runtime package."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        for param in params:
+            if param is not None and param.arg == "method":
+                yield Finding(
+                    path,
+                    param.lineno,
+                    "REP008",
+                    "parameter named 'method': the code picks the implementation, "
+                    "not the caller — keep one fast path here and put the slow "
+                    "answer in tests/oracles.py",
+                )
+
+
 def _in_scope(path: Path, scope: Sequence[str], root: Path) -> bool:
     try:
         rel = path.relative_to(root).as_posix()
@@ -503,6 +533,8 @@ def lint_file(path: Path, root: Path = ROOT) -> List[Finding]:
         findings.extend(check_pool_imports(path, tree, source))
     if _in_scope(path, SCIPY_SCOPE, root):
         findings.extend(check_scipy_imports(path, tree, source))
+    if _in_scope(path, METHOD_SCOPE, root):
+        findings.extend(check_method_parameters(path, tree, source))
     return findings
 
 
@@ -518,6 +550,7 @@ def lint_tree(root: Path = ROOT) -> List[Finding]:
         CLI_SCOPE,
         POOL_SCOPE,
         SCIPY_SCOPE,
+        METHOD_SCOPE,
     ):
         for entry in scope:
             target = root / entry
