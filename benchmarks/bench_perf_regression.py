@@ -42,6 +42,9 @@ Two jobs:
   read-only zero-copy view over the mapping.
   ``test_table_compile_n1024`` pins a cold shortest-path table compile on
   the n = 1024 hypercube and prints its distance / ports / lower split.
+  ``test_interval_build_n1024`` pins a cold universal interval build on
+  the same hypercube, prints its share of the cold single-cell compile and
+  checks the program against the per-(node, port) dict build.
   ``test_header_state_compile_n1024`` pins a cold ``landmark-rewriting``
   compile on the same hypercube (about 1.1M header states) and prints its
   build / closure split.
@@ -76,6 +79,7 @@ import numpy as np
 
 from conftest import print_rows
 from oracles import (
+    IntervalTables,
     all_pairs_routing_lengths,
     enumerated_forced_first_arcs,
     product_walk_canonical_matrices,
@@ -88,7 +92,7 @@ from repro.constraints.matrix import ConstraintMatrix, clear_canonicalisation_ca
 from repro.constraints.verifier import forced_first_arcs
 from repro.graphs import generators
 from repro.graphs.shortest_paths import bfs_rows, distance_matrix
-from repro.routing.interval import IntervalRoutingScheme
+from repro.routing.interval import IntervalRoutingFunction, IntervalRoutingScheme
 from repro.routing.model import SchemeInapplicableError, TableRoutingFunction
 from repro.routing.program import (
     DELTA_PATCHED,
@@ -740,6 +744,45 @@ def test_table_compile_n1024(benchmark):
 
 
 @pytest.mark.benchmark(group="perf-regression")
+def test_interval_build_n1024(benchmark):
+    # The interval build pin: a cold build of the universal interval
+    # routing scheme on a freshly generated n = 1024 hypercube — all-pairs
+    # distances, the lowest-port matrix, the DFS labelling and the
+    # roll-compare run finder over the label-ordered port matrix.  The row
+    # names the build's share of a cold single-cell compile; the program
+    # must be byte-equal to the one lowered from the per-(node, port) dict
+    # build of ``tests/oracles.py``.
+    graph = generators.hypercube(CHURN_FLIP_DIM)
+    scheme = IntervalRoutingScheme()
+    fresh = iter([generators.hypercube(CHURN_FLIP_DIM) for _ in range(3)])
+
+    def _run():
+        return scheme.build(next(fresh))
+
+    rf = benchmark.pedantic(_run, rounds=3, iterations=1)
+    build_s = benchmark.stats.stats.median
+    _check_budget("interval_build_n1024", build_s)
+    program, compile_s = _time(compile_scheme_program, scheme, generators.hypercube(CHURN_FLIP_DIM))
+    oracle, oracle_s = _time(IntervalTables.build, graph, scheme)
+    print_rows(
+        "Cold interval build (n=1024 hypercube, interval)",
+        [
+            {
+                "case": f"dim={CHURN_FLIP_DIM} n={graph.n}",
+                "intervals": sum(rf.num_intervals(x) for x in range(graph.n)),
+                "build_s": build_s,
+                "compile_s": compile_s,
+                "build_share": build_s / compile_s,
+                "dict_build_s": oracle_s,
+            }
+        ],
+    )
+    expected = IntervalRoutingFunction(graph, oracle.label_of, oracle.port_intervals)
+    assert lower_next_hop(expected).to_bytes() == program.to_bytes()
+    assert lower_next_hop(rf).to_bytes() == program.to_bytes()
+
+
+@pytest.mark.benchmark(group="perf-regression")
 def test_header_state_compile_n1024(benchmark):
     # The header-state compile pin: a cold compile of the two-phase
     # rewriting landmark scheme on the n = 1024 hypercube.  The split names
@@ -1004,6 +1047,7 @@ def _measure_pinned_paths() -> dict:
     _, table_compile_s = _time(
         compile_scheme_program, churn_scheme, generators.hypercube(CHURN_FLIP_DIM)
     )
+    _, interval_build_s = _time(IntervalRoutingScheme().build, generators.hypercube(CHURN_FLIP_DIM))
     _, header_compile_s = _time(
         compile_scheme_program,
         scheme_registry(seed=0)["landmark-rewriting"],
@@ -1036,6 +1080,7 @@ def _measure_pinned_paths() -> dict:
         "program_mmap_load_n4096": mmap_s,
         "churn_delta_flip_n1024": churn_s,
         "table_compile_n1024": table_compile_s,
+        "interval_build_n1024": interval_build_s,
         "header_state_compile_n1024": header_compile_s,
         "verify_vs_simulate_n1024": verify_s,
         **flow_s,

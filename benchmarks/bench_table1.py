@@ -23,7 +23,6 @@ from pathlib import Path
 
 import pytest
 
-from conftest import print_rows
 from repro.analysis.runner import ShardedRunner
 from repro.analysis.table1 import format_table1
 from repro.graphs import generators

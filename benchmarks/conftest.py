@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import sys
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 # The old-vs-new pins race the slow oracles of ``tests/oracles.py``.
 # Appended, not prepended, so ``conftest`` keeps resolving to this module.

@@ -10,10 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.constraints.builder import build_constraint_graph, lemma2_order_bound
 from repro.constraints.enumeration import (

@@ -23,8 +23,7 @@ the paper's table is laid out (one row per stretch range).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.graphs.digraph import PortLabeledGraph
 from repro.graphs.shortest_paths import distance_matrix

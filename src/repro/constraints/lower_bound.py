@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.constraints.builder import ConstraintGraph, build_constraint_graph, lemma2_order_bound
 from repro.constraints.enumeration import lemma1_lower_bound_log2

@@ -47,17 +47,30 @@ class Arc:
 
 
 class DerivedState:
-    """Memoised distance matrix and fingerprint of one graph snapshot.
+    """What is derived once per graph snapshot, memoised.
 
-    Shared by a graph and its unmutated copies; a mutation gives the
-    mutated graph a fresh, empty holder.
+    * ``distances`` — the all-pairs distance matrix
+      (:func:`repro.graphs.shortest_paths.distance_matrix`);
+    * ``fingerprint`` — :meth:`PortLabeledGraph.fingerprint`;
+    * ``ports`` — tie-break rule -> shortest-path port matrix, in its
+      narrowest unsigned dtype
+      (:func:`repro.routing.tables.shortest_path_ports`);
+    * ``spanners`` — stretch -> greedy spanner
+      (:func:`repro.routing.spanner.greedy_spanner`), itself a graph with
+      its own derived state.
+
+    Shared by a graph and its unmutated copies; a mutation, port
+    relabellings included, gives the mutated graph a fresh, empty holder.
+    Readers hand out copies, never the memoised objects themselves.
     """
 
-    __slots__ = ("distances", "fingerprint")
+    __slots__ = ("distances", "fingerprint", "ports", "spanners")
 
     def __init__(self) -> None:
         self.distances: Optional[np.ndarray] = None
         self.fingerprint: Optional[str] = None
+        self.ports: Dict[str, np.ndarray] = {}
+        self.spanners: Dict[float, "PortLabeledGraph"] = {}
 
 
 class PortLabeledGraph:

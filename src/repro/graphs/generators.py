@@ -20,8 +20,7 @@ fit.
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 

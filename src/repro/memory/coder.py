@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.memory.encoding import BitReader, BitWriter, fixed_width
 from repro.routing.interval import cyclic_intervals_of_set

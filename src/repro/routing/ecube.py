@@ -12,7 +12,7 @@ measurements of experiment E7).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Hashable, Optional, Tuple
 
 import numpy as np
 

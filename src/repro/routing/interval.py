@@ -21,7 +21,7 @@ Two builders are provided:
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from repro.routing.tables import TieBreak, check_tie_break, shortest_path_ports
 
 __all__ = [
     "cyclic_intervals_of_set",
+    "cyclic_runs",
     "IntervalRoutingFunction",
     "IntervalRoutingScheme",
     "TreeIntervalRoutingScheme",
@@ -41,13 +42,44 @@ __all__ = [
 Interval = Tuple[int, int]
 
 
+def cyclic_runs(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximal cyclic runs of equal values along every row of ``rows``.
+
+    Returns ``(row, lo, hi)`` in row-major label order: run ``i`` covers
+    the labels ``lo[i] .. hi[i]`` of row ``row[i]`` modulo the row length
+    (wrapping when ``hi < lo``) and holds the value ``rows[row[i], lo[i]]``.
+    A run starts wherever a value differs from its cyclic predecessor (one
+    roll-compare over all rows) and ends right before the next start of
+    its row; a row's last run wraps round to its first start.  A constant
+    row has no run start and yields no run.
+    """
+    n = rows.shape[1]
+    row, lo = np.nonzero(rows != np.roll(rows, 1, axis=1))
+    first = np.diff(row, prepend=-1) != 0
+    last = np.diff(row, append=-1) != 0
+    hi = np.roll(lo, -1)
+    hi[last] = lo[first]
+    return row, lo, (hi - 1) % n
+
+
+def _scan_key(lo: np.ndarray, n: int) -> np.ndarray:
+    """Sort key putting the runs ``lo`` of one set in scan order.
+
+    A scan starting right after the set's first gap meets the runs by
+    increasing first label, except a run starting at 0, which it meets last
+    (label ``n - 1`` then lies in the gap before it).
+    """
+    return (lo - 1) % n
+
+
 def cyclic_intervals_of_set(labels: Sequence[int], n: int) -> List[Interval]:
     """Minimal set of cyclic intervals over ``Z_n`` covering ``labels`` exactly.
 
     An interval ``(lo, hi)`` denotes ``{lo, lo+1, ..., hi}`` modulo ``n``
     (wrapping when ``hi < lo``).  The returned list is minimal: its length is
     the number of maximal runs of consecutive labels on the cycle, which is
-    the standard "number of intervals" measure of interval routing.
+    the standard "number of intervals" measure of interval routing.  The
+    runs come in scan order, starting right after the first gap.
 
     Raises :class:`ValueError` on labels outside ``0..n-1`` or duplicates.
     """
@@ -60,33 +92,27 @@ def cyclic_intervals_of_set(labels: Sequence[int], n: int) -> List[Interval]:
         raise ValueError(f"labels must lie in 0..{n - 1}")
     in_set = np.zeros(n, dtype=bool)
     in_set[list(label_set)] = True
-    return _cyclic_runs(in_set)
-
-
-def _cyclic_runs(in_set: np.ndarray) -> List[Interval]:
-    """Maximal cyclic runs of ``True`` in ``in_set``, in scan order.
-
-    The scan starts right after the first gap, so no run is split at 0.
-    """
-    n = in_set.size
     if in_set.all():
         return [(0, n - 1)]
-    start = int(np.argmin(in_set)) + 1
-    scan = np.concatenate(([False], in_set[start:], in_set[:start], [False]))
-    edges = np.diff(scan.view(np.int8))
-    starts, stops = (np.nonzero(edges == step)[0] + start for step in (1, -1))
-    return [(a % n, (b - 1) % n) for a, b in zip(starts.tolist(), stops.tolist())]
-
-
-def _interval_contains(interval: Interval, label: int, n: int) -> bool:
-    lo, hi = interval
-    if lo <= hi:
-        return lo <= label <= hi
-    return label >= lo or label <= hi
+    _, lo, hi = cyclic_runs(in_set[None, :])
+    inside = in_set[lo]
+    lo, hi = lo[inside], hi[inside]
+    order = np.argsort(_scan_key(lo, n))
+    return list(zip(lo[order].tolist(), hi[order].tolist()))
 
 
 class IntervalRoutingFunction(RoutingFunction):
     """Routing function whose local decision is an interval lookup.
+
+    The function is held as arrays.  ``by_label[x, label]`` is the port
+    ``x`` uses towards the vertex carrying ``label``
+    (:data:`~repro.routing.model.DELIVER` at ``x``'s own label, ``-1`` for
+    a label no interval covers); :meth:`port`, the per-message hot path,
+    is one lookup in its rows, kept also as plain lists.  The
+    intervals of ``x`` are the maximal cyclic runs of equal ports along
+    its row (:func:`cyclic_runs`), kept in label order as the slices
+    ``run_ptr[x]:run_ptr[x + 1]`` of three run arrays: first label, last
+    label and port.
 
     Parameters
     ----------
@@ -95,10 +121,13 @@ class IntervalRoutingFunction(RoutingFunction):
     labeling:
         Bijection ``vertex -> label`` in ``0 .. n-1`` chosen by the scheme.
     port_intervals:
-        ``port_intervals[x][p]`` is the tuple of cyclic intervals of
-        destination *labels* routed from ``x`` through port ``p``.  The
-        intervals of the ports of a vertex must partition the labels of the
-        other vertices.
+        Either the ``(n, n)`` label-ordered port matrix ``by_label`` (held
+        as is; its own-label entries must be ``DELIVER``) or a mapping
+        ``port_intervals[x][p]`` of the cyclic intervals of destination
+        *labels* routed from ``x`` through port ``p``, expanded once into
+        that matrix.  The intervals of the ports of a vertex must partition
+        the labels of the other vertices; unvalidated overlaps resolve to
+        the first port listed.
     """
 
     #: Headers are destination labels in ``0..n-1`` (never rewritten): the
@@ -125,46 +154,77 @@ class IntervalRoutingFunction(RoutingFunction):
         self,
         graph: PortLabeledGraph,
         labeling: Mapping[int, int],
-        port_intervals: Mapping[int, Mapping[int, Sequence[Interval]]],
+        port_intervals: Union[Mapping[int, Mapping[int, Sequence[Interval]]], np.ndarray],
         validate: bool = True,
     ) -> None:
         super().__init__(graph)
-        self._label_of: Dict[int, int] = {int(v): int(l) for v, l in labeling.items()}
-        self._vertex_of_label: Dict[int, int] = {l: v for v, l in self._label_of.items()}
-        self._port_intervals: Dict[int, Dict[int, Tuple[Interval, ...]]] = {
-            int(x): {int(p): tuple((int(a), int(b)) for a, b in ivs) for p, ivs in d.items()}
-            for x, d in port_intervals.items()
-        }
-        if validate:
-            self._validate()
-
-    def _validate(self) -> None:
-        n = self._graph.n
-        if sorted(self._label_of.values()) != list(range(n)):
+        n = graph.n
+        self._label_of: List[int] = [int(labeling.get(v, -1)) for v in range(n)]
+        self._vertex_of_label: Dict[int, int] = {l: v for v, l in enumerate(self._label_of)}
+        if validate and sorted(self._label_of) != list(range(n)):
             raise ValueError("labeling must be a bijection onto 0..n-1")
-        for x in range(n):
-            for p in self._port_intervals.get(x, {}):
-                if not 1 <= p <= self._graph.degree(x):
-                    raise ValueError(f"vertex {x}: invalid port {p}")
-            expected = np.ones(n, dtype=np.int64)
-            expected[self._label_of[x]] = 0
-            covered = np.bincount(self._expanded(x)[0], minlength=n)
-            if (covered != expected).any():
-                lab = int(np.argmax(covered != expected))
-                raise ValueError(
-                    f"vertex {x}: label {lab} lies in {covered[lab]} intervals, "
-                    f"expected {expected[lab]}"
-                )
+        if isinstance(port_intervals, np.ndarray):
+            by_label = port_intervals
+        else:
+            by_label = self._expand(port_intervals, validate)
+        if validate:
+            self._check_ports(by_label)
+        self._by_label = by_label
+        self._port_rows: List[List[int]] = by_label.tolist()
+        row, lo, hi = cyclic_runs(by_label)
+        port = by_label[row, lo]
+        keep = port > DELIVER
+        self._run_lo, self._run_hi, self._run_port = lo[keep], hi[keep], port[keep]
+        self._run_ptr = np.searchsorted(row[keep], np.arange(n + 1))
 
-    def _expanded(self, node: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Every label of every interval at ``node`` with its port, in lookup order."""
+    def _expand(
+        self, port_intervals: Mapping[int, Mapping[int, Sequence[Interval]]], validate: bool
+    ) -> np.ndarray:
+        """The label-ordered port matrix of explicit intervals, first listed winning.
+
+        With ``validate`` a label covered by no interval, or by several, of
+        its vertex raises.
+        """
         n = self._graph.n
-        intervals = self._port_intervals.get(node, {}).items()
-        flat = [(p, lo, hi) for p, ivs in intervals for lo, hi in ivs]
-        ports, los, his = np.array(flat, dtype=np.int64).reshape(-1, 3).T
+        flat = [
+            (int(x), int(p), int(a), int(b))
+            for x, ivs_of in port_intervals.items()
+            for p, ivs in ivs_of.items()
+            for a, b in ivs
+        ]
+        nodes, ports, los, his = np.array(flat, dtype=np.int64).reshape(-1, 4).T
         lengths = (his - los) % n + 1
         offsets = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        return (np.repeat(los, lengths) + offsets) % n, np.repeat(ports, lengths)
+        keys = np.repeat(nodes * n, lengths) + (np.repeat(los, lengths) + offsets) % n
+        by_label = np.full(n * n, -1, dtype=np.int64)
+        covered, first = np.unique(keys, return_index=True)
+        by_label[covered] = np.repeat(ports, lengths)[first]
+        by_label = by_label.reshape(n, n)
+        own = np.array(self._label_of, dtype=np.int64)
+        if validate:
+            counts = np.bincount(keys, minlength=n * n).reshape(n, n)
+            expected = np.ones((n, n), dtype=np.int64)
+            expected[np.arange(n), own] = 0
+            wrong = counts != expected
+            if wrong.any():
+                x, lab = (int(i[0]) for i in np.nonzero(wrong))
+                raise ValueError(
+                    f"vertex {x}: label {lab} lies in {counts[x, lab]} intervals, "
+                    f"expected {expected[x, lab]}"
+                )
+        by_label[np.arange(n), own] = DELIVER
+        return by_label
+
+    def _check_ports(self, by_label: np.ndarray) -> None:
+        """Raise unless every label but a vertex's own maps to one of its ports."""
+        n = self._graph.n
+        degrees = np.diff(self._graph.adjacency_arrays()[0])
+        own = np.zeros((n, n), dtype=bool)
+        own[np.arange(n), self._label_of] = True
+        valid = np.where(own, by_label == DELIVER, (by_label >= 1) & (by_label <= degrees[:, None]))
+        if not valid.all():
+            x, lab = (int(i[0]) for i in np.nonzero(~valid))
+            raise ValueError(f"vertex {x}: invalid port {by_label[x, lab]} for label {lab}")
 
     # ------------------------------------------------------------------
     def label_of(self, vertex: int) -> int:
@@ -175,21 +235,36 @@ class IntervalRoutingFunction(RoutingFunction):
         """Vertex carrying ``label``."""
         return self._vertex_of_label[label]
 
+    def _runs(self, node: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        a, b = self._run_ptr[node], self._run_ptr[node + 1]
+        return self._run_lo[a:b], self._run_hi[a:b], self._run_port[a:b]
+
     def intervals_at(self, node: int) -> Dict[int, Tuple[Interval, ...]]:
-        """Mapping ``port -> intervals`` at ``node`` (a copy)."""
-        return {p: tuple(ivs) for p, ivs in self._port_intervals.get(node, {}).items()}
+        """Mapping ``port -> intervals`` at ``node`` (a copy).
+
+        Ports come in the order of their first destination vertex, and each
+        port's intervals in scan order (see :func:`cyclic_intervals_of_set`).
+        """
+        n = self._graph.n
+        lo, hi, port = self._runs(node)
+        used, first = np.unique(self._by_label[node, self._label_of], return_index=True)
+        rank = {p: r for r, p in enumerate(used[np.argsort(first)].tolist())}
+        port_rank = np.array([rank[p] for p in port.tolist()], dtype=np.int64)
+        order = np.lexsort((_scan_key(lo, n), port_rank))
+        out: Dict[int, List[Interval]] = {}
+        for p, a, b in zip(port[order].tolist(), lo[order].tolist(), hi[order].tolist()):
+            out.setdefault(p, []).append((a, b))
+        return {p: tuple(ivs) for p, ivs in out.items()}
 
     def num_intervals(self, node: int) -> int:
         """Total number of intervals stored at ``node``."""
-        return sum(len(ivs) for ivs in self._port_intervals.get(node, {}).values())
+        return int(self._run_ptr[node + 1] - self._run_ptr[node])
 
     def max_intervals_per_arc(self) -> int:
         """Maximum number of intervals on a single arc (the ILS compactness)."""
-        best = 0
-        for x, ports in self._port_intervals.items():
-            for ivs in ports.values():
-                best = max(best, len(ivs))
-        return best
+        nodes = np.repeat(np.arange(self._graph.n), np.diff(self._run_ptr))
+        arcs = nodes * (int(self._run_port.max(initial=0)) + 1) + self._run_port
+        return int(np.bincount(arcs).max(initial=0))
 
     def local_encoding_bits(self, node: int) -> int:
         """Bits of the scheme's own interval representation at ``node``.
@@ -203,32 +278,27 @@ class IntervalRoutingFunction(RoutingFunction):
         """
         from repro.memory.encoding import elias_gamma_length, fixed_width
 
-        n = self._graph.n
-        label_width = fixed_width(max(n - 1, 0))
-        total = 0
-        for port in range(1, self._graph.degree(node) + 1):
-            intervals = self._port_intervals.get(node, {}).get(port, ())
-            total += elias_gamma_length(len(intervals) + 1)
-            total += 2 * label_width * len(intervals)
-        return total
+        label_width = fixed_width(max(self._graph.n - 1, 0))
+        degree = self._graph.degree(node)
+        counts = np.bincount(self._runs(node)[2], minlength=degree + 1)[1 : degree + 1]
+        return sum(
+            elias_gamma_length(count + 1) + 2 * label_width * count for count in counts.tolist()
+        )
 
     # ------------------------------------------------------------------
     def initial_header(self, source: int, dest: int) -> int:
         return self._label_of[dest]
 
     def port(self, node: int, header: int) -> int:
-        label = int(header)
-        if label == self._label_of[node]:
-            return DELIVER
-        n = self._graph.n
-        for p, ivs in self._port_intervals.get(node, {}).items():
-            for iv in ivs:
-                if _interval_contains(iv, label, n):
-                    return p
-        raise ValueError(f"vertex {node} has no interval containing label {label}")
+        row = self._port_rows[node]
+        if 0 <= header < len(row):
+            port = row[header]
+            if port >= 0:
+                return port
+        raise ValueError(f"vertex {node} has no interval containing label {header}")
 
     def next_node_matrix(self) -> Optional[np.ndarray]:
-        """Every port's cyclic intervals expanded, the first match winning.
+        """The port matrix read in destination order.
 
         Raises the lookup's own :class:`ValueError` for the first
         (destination-major) label no interval covers.
@@ -237,18 +307,12 @@ class IntervalRoutingFunction(RoutingFunction):
             return None
         from repro.routing.program import next_nodes_of_ports
 
-        n = self._graph.n
-        by_label = np.full((n, n), -1, dtype=np.int64)
-        for x in range(n):
-            labels, ports = self._expanded(x)
-            covered, first = np.unique(labels, return_index=True)
-            by_label[x, covered] = ports[first]
-        label_of = np.array([self._label_of[v] for v in range(n)])
-        by_dest = by_label[:, label_of]
-        np.fill_diagonal(by_dest, DELIVER)
+        by_dest = self._by_label[:, self._label_of]
         if (by_dest < 0).any():
             dest, x = (int(i[0]) for i in np.nonzero(by_dest.T < 0))
-            raise ValueError(f"vertex {x} has no interval containing label {label_of[dest]}")
+            raise ValueError(
+                f"vertex {x} has no interval containing label {self._label_of[dest]}"
+            )
         return next_nodes_of_ports(self._graph, by_dest)
 
     def local_map(self, node: int) -> Dict[int, int]:
@@ -350,13 +414,8 @@ class IntervalRoutingScheme(BaseRoutingScheme):
         ports = shortest_path_ports(graph, tie_break=self.tie_break, dist=dist)
         by_label = np.empty_like(ports)
         by_label[:, [labeling[v] for v in range(n)]] = ports
-        port_intervals: Dict[int, Dict[int, List[Interval]]] = {}
-        for x in range(n):
-            used, first = np.unique(np.delete(ports[x], x), return_index=True)
-            port_intervals[x] = {
-                int(p): _cyclic_runs(by_label[x] == p) for p in used[np.argsort(first)]
-            }
-        return IntervalRoutingFunction(graph, labeling, port_intervals)
+        # Shortest-path ports under a DFS bijection: valid by construction.
+        return IntervalRoutingFunction(graph, labeling, by_label, validate=False)
 
     def _dfs_labeling(self, graph: PortLabeledGraph) -> Dict[int, int]:
         """DFS preorder labelling started at ``self.root``."""

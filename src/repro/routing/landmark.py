@@ -34,7 +34,7 @@ report separates table bits from address bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -68,6 +68,14 @@ class LandmarkAddress:
 class LandmarkRoutingFunction(LabeledRoutingFunction):
     """Routing function of the Cowen landmark scheme.
 
+    The tables are held as arrays: ``ports``, ``clusters`` and ``nearest``
+    as given, plus one row list per vertex, ``stored[u][v]``, the port ``u``
+    stores for ``v`` (a cluster member or another landmark) or ``0``
+    (:data:`~repro.routing.model.DELIVER`) when it stores none, ``u``
+    itself included.  :meth:`port` reads that list and the header, nothing
+    else; :meth:`cluster`, :meth:`table_entries` and
+    :meth:`local_table_size` derive their views from the arrays.
+
     Parameters
     ----------
     graph:
@@ -99,17 +107,16 @@ class LandmarkRoutingFunction(LabeledRoutingFunction):
         self._ports = ports
         self._clusters = clusters
         self._nearest = nearest
-        landmark_list = sorted(landmarks)
-        self._cluster_ports: Dict[int, Dict[int, int]] = {}
-        self._landmark_ports: Dict[int, Dict[int, int]] = {}
-        for u, row in enumerate(ports):
-            members = np.flatnonzero(clusters[u]).tolist()
-            self._cluster_ports[u] = dict(zip(members, row[members].tolist()))
-            self._landmark_ports[u] = {l: int(row[l]) for l in landmark_list if l != u}
-        self._addresses = {
-            v: LandmarkAddress(dest=v, landmark=int(l), port_at_landmark=int(ports[l, v]))
-            for v, l in enumerate(nearest.tolist())
-        }
+        self._is_landmark = np.zeros(graph.n, dtype=bool)
+        self._is_landmark[sorted(landmarks)] = True
+        stored = clusters | self._is_landmark
+        np.fill_diagonal(stored, False)
+        self._stored: List[List[int]] = np.where(stored, ports, DELIVER).tolist()
+        at_landmark = ports[nearest, np.arange(graph.n)]
+        self._addresses: List[LandmarkAddress] = [
+            LandmarkAddress(dest=v, landmark=l, port_at_landmark=p)
+            for v, (l, p) in enumerate(zip(nearest.tolist(), at_landmark.tolist()))
+        ]
 
     # ------------------------------------------------------------------
     @property
@@ -119,35 +126,35 @@ class LandmarkRoutingFunction(LabeledRoutingFunction):
 
     def cluster(self, node: int) -> Set[int]:
         """Cluster of ``node`` (the destinations it stores a direct port for)."""
-        return set(self._cluster_ports.get(node, {}))
+        return set(np.flatnonzero(self._clusters[node]).tolist())
 
     def address(self, dest: int) -> LandmarkAddress:
         """Routing address of ``dest``."""
         return self._addresses[dest]
 
     def table_entries(self, node: int) -> Dict[int, int]:
-        """All ``target -> port`` entries stored at ``node`` (cluster + landmarks)."""
-        entries = dict(self._landmark_ports.get(node, {}))
-        entries.update(self._cluster_ports.get(node, {}))
-        return entries
+        """All ``target -> port`` entries stored at ``node``: the other
+        landmarks first, then the rest of the cluster, each by label."""
+        others = self._is_landmark.copy()
+        others[node] = False
+        rest = self._clusters[node] & ~others
+        targets = np.concatenate((np.flatnonzero(others), np.flatnonzero(rest)))
+        return dict(zip(targets.tolist(), self._ports[node, targets].tolist()))
 
     def local_table_size(self, node: int) -> int:
         """Number of (target, port) entries stored at ``node``."""
-        return len(self.table_entries(node))
+        stored = self._clusters[node] | self._is_landmark
+        return int(stored.sum()) - int(stored[node])
 
     # ------------------------------------------------------------------
     def port(self, node: int, header: LandmarkAddress) -> int:
-        dest = header.dest
-        if node == dest:
-            return DELIVER
-        direct = self._cluster_ports.get(node, {}).get(dest)
-        if direct is not None:
-            return direct
-        if dest in self._landmark_ports.get(node, {}):
-            return self._landmark_ports[node][dest]
+        row = self._stored[node]
+        stored = row[header.dest]
+        if stored or node == header.dest:
+            return stored
         if node == header.landmark:
             return header.port_at_landmark
-        return self._landmark_ports[node][header.landmark]
+        return row[header.landmark]
 
     def next_node_matrix(self) -> Optional[np.ndarray]:
         """``next_hop[x, dest]`` when ``dest`` is in the cluster of ``x`` or has
@@ -195,14 +202,9 @@ class RewritingLandmarkRoutingFunction(LandmarkRoutingFunction):
         if isinstance(header, LandmarkAddress):
             return super().port(node, header)
         dest = int(header)  # type: ignore[call-overload]
-        if node == dest:
-            return DELIVER
-        direct = self._cluster_ports.get(node, {}).get(dest)
-        if direct is not None:
-            return direct
-        towards_landmark = self._landmark_ports.get(node, {}).get(dest)
-        if towards_landmark is not None:
-            return towards_landmark
+        stored = self._stored[node][dest]
+        if stored or node == dest:
+            return stored
         raise ValueError(
             f"rewriting-landmark invariant broken: node {node} stores no port "
             f"for rewritten destination {dest}"
@@ -212,11 +214,7 @@ class RewritingLandmarkRoutingFunction(LandmarkRoutingFunction):
         if not isinstance(header, LandmarkAddress):
             return header
         dest = header.dest
-        if (
-            dest in self._cluster_ports.get(node, {})
-            or dest in self._landmark_ports.get(node, {})
-            or node == header.landmark
-        ):
+        if self._stored[node][dest] or node == header.landmark:
             return dest
         return header
 
@@ -239,8 +237,7 @@ class RewritingLandmarkRoutingFunction(LandmarkRoutingFunction):
             return None
         n = self._graph.n
         vertices = np.arange(n)
-        stored = self._clusters.copy()
-        stored[:, sorted(self._landmarks)] = True
+        stored = self._clusters | self._is_landmark
         np.fill_diagonal(stored, True)
         direct = stored | (vertices[:, None] == self._nearest)
         ports, nearest = self._ports, self._nearest

@@ -30,12 +30,10 @@ from __future__ import annotations
 import abc
 from typing import (
     TYPE_CHECKING,
-    Any,
     Callable,
     ClassVar,
     Dict,
     Hashable,
-    List,
     Mapping,
     NamedTuple,
     Optional,

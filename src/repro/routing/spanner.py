@@ -15,8 +15,7 @@ girth greater than ``t + 1``.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -26,30 +25,22 @@ from repro.graphs.shortest_paths import UNREACHABLE, distance_matrix
 __all__ = ["greedy_spanner", "spanner_stretch"]
 
 
-def _bounded_distance(
-    adjacency: List[List[int]], source: int, target: int, bound: int
-) -> Optional[int]:
-    """BFS distance from ``source`` to ``target`` truncated at ``bound`` hops.
+def _within(adjacency: List[List[int]], source: int, target: int, bound: int) -> bool:
+    """Whether ``source`` and ``target`` are at most ``bound`` hops apart.
 
-    Returns ``None`` when the distance exceeds ``bound`` (or the target is
-    unreachable within the bound).
+    Bidirectional BFS: the smaller frontier grows by one layer at a time,
+    and the search stops as soon as the two balls meet.
     """
-    if source == target:
-        return 0
-    dist = {source: 0}
-    queue: deque[int] = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        if du >= bound:
-            continue
-        for v in adjacency[u]:
-            if v not in dist:
-                if v == target:
-                    return du + 1
-                dist[v] = du + 1
-                queue.append(v)
-    return None
+    seen, other = {source}, {target}
+    frontier, other_frontier = {source}, {target}
+    for _ in range(bound):
+        if len(frontier) > len(other_frontier):
+            seen, other, frontier, other_frontier = other, seen, other_frontier, frontier
+        frontier = {w for x in frontier for w in adjacency[x]} - seen
+        if not frontier.isdisjoint(other):
+            return True
+        seen |= frontier
+    return False
 
 
 def greedy_spanner(graph: PortLabeledGraph, stretch: float) -> PortLabeledGraph:
@@ -68,22 +59,30 @@ def greedy_spanner(graph: PortLabeledGraph, stretch: float) -> PortLabeledGraph:
     -------
     PortLabeledGraph
         A new graph on the same vertex set with the canonical port labelling.
+        The spanner is built once per graph snapshot and stretch (memoised on
+        :attr:`~repro.graphs.digraph.PortLabeledGraph.derived`); every call
+        returns a copy of it, sharing its own derived state.
     """
     if stretch < 1:
         raise ValueError("stretch must be at least 1")
+    memo = graph.derived.spanners
+    if stretch not in memo:
+        memo[stretch] = _greedy_spanner(graph, int(np.floor(stretch)))
+    return memo[stretch].copy()
+
+
+def _greedy_spanner(graph: PortLabeledGraph, bound: int) -> PortLabeledGraph:
     n = graph.n
     adjacency: List[List[int]] = [[] for _ in range(n)]
     kept: List[Tuple[int, int]] = []
-    bound = int(np.floor(stretch))
     for u, v in sorted(graph.edges()):
-        d = _bounded_distance(adjacency, u, v, bound)
-        if d is None:
+        if not _within(adjacency, u, v, bound):
             kept.append((u, v))
             adjacency[u].append(v)
             adjacency[v].append(u)
-    spanner = PortLabeledGraph(n, kept)
-    spanner.sort_ports_by_neighbor()
-    return spanner
+    # Edges arrive sorted, so every vertex meets its neighbours in
+    # increasing order: the insertion ports are the canonical labelling.
+    return PortLabeledGraph(n, kept)
 
 
 def spanner_stretch(graph: PortLabeledGraph, spanner: PortLabeledGraph) -> float:

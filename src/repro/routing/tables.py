@@ -53,15 +53,34 @@ def shortest_path_ports(
     patch step of :func:`repro.routing.program.apply_delta`, of which a
     fresh build is the all-dirty case.
 
+    Without ``dirty``, and with no ``dist`` or the graph's own memoised
+    distances, the matrix is derived once per graph snapshot and
+    tie-break: it is memoised on
+    :attr:`~repro.graphs.digraph.PortLabeledGraph.derived` in the narrowest
+    unsigned dtype that holds the graph's ports, and every call returns a
+    fresh int64 copy.
+
     One vectorised pass per row: among the port-ordered neighbours
     ``nbrs`` of ``x`` the shortest-path ones satisfy
     ``dist[nbrs, dest] == dist[x, dest] - 1``, and the rule is an
     argmax/argmin over that boolean matrix (``O(deg(x) * n)`` scratch).
     """
     check_tie_break(tie_break)
-    n = graph.n
     if dist is None:
         dist = distance_matrix(graph)
+    derived = graph.derived
+    if dirty is not None or dist is not derived.distances:
+        return _shortest_path_ports(graph, tie_break, dist, dirty)
+    if tie_break not in derived.ports:
+        ports = _shortest_path_ports(graph, tie_break, dist, None)
+        derived.ports[tie_break] = ports.astype(np.min_scalar_type(int(ports.max(initial=0))))
+    return derived.ports[tie_break].astype(np.int64)
+
+
+def _shortest_path_ports(
+    graph: PortLabeledGraph, tie_break: TieBreak, dist: np.ndarray, dirty: Optional[np.ndarray]
+) -> np.ndarray:
+    n = graph.n
     ports = np.zeros((n, n), dtype=np.int64)
     indptr, indices = graph.adjacency_arrays()
     for x in range(n) if dirty is None else np.flatnonzero(dirty.any(axis=1)):

@@ -16,7 +16,12 @@ race the two:
   and :func:`repro.constraints.verifier.forced_first_arcs`;
 * :func:`product_walk_canonical_matrices` — canonicalise every
   ``p``-tuple of row-normal rows, against the orbit-pruned
-  :func:`repro.constraints.enumeration.enumerate_canonical_matrices`.
+  :func:`repro.constraints.enumeration.enumerate_canonical_matrices`;
+* :class:`IntervalTables` (with :func:`scanned_cyclic_runs`) and
+  :class:`LandmarkTables` — scheme tables as per-node dicts built one
+  (node, port) or one row at a time, against the array-held
+  :class:`repro.routing.interval.IntervalRoutingFunction` and
+  :class:`repro.routing.landmark.LandmarkRoutingFunction`.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -287,3 +292,149 @@ def product_walk_canonical_matrices(
             representatives.append(ConstraintMatrix.from_entries(canon))
     representatives.sort(key=lambda m: m.entries)
     return representatives
+
+
+# ----------------------------------------------------------------------
+# scheme tables as per-node dicts
+# ----------------------------------------------------------------------
+Interval = Tuple[int, int]
+
+
+def scanned_cyclic_runs(in_set: np.ndarray) -> List[Interval]:
+    """Maximal cyclic runs of ``True`` in ``in_set``, in scan order.
+
+    The scan starts right after the first gap, so no run is split at 0.
+    """
+    n = in_set.size
+    if in_set.all():
+        return [(0, n - 1)]
+    start = int(np.argmin(in_set)) + 1
+    scan = np.concatenate(([False], in_set[start:], in_set[:start], [False]))
+    edges = np.diff(scan.view(np.int8))
+    starts, stops = (np.nonzero(edges == step)[0] + start for step in (1, -1))
+    return [(a % n, (b - 1) % n) for a, b in zip(starts.tolist(), stops.tolist())]
+
+
+class IntervalTables:
+    """Interval routing held as ``port_intervals[x][p]`` tuples of intervals.
+
+    :meth:`build` is the universal scheme's build one (node, port) at a
+    time; :meth:`port` scans the intervals of every port in turn, the first
+    match winning.
+    """
+
+    def __init__(
+        self, graph: PortLabeledGraph, labeling: Dict[int, int], port_intervals
+    ) -> None:
+        self.graph = graph
+        self.label_of = dict(labeling)
+        self.port_intervals: Dict[int, Dict[int, Tuple[Interval, ...]]] = {
+            x: {p: tuple(ivs) for p, ivs in d.items()} for x, d in port_intervals.items()
+        }
+
+    @classmethod
+    def build(cls, graph: PortLabeledGraph, scheme) -> "IntervalTables":
+        """What ``scheme`` (an :class:`IntervalRoutingScheme`) builds on ``graph``."""
+        from repro.routing.tables import shortest_path_ports
+
+        n = graph.n
+        labeling = scheme._dfs_labeling(graph)
+        ports = shortest_path_ports(graph, tie_break=scheme.tie_break)
+        by_label = np.empty_like(ports)
+        by_label[:, [labeling[v] for v in range(n)]] = ports
+        port_intervals = {}
+        for x in range(n):
+            used, first = np.unique(np.delete(ports[x], x), return_index=True)
+            port_intervals[x] = {
+                int(p): scanned_cyclic_runs(by_label[x] == p) for p in used[np.argsort(first)]
+            }
+        return cls(graph, labeling, port_intervals)
+
+    def intervals_at(self, node: int) -> Dict[int, Tuple[Interval, ...]]:
+        return dict(self.port_intervals.get(node, {}))
+
+    def num_intervals(self, node: int) -> int:
+        return sum(len(ivs) for ivs in self.port_intervals.get(node, {}).values())
+
+    def max_intervals_per_arc(self) -> int:
+        return max(
+            (len(ivs) for ports in self.port_intervals.values() for ivs in ports.values()),
+            default=0,
+        )
+
+    def local_encoding_bits(self, node: int) -> int:
+        from repro.memory.encoding import elias_gamma_length, fixed_width
+
+        label_width = fixed_width(max(self.graph.n - 1, 0))
+        total = 0
+        for port in range(1, self.graph.degree(node) + 1):
+            intervals = self.port_intervals.get(node, {}).get(port, ())
+            total += elias_gamma_length(len(intervals) + 1) + 2 * label_width * len(intervals)
+        return total
+
+    def port(self, node: int, label: int) -> int:
+        if label == self.label_of[node]:
+            return DELIVER
+        n = self.graph.n
+        for p, ivs in self.port_intervals.get(node, {}).items():
+            for lo, hi in ivs:
+                if (lo <= label <= hi) if lo <= hi else (label >= lo or label <= hi):
+                    return p
+        raise ValueError(f"vertex {node} has no interval containing label {label}")
+
+
+class LandmarkTables:
+    """Cowen landmark tables held as per-row ``target -> port`` dicts.
+
+    Built from the scheme's arrays the way each router stores them: the
+    ports of its cluster, the ports of the other landmarks, and one
+    address per destination.
+    """
+
+    def __init__(self, rf) -> None:
+        ports, clusters, nearest = rf._ports, rf._clusters, rf._nearest
+        landmark_list = sorted(rf.landmarks)
+        self.cluster_ports: Dict[int, Dict[int, int]] = {}
+        self.landmark_ports: Dict[int, Dict[int, int]] = {}
+        for u, row in enumerate(ports):
+            members = np.flatnonzero(clusters[u]).tolist()
+            self.cluster_ports[u] = dict(zip(members, row[members].tolist()))
+            self.landmark_ports[u] = {l: int(row[l]) for l in landmark_list if l != u}
+        self.addresses = {
+            v: (v, int(l), int(ports[l, v])) for v, l in enumerate(nearest.tolist())
+        }
+
+    def table_entries(self, node: int) -> Dict[int, int]:
+        entries = dict(self.landmark_ports.get(node, {}))
+        entries.update(self.cluster_ports.get(node, {}))
+        return entries
+
+    def port(self, node: int, dest: int, landmark: int, port_at_landmark: int) -> int:
+        """``P`` on the full address ``(dest, landmark, port_at_landmark)``."""
+        if node == dest:
+            return DELIVER
+        direct = self.cluster_ports[node].get(dest)
+        if direct is not None:
+            return direct
+        if dest in self.landmark_ports[node]:
+            return self.landmark_ports[node][dest]
+        if node == landmark:
+            return port_at_landmark
+        return self.landmark_ports[node][landmark]
+
+    def bare_port(self, node: int, dest: int) -> Optional[int]:
+        """``P`` on a rewritten (bare) label; ``None`` where no port is stored."""
+        if node == dest:
+            return DELIVER
+        direct = self.cluster_ports[node].get(dest)
+        if direct is not None:
+            return direct
+        return self.landmark_ports[node].get(dest)
+
+    def rewrites(self, node: int, dest: int, landmark: int) -> bool:
+        """Whether ``H`` rewrites the address of ``dest`` to its bare label at ``node``."""
+        return (
+            dest in self.cluster_ports[node]
+            or dest in self.landmark_ports[node]
+            or node == landmark
+        )

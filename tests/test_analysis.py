@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis.experiments import (
     eq2_enumeration_experiment,
     figure1_experiment,

@@ -8,8 +8,8 @@ result here is byte-compared with :func:`conftest.scipy_distances`, the
 scipy path those call sites used before.
 
 The memo half pins :class:`repro.graphs.digraph.DerivedState`: one holder
-per snapshot, shared by unmutated copies, replaced by every mutator, and
-never pickled.
+per snapshot (distances, fingerprint, port matrices and spanners), shared
+by unmutated copies, replaced by every mutator, and never pickled.
 """
 
 from __future__ import annotations
@@ -270,6 +270,27 @@ def test_every_mutator_drops_the_memo(mutator):
     assert holder.distances is before and holder.fingerprint == fingerprint
     _assert_bytes_equal(distance_matrix(graph), _oracle(graph))
     assert graph.fingerprint() != fingerprint
+
+
+@pytest.mark.parametrize("mutator", sorted(MUTATORS))
+def test_every_mutator_drops_the_port_and_spanner_memos(mutator):
+    from repro.routing.spanner import greedy_spanner
+    from repro.routing.tables import shortest_path_ports
+
+    graph = _shuffled_petersen()
+    ports = shortest_path_ports(graph, "lowest_port")
+    spanner = greedy_spanner(graph, 3.0)
+    holder = graph.derived
+    assert set(holder.ports) == {"lowest_port"} and set(holder.spanners) == {3.0}
+    MUTATORS[mutator](graph)
+    assert graph.derived.ports == {} and graph.derived.spanners == {}
+    fresh = shortest_path_ports(graph, "lowest_port")
+    unmemoised = shortest_path_ports(graph, "lowest_port", np.array(distance_matrix(graph)))
+    _assert_bytes_equal(fresh, unmemoised)
+    assert greedy_spanner(graph, 3.0) == greedy_spanner(graph.copy(), 3.0)
+    # The old holder still describes the snapshot it was computed on.
+    _assert_bytes_equal(holder.ports["lowest_port"].astype(np.int64), ports)
+    assert holder.spanners[3.0] == spanner
 
 
 def test_copy_shares_the_memo_until_one_side_mutates():

@@ -6,7 +6,6 @@ import pathlib
 import subprocess
 import sys
 
-import pytest
 
 _EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 

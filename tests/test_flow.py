@@ -47,7 +47,6 @@ from repro.analysis.flow import (
     uniform_demand,
     zipf_demand,
 )
-from repro.graphs import generators
 from repro.graphs.shortest_paths import distance_matrix
 from repro.routing.program import (
     GenericProgram,

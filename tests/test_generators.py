@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.graphs import generators, properties
-from repro.graphs.shortest_paths import distance_matrix
 
 
 class TestBasicFamilies:

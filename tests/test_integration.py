@@ -2,17 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-import pytest
-
 from repro import (
-    ConstraintMatrix,
     CowenLandmarkScheme,
     IntervalRoutingScheme,
     ShortestPathTableScheme,
-    build_constraint_graph,
     generators,
     memory_profile,
     petersen_constraint_matrix,

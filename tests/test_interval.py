@@ -15,7 +15,6 @@ from repro.routing.interval import (
     TreeIntervalRoutingScheme,
     cyclic_intervals_of_set,
 )
-from repro.routing.tables import ShortestPathTableScheme
 
 
 class TestCyclicIntervals:
@@ -177,6 +176,30 @@ class TestIntervalRoutingFunctionValidation:
         g = generators.path_graph(3)
         with pytest.raises(ValueError):
             IntervalRoutingFunction(g, {0: 0, 1: 0, 2: 2}, {})
+
+    def test_explicit_intervals_round_trip(self, small_tree):
+        rf = TreeIntervalRoutingScheme().build(small_tree)
+        labeling = {v: rf.label_of(v) for v in small_tree.vertices()}
+        again = IntervalRoutingFunction(
+            small_tree, labeling, {x: rf.intervals_at(x) for x in small_tree.vertices()}
+        )
+        for x in small_tree.vertices():
+            assert again.intervals_at(x) == rf.intervals_at(x)
+
+    def test_adjacent_intervals_of_one_port_are_one_run(self):
+        # Explicit intervals expand into the port matrix, whose maximal
+        # cyclic runs are what the function stores and counts.
+        g = generators.path_graph(4)
+        labeling = {v: v for v in range(4)}
+        intervals = {
+            0: {1: [(1, 2), (3, 3)]},
+            1: {1: [(0, 0)], 2: [(2, 3)]},
+            2: {1: [(0, 1)], 2: [(3, 3)]},
+            3: {1: [(0, 2)]},
+        }
+        rf = IntervalRoutingFunction(g, labeling, intervals)
+        assert rf.intervals_at(0) == {1: ((1, 3),)}
+        assert rf.num_intervals(0) == 1
 
     def test_interval_counts(self, small_tree):
         rf = TreeIntervalRoutingScheme().build(small_tree)

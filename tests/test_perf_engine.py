@@ -16,7 +16,6 @@ Three families of guarantees:
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np

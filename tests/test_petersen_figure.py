@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.constraints.petersen import (
     CONSTRAINED_VERTICES,
     TARGET_VERTICES,

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import subprocess
 import sys
-import warnings
 
 import numpy as np
 import pytest

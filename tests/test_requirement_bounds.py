@@ -9,7 +9,6 @@ import pytest
 from repro.graphs import generators
 from repro.memory import bounds
 from repro.memory.requirement import address_bits, local_memory_bits, memory_profile
-from repro.routing.complete import AdversarialCompleteGraphScheme, ModularCompleteGraphScheme
 from repro.routing.ecube import ECubeRoutingScheme
 from repro.routing.landmark import CowenLandmarkScheme
 from repro.routing.tables import ShortestPathTableScheme

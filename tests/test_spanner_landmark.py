@@ -27,6 +27,22 @@ class TestGreedySpanner:
             h = greedy_spanner(small_corpus_graph, t)
             assert spanner_stretch(small_corpus_graph, h) <= t
 
+    def test_built_once_per_graph_and_stretch(self, small_corpus_graph):
+        g = small_corpus_graph
+        h = greedy_spanner(g, 3.0)
+        memo = g.derived.spanners[3.0]
+        again = greedy_spanner(g.copy(), 3.0)
+        assert again == h and again is not h and again is not memo
+        assert again.derived is h.derived is memo.derived
+        h.remove_edge(*next(h.edges()))  # a caller's copy never reaches the memo
+        assert greedy_spanner(g, 3.0) == memo != h
+
+    def test_ports_follow_neighbour_order(self, small_corpus_graph):
+        h = greedy_spanner(small_corpus_graph, 3.0)
+        canonical = h.copy()
+        canonical.sort_ports_by_neighbor()
+        assert h == canonical
+
     def test_stretch_one_keeps_all_edges(self, petersen):
         h = greedy_spanner(petersen, 1.0)
         assert sorted(h.edges()) == sorted(petersen.edges())

@@ -28,6 +28,39 @@ def next_hop_matrix(graph, tie_break="lowest_port", dist=None):
     return hops
 
 
+class TestPortMatrixMemo:
+    def test_derived_once_per_graph_and_tie_break(self):
+        graph = generators.hypercube(5)
+        first = shortest_path_ports(graph, "lowest_port")
+        memo = graph.derived.ports["lowest_port"]
+        assert memo.dtype == np.uint8
+        assert shortest_path_ports(graph.copy(), "lowest_port") is not first
+        assert graph.derived.ports["lowest_port"] is memo  # the copy hit it
+        shortest_path_ports(graph, "highest_port")
+        assert set(graph.derived.ports) == {"lowest_port", "highest_port"}
+
+    def test_every_caller_gets_a_fresh_int64_copy(self):
+        graph = generators.grid_2d(4, 5)
+        ports = shortest_path_ports(graph)
+        assert ports.dtype == np.int64
+        expected = ports.copy()
+        ports[:] = 7
+        assert np.array_equal(shortest_path_ports(graph), expected)
+        assert np.array_equal(graph.derived.ports["lowest_port"], expected)
+
+    def test_dirty_and_foreign_distances_stay_unmemoised(self):
+        graph = generators.torus_2d(4, 4)
+        dist = distance_matrix(graph)
+        dirty = np.zeros((graph.n, graph.n), dtype=bool)
+        dirty[0, 5] = True
+        masked = shortest_path_ports(graph, "lowest_port", dist, dirty=dirty)
+        assert np.count_nonzero(masked) == 1
+        shortest_path_ports(graph, "lowest_port", np.array(dist))
+        assert graph.derived.ports == {}
+        shortest_path_ports(graph, "lowest_port", dist)  # the graph's own: memoised
+        assert set(graph.derived.ports) == {"lowest_port"}
+
+
 class TestNextHopMatrix:
     def test_next_hops_decrease_distance(self):
         g = generators.random_connected_graph(20, extra_edge_prob=0.1, seed=3)
