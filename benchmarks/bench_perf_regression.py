@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import sys
 import time
 from datetime import datetime, timezone
@@ -93,7 +94,7 @@ from repro.constraints.verifier import forced_first_arcs
 from repro.graphs import generators
 from repro.graphs.shortest_paths import bfs_rows, distance_matrix
 from repro.routing.interval import IntervalRoutingFunction, IntervalRoutingScheme
-from repro.routing.model import SchemeInapplicableError, TableRoutingFunction
+from repro.routing.model import TableRoutingFunction
 from repro.routing.program import (
     DELTA_PATCHED,
     GenericProgram,
@@ -227,9 +228,26 @@ def _resilience_grid():
     return scheme_registry(seed=0), sub, scenarios
 
 
+def _fresh_snapshot(graph):
+    """A copy of ``graph`` that shares no memoised ``DerivedState`` with it.
+
+    ``graph.copy()`` shares the derived state (distances, port matrices,
+    spanners), so a recompile on a copy would time memo hits; a pickle
+    round trip drops it, as a graph freshly read per scenario would.
+    """
+    snapshot = pickle.loads(pickle.dumps(graph))
+    assert snapshot.derived is not graph.derived
+    assert snapshot.fingerprint() == graph.fingerprint()
+    return snapshot
+
+
 def _recompile_per_scenario(schemes, families, scenarios):
     """The naive fault sweep: one scheme build + lowering per *scenario*.
 
+    Every recompile runs on its own fresh snapshot of the family graph
+    (:func:`_fresh_snapshot`): no distance, port or spanner memo carries
+    over from an earlier recompile, as none would without a program
+    cache.
     Surviving-graph distances are still hoisted per (family, scenario) —
     even a naive implementation would share those across schemes — so the
     measured gap is attributable to the masked-program reuse alone.
@@ -241,16 +259,12 @@ def _recompile_per_scenario(schemes, families, scenarios):
         for label, faults in scenarios[family]:
             dist = surviving_distance_matrix(graph, faults)
             for name, scheme in schemes.items():
+                snapshot = _fresh_snapshot(graph)
                 try:
-                    program = compile_scheme_program(scheme, graph)
-                except SchemeInapplicableError:
+                    rf = scheme.build(snapshot.copy())
+                except ValueError:
                     continue
-                rf = None
-                if program.kind == "generic":
-                    rf = scheme.build(graph.copy())
-                result = simulate_with_faults(
-                    rf, faults, program=program, graph=graph, dist=dist
-                )
+                result = simulate_with_faults(rf, faults, graph=snapshot, dist=dist)
                 counts = result.counts()
                 outcomes[(name, family, label)] = (
                     counts["delivered"],

@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.graphs.digraph import PortLabeledGraph
 from repro.graphs.shortest_paths import UNREACHABLE, distance_matrix
-from repro.routing.model import SchemeInapplicableError
 from repro.routing.program import GenericProgram
 from repro.sim.faults import (
     FaultSet,
@@ -125,8 +124,8 @@ def resilience_cell(
     flow metrics reuse.
     Surviving-graph distances are cached per ``(graph, fault set)`` so
     re-sweeps skip the shortest-path recomputation too.  Generic (opt-out)
-    programs are interpreted through the reference fault path, which needs
-    the live routing function — built at most once per cell.
+    programs run the per-message interpreter under each fault scenario,
+    on the live routing function the program cache hands back with them.
 
     ``flow`` attaches traffic metrics: a demand model name or matrix
     (resolved once per cell through
@@ -139,11 +138,6 @@ def resilience_cell(
     from repro.analysis.runner import _cached_program_with_rf
 
     program, rf = _cached_program_with_rf(scheme, graph, cache)
-    if isinstance(program, GenericProgram) and rf is None:
-        try:
-            rf = scheme.build(graph.copy())
-        except ValueError as exc:
-            raise SchemeInapplicableError(str(exc)) from exc
     demand = None
     if flow is not None and not isinstance(program, GenericProgram):
         from repro.analysis.flow import demand_matrix

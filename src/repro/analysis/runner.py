@@ -73,7 +73,7 @@ import numpy as np
 from repro.graphs.digraph import PortLabeledGraph
 from repro.graphs.shortest_paths import distance_matrix
 from repro.routing.model import RoutingFunction, SchemeInapplicableError
-from repro.routing.program import GenericProgram, HeaderStateExplosionError, RoutingProgram
+from repro.routing.program import GenericProgram, RoutingProgram, compile_or_interpret
 from repro.routing.verify import verify_program
 from repro.store import ProgramStore, cache_key
 from repro.analysis.table1 import (
@@ -496,11 +496,11 @@ def cached_program(
     zero-copy array views, so shard workers pay O(1) load cost per program
     instead of a full decode, and workers mapping the same artifact share
     its pages.  On a miss the scheme is built (``rf`` may
-    supply a routing function the caller already built) and lowered once;
-    a broken ``can_vectorize`` promise degrades the cached artifact to the
-    explicit :class:`~repro.routing.program.GenericProgram` opt-out,
-    as :func:`~repro.sim.engine.simulate_all_pairs` does.  Unreadable cached
-    bytes degrade to recompilation, like every other cache entry.
+    supply a routing function the caller already built) and lowered once
+    through :func:`~repro.routing.program.compile_or_interpret`, so a
+    broken ``can_vectorize`` promise caches the explicit
+    :class:`~repro.routing.program.GenericProgram` opt-out.  Unreadable
+    cached bytes degrade to recompilation, like every other cache entry.
     """
     program, _ = _cached_program_with_rf(scheme, graph, cache, rf=rf)
     return program
@@ -516,9 +516,11 @@ def _cached_program_with_rf(
     """:func:`cached_program`, also returning any routing function it built.
 
     A cache miss has to build the scheme in order to lower it; callers that
-    need the live function afterwards (memory profiles, generic-program
-    interpretation) reuse that build instead of paying a second one.  The
-    returned function is ``None`` on cache hits.  ``verify=True`` routes
+    need the live function afterwards (memory profiles) reuse that build
+    instead of paying a second one.  Whenever the program is generic the
+    live function is always returned — built on a cache hit too, since
+    nothing executes a generic program without it; otherwise it is
+    ``None`` on cache hits.  ``verify=True`` routes
     the lookup through the cache's static integrity gate: a disk artifact
     that fails verification is treated as a miss and recompiled over.
     """
@@ -535,6 +537,8 @@ def _cached_program_with_rf(
             raise SchemeInapplicableError(entry[1])
         cache.hits += 1
         cache.program_hits += 1
+        if isinstance(entry, GenericProgram) and rf is None:
+            rf = scheme.build(graph.copy())
         return entry, rf
     cache.misses += 1
     cache.program_misses += 1
@@ -549,10 +553,7 @@ def _cached_program_with_rf(
                 cache.program_store.put_verdict(key, str(exc), graph_fp, scheme_fp)
             cache._memory[key] = ("inapplicable", str(exc))
             raise SchemeInapplicableError(str(exc)) from exc
-    try:
-        program = rf.compile_program()
-    except HeaderStateExplosionError:
-        program = GenericProgram(num_vertices=rf.graph.n)
+    program = compile_or_interpret(rf)
     cache.store_program_entry(key, program, graph=graph_fp, scheme=scheme_fp)
     return program, rf
 
@@ -666,18 +667,10 @@ def _program_cell(
     the resulting :class:`ShardStats` measures exactly how many schemes
     were never re-built.
     """
-    from repro.sim.engine import execute_program, simulate_all_pairs
+    from repro.sim.engine import execute_program
 
     program, rf = _cached_program_with_rf(scheme, graph, cache)
-    if isinstance(program, GenericProgram):
-        if rf is None:
-            try:
-                rf = scheme.build(graph.copy())
-            except ValueError as exc:
-                raise SchemeInapplicableError(str(exc)) from exc
-        result = simulate_all_pairs(rf, program=program)
-    else:
-        result = execute_program(program)
+    result = execute_program(program, rf=rf)
     return ProgramCellResult(
         scheme=label,
         family=family,

@@ -14,7 +14,8 @@ and should check is the *shape*:
   store far less than tables, and the gap widens with the stretch.
 
 :func:`table1_report` measures every implemented scheme on every requested
-graph and groups the measurements by the stretch regime they land in,
+graph (through an in-memory :class:`~repro.analysis.runner.ShardedRunner`)
+and groups the measurements by the stretch regime they land in,
 side by side with the closed-form bounds of
 :mod:`repro.memory.bounds`; :func:`format_table1` renders the rows the way
 the paper's table is laid out (one row per stretch range).
@@ -26,11 +27,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.graphs.digraph import PortLabeledGraph
-from repro.graphs.shortest_paths import distance_matrix
 from repro.memory import bounds as bound_formulas
 from repro.memory.requirement import MemoryProfile, memory_profile
 from repro.routing.model import RoutingFunction, SchemeInapplicableError
-from repro.routing.program import GenericProgram, HeaderStateExplosionError, RoutingProgram
+from repro.routing.program import RoutingProgram, compile_or_interpret
 from repro.sim.engine import simulated_stretch_factor
 
 __all__ = [
@@ -106,10 +106,7 @@ def measure_scheme(
         except ValueError as exc:
             raise SchemeInapplicableError(str(exc)) from exc
     if program is None:
-        try:
-            program = rf.compile_program()
-        except HeaderStateExplosionError:
-            program = GenericProgram(num_vertices=rf.graph.n)
+        program = compile_or_interpret(rf)
     profile: MemoryProfile = memory_profile(rf, program=program)
     s = float(simulated_stretch_factor(rf, dist=dist, program=program))
     return SchemeMeasurement(
@@ -156,30 +153,17 @@ def table1_report(
     reference_n:
         The ``n`` at which the closed-form bound columns are evaluated;
         defaults to the largest graph measured.
+
+    Runs :meth:`repro.analysis.runner.ShardedRunner.table1_report` on an
+    in-memory serial runner.  Partial schemes (e-cube, tree interval
+    routing, ...) are skipped on graphs outside their domain; simulation
+    diagnostics (lost pairs, invalid ports) propagate.
     """
-    if schemes is None:
-        schemes = _default_schemes()
-    measurements: List[SchemeMeasurement] = []
-    for name, graph in graphs:
-        # One all-pairs BFS per graph, shared by every scheme cell: the
-        # stretch computation must never re-derive distances per scheme
-        # (port relabellings performed by schemes do not change distances).
-        dist = distance_matrix(graph)
-        for scheme in schemes:
-            try:
-                measurements.append(
-                    measure_scheme(scheme, graph, graph_name=name, dist=dist)
-                )
-            except SchemeInapplicableError:
-                # Partial schemes (e-cube, tree interval routing, ...) simply
-                # do not apply to some graphs; Table 1 is about universal
-                # schemes, so skipping is the right behaviour.  Simulation
-                # diagnostics (lost pairs, invalid ports) propagate: those
-                # are bugs, not domain restrictions.
-                continue
-    if reference_n is None:
-        reference_n = max((g.n for _, g in graphs), default=0)
-    return group_measurements(measurements, reference_n, eps=eps)
+    from repro.analysis.runner import ShardedRunner
+
+    runner = ShardedRunner(cache_dir=None, processes=1)
+    rows, _ = runner.table1_report(graphs, schemes=schemes, reference_n=reference_n, eps=eps)
+    return rows
 
 
 def group_measurements(

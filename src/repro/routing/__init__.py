@@ -51,6 +51,7 @@ from repro.routing.program import (
     HeaderStateProgram,
     NextHopProgram,
     RoutingProgram,
+    compile_or_interpret,
     compile_scheme_program,
     program_from_bytes,
 )
@@ -103,6 +104,7 @@ __all__ = [
     "HeaderStateProgram",
     "GenericProgram",
     "HeaderStateExplosionError",
+    "compile_or_interpret",
     "compile_scheme_program",
     "program_from_bytes",
     "ProgramVerificationError",

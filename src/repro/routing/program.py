@@ -84,6 +84,7 @@ __all__ = [
     "NextHopProgram",
     "RoutingProgram",
     "apply_delta",
+    "compile_or_interpret",
     "compile_scheme_program",
     "incremental_distance_matrix",
     "load_program",
@@ -192,10 +193,10 @@ class HeaderStateExplosionError(ValueError):
 
     Raised by :func:`lower_header_state` when a scheme declaring
     ``can_vectorize = True`` turns out to generate more states than the cap
-    allows — i.e. the finite-alphabet promise is (close to) broken.  The
-    simulator, the fault injector and the runner catch this and fall back
-    to the generic interpreter; a direct :func:`lower_header_state` call
-    propagates it.
+    allows — i.e. the finite-alphabet promise is (close to) broken.
+    :func:`compile_or_interpret`, the step every executor and the runner
+    compile through, turns it into the :class:`GenericProgram` opt-out; a
+    direct :func:`lower_header_state` call propagates it.
     """
 
 
@@ -621,8 +622,8 @@ def lower(rf: RoutingFunction, max_states: Optional[int] = None) -> RoutingProgr
     This is the dispatcher behind
     :meth:`repro.routing.model.RoutingFunction.compile_program`.  A
     header-state lowering whose ``can_vectorize`` promise breaks raises
-    :class:`HeaderStateExplosionError`; callers wanting the engine's
-    auto-fallback catch it and use a :class:`GenericProgram` instead.
+    :class:`HeaderStateExplosionError`; :func:`compile_or_interpret` turns
+    it into the :class:`GenericProgram` opt-out.
     """
     kind = rf.program_kind()
     if kind == KIND_NEXT_HOP:
@@ -632,6 +633,22 @@ def lower(rf: RoutingFunction, max_states: Optional[int] = None) -> RoutingProgr
     if kind == KIND_GENERIC:
         return GenericProgram(num_vertices=rf.graph.n)
     raise ValueError(f"{type(rf).__name__}.program_kind() returned unknown kind {kind!r}")
+
+
+def compile_or_interpret(rf: RoutingFunction) -> RoutingProgram:
+    """The program ``rf`` executes as: compiled, or interpreted when it must be.
+
+    ``rf.compile_program()``, except that a header-state enumeration whose
+    ``can_vectorize`` promise breaks yields the :class:`GenericProgram`
+    opt-out instead of :class:`HeaderStateExplosionError` — the one place
+    the explosion is caught.  A generic program runs through the
+    per-message interpreter of :mod:`repro.sim.engine`, which needs the
+    live ``rf`` alongside it.
+    """
+    try:
+        return rf.compile_program()
+    except HeaderStateExplosionError:
+        return GenericProgram(num_vertices=rf.graph.n)
 
 
 def compile_scheme_program(

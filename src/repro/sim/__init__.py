@@ -20,9 +20,12 @@ system built around a **compile-once pipeline**:
   (``"compiled"`` next-hop, ``"header-compiled"`` header-state) resolve
   every pair's fate in closed form through
   :func:`repro.routing.verify.resolve_fates`, and ``"generic"`` programs
-  run a batched per-message interpreter.  Livelock detection is exact on
-  both compiled kinds (functional-graph arguments) and budget-based on the
-  generic path.
+  run the package's one per-message interpreter, with or without a fault
+  scenario.  Livelock detection is exact on both compiled kinds
+  (functional-graph arguments) and budget-based (a fixed ``4 * n`` steps)
+  on the generic path.  Every executor compiles a live routing function
+  through the one compile-or-interpret step,
+  :func:`repro.routing.program.compile_or_interpret`.
 
 * :mod:`repro.sim.registry` — seeded instances of every graph-generator
   family and every implemented routing scheme, the executable domain of the
@@ -51,7 +54,9 @@ system built around a **compile-once pipeline**:
   schemes — the regime Theorem 1 proves expensive), measured encoded memory
   under the universal routing-table bound, and the Table 1 stretch regime
   the measurement lands in with its closed-form bound curves from
-  :mod:`repro.memory.bounds` evaluated at the measured ``n``.
+  :mod:`repro.memory.bounds` evaluated at the measured ``n``;
+  :func:`~repro.sim.conformance.run_conformance_suite` runs the whole
+  registry grid through :class:`repro.analysis.runner.ShardedRunner`.
 
 The seed's per-pair router lives in ``tests/oracles.py`` as the
 differential-testing oracle; ``tests/test_sim_conformance.py`` and
@@ -110,7 +115,6 @@ from repro.sim.conformance import (
     conformance_report,
     format_conformance,
     run_conformance_suite,
-    static_conformance_report,
 )
 from repro.sim.registry import (
     connected_instance,
@@ -158,7 +162,6 @@ __all__ = [
     "conformance_report",
     "format_conformance",
     "run_conformance_suite",
-    "static_conformance_report",
     "connected_instance",
     "fault_scenarios",
     "graph_families",

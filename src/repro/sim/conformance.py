@@ -22,17 +22,15 @@ verify exactly:
   cell of the table.
 
 :func:`run_conformance_suite` evaluates the full scheme x family
-cross-product of :mod:`repro.sim.registry`; partial schemes are recorded as
-skipped on graphs outside their domain.
+cross-product of :mod:`repro.sim.registry` through the sharded runner;
+partial schemes are recorded as skipped on graphs outside their domain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-from fractions import Fraction as _Fraction
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,14 +39,12 @@ from repro.graphs.shortest_paths import distance_matrix
 from repro.memory import bounds as bound_formulas
 from repro.memory.requirement import address_bits, memory_profile
 from repro.routing.model import RoutingFunction, RoutingScheme, SchemeInapplicableError
-from repro.routing.program import GenericProgram, HeaderStateExplosionError, RoutingProgram
+from repro.routing.program import RoutingProgram, compile_or_interpret
 from repro.sim.engine import SimulationResult, simulate_all_pairs
-from repro.sim.registry import graph_families, scheme_registry
 
 __all__ = [
     "ConformanceReport",
     "conformance_report",
-    "static_conformance_report",
     "run_conformance_suite",
     "format_conformance",
 ]
@@ -147,63 +143,20 @@ def conformance_report(
     if dist is None:
         dist = distance_matrix(rf.graph)
     if program is None:
-        try:
-            program = rf.compile_program()
-        except HeaderStateExplosionError:
-            # Broken finite-alphabet promise: fall back to interpretation,
-            # as simulate_all_pairs does.
-            program = GenericProgram(num_vertices=rf.graph.n)
+        program = compile_or_interpret(rf)
     result: SimulationResult = simulate_all_pairs(rf, program=program)
 
     undelivered = 0 if result.all_delivered else len(result.undelivered_pairs())
-    return _finish_report(
-        scheme,
-        rf,
-        program,
-        dist=dist,
-        family=family,
-        label=label,
-        mode=result.mode,
-        undelivered=undelivered,
-        misdelivered=len(result.misdelivered_pairs()),
-        livelocked=len(result.livelocked_pairs()),
-        stretch_fn=lambda: result.max_stretch(dist=dist),
-    )
-
-
-def _finish_report(
-    scheme: RoutingScheme,
-    rf: RoutingFunction,
-    program: RoutingProgram,
-    *,
-    dist: np.ndarray,
-    family: str,
-    label: Optional[str],
-    mode: str,
-    undelivered: int,
-    misdelivered: int,
-    livelocked: int,
-    stretch_fn: Callable[[], _Fraction],
-) -> ConformanceReport:
-    """Shared conformance scoring of a classified cell.
-
-    The delivery/stretch classification arrives pre-computed — from the
-    simulator (:func:`conformance_report`) or from the static verifier
-    (:func:`static_conformance_report`) — and everything downstream
-    (guarantee checks, memory ceiling, regime binning, failure strings) is
-    this one code path, so the two report flavours can never drift apart
-    in anything but ``mode``.
-    """
     failures: List[str] = []
     if undelivered:
         failures.append(
             f"{undelivered} pair(s) undelivered "
-            f"({misdelivered} misdelivered, "
-            f"{livelocked} livelocked)"
+            f"({len(result.misdelivered_pairs())} misdelivered, "
+            f"{len(result.livelocked_pairs())} livelocked)"
         )
         stretch = Fraction(0)
     else:
-        stretch = stretch_fn()
+        stretch = result.max_stretch(dist=dist)
         if stretch < 1:
             failures.append(f"stretch {stretch} below 1")
 
@@ -245,7 +198,7 @@ def _finish_report(
         scheme=label or getattr(scheme, "name", type(scheme).__name__),
         family=family,
         n=n,
-        mode=mode,
+        mode=result.mode,
         all_delivered=undelivered == 0,
         undelivered=undelivered,
         max_stretch=float(stretch),
@@ -262,67 +215,6 @@ def _finish_report(
     )
 
 
-def static_conformance_report(
-    scheme: RoutingScheme,
-    graph: PortLabeledGraph,
-    family: str = "graph",
-    dist: Optional[np.ndarray] = None,
-    label: Optional[str] = None,
-    program: Optional[RoutingProgram] = None,
-    rf: Optional[RoutingFunction] = None,
-) -> ConformanceReport:
-    """:func:`conformance_report` with the simulator replaced by the verifier.
-
-    The delivery partition and the exact stretch come from
-    :func:`repro.routing.verify.verify_program` — a functional-graph proof
-    over the compiled artifact, no message ever executed — and feed the
-    same scoring path (:func:`_finish_report`) as the dynamic report, so
-    every field except ``mode`` (``"static-next-hop"`` /
-    ``"static-header-state"``) is differential-equal to the simulated
-    report's; the suite pins this across the full registry cross-product.
-    Generic programs have nothing to analyze statically and fall back to
-    the simulator, keeping their dynamic mode string.
-    """
-    from repro.routing.verify import verify_program
-
-    if rf is None:
-        graph = graph.copy()
-        try:
-            rf = scheme.build(graph)
-        except ValueError as exc:
-            raise SchemeInapplicableError(str(exc)) from exc
-    if dist is None:
-        dist = distance_matrix(rf.graph)
-    if program is None:
-        try:
-            program = rf.compile_program()
-        except HeaderStateExplosionError:
-            program = GenericProgram(num_vertices=rf.graph.n)
-    if isinstance(program, GenericProgram):
-        return conformance_report(
-            scheme, graph, family=family, dist=dist, label=label,
-            program=program, rf=rf,
-        )
-    report = verify_program(program, dist=dist)
-    counts = report.counts()
-    n = program.n
-    undelivered = n * (n - 1) - counts["delivered"]
-    assert report.max_stretch is not None
-    return _finish_report(
-        scheme,
-        rf,
-        program,
-        dist=dist,
-        family=family,
-        label=label,
-        mode=f"static-{program.kind}",
-        undelivered=undelivered,
-        misdelivered=counts["misdelivered"],
-        livelocked=counts["livelocked"],
-        stretch_fn=lambda: report.max_stretch,
-    )
-
-
 def run_conformance_suite(
     size: str = "medium",
     seed: int = 0,
@@ -331,31 +223,21 @@ def run_conformance_suite(
 ) -> Tuple[List[ConformanceReport], List[Tuple[str, str]]]:
     """Verify the full scheme x family cross-product of the registries.
 
-    Returns ``(reports, skipped)`` where ``skipped`` lists the
-    ``(scheme, family)`` pairs a partial scheme declined
+    Runs :meth:`repro.analysis.runner.ShardedRunner.conformance_suite` on
+    an in-memory serial runner.  Returns ``(reports, skipped)`` in
+    family-major order, where ``skipped`` lists the ``(scheme, family)``
+    pairs a partial scheme declined
     (:class:`~repro.routing.model.SchemeInapplicableError`, i.e.
-    :class:`ValueError` from ``build``).  Distance matrices are shared per
-    family.  Any other exception — including the simulator's own
-    :class:`ValueError` diagnostics — propagates: it is a bug, not a
-    domain restriction.
+    :class:`ValueError` from ``build``).  Any other exception — including
+    the simulator's own :class:`ValueError` diagnostics — propagates: it
+    is a bug, not a domain restriction.
     """
-    if schemes is None:
-        schemes = scheme_registry(seed=seed)
-    if families is None:
-        families = graph_families(size=size, seed=seed)
-    reports: List[ConformanceReport] = []
-    skipped: List[Tuple[str, str]] = []
-    for family_name, graph in families.items():
-        dist = distance_matrix(graph)
-        for scheme_name, scheme in schemes.items():
-            try:
-                report = conformance_report(
-                    scheme, graph, family=family_name, dist=dist, label=scheme_name
-                )
-            except SchemeInapplicableError:
-                skipped.append((scheme_name, family_name))
-                continue
-            reports.append(report)
+    from repro.analysis.runner import ShardedRunner
+
+    runner = ShardedRunner(cache_dir=None, processes=1)
+    reports, skipped, _ = runner.conformance_suite(
+        size=size, seed=seed, schemes=schemes, families=families
+    )
     return reports, skipped
 
 

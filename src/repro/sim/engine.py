@@ -21,11 +21,14 @@ Forwarding one message at a time through Python-level ``P``/``H`` calls
   an exhausted hop budget.  ``SimulationResult.steps`` is read off the
   fates as the number of synchronous steps a per-step executor would run.
 * :class:`~repro.routing.program.GenericProgram` (mode ``"generic"``) — the
-  explicit opt-out: a batched per-message interpreter that advances every
-  in-flight message one hop per step but evaluates ``P``/``H`` per
-  message, decision for decision like the per-pair oracle.  It is the
-  only execution path of generic schemes and the only one with a
-  ``max_hops`` budget.
+  explicit opt-out: the one per-message interpreter of the package
+  advances every in-flight message one hop per step but evaluates
+  ``P``/``H`` per message, decision for decision like the per-pair oracle.
+  It is the only execution path of generic schemes, the reference every
+  compiled path is tested against, and the only one with a hop budget
+  (:data:`HOP_BUDGET_FACTOR` ``* n`` steps, then a livelock).  Given an
+  alive mask and failed edges it applies the fault model too
+  (:func:`repro.sim.faults.simulate_with_faults`).
 
 :func:`simulate_all_pairs` accepts either a live routing function (lowered
 on the fly, or executed against a pre-compiled ``program=`` artifact) or a
@@ -50,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, List, Optional, Tuple
+from typing import AbstractSet, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -64,8 +67,8 @@ from repro.routing.program import (
     MISDELIVER,
     NO_ROUTE,
     GenericProgram,
-    HeaderStateExplosionError,
     RoutingProgram,
+    compile_or_interpret,
 )
 from repro.routing.verify import (
     VERDICT_DELIVERED,
@@ -79,8 +82,8 @@ from repro.routing.verify import (
 )
 
 __all__ = [
+    "HOP_BUDGET_FACTOR",
     "MISDELIVER",
-    "HeaderStateExplosionError",
     "MaskedExecution",
     "SimulationResult",
     "execute_masked_program",
@@ -97,6 +100,12 @@ _KIND_MODES = {
     KIND_HEADER_STATE: "header-compiled",
     KIND_GENERIC: "generic",
 }
+
+#: The per-message interpreter declares a message livelocked once it is
+#: still in flight after ``HOP_BUDGET_FACTOR * n`` steps.  Compiled
+#: programs need no budget: their fates are exact.
+HOP_BUDGET_FACTOR = 4
+
 
 @dataclass(frozen=True)
 class SimulationResult:
@@ -263,14 +272,6 @@ def _offdiag_mask(n: int) -> np.ndarray:
     return mask
 
 
-def _refuse_max_hops(max_hops: Optional[int]) -> None:
-    if max_hops is not None:
-        raise ValueError(
-            "max_hops is a budget of the per-message interpreter only: the "
-            "fates of a compiled program are exact, with no hop budget"
-        )
-
-
 def _steps(report: VerificationReport) -> int:
     """Synchronous steps a per-step executor runs before every pair retires.
 
@@ -295,37 +296,65 @@ def _steps(report: VerificationReport) -> int:
     return last + 1 if stopped.any() else 0
 
 
-def _simulate_generic(rf: RoutingFunction, max_hops: Optional[int]) -> SimulationResult:
+def _interpret(
+    rf: RoutingFunction,
+    alive: Optional[np.ndarray] = None,
+    failed_edges: AbstractSet[Tuple[int, int]] = frozenset(),
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Route every ordered pair of alive vertices through the live ``P``/``H``.
+
+    The package's one per-message interpreter: every in-flight message
+    advances one hop per synchronous step, decision for decision like the
+    per-pair oracle.  ``alive`` (default: every vertex) and
+    ``failed_edges`` (normalised ``(u, v)`` with ``u < v``) apply the
+    fault model of :mod:`repro.sim.faults` — ``DELIVER`` is checked before
+    the fault, and a hop into a failed node or across a failed edge drops
+    the message where it stands, the blocked hop uncounted.
+
+    Returns ``(outcome, hops, steps)``: the ``(n, n)`` int8 ``VERDICT_*``
+    code of every pair (:data:`~repro.routing.verify.VERDICT_INFEASIBLE`
+    on the diagonal and for failed endpoints; a message still in flight
+    after ``HOP_BUDGET_FACTOR * n`` steps is livelocked), the int64 hops
+    walked before the message stopped (``-1`` for livelocked and
+    infeasible pairs, ``0`` on the alive diagonal), and the number of
+    steps run.  An invalid port raises :class:`ValueError`.
+    """
     graph = rf.graph
     n = graph.n
-    lengths = np.zeros((n, n), dtype=np.int64)
-    delivered = np.eye(n, dtype=bool)
-    misdelivered = np.zeros((n, n), dtype=bool)
-    if n < 2:
-        return SimulationResult(lengths, delivered, misdelivered, steps=0, mode="generic")
-    budget = 4 * n if max_hops is None else max_hops
+    if alive is None:
+        alive = np.ones(n, dtype=bool)
+    universe = alive[:, None] & alive[None, :]
+    np.fill_diagonal(universe, False)
+    outcome = np.where(universe, VERDICT_LIVELOCKED, VERDICT_INFEASIBLE).astype(np.int8)
+    hops = np.full((n, n), NO_ROUTE, dtype=np.int64)
+    np.fill_diagonal(hops, np.where(alive, 0, NO_ROUTE))
+    faulty = bool(failed_edges) or not alive.all()
+    is_alive = alive.tolist()
 
-    # One in-flight record per ordered pair: (source, dest, node, header).
+    # One in-flight record per simulated pair: (source, dest, node, header).
+    src, dst = np.nonzero(universe)
     flights: List[Tuple[int, int, int, Hashable]] = [
-        (x, y, x, rf.initial_header(x, y))
-        for x in range(n)
-        for y in range(n)
-        if x != y
+        (x, y, x, rf.initial_header(x, y)) for x, y in zip(src.tolist(), dst.tolist())
     ]
     port_fn = rf.port
     next_header = rf.next_header
     neighbor_at_port = graph.neighbor_at_port
     steps = 0
-    while flights and steps < budget:
+    while flights and steps < HOP_BUDGET_FACTOR * n:
+        # Messages move in lockstep: every one in flight has walked `steps` hops.
+        walked = steps
         steps += 1
         survivors: List[Tuple[int, int, int, Hashable]] = []
         for source, dest, node, header in flights:
             port = port_fn(node, header)
             if port == DELIVER:
-                if node == dest:
-                    delivered[source, dest] = True
-                else:
-                    misdelivered[source, dest] = True
+                # Delivery requires P to say DELIVER at the head node, so a
+                # message reaching its destination stays in flight until the
+                # scheme's own decision next step — exactly the per-pair oracle.
+                outcome[source, dest] = (
+                    VERDICT_DELIVERED if node == dest else VERDICT_MISDELIVERED
+                )
+                hops[source, dest] = walked
                 continue
             try:
                 nxt = neighbor_at_port(node, port)
@@ -334,14 +363,16 @@ def _simulate_generic(rf: RoutingFunction, max_hops: Optional[int]) -> Simulatio
                     f"routing function used invalid port {port} at vertex {node} "
                     f"(degree {graph.degree(node)})"
                 ) from exc
-            lengths[source, dest] += 1
-            # Delivery requires P to say DELIVER at the head node, so a
-            # message reaching its destination stays in flight until the
-            # scheme's own decision next step — exactly the per-pair oracle.
+            if faulty and (
+                not is_alive[nxt]
+                or ((node, nxt) if node < nxt else (nxt, node)) in failed_edges
+            ):
+                outcome[source, dest] = VERDICT_DROPPED
+                hops[source, dest] = walked
+                continue
             survivors.append((source, dest, nxt, next_header(node, header)))
         flights = survivors
-    lengths[~delivered] = NO_ROUTE
-    return SimulationResult(lengths, delivered, misdelivered, steps=steps, mode="generic")
+    return outcome, hops, steps
 
 
 # ----------------------------------------------------------------------
@@ -365,8 +396,7 @@ class MaskedExecution:
     universe (a failed source or destination) appear in no matrix and
     carry length ``-1``; the diagonal of ``delivered`` is ``True`` exactly
     at alive vertices.  ``report`` is the fate report the matrices were
-    read off (``None`` for the per-message reference interpreter), kept
-    so traffic can be routed over the same resolution.
+    read off, kept so traffic can be routed over the same resolution.
     """
 
     delivered: np.ndarray
@@ -381,7 +411,6 @@ class MaskedExecution:
 def execute_masked_program(
     program: RoutingProgram,
     alive: Optional[np.ndarray] = None,
-    max_hops: Optional[int] = None,
 ) -> MaskedExecution:
     """Execute a masked program over all ordered pairs of alive vertices.
 
@@ -392,9 +421,8 @@ def execute_masked_program(
     :func:`repro.sim.faults.apply_faults` masked a transition — an unmasked
     program works too and simply never drops anything.  Generic programs
     have no transition arrays to mask; fault-inject them through the
-    reference interpreter (:func:`repro.sim.faults.simulate_with_faults`
-    with the live routing function).  ``max_hops`` must stay ``None``:
-    compiled fates are exact.
+    per-message interpreter (:func:`repro.sim.faults.simulate_with_faults`
+    with the live routing function).
     """
     if isinstance(program, GenericProgram):
         raise ValueError(
@@ -403,7 +431,6 @@ def execute_masked_program(
         )
     if not isinstance(program, RoutingProgram):
         raise TypeError(f"not a RoutingProgram: {type(program).__name__}")
-    _refuse_max_hops(max_hops)
     report = resolve_fates(program, alive)
     outcome = report.outcome
     delivered = outcome == VERDICT_DELIVERED
@@ -419,11 +446,8 @@ def execute_masked_program(
     )
 
 
-def _execute_compiled(
-    program: RoutingProgram, max_hops: Optional[int]
-) -> SimulationResult:
+def _execute_compiled(program: RoutingProgram) -> SimulationResult:
     """The fates of an unmasked compiled program as a :class:`SimulationResult`."""
-    _refuse_max_hops(max_hops)
     report = resolve_fates(program)
     if report.masked:
         raise ValueError(
@@ -443,10 +467,23 @@ def _execute_compiled(
     )
 
 
+def _execute_generic(rf: RoutingFunction) -> SimulationResult:
+    """The interpreter's verdicts on every pair as a :class:`SimulationResult`."""
+    outcome, hops, steps = _interpret(rf)
+    delivered = outcome == VERDICT_DELIVERED
+    np.fill_diagonal(delivered, True)
+    return SimulationResult(
+        lengths=np.where(delivered, hops, NO_ROUTE),
+        delivered=delivered,
+        misdelivered=outcome == VERDICT_MISDELIVERED,
+        steps=steps,
+        mode=_KIND_MODES[KIND_GENERIC],
+    )
+
+
 def execute_program(
     program: RoutingProgram,
     rf: Optional[RoutingFunction] = None,
-    max_hops: Optional[int] = None,
 ) -> SimulationResult:
     """Execute a compiled routing program over all ordered pairs.
 
@@ -457,8 +494,6 @@ def execute_program(
     When ``rf`` accompanies a compiled program, their vertex counts must
     agree — a program cached for a different graph must fail loudly, not
     produce lengths that downstream stretch ratios would silently trust.
-    ``max_hops`` budgets the generic interpreter only; passing it with a
-    compiled program raises :class:`ValueError`.
     """
     if rf is not None and rf.graph.n != program.n:
         raise ValueError(
@@ -471,15 +506,14 @@ def execute_program(
                 "a generic program is an opt-out marker: executing it needs the "
                 "live routing function (pass rf=...)"
             )
-        return _simulate_generic(rf, max_hops)
+        return _execute_generic(rf)
     if not isinstance(program, RoutingProgram):
         raise TypeError(f"not a RoutingProgram: {type(program).__name__}")
-    return _execute_compiled(program, max_hops)
+    return _execute_compiled(program)
 
 
 def simulate_all_pairs(
     rf: RoutingFunction,
-    max_hops: Optional[int] = None,
     program: Optional[RoutingProgram] = None,
 ) -> SimulationResult:
     """Route all ``n * (n - 1)`` ordered pairs at once.
@@ -491,17 +525,13 @@ def simulate_all_pairs(
         :class:`~repro.routing.program.RoutingProgram` directly (a generic
         program cannot be executed this way; pass the routing function and
         the program separately).
-    max_hops:
-        Hop budget per message of the generic per-message interpreter
-        before it declares a livelock (default ``4 * n``).  Compiled
-        programs have exact fates and no budget: passing ``max_hops`` when
-        a compiled program executes raises :class:`ValueError`.
     program:
         A pre-compiled program for ``rf`` (e.g. from the sharded runner's
         program cache): the engine executes it instead of lowering the
-        scheme again.  Without one, the routing function is lowered to the
-        program kind it declares (``rf.program_kind()``); a header-state
-        enumeration that explodes falls back to the generic interpreter.
+        scheme again.  Without one, the routing function is lowered by
+        :func:`~repro.routing.program.compile_or_interpret`: to the program
+        kind it declares (``rf.program_kind()``), or to the generic
+        interpreter when a header-state enumeration explodes.
     """
     if isinstance(rf, RoutingProgram):
         if program is not None:
@@ -510,23 +540,13 @@ def simulate_all_pairs(
     if program is None:
         if rf is None:
             raise ValueError("simulate_all_pairs needs a routing function or a program")
-        try:
-            program = rf.compile_program()
-        except HeaderStateExplosionError:
-            program = GenericProgram(num_vertices=rf.graph.n)
-    return execute_program(program, rf=rf, max_hops=max_hops)
+        program = compile_or_interpret(rf)
+    return execute_program(program, rf=rf)
 
 
-def simulated_routing_lengths(
-    rf: RoutingFunction, max_hops: Optional[int] = None
-) -> np.ndarray:
-    """The ``d_R(x, y)`` matrix of every ordered pair; raises if one is lost.
-
-    ``max_hops`` is the generic interpreter's hop budget, as in
-    :func:`simulate_all_pairs`; passing it for a scheme that executes as a
-    compiled program raises :class:`ValueError`.
-    """
-    return simulate_all_pairs(rf, max_hops=max_hops).require_all_delivered()
+def simulated_routing_lengths(rf: RoutingFunction) -> np.ndarray:
+    """The ``d_R(x, y)`` matrix of every ordered pair; raises if one is lost."""
+    return simulate_all_pairs(rf).require_all_delivered()
 
 
 def simulated_stretch_factor(

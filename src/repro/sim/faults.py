@@ -46,7 +46,7 @@ surviving graph** (:func:`surviving_distance_matrix`): delivered routes were
 optimal-ish for the intact graph, so their ratio against the surviving
 distances quantifies how much of the scheme's guarantee a failure costs.
 
-The per-message reference interpreter applies the same fault model to the
+The engine's per-message interpreter applies the same fault model to the
 live routing function decision by decision; it is the only execution route
 for generic (opt-out) programs, and — reached by passing
 ``program=GenericProgram(num_vertices=n)`` — the differential oracle of the
@@ -58,28 +58,23 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.graphs.digraph import PortLabeledGraph
 from repro.graphs.shortest_paths import UNREACHABLE, bfs_rows
-from repro.routing.model import DELIVER, RoutingFunction
+from repro.routing.model import RoutingFunction
 from repro.routing.program import (
     DROPPED,
-    NO_ROUTE,
     GenericProgram,
-    HeaderStateExplosionError,
     HeaderStateProgram,
     NextHopProgram,
     RoutingProgram,
+    compile_or_interpret,
 )
 from repro.routing.verify import VerificationReport
-from repro.sim.engine import (
-    MaskedExecution,
-    _exact_max_ratio,
-    execute_masked_program,
-)
+from repro.sim.engine import _exact_max_ratio, _interpret, execute_masked_program
 
 __all__ = [
     "PAIR_DELIVERED",
@@ -388,81 +383,6 @@ def apply_faults(
 
 
 # ----------------------------------------------------------------------
-# the reference interpreter (differential oracle + generic execution path)
-# ----------------------------------------------------------------------
-def _reference_masked(
-    rf: RoutingFunction,
-    graph: PortLabeledGraph,
-    faults: FaultSet,
-    max_hops: Optional[int],
-) -> Tuple[MaskedExecution, np.ndarray]:
-    """Per-message fault interpretation of the live routing function.
-
-    Applies the fault model decision by decision — ``DELIVER`` checked
-    before the fault (a delivering node never hops), the blocked hop never
-    counted — so the vectorised masked executor can be asserted equal to
-    it matrix for matrix.  Budget follows the generic interpreter
-    (``4 * n``); cycles that never touch a fault classify as livelocks
-    exactly as they do there.  Returns the execution and the ``PAIR_*``
-    outcome matrix, written as each pair's fate is decided.
-    """
-    n = graph.n
-    alive = faults.alive_mask(n)
-    failed_edges = set(faults.edges)
-    universe = alive[:, None] & alive[None, :] & ~np.eye(n, dtype=bool)
-    src, dst = np.nonzero(universe)
-    # A simulated pair is livelocked until its walk stops.
-    outcome = np.where(universe, PAIR_LIVELOCKED, PAIR_INFEASIBLE).astype(np.int8)
-    lengths = np.where(universe, 0, NO_ROUTE).astype(np.int64)
-    np.fill_diagonal(lengths, np.where(alive, 0, NO_ROUTE))
-    budget = 4 * n if max_hops is None else max_hops
-
-    flights: List[Tuple[int, int, int, Hashable]] = [
-        (int(x), int(y), int(x), rf.initial_header(int(x), int(y)))
-        for x, y in zip(src, dst)
-    ]
-    port_fn = rf.port
-    next_header = rf.next_header
-    neighbor_at_port = graph.neighbor_at_port
-    steps = 0
-    while flights and steps < budget:
-        steps += 1
-        survivors: List[Tuple[int, int, int, Hashable]] = []
-        for source, dest, node, header in flights:
-            port = port_fn(node, header)
-            if port == DELIVER:
-                outcome[source, dest] = PAIR_DELIVERED if node == dest else PAIR_MISDELIVERED
-                continue
-            try:
-                nxt = neighbor_at_port(node, port)
-            except KeyError as exc:
-                raise ValueError(
-                    f"routing function used invalid port {port} at vertex {node} "
-                    f"(degree {graph.degree(node)})"
-                ) from exc
-            edge = (node, nxt) if node < nxt else (nxt, node)
-            if not alive[nxt] or edge in failed_edges:
-                outcome[source, dest] = PAIR_DROPPED
-                continue
-            lengths[source, dest] += 1
-            survivors.append((source, dest, nxt, next_header(node, header)))
-        flights = survivors
-    for source, dest, _, _ in flights:
-        lengths[source, dest] = NO_ROUTE  # budget exhausted: livelock
-    delivered = outcome == PAIR_DELIVERED
-    np.fill_diagonal(delivered, alive)
-    execution = MaskedExecution(
-        delivered,
-        outcome == PAIR_MISDELIVERED,
-        outcome == PAIR_DROPPED,
-        lengths,
-        steps=steps,
-        mode="generic-masked",
-    )
-    return execution, outcome
-
-
-# ----------------------------------------------------------------------
 # results
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -491,14 +411,14 @@ class FaultSimulationResult:
         Synchronous steps the simulation ran for.
     mode:
         ``"compiled-masked"``, ``"header-compiled-masked"`` or
-        ``"generic-masked"`` (the reference interpreter).
+        ``"generic-masked"`` (the per-message interpreter).
     program / report:
         On the compiled path, the masked program view that was executed
         and its fate report (resolved with the scenario's ``alive`` mask),
         so a caller can route traffic through the same scenario —
         ``route_demand(result.program, demand, report=result.report)`` —
         without masking or resolving it again.  ``None`` on the
-        reference interpreter's path.
+        interpreter's path.
     """
 
     outcome: np.ndarray
@@ -598,7 +518,6 @@ def simulate_with_faults(
     program: Optional[RoutingProgram] = None,
     graph: Optional[PortLabeledGraph] = None,
     dist: Optional[np.ndarray] = None,
-    max_hops: Optional[int] = None,
 ) -> FaultSimulationResult:
     """Route all feasible pairs of a fault scenario and classify every one.
 
@@ -615,19 +534,15 @@ def simulate_with_faults(
         A pre-compiled program for ``rf`` (e.g. from the sharded runner's
         program cache): masked and executed instead of lowering again —
         the compile-once economy of the whole subsystem.  Without one the
-        routing function is lowered first.  A generic program (also the
-        fallback when a header-state enumeration explodes) runs the
-        per-message reference interpreter on the live routing function.
+        routing function is lowered first
+        (:func:`~repro.routing.program.compile_or_interpret`).  A generic
+        program runs the engine's per-message interpreter on the live
+        routing function.
     graph:
         The graph; defaults to ``rf.graph``.
     dist:
         Pre-computed surviving distances (sweep drivers cache them per
         ``(graph, faults)``); computed on demand otherwise.
-    max_hops:
-        Hop budget of the per-message reference interpreter (default
-        ``4 * n``).  The compiled path has exact fates and no budget:
-        passing ``max_hops`` when a compiled program is masked raises
-        :class:`ValueError`.
     """
     if isinstance(rf, RoutingProgram):
         if program is not None:
@@ -642,35 +557,36 @@ def simulate_with_faults(
     faults.validate(graph)
     alive = faults.alive_mask(graph.n)
 
-    masked: Optional[RoutingProgram] = None
     if program is None:
-        try:
-            program = rf.compile_program()
-        except HeaderStateExplosionError:
-            program = GenericProgram(num_vertices=graph.n)
+        program = compile_or_interpret(rf)
+    masked: Optional[RoutingProgram] = None
+    report: Optional[VerificationReport] = None
+    # Verdict codes equal the PAIR_* codes (pinned by a test).
     if isinstance(program, GenericProgram):
         if rf is None:
             raise ValueError(
                 "a generic program is an opt-out marker: fault-injecting it "
                 "needs the live routing function (pass rf=...)"
             )
-        execution, outcome = _reference_masked(rf, graph, faults, max_hops)
+        outcome, lengths, steps = _interpret(rf, alive, frozenset(faults.edges))
+        mode = "generic-masked"
     else:
         masked = apply_faults(program, graph, faults)
-        execution = execute_masked_program(masked, alive=alive, max_hops=max_hops)
-        # Verdict codes equal the PAIR_* codes (pinned by a test).
+        execution = execute_masked_program(masked, alive=alive)
         outcome = execution.report.outcome
+        lengths, steps, mode = execution.lengths, execution.steps, execution.mode
+        report = execution.report
 
     if dist is None:
         dist = surviving_distance_matrix(graph, faults)
     return FaultSimulationResult(
         outcome=outcome,
-        lengths=execution.lengths,
+        lengths=lengths,
         alive=alive,
         faults=faults,
         dist=dist,
-        steps=execution.steps,
-        mode=execution.mode,
+        steps=steps,
+        mode=mode,
         program=masked,
-        report=execution.report,
+        report=report,
     )

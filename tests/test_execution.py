@@ -36,7 +36,6 @@ from repro.routing.model import SchemeInapplicableError
 from repro.routing.program import (
     DROPPED,
     MISDELIVER,
-    GenericProgram,
     HeaderStateExplosionError,
     HeaderStateProgram,
     NextHopProgram,
@@ -52,7 +51,7 @@ from repro.routing.verify import (
     verify_program,
     verify_structure,
 )
-from repro.sim.engine import execute_masked_program, execute_program, simulate_all_pairs
+from repro.sim.engine import execute_masked_program, execute_program
 from repro.sim.faults import (
     PAIR_DELIVERED,
     PAIR_DROPPED,
@@ -422,22 +421,6 @@ def test_corrupt_program_raises_in_both_executors(name, program):
         with pytest.raises(ProgramVerificationError) as raised:
             execute(program)
         assert str(raised.value) == str(expected.value)
-
-
-def test_max_hops_is_refused_on_compiled_programs():
-    graph = generators.cycle_graph(6)
-    rf = ShortestPathTableScheme().build(graph)
-    program = rf.compile_program()
-    for call in (
-        lambda: execute_program(program, max_hops=3),
-        lambda: execute_masked_program(program, max_hops=3),
-        lambda: simulate_all_pairs(rf, max_hops=3),
-    ):
-        with pytest.raises(ValueError, match="max_hops"):
-            call()
-    # The per-message interpreter keeps its budget.
-    short = simulate_all_pairs(rf, max_hops=1, program=GenericProgram(num_vertices=graph.n))
-    assert not short.all_delivered
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ logic under test is exactly the one CI runs), and the final test pins the
 real tree clean — the lint's findings are part of the repo's contract.
 """
 
+import ast
 import sys
 from pathlib import Path
 
@@ -364,6 +365,72 @@ class TestMethodParameterRule:
     def test_escape_comment_does_not_apply(self, tmp_path):
         src = "def f(method='bfs'):  # repro-lint: allow-method\n    pass\n"
         assert _codes(_lint(tmp_path, "src/repro/graphs/x.py", src)) == ["REP008"]
+
+
+class TestExplosionCatchRule:
+    CATCHES = (
+        "try:\n    p = rf.compile_program()\nexcept HeaderStateExplosionError:\n    p = None\n",
+        "try:\n    f()\nexcept (KeyError, HeaderStateExplosionError) as exc:\n    raise\n",
+        "try:\n    f()\nexcept program.HeaderStateExplosionError:\n    pass\n",
+        "def f():\n    try:\n        g()\n    except HeaderStateExplosionError:\n        return 1\n",
+    )
+
+    @pytest.mark.parametrize("source", CATCHES)
+    @pytest.mark.parametrize(
+        "rel",
+        [
+            "src/repro/sim/engine.py",
+            "src/repro/analysis/runner.py",
+            "src/repro/routing/model.py",
+        ],
+    )
+    def test_catches_flagged_outside_the_program_module(self, tmp_path, rel, source):
+        findings = _lint(tmp_path, rel, source)
+        assert _codes(findings) == ["REP009"]
+        assert "compile_or_interpret" in findings[0].message
+
+    @pytest.mark.parametrize("source", CATCHES)
+    def test_program_module_may_catch(self, tmp_path, source):
+        assert _lint(tmp_path, "src/repro/routing/program.py", source) == []
+
+    def test_tests_and_benchmarks_may_catch(self, tmp_path):
+        src = self.CATCHES[0]
+        assert _lint(tmp_path, "tests/test_x.py", src) == []
+        assert _lint(tmp_path, "benchmarks/bench_x.py", src) == []
+
+    def test_other_uses_of_the_name_allowed(self, tmp_path):
+        # Importing, raising, re-exporting and catching other errors are
+        # not a second compile-or-interpret step.
+        src = (
+            "from repro.routing.program import HeaderStateExplosionError\n"
+            "__all__ = ['HeaderStateExplosionError']\n"
+            "def f(n):\n"
+            "    try:\n"
+            "        g()\n"
+            "    except ValueError:\n"
+            "        raise HeaderStateExplosionError(n)\n"
+            "    except:\n"
+            "        pass\n"
+        )
+        assert _lint(tmp_path, "src/repro/sim/x.py", src) == []
+
+    def test_real_tree_catches_once(self):
+        root = repro_lint.ROOT
+        sites = [
+            (path.relative_to(root).as_posix(), node.lineno)
+            for path in sorted((root / "src/repro").rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ExceptHandler)
+            and repro_lint.EXPLOSION_ERROR in repro_lint._caught_names(node)
+        ]
+        assert [rel for rel, _ in sites] == [repro_lint.EXPLOSION_OWNER], sites
+
+    def test_escape_comment_does_not_apply(self, tmp_path):
+        src = (
+            "try:\n    f()\n"
+            "except HeaderStateExplosionError:  # repro-lint: allow-explosion\n    pass\n"
+        )
+        assert _codes(_lint(tmp_path, "src/repro/sim/x.py", src)) == ["REP009"]
 
 
 class TestDriver:

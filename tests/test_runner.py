@@ -7,10 +7,11 @@ Three layers:
   sensitive to every config knob (seed, tie-break, stretch, nesting).
 * **Cache** — hit/miss accounting, on-disk round trips, atomicity of the
   layout, corrupt-entry degradation, schema keying.
-* **Sharding** — the pooled grid runs reproduce the serial drivers
-  (`table1_report`, `run_conformance_suite`) bit for bit, skips included,
-  and re-runs are pure cache hits.  E7/E8 rows through `cached_row` equal
-  their uncached counterparts.
+* **Sharding** — pooled grid runs (`processes=2`) reproduce serial ones
+  (`processes=1`) bit for bit, skips included, and re-runs are pure cache
+  hits; the serial wrappers (`table1_report`, `run_conformance_suite`) return
+  what the runner does.  E7/E8 rows through `cached_row` equal their
+  uncached counterparts.
 """
 
 from __future__ import annotations
@@ -229,7 +230,7 @@ class TestExperimentCache:
 
 
 # ----------------------------------------------------------------------
-# sharded grids == serial drivers
+# pooled grids == serial grids
 # ----------------------------------------------------------------------
 class TestShardedRunner:
     def test_measure_cell_matches_uncached_measurement(self, tmp_path):
@@ -247,9 +248,14 @@ class TestShardedRunner:
 
     def test_pooled_table1_matches_serial_and_reruns_hit(self, tmp_path):
         graphs = _graphs()
-        serial_rows = table1_report(graphs)
-        runner = ShardedRunner(cache_dir=tmp_path, processes=2)
+        serial_rows, serial_stats = ShardedRunner(
+            cache_dir=tmp_path / "serial", processes=1
+        ).table1_report(graphs)
+        assert serial_stats.processes == 1
+        assert _row_key(table1_report(graphs)) == _row_key(serial_rows)
+        runner = ShardedRunner(cache_dir=tmp_path / "pooled", processes=2)
         rows, stats = runner.table1_report(graphs)
+        assert stats.processes == 2
         assert _row_key(rows) == _row_key(serial_rows)
         assert stats.misses > 0
         rows_again, stats_again = runner.table1_report(graphs)
@@ -299,19 +305,29 @@ class TestShardedRunner:
         with pytest.raises(ValueError, match="livelocked"):
             table1_report(graphs, schemes=[_BounceScheme()])
 
-    def test_sharded_conformance_matches_serial_driver(self, tmp_path):
+    def test_pooled_conformance_matches_serial_runner(self, tmp_path):
+        from repro.routing.ecube import ECubeRoutingScheme
+
         schemes = {
             "tables": ShortestPathTableScheme(),
             "landmark-rewriting": CowenLandmarkScheme(seed=3, rewriting=True),
+            "ecube": ECubeRoutingScheme(),
         }
         families = {name: graph for name, graph in _graphs()}
-        serial_reports, serial_skipped = run_conformance_suite(
-            schemes=schemes, families=families
+        serial_reports, serial_skipped, serial_stats = ShardedRunner(
+            cache_dir=tmp_path / "serial", processes=1
+        ).conformance_suite(schemes=schemes, families=families)
+        assert serial_stats.processes == 1
+        assert serial_skipped  # the partial e-cube scheme declines both graphs
+        assert run_conformance_suite(schemes=schemes, families=families) == (
+            serial_reports,
+            serial_skipped,
         )
-        runner = ShardedRunner(cache_dir=tmp_path, processes=2)
+        runner = ShardedRunner(cache_dir=tmp_path / "pooled", processes=2)
         reports, skipped, stats = runner.conformance_suite(
             schemes=schemes, families=families
         )
+        assert stats.processes == 2
         assert reports == serial_reports
         assert skipped == serial_skipped
         reports_again, _, stats_again = runner.conformance_suite(

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific AST lint for the routing/sim core.
 
-Eight rules guard invariants that generic linters cannot see, all scoped
+Nine rules guard invariants that generic linters cannot see, all scoped
 to the modules where the invariant lives:
 
 REP001  Raw ``-2`` / ``-3`` integer literals anywhere in ``repro.sim`` or
@@ -82,6 +82,14 @@ REP008  Any function parameter named ``method`` anywhere under
         second answer creeps back into the runtime package.  There is no
         escape comment.
 
+REP009  ``HeaderStateExplosionError`` caught anywhere under ``src/repro``
+        but ``routing/program.py``.  Whether a routing function runs
+        compiled or interpreted is decided in one place,
+        :func:`repro.routing.program.compile_or_interpret`; a second
+        ``try: rf.compile_program() / except HeaderStateExplosionError``
+        is a second compile-or-interpret step that can drift from the
+        first.  There is no escape comment.
+
 Pure stdlib (``ast`` + ``tokenize``): runs anywhere CPython runs, no
 installs.  Exit status 1 when any finding is emitted, 0 on a clean tree.
 """
@@ -135,6 +143,11 @@ SCIPY_SCOPE = ("src/repro",)
 
 #: REP008 scope: the whole runtime package.
 METHOD_SCOPE = ("src/repro",)
+
+#: REP009 scope, and the one module in it allowed to catch the explosion.
+EXPLOSION_SCOPE = ("src/repro",)
+EXPLOSION_OWNER = "src/repro/routing/program.py"
+EXPLOSION_ERROR = "HeaderStateExplosionError"
 
 #: Identifier substrings that mark a per-pair/per-arc array in that scope.
 PAIR_MARKERS = (
@@ -500,6 +513,32 @@ def check_method_parameters(path: Path, tree: ast.Module, source: str) -> Iterat
                 )
 
 
+def _caught_names(handler: ast.ExceptHandler) -> Iterator[str]:
+    """Names of the exception classes an ``except`` clause catches."""
+    if handler.type is None:
+        return
+    types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    for node in types:
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def check_explosion_catches(path: Path, tree: ast.Module, source: str) -> Iterator[Finding]:
+    """REP009: HeaderStateExplosionError caught outside routing/program.py."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and EXPLOSION_ERROR in _caught_names(node):
+            yield Finding(
+                path,
+                node.lineno,
+                "REP009",
+                f"{EXPLOSION_ERROR} caught outside routing/program.py: compile "
+                "through repro.routing.program.compile_or_interpret, the one "
+                "compile-or-interpret step",
+            )
+
+
 def _in_scope(path: Path, scope: Sequence[str], root: Path) -> bool:
     try:
         rel = path.relative_to(root).as_posix()
@@ -535,6 +574,8 @@ def lint_file(path: Path, root: Path = ROOT) -> List[Finding]:
         findings.extend(check_scipy_imports(path, tree, source))
     if _in_scope(path, METHOD_SCOPE, root):
         findings.extend(check_method_parameters(path, tree, source))
+    if _in_scope(path, EXPLOSION_SCOPE, root) and not _in_scope(path, (EXPLOSION_OWNER,), root):
+        findings.extend(check_explosion_catches(path, tree, source))
     return findings
 
 
@@ -551,6 +592,7 @@ def lint_tree(root: Path = ROOT) -> List[Finding]:
         POOL_SCOPE,
         SCIPY_SCOPE,
         METHOD_SCOPE,
+        EXPLOSION_SCOPE,
     ):
         for entry in scope:
             target = root / entry
