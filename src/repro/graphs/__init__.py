@@ -15,10 +15,16 @@ provides:
 * :mod:`repro.graphs.generators` — the graph families the paper discusses
   (hypercubes, complete graphs, the Petersen graph, trees, outerplanar
   graphs, unit circular-arc graphs, chordal graphs, grids/tori, random
-  graphs) plus the three-level graphs of constraints of Lemma 2.
+  graphs, and random regular graphs from an in-tree pairing-model
+  sampler).
 * :mod:`repro.graphs.properties` — structural predicates (connectivity,
-  chordality, outerplanarity, tree/ring recognisers) used to validate the
-  generators and to select applicable routing schemes.
+  bipartiteness, tree/ring/complete recognisers, an exact ``O(n d)``
+  hypercube certificate, diameter, girth) used to validate the generators
+  and to select applicable routing schemes.
+
+The runtime package imports no graph library: the chordality,
+outerplanarity and isomorphism oracles, and the reference regular-graph
+sampler, live in ``tests/oracles.py``.
 """
 
 from repro.graphs.digraph import Arc, DerivedState, PortLabeledGraph

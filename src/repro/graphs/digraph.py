@@ -170,31 +170,6 @@ class PortLabeledGraph:
         self._invalidate_adjacency()
         return self._n - 1
 
-    @classmethod
-    def from_networkx(cls, nx_graph) -> "PortLabeledGraph":
-        """Build a :class:`PortLabeledGraph` from a networkx graph.
-
-        Nodes are relabelled ``0 .. n-1`` following the iteration order of
-        ``nx_graph.nodes``.
-        """
-        nodes = list(nx_graph.nodes)
-        index = {node: i for i, node in enumerate(nodes)}
-        g = cls(len(nodes))
-        for u, v in nx_graph.edges:
-            if u == v:
-                continue
-            g.add_edge(index[u], index[v])
-        return g
-
-    def to_networkx(self):
-        """Return an undirected :class:`networkx.Graph` with the same edges."""
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_nodes_from(range(self._n))
-        g.add_edges_from(self.edges())
-        return g
-
     def copy(self) -> "PortLabeledGraph":
         """Deep copy preserving the port labelling, sharing :attr:`derived`."""
         g = PortLabeledGraph(self._n)

@@ -20,11 +20,13 @@ fit.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+import random
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.graphs.digraph import PortLabeledGraph
+from repro.graphs.properties import is_connected
 
 __all__ = [
     "path_graph",
@@ -354,22 +356,78 @@ def random_connected_graph(
     return _finalize(g)
 
 
-def random_regular_graph(n: int, degree: int, seed: Optional[int] = None) -> PortLabeledGraph:
-    """Random ``degree``-regular simple connected graph (networkx backed).
+def _pairing_edges(n: int, degree: int, rng: random.Random) -> Set[Tuple[int, int]]:
+    """One simple ``degree``-regular edge set from the pairing model.
 
-    Retries the pairing model until the sampled graph is simple and
-    connected; raises :class:`ValueError` when ``n * degree`` is odd or
-    ``degree >= n``.
+    Steger & Wormald, *Generating random regular graphs quickly* (1999):
+    shuffle the ``n * degree`` stubs, pair them up, keep every pair that is
+    neither a loop nor a repeated edge, and re-shuffle only the stubs of
+    the rejected pairs; restart from scratch when no rejected stub can
+    still pair up.  Draws from ``rng`` exactly as the reference sampler
+    raced in ``tests/oracles.py`` does, so a seed samples the same graph
+    under both.
     """
-    import networkx as nx
+    while True:
+        edges: Set[Tuple[int, int]] = set()
+        stubs = list(range(n)) * degree
+        while stubs:
+            # Insertion-ordered, so the re-shuffled stub list is a
+            # deterministic function of the draws.
+            potential: Dict[int, int] = {}
+            rng.shuffle(stubs)
+            it = iter(stubs)
+            for s1, s2 in zip(it, it):
+                if s1 > s2:
+                    s1, s2 = s2, s1
+                if s1 != s2 and (s1, s2) not in edges:
+                    edges.add((s1, s2))
+                else:
+                    potential[s1] = potential.get(s1, 0) + 1
+                    potential[s2] = potential.get(s2, 0) + 1
+            if not _can_pair(edges, potential):
+                break
+            stubs = [node for node, count in potential.items() for _ in range(count)]
+        else:
+            return edges
 
-    if degree >= n or (n * degree) % 2 != 0:
-        raise ValueError("need degree < n and n*degree even")
-    rng_seed = seed
+
+def _can_pair(edges: Set[Tuple[int, int]], potential: Dict[int, int]) -> bool:
+    """Whether some two leftover stub owners look pairable.
+
+    The reference sampler's scan, quirk included: the swap rebinds ``s1``
+    for the rest of the inner loop, which changes the pairs scanned and
+    therefore when a sample restarts.  Scanning every pair instead would
+    draw a different graph for some seeds.
+    """
+    if not potential:
+        return True
+    for s1 in potential:
+        for s2 in potential:
+            if s1 == s2:
+                break
+            if s1 > s2:
+                s1, s2 = s2, s1
+            if (s1, s2) not in edges:
+                return True
+    return False
+
+
+def random_regular_graph(n: int, degree: int, seed: Optional[int] = None) -> PortLabeledGraph:
+    """Random ``degree``-regular simple connected graph.
+
+    Samples the pairing model (:func:`_pairing_edges`) with
+    ``random.Random(seed + attempt)`` until the graph is connected, for at
+    most 50 attempts; raises :class:`ValueError` when ``n * degree`` is odd
+    or ``degree`` is not in ``[0, n)``.
+    """
+    if not 0 <= degree < n or (n * degree) % 2 != 0:
+        raise ValueError("need 0 <= degree < n and n*degree even")
     for attempt in range(50):
-        g_nx = nx.random_regular_graph(degree, n, seed=None if rng_seed is None else rng_seed + attempt)
-        if nx.is_connected(g_nx):
-            return _finalize(PortLabeledGraph.from_networkx(g_nx))
+        rng = random.Random(None if seed is None else seed + attempt)
+        edges = _pairing_edges(n, degree, rng) if degree else set()
+        g = PortLabeledGraph(n, edges)
+        if is_connected(g):
+            return _finalize(g)
     raise RuntimeError("failed to sample a connected regular graph after 50 attempts")
 
 

@@ -5,6 +5,8 @@ classes (trees/acyclic graphs, outerplanar graphs, unit circular-arc graphs,
 chordal graphs, hypercubes, complete graphs).  The routing-scheme layer uses
 these predicates both to validate generator output in the test suite and to
 decide which specialised scheme is applicable to a given input graph.
+Chordality and outerplanarity have no runtime caller; their tests use the
+oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ __all__ = [
     "is_complete",
     "is_bipartite",
     "is_hypercube",
-    "is_chordal",
-    "is_outerplanar",
     "diameter",
     "radius",
     "girth",
@@ -109,10 +109,15 @@ def is_bipartite(graph: PortLabeledGraph) -> Tuple[bool, Optional[List[int]]]:
 def is_hypercube(graph: PortLabeledGraph) -> bool:
     """Whether the graph is isomorphic to a hypercube.
 
-    Fast necessary checks (power-of-two order, ``log2(n)``-regularity,
-    connectivity, bipartiteness, correct edge count) are followed by an exact
-    isomorphism test against :func:`networkx.hypercube_graph`.  Intended for
-    the graph sizes used in the tests and benchmarks (dimension <= 10).
+    Cheap necessary checks (power-of-two order, ``log2(n)``-regularity,
+    edge count, connectivity) are followed by an exact ``O(n d)``
+    certificate: the neighbours of vertex 0 get distinct unit bits, and
+    every later BFS vertex the OR of its parents' labels.  The graph is
+    ``Q_d`` iff the ``n`` labels are distinct and every edge flips exactly
+    one bit: distinct ``d``-bit labels cover all of ``Q_d``'s vertices, and
+    ``n d / 2`` one-bit edges are all of its edges.  On ``Q_d`` itself the
+    labelling is an isomorphism, because a vertex at distance ``k >= 2`` is
+    the OR of its ``k`` parents.
     """
     n = graph.n
     if n == 0 or n & (n - 1):
@@ -124,45 +129,23 @@ def is_hypercube(graph: PortLabeledGraph) -> bool:
         return False
     if graph.num_edges != n * dim // 2:
         return False
-    if not is_connected(graph):
+    dist = bfs_distances(graph, 0)
+    if (dist == UNREACHABLE).any():
         return False
-    bip, _ = is_bipartite(graph)
-    if not bip:
+    _, dst = graph.adjacency_arrays()
+    src = np.repeat(np.arange(n), dim)  # d-regular: arcs are grouped by source
+    labels = np.zeros(n, dtype=np.int64)
+    labels[dst[:dim]] = np.int64(1) << np.arange(dim, dtype=np.int64)
+    # Parent arcs grouped by the child's level; level 1 ORs in label 0.
+    up = np.flatnonzero(dist[dst] == dist[src] + 1)
+    up = up[np.argsort(dist[dst[up]], kind="stable")]
+    bounds = np.searchsorted(dist[dst[up]], np.arange(1, int(dist.max()) + 2))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        np.bitwise_or.at(labels, dst[up[lo:hi]], labels[src[up[lo:hi]]])
+    if np.unique(labels).size != n:
         return False
-    import networkx as nx
-
-    return bool(nx.is_isomorphic(graph.to_networkx(), nx.hypercube_graph(dim)))
-
-
-def is_chordal(graph: PortLabeledGraph) -> bool:
-    """Chordality test via networkx (maximum cardinality search)."""
-    import networkx as nx
-
-    if graph.n == 0:
-        return True
-    return nx.is_chordal(graph.to_networkx())
-
-
-def is_outerplanar(graph: PortLabeledGraph) -> bool:
-    """Outerplanarity test.
-
-    Uses the classical characterisation: ``G`` is outerplanar iff the graph
-    obtained by adding a universal vertex is planar.  Also applies the edge
-    bound ``m <= 2n - 3`` as a fast negative filter.
-    """
-    import networkx as nx
-
-    n = graph.n
-    if n <= 3:
-        return True
-    if graph.num_edges > 2 * n - 3:
-        return False
-    g_nx = graph.to_networkx()
-    apex = n
-    g_nx.add_node(apex)
-    g_nx.add_edges_from((apex, v) for v in range(n))
-    planar, _ = nx.check_planarity(g_nx)
-    return bool(planar)
+    flips = labels[src] ^ labels[dst]
+    return bool(((flips != 0) & (flips & (flips - 1) == 0)).all())
 
 
 def diameter(graph: PortLabeledGraph) -> int:

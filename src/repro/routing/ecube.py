@@ -141,13 +141,14 @@ class ECubeRoutingScheme(BaseRoutingScheme):
         if not is_hypercube(graph):
             raise ValueError("e-cube routing requires a hypercube")
         # Check the canonical labelling: port k of u must lead to u ^ (1 << (k-1)).
-        for u in range(n):
-            for k in range(1, dimension + 1):
-                if graph.neighbor_at_port(u, k) != u ^ (1 << (k - 1)):
-                    raise ValueError(
-                        "e-cube routing requires the canonical hypercube port labelling; "
-                        "use repro.graphs.generators.hypercube()"
-                    )
+        _, neighbors = graph.adjacency_arrays()
+        vertices = np.arange(n)[:, None]
+        canonical = vertices ^ (1 << np.arange(dimension))[None, :]
+        if not np.array_equal(neighbors.reshape(n, dimension), canonical):
+            raise ValueError(
+                "e-cube routing requires the canonical hypercube port labelling; "
+                "use repro.graphs.generators.hypercube()"
+            )
         return self._function_class(graph, dimension)
 
 

@@ -30,8 +30,8 @@ promotion of that cache into a real registry:
   never an exception, never a silent global miss.
 
 * **Integrity is verifiable.**  ``get(key, verify=True)`` re-hashes the
-  mapped object against its content address and runs the full static
-  verifier (:func:`repro.routing.verify.verify_program`, strict) over the
+  mapped object against its content address and runs the strict
+  structural check (:func:`repro.routing.verify.verify_structure`) over the
   decoded program; an object corrupted on disk degrades to a miss, is
   deleted (the next ``put`` rewrites correct bytes at the same address), and
   is counted in :attr:`ProgramStore.degraded`.
@@ -71,7 +71,7 @@ from repro.routing.program import (
     load_program,
     save_program,
 )
-from repro.routing.verify import ProgramVerificationError, verify_program
+from repro.routing.verify import ProgramVerificationError, verify_structure
 
 __all__ = [
     "CACHE_SCHEMA",
@@ -310,10 +310,13 @@ class ProgramStore:
         (:func:`~repro.routing.program.load_program`); verdicts as the
         runner's ``("inapplicable", reason)`` tuples.  ``verify=True``
         checks the object's bytes against its content address and
-        strict-verifies the decoded program; corruption at either level
-        degrades to a miss (warned and counted in :attr:`degraded`) and
-        deletes the bad object so the next store rewrites it.  Hits touch
-        the object's mtime — the recency signal :meth:`gc` evicts by.
+        strict-checks the decoded program's structure
+        (:func:`~repro.routing.verify.verify_structure`, which rejects what
+        a strict ``verify_program`` would, without resolving fates);
+        corruption at either level degrades to a miss (warned and counted
+        in :attr:`degraded`) and deletes the bad object so the next store
+        rewrites it.  Hits touch the object's mtime — the recency signal
+        :meth:`gc` evicts by.
         """
         record = self.lookup(key)
         if record is None:
@@ -335,7 +338,7 @@ class ProgramStore:
             return False, None
         if verify and not isinstance(program, GenericProgram):
             try:
-                verify_program(program, strict=True)
+                verify_structure(program, strict=True)
             except ProgramVerificationError as exc:
                 self._degrade(path, exc)
                 path.unlink(missing_ok=True)

@@ -21,7 +21,13 @@ race the two:
   :class:`LandmarkTables` — scheme tables as per-node dicts built one
   (node, port) or one row at a time, against the array-held
   :class:`repro.routing.interval.IntervalRoutingFunction` and
-  :class:`repro.routing.landmark.LandmarkRoutingFunction`.
+  :class:`repro.routing.landmark.LandmarkRoutingFunction`;
+* :func:`networkx_random_regular_graph` and :func:`vf2_is_hypercube` —
+  networkx's pairing-model sampler and VF2 isomorphism test, against the
+  in-tree :func:`repro.graphs.generators.random_regular_graph` and the
+  labelling certificate of :func:`repro.graphs.properties.is_hypercube`;
+  :func:`is_chordal` and :func:`is_outerplanar` check generator output,
+  and :func:`to_networkx` / :func:`from_networkx` convert graphs.
 """
 
 from __future__ import annotations
@@ -438,3 +444,85 @@ class LandmarkTables:
             or dest in self.landmark_ports[node]
             or node == landmark
         )
+
+
+# ----------------------------------------------------------------------
+# networkx-backed graph oracles
+# ----------------------------------------------------------------------
+# networkx is a test extra only; it is imported inside each oracle so
+# that importing this module (as the benchmarks do) never needs it.
+def to_networkx(graph: PortLabeledGraph):
+    """An undirected ``networkx.Graph`` with the same vertices and edges."""
+    import networkx as nx
+
+    g = nx.Graph()
+    g.add_nodes_from(range(graph.n))
+    g.add_edges_from(graph.edges())
+    return g
+
+
+def from_networkx(nx_graph) -> PortLabeledGraph:
+    """A :class:`PortLabeledGraph` of a networkx graph, self-loops dropped.
+
+    Nodes are relabelled ``0 .. n-1`` in the iteration order of
+    ``nx_graph.nodes``; ports follow the edge iteration order.
+    """
+    index = {node: i for i, node in enumerate(nx_graph.nodes)}
+    return PortLabeledGraph(
+        len(index), [(index[u], index[v]) for u, v in nx_graph.edges if u != v]
+    )
+
+
+def networkx_random_regular_graph(n: int, degree: int, seed: int) -> PortLabeledGraph:
+    """``nx.random_regular_graph`` at ``seed + attempt`` until connected.
+
+    The sampler :func:`repro.graphs.generators.random_regular_graph`
+    ports, raced seed for seed.
+    """
+    import networkx as nx
+
+    for attempt in range(50):
+        g = nx.random_regular_graph(degree, n, seed=seed + attempt)
+        if nx.is_connected(g):
+            graph = from_networkx(g)
+            graph.sort_ports_by_neighbor()
+            return graph
+    raise RuntimeError("failed to sample a connected regular graph after 50 attempts")
+
+
+def vf2_is_hypercube(graph: PortLabeledGraph) -> bool:
+    """VF2 isomorphism test against ``Q_d``, for the O(n d) certificate of
+    :func:`repro.graphs.properties.is_hypercube`."""
+    import networkx as nx
+
+    n = graph.n
+    if n == 0 or n & (n - 1):
+        return False
+    dim = n.bit_length() - 1
+    cube = nx.hypercube_graph(dim) if dim else nx.empty_graph(1)  # Q_0 is one vertex
+    return bool(nx.is_isomorphic(to_networkx(graph), cube))
+
+
+def is_chordal(graph: PortLabeledGraph) -> bool:
+    """Chordality via networkx (maximum cardinality search)."""
+    import networkx as nx
+
+    return graph.n == 0 or bool(nx.is_chordal(to_networkx(graph)))
+
+
+def is_outerplanar(graph: PortLabeledGraph) -> bool:
+    """Outerplanarity: ``G`` plus a universal apex vertex is planar.
+
+    The edge bound ``m <= 2n - 3`` is a fast negative filter.
+    """
+    import networkx as nx
+
+    n = graph.n
+    if n <= 3:
+        return True
+    if graph.num_edges > 2 * n - 3:
+        return False
+    g = to_networkx(graph)
+    g.add_edges_from((n, v) for v in range(n))
+    planar, _ = nx.check_planarity(g)
+    return bool(planar)

@@ -13,6 +13,9 @@ suite locally, not on the next nightly run.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,19 +42,46 @@ def test_pyproject_declares_src_layout_deps_and_extras():
     assert project["name"]
     assert project["version"]
     deps = " ".join(project["dependencies"])
-    for dep in ("numpy", "networkx"):
-        assert dep in deps, f"{dep} missing from install dependencies"
-    # scipy is only the distance oracle of the tests and benchmarks.
+    assert "numpy" in deps, "numpy missing from install dependencies"
+    # scipy is only the distance oracle of the tests and benchmarks;
+    # networkx only the sampler and isomorphism oracle of the tests.
     assert "scipy" not in deps, "scipy is not a runtime dependency"
+    assert "networkx" not in deps, "networkx is not a runtime dependency"
     extras = project["optional-dependencies"]
     assert "test" in extras and "bench" in extras
     test_extra = " ".join(extras["test"])
-    for tool in ("pytest", "hypothesis", "pytest-benchmark", "pytest-cov", "scipy"):
+    for tool in ("pytest", "hypothesis", "pytest-benchmark", "pytest-cov", "scipy", "networkx"):
         assert tool in test_extra, f"{tool} missing from the test extra"
     assert "scipy" in " ".join(extras["bench"]), "scipy missing from the bench extra"
     assert cfg["tool"]["setuptools"]["packages"]["find"]["where"] == ["src"]
     assert cfg["build-system"]["build-backend"] == "setuptools.build_meta"
     assert project["scripts"]["repro"] == "repro.cli.main:main"
+
+
+def test_no_module_or_medium_sweep_imports_networkx(tmp_path):
+    # Every repro module, then a cold medium sweep (its random-regular
+    # family and the hypercube test of e-cube routing included), in a fresh
+    # interpreter: networkx is a test extra, never imported by the package.
+    code = f"""
+import importlib, io, pkgutil, sys
+from contextlib import redirect_stdout
+import repro
+from repro.cli.main import main
+
+for info in pkgutil.walk_packages(repro.__path__, "repro."):
+    importlib.import_module(info.name)
+rows = io.StringIO()
+with redirect_stdout(rows):
+    assert main(["sweep", "--registry", "medium", "--store", {str(tmp_path)!r}]) == 0
+assert '"family": "random-regular"' in rows.getvalue()
+assert '"scheme": "ecube"' in rows.getvalue()
+print(sorted(m for m in sys.modules if m.split(".")[0] == "networkx"))
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_package_resolves_from_the_src_layout():

@@ -321,6 +321,56 @@ class TestScipyImportRule:
         assert _codes(_lint(tmp_path, "src/repro/graphs/x.py", src)) == ["REP007"]
 
 
+class TestNetworkxImportRule:
+    NETWORKX = (
+        "import networkx\n",
+        "import networkx as nx\n",
+        "import networkx.algorithms.isomorphism as iso\n",
+        "from networkx import is_isomorphic\n",
+        "from networkx.generators.random_graphs import random_regular_graph\n",
+        "def f():\n    import networkx as nx\n",
+    )
+
+    @pytest.mark.parametrize("source", NETWORKX)
+    @pytest.mark.parametrize(
+        "rel",
+        [
+            "src/repro/graphs/generators.py",
+            "src/repro/graphs/properties.py",
+            "src/repro/routing/ecube.py",
+            "src/repro/store.py",
+        ],
+    )
+    def test_networkx_imports_flagged_everywhere_in_the_package(self, tmp_path, rel, source):
+        findings = _lint(tmp_path, rel, source)
+        assert _codes(findings) == ["REP010"]
+        assert "tests/oracles.py" in findings[0].message
+
+    def test_tests_and_benchmarks_may_import_networkx(self, tmp_path):
+        src = "import networkx as nx\n"
+        assert _lint(tmp_path, "tests/oracles.py", src) == []
+        assert _lint(tmp_path, "benchmarks/bench_x.py", src) == []
+
+    def test_lookalike_names_allowed(self, tmp_path):
+        src = "import networkx_stub\nfrom . import networkx\nfrom repro import networkx_free\n"
+        assert _lint(tmp_path, "src/repro/graphs/x.py", src) == []
+
+    def test_escape_comment_does_not_apply(self, tmp_path):
+        src = "import networkx  # repro-lint: allow-networkx\n"
+        assert _codes(_lint(tmp_path, "src/repro/graphs/x.py", src)) == ["REP010"]
+
+    def test_real_tree_never_imports_networkx(self):
+        root = repro_lint.ROOT
+        sites = [
+            path.relative_to(root).as_posix()
+            for path in sorted((root / "src/repro").rglob("*.py"))
+            if list(repro_lint._imports_of(ast.parse(path.read_text()), "networkx"))
+        ]
+        assert sites == []
+        findings = [f for f in repro_lint.lint_tree() if f.code == "REP010"]
+        assert findings == []
+
+
 class TestMethodParameterRule:
     METHODS = (
         "def f(graph, method='bfs'):\n    pass\n",

@@ -15,20 +15,32 @@ Four layers:
   ``verify=True`` load.
 * **Degradation** — corrupt objects and corrupt manifest lines warn, count
   in ``degraded``, and degrade to misses; a content-address mismatch on
-  load raises before any payload is trusted.
+  load raises before any payload is trusted.  The ``verify=True`` gate
+  (``verify_structure``, strict) degrades exactly the corrupted programs
+  that the full strict ``verify_program`` rejects.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
 import pytest
 
 from repro.graphs import generators
-from repro.routing.program import RoutingProgram, load_program
+from repro.routing.landmark import CowenLandmarkScheme
+from repro.routing.program import (
+    DROPPED,
+    MISDELIVER,
+    HeaderStateProgram,
+    RoutingProgram,
+    load_program,
+)
 from repro.routing.tables import ShortestPathTableScheme
+from repro.routing.verify import ProgramVerificationError, verify_program
 from repro.store import (
     ProgramStore,
     StoreRecord,
@@ -352,6 +364,100 @@ def test_bitflip_is_caught_by_content_address_verification(tmp_path):
     with pytest.warns(RuntimeWarning, match="degraded store entry"):
         assert store.get("cell", verify=True) == (False, None)
     assert store.degraded == 1
+
+
+def _gate_corpus():
+    """``(name, program, truncate)``: intact programs and corruptions of them.
+
+    Some corruptions are structural (out-of-range entries), some semantic
+    (a broken absorbing destination, a live initial diagonal) and some
+    legal (a successor flipped to another node or state, a sentinel): the
+    gate must tell them apart exactly as the full strict verifier does.
+    """
+    graph = generators.random_connected_graph(10, extra_edge_prob=0.2, seed=2)
+    nh = ShortestPathTableScheme().build(graph).compile_program()
+    n = nh.n
+
+    def next_hop(x, d, value):
+        table = np.array(nh.next_node, dtype=np.int64)
+        table[x, d] = value
+        return nh.with_next_node(table)
+
+    yield "next-hop-intact", nh, False
+    yield "next-hop-truncated", nh, True
+    yield "next-hop-flipped-successor", next_hop(0, 5, (int(nh.next_node[0, 5]) + 1) % n), False
+    yield "next-hop-misdeliver", next_hop(1, 4, MISDELIVER), False
+    yield "next-hop-dropped", next_hop(1, 4, DROPPED), False
+    yield "next-hop-node-out-of-range", next_hop(2, 5, n + 7), False
+    yield "next-hop-stray-minus-one", next_hop(2, 5, -1), False
+    yield "next-hop-below-sentinels", next_hop(2, 5, -4), False
+    yield "next-hop-broken-absorbing", next_hop(3, 3, int(nh.next_node[0, 3])), False
+
+    hs = CowenLandmarkScheme(seed=0, rewriting=True).build(graph).compile_program()
+    fields = dict(succ=hs.succ, deliver=hs.deliver, node_of=hs.node_of, initial=hs.initial)
+    moving = int(np.flatnonzero(~np.asarray(hs.deliver))[0])
+
+    def header_state(name, index, value):
+        array = np.array(fields[name], copy=True)
+        array[index] = value
+        return HeaderStateProgram(**{**fields, name: array})
+
+    yield "header-state-intact", hs, False
+    yield "header-state-truncated", hs, True
+    yield "header-state-flipped-successor", header_state(
+        "succ", moving, (int(hs.succ[moving]) + 1) % hs.num_states
+    ), False
+    yield "header-state-successor-out-of-range", header_state("succ", moving, hs.num_states), False
+    yield "header-state-node-out-of-range", header_state("node_of", moving, n), False
+    yield "header-state-initial-out-of-range", header_state("initial", (0, 1), hs.num_states), False
+    yield "header-state-live-diagonal", header_state("initial", (2, 2), int(hs.initial[2, 3])), False
+
+
+def _full_gate_rejects(path, object_id):
+    """The gate as it was: content address, then the full strict verifier."""
+    try:
+        verify_program(load_program(path, expected_fingerprint=object_id), strict=True)
+    except (OSError, ValueError, ProgramVerificationError):
+        return True
+    return False
+
+
+def test_verify_gate_rejects_exactly_what_the_full_strict_verifier_rejects(tmp_path):
+    store = ProgramStore(tmp_path)
+    rejected = []
+    for name, program, truncate in _gate_corpus():
+        record = store.put(name, program)
+        path = store.object_path(record.object_id)
+        if truncate:
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        expect_reject = _full_gate_rejects(path, record.object_id)
+        degraded = store.degraded
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            found, loaded = store.get(name, verify=True)
+        assert found != expect_reject, name
+        assert path.exists() != expect_reject, name
+        assert store.degraded == degraded + expect_reject, name
+        if found:
+            assert loaded.fingerprint() == record.object_id
+        else:
+            rejected.append(name)
+        # Heal the slot for the next case sharing the object.
+        path.unlink(missing_ok=True)
+    assert sorted(rejected) == sorted(
+        [
+            "next-hop-truncated",
+            "next-hop-node-out-of-range",
+            "next-hop-stray-minus-one",
+            "next-hop-below-sentinels",
+            "next-hop-broken-absorbing",
+            "header-state-truncated",
+            "header-state-successor-out-of-range",
+            "header-state-node-out-of-range",
+            "header-state-initial-out-of-range",
+            "header-state-live-diagonal",
+        ]
+    )
 
 
 def test_corrupt_manifest_line_skips_only_that_record(tmp_path):

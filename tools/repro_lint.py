@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific AST lint for the routing/sim core.
 
-Nine rules guard invariants that generic linters cannot see, all scoped
+Ten rules guard invariants that generic linters cannot see, all scoped
 to the modules where the invariant lives:
 
 REP001  Raw ``-2`` / ``-3`` integer literals anywhere in ``repro.sim`` or
@@ -90,6 +90,15 @@ REP009  ``HeaderStateExplosionError`` caught anywhere under ``src/repro``
         is a second compile-or-interpret step that can drift from the
         first.  There is no escape comment.
 
+REP010  Any ``networkx`` import anywhere under ``src/repro``.  Regular
+        graphs come from the in-tree pairing-model sampler of
+        :func:`repro.graphs.generators.random_regular_graph` and hypercube
+        recognition from the labelling certificate of
+        :func:`repro.graphs.properties.is_hypercube`; networkx is a test
+        extra, not a runtime dependency, and importing it costs ~0.15 s
+        and ~14 MB of resident memory per process.  There is no escape
+        comment; networkx-backed oracles live in ``tests/oracles.py``.
+
 Pure stdlib (``ast`` + ``tokenize``): runs anywhere CPython runs, no
 installs.  Exit status 1 when any finding is emitted, 0 on a clean tree.
 """
@@ -140,6 +149,9 @@ POOL_MODULES = ("concurrent.futures", "multiprocessing")
 
 #: REP007 scope: the whole runtime package.
 SCIPY_SCOPE = ("src/repro",)
+
+#: REP010 scope: the whole runtime package.
+NETWORKX_SCOPE = ("src/repro",)
 
 #: REP008 scope: the whole runtime package.
 METHOD_SCOPE = ("src/repro",)
@@ -481,17 +493,35 @@ def check_pool_imports(path: Path, tree: ast.Module, source: str) -> Iterator[Fi
                 break
 
 
+def _imports_of(tree: ast.Module, module: str) -> Iterator[ast.stmt]:
+    """Every import statement that names ``module`` or one of its submodules."""
+    for node, names in _imported_names(tree):
+        if any(_is_module(name, (module,)) for name in names):
+            yield node
+
+
 def check_scipy_imports(path: Path, tree: ast.Module, source: str) -> Iterator[Finding]:
     """REP007: scipy imports in the runtime package."""
-    for node, names in _imported_names(tree):
-        if any(_is_module(name, ("scipy",)) for name in names):
-            yield Finding(
-                path,
-                node.lineno,
-                "REP007",
-                "scipy imported under src/repro: it is not a runtime dependency; "
-                "use repro.graphs.shortest_paths.bfs_rows (scipy oracles belong in tests/)",
-            )
+    for node in _imports_of(tree, "scipy"):
+        yield Finding(
+            path,
+            node.lineno,
+            "REP007",
+            "scipy imported under src/repro: it is not a runtime dependency; "
+            "use repro.graphs.shortest_paths.bfs_rows (scipy oracles belong in tests/)",
+        )
+
+
+def check_networkx_imports(path: Path, tree: ast.Module, source: str) -> Iterator[Finding]:
+    """REP010: networkx imports in the runtime package."""
+    for node in _imports_of(tree, "networkx"):
+        yield Finding(
+            path,
+            node.lineno,
+            "REP010",
+            "networkx imported under src/repro: it is not a runtime dependency; "
+            "use the in-tree graph code (networkx oracles belong in tests/oracles.py)",
+        )
 
 
 def check_method_parameters(path: Path, tree: ast.Module, source: str) -> Iterator[Finding]:
@@ -572,6 +602,8 @@ def lint_file(path: Path, root: Path = ROOT) -> List[Finding]:
         findings.extend(check_pool_imports(path, tree, source))
     if _in_scope(path, SCIPY_SCOPE, root):
         findings.extend(check_scipy_imports(path, tree, source))
+    if _in_scope(path, NETWORKX_SCOPE, root):
+        findings.extend(check_networkx_imports(path, tree, source))
     if _in_scope(path, METHOD_SCOPE, root):
         findings.extend(check_method_parameters(path, tree, source))
     if _in_scope(path, EXPLOSION_SCOPE, root) and not _in_scope(path, (EXPLOSION_OWNER,), root):
@@ -591,6 +623,7 @@ def lint_tree(root: Path = ROOT) -> List[Finding]:
         CLI_SCOPE,
         POOL_SCOPE,
         SCIPY_SCOPE,
+        NETWORKX_SCOPE,
         METHOD_SCOPE,
         EXPLOSION_SCOPE,
     ):
