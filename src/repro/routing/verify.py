@@ -437,7 +437,7 @@ def _semantic_issues(program: RoutingProgram) -> List[str]:
     return _header_state_issues(program)
 
 
-def verify_structure(program: RoutingProgram, *, strict: bool = False) -> List[str]:
+def verify_structure(program: RoutingProgram) -> List[str]:
     """Well-formedness analysis of a compiled program's arrays.
 
     Raises :class:`ProgramVerificationError` on structural corruption (wrong
@@ -445,25 +445,10 @@ def verify_structure(program: RoutingProgram, *, strict: bool = False) -> List[s
     entries — including a stray ``-1``, which is never a valid transition).
     Returns the list of *semantic* issues: conditions the executors handle
     deterministically but that no healthy compile produces (non-absorbing
-    destinations, a non-``-1`` initial diagonal).  With ``strict=True`` the
-    semantic issues raise too.  This rejects exactly the programs that
-    ``verify_program(program, strict=True)`` rejects, without resolving a
-    single fate: the fate resolver raises only through the same range
-    checks.
+    destinations, a non-``-1`` initial diagonal).
     """
     _check_ranges(program)
-    issues = _semantic_issues(program)
-    if strict:
-        _raise_on_issues(issues)
-    return issues
-
-
-def _raise_on_issues(issues: List[str]) -> None:
-    if issues:
-        raise ProgramVerificationError(
-            f"program failed strict verification with {len(issues)} "
-            f"issue(s): " + "; ".join(issues)
-        )
+    return _semantic_issues(program)
 
 
 # ----------------------------------------------------------------------
@@ -647,8 +632,11 @@ def verify_program(
     """
     report = resolve_fates(program, alive)
     issues = _semantic_issues(program)
-    if strict:
-        _raise_on_issues(issues)
+    if strict and issues:
+        raise ProgramVerificationError(
+            f"program failed strict verification with {len(issues)} "
+            f"issue(s): " + "; ".join(issues)
+        )
     report = replace(report, issues=tuple(issues))
     if dist is not None:
         max_stretch, mean_stretch = report.stretch(np.asarray(dist))

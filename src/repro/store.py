@@ -30,8 +30,8 @@ promotion of that cache into a real registry:
   never an exception, never a silent global miss.
 
 * **Integrity is verifiable.**  ``get(key, verify=True)`` re-hashes the
-  mapped object against its content address and runs the strict
-  structural check (:func:`repro.routing.verify.verify_structure`) over the
+  mapped object against its content address and runs the structural check
+  (:func:`repro.routing.verify.verify_structure`, any issue fatal) over the
   decoded program; an object corrupted on disk degrades to a miss, is
   deleted (the next ``put`` rewrites correct bytes at the same address), and
   is counted in :attr:`ProgramStore.degraded`.
@@ -310,9 +310,10 @@ class ProgramStore:
         (:func:`~repro.routing.program.load_program`); verdicts as the
         runner's ``("inapplicable", reason)`` tuples.  ``verify=True``
         checks the object's bytes against its content address and
-        strict-checks the decoded program's structure
-        (:func:`~repro.routing.verify.verify_structure`, which rejects what
-        a strict ``verify_program`` would, without resolving fates);
+        checks the decoded program's structure and treats every semantic
+        issue as fatal (:func:`~repro.routing.verify.verify_structure`,
+        which rejects what a strict ``verify_program`` would, without
+        resolving fates);
         corruption at either level degrades to a miss (warned and counted
         in :attr:`degraded`) and deletes the bad object so the next store
         rewrites it.  Hits touch the object's mtime — the recency signal
@@ -338,7 +339,9 @@ class ProgramStore:
             return False, None
         if verify and not isinstance(program, GenericProgram):
             try:
-                verify_structure(program, strict=True)
+                issues = verify_structure(program)
+                if issues:
+                    raise ProgramVerificationError("; ".join(issues))
             except ProgramVerificationError as exc:
                 self._degrade(path, exc)
                 path.unlink(missing_ok=True)

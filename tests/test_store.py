@@ -16,7 +16,7 @@ Four layers:
 * **Degradation** — corrupt objects and corrupt manifest lines warn, count
   in ``degraded``, and degrade to misses; a content-address mismatch on
   load raises before any payload is trusted.  The ``verify=True`` gate
-  (``verify_structure``, strict) degrades exactly the corrupted programs
+  (``verify_structure``, any issue fatal) degrades exactly the corrupted programs
   that the full strict ``verify_program`` rejects.
 """
 
