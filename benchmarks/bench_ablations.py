@@ -17,8 +17,8 @@ from conftest import print_rows
 from repro.constraints.matrix import ConstraintMatrix, canonical_form, canonical_form_greedy
 from repro.graphs import generators
 from repro.graphs.shortest_paths import bfs_distances, bfs_rows
-from repro.memory.coder import DefaultPortCoder, IntervalTableCoder, RawTableCoder
-from repro.routing.tables import ShortestPathTableScheme
+from repro.memory.coder import TABLE_CODERS, table_coder_bits
+from repro.routing.tables import shortest_path_ports
 
 
 @pytest.mark.benchmark(group="ablation-canonical")
@@ -75,17 +75,14 @@ def test_table_coder_sizes(benchmark, family):
         "random": lambda: generators.random_connected_graph(n, extra_edge_prob=0.15, seed=1),
         "complete": lambda: generators.complete_graph(n),
     }[family]()
-    rf = ShortestPathTableScheme().build(graph)
-    coders = {"raw": RawTableCoder(), "interval": IntervalTableCoder(), "default": DefaultPortCoder()}
+    # The shortest-path routing table: DELIVER on the diagonal, one port
+    # per (router, destination) elsewhere.
+    ports = shortest_path_ports(graph, tie_break="lowest_port")
+    degrees = np.array(graph.degrees())
 
     def _encode_all():
-        totals = {name: 0 for name in coders}
-        for node in graph.vertices():
-            local = rf.local_map(node)
-            degree = graph.degree(node)
-            for name, coder in coders.items():
-                totals[name] += coder.encode(node, graph.n, degree, local).bits
-        return totals
+        bits = table_coder_bits(ports, degrees).sum(axis=1).tolist()
+        return dict(zip(TABLE_CODERS, bits))
 
     totals = benchmark.pedantic(_encode_all, rounds=1, iterations=1)
     rows = [{"family": family, **{f"{k}_bits": v for k, v in totals.items()}}]
@@ -95,4 +92,4 @@ def test_table_coder_sizes(benchmark, family):
     # DFS relabelling of TreeIntervalRoutingScheme to benefit — that is
     # measured by bench_special_graphs, not here.
     if family in ("path", "ring"):
-        assert totals["interval"] < totals["raw"]
+        assert totals["interval-table"] < totals["raw-table"]

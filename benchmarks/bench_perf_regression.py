@@ -48,6 +48,12 @@ Two jobs:
   ``test_header_state_compile_n1024`` pins a cold ``landmark-rewriting``
   compile on the same hypercube (about 1.1M header states) and prints its
   build / closure split.
+  ``test_program_memory_profile_n1024`` pins the closed-form per-router
+  memory of the n = 1024 hypercube table program, and
+  ``test_memory_profile_speedup_vs_oracle_n256`` races
+  ``program_memory_profile`` and ``memory_profile`` against the
+  bit-writing coders of ``tests/oracles.py`` on n = 256 table programs
+  (byte-equal profiles, >= 30x each).
 
 Refresh the snapshot after an intentional perf-relevant change with::
 
@@ -82,6 +88,8 @@ from conftest import print_rows
 from oracles import (
     IntervalTables,
     all_pairs_routing_lengths,
+    coded_memory_profile,
+    coded_program_memory_profile,
     enumerated_forced_first_arcs,
     product_walk_canonical_matrices,
 )
@@ -93,6 +101,8 @@ from repro.constraints.matrix import ConstraintMatrix, clear_canonicalisation_ca
 from repro.constraints.verifier import forced_first_arcs
 from repro.graphs import generators
 from repro.graphs.shortest_paths import bfs_rows, distance_matrix
+from repro.memory.coder import TABLE_CODERS
+from repro.memory.requirement import memory_profile, program_memory_profile
 from repro.routing.interval import IntervalRoutingFunction, IntervalRoutingScheme
 from repro.routing.model import TableRoutingFunction
 from repro.routing.program import (
@@ -999,6 +1009,87 @@ def test_flow_sweep_warm_cache_smoke(benchmark, tmp_path):
     assert stats.compile_hit_rate >= hit_rate_floor
 
 
+@pytest.mark.benchmark(group="perf-regression")
+def test_program_memory_profile_n1024(benchmark):
+    # The memory pin: every router's closed-form table-coder lengths on the
+    # n = 1024 hypercube table program — one first-hop port matrix, one
+    # roll-compare and two bincounts.  The bit-writing oracle takes ~5.7 s
+    # here, too slow for the smoke job, so the speedup floor runs at n = 256.
+    rf = ShortestPathTableScheme(tie_break="lowest_port").build(generators.hypercube(CHURN_FLIP_DIM))
+    program = rf.compile_program()
+
+    def _run():
+        return program_memory_profile(program, rf.graph)
+
+    profile = benchmark.pedantic(_run, rounds=3, iterations=1)
+    profile_s = benchmark.stats.stats.min
+    _check_budget("program_memory_profile_n1024", profile_s)
+    print_rows(
+        "Closed-form per-router memory (n=1024 hypercube tables)",
+        [
+            {
+                "case": f"dim={CHURN_FLIP_DIM} n={rf.graph.n}",
+                "profile_s": profile_s,
+                "local_bits": profile.local,
+                "global_bits": profile.global_,
+            }
+        ],
+    )
+    assert profile.bits_per_node.shape == (rf.graph.n,)
+    assert set(profile.coder_per_node) <= set(TABLE_CODERS)
+
+
+@pytest.mark.benchmark(group="perf-regression")
+def test_memory_profile_speedup_vs_oracle_n256(benchmark):
+    # Closed form vs the per-router bit-writing coders of tests/oracles.py:
+    # program_memory_profile on the d = 8 hypercube table program, and
+    # memory_profile on the 16 x 16 torus one (a second graph, so the
+    # oracle's per-row memo starts cold).  Both must be byte-equal to the
+    # oracle and at least 30x faster.
+    scheme = ShortestPathTableScheme(tie_break="lowest_port")
+    rf = scheme.build(generators.hypercube(8))
+    program = rf.compile_program()
+    want, oracle_s = _time(coded_program_memory_profile, program, rf.graph)
+
+    def _run():
+        return program_memory_profile(program, rf.graph)
+
+    got = benchmark.pedantic(_run, rounds=3, iterations=1)
+    fast_s = benchmark.stats.stats.min
+    torus_rf = scheme.build(generators.torus_2d(16, 16))
+    table = torus_rf.compile_program()
+    want_rf, oracle_rf_s = _time(coded_memory_profile, torus_rf, program=table)
+    runs = [_time(memory_profile, torus_rf, program=table) for _ in range(3)]
+    got_rf, fast_rf_s = runs[0][0], min(t for _, t in runs)
+    print_rows(
+        "Closed-form memory profiles vs bit-writing coders (n=256 tables)",
+        [
+            {
+                "case": "program_memory_profile hypercube",
+                "oracle_s": oracle_s,
+                "closed_form_s": fast_s,
+                "speedup": oracle_s / fast_s,
+            },
+            {
+                "case": "memory_profile torus",
+                "oracle_s": oracle_rf_s,
+                "closed_form_s": fast_rf_s,
+                "speedup": oracle_rf_s / fast_rf_s,
+            },
+        ],
+    )
+    for fast, slow in ((got, want), (got_rf, want_rf)):
+        assert fast.bits_per_node.tobytes() == slow.bits_per_node.tobytes()
+        assert fast.coder_per_node == slow.coder_per_node
+    floor = 30.0 / SPEEDUP_MARGIN
+    assert oracle_s / fast_s >= floor, (
+        f"program_memory_profile speedup {oracle_s / fast_s:.1f}x below the {floor:.0f}x floor"
+    )
+    assert oracle_rf_s / fast_rf_s >= floor, (
+        f"memory_profile speedup {oracle_rf_s / fast_rf_s:.1f}x below the {floor:.0f}x floor"
+    )
+
+
 # ----------------------------------------------------------------------
 # snapshot maintenance
 # ----------------------------------------------------------------------
@@ -1058,6 +1149,7 @@ def _measure_pinned_paths() -> dict:
         dist_before=churn_dist,
     )
     _, verify_s = _time(verify_program, churn_prog)
+    _, memory_s = _time(program_memory_profile, churn_prog, churn_graph)
     _, table_compile_s = _time(
         compile_scheme_program, churn_scheme, generators.hypercube(CHURN_FLIP_DIM)
     )
@@ -1099,6 +1191,7 @@ def _measure_pinned_paths() -> dict:
         "verify_vs_simulate_n1024": verify_s,
         **flow_s,
         "flow_sweep_warm_medium": flow_sweep_s,
+        "program_memory_profile_n1024": memory_s,
     }
 
 

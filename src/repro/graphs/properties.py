@@ -36,9 +36,7 @@ __all__ = [
 
 def is_connected(graph: PortLabeledGraph) -> bool:
     """Whether the graph is connected (the empty graph counts as connected)."""
-    if graph.n == 0:
-        return True
-    return bool((bfs_distances(graph, 0) != UNREACHABLE).all())
+    return len(connected_components(graph)) <= 1
 
 
 def connected_components(graph: PortLabeledGraph) -> List[List[int]]:

@@ -8,66 +8,46 @@ that the paper itself only ever manipulates through
 * counting arguments over families of routing problems (lower bounds,
   Lemma 1 / Theorem 1).
 
-This package implements the first half: a bit-exact encoding framework
-(:mod:`repro.memory.encoding`), a set of routing-table coders
-(:mod:`repro.memory.coder`) ranging from the naive fixed-width table to
-interval- and default-port-compressed forms, per-router and per-graph memory
-profiles (:mod:`repro.memory.requirement`), and the closed-form bound
-formulas used to regenerate Table 1 (:mod:`repro.memory.bounds`).  The
-counting lower bounds live with the rest of the paper's machinery in
+This package implements the first half: closed-form lengths of concrete
+encodings — routing-table coders (:mod:`repro.memory.coder`) ranging from
+the naive fixed-width table to interval- and default-port-compressed forms,
+scored for every router at once from a compiled program's first-hop port
+matrix; per-router and per-graph memory profiles
+(:mod:`repro.memory.requirement`); width helpers and a bit writer/reader
+(:mod:`repro.memory.encoding`); and the closed-form bound formulas used to
+regenerate Table 1 (:mod:`repro.memory.bounds`).  The encoders and
+decoders that make every length decodable live in ``tests/oracles.py``.
+The counting lower bounds live with the rest of the paper's machinery in
 :mod:`repro.constraints`.
 """
 
 from repro.memory.encoding import (
-    BitReader,
-    BitWriter,
     elias_gamma_length,
     fixed_width,
     log2_binomial,
     log2_factorial,
-    read_uint_sequence,
-    write_uint_sequence,
 )
-from repro.memory.coder import (
-    CoderResult,
-    DefaultPortCoder,
-    IntervalTableCoder,
-    ParametricCoder,
-    RawTableCoder,
-    best_coding,
-)
+from repro.memory.coder import TABLE_CODERS, table_coder_bits
 from repro.memory.requirement import (
     MemoryProfile,
     address_bits,
-    local_memory_bits,
     memory_profile,
     program_artifact_bits,
-    program_local_map,
     program_memory_profile,
 )
 from repro.memory import bounds
 
 __all__ = [
-    "BitReader",
-    "BitWriter",
     "elias_gamma_length",
     "fixed_width",
     "log2_binomial",
     "log2_factorial",
-    "CoderResult",
-    "RawTableCoder",
-    "IntervalTableCoder",
-    "DefaultPortCoder",
-    "ParametricCoder",
-    "best_coding",
+    "TABLE_CODERS",
+    "table_coder_bits",
     "MemoryProfile",
     "memory_profile",
-    "local_memory_bits",
     "address_bits",
     "program_artifact_bits",
-    "program_local_map",
     "program_memory_profile",
-    "read_uint_sequence",
-    "write_uint_sequence",
     "bounds",
 ]

@@ -2,12 +2,15 @@
 
 All memory measurements in this reproduction are expressed in *bits* of a
 concrete, decodable encoding — the computable stand-in for the Kolmogorov
-complexity used by the paper (see DESIGN.md, "Substitutions").  This module
-provides a :class:`BitWriter` / :class:`BitReader` pair used by the
-routing-table coders (so every reported size corresponds to a bit string
-that the tests actually decode back), plus a few closed-form helpers
-(``log2 n!``, ``log2 C(n, k)``, Elias-gamma lengths) used by the bound
-formulas.
+complexity used by the paper (see DESIGN.md, "Substitutions").  The
+routing-table and program-slice lengths of :mod:`repro.memory.coder` and
+:mod:`repro.memory.requirement` are closed-form, built from the width
+helpers here (:func:`fixed_width`, :func:`elias_gamma_length` and their
+array forms); the encoders and decoders the tests check those lengths
+against live in ``tests/oracles.py``.  A :class:`BitWriter` /
+:class:`BitReader` pair writes and reads real bit strings (the Lemma 1
+witnesses of :mod:`repro.constraints.reconstruction`, and the oracles),
+and ``log2 n!`` / ``log2 C(n, k)`` serve the bound formulas.
 """
 
 from __future__ import annotations
@@ -15,15 +18,17 @@ from __future__ import annotations
 import math
 from typing import List
 
+import numpy as np
+
 __all__ = [
     "BitWriter",
     "BitReader",
     "fixed_width",
+    "fixed_widths",
     "elias_gamma_length",
+    "elias_gamma_lengths",
     "log2_factorial",
     "log2_binomial",
-    "write_uint_sequence",
-    "read_uint_sequence",
 ]
 
 
@@ -46,6 +51,16 @@ def elias_gamma_length(value: int) -> int:
     return 2 * (value.bit_length() - 1) + 1
 
 
+def fixed_widths(max_values: np.ndarray) -> np.ndarray:
+    """:func:`fixed_width` of every entry; negative entries count as 0."""
+    return np.frexp(np.maximum(max_values, 0).astype(np.float64))[1].astype(np.int64)
+
+
+def elias_gamma_lengths(values: np.ndarray) -> np.ndarray:
+    """:func:`elias_gamma_length` of every entry (all entries positive)."""
+    return 2 * fixed_widths(values) - 1
+
+
 def log2_factorial(n: int) -> float:
     """``log2(n!)`` computed via :func:`math.lgamma` (exact enough for bounds)."""
     if n < 0:
@@ -60,24 +75,6 @@ def log2_binomial(n: int, k: int) -> float:
     if k < 0 or k > n:
         return 0.0
     return log2_factorial(n) - log2_factorial(k) - log2_factorial(n - k)
-
-
-def write_uint_sequence(writer: "BitWriter", values, width: int) -> None:
-    """Append a homogeneous fixed-width integer sequence to ``writer``.
-
-    The serialization primitive of the compiled-program artifact encodings
-    (:func:`repro.memory.requirement.program_memory_profile`): a routing
-    program's per-node slice is a handful of such sequences, so its
-    reported size corresponds to a bit string :func:`read_uint_sequence`
-    actually decodes back.
-    """
-    for value in values:
-        writer.write_uint(int(value), width)
-
-
-def read_uint_sequence(reader: "BitReader", count: int, width: int) -> List[int]:
-    """Read back a sequence written by :func:`write_uint_sequence`."""
-    return [reader.read_uint(width) for _ in range(count)]
 
 
 class BitWriter:

@@ -7,51 +7,50 @@ routing behaviour — the computable upper-bound proxy for the paper's
 (sum over routers) fields correspond to the paper's ``MEM_local`` and
 ``MEM_global`` for the given routing function.
 
-The measurement dispatches on the kind of routing function:
+Every candidate encoding is scored in closed form for all routers at once,
+and each router keeps the smallest (the first listed on a tie):
 
-* destination-based functions (tables, interval routing, e-cube, ...)
-  are encoded through the coders of :mod:`repro.memory.coder`, taking the
-  minimum over raw/interval/default-port encodings — and over the
-  parametric description when the function exposes one;
-* labeled landmark-style functions expose ``table_entries`` and are encoded
-  as sorted ``(target, port)`` pair lists; their address overhead is
-  reported separately by :func:`address_bits` because the paper's model
-  charges headers to the messages, not to the routers.
+* the scheme's parametric description, when the function exposes one
+  (e-cube, the modular complete-graph rule);
+* the scheme's own encoding (``local_encoding_bits``, interval routing);
+* sorted ``(target, port)`` entry lists for labeled landmark-style
+  functions (``table_entries``); their address overhead is reported
+  separately by :func:`address_bits` because the paper's model charges
+  headers to the messages, not to the routers;
+* the three table coders of :mod:`repro.memory.coder` for functions with a
+  ``dest -> port`` local map, over the first-hop port matrix of the
+  compiled program — the artifact the simulator executes.
+
+No bit string is written: the encoders and decoders that make these
+lengths decodable live in ``tests/oracles.py``, which the tests race
+against this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.memory.coder import (
-    CoderResult,
-    DefaultPortCoder,
-    IntervalTableCoder,
-    LocalMapCoder,
-    ParametricCoder,
-    RawTableCoder,
-    best_coding,
-)
-from repro.memory.encoding import BitWriter, fixed_width, write_uint_sequence
-from repro.routing.model import DestinationBasedRoutingFunction, RoutingFunction
+from repro.memory.coder import TABLE_CODERS, table_coder_bits
+from repro.memory.encoding import elias_gamma_lengths, fixed_width, fixed_widths
+from repro.routing.model import DELIVER, RoutingFunction
 from repro.routing.program import (
     MISDELIVER,
     GenericProgram,
     HeaderStateProgram,
     NextHopProgram,
     RoutingProgram,
+    compile_or_interpret,
+    transition_dtype,
 )
 
 __all__ = [
     "MemoryProfile",
     "memory_profile",
-    "local_memory_bits",
     "address_bits",
     "program_artifact_bits",
-    "program_local_map",
     "program_memory_profile",
 ]
 
@@ -93,140 +92,109 @@ class MemoryProfile:
         return [(int(i), int(self.bits_per_node[i])) for i in order[:count]]
 
 
-def _encode_entry_list(n: int, degree: int, entries: Dict[int, int]) -> int:
-    """Bits of a sorted (target, port) pair list — the landmark-table encoding."""
-    label_width = fixed_width(max(n - 1, 0))
-    port_width = fixed_width(max(degree - 1, 0))
-    count_bits = fixed_width(max(n, 1))
-    return count_bits + len(entries) * (label_width + port_width)
+def _best(names: Sequence[str], bits: np.ndarray) -> MemoryProfile:
+    """Per router, the smallest of the candidate rows ``bits`` (first on a tie)."""
+    best = bits.argmin(axis=0)
+    return MemoryProfile(
+        bits_per_node=bits[best, np.arange(bits.shape[1])],
+        coder_per_node=tuple(names[i] for i in best.tolist()),
+    )
 
 
-def program_local_map(
-    program: NextHopProgram, graph, node: int
-) -> Dict[int, int]:
-    """The ``dest -> port`` map of ``node`` read off a compiled next-hop program.
+def _first_hop_ports(program: RoutingProgram, graph) -> np.ndarray:
+    """The ``(n, n)`` port matrix of the first hop of every pair of ``program``.
 
-    This is the "one source of truth" bridge between measurement and
-    execution: the map the coders encode is derived from the very artifact
-    the simulator executes, not re-derived from live ``port_to`` calls.
-    Raises :class:`ValueError` when the artifact records a misdelivery at
-    ``node`` (a broken scheme has no decodable table row there).
+    ``ports[x, dest]`` is the port a message from ``x`` to ``dest`` leaves
+    through (``next_node`` of a next-hop program, ``node_of[succ[initial]]``
+    of a header-state one), with :data:`~repro.routing.model.DELIVER` on the
+    diagonal.  Raises :class:`ValueError` when a pair is misdelivered at its
+    source or its first hop is not an arc (a fault-masked drop included):
+    such a router has no table row to encode.  A generic program carries no
+    artifact and raises :class:`TypeError`.
     """
-    row = program.next_node[node]
-    out: Dict[int, int] = {}
-    for dest in range(graph.n):
-        if dest == node:
-            continue
-        nxt = int(row[dest])
-        if nxt == MISDELIVER:
-            raise ValueError(
-                f"next-hop program records a misdelivery at node {node} for "
-                f"destination {dest}; the artifact has no table row to encode"
-            )
-        out[dest] = graph.port(node, nxt)
-    return out
+    n = graph.n
+    own = np.eye(n, dtype=bool)
+    if isinstance(program, NextHopProgram):
+        next_node = program.next_node
+    elif isinstance(program, HeaderStateProgram):
+        next_node = np.zeros((n, n), dtype=np.int64)
+        first = program.initial[~own]
+        succ = program.succ[first]
+        hop = np.where(succ < 0, succ, program.node_of[np.maximum(succ, 0)])
+        next_node[~own] = np.where(program.deliver[first], MISDELIVER, hop)
+    elif isinstance(program, GenericProgram):
+        raise TypeError(
+            "a generic program is an opt-out marker with no compiled artifact "
+            "to measure; profile the routing function itself"
+        )
+    else:
+        raise TypeError(f"not a RoutingProgram: {type(program).__name__}")
+    indptr, indices = graph.adjacency_arrays()
+    port_of = np.zeros((n, n), dtype=transition_dtype(n))
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    port_of[rows, indices] = np.arange(indices.size) - indptr[rows] + 1
+    hop = np.where(own, np.arange(n)[:, None], next_node)
+    ports = port_of[np.arange(n)[:, None], np.where(hop < 0, 0, hop)]
+    broken = ~own & ((hop < 0) | (ports == DELIVER))
+    if broken.any():
+        x, dest = (int(i[0]) for i in np.nonzero(broken))
+        what = "a misdelivery" if hop[x, dest] == MISDELIVER else "a first hop off the graph"
+        raise ValueError(
+            f"{program.kind} program records {what} at node {x} for destination "
+            f"{dest}; the artifact has no table row to encode"
+        )
+    return ports
 
 
-def local_memory_bits(
-    rf: RoutingFunction,
-    node: int,
-    coders: Optional[Sequence[LocalMapCoder]] = None,
-    allow_parametric: bool = True,
-    program: Optional[RoutingProgram] = None,
-) -> CoderResult:
-    """Best encoding of the local routing function of ``node``.
+def memory_profile(rf: RoutingFunction, program: Optional[RoutingProgram] = None) -> MemoryProfile:
+    """Memory profile of ``rf`` over every router of its graph.
 
-    Parameters
-    ----------
-    coders:
-        Table coders to try for destination-based functions; defaults to
-        raw, interval and default-port.
-    allow_parametric:
-        Whether a scheme-provided closed-form description
-        (``parametric_description_bits``) may be used.
-    program:
-        The compiled :class:`~repro.routing.program.RoutingProgram` of
-        ``rf``, when the caller already lowered it (the compile-once grid
-        drivers do).  For destination-based functions the encoded
-        ``dest -> port`` map is then read off the artifact via
-        :func:`program_local_map` instead of re-deriving it through live
-        ``port_to`` calls — measurement and execution share one source of
-        truth.  The values are identical by construction (the program *is*
-        the local map); labeled schemes keep their own storage model
-        (entry lists + addresses), since their next-hop program is an
-        execution artifact, not what their routers store.
+    The table coders read the first hops of ``program``, the compiled
+    :class:`~repro.routing.program.RoutingProgram` of ``rf`` when the
+    caller already lowered it (the compile-once grid drivers do), else of
+    :func:`~repro.routing.program.compile_or_interpret`'s result.  Labeled
+    schemes keep their own storage model (entry lists plus addresses):
+    their program is an execution artifact, not what their routers store.
+    Raises :class:`TypeError` when ``rf`` exposes no encoding at all.
     """
     graph = rf.graph
     n = graph.n
-    degree = graph.degree(node)
-    candidates: List[CoderResult] = []
+    degrees = np.diff(graph.adjacency_arrays()[0])
+    names: List[str] = []
+    rows: List[np.ndarray] = []
 
-    if allow_parametric:
-        parametric = ParametricCoder().encode_function(rf, node)
-        if parametric is not None:
-            candidates.append(parametric)
+    describe = getattr(rf, "parametric_description_bits", None)
+    if describe is not None:
+        names.append("parametric")
+        rows.append(np.full(n, int(describe()), dtype=np.int64))
 
     scheme_encoding = getattr(rf, "local_encoding_bits", None)
     if callable(scheme_encoding):
-        candidates.append(CoderResult("scheme-encoding", int(scheme_encoding(node)), []))
+        names.append("scheme-encoding")
+        rows.append(np.array([int(scheme_encoding(x)) for x in range(n)], dtype=np.int64))
 
     table_entries = getattr(rf, "table_entries", None)
     if callable(table_entries):
-        entries = table_entries(node)
-        bits = _encode_entry_list(n, degree, entries)
-        candidates.append(CoderResult("entry-list", bits, []))
+        # A sorted (target, port) pair list behind a fixed-width count.
+        sizes = np.array([len(table_entries(x)) for x in range(n)], dtype=np.int64)
+        names.append("entry-list")
+        rows.append(
+            fixed_width(max(n, 1))
+            + sizes * (fixed_width(max(n - 1, 0)) + fixed_widths(degrees - 1))
+        )
 
-    local_map = None
-    get_map = (
-        rf.local_map
-        if isinstance(rf, DestinationBasedRoutingFunction)
-        else getattr(rf, "local_map", None)
-    )
-    if callable(get_map):
-        if isinstance(program, NextHopProgram):
-            try:
-                local_map = program_local_map(program, graph, node)
-            except ValueError:
-                local_map = get_map(node)  # broken artifact row: live fallback
-        else:
-            local_map = get_map(node)
-    if local_map is not None:
-        if coders is None:
-            coders = (RawTableCoder(), IntervalTableCoder(), DefaultPortCoder())
-        for coder in coders:
-            candidates.append(coder.encode(node, n, degree, local_map))
+    if callable(getattr(rf, "local_map", None)):
+        compiled = compile_or_interpret(rf) if program is None else program
+        ports = _first_hop_ports(compiled, graph)
+        names.extend(TABLE_CODERS)
+        rows.extend(table_coder_bits(ports, degrees))
 
-    if not candidates:
+    if not rows:
         raise TypeError(
             f"cannot measure memory of {type(rf).__name__}: it exposes neither a local map, "
             "a table_entries method, nor a parametric description"
         )
-    return min(candidates, key=lambda r: r.bits)
-
-
-def memory_profile(
-    rf: RoutingFunction,
-    coders: Optional[Sequence[LocalMapCoder]] = None,
-    allow_parametric: bool = True,
-    program: Optional[RoutingProgram] = None,
-) -> MemoryProfile:
-    """Memory profile of ``rf`` over every router of its graph.
-
-    When the caller already compiled ``rf`` (``program=``), the
-    destination-based local maps are read off that artifact — the same
-    object the simulator executes — instead of being re-derived per node
-    (see :func:`local_memory_bits`).
-    """
-    n = rf.graph.n
-    bits = np.zeros(n, dtype=np.int64)
-    names: List[str] = []
-    for node in range(n):
-        result = local_memory_bits(
-            rf, node, coders=coders, allow_parametric=allow_parametric, program=program
-        )
-        bits[node] = result.bits
-        names.append(result.coder)
-    return MemoryProfile(bits_per_node=bits, coder_per_node=tuple(names))
+    return _best(names, np.stack(rows))
 
 
 def program_artifact_bits(program: RoutingProgram) -> int:
@@ -246,61 +214,34 @@ def program_memory_profile(program: RoutingProgram, graph) -> MemoryProfile:
     of the program — the executable counterpart of
     :func:`memory_profile`'s scheme-level storage measurement:
 
-    * next-hop programs: the node's ``dest -> port`` row
-      (:func:`program_local_map`) through the table coders, exactly the
-      universal-routing-table quantity of Table 1;
-    * header-state programs: the node's transition entries — for each
-      interned state at the node, one deliver flag, the output port and the
-      successor state id, all fixed-width, preceded by an Elias-gamma state
-      count (written through :class:`~repro.memory.encoding.BitWriter`, so
-      the size corresponds to bits a decoder can actually consume).
+    * next-hop programs: the node's ``dest -> port`` row through the table
+      coders, exactly the universal-routing-table quantity of Table 1;
+    * header-state programs: the node's transition entries — an
+      Elias-gamma state count, one deliver flag per state, then the output
+      port and the successor state id of every forwarding state, all
+      fixed-width: ``γ(states + 1) + states + forwarding * (w_p + w_s)``
+      with ``w_s`` the width of a state id.
 
-    Generic programs carry no artifact to measure and raise
-    :class:`TypeError`.
+    A fault-masked view has no table row or state slice for its dropped
+    transitions and raises :class:`ValueError`; generic programs carry no
+    artifact to measure and raise :class:`TypeError`.
     """
     n = graph.n
-    bits = np.zeros(n, dtype=np.int64)
-    names: List[str] = []
-    if isinstance(program, NextHopProgram):
-        for node in range(n):
-            result = best_coding(
-                node, n, graph.degree(node), program_local_map(program, graph, node)
-            )
-            bits[node] = result.bits
-            names.append(result.coder)
-        return MemoryProfile(bits_per_node=bits, coder_per_node=tuple(names))
+    degrees = np.diff(graph.adjacency_arrays()[0])
     if isinstance(program, HeaderStateProgram):
+        if (program.succ < 0).any():
+            raise ValueError(
+                "header-state program has dropped successors (a fault-masked view); "
+                "the artifact has no state slice to encode"
+            )
+        node_of = np.asarray(program.node_of, dtype=np.int64)
+        states = np.bincount(node_of, minlength=n)
+        forwarding = np.bincount(node_of[~program.deliver], minlength=n)
         state_width = fixed_width(max(program.num_states - 1, 0))
-        by_node: Dict[int, List[int]] = {node: [] for node in range(n)}
-        for state, node in enumerate(program.node_of):
-            by_node[int(node)].append(state)
-        for node in range(n):
-            port_width = fixed_width(max(graph.degree(node) - 1, 0))
-            writer = BitWriter()
-            states = by_node[node]
-            writer.write_elias_gamma(len(states) + 1)
-            ports: List[int] = []
-            succs: List[int] = []
-            for state in states:
-                delivering = bool(program.deliver[state])
-                writer.write_bit(int(delivering))
-                if not delivering:
-                    succ = int(program.succ[state])
-                    ports.append(graph.port(node, int(program.node_of[succ])) - 1)
-                    succs.append(succ)
-            # Column layout: the deliver flags above fix how many (port,
-            # successor) entries follow, so both sequences decode back.
-            write_uint_sequence(writer, ports, port_width)
-            write_uint_sequence(writer, succs, state_width)
-            bits[node] = writer.bit_length
-            names.append("program-states")
-        return MemoryProfile(bits_per_node=bits, coder_per_node=tuple(names))
-    if isinstance(program, GenericProgram):
-        raise TypeError(
-            "a generic program is an opt-out marker with no compiled artifact "
-            "to measure; profile the routing function itself"
-        )
-    raise TypeError(f"not a RoutingProgram: {type(program).__name__}")
+        bits = elias_gamma_lengths(states + 1) + states
+        bits += forwarding * (fixed_widths(degrees - 1) + state_width)
+        return MemoryProfile(bits_per_node=bits, coder_per_node=("program-states",) * n)
+    return _best(TABLE_CODERS, table_coder_bits(_first_hop_ports(program, graph), degrees))
 
 
 def address_bits(rf: RoutingFunction) -> int:

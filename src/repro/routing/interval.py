@@ -21,6 +21,7 @@ Two builders are provided:
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -271,19 +272,23 @@ class IntervalRoutingFunction(RoutingFunction):
 
         Per port: an Elias-gamma interval count plus two ``ceil(log2 n)``-bit
         endpoints per interval — the encoding whose size is ``O(deg log n)``
-        on the 1-interval graph classes of Section 1.  This is the quantity
-        :func:`repro.memory.requirement.local_memory_bits` uses for interval
+        on the 1-interval graph classes of Section 1.  It is the closed-form
+        ``interval-table`` length of :func:`repro.memory.coder.table_coder_bits`
+        over ``node``'s label-ordered port row, which
+        :func:`repro.memory.requirement.memory_profile` uses for interval
         routing functions (the generic coders cannot see the scheme's vertex
-        relabelling and would over-count).
+        relabelling and would over-count); its encoder and decoder live in
+        ``tests/oracles.py``.
         """
-        from repro.memory.encoding import elias_gamma_length, fixed_width
+        return int(self._encoding_bits[node])
 
-        label_width = fixed_width(max(self._graph.n - 1, 0))
-        degree = self._graph.degree(node)
-        counts = np.bincount(self._runs(node)[2], minlength=degree + 1)[1 : degree + 1]
-        return sum(
-            elias_gamma_length(count + 1) + 2 * label_width * count for count in counts.tolist()
-        )
+    @functools.cached_property
+    def _encoding_bits(self) -> np.ndarray:
+        """:meth:`local_encoding_bits` of every vertex, scored in one pass."""
+        from repro.memory.coder import TABLE_CODERS, table_coder_bits
+
+        degrees = np.diff(self._graph.adjacency_arrays()[0])
+        return table_coder_bits(self._by_label, degrees)[TABLE_CODERS.index("interval-table")]
 
     # ------------------------------------------------------------------
     def initial_header(self, source: int, dest: int) -> int:

@@ -29,9 +29,10 @@ carries a content :meth:`~RoutingProgram.fingerprint`
 platform — the property :class:`repro.analysis.runner.ExperimentCache`
 relies on to cache compiled programs on disk and ship them across shard
 workers as bytes.  The artifact's size in bits is directly measurable
-(:func:`repro.memory.requirement.program_memory_profile` scores per-node
-slices through the decodable coders), which is what ties the paper's
-``MEM_G(R, x)`` to the compiled form.
+(:func:`repro.memory.requirement.program_memory_profile` scores every
+node's slice in closed form, from one pass over the transition arrays;
+the matching decoders live in ``tests/oracles.py``), which is what ties
+the paper's ``MEM_G(R, x)`` to the compiled form.
 
 Lowering is *owned by the routing classes*: every
 :class:`~repro.routing.model.RoutingFunction` declares its own

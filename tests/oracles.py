@@ -22,6 +22,13 @@ race the two:
   (node, port) or one row at a time, against the array-held
   :class:`repro.routing.interval.IntervalRoutingFunction` and
   :class:`repro.routing.landmark.LandmarkRoutingFunction`;
+* :class:`RawTableCoder`, :class:`IntervalTableCoder` and
+  :class:`DefaultPortCoder` (bit-writing encoders with decoders),
+  :func:`coded_memory_profile` and :func:`coded_program_memory_profile` —
+  every router's encodings written bit by bit, one router at a time,
+  against the closed-form lengths of :mod:`repro.memory.coder` and
+  :mod:`repro.memory.requirement`; :func:`encode_program_states` /
+  :func:`decode_program_states` do the same for header-state slices;
 * :func:`networkx_random_regular_graph` and :func:`vf2_is_hypercube` —
   networkx's pairing-model sampler and VF2 isomorphism test, against the
   in-tree :func:`repro.graphs.generators.random_regular_graph` and the
@@ -32,6 +39,7 @@ race the two:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,6 +56,7 @@ from repro.graphs.shortest_paths import (
     distance_matrix,
     near_shortest_budget,
 )
+from repro.memory.encoding import BitReader, BitWriter, fixed_width
 from repro.routing.model import DELIVER, RoutingFunction
 
 
@@ -444,6 +453,232 @@ class LandmarkTables:
             or dest in self.landmark_ports[node]
             or node == landmark
         )
+
+
+# ----------------------------------------------------------------------
+# bit-writing memory coders
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class CoderResult:
+    """One router's encoding: the coder's name, its length and the bits."""
+
+    coder: str
+    bits: int
+    payload: List[int]
+
+
+def _check_port(node: int, degree: int, port: int) -> None:
+    if not 1 <= port <= degree:
+        raise ValueError(f"invalid port {port} at node {node} (degree {degree})")
+
+
+class RawTableCoder:
+    """``port - 1`` on ``fixed_width(degree - 1)`` bits per destination, in label order."""
+
+    name = "raw-table"
+
+    def encode(self, node: int, n: int, degree: int, local_map: Dict[int, int]) -> CoderResult:
+        width = fixed_width(max(degree - 1, 0))
+        writer = BitWriter()
+        for dest in (d for d in range(n) if d != node):
+            _check_port(node, degree, local_map[dest])
+            writer.write_uint(local_map[dest] - 1, width)
+        return CoderResult(self.name, writer.bit_length, writer.to_bits())
+
+    def decode(self, node: int, n: int, degree: int, payload: List[int]) -> Dict[int, int]:
+        width = fixed_width(max(degree - 1, 0))
+        reader = BitReader(payload)
+        return {dest: reader.read_uint(width) + 1 for dest in range(n) if dest != node}
+
+
+class IntervalTableCoder:
+    """Per port in increasing order: an Elias-gamma count (plus one) of the
+    cyclic intervals of its destinations, then their endpoints on
+    ``ceil(log2 n)`` bits each."""
+
+    name = "interval-table"
+
+    def encode(self, node: int, n: int, degree: int, local_map: Dict[int, int]) -> CoderResult:
+        from repro.routing.interval import cyclic_intervals_of_set
+
+        label_width = fixed_width(max(n - 1, 0))
+        by_port: Dict[int, List[int]] = {}
+        for dest, port in local_map.items():
+            _check_port(node, degree, port)
+            by_port.setdefault(port, []).append(dest)
+        writer = BitWriter()
+        for port in range(1, degree + 1):
+            labels = by_port.get(port, [])
+            intervals = cyclic_intervals_of_set(labels, n) if labels else []
+            writer.write_elias_gamma(len(intervals) + 1)
+            for lo, hi in intervals:
+                writer.write_uint(lo, label_width)
+                writer.write_uint(hi, label_width)
+        return CoderResult(self.name, writer.bit_length, writer.to_bits())
+
+    def decode(self, node: int, n: int, degree: int, payload: List[int]) -> Dict[int, int]:
+        label_width = fixed_width(max(n - 1, 0))
+        reader = BitReader(payload)
+        out: Dict[int, int] = {}
+        for port in range(1, degree + 1):
+            for _ in range(reader.read_elias_gamma() - 1):
+                lo, hi = reader.read_uint(label_width), reader.read_uint(label_width)
+                out.update({(lo + k) % n: port for k in range((hi - lo) % n + 1)})
+        out.pop(node, None)
+        return out
+
+
+class DefaultPortCoder:
+    """The most frequent port (lowest on a tie), an Elias-gamma exception
+    count (plus one), then each exception as ``(destination, port)``."""
+
+    name = "default-port"
+
+    def encode(self, node: int, n: int, degree: int, local_map: Dict[int, int]) -> CoderResult:
+        port_width = fixed_width(max(degree - 1, 0))
+        label_width = fixed_width(max(n - 1, 0))
+        counts: Dict[int, int] = {}
+        for port in local_map.values():
+            _check_port(node, degree, port)
+            counts[port] = counts.get(port, 0) + 1
+        default_port = max(counts, key=lambda p: (counts[p], -p)) if counts else 1
+        exceptions = [(d, p) for d, p in sorted(local_map.items()) if p != default_port]
+        writer = BitWriter()
+        writer.write_uint(default_port - 1, port_width)
+        writer.write_elias_gamma(len(exceptions) + 1)
+        for dest, port in exceptions:
+            writer.write_uint(dest, label_width)
+            writer.write_uint(port - 1, port_width)
+        return CoderResult(self.name, writer.bit_length, writer.to_bits())
+
+    def decode(self, node: int, n: int, degree: int, payload: List[int]) -> Dict[int, int]:
+        port_width = fixed_width(max(degree - 1, 0))
+        label_width = fixed_width(max(n - 1, 0))
+        reader = BitReader(payload)
+        out = dict.fromkeys((d for d in range(n) if d != node), reader.read_uint(port_width) + 1)
+        for _ in range(reader.read_elias_gamma() - 1):
+            dest = reader.read_uint(label_width)
+            out[dest] = reader.read_uint(port_width) + 1
+        return out
+
+
+#: The table coders, in the tie-breaking order of ``repro.memory.coder.TABLE_CODERS``.
+TABLE_CODER_ORACLES = (RawTableCoder(), IntervalTableCoder(), DefaultPortCoder())
+
+
+def best_coding(node: int, n: int, degree: int, local_map: Dict[int, int]) -> CoderResult:
+    """The shortest table-coder encoding of a local map (first on a tie)."""
+    return _best_coding(node, n, degree, tuple(sorted(local_map.items())))
+
+
+@functools.lru_cache(maxsize=1024)
+def _best_coding(node: int, n: int, degree: int, items: Tuple[Tuple[int, int], ...]) -> CoderResult:
+    # Memoised so that both profile oracles of one cell write each row once.
+    results = [coder.encode(node, n, degree, dict(items)) for coder in TABLE_CODER_ORACLES]
+    return min(results, key=lambda r: r.bits)
+
+
+def program_local_map(program, graph: PortLabeledGraph, node: int) -> Dict[int, int]:
+    """``node``'s ``dest -> port`` map read off a next-hop program; a
+    misdelivery in its row raises :class:`ValueError`."""
+    from repro.routing.program import MISDELIVER
+
+    row = program.next_node[node].tolist()
+    if MISDELIVER in row[:node] + row[node + 1 :]:
+        raise ValueError(f"next-hop program records a misdelivery at node {node}")
+    return {d: graph.port(node, nxt) for d, nxt in enumerate(row) if d != node}
+
+
+def coded_memory_profile(rf: RoutingFunction, program=None):
+    """:func:`repro.memory.requirement.memory_profile` one router at a time.
+
+    Per router, the first shortest of the parametric size, the scheme's
+    encoding, the entry list and the table coders' bit strings for its
+    local map (off ``program`` when it is a next-hop program, else live).
+    """
+    from repro.memory.requirement import MemoryProfile
+    from repro.routing.program import NextHopProgram
+
+    graph, n = rf.graph, rf.graph.n
+    best: List[CoderResult] = []
+    for node in range(n):
+        degree = graph.degree(node)
+        candidates: List[CoderResult] = []
+        if hasattr(rf, "parametric_description_bits"):
+            candidates.append(CoderResult("parametric", rf.parametric_description_bits(), []))
+        if hasattr(rf, "local_encoding_bits"):
+            candidates.append(CoderResult("scheme-encoding", rf.local_encoding_bits(node), []))
+        if hasattr(rf, "table_entries"):
+            entry = fixed_width(max(n - 1, 0)) + fixed_width(max(degree - 1, 0))
+            size = fixed_width(max(n, 1)) + len(rf.table_entries(node)) * entry
+            candidates.append(CoderResult("entry-list", size, []))
+        if hasattr(rf, "local_map"):
+            if isinstance(program, NextHopProgram):
+                local_map = program_local_map(program, graph, node)
+            else:
+                local_map = rf.local_map(node)
+            candidates.append(best_coding(node, n, degree, local_map))
+        if not candidates:
+            raise TypeError(f"cannot measure memory of {type(rf).__name__}")
+        best.append(min(candidates, key=lambda r: r.bits))
+    bits = np.array([r.bits for r in best], dtype=np.int64)
+    return MemoryProfile(bits_per_node=bits, coder_per_node=tuple(r.coder for r in best))
+
+
+def encode_program_states(program, graph: PortLabeledGraph, node: int) -> List[int]:
+    """The bits of ``node``'s header-state slice: an Elias-gamma state count,
+    one deliver flag per state (in state order), then the output ports and
+    the successor ids of the forwarding states, as two fixed-width columns."""
+    state_width = fixed_width(max(program.num_states - 1, 0))
+    port_width = fixed_width(max(graph.degree(node) - 1, 0))
+    states = np.flatnonzero(program.node_of == node).tolist()
+    writer = BitWriter()
+    writer.write_elias_gamma(len(states) + 1)
+    for state in states:
+        writer.write_bit(int(program.deliver[state]))
+    succs = [int(program.succ[s]) for s in states if not program.deliver[s]]
+    for succ in succs:
+        writer.write_uint(graph.port(node, int(program.node_of[succ])) - 1, port_width)
+    for succ in succs:
+        writer.write_uint(succ, state_width)
+    return writer.to_bits()
+
+
+def decode_program_states(
+    payload: List[int], degree: int, num_states: int
+) -> Tuple[List[bool], List[int], List[int]]:
+    """``(deliver flags, ports, successor ids)`` of an :func:`encode_program_states` slice."""
+    state_width = fixed_width(max(num_states - 1, 0))
+    port_width = fixed_width(max(degree - 1, 0))
+    reader = BitReader(payload)
+    flags = [bool(reader.read_bit()) for _ in range(reader.read_elias_gamma() - 1)]
+    ports = [reader.read_uint(port_width) + 1 for _ in range(flags.count(False))]
+    succs = [reader.read_uint(state_width) for _ in range(flags.count(False))]
+    return flags, ports, succs
+
+
+def coded_program_memory_profile(program, graph: PortLabeledGraph):
+    """:func:`repro.memory.requirement.program_memory_profile` one router at a
+    time: next-hop rows through :func:`best_coding`, header-state slices
+    through :func:`encode_program_states`."""
+    from repro.memory.requirement import MemoryProfile
+    from repro.routing.program import HeaderStateProgram, NextHopProgram
+
+    nodes = range(graph.n)
+    if isinstance(program, NextHopProgram):
+        best = [
+            best_coding(x, graph.n, graph.degree(x), program_local_map(program, graph, x))
+            for x in nodes
+        ]
+    elif isinstance(program, HeaderStateProgram):
+        best = [
+            CoderResult("program-states", len(encode_program_states(program, graph, x)), [])
+            for x in nodes
+        ]
+    else:
+        raise TypeError(f"no compiled artifact to measure: {type(program).__name__}")
+    bits = np.array([r.bits for r in best], dtype=np.int64)
+    return MemoryProfile(bits_per_node=bits, coder_per_node=tuple(r.coder for r in best))
 
 
 # ----------------------------------------------------------------------

@@ -39,6 +39,34 @@ class TestConnectivity:
         comps = properties.connected_components(g)
         assert comps == [[0, 1], [2, 3], [4]]
 
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            PortLabeledGraph(0),
+            PortLabeledGraph(1),
+            PortLabeledGraph(2),
+            PortLabeledGraph(4, [(0, 1), (2, 3)]),
+            PortLabeledGraph(5, [(0, 1), (1, 2), (2, 3)]),
+            generators.path_graph(2),
+            generators.hypercube(8),
+            generators.torus_2d(16, 16),
+            generators.random_connected_graph(64, extra_edge_prob=0.05, seed=2),
+        ],
+        ids=[
+            "empty",
+            "single",
+            "two-isolated",
+            "two-edges",
+            "isolated-tail",
+            "edge",
+            "hypercube",
+            "torus",
+            "random",
+        ],
+    )
+    def test_is_connected_agrees_with_components(self, graph):
+        assert properties.is_connected(graph) == (len(properties.connected_components(graph)) <= 1)
+
 
 class TestRecognizers:
     def test_is_tree(self):

@@ -35,14 +35,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import profile_settings
-from oracles import all_pairs_routing_lengths
-from repro.graphs import generators
-from repro.memory.requirement import (
-    memory_profile,
-    program_artifact_bits,
+from oracles import (
+    all_pairs_routing_lengths,
+    decode_program_states,
+    encode_program_states,
     program_local_map,
-    program_memory_profile,
 )
+from repro.graphs import generators
+from repro.memory.requirement import memory_profile, program_artifact_bits, program_memory_profile
 from repro.routing.landmark import CowenLandmarkScheme
 from repro.routing.program import (
     KIND_GENERIC,
@@ -324,6 +324,17 @@ def test_program_memory_profile_for_both_compiled_kinds():
     assert state_profile.bits_per_node.shape == (rewriting.graph.n,)
     assert (state_profile.bits_per_node > 0).all()
     assert set(state_profile.coder_per_node) == {"program-states"}
+    # Each closed-form slice length is the length of a bit string that
+    # decodes back to the node's states, deliver flags, ports and successors.
+    g = rewriting.graph
+    for node in range(g.n):
+        payload = encode_program_states(header_program, g, node)
+        assert len(payload) == state_profile.bits_per_node[node]
+        flags, ports, succs = decode_program_states(payload, g.degree(node), header_program.num_states)
+        states = np.flatnonzero(header_program.node_of == node)
+        assert flags == header_program.deliver[states].tolist()
+        assert succs == header_program.succ[states[~header_program.deliver[states]]].tolist()
+        assert ports == [g.port(node, int(header_program.node_of[s])) for s in succs]
 
     with pytest.raises(TypeError, match="opt-out"):
         program_memory_profile(GenericProgram(num_vertices=5), graph)

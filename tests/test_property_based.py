@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import stretch_factor
+from oracles import TABLE_CODER_ORACLES, stretch_factor
 from repro.constraints.builder import build_constraint_graph, lemma2_order_bound
 from repro.constraints.enumeration import lemma1_lower_bound_log2, lemma1_simplified_log2
 from repro.constraints.matrix import (
@@ -19,7 +19,6 @@ from repro.constraints.reconstruction import decode_witness, encode_witness, que
 from repro.constraints.verifier import verify_constraint_matrix
 from repro.graphs import generators
 from repro.graphs.shortest_paths import bfs_distances, distance_matrix
-from repro.memory.coder import DefaultPortCoder, IntervalTableCoder, RawTableCoder
 from repro.memory.encoding import BitReader, BitWriter
 from repro.routing.interval import cyclic_intervals_of_set
 from repro.routing.spanner import greedy_spanner, spanner_stretch
@@ -143,7 +142,7 @@ def test_all_coders_roundtrip_on_random_tables(n, seed):
     node = seed % n
     local = rf.local_map(node)
     degree = g.degree(node)
-    for coder in (RawTableCoder(), IntervalTableCoder(), DefaultPortCoder()):
+    for coder in TABLE_CODER_ORACLES:
         result = coder.encode(node, n, degree, local)
         assert coder.decode(node, n, degree, result.payload) == local
 

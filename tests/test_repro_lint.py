@@ -483,6 +483,59 @@ class TestExplosionCatchRule:
         assert _codes(_lint(tmp_path, "src/repro/sim/x.py", src)) == ["REP009"]
 
 
+class TestBitWriterRule:
+    USES = (
+        "from repro.memory.encoding import BitWriter\n",
+        "from repro.memory.encoding import BitReader as Reader\n",
+        "import repro.memory.encoding as enc\nw = enc.BitWriter()\n",
+        "def f(w: 'x'):\n    return BitReader(w)\n",
+    )
+
+    @pytest.mark.parametrize("source", USES)
+    @pytest.mark.parametrize(
+        "rel",
+        [
+            "src/repro/memory/requirement.py",
+            "src/repro/memory/coder.py",
+            "src/repro/memory/__init__.py",
+            "src/repro/routing/program.py",
+        ],
+    )
+    def test_bit_writers_flagged_outside_the_owners(self, tmp_path, rel, source):
+        findings = _lint(tmp_path, rel, source)
+        assert set(_codes(findings)) == {"REP011"}
+        assert "closed-form" in findings[0].message
+
+    @pytest.mark.parametrize("source", USES)
+    @pytest.mark.parametrize(
+        "rel", ["src/repro/memory/encoding.py", "src/repro/constraints/reconstruction.py"]
+    )
+    def test_owners_may_write_bits(self, tmp_path, rel, source):
+        assert _lint(tmp_path, rel, source) == []
+
+    def test_tests_and_benchmarks_may_write_bits(self, tmp_path):
+        src = self.USES[0] + "w = BitWriter()\n"
+        assert _lint(tmp_path, "tests/oracles.py", src) == []
+        assert _lint(tmp_path, "benchmarks/bench_x.py", src) == []
+
+    def test_lookalike_names_allowed(self, tmp_path):
+        src = "from repro.memory.encoding import fixed_width\nBitWriterish = 1\nbit_writer = 2\n"
+        assert _lint(tmp_path, "src/repro/memory/coder.py", src) == []
+
+    def test_escape_comment_does_not_apply(self, tmp_path):
+        src = "w = BitWriter()  # repro-lint: allow-bits\n"
+        assert _codes(_lint(tmp_path, "src/repro/memory/coder.py", src)) == ["REP011"]
+
+    def test_real_tree_writes_bits_only_in_the_owners(self):
+        root = repro_lint.ROOT
+        users = sorted(
+            path.relative_to(root).as_posix()
+            for path in (root / "src/repro").rglob("*.py")
+            if any(name in path.read_text() for name in repro_lint.BITS_NAMES)
+        )
+        assert users == sorted(repro_lint.BITS_OWNERS)
+
+
 class TestDriver:
     def test_syntax_error_reported_not_raised(self, tmp_path):
         findings = _lint(tmp_path, "src/repro/sim/x.py", "def f(:\n")

@@ -6,13 +6,18 @@ import math
 
 import pytest
 
+from oracles import RawTableCoder, coded_memory_profile, coded_program_memory_profile
 from repro.graphs import generators
 from repro.memory import bounds
-from repro.memory.requirement import address_bits, local_memory_bits, memory_profile
+from repro.memory.coder import TABLE_CODERS
+from repro.memory.requirement import address_bits, memory_profile, program_memory_profile
 from repro.routing.ecube import ECubeRoutingScheme
 from repro.routing.landmark import CowenLandmarkScheme
+from repro.routing.program import MISDELIVER, GenericProgram, compile_or_interpret
 from repro.routing.tables import ShortestPathTableScheme
 from repro.routing.interval import TreeIntervalRoutingScheme
+from repro.sim.faults import FaultSet, apply_faults
+from repro.sim.registry import graph_families, scheme_registry
 
 
 class TestMemoryProfile:
@@ -32,18 +37,19 @@ class TestMemoryProfile:
         assert len(top) == 3
         assert top[0][1] >= top[1][1] >= top[2][1]
 
-    def test_local_memory_bits_returns_best(self, grid_4x4):
-        rf = ShortestPathTableScheme().build(grid_4x4)
-        result = local_memory_bits(rf, 5)
-        assert result.bits > 0
-        assert result.coder in {"raw-table", "interval-table", "default-port"}
+    def test_table_profile_names_table_coders(self, grid_4x4):
+        profile = memory_profile(ShortestPathTableScheme().build(grid_4x4))
+        assert (profile.bits_per_node > 0).all()
+        assert set(profile.coder_per_node) <= set(TABLE_CODERS)
 
-    def test_parametric_disabled(self):
+    def test_ecube_profile_is_parametric_and_beats_raw_table(self):
         g = generators.hypercube(4)
         rf = ECubeRoutingScheme().build(g)
-        with_param = local_memory_bits(rf, 0, allow_parametric=True)
-        without_param = local_memory_bits(rf, 0, allow_parametric=False)
-        assert with_param.bits < without_param.bits
+        profile = memory_profile(rf)
+        assert set(profile.coder_per_node) == {"parametric"}
+        for x in g.vertices():
+            raw = RawTableCoder().encode(x, g.n, g.degree(x), rf.local_map(x))
+            assert profile.bits_per_node[x] < raw.bits
 
     def test_landmark_profile_uses_entry_lists(self):
         g = generators.random_connected_graph(40, extra_edge_prob=0.1, seed=4)
@@ -63,12 +69,101 @@ class TestMemoryProfile:
 
         g = generators.path_graph(3)
         with pytest.raises(TypeError):
-            local_memory_bits(_Opaque(g), 0)
+            memory_profile(_Opaque(g))
 
     def test_tree_interval_routing_is_cheap(self, small_tree):
         interval_profile = memory_profile(TreeIntervalRoutingScheme().build(small_tree))
         table_profile = memory_profile(ShortestPathTableScheme().build(small_tree))
         assert interval_profile.global_ <= table_profile.global_
+
+
+def _assert_same_profile(got, want):
+    assert got.bits_per_node.dtype == want.bits_per_node.dtype
+    assert got.bits_per_node.tobytes() == want.bits_per_node.tobytes()
+    assert got.coder_per_node == want.coder_per_node
+
+
+def _assert_profiles_match_oracle(schemes, families):
+    """Both profiles of every cell equal the bit-writing oracles'."""
+    cells = 0
+    for scheme in schemes.values():
+        for graph in families.values():
+            try:
+                rf = scheme.build(graph.copy())
+            except ValueError:
+                continue
+            program = compile_or_interpret(rf)
+            _assert_same_profile(
+                memory_profile(rf, program=program), coded_memory_profile(rf, program=program)
+            )
+            if not isinstance(program, GenericProgram):
+                _assert_same_profile(
+                    program_memory_profile(program, rf.graph),
+                    coded_program_memory_profile(program, rf.graph),
+                )
+            cells += 1
+    assert cells
+
+
+class TestProfilesMatchOracle:
+    @pytest.mark.parametrize("seed", [0, 11])
+    @pytest.mark.parametrize("size", ["small", "medium"])
+    def test_every_registry_cell(self, size, seed):
+        _assert_profiles_match_oracle(scheme_registry(seed=seed), graph_families(size, seed=seed))
+
+    def test_n256_grid(self):
+        # The n = 256 grid of the pipeline benchmark: three families, six schemes.
+        names = (
+            "tables-lowest-port",
+            "tables-highest-port",
+            "landmark-sqrt",
+            "landmark-rewriting",
+            "interval",
+            "spanner3-landmark",
+        )
+        registry = scheme_registry(seed=0)
+        families = {
+            "hypercube": generators.hypercube(8),
+            "torus": generators.torus_2d(16, 16),
+            "random-sparse": generators.random_connected_graph(256, extra_edge_prob=0.01, seed=0),
+        }
+        _assert_profiles_match_oracle({name: registry[name] for name in names}, families)
+
+    def test_profile_without_program_compiles_one(self, grid_4x4):
+        rf = ShortestPathTableScheme().build(grid_4x4)
+        _assert_same_profile(memory_profile(rf), coded_memory_profile(rf))
+        _assert_same_profile(memory_profile(rf), memory_profile(rf, program=rf.compile_program()))
+
+
+class TestBrokenArtifactsRejected:
+    def test_misdelivery_row_raises(self, grid_4x4):
+        rf = ShortestPathTableScheme().build(grid_4x4)
+        next_node = rf.compile_program().next_node.copy()
+        next_node[5, 9] = MISDELIVER
+        broken = rf.compile_program().with_next_node(next_node)
+        with pytest.raises(ValueError, match="misdelivery at node 5 for destination 9"):
+            program_memory_profile(broken, grid_4x4)
+        with pytest.raises(ValueError, match="misdelivery at node 5 for destination 9"):
+            memory_profile(rf, program=broken)
+
+    def test_masked_drop_raises(self, grid_4x4):
+        rf = ShortestPathTableScheme().build(grid_4x4)
+        masked = apply_faults(rf.compile_program(), grid_4x4, FaultSet.from_edges([(0, 1)]))
+        with pytest.raises(ValueError, match="no table row"):
+            program_memory_profile(masked, grid_4x4)
+        with pytest.raises(ValueError, match="no table row"):
+            memory_profile(rf, program=masked)
+        rewriting = scheme_registry(seed=0)["landmark-rewriting"].build(grid_4x4.copy())
+        masked = apply_faults(
+            rewriting.compile_program(), rewriting.graph, FaultSet.from_edges([(0, 1)])
+        )
+        with pytest.raises(ValueError, match="no state slice"):
+            program_memory_profile(masked, rewriting.graph)
+
+    def test_generic_program_raises_type_error(self, grid_4x4):
+        rf = ShortestPathTableScheme().build(grid_4x4)
+        with pytest.raises(TypeError, match="opt-out"):
+            memory_profile(rf, program=GenericProgram(num_vertices=grid_4x4.n))
 
 
 class TestAddressBits:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific AST lint for the routing/sim core.
 
-Ten rules guard invariants that generic linters cannot see, all scoped
+Eleven rules guard invariants that generic linters cannot see, all scoped
 to the modules where the invariant lives:
 
 REP001  Raw ``-2`` / ``-3`` integer literals anywhere in ``repro.sim`` or
@@ -99,6 +99,16 @@ REP010  Any ``networkx`` import anywhere under ``src/repro``.  Regular
         and ~14 MB of resident memory per process.  There is no escape
         comment; networkx-backed oracles live in ``tests/oracles.py``.
 
+REP011  ``BitWriter`` / ``BitReader`` anywhere under ``src/repro`` but
+        ``memory/encoding.py`` (their definition) and
+        ``constraints/reconstruction.py`` (the Lemma 1 witnesses, real
+        bit strings).  Every memory length the package reports is
+        closed-form (:mod:`repro.memory.coder`,
+        :mod:`repro.memory.requirement`); a bit writer elsewhere is a
+        second, per-bit answer to a question the closed form answers, and
+        the encoders that check those lengths live in
+        ``tests/oracles.py``.  There is no escape comment.
+
 Pure stdlib (``ast`` + ``tokenize``): runs anywhere CPython runs, no
 installs.  Exit status 1 when any finding is emitted, 0 on a clean tree.
 """
@@ -160,6 +170,11 @@ METHOD_SCOPE = ("src/repro",)
 EXPLOSION_SCOPE = ("src/repro",)
 EXPLOSION_OWNER = "src/repro/routing/program.py"
 EXPLOSION_ERROR = "HeaderStateExplosionError"
+
+#: REP011 scope, and the modules in it allowed to write or read bits.
+BITS_SCOPE = ("src/repro",)
+BITS_OWNERS = ("src/repro/memory/encoding.py", "src/repro/constraints/reconstruction.py")
+BITS_NAMES = {"BitWriter", "BitReader"}
 
 #: Identifier substrings that mark a per-pair/per-arc array in that scope.
 PAIR_MARKERS = (
@@ -569,6 +584,29 @@ def check_explosion_catches(path: Path, tree: ast.Module, source: str) -> Iterat
             )
 
 
+def check_bit_writers(path: Path, tree: ast.Module, source: str) -> Iterator[Finding]:
+    """REP011: BitWriter/BitReader outside the encoding module and the witnesses."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        for name in names:
+            if name in BITS_NAMES:
+                yield Finding(
+                    path,
+                    node.lineno,
+                    "REP011",
+                    f"{name} used outside memory/encoding.py and "
+                    "constraints/reconstruction.py: memory lengths are closed-form "
+                    "(repro.memory.coder); bit-writing encoders belong in tests/oracles.py",
+                )
+
+
 def _in_scope(path: Path, scope: Sequence[str], root: Path) -> bool:
     try:
         rel = path.relative_to(root).as_posix()
@@ -608,6 +646,8 @@ def lint_file(path: Path, root: Path = ROOT) -> List[Finding]:
         findings.extend(check_method_parameters(path, tree, source))
     if _in_scope(path, EXPLOSION_SCOPE, root) and not _in_scope(path, (EXPLOSION_OWNER,), root):
         findings.extend(check_explosion_catches(path, tree, source))
+    if _in_scope(path, BITS_SCOPE, root) and not _in_scope(path, BITS_OWNERS, root):
+        findings.extend(check_bit_writers(path, tree, source))
     return findings
 
 
@@ -626,6 +666,7 @@ def lint_tree(root: Path = ROOT) -> List[Finding]:
         NETWORKX_SCOPE,
         METHOD_SCOPE,
         EXPLOSION_SCOPE,
+        BITS_SCOPE,
     ):
         for entry in scope:
             target = root / entry
