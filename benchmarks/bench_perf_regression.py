@@ -334,6 +334,16 @@ def _time(func, *args, **kwargs):
     return result, time.perf_counter() - start
 
 
+#: Runs per side of the speedup pins timed best-of-k: one run of a
+#: ~0.7 s side swings the ratio by ±15 % on a shared 2-vCPU host.
+BEST_OF = 3
+
+
+def _spread(times) -> str:
+    """``min..max`` of a side's timed runs, for the printed row."""
+    return f"{min(times):.3f}..{max(times):.3f}s"
+
+
 # ----------------------------------------------------------------------
 # pinned fast paths
 # ----------------------------------------------------------------------
@@ -537,26 +547,35 @@ def test_program_cache_warm_sweep_vs_build_and_simulate(benchmark, tmp_path):
     # (compile+execute: cached bytes, no scheme builds) must beat the
     # build+simulate work a cold sweep pays per cell — the cost shape every
     # pre-IR warm re-sweep paid whenever its results were not cell-cached.
-    schemes, families = _program_sweep_grid()
-    runner = ShardedRunner(cache_dir=tmp_path, processes=1)
-    (cold_results, cold_skipped, _), cold_s = _time(
-        runner.program_sweep, schemes=schemes, families=families
-    )
+    # Best of BEST_OF cold sweeps, each over freshly drawn graphs (no
+    # distance, port or spanner memo) into its own empty store.
+    cold_times = []
+    for attempt in range(BEST_OF):
+        schemes, families = _program_sweep_grid()
+        runner = ShardedRunner(cache_dir=tmp_path / f"cold-{attempt}", processes=1)
+        (cold_results, cold_skipped, _), cold_run_s = _time(
+            runner.program_sweep, schemes=schemes, families=families
+        )
+        cold_times.append(cold_run_s)
+    cold_s = min(cold_times)
 
     def _run():
         return runner.program_sweep(schemes=schemes, families=families)
 
-    results, skipped, stats = benchmark.pedantic(_run, rounds=3, iterations=1)
-    warm_s = benchmark.stats.stats.median
-    _check_budget("program_sweep_warm_medium", warm_s)
+    results, skipped, stats = benchmark.pedantic(_run, rounds=BEST_OF, iterations=1)
+    _check_budget("program_sweep_warm_medium", benchmark.stats.stats.median)
+    warm_s = benchmark.stats.stats.min
     speedup = cold_s / warm_s
     print_rows(
-        "Program sweep: cached compile+execute vs build+simulate",
+        "Program sweep: cached compile+execute vs build+simulate (best of "
+        f"{BEST_OF} each)",
         [
             {
                 "case": f"{len(results)} cells ({len(skipped)} skipped)",
                 "build_simulate_s": cold_s,
+                "build_simulate_spread": _spread(cold_times),
                 "warm_execute_s": warm_s,
+                "warm_execute_spread": _spread((warm_s, benchmark.stats.stats.max)),
                 "speedup": speedup,
                 "compile_hit_rate": stats.compile_hit_rate,
             }
@@ -584,7 +603,11 @@ def test_resilience_sweep_warm_vs_recompile_per_scenario(benchmark, tmp_path):
     # scenario) must beat the naive shape that re-builds and re-lowers the
     # scheme for every single scenario.
     schemes, families, scenarios = _resilience_grid()
-    naive, naive_s = _time(_recompile_per_scenario, schemes, families, scenarios)
+    naive_times = []
+    for _ in range(BEST_OF):
+        naive, naive_run_s = _time(_recompile_per_scenario, schemes, families, scenarios)
+        naive_times.append(naive_run_s)
+    naive_s = min(naive_times)
 
     runner = ShardedRunner(cache_dir=tmp_path, processes=1)
     cold_cells, cold_skipped, _ = runner.resilience_sweep(
@@ -594,17 +617,20 @@ def test_resilience_sweep_warm_vs_recompile_per_scenario(benchmark, tmp_path):
     def _run():
         return runner.resilience_sweep(schemes=schemes, families=families, scenarios=scenarios)
 
-    cells, skipped, stats = benchmark.pedantic(_run, rounds=3, iterations=1)
-    warm_s = benchmark.stats.stats.median
-    _check_budget("resilience_sweep_warm_medium", warm_s)
+    cells, skipped, stats = benchmark.pedantic(_run, rounds=BEST_OF, iterations=1)
+    _check_budget("resilience_sweep_warm_medium", benchmark.stats.stats.median)
+    warm_s = benchmark.stats.stats.min
     speedup = naive_s / warm_s
     print_rows(
-        "Resilience sweep: cached masks vs recompile-per-scenario",
+        "Resilience sweep: cached masks vs recompile-per-scenario (best of "
+        f"{BEST_OF} each)",
         [
             {
                 "case": f"{len(cells)} scenario cells ({len(skipped)} cells skipped)",
                 "recompile_s": naive_s,
+                "recompile_spread": _spread(naive_times),
                 "warm_masked_s": warm_s,
+                "warm_masked_spread": _spread((warm_s, benchmark.stats.stats.max)),
                 "speedup": speedup,
                 "compile_hit_rate": stats.compile_hit_rate,
             }

@@ -24,7 +24,7 @@ from repro.constraints.matrix import ConstraintMatrix
 from repro.constraints.petersen import petersen_constraint_matrix
 from repro.constraints.reconstruction import verify_reconstruction
 from repro.constraints.verifier import verify_constraint_matrix
-from repro.analysis.table1 import measure_scheme
+from repro.analysis.table1 import SchemeMeasurement, measure_scheme
 from repro.graphs import generators
 from repro.graphs.shortest_paths import distance_matrix
 from repro.memory.requirement import memory_profile
@@ -242,8 +242,16 @@ def theorem1_experiment(
 # ----------------------------------------------------------------------
 # E7 — special graph families of Section 1
 # ----------------------------------------------------------------------
-def _cached_cell(runner, kind: str, scheme, graph, compute) -> Dict[str, object]:
-    """Dispatch one experiment cell through the runner cache when present."""
+def _cached_cell(runner, kind: str, scheme, graph) -> SchemeMeasurement:
+    """Measure ``scheme`` on a copy of ``graph``, through the runner cache when present.
+
+    Built on a copy since the complete-graph schemes relabel ports in place
+    and the cached row is keyed by the pre-build fingerprint.
+    """
+
+    def compute() -> SchemeMeasurement:
+        return measure_scheme(scheme, graph.copy(), dist=distance_matrix(graph))
+
     if runner is None:
         return compute()
     return runner.cached_row(kind, scheme, graph, compute)
@@ -260,20 +268,8 @@ def _measured_cell(
     :mod:`repro.memory.bounds` takes effect immediately instead of being
     shadowed by stale cached rows.
     """
-
-    def compute() -> Dict[str, object]:
-        # Built on a copy since the complete-graph schemes relabel ports
-        # in place and the cache row is keyed by the pre-build fingerprint.
-        dist = distance_matrix(graph)
-        m = measure_scheme(scheme, graph.copy(), dist=dist)
-        return {"local_bits": m.local_bits, "stretch": m.stretch}
-
-    cell = _cached_cell(runner, kind, scheme, graph, compute)
-    return {
-        "local_bits": cell["local_bits"],
-        "bound_bits": bound_bits,
-        "stretch": cell["stretch"],
-    }
+    cell = _cached_cell(runner, kind, scheme, graph)
+    return {"local_bits": cell.local_bits, "bound_bits": bound_bits, "stretch": cell.stretch}
 
 
 def special_graphs_experiment(
@@ -380,19 +376,16 @@ def stretch_tradeoff_experiment(
     ]
     rows: List[Dict[str, object]] = []
     for name, scheme in schemes:
-
-        def compute(scheme=scheme) -> Dict[str, object]:
-            dist = distance_matrix(graph)
-            m = measure_scheme(scheme, graph.copy(), dist=dist)
-            return {
+        m = _cached_cell(runner, "e8-tradeoff", scheme, graph)
+        rows.append(
+            {
+                "scheme": name,
+                "n": n,
                 "stretch": m.stretch,
                 "guarantee": float(getattr(scheme, "stretch_guarantee", float("nan"))),
                 "local_bits": m.local_bits,
                 "global_bits": m.global_bits,
                 "mean_bits": m.mean_bits,
             }
-
-        rows.append(
-            {"scheme": name, "n": n, **_cached_cell(runner, "e8-tradeoff", scheme, graph, compute)}
         )
     return rows

@@ -122,10 +122,11 @@ def resilience_cell(
     stored as bytes on first encounter, executed from bytes afterwards);
     every scenario then costs one mask + one fate resolution, which the
     flow metrics reuse.
-    Surviving-graph distances are cached per ``(graph, fault set)`` so
-    re-sweeps skip the shortest-path recomputation too.  Generic (opt-out)
-    programs run the per-message interpreter under each fault scenario,
-    on the live routing function the program cache hands back with them.
+    Surviving-graph distances are derived once per ``(graph, fault set)``
+    and memoised on the graph, so every scheme of a family shares them.
+    Generic (opt-out) programs run the per-message interpreter under each
+    fault scenario, on the live routing function the program cache hands
+    back with them.
 
     ``flow`` attaches traffic metrics: a demand model name or matrix
     (resolved once per cell through
@@ -149,15 +150,9 @@ def resilience_cell(
             dist=distance_matrix(graph),
         )
     rows: List[ResilienceCellResult] = []
-    graph_fp = graph.fingerprint()  # loop-invariant: hash the graph once
     off_diag = ~np.eye(graph.n, dtype=bool)
     for scenario_label, faults in scenarios:
-        dist = cache.get(
-            lambda: surviving_distance_matrix(graph, faults),
-            "fault-dist",
-            graph_fp,
-            faults.fingerprint(),
-        )
+        dist = surviving_distance_matrix(graph, faults)
         result = simulate_with_faults(
             rf, faults, program=program, graph=graph, dist=dist
         )

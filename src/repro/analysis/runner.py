@@ -7,29 +7,27 @@ all-pairs simulation + memory profile each — so they shard trivially.  This
 module provides the two layers that turn a one-shot grid into an
 incremental sweep:
 
-* :class:`ExperimentCache` — an on-disk (or in-memory) result cache whose
-  keys combine a **graph fingerprint**
+* :class:`ExperimentCache` — an in-process memo in front of one
+  :class:`repro.store.ProgramStore`, keyed by a **graph fingerprint**
   (:meth:`repro.graphs.digraph.PortLabeledGraph.fingerprint`: topology and
   port labelling, hash-seed independent), a **scheme-config fingerprint**
   (:func:`scheme_fingerprint`: class identity plus every constructor-held
-  attribute) and a schema version.  Pickled artefacts are per-cell
-  simulation/measurement results and surviving-graph distances;
-  **compiled routing programs** (:func:`cached_program`) live in the content-addressed
-  :class:`repro.store.ProgramStore` rooted at the same directory —
-  ``objects/<fp[:2]>/<fp>.rpg`` named by the program's own content
-  fingerprint plus a JSONL key manifest — so warm lookups mmap the object
-  and execute zero-copy array views instead of re-building schemes or
-  decoding bytes, workers mapping the same object share its pages, and
-  identical programs reached through different keys share one object (see
-  ``docs/architecture.md``).  Invalidation is purely by key: editing a
-  graph changes its fingerprint, reconfiguring a scheme changes its
-  fingerprint, and bumping :data:`repro.store.CACHE_SCHEMA` orphans every
-  old entry.
-  Writes are atomic (temp file + ``os.replace``) so shard workers may share
-  one directory; corrupt or unreadable entries degrade to misses — loudly:
-  each one emits a :class:`RuntimeWarning` naming the offending path and is
-  counted in :attr:`ShardStats.degraded`, so a store rotting on disk shows
-  up in sweep output instead of silently recomputing forever.
+  attribute) and the schema version.  **Compiled routing programs**
+  (:func:`cached_program`) are content-addressed
+  ``objects/<fp[:2]>/<fp>.rpg`` objects named by the program's own content
+  fingerprint, so warm lookups mmap the object and execute zero-copy array
+  views instead of re-building schemes or decoding bytes, workers mapping
+  the same object share its pages, and identical programs reached through
+  different keys share one object; **result rows** (Table 1 cells,
+  conformance reports, E7/E8 measurements) are typed manifest records
+  beside them (see ``docs/architecture.md``).  Invalidation is purely by
+  key: editing a graph changes its fingerprint, reconfiguring a scheme
+  changes its fingerprint, and bumping :data:`repro.store.CACHE_SCHEMA`
+  orphans every old entry.  Shard workers may share one store; corrupt or
+  unreadable entries degrade to misses — loudly: each one emits a
+  :class:`RuntimeWarning` naming the offending path and is counted in
+  :attr:`ShardStats.degraded`, so a store rotting on disk shows up in sweep
+  output instead of silently recomputing forever.
 
 * :class:`ShardedRunner` — one dispatcher for every sweep.  A sweep kind
   is a :class:`SweepSpec` (a module-level cell body, the registry grid and
@@ -60,9 +58,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import pickle
-import tempfile
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -166,9 +161,9 @@ class ShardStats:
     ``compile_hits``/``compile_misses`` single out the compiled-program
     lookups (:func:`cached_program`): a warm re-sweep that executes cached
     program bytes without re-building a single scheme reports a
-    :attr:`compile_hit_rate` of 1.0.  ``degraded`` counts cache entries
-    that *existed* but could not be used — corrupt pickles, unreadable
-    manifest lines, objects failing the integrity gate — each of which
+    :attr:`compile_hit_rate` of 1.0.  ``degraded`` counts store entries
+    that *existed* but could not be used — unreadable manifest lines, row
+    records that no longer rebuild, objects failing the integrity gate — each of which
     also emitted a :class:`RuntimeWarning` naming the offending path; a
     non-zero count on a warm sweep means the store is rotting, not cold.
     """
@@ -282,65 +277,34 @@ class VerifyCellResult:
 class ExperimentCache:
     """Fingerprint-keyed artifact cache, shared safely between shard workers.
 
-    Two storage layers under one lookup surface: pickled *results*
-    (measurement cells, surviving-graph distances) keyed directly by hash, and
-    compiled *programs* in a content-addressed
-    :class:`repro.store.ProgramStore` (``objects/`` + JSONL manifest)
-    rooted at the same directory — which is what gives program artifacts
-    cross-run, cross-directory identity and an eviction story
-    (``repro store gc``).
+    An in-process memo in front of a :class:`repro.store.ProgramStore`:
+    compiled *programs* are content-addressed objects, result *rows* are
+    typed manifest records, and both share the store's ``gc``, schema rule
+    and ``degraded`` counter.
 
     Parameters
     ----------
     root:
-        Cache directory; created on demand.  ``None`` keeps the cache
+        Store directory; created on demand.  ``None`` keeps the cache
         purely in-memory (still deduplicates within a run, persists
         nothing).
-    store:
-        Program store override: a :class:`~repro.store.ProgramStore` or a
-        path to root one at.  Defaults to a store rooted at ``root``
-        (``None`` with a ``None`` root: programs stay in-memory).
     """
 
-    def __init__(
-        self,
-        root: Optional[os.PathLike] = None,
-        store: Optional[object] = None,
-    ) -> None:
-        self.root = Path(root) if root is not None else None
+    def __init__(self, root: Optional[os.PathLike] = None) -> None:
         self.hits = 0
         self.misses = 0
         # Compiled-program lookups, tracked separately so ShardStats can
         # report the compile hit-rate of a sweep (see cached_program).
         self.program_hits = 0
         self.program_misses = 0
-        # Entries that existed but were unusable (corrupt pickle bytes);
-        # the program store keeps its own twin counter — read the sum via
-        # degraded_entries.
-        self.degraded = 0
-        if store is None:
-            self.program_store: Optional[ProgramStore] = (
-                ProgramStore(self.root) if self.root is not None else None
-            )
-        elif isinstance(store, ProgramStore):
-            self.program_store = store
-        else:
-            self.program_store = ProgramStore(store)  # type: ignore[arg-type]
+        self.program_store = ProgramStore(root) if root is not None else None
         self._memory: Dict[str, object] = {}
 
     @property
     def degraded_entries(self) -> int:
-        """Total degraded entries seen: corrupt pickles + store corruption."""
+        """Degraded store entries seen (the store's own counter)."""
         store = self.program_store
-        return self.degraded + (store.degraded if store is not None else 0)
-
-    def _note_degraded(self, path: Path, detail: object) -> None:
-        self.degraded += 1
-        warnings.warn(
-            f"degraded cache entry at {path}: {detail}; treating as a miss",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+        return store.degraded if store is not None else 0
 
     def key(self, *parts) -> str:
         """Hash key of ``parts`` (strings/ints/fingerprints) plus the schema."""
@@ -350,76 +314,41 @@ class ExperimentCache:
         """Key of the compiled program of a (graph, scheme config) pair."""
         return self.key("program", graph_fp, scheme_fp)
 
-    def _path(self, key: str) -> Path:
-        assert self.root is not None
-        return self.root / key[:2] / f"{key}.pkl"
+    def get(
+        self,
+        row_type: type,
+        compute: Callable[[], object],
+        kind: str,
+        graph_fp: str,
+        scheme_fp: str,
+        *extra: object,
+    ) -> object:
+        """Memoised ``compute()``, a ``row_type`` row; updates hit/miss stats.
 
-    def load(self, key: str) -> Tuple[bool, object]:
-        """Look a key up; returns ``(found, value)`` without touching stats."""
+        Keyed by ``(kind, graph_fp, scheme_fp, *extra)``.  Lookup order:
+        this process's memory, then the store's row record of that key;
+        a miss computes the row and records it.
+        """
+        key = self.key(kind, graph_fp, scheme_fp, *extra)
         if key in self._memory:
-            return True, self._memory[key]
-        if self.root is None:
-            return False, None
-        path = self._path(key)
-        try:
-            with path.open("rb") as handle:
-                value = pickle.load(handle)
-        except FileNotFoundError:
-            return False, None
-        except Exception as exc:
-            # Truncated by a crashed worker, garbled bytes, or a stale
-            # class layout (AttributeError/ImportError from unpickling a
-            # moved class): a cache entry is never worth crashing over —
-            # every failure degrades to a recomputation that overwrites
-            # it — but unlike a plain miss it is worth a signal, so the
-            # operator learns the cache directory is rotting.
-            self._note_degraded(path, exc)
-            return False, None
-        self._memory[key] = value
-        return True, value
-
-    def store(self, key: str, value: object) -> None:
-        """Persist a value atomically (readers never observe partial writes)."""
-        self._memory[key] = value
-        if self.root is None:
-            return
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-
-    def get(self, compute: Callable[[], object], *parts) -> object:
-        """Memoised ``compute()`` keyed by ``parts``; updates hit/miss stats."""
-        key = self.key(*parts)
-        found, value = self.load(key)
+            self.hits += 1
+            return self._memory[key]
+        store = self.program_store
+        found, value = store.get_row(key, row_type) if store is not None else (False, None)
         if found:
             self.hits += 1
-            return value
-        value = compute()
-        self.store(key, value)
-        self.misses += 1
+        else:
+            value = compute()
+            if store is not None:
+                store.put_row(key, kind, value, graph_fp, scheme_fp)
+            self.misses += 1
+        self._memory[key] = value
         return value
 
     # -- compiled-program store (content-addressed mmap artifacts) ------
     def program_artifact_path(self, key: str) -> Optional[Path]:
-        """On-disk path of a compiled program's raw (mmap-able) artifact.
-
-        ``None`` for a purely in-memory cache or an unknown key.  The file
-        lives in the content-addressed store — ``objects/<fp[:2]>/<fp>.rpg``
-        named by the *program's* fingerprint, not the cache key — and holds
-        the ``to_bytes`` form verbatim (not a pickle), so any process can
-        :func:`~repro.routing.program.load_program` it as zero-copy views
-        without decoding.
-        """
+        """The ``.rpg`` object ``key`` maps to (named by the program's own
+        fingerprint, not the key); ``None`` in memory or for an unknown key."""
         if self.program_store is None:
             return None
         record = self.program_store.lookup(key)
@@ -430,26 +359,14 @@ class ExperimentCache:
     def load_program_entry(self, key: str, verify: bool = False) -> Tuple[bool, object]:
         """Look up a compiled program; ``(found, value)``, stats untouched.
 
-        The value is a live :class:`~repro.routing.program.RoutingProgram`
+        The value is a :class:`~repro.routing.program.RoutingProgram`
         (mmap-backed when it came from disk) or the ``("inapplicable",
-        reason)`` verdict tuple of a scheme whose build refused the graph.
-        Lookup order: this process's memory, then the content-addressed
-        :class:`~repro.store.ProgramStore` (manifest lookup → mmapped
-        object, O(1)).  Corruption warns, counts as a degraded entry, and
-        degrades to a miss (callers recompile and overwrite).
-
-        ``verify=True`` adds two gates on anything that came from *disk*:
-        the mapped bytes must re-hash to the object's content address, and
-        the deserialized program must pass
-        :func:`repro.routing.verify.verify_structure` (strict — semantic
-        issues reject too, since no healthy compile produces them), so bytes
-        corrupted *within* valid framing — a flipped successor, a broken
-        absorbing destination — degrade to a miss exactly like a truncated
-        file, instead of poisoning every run that maps the artifact.
-        Entries already living in this process's memory are trusted:
-        verification guards the serialization boundary, not the process's
-        own objects.  Generic programs carry no transition arrays and skip
-        the gate.
+        reason)`` verdict of a scheme whose build refused the graph, from
+        this process's memory, else from the store.  ``verify=True`` gates
+        what comes from disk (:meth:`repro.store.ProgramStore.get`: content
+        address and structure), so corrupted bytes degrade to a warned,
+        counted miss that the caller recompiles over; entries already in
+        memory are trusted.
         """
         if key in self._memory:
             return True, self._memory[key]
@@ -469,12 +386,8 @@ class ExperimentCache:
     ) -> None:
         """Persist a compiled program into the content-addressed store.
 
-        The object write is atomic (temp file + rename), so a shard worker
-        mapping the artifact never observes a partial write; workers that
-        already mapped an old file keep their mapping (POSIX rename leaves
-        the old inode alive until unmapped).  ``graph``/``scheme`` are
-        optional provenance fingerprints recorded in the store manifest
-        (``repro store ls`` shows them); they never affect addressing.
+        The object write is atomic (temp file + rename); ``graph``/``scheme``
+        are provenance fingerprints for ``repro store ls``, never addresses.
         """
         self._memory[key] = program
         if self.program_store is None:
@@ -490,17 +403,14 @@ def cached_program(
 ) -> RoutingProgram:
     """The compiled :class:`~repro.routing.program.RoutingProgram` of a cell.
 
-    Programs are cached *as raw mmap-able artifacts* (their ``to_bytes``
-    form written verbatim to a ``.rpg`` file) under ``(graph fingerprint,
-    scheme fingerprint)``: a warm lookup maps the file and hands back
-    zero-copy array views, so shard workers pay O(1) load cost per program
-    instead of a full decode, and workers mapping the same artifact share
-    its pages.  On a miss the scheme is built (``rf`` may
-    supply a routing function the caller already built) and lowered once
+    Cached under ``(graph fingerprint, scheme fingerprint)`` as a raw
+    ``.rpg`` object: a warm lookup maps it and hands back zero-copy array
+    views, shared between the workers mapping it.  On a miss the scheme is
+    built (``rf`` may supply one the caller already built) and lowered once
     through :func:`~repro.routing.program.compile_or_interpret`, so a
     broken ``can_vectorize`` promise caches the explicit
     :class:`~repro.routing.program.GenericProgram` opt-out.  Unreadable
-    cached bytes degrade to recompilation, like every other cache entry.
+    cached bytes degrade to recompilation, like every other store entry.
     """
     program, _ = _cached_program_with_rf(scheme, graph, cache, rf=rf)
     return program
@@ -529,14 +439,12 @@ def _cached_program_with_rf(
     key = cache.program_key(graph_fp, scheme_fp)
     found, entry = cache.load_program_entry(key, verify=verify)
     if found:
+        cache.hits += 1
+        cache.program_hits += 1
         if isinstance(entry, tuple) and entry and entry[0] == "inapplicable":
             # The build refusal of a partial scheme is itself a cached
             # compile verdict: a warm sweep must not re-attempt the build.
-            cache.hits += 1
-            cache.program_hits += 1
             raise SchemeInapplicableError(entry[1])
-        cache.hits += 1
-        cache.program_hits += 1
         if isinstance(entry, GenericProgram) and rf is None:
             rf = scheme.build(graph.copy())
         return entry, rf
@@ -590,6 +498,7 @@ def measure_cell(
         )
 
     return cache.get(
+        SchemeMeasurement,
         compute,
         "table1-cell",
         graph.fingerprint(),
@@ -606,7 +515,7 @@ def _conformance_cell(
     cache: ExperimentCache,
 ):
     """One cached conformance cell (import deferred: conformance imports sim)."""
-    from repro.sim.conformance import conformance_report
+    from repro.sim.conformance import ConformanceReport, conformance_report
 
     def compute():
         dist = distance_matrix(graph)
@@ -616,6 +525,7 @@ def _conformance_cell(
         )
 
     return cache.get(
+        ConformanceReport,
         compute,
         "conformance-cell",
         graph.fingerprint(),
@@ -938,8 +848,8 @@ def _run_cell(
 
 
 #: One cache instance per (pool worker process, directory): cells executed
-#: by the same worker share unpickled artefacts in memory instead of
-#: re-reading the directory per cell.  Only :func:`_pool_worker` reads it;
+#: by the same worker share loaded programs and rows in memory instead of
+#: re-reading the store per cell.  Only :func:`_pool_worker` reads it;
 #: in-process cells run against their runner's own cache.
 _WORKER_CACHES: Dict[str, ExperimentCache] = {}
 
@@ -1207,15 +1117,18 @@ class ShardedRunner:
         )
 
     # ------------------------------------------------------------------
-    def cached_row(self, kind: str, scheme, graph: PortLabeledGraph, compute):
-        """Memoise one experiment row keyed by ``(kind, graph, scheme config)``.
+    def cached_row(
+        self, kind: str, scheme, graph: PortLabeledGraph, compute
+    ) -> SchemeMeasurement:
+        """Memoise one experiment measurement keyed by ``(kind, graph, scheme config)``.
 
-        The hook the E7/E8 drivers use: the row body (stretch through the
-        simulator plus memory bits) is recomputed only when the instance or
-        the scheme configuration changes.
+        The hook the E7/E8 drivers use: ``compute`` returns the cell's
+        :class:`~repro.analysis.table1.SchemeMeasurement` (stretch through
+        the simulator plus memory bits), recomputed only when the instance
+        or the scheme configuration changes.
         """
-        return self.cache.get(
-            compute, "row", kind, graph.fingerprint(), scheme_fingerprint(scheme)
+        return self.cache.get(  # type: ignore[return-value]
+            SchemeMeasurement, compute, kind, graph.fingerprint(), scheme_fingerprint(scheme)
         )
 
     def stats(self) -> ShardStats:

@@ -51,6 +51,9 @@ class DerivedState:
 
     * ``distances`` — the all-pairs distance matrix
       (:func:`repro.graphs.shortest_paths.distance_matrix`);
+    * ``surviving`` — fault-set fingerprint -> surviving-graph distance
+      matrix, in its narrowest signed dtype
+      (:func:`repro.sim.faults.surviving_distance_matrix`);
     * ``fingerprint`` — :meth:`PortLabeledGraph.fingerprint`;
     * ``ports`` — tie-break rule -> shortest-path port matrix, in its
       narrowest unsigned dtype
@@ -64,10 +67,11 @@ class DerivedState:
     Readers hand out copies, never the memoised objects themselves.
     """
 
-    __slots__ = ("distances", "fingerprint", "ports", "spanners")
+    __slots__ = ("distances", "surviving", "fingerprint", "ports", "spanners")
 
     def __init__(self) -> None:
         self.distances: Optional[np.ndarray] = None
+        self.surviving: Dict[str, np.ndarray] = {}
         self.fingerprint: Optional[str] = None
         self.ports: Dict[str, np.ndarray] = {}
         self.spanners: Dict[float, "PortLabeledGraph"] = {}

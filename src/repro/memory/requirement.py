@@ -14,7 +14,7 @@ and each router keeps the smallest (the first listed on a tie):
   (e-cube, the modular complete-graph rule);
 * the scheme's own encoding (``local_encoding_bits``, interval routing);
 * sorted ``(target, port)`` entry lists for labeled landmark-style
-  functions (``table_entries``); their address overhead is reported
+  functions (``table_sizes``); their address overhead is reported
   separately by :func:`address_bits` because the paper's model charges
   headers to the messages, not to the routers;
 * the three table coders of :mod:`repro.memory.coder` for functions with a
@@ -173,10 +173,10 @@ def memory_profile(rf: RoutingFunction, program: Optional[RoutingProgram] = None
         names.append("scheme-encoding")
         rows.append(np.array([int(scheme_encoding(x)) for x in range(n)], dtype=np.int64))
 
-    table_entries = getattr(rf, "table_entries", None)
-    if callable(table_entries):
+    table_sizes = getattr(rf, "table_sizes", None)
+    if callable(table_sizes):
         # A sorted (target, port) pair list behind a fixed-width count.
-        sizes = np.array([len(table_entries(x)) for x in range(n)], dtype=np.int64)
+        sizes = table_sizes()
         names.append("entry-list")
         rows.append(
             fixed_width(max(n, 1))
@@ -192,7 +192,7 @@ def memory_profile(rf: RoutingFunction, program: Optional[RoutingProgram] = None
     if not rows:
         raise TypeError(
             f"cannot measure memory of {type(rf).__name__}: it exposes neither a local map, "
-            "a table_entries method, nor a parametric description"
+            "a table_sizes method, nor a parametric description"
         )
     return _best(names, np.stack(rows))
 

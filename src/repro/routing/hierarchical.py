@@ -98,9 +98,9 @@ class HierarchicalSpannerRoutingFunction(LabeledRoutingFunction):
             out[target] = self._graph.port(node, neighbor)
         return out
 
-    def local_table_size(self, node: int) -> int:
-        """Number of stored (target, port) entries at ``node``."""
-        return self._inner.local_table_size(node)
+    def table_sizes(self) -> np.ndarray:
+        """Number of stored (target, port) entries at every node."""
+        return self._inner.table_sizes()
 
 
 class RewritingHierarchicalSpannerRoutingFunction(HierarchicalSpannerRoutingFunction):

@@ -74,7 +74,7 @@ class LandmarkRoutingFunction(LabeledRoutingFunction):
     (:data:`~repro.routing.model.DELIVER`) when it stores none, ``u``
     itself included.  :meth:`port` reads that list and the header, nothing
     else; :meth:`cluster`, :meth:`table_entries` and
-    :meth:`local_table_size` derive their views from the arrays.
+    :meth:`table_sizes` derive their views from the arrays.
 
     Parameters
     ----------
@@ -141,10 +141,11 @@ class LandmarkRoutingFunction(LabeledRoutingFunction):
         targets = np.concatenate((np.flatnonzero(others), np.flatnonzero(rest)))
         return dict(zip(targets.tolist(), self._ports[node, targets].tolist()))
 
-    def local_table_size(self, node: int) -> int:
-        """Number of (target, port) entries stored at ``node``."""
-        stored = self._clusters[node] | self._is_landmark
-        return int(stored.sum()) - int(stored[node])
+    def table_sizes(self) -> np.ndarray:
+        """Number of (target, port) entries stored at every node (int64)."""
+        stored = self._clusters | self._is_landmark
+        np.fill_diagonal(stored, False)
+        return stored.sum(axis=1, dtype=np.int64)
 
     # ------------------------------------------------------------------
     def port(self, node: int, header: LandmarkAddress) -> int:

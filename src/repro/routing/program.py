@@ -1090,20 +1090,25 @@ def _edge_codes(graph: PortLabeledGraph) -> np.ndarray:
 
 def _port_dirty_vertices(
     graph_before: PortLabeledGraph, graph_after: PortLabeledGraph
-) -> List[int]:
-    """Vertices whose port labelling differs between the two snapshots.
+) -> np.ndarray:
+    """Boolean mask of the vertices whose port labelling differs between snapshots.
 
     Computed by direct per-vertex comparison rather than from the edge
     diff: robust to any relabelling convention (a churn mutation shifts
     ports only at the touched endpoints, but an adversarial caller may
     relabel anywhere, and a relabel changes every tie-break at that
-    vertex).
+    vertex).  Ports are ``1 .. deg``, so a vertex's CSR row (neighbours in
+    port order) is its whole labelling.
     """
-    return [
-        x
-        for x in range(graph_before.n)
-        if graph_before.port_map(x) != graph_after.port_map(x)
-    ]
+    before_ptr, before_idx = graph_before.adjacency_arrays()
+    after_ptr, after_idx = graph_after.adjacency_arrays()
+    degrees = np.diff(before_ptr)
+    dirty = degrees != np.diff(after_ptr)
+    owner = np.repeat(np.arange(graph_before.n), degrees)
+    kept = np.flatnonzero(~dirty[owner])
+    shift = (after_ptr[:-1] - before_ptr[:-1])[owner[kept]]
+    dirty[owner[kept[before_idx[kept] != after_idx[kept + shift]]]] = True
+    return dirty
 
 
 def _assert_patched_sound(
@@ -1289,9 +1294,7 @@ def apply_delta(
         reached = np.bitwise_or.reduceat(packed[indices], indptr[rows], axis=0)
         unpacked = np.unpackbits(reached, axis=1, count=cols.size, bitorder="little")
         dirty[np.ix_(rows, cols)] |= unpacked.view(bool)
-    port_dirty = _port_dirty_vertices(graph_before, graph_after)
-    if port_dirty:
-        dirty[port_dirty, :] = True
+    dirty[_port_dirty_vertices(graph_before, graph_after)] = True
     np.fill_diagonal(dirty, False)
 
     dirty_entries = int(dirty.sum())

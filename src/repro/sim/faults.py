@@ -294,24 +294,32 @@ def surviving_distance_matrix(
     ``(n, n)`` int64 matrix over the *original* vertex labels:
     :data:`~repro.graphs.shortest_paths.UNREACHABLE` for pairs disconnected
     by the faults and for every pair touching a failed node (distances are
-    undefined at dead vertices, including the diagonal).  Computed directly
-    on a masked adjacency — no relabelled subgraph is materialised.
+    undefined at dead vertices, including the diagonal).  Computed on a
+    masked adjacency once per graph snapshot and fault set, memoised in
+    :attr:`PortLabeledGraph.derived` in the narrowest signed dtype that holds
+    the diameter; every call returns a fresh int64 copy.
     """
-    faults.validate(graph)
-    n = graph.n
-    alive = faults.alive_mask(n)
-    indptr, indices = graph.adjacency_arrays()
-    tails = np.repeat(np.arange(n), np.diff(indptr))
-    ok = alive[tails] & alive[indices]
-    codes = faults.edge_codes(n)
-    if codes.size:
-        ok &= ~np.isin(tails * n + indices, codes)
-    masked_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(tails[ok], minlength=n), out=masked_indptr[1:])
-    dist = bfs_rows(masked_indptr, indices[ok], n)
-    dist[~alive, :] = UNREACHABLE
-    dist[:, ~alive] = UNREACHABLE
-    return dist
+    surviving = graph.derived.surviving
+    key = faults.fingerprint()
+    narrow = surviving.get(key)
+    if narrow is None:
+        faults.validate(graph)
+        n = graph.n
+        alive = faults.alive_mask(n)
+        indptr, indices = graph.adjacency_arrays()
+        tails = np.repeat(np.arange(n), np.diff(indptr))
+        ok = alive[tails] & alive[indices]
+        codes = faults.edge_codes(n)
+        if codes.size:
+            ok &= ~np.isin(tails * n + indices, codes)
+        masked_indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(tails[ok], minlength=n), out=masked_indptr[1:])
+        dist = bfs_rows(masked_indptr, indices[ok], n)
+        dist[~alive, :] = UNREACHABLE
+        dist[:, ~alive] = UNREACHABLE
+        diameter = int(dist.max(initial=0))
+        narrow = surviving[key] = dist.astype(np.min_scalar_type(-max(diameter, 1)))
+    return narrow.astype(np.int64)
 
 
 # ----------------------------------------------------------------------

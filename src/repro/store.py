@@ -22,12 +22,16 @@ promotion of that cache into a real registry:
   ``(CACHE_SCHEMA, "program", graph fp, scheme fp)`` hash) to its object id
   plus graph/scheme metadata — or to an ``"inapplicable"`` verdict for a
   scheme whose build refused the graph, so warm sweeps never re-attempt a
-  refused build.  Appends are single ``O_APPEND`` writes (atomic for
-  manifest-sized lines on POSIX) and readers tail the file incrementally, so
-  shard workers pick up each other's entries mid-sweep without rescanning.
+  refused build — or to a **row**: a measured result (a Table 1 cell, a
+  conformance report, an E7/E8 measurement) as its kind plus its fields,
+  rebuilt into the caller's frozen dataclass on a hit.  Appends are single
+  ``O_APPEND`` writes (atomic for manifest-sized lines on POSIX) and
+  readers tail the file incrementally, so shard workers pick up each
+  other's entries mid-sweep without rescanning.
   The latest record for a key wins.  A corrupt or truncated line degrades to
   a skipped record with a :class:`RuntimeWarning` naming the file and line —
-  never an exception, never a silent global miss.
+  never an exception, never a silent global miss; so does a row record
+  whose fields no longer rebuild its dataclass.
 
 * **Integrity is verifiable.**  ``get(key, verify=True)`` re-hashes the
   mapped object against its content address and runs the structural check
@@ -63,7 +67,7 @@ import tempfile
 import warnings
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.routing.program import (
     GenericProgram,
@@ -93,8 +97,9 @@ VERDICT_INAPPLICABLE = "inapplicable"
 #: entries instead of replaying them.  3: compile-once measurement cells
 #: (simulation and memory scored against the cached RoutingProgram).
 #: 4: program format version 3 (header-state programs store transitions
-#: only).  :meth:`ProgramStore.gc` drops the records an older schema left.
-CACHE_SCHEMA = 4
+#: only).  5: result rows are manifest records (no pickles beside the
+#: store).  :meth:`ProgramStore.gc` drops the records an older schema left.
+CACHE_SCHEMA = 5
 
 
 def cache_key(*parts: object) -> str:
@@ -112,12 +117,14 @@ def default_store_root() -> Path:
 
 @dataclass(frozen=True)
 class StoreRecord:
-    """One manifest entry: a lookup key bound to an object or a verdict.
+    """One manifest entry: a lookup key bound to an object, a verdict or a row.
 
     ``object_id`` is the referenced program's content fingerprint (``None``
-    for verdict records); ``graph`` / ``scheme`` carry the cell fingerprints
-    when the writer knew them, so ``repro store ls`` can say *what* an
-    object is without decoding it.
+    for verdict and row records); ``graph`` / ``scheme`` carry the cell
+    fingerprints when the writer knew them, so ``repro store ls`` can say
+    *what* an object is without decoding it.  A row record holds a result's
+    fields in ``row``, its row kind in ``kind`` and the :data:`CACHE_SCHEMA`
+    it was measured under in ``schema``.
     """
 
     key: str
@@ -129,6 +136,8 @@ class StoreRecord:
     scheme: Optional[str] = None
     verdict: Optional[str] = None
     reason: Optional[str] = None
+    row: Optional[Dict[str, object]] = None
+    schema: Optional[int] = None
 
 
 @dataclass
@@ -142,6 +151,16 @@ class GcStats:
     orphans_removed: int = 0
     records_kept: int = 0
     records_dropped: int = 0
+    legacy_removed: int = 0
+
+
+def _current(record: StoreRecord) -> bool:
+    """Whether ``record`` can still be looked up under :data:`CACHE_SCHEMA`."""
+    if record.row is not None:
+        return record.schema == CACHE_SCHEMA
+    if record.graph is None or record.scheme is None:
+        return True
+    return record.key == cache_key("program", record.graph, record.scheme)
 
 
 class ProgramStore:
@@ -301,6 +320,47 @@ class ProgramStore:
         self._append(record)
         return record
 
+    def put_row(
+        self,
+        key: str,
+        kind: str,
+        row: Any,
+        graph_fp: Optional[str] = None,
+        scheme_fp: Optional[str] = None,
+    ) -> StoreRecord:
+        """Record the result row ``row`` (a flat dataclass) of ``kind`` under ``key``."""
+        record = StoreRecord(
+            key=key,
+            kind=kind,
+            graph=graph_fp,
+            scheme=scheme_fp,
+            row=asdict(row),
+            schema=CACHE_SCHEMA,
+        )
+        self._append(record)
+        return record
+
+    def get_row(self, key: str, row_type: type) -> Tuple[bool, object]:
+        """Look a row record up; ``(found, row_type(**fields))``.
+
+        JSON lists come back as tuples.  A record whose fields do not
+        rebuild ``row_type`` (garbled, a missing or an unknown field)
+        degrades to a miss, warned and counted in :attr:`degraded`; the
+        caller recomputes and its :meth:`put_row` supersedes the record.
+        """
+        record = self.lookup(key)
+        if record is None or record.row is None:
+            return False, None
+        try:
+            values = {
+                name: tuple(value) if isinstance(value, list) else value
+                for name, value in record.row.items()
+            }
+            return True, row_type(**values)
+        except (AttributeError, TypeError, ValueError) as exc:
+            self._degrade(self.manifest_path, f"unusable {record.kind} row ({exc!r})")
+            return False, None
+
     def get(
         self, key: str, verify: bool = False
     ) -> Tuple[bool, Union[RoutingProgram, Tuple[str, str], None]]:
@@ -385,7 +445,10 @@ class ProgramStore:
 
         Three passes: (1) delete **orphans** — objects on disk that no live
         manifest record references (a record naming its graph and scheme is
-        live only while its key is theirs under :data:`CACHE_SCHEMA`); (2)
+        live only while its key is theirs under :data:`CACHE_SCHEMA`, a row
+        record only while it was written under it) — and the legacy
+        ``<root>/??/*.pkl`` result pickles an older version kept beside the
+        store; (2)
         with ``max_bytes``, evict least-recently-used referenced objects
         (and every record naming them) until the survivors' total size fits
         the bound; (3) rewrite
@@ -398,13 +461,7 @@ class ProgramStore:
         could drop a record appended mid-pass); quiesce sweeps first.
         """
         stats = GcStats()
-        live = {
-            r.key: r
-            for r in self.records()
-            if r.graph is None
-            or r.scheme is None
-            or r.key == cache_key("program", r.graph, r.scheme)
-        }
+        live = {r.key: r for r in self.records() if _current(r)}
         referenced: Dict[str, List[str]] = {}
         for key, record in live.items():
             if record.object_id is not None:
@@ -414,6 +471,15 @@ class ProgramStore:
             if object_id not in referenced:
                 stats.orphans_removed += 1
                 path.unlink(missing_ok=True)
+        legacy = sorted(self.root.glob("??/*.pkl"))
+        for path in legacy:
+            path.unlink(missing_ok=True)
+        for folder in {path.parent for path in legacy}:
+            try:
+                folder.rmdir()
+            except OSError:
+                pass
+        stats.legacy_removed = len(legacy)
         present = {oid: disk[oid] for oid in referenced if oid in disk}
         sizes = {oid: path.stat().st_size for oid, path in present.items()}
         total = sum(sizes.values())
@@ -454,6 +520,7 @@ class ProgramStore:
             "records": len(records),
             "programs": sum(1 for r in records if r.object_id is not None),
             "verdicts": sum(1 for r in records if r.verdict is not None),
+            "rows": sum(1 for r in records if r.row is not None),
             "degraded": self.degraded,
         }
 

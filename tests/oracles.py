@@ -586,7 +586,11 @@ def program_local_map(program, graph: PortLabeledGraph, node: int) -> Dict[int, 
     row = program.next_node[node].tolist()
     if MISDELIVER in row[:node] + row[node + 1 :]:
         raise ValueError(f"next-hop program records a misdelivery at node {node}")
-    return {d: graph.port(node, nxt) for d, nxt in enumerate(row) if d != node}
+    port_of = {neighbour: port for port, neighbour in graph.port_map(node).items()}
+    local_map = {d: port_of.get(nxt) for d, nxt in enumerate(row) if d != node}
+    if None in local_map.values():
+        raise ValueError(f"next-hop row of node {node} leaves through a non-arc")
+    return local_map
 
 
 def coded_memory_profile(rf: RoutingFunction, program=None):

@@ -238,6 +238,33 @@ def _shuffled_petersen():
     return graph
 
 
+@profile_settings(40)
+@given(
+    graph=connected_graphs(min_n=4, max_n=30, max_extra=0.4),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_port_dirty_vertices_match_the_port_map_comparison(graph, seed):
+    # The CSR-row comparison against the per-vertex port-map dicts it
+    # replaced, over churn flips (degree changes, port shifts) and
+    # arbitrary relabellings (same degree, permuted rows).
+    import random
+
+    from repro.sim.churn import random_churn_trace
+
+    rng = random.Random(seed)
+    trace = random_churn_trace(graph, steps=2, flips_per_step=2, seed=seed)
+    pairs = [(before, step.graph) for before, step in trace.transitions()]
+    relabelled = graph.copy()
+    for x in rng.sample(range(graph.n), k=min(3, graph.n)):
+        ports = sorted(relabelled.port_map(x))
+        relabelled.relabel_ports(x, dict(zip(ports, rng.sample(ports, len(ports)))))
+    pairs += [(graph, relabelled), (graph, graph.copy())]
+    for before, after in pairs:
+        want = [x for x in range(before.n) if before.port_map(x) != after.port_map(x)]
+        got = _port_dirty_vertices(before, after)
+        assert got.dtype == bool and np.flatnonzero(got).tolist() == want
+
+
 def test_distance_matrix_is_memoised_and_read_only():
     graph = generators.hypercube(6)
     dist = distance_matrix(graph)

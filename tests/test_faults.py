@@ -457,6 +457,30 @@ def test_surviving_graph_relabels_and_drops_faulted_components():
     )
 
 
+def test_surviving_distances_are_derived_once_per_graph_and_fault_set():
+    graph = generators.torus_2d(6, 6)
+    faults = FaultSet(edges=((0, 1),), nodes=(7,))
+    other = FaultSet(edges=((0, 6),))
+    want = surviving_distance_matrix(generators.torus_2d(6, 6), faults)  # its own memo
+    first = surviving_distance_matrix(graph, faults)
+    memo = graph.derived.surviving
+    assert set(memo) == {faults.fingerprint()}
+    # Narrowest signed dtype holding the diameter (and UNREACHABLE) in the
+    # memo; a fresh, writable int64 copy at the API boundary.
+    assert memo[faults.fingerprint()].dtype == np.int8
+    assert first.dtype == np.int64 and first.flags.writeable
+    assert np.array_equal(first, want)
+    first[:] = 0  # the caller's copy, not the memo
+    again = surviving_distance_matrix(graph.copy(), faults)  # copies share the memo
+    assert np.array_equal(again, want) and again is not first
+    assert len(memo) == 1
+    surviving_distance_matrix(graph, other)
+    assert set(memo) == {faults.fingerprint(), other.fingerprint()}
+    mutated = graph.copy()
+    mutated.add_edge(0, 14)  # a new snapshot starts an empty memo
+    assert mutated.derived.surviving == {}
+
+
 def test_functional_hops_treats_dropped_as_absorbing():
     succ = np.array([1, 2, 2, DROPPED, 0], dtype=np.int64)
     stop = np.array([False, False, True, False, False])

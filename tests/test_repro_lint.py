@@ -28,6 +28,12 @@ def _codes(findings):
     return [f.code for f in findings]
 
 
+@pytest.fixture(scope="module")
+def real_tree_findings():
+    """The findings on the real tree, linted once for every test that reads them."""
+    return repro_lint.lint_tree()
+
+
 class TestSentinelRule:
     def test_raw_minus_two_flagged(self, tmp_path):
         findings = _lint(tmp_path, "src/repro/sim/x.py", "bad = value == -2\n")
@@ -359,7 +365,7 @@ class TestNetworkxImportRule:
         src = "import networkx  # repro-lint: allow-networkx\n"
         assert _codes(_lint(tmp_path, "src/repro/graphs/x.py", src)) == ["REP010"]
 
-    def test_real_tree_never_imports_networkx(self):
+    def test_real_tree_never_imports_networkx(self, real_tree_findings):
         root = repro_lint.ROOT
         sites = [
             path.relative_to(root).as_posix()
@@ -367,7 +373,57 @@ class TestNetworkxImportRule:
             if list(repro_lint._imports_of(ast.parse(path.read_text()), "networkx"))
         ]
         assert sites == []
-        findings = [f for f in repro_lint.lint_tree() if f.code == "REP010"]
+        findings = [f for f in real_tree_findings if f.code == "REP010"]
+        assert findings == []
+
+
+class TestPickleImportRule:
+    PICKLES = (
+        "import pickle\n",
+        "import pickle as pkl\n",
+        "from pickle import dumps, loads\n",
+        "import shelve\n",
+        "from shelve import open as open_shelf\n",
+        "def f():\n    import pickle\n",
+    )
+
+    @pytest.mark.parametrize("source", PICKLES)
+    @pytest.mark.parametrize(
+        "rel",
+        [
+            "src/repro/analysis/runner.py",
+            "src/repro/store.py",
+            "src/repro/graphs/digraph.py",
+            "src/repro/cli/main.py",
+        ],
+    )
+    def test_pickle_imports_flagged_everywhere_in_the_package(self, tmp_path, rel, source):
+        findings = _lint(tmp_path, rel, source)
+        assert _codes(findings) == ["REP012"]
+        assert "ProgramStore" in findings[0].message
+
+    def test_the_old_result_pickle_layer_is_flagged(self, tmp_path):
+        # The import block of the runner when result rows were pickles
+        # beside the store.
+        src = "import hashlib\nimport os\nimport pickle\nimport tempfile\nimport warnings\n"
+        findings = _lint(tmp_path, "src/repro/analysis/runner.py", src)
+        assert [(f.code, f.line) for f in findings] == [("REP012", 3)]
+
+    def test_tests_and_benchmarks_may_pickle(self, tmp_path):
+        src = "import pickle\n"
+        assert _lint(tmp_path, "tests/test_store.py", src) == []
+        assert _lint(tmp_path, "benchmarks/bench_x.py", src) == []
+
+    def test_lookalike_names_allowed(self, tmp_path):
+        src = "import pickletools_stub\nfrom . import pickle\nfrom repro import shelved\n"
+        assert _lint(tmp_path, "src/repro/graphs/x.py", src) == []
+
+    def test_escape_comment_does_not_apply(self, tmp_path):
+        src = "import pickle  # repro-lint: allow-pickle\n"
+        assert _codes(_lint(tmp_path, "src/repro/store.py", src)) == ["REP012"]
+
+    def test_real_tree_never_imports_pickle(self, real_tree_findings):
+        findings = [f for f in real_tree_findings if f.code == "REP012"]
         assert findings == []
 
 
@@ -551,6 +607,5 @@ class TestDriver:
         out = capsys.readouterr().out
         assert "REP001" in out and "1 finding(s)" in out
 
-    def test_real_tree_is_clean(self):
-        findings = repro_lint.lint_tree()
-        assert findings == [], "\n".join(f.render() for f in findings)
+    def test_real_tree_is_clean(self, real_tree_findings):
+        assert real_tree_findings == [], "\n".join(f.render() for f in real_tree_findings)

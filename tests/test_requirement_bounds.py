@@ -7,6 +7,7 @@ import math
 import pytest
 
 from oracles import RawTableCoder, coded_memory_profile, coded_program_memory_profile
+from repro.analysis.runner import scheme_fingerprint
 from repro.graphs import generators
 from repro.memory import bounds
 from repro.memory.coder import TABLE_CODERS
@@ -83,14 +84,30 @@ def _assert_same_profile(got, want):
     assert got.coder_per_node == want.coder_per_node
 
 
-def _assert_profiles_match_oracle(schemes, families):
+@pytest.fixture(scope="session")
+def raced_cells():
+    """``(scheme fp, graph fp) -> built`` for every cell raced this session.
+
+    The registry grids overlap (seeds share families and seed-free
+    schemes), so each distinct cell is raced once, by the first test that
+    meets it.
+    """
+    return {}
+
+
+def _assert_profiles_match_oracle(schemes, families, raced):
     """Both profiles of every cell equal the bit-writing oracles'."""
-    cells = 0
+    grid = []
     for scheme in schemes.values():
         for graph in families.values():
+            cell = (scheme_fingerprint(scheme), graph.fingerprint())
+            grid.append(cell)
+            if cell in raced:
+                continue
             try:
                 rf = scheme.build(graph.copy())
             except ValueError:
+                raced[cell] = False
                 continue
             program = compile_or_interpret(rf)
             _assert_same_profile(
@@ -101,17 +118,19 @@ def _assert_profiles_match_oracle(schemes, families):
                     program_memory_profile(program, rf.graph),
                     coded_program_memory_profile(program, rf.graph),
                 )
-            cells += 1
-    assert cells
+            raced[cell] = True
+    assert any(raced[cell] for cell in grid)
 
 
 class TestProfilesMatchOracle:
     @pytest.mark.parametrize("seed", [0, 11])
     @pytest.mark.parametrize("size", ["small", "medium"])
-    def test_every_registry_cell(self, size, seed):
-        _assert_profiles_match_oracle(scheme_registry(seed=seed), graph_families(size, seed=seed))
+    def test_every_registry_cell(self, size, seed, raced_cells):
+        _assert_profiles_match_oracle(
+            scheme_registry(seed=seed), graph_families(size, seed=seed), raced_cells
+        )
 
-    def test_n256_grid(self):
+    def test_n256_grid(self, raced_cells):
         # The n = 256 grid of the pipeline benchmark: three families, six schemes.
         names = (
             "tables-lowest-port",
@@ -127,7 +146,9 @@ class TestProfilesMatchOracle:
             "torus": generators.torus_2d(16, 16),
             "random-sparse": generators.random_connected_graph(256, extra_edge_prob=0.01, seed=0),
         }
-        _assert_profiles_match_oracle({name: registry[name] for name in names}, families)
+        _assert_profiles_match_oracle(
+            {name: registry[name] for name in names}, families, raced_cells
+        )
 
     def test_profile_without_program_compiles_one(self, grid_4x4):
         rf = ShortestPathTableScheme().build(grid_4x4)

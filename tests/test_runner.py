@@ -5,8 +5,8 @@ Three layers:
 * **Fingerprints** — graph fingerprints are stable across copies, sensitive
   to port relabelling, and hash-seed independent; scheme fingerprints are
   sensitive to every config knob (seed, tie-break, stretch, nesting).
-* **Cache** — hit/miss accounting, on-disk round trips, atomicity of the
-  layout, corrupt-entry degradation, schema keying.
+* **Cache** — hit/miss accounting, row records round-tripping through the
+  store, bad records degrading to one counted miss, schema keying and gc.
 * **Sharding** — pooled grid runs (`processes=2`) reproduce serial ones
   (`processes=1`) bit for bit, skips included, and re-runs are pure cache
   hits; the serial wrappers (`table1_report`, `run_conformance_suite`) return
@@ -16,7 +16,10 @@ Three layers:
 
 from __future__ import annotations
 
-import pickle
+import json
+import warnings
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 import pytest
@@ -33,11 +36,11 @@ from repro.analysis.runner import (
 )
 from repro.analysis.table1 import table1_report
 from repro.graphs import generators
-from repro.graphs.shortest_paths import distance_matrix
 from repro.routing.hierarchical import HierarchicalSpannerScheme
 from repro.routing.landmark import CowenLandmarkScheme
 from repro.routing.tables import ShortestPathTableScheme
 from repro.sim.conformance import run_conformance_suite
+from repro.store import ProgramStore
 
 
 def _graphs():
@@ -106,52 +109,101 @@ class TestFingerprints:
 # ----------------------------------------------------------------------
 # cache
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class _Probe:
+    """A flat result row, the shape every cached row kind has."""
+
+    label: str
+    value: float
+    exact: Tuple[int, int]
+
+
+PROBE = _Probe("probe", 0.1 + 0.2, (3, 1))
+
+
+def _probe_get(cache, compute):
+    return cache.get(_Probe, compute, "probe-row", "graph-fp", "scheme-fp")
+
+
+def _rewrite_last_record(root, edit):
+    """Replace the manifest's last line with ``edit(line)``'s bytes."""
+    manifest = root / "manifest.jsonl"
+    lines = manifest.read_bytes().splitlines()
+    lines[-1] = edit(lines[-1])
+    manifest.write_bytes(b"\n".join(lines) + b"\n")
+
+
 class TestExperimentCache:
     def test_memory_only_cache_dedupes_within_run(self):
         cache = ExperimentCache(None)
         calls = []
-        value = cache.get(lambda: calls.append(1) or "v", "k1")
-        again = cache.get(lambda: calls.append(1) or "v", "k1")
-        assert value == again == "v"
+        value = _probe_get(cache, lambda: calls.append(1) or PROBE)
+        again = _probe_get(cache, lambda: calls.append(1) or PROBE)
+        assert value == again == PROBE
         assert calls == [1]
         assert (cache.hits, cache.misses) == (1, 1)
 
-    def test_disk_cache_round_trips_across_instances(self, tmp_path):
+    def test_rows_round_trip_across_instances_as_records(self, tmp_path):
         first = ExperimentCache(tmp_path)
-        graph = generators.grid_2d(3, 3)
-        compute = lambda: np.array(distance_matrix(graph))  # noqa: E731
-        dist = first.get(compute, "probe", graph.fingerprint())
+        assert _probe_get(first, lambda: PROBE) == PROBE
         assert first.misses == 1
         second = ExperimentCache(tmp_path)
-        again = second.get(compute, "probe", graph.fingerprint())
-        assert second.hits == 1 and second.misses == 0
-        assert np.array_equal(dist, again)
-        assert np.array_equal(dist, distance_matrix(graph))
+        again = _probe_get(second, lambda: pytest.fail("recomputed a stored row"))
+        assert (second.hits, second.misses) == (1, 0)
+        assert again == PROBE and isinstance(again.exact, tuple)
+        (record,) = second.program_store.records()
+        assert record.kind == "probe-row" and record.row is not None
+        assert (record.graph, record.scheme) == ("graph-fp", "scheme-fp")
+        # Canonical JSON: sorted keys, the row's fields and nothing pickled.
+        line = (tmp_path / "manifest.jsonl").read_bytes().strip()
+        assert line == json.dumps(json.loads(line), sort_keys=True).encode()
+        assert not list(tmp_path.glob("??/*.pkl"))
 
-    def test_corrupt_entry_degrades_to_recompute(self, tmp_path):
-        cache = ExperimentCache(tmp_path)
-        key = cache.key("probe")
-        cache.store(key, {"payload": 1})
-        path = cache._path(key)
-        path.write_bytes(b"\x80garbage")
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda line: line[: len(line) // 2], id="garbled"),
+            pytest.param(
+                lambda line: json.dumps(
+                    {**json.loads(line), "row": {**json.loads(line)["row"], "bogus": 1}},
+                    sort_keys=True,
+                ).encode(),
+                id="unknown-field",
+            ),
+            pytest.param(
+                lambda line: json.dumps(
+                    {**json.loads(line), "row": {"label": "probe"}}, sort_keys=True
+                ).encode(),
+                id="missing-field",
+            ),
+        ],
+    )
+    def test_bad_row_record_is_one_counted_miss_and_is_rewritten(self, tmp_path, edit):
+        _probe_get(ExperimentCache(tmp_path), lambda: PROBE)
+        _rewrite_last_record(tmp_path, edit)
         fresh = ExperimentCache(tmp_path)
-        assert fresh.get(lambda: "recomputed", "probe") == "recomputed"
-        # The recomputed value overwrote the corrupt file.
-        assert pickle.loads(path.read_bytes()) == "recomputed"
+        with pytest.warns(RuntimeWarning, match=str(tmp_path / "manifest.jsonl")):
+            assert _probe_get(fresh, lambda: PROBE) == PROBE
+        assert (fresh.hits, fresh.misses, fresh.degraded_entries) == (0, 1, 1)
+        # The recomputed row was appended and is what the next reader serves.
+        warm = ExperimentCache(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # a garbled line stays until gc
+            assert _probe_get(warm, lambda: pytest.fail("recomputed")) == PROBE
+        assert (warm.hits, warm.misses) == (1, 0)
 
-    def test_corrupt_entry_warns_with_path_and_counts_degraded(self, tmp_path):
-        cache = ExperimentCache(tmp_path)
-        key = cache.key("probe")
-        cache.store(key, {"payload": 1})
-        path = cache._path(key)
-        path.write_bytes(b"\x80garbage")
-        fresh = ExperimentCache(tmp_path)
-        with pytest.warns(RuntimeWarning, match=str(path)):
-            assert fresh.get(lambda: "recomputed", "probe") == "recomputed"
-        assert fresh.degraded == 1
-        assert fresh.degraded_entries == 1
+    def test_schema_bump_gc_drops_old_row_records(self, tmp_path, monkeypatch):
+        import repro.store
 
-    def test_degraded_entries_sums_cache_and_program_store(self, tmp_path):
+        _probe_get(ExperimentCache(tmp_path), lambda: PROBE)
+        store = ProgramStore(tmp_path)
+        assert store.gc().records_kept == 1  # live under the schema that wrote it
+        monkeypatch.setattr(repro.store, "CACHE_SCHEMA", repro.store.CACHE_SCHEMA + 1)
+        stats = ProgramStore(tmp_path).gc()
+        assert (stats.records_kept, stats.records_dropped) == (0, 1)
+        assert ProgramStore(tmp_path).records() == []
+
+    def test_degraded_entries_is_the_store_counter(self, tmp_path):
         from repro.routing.tables import ShortestPathTableScheme as Tables
 
         cache = ExperimentCache(tmp_path)
@@ -164,9 +216,8 @@ class TestExperimentCache:
         fresh = ExperimentCache(tmp_path)
         with pytest.warns(RuntimeWarning, match="degraded store entry"):
             assert fresh.load_program_entry(key) == (False, None)
-        assert fresh.degraded == 0  # the pickle side saw nothing
-        assert fresh.program_store.degraded == 1
-        assert fresh.degraded_entries == 1
+        assert fresh.program_store.degraded == fresh.degraded_entries == 1
+        assert ExperimentCache(None).degraded_entries == 0
 
     def test_shard_stats_surface_degraded_counts(self, tmp_path):
         from repro.sim.registry import resolve_families, resolve_schemes
@@ -192,20 +243,6 @@ class TestExperimentCache:
         cache = ExperimentCache(None)
         assert cache.key("a", 1) != cache.key("a", 2)
         assert cache.key("a") != cache.key("b")
-
-    def test_unreadable_entry_from_stale_class_degrades_to_recompute(self, tmp_path):
-        # Unpickling a class that no longer exists raises ImportError-family
-        # errors; the cache must treat that as a miss, not crash the sweep.
-        cache = ExperimentCache(tmp_path)
-        key = cache.key("stale")
-        path = cache._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(
-            b"\x80\x04\x95\x1d\x00\x00\x00\x00\x00\x00\x00\x8c\x0bno_such_mod"
-            b"\x94\x8c\x07NoClass\x94\x93\x94."
-        )
-        fresh = ExperimentCache(tmp_path)
-        assert fresh.get(lambda: "recomputed", "stale") == "recomputed"
 
     def test_fingerprint_rejects_address_only_reprs(self):
         class _Opaque:
@@ -397,3 +434,72 @@ class TestExperimentsThroughRunner:
         again = special_graphs_experiment(runner=runner, **kwargs)
         assert again == plain
         assert runner.stats().hits > 0
+
+
+# ----------------------------------------------------------------------
+# warm reruns: every row from a store record
+# ----------------------------------------------------------------------
+class TestWarmRowsFromRecords:
+    """A rerun against a written store is served wholly from row records.
+
+    The warm runner is a fresh object (a new process's view): nothing it
+    returns can come from the cold run's in-process memo.
+    """
+
+    @staticmethod
+    def _served_from_records(runner):
+        cache = runner.cache
+        assert cache.misses == 0 and cache.hits > 0
+        assert cache.program_hits + cache.program_misses == 0  # no program was touched
+        assert cache.degraded_entries == 0
+
+    def test_table1_small_registry(self, tmp_path):
+        from repro.sim.registry import graph_families
+
+        graphs = sorted(graph_families("small", seed=0).items())
+        cold, _ = ShardedRunner(cache_dir=tmp_path, processes=1).table1_report(graphs)
+        warm_runner = ShardedRunner(cache_dir=tmp_path, processes=1)
+        warm, stats = warm_runner.table1_report(graphs)
+        assert warm == cold
+        self._served_from_records(warm_runner)
+        assert stats.misses == 0
+
+    def test_repro_simulate_small_registry(self, tmp_path, capsys):
+        from repro.cli.main import main
+
+        def simulate():
+            assert main(["simulate", "--store", str(tmp_path), "--registry", "small"]) == 0
+            rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+            return rows[:-1], rows[-1]
+
+        cold, cold_summary = simulate()
+        warm, warm_summary = simulate()
+        assert warm == cold
+        assert cold_summary["misses"] > 0
+        assert (warm_summary["misses"], warm_summary["degraded"]) == (0, 0)
+        # One row-record hit per data row; skipped cells hit their cached
+        # build-refusal verdict (a program lookup), and nothing is rebuilt.
+        assert warm_summary["compile_misses"] == 0
+        assert warm_summary["hits"] == warm_summary["cells"] + warm_summary["compile_hits"]
+        assert warm_summary["compile_hits"] == warm_summary["skipped"]
+
+    def test_e7_and_e8(self, tmp_path):
+        kwargs = dict(
+            hypercube_dims=(3, 4),
+            complete_sizes=(8,),
+            tree_sizes=(15,),
+            outerplanar_sizes=(16,),
+        )
+        cold_runner = ShardedRunner(cache_dir=tmp_path, processes=1)
+        cold = (
+            special_graphs_experiment(runner=cold_runner, **kwargs),
+            stretch_tradeoff_experiment(n=24, seed=2, runner=cold_runner),
+        )
+        warm_runner = ShardedRunner(cache_dir=tmp_path, processes=1)
+        warm = (
+            special_graphs_experiment(runner=warm_runner, **kwargs),
+            stretch_tradeoff_experiment(n=24, seed=2, runner=warm_runner),
+        )
+        assert warm == cold
+        self._served_from_records(warm_runner)
+        assert warm_runner.cache.hits == len(cold[0]) + len(cold[1])

@@ -131,7 +131,7 @@ class TestCowenLandmark:
         from repro.graphs.digraph import PortLabeledGraph
 
         rf = CowenLandmarkScheme().build(PortLabeledGraph(1))
-        assert rf.local_table_size(0) == 0
+        assert rf.table_sizes().tolist() == [0]
 
     def test_rejects_disconnected(self):
         from repro.graphs.digraph import PortLabeledGraph

@@ -296,14 +296,14 @@ def test_gc_reclaims_records_of_a_superseded_cache_schema(tmp_path, monkeypatch)
     # Under the schema that wrote them every record is live.
     assert store.gc().orphans_removed == 0 and len(store.records()) == len(old)
 
-    monkeypatch.setattr(repro.store, "CACHE_SCHEMA", 5)
+    monkeypatch.setattr(repro.store, "CACHE_SCHEMA", repro.store.CACHE_SCHEMA + 1)
     ShardedRunner(tmp_path, processes=1).program_sweep(families={"petersen": both["petersen"]})
     manual = store.put("hand-written", _program(n=13, seed=4))  # no provenance: kept
     store = ProgramStore(tmp_path)
     current = [r for r in store.records() if r.key not in {o.key for o in old}]
     current_objects = {r.object_id for r in current if r.object_id is not None}
     superseded = old_objects - current_objects
-    assert superseded  # the cycle's programs were not recompiled under 5
+    assert superseded  # the cycle's programs were not recompiled under the bump
     stats = store.gc()
     assert stats.orphans_removed == len(superseded)
     for object_id in superseded:
@@ -317,6 +317,28 @@ def test_gc_reclaims_records_of_a_superseded_cache_schema(tmp_path, monkeypatch)
         assert found
     assert store.get("hand-written", verify=True)[0]
     assert _closure_holds(store)
+
+
+def test_gc_removes_the_legacy_result_pickles_of_an_older_store(tmp_path):
+    # An older version kept result rows and surviving-graph distances as
+    # <root>/<key[:2]>/<key>.pkl beside the store; nothing reads them now.
+    import pickle
+
+    store = ProgramStore(tmp_path)
+    live = store.put("cell", _program())
+    legacy = []
+    for key in ("ab" + "0" * 62, "ab" + "1" * 62, "cd" + "2" * 62):
+        path = tmp_path / key[:2] / f"{key}.pkl"
+        path.parent.mkdir(exist_ok=True)
+        path.write_bytes(pickle.dumps(np.zeros((4, 4), dtype=np.int64)))
+        legacy.append(path)
+    stats = ProgramStore(tmp_path).gc()
+    assert stats.legacy_removed == 3
+    assert (stats.orphans_removed, stats.records_kept) == (0, 1)
+    assert not any(path.exists() for path in legacy)
+    assert not (tmp_path / "ab").exists() and not (tmp_path / "cd").exists()
+    assert store.object_path(live.object_id).exists()
+    assert ProgramStore(tmp_path).gc().legacy_removed == 0
 
 
 def test_gc_keeps_shared_object_while_any_record_references_it(tmp_path):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific AST lint for the routing/sim core.
 
-Eleven rules guard invariants that generic linters cannot see, all scoped
+Twelve rules guard invariants that generic linters cannot see, all scoped
 to the modules where the invariant lives:
 
 REP001  Raw ``-2`` / ``-3`` integer literals anywhere in ``repro.sim`` or
@@ -109,6 +109,15 @@ REP011  ``BitWriter`` / ``BitReader`` anywhere under ``src/repro`` but
         the encoders that check those lengths live in
         ``tests/oracles.py``.  There is no escape comment.
 
+REP012  Any ``pickle`` / ``shelve`` import anywhere under ``src/repro``.
+        What the package persists is either a content-addressed program
+        object or a typed JSON manifest record of
+        :class:`repro.store.ProgramStore`, both covered by its ``gc``,
+        schema rule and ``degraded`` counter; a pickle beside them is a
+        second, unrecorded store that executes whatever a shared cache
+        directory holds.  Process-pool payloads still pickle implicitly,
+        which imports nothing.  There is no escape comment.
+
 Pure stdlib (``ast`` + ``tokenize``): runs anywhere CPython runs, no
 installs.  Exit status 1 when any finding is emitted, 0 on a clean tree.
 """
@@ -162,6 +171,10 @@ SCIPY_SCOPE = ("src/repro",)
 
 #: REP010 scope: the whole runtime package.
 NETWORKX_SCOPE = ("src/repro",)
+
+#: REP012 scope: the whole runtime package, and the modules it rejects.
+PICKLE_SCOPE = ("src/repro",)
+PICKLE_MODULES = ("pickle", "shelve")
 
 #: REP008 scope: the whole runtime package.
 METHOD_SCOPE = ("src/repro",)
@@ -539,6 +552,19 @@ def check_networkx_imports(path: Path, tree: ast.Module, source: str) -> Iterato
         )
 
 
+def check_pickle_imports(path: Path, tree: ast.Module, source: str) -> Iterator[Finding]:
+    """REP012: pickle/shelve imports in the runtime package."""
+    for node, names in _imported_names(tree):
+        if any(_is_module(name, PICKLE_MODULES) for name in names):
+            yield Finding(
+                path,
+                node.lineno,
+                "REP012",
+                "pickle/shelve imported under src/repro: persist through "
+                "repro.store.ProgramStore (program objects or typed row records)",
+            )
+
+
 def check_method_parameters(path: Path, tree: ast.Module, source: str) -> Iterator[Finding]:
     """REP008: function parameters named ``method`` in the runtime package."""
     for node in ast.walk(tree):
@@ -642,6 +668,8 @@ def lint_file(path: Path, root: Path = ROOT) -> List[Finding]:
         findings.extend(check_scipy_imports(path, tree, source))
     if _in_scope(path, NETWORKX_SCOPE, root):
         findings.extend(check_networkx_imports(path, tree, source))
+    if _in_scope(path, PICKLE_SCOPE, root):
+        findings.extend(check_pickle_imports(path, tree, source))
     if _in_scope(path, METHOD_SCOPE, root):
         findings.extend(check_method_parameters(path, tree, source))
     if _in_scope(path, EXPLOSION_SCOPE, root) and not _in_scope(path, (EXPLOSION_OWNER,), root):
@@ -664,6 +692,7 @@ def lint_tree(root: Path = ROOT) -> List[Finding]:
         POOL_SCOPE,
         SCIPY_SCOPE,
         NETWORKX_SCOPE,
+        PICKLE_SCOPE,
         METHOD_SCOPE,
         EXPLOSION_SCOPE,
         BITS_SCOPE,
