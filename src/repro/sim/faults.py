@@ -296,8 +296,8 @@ def surviving_distance_matrix(
     by the faults and for every pair touching a failed node (distances are
     undefined at dead vertices, including the diagonal).  Computed on a
     masked adjacency once per graph snapshot and fault set, memoised in
-    :attr:`PortLabeledGraph.derived` in the narrowest signed dtype that holds
-    the diameter; every call returns a fresh int64 copy.
+    :attr:`PortLabeledGraph.derived` in the narrowest signed dtype holding
+    ``UNREACHABLE`` and the diameter; each call returns a fresh int64 copy.
     """
     surviving = graph.derived.surviving
     key = faults.fingerprint()
@@ -317,8 +317,8 @@ def surviving_distance_matrix(
         dist = bfs_rows(masked_indptr, indices[ok], n)
         dist[~alive, :] = UNREACHABLE
         dist[:, ~alive] = UNREACHABLE
-        diameter = int(dist.max(initial=0))
-        narrow = surviving[key] = dist.astype(np.min_scalar_type(-max(diameter, 1)))
+        diameter = int(dist.max(initial=0))  # the dtype holds -1 and +diameter
+        narrow = surviving[key] = dist.astype(np.min_scalar_type(-diameter - 1))
     return narrow.astype(np.int64)
 
 

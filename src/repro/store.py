@@ -163,6 +163,12 @@ def _current(record: StoreRecord) -> bool:
     return record.key == cache_key("program", record.graph, record.scheme)
 
 
+def _is_legacy_pickle(path: Path) -> bool:
+    """Whether ``path`` is ``<root>/<key[:2]>/<key>.pkl`` for a sha256 hex key."""
+    key = path.stem
+    return len(key) == 64 and set(key) <= set("0123456789abcdef") and path.parent.name == key[:2]
+
+
 class ProgramStore:
     """Content-addressed registry of compiled routing programs.
 
@@ -447,8 +453,8 @@ class ProgramStore:
         manifest record references (a record naming its graph and scheme is
         live only while its key is theirs under :data:`CACHE_SCHEMA`, a row
         record only while it was written under it) — and the legacy
-        ``<root>/??/*.pkl`` result pickles an older version kept beside the
-        store; (2)
+        ``<root>/<key[:2]>/<key>.pkl`` result pickles (``key`` a sha256 hex
+        digest) an older version kept beside the store, and no other file; (2)
         with ``max_bytes``, evict least-recently-used referenced objects
         (and every record naming them) until the survivors' total size fits
         the bound; (3) rewrite
@@ -471,7 +477,7 @@ class ProgramStore:
             if object_id not in referenced:
                 stats.orphans_removed += 1
                 path.unlink(missing_ok=True)
-        legacy = sorted(self.root.glob("??/*.pkl"))
+        legacy = sorted(p for p in self.root.glob("??/*.pkl") if _is_legacy_pickle(p))
         for path in legacy:
             path.unlink(missing_ok=True)
         for folder in {path.parent for path in legacy}:

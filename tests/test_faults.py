@@ -481,6 +481,31 @@ def test_surviving_distances_are_derived_once_per_graph_and_fault_set():
     assert mutated.derived.surviving == {}
 
 
+@pytest.mark.parametrize(
+    "graph, faults, diameter, dtype",
+    [
+        (generators.path_graph(128), FaultSet(), 127, np.int8),
+        (generators.path_graph(129), FaultSet(), 128, np.int16),
+        (generators.cycle_graph(129), FaultSet(edges=((0, 1),)), 128, np.int16),
+    ],
+    ids=["path-127", "path-128", "cycle-129-cut"],
+)
+def test_surviving_distance_memo_holds_the_diameter_at_the_int8_edge(
+    graph, faults, diameter, dtype
+):
+    # +diameter must fit the memo's dtype next to UNREACHABLE: a diameter of
+    # 128 in int8 would wrap to -128.
+    got = surviving_distance_matrix(graph, faults)
+    assert graph.derived.surviving[faults.fingerprint()].dtype == dtype
+    # No failed node, so the survivor keeps every label; its int64 BFS is
+    # the answer.
+    survivor, old_to_new = surviving_graph(graph, faults)
+    assert np.array_equal(old_to_new, np.arange(graph.n))
+    want = distance_matrix(survivor)
+    assert want.dtype == np.int64 and int(want.max()) == diameter
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
 def test_functional_hops_treats_dropped_as_absorbing():
     succ = np.array([1, 2, 2, DROPPED, 0], dtype=np.int64)
     stop = np.array([False, False, True, False, False])

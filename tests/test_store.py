@@ -332,11 +332,21 @@ def test_gc_removes_the_legacy_result_pickles_of_an_older_store(tmp_path):
         path.parent.mkdir(exist_ok=True)
         path.write_bytes(pickle.dumps(np.zeros((4, 4), dtype=np.int64)))
         legacy.append(path)
+    # Pickles outside that layout are not the store's: gc leaves them.
+    foreign = [
+        tmp_path / "ef" / "notes.pkl",  # not a sha256 hex stem
+        tmp_path / "ef" / ("ab" + "3" * 62 + ".pkl"),  # folder is not key[:2]
+        tmp_path / "AB" / ("AB" + "4" * 62 + ".pkl"),  # not lower-case hex
+    ]
+    for path in foreign:
+        path.parent.mkdir(exist_ok=True)
+        path.write_bytes(b"not ours")
     stats = ProgramStore(tmp_path).gc()
     assert stats.legacy_removed == 3
     assert (stats.orphans_removed, stats.records_kept) == (0, 1)
     assert not any(path.exists() for path in legacy)
     assert not (tmp_path / "ab").exists() and not (tmp_path / "cd").exists()
+    assert all(path.read_bytes() == b"not ours" for path in foreign)
     assert store.object_path(live.object_id).exists()
     assert ProgramStore(tmp_path).gc().legacy_removed == 0
 
