@@ -20,7 +20,9 @@ The package is organised in five layers (see DESIGN.md):
   numpy next-hop matrices with exact livelock detection) and the
   scheme x graph-family conformance harness cross-checked against Table 1;
 * :mod:`repro.analysis` — experiment drivers regenerating every table and
-  figure of the paper (see EXPERIMENTS.md).
+  figure of the paper (see EXPERIMENTS.md); every registry sweep, Table 1
+  and the conformance suite included, is a
+  :class:`~repro.analysis.runner.ShardedRunner` method.
 
 Quick start::
 
@@ -48,7 +50,6 @@ from repro.routing import (
 from repro.memory import memory_profile
 from repro.sim import (
     ConformanceReport,
-    run_conformance_suite,
     simulate_all_pairs,
     simulated_stretch_factor,
 )
@@ -76,7 +77,6 @@ __all__ = [
     "HierarchicalSpannerScheme",
     "memory_profile",
     "ConformanceReport",
-    "run_conformance_suite",
     "simulate_all_pairs",
     "simulated_stretch_factor",
     "ConstraintMatrix",

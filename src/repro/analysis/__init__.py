@@ -11,11 +11,18 @@
 * :mod:`repro.analysis.runner` — the sharded, cached experiment runner:
   fans the scheme x family x size grids over a process pool with an
   on-disk cache keyed by graph and scheme-config fingerprints, making
-  re-runs and benchmark sweeps incremental.
-* :mod:`repro.analysis.resilience` — the fault-injection workload: sharded
-  sweeps of seeded k-failure scenarios over the registry, one cached
-  compile per cell and one mask per scenario, aggregated into per-scheme
-  survival and stretch-degradation curves.
+  re-runs and benchmark sweeps incremental.  Every sweep is a
+  :class:`ShardedRunner` method (``ShardedRunner(processes=1)`` runs it
+  serially in memory); the workload modules below supply its cell bodies
+  and aggregators.
+* :mod:`repro.analysis.resilience` — the fault-injection workload: seeded
+  k-failure scenarios over the registry, one cached compile per cell and
+  one mask per scenario; :func:`survival_curves` aggregates the rows of
+  ``ShardedRunner.resilience_sweep`` into per-scheme survival and
+  stretch-degradation curves.
+* :mod:`repro.analysis.churn` — the incremental-delta workload behind
+  ``ShardedRunner.churn_sweep``; :func:`~repro.analysis.churn.churn_summary`
+  aggregates its per-step rows.
 * :mod:`repro.analysis.flow` — the traffic workload: seeded demand
   matrices (uniform / Zipf / gravity, weighted pair counts) routed through
   compiled programs as vectorised subtree sums, producing per-edge and
@@ -27,7 +34,6 @@ from repro.analysis.table1 import (
     Table1Row,
     group_measurements,
     measure_scheme,
-    table1_report,
     format_table1,
 )
 from repro.analysis.runner import (
@@ -41,7 +47,6 @@ from repro.analysis.resilience import (
     ResilienceCellResult,
     ResilienceCurve,
     format_resilience,
-    resilience_sweep,
     survival_curves,
 )
 from repro.analysis.flow import (
@@ -50,7 +55,6 @@ from repro.analysis.flow import (
     FlowResult,
     demand_matrix,
     demand_models,
-    flow_sweep,
     format_flow,
     gravity_demand,
     route_demand,
@@ -72,7 +76,6 @@ __all__ = [
     "Table1Row",
     "group_measurements",
     "measure_scheme",
-    "table1_report",
     "format_table1",
     "ExperimentCache",
     "ShardStats",
@@ -82,14 +85,12 @@ __all__ = [
     "ResilienceCellResult",
     "ResilienceCurve",
     "format_resilience",
-    "resilience_sweep",
     "survival_curves",
     "DemandMatrix",
     "FlowCellResult",
     "FlowResult",
     "demand_matrix",
     "demand_models",
-    "flow_sweep",
     "format_flow",
     "gravity_demand",
     "route_demand",

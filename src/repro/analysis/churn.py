@@ -50,7 +50,6 @@ __all__ = [
     "ChurnSummary",
     "churn_cell",
     "churn_summary",
-    "churn_sweep",
     "format_churn",
 ]
 
@@ -300,46 +299,6 @@ def churn_summary(cells: Sequence[ChurnCellResult]) -> List[ChurnSummary]:
             )
         )
     return summaries
-
-
-def churn_sweep(
-    runner=None,
-    schemes: Optional[Dict[str, object]] = None,
-    families: Optional[Dict[str, PortLabeledGraph]] = None,
-    size: str = "small",
-    seed: int = 0,
-    steps: int = 4,
-    flips_per_step: int = 1,
-    verify=True,
-    flow=None,
-    demand_seed: int = 0,
-):
-    """The churn experiment: registry grid x seeded churn traces.
-
-    Thin driver over :meth:`repro.analysis.runner.ShardedRunner.churn_sweep`
-    (an in-memory serial runner is created when none is passed).  Returns
-    ``(cells, summaries, skipped, stats)``: per-step rows, aggregated
-    :class:`ChurnSummary` chains, the (scheme, family) pairs that declined
-    a mutated snapshot, and the run's cache/compile hit rates.  Pass a
-    demand model name (``"zipf"``) or matrix as ``flow=`` to record every
-    patch's peak congestion and moved-traffic fraction.
-    """
-    from repro.analysis.runner import ShardedRunner
-
-    if runner is None:
-        runner = ShardedRunner(cache_dir=None, processes=1)
-    cells, skipped, stats = runner.churn_sweep(
-        schemes=schemes,
-        families=families,
-        size=size,
-        seed=seed,
-        steps=steps,
-        flips_per_step=flips_per_step,
-        verify=verify,
-        flow=flow,
-        demand_seed=demand_seed,
-    )
-    return cells, churn_summary(cells), skipped, stats
 
 
 def format_churn(summaries: Sequence[ChurnSummary]) -> str:

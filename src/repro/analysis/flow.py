@@ -81,10 +81,9 @@ from repro.routing.verify import (
     VerificationReport,
     resolve_fates,
 )
-from repro.sim.engine import SimulationResult
 
 if TYPE_CHECKING:  # runtime imports are deferred: runner imports flow back
-    from repro.analysis.runner import ExperimentCache, ShardedRunner, ShardStats
+    from repro.analysis.runner import ExperimentCache
     from repro.graphs.digraph import PortLabeledGraph
 
 __all__ = [
@@ -95,7 +94,6 @@ __all__ = [
     "demand_matrix",
     "demand_models",
     "flow_cell",
-    "flow_sweep",
     "format_flow",
     "gravity_demand",
     "route_demand",
@@ -230,8 +228,8 @@ def demand_matrix(
 ) -> DemandMatrix:
     """Resolve a demand spec — a model name, a matrix, or a raw array.
 
-    The hook surface of the sweeps: ``resilience_sweep(flow="zipf")`` and
-    friends pass the spec through here once per cell, so a string buys a
+    The hook surface of the sweeps: ``flow="zipf"`` on the runner's
+    resilience and churn sweeps pass the spec through here once per cell, so a string buys a
     seeded generated matrix at the cell's own ``n`` while precomputed
     matrices pass straight through (shape-checked).
     """
@@ -381,25 +379,6 @@ class FlowResult:
             return 0.0
         share = self.demand[mask] / self.path_max_load[mask]
         return float(capacity) * float(share.sum())
-
-    # ------------------------------------------------------------------
-    def as_simulation_result(self) -> SimulationResult:
-        """A :class:`SimulationResult` view sharing this flow's hop counts.
-
-        Only defined when every feasible pair delivered (the hop-count
-        conventions of the verifier and the executor agree exactly
-        there); the returned result's ``lengths`` is this flow's array,
-        not a copy.
-        """
-        off = ~np.eye(self.n, dtype=bool)
-        if not bool(self.delivered[off].all()):
-            raise ValueError(
-                "as_simulation_result needs a fully-delivering cell: the "
-                "executor's lengths convention (-1 for lost pairs) diverges "
-                "from the verifier's walked-prefix convention otherwise"
-            )
-        mode = "header-compiled" if self.kind == "header-state" else "compiled"
-        return SimulationResult.from_lengths(self.lengths, mode=mode)
 
 
 # ----------------------------------------------------------------------
@@ -661,38 +640,6 @@ def flow_cell(
             )
         )
     return rows
-
-
-def flow_sweep(
-    runner: Optional["ShardedRunner"] = None,
-    schemes: Optional[Dict[str, object]] = None,
-    families: Optional[Dict[str, "PortLabeledGraph"]] = None,
-    size: str = "medium",
-    seed: int = 0,
-    models: Sequence[str] = DEMAND_MODELS,
-    demand_seed: int = 0,
-    total: float = DEFAULT_TOTAL,
-) -> Tuple[List[FlowCellResult], List[Tuple[str, str]], "ShardStats"]:
-    """The flow experiment: registry grid x demand skews.
-
-    Thin driver over :meth:`repro.analysis.runner.ShardedRunner.flow_sweep`
-    (an in-memory serial runner is created when none is passed).  Returns
-    ``(cells, skipped, stats)``: per-(scheme, family, demand model) rows,
-    the cells the schemes declined, and the run's cache/compile hit rates.
-    """
-    from repro.analysis.runner import ShardedRunner
-
-    if runner is None:
-        runner = ShardedRunner(cache_dir=None, processes=1)
-    return runner.flow_sweep(
-        schemes=schemes,
-        families=families,
-        size=size,
-        seed=seed,
-        models=models,
-        demand_seed=demand_seed,
-        total=total,
-    )
 
 
 def format_flow(cells: Sequence[FlowCellResult]) -> str:

@@ -13,13 +13,14 @@ cell fetches its compiled :class:`~repro.routing.program.RoutingProgram`
 from the shared cache **once** and applies every fault mask to that one
 artifact — a warm sweep re-runs thousands of failure scenarios without
 re-building a single scheme (compile hit-rate 1.0, the benchmark pins the
->= 0.95 floor).  Surviving-graph distance matrices are cached per
-``(graph, fault set)`` alongside.
+>= 0.95 floor).  Surviving-graph distance matrices are not cached: they
+are derived once per ``(graph, fault set)`` and memoised on the graph, so
+every scheme of a family shares them.
 
-Outputs are per-scenario :class:`ResilienceCellResult` rows plus aggregated
-:class:`ResilienceCurve` survival/stretch trajectories per
-``(scheme, fault kind)`` — the per-scheme degradation curves the issue asks
-for.
+Outputs are per-scenario :class:`ResilienceCellResult` rows;
+:func:`survival_curves` aggregates them into :class:`ResilienceCurve`
+survival/stretch trajectories per ``(scheme, fault kind)`` — the
+per-scheme degradation curves.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "ResilienceCurve",
     "format_resilience",
     "resilience_cell",
-    "resilience_sweep",
     "survival_curves",
 ]
 
@@ -237,47 +237,6 @@ def survival_curves(cells: Sequence[ResilienceCellResult]) -> List[ResilienceCur
         )
         for (scheme, kind), points in sorted(curves.items())
     ]
-
-
-def resilience_sweep(
-    runner=None,
-    schemes: Optional[Dict[str, object]] = None,
-    families: Optional[Dict[str, PortLabeledGraph]] = None,
-    size: str = "medium",
-    seed: int = 0,
-    edge_ks: Sequence[int] = (1, 2, 4),
-    node_ks: Sequence[int] = (1, 2),
-    per_k: int = 2,
-    flow=None,
-    demand_seed: int = 0,
-):
-    """The resilience experiment: registry grid x seeded fault scenarios.
-
-    Thin driver over
-    :meth:`repro.analysis.runner.ShardedRunner.resilience_sweep` (an
-    in-memory serial runner is created when none is passed).  Returns
-    ``(cells, curves, skipped, stats)``: per-scenario rows, aggregated
-    :class:`ResilienceCurve` trajectories, the (scheme, family) pairs the
-    schemes declined, and the run's cache/compile hit rates.  Pass a demand
-    model name (``"zipf"``) or matrix as ``flow=`` to add demand-weighted
-    delivered-traffic fractions and peak loads to every cell and curve.
-    """
-    from repro.analysis.runner import ShardedRunner
-
-    if runner is None:
-        runner = ShardedRunner(cache_dir=None, processes=1)
-    cells, skipped, stats = runner.resilience_sweep(
-        schemes=schemes,
-        families=families,
-        size=size,
-        seed=seed,
-        edge_ks=edge_ks,
-        node_ks=node_ks,
-        per_k=per_k,
-        flow=flow,
-        demand_seed=demand_seed,
-    )
-    return cells, survival_curves(cells), skipped, stats
 
 
 def format_resilience(curves: Sequence[ResilienceCurve]) -> str:

@@ -36,8 +36,11 @@ incremental sweep:
   runner's own cache (``processes <= 1``), or through one
   :class:`concurrent.futures.ProcessPoolExecutor` mapped with
   ``chunksize=1`` — and yields one typed :class:`CellOutcome` per cell:
-  its rows or skip reason plus its cache-counter deltas.  The sweep
-  methods collect that stream into ``(rows, skipped, stats)`` with a
+  its rows or skip reason plus its cache-counter deltas.  Each sweep
+  method is a keyword-only forward to the spec builder that owns its
+  parameters and defaults (:func:`cell_spec`, :func:`resilience_spec`,
+  :func:`churn_spec`, :func:`flow_spec`), and collects that stream into
+  ``(rows, skipped, stats)`` with a
   :class:`ShardStats` carrying the cache hit rate — and the
   compiled-program hit rate — so benchmark output can show how
   incremental a re-run was; the ``repro`` CLI emits the same stream row
@@ -48,7 +51,7 @@ incremental sweep:
 
 Cells whose scheme declines the graph
 (:class:`~repro.routing.model.SchemeInapplicableError` from ``build``) are
-reported as skipped, exactly like the serial drivers; any other exception —
+reported as skipped; any other exception —
 including the simulator's own :class:`ValueError` diagnostics for lost
 pairs or invalid ports — propagates: it is a bug, not a domain
 restriction.
@@ -71,6 +74,7 @@ from repro.routing.model import RoutingFunction, SchemeInapplicableError
 from repro.routing.program import GenericProgram, RoutingProgram, compile_or_interpret
 from repro.routing.verify import verify_program
 from repro.store import ProgramStore, cache_key
+from repro.analysis.flow import DEFAULT_TOTAL, DEMAND_MODELS, flow_cell
 from repro.analysis.table1 import (
     SchemeMeasurement,
     Table1Row,
@@ -346,16 +350,6 @@ class ExperimentCache:
         return value
 
     # -- compiled-program store (content-addressed mmap artifacts) ------
-    def program_artifact_path(self, key: str) -> Optional[Path]:
-        """The ``.rpg`` object ``key`` maps to (named by the program's own
-        fingerprint, not the key); ``None`` in memory or for an unknown key."""
-        if self.program_store is None:
-            return None
-        record = self.program_store.lookup(key)
-        if record is None or record.object_id is None:
-            return None
-        return self.program_store.object_path(record.object_id)
-
     def load_program_entry(self, key: str, verify: bool = False) -> Tuple[bool, object]:
         """Look up a compiled program; ``(found, value)``, stats untouched.
 
@@ -514,7 +508,12 @@ def _conformance_cell(
     label: str,
     cache: ExperimentCache,
 ):
-    """One cached conformance cell (import deferred: conformance imports sim)."""
+    """One cached conformance cell: a :class:`~repro.sim.conformance.ConformanceReport`.
+
+    The report is a row record keyed by ``(graph, scheme config, family,
+    label)``, so a warm re-run reads it back instead of re-simulating.
+    (Import deferred: conformance imports sim.)
+    """
     from repro.sim.conformance import ConformanceReport, conformance_report
 
     def compute():
@@ -572,10 +571,11 @@ def _program_cell(
 ) -> "ProgramCellResult":
     """One compile+execute cell of a program sweep (results never cached).
 
-    Only the program artifacts are cached, so a
-    re-sweep genuinely *executes* cached programs — the compile hit-rate in
-    the resulting :class:`ShardStats` measures exactly how many schemes
-    were never re-built.
+    The pure compile-once workload: only the program artifacts are
+    cached, so a warm re-sweep genuinely *executes* cached programs
+    without re-building any scheme — the compile hit-rate in the resulting
+    :class:`ShardStats` measures exactly how many schemes were never
+    re-built.
     """
     from repro.sim.engine import execute_program
 
@@ -605,8 +605,10 @@ def _verify_cell(
     integrity gate* (``verify=True`` on disk loads), then the full
     classification is proven by :func:`repro.routing.verify.verify_program`
     — the sweep is the all-static counterpart of
-    :meth:`ShardedRunner.program_sweep` and never routes a message.
-    Generic programs are reported unverified instead of simulated.
+    :meth:`ShardedRunner.program_sweep` and never routes a message, so it
+    is the cheap standing correctness matrix CI runs over the whole
+    registry.  Generic programs are reported unverified instead of
+    simulated.
     """
     program, _ = _cached_program_with_rf(scheme, graph, cache, verify=True)
     if isinstance(program, GenericProgram):
@@ -712,7 +714,9 @@ def cell_spec(
     ``None`` picks the whole scheme registry / every ``size`` family;
     ``per_family(name, graph)`` gives a family's extra cell arguments and
     ``params`` the shared ones.  Alone it specs the one-result-per-cell
-    sweeps (compile, program, conformance, verify).
+    sweeps (compile, program, conformance, verify).  Cells run in
+    deterministic family-major order; a scheme that declines a family
+    skips that cell.
     """
     from repro.sim.registry import graph_families, scheme_registry
 
@@ -733,24 +737,36 @@ def resilience_spec(
     families: Optional[Dict[str, PortLabeledGraph]] = None,
     size: str = "medium",
     seed: int = 0,
-    edge_ks: Sequence[int] = (1, 2, 4),
-    node_ks: Sequence[int] = (1, 2),
-    per_k: int = 2,
     scenarios: Optional[Dict[str, Sequence]] = None,
     flow=None,
     demand_seed: int = 0,
+    **draws,
 ) -> SweepSpec:
-    """Spec of :meth:`ShardedRunner.resilience_sweep` (same arguments)."""
+    """Fault-injection fan-out: every registry cell x its seeded scenarios.
+
+    Each (scheme, family) cell carries *all* of that family's fault
+    scenarios: ``scenarios`` maps family name to ``(label, FaultSet)``
+    pairs, else :func:`repro.sim.registry.fault_scenarios` draws them, with
+    ``draws`` (``edge_ks``, ``node_ks``, ``per_k``) overriding its
+    defaults.  The cell fetches its compiled program from the shared cache
+    once and applies every fault mask to it, which is what makes a warm
+    sweep run thousands of failure scenarios with
+    :attr:`ShardStats.compile_hit_rate` = 1.0 and zero scheme rebuilds.
+    Per-scenario outcomes are never cached (only programs are; surviving
+    distances are memoised on each family graph), so re-sweeps genuinely
+    re-execute masked programs.  ``flow`` (a demand model name or matrix,
+    see :func:`repro.analysis.flow.demand_matrix`) adds the
+    demand-weighted traffic metrics to every scenario row.  Cells come in
+    deterministic family-major, scenario order;
+    :func:`repro.analysis.resilience.survival_curves` aggregates them.
+    """
     from repro.analysis.resilience import resilience_cell
     from repro.sim.registry import fault_scenarios
 
     def per_family(name, graph):
         if scenarios is not None:
             return {"scenarios": tuple(scenarios[name])}
-        drawn = fault_scenarios(
-            graph, seed=seed, edge_ks=edge_ks, node_ks=node_ks, per_k=per_k
-        )
-        return {"scenarios": tuple(drawn)}
+        return {"scenarios": tuple(fault_scenarios(graph, seed=seed, **draws))}
 
     return cell_spec(
         resilience_cell, schemes, families, size, seed, per_family,
@@ -763,16 +779,30 @@ def churn_spec(
     families: Optional[Dict[str, PortLabeledGraph]] = None,
     size: str = "small",
     seed: int = 0,
-    steps: int = 4,
-    flips_per_step: int = 1,
     traces: Optional[Dict[str, Sequence]] = None,
     verify=True,
     flow=None,
     demand_seed: int = 0,
+    **draws,
 ) -> SweepSpec:
-    """Spec of :meth:`ShardedRunner.churn_sweep` (same arguments).
+    """Dynamic-topology fan-out: every table cell x its seeded churn traces.
 
-    ``schemes`` defaults to the ``tables-*`` subset of the registry.
+    Each (scheme, family) cell carries *all* of that family's churn
+    traces: ``traces`` maps family name to ``(label, ChurnTrace)`` pairs,
+    else :func:`repro.sim.churn.churn_scenarios` draws them over the
+    registry instance, with ``draws`` (``steps``, ``flips_per_step``)
+    overriding its defaults.  The cell fetches its **base** compiled
+    program from the shared cache once and chains
+    :func:`~repro.routing.program.apply_delta` through every snapshot —
+    one compile, many deltas — storing each patched program back through
+    the ``.rpg`` artifact path under its own snapshot's key.  ``verify``
+    is :func:`repro.analysis.churn.churn_cell`'s.  ``schemes`` defaults to
+    the shortest-path ``tables-*`` subset of the registry (the programs
+    the delta compiler patches in place; any other scheme would recompile
+    at every step).  Per-step
+    :class:`~repro.analysis.churn.ChurnCellResult` rows come in
+    deterministic family-major, trace, step order;
+    :func:`repro.analysis.churn.churn_summary` aggregates them.
     """
     from repro.analysis.churn import churn_cell
     from repro.sim.churn import churn_scenarios
@@ -788,8 +818,7 @@ def churn_spec(
     def per_family(name, graph):
         if traces is not None:
             return {"traces": tuple(traces[name])}
-        drawn = churn_scenarios(graph, seed=seed, steps=steps, flips_per_step=flips_per_step)
-        return {"traces": tuple(drawn)}
+        return {"traces": tuple(churn_scenarios(graph, seed=seed, **draws))}
 
     return cell_spec(
         churn_cell, schemes, families, size, seed, per_family,
@@ -802,13 +831,21 @@ def flow_spec(
     families: Optional[Dict[str, PortLabeledGraph]] = None,
     size: str = "medium",
     seed: int = 0,
-    models: Sequence[str] = ("uniform", "zipf", "gravity"),
+    models: Sequence[str] = DEMAND_MODELS,
     demand_seed: int = 0,
-    total: float = 1_000_000.0,
+    total: float = DEFAULT_TOTAL,
 ) -> SweepSpec:
-    """Spec of :meth:`ShardedRunner.flow_sweep` (same arguments)."""
-    from repro.analysis.flow import flow_cell
+    """Traffic fan-out: every registry cell x the demand-skew models.
 
+    Each (scheme, family) cell carries all of that cell's demand models:
+    the cell fetches its compiled program from the shared cache once,
+    resolves its fates once, and routes every demand matrix against that
+    single hop-count array (:func:`repro.analysis.flow.flow_cell`) — a
+    warm sweep reruns the whole demand grid with
+    :attr:`ShardStats.compile_hit_rate` = 1.0 and zero scheme rebuilds.
+    Generic (opt-out) programs skip.  Cells come in deterministic
+    family-major, demand-model order.
+    """
     return cell_spec(
         flow_cell, schemes, families, size, seed,
         models=tuple(models), demand_seed=demand_seed, total=total,
@@ -941,9 +978,17 @@ class ShardedRunner:
         reference_n: Optional[int] = None,
         eps: float = 0.5,
     ) -> Tuple[List[Table1Row], ShardStats]:
-        """Sharded, cached drop-in for :func:`repro.analysis.table1.table1_report`.
+        """Measure the schemes on the graphs and group results by stretch regime.
 
-        Returns the same regime rows plus the run's :class:`ShardStats`.
+        ``graphs`` are ``(name, graph)`` pairs; ``schemes`` defaults to
+        tables, interval routing, Cowen landmarks and the spanner+landmark
+        composition; ``reference_n``, the ``n`` at which the closed-form
+        bound columns are evaluated, defaults to the largest graph
+        measured.  Partial schemes (e-cube, tree interval routing, ...)
+        are skipped on graphs outside their domain; simulation diagnostics
+        (lost pairs, invalid ports) propagate.  Returns the Table 1 regime
+        rows (:func:`repro.analysis.table1.group_measurements`) plus the
+        run's :class:`ShardStats`.
         """
         if schemes is None:
             schemes = _default_schemes()
@@ -954,167 +999,32 @@ class ShardedRunner:
         return group_measurements(measurements, reference_n, eps=eps), stats
 
     # ------------------------------------------------------------------
-    def conformance_suite(
-        self,
-        size: str = "medium",
-        seed: int = 0,
-        schemes: Optional[Dict[str, object]] = None,
-        families: Optional[Dict[str, PortLabeledGraph]] = None,
-    ):
-        """Sharded, cached drop-in for :func:`repro.sim.conformance.run_conformance_suite`.
+    # One forward per sweep kind, keyword arguments only: the spec
+    # builders (and the cell bodies they name) own every default and
+    # document the contract.  Each returns ``(rows, skipped, stats)``.
+    def conformance_suite(self, **kwargs):
+        """:func:`_conformance_cell` over :func:`cell_spec`'s grid."""
+        return self._collect(cell_spec(_conformance_cell, **kwargs))
 
-        Returns ``(reports, skipped, stats)`` with reports in the serial
-        driver's deterministic (family-major) order.
-        """
-        return self._collect(cell_spec(_conformance_cell, schemes, families, size, seed))
+    def program_sweep(self, **kwargs):
+        """:func:`_program_cell` over :func:`cell_spec`'s grid."""
+        return self._collect(cell_spec(_program_cell, **kwargs))
 
-    # ------------------------------------------------------------------
-    def program_sweep(
-        self,
-        schemes: Optional[Dict[str, object]] = None,
-        families: Optional[Dict[str, PortLabeledGraph]] = None,
-        size: str = "medium",
-        seed: int = 0,
-    ) -> Tuple[List[ProgramCellResult], List[Tuple[str, str]], ShardStats]:
-        """Compile-and-execute every (scheme, family) cell of the registries.
+    def verify_sweep(self, **kwargs):
+        """:func:`_verify_cell` over :func:`cell_spec`'s grid."""
+        return self._collect(cell_spec(_verify_cell, **kwargs))
 
-        The pure compile-once workload: each cell fetches its cell's
-        :class:`~repro.routing.program.RoutingProgram` from the shared
-        cache (compiling and storing its bytes on the first encounter) and
-        *executes* it — no measurement results are cached, so a warm
-        re-sweep genuinely executes cached bytes without re-building any
-        scheme and reports that as :attr:`ShardStats.compile_hit_rate` = 1.
-        Returns ``(results, skipped, stats)`` in deterministic family-major
-        order, skips mirroring :meth:`conformance_suite`.
-        """
-        return self._collect(cell_spec(_program_cell, schemes, families, size, seed))
+    def resilience_sweep(self, **kwargs):
+        """The sweep of :func:`resilience_spec`."""
+        return self._collect(resilience_spec(**kwargs))
 
-    # ------------------------------------------------------------------
-    def verify_sweep(
-        self,
-        schemes: Optional[Dict[str, object]] = None,
-        families: Optional[Dict[str, PortLabeledGraph]] = None,
-        size: str = "medium",
-        seed: int = 0,
-    ) -> Tuple[List[VerifyCellResult], List[Tuple[str, str]], ShardStats]:
-        """Statically verify every (scheme, family) cell of the registries.
+    def churn_sweep(self, **kwargs):
+        """The sweep of :func:`churn_spec`."""
+        return self._collect(churn_spec(**kwargs))
 
-        The all-static counterpart of :meth:`program_sweep`: each cell
-        pulls its compiled program through the cache's ``verify=True``
-        integrity gate (corrupt disk artifacts degrade to recompiles) and
-        proves the full delivered/livelocked/misdelivered/dropped
-        partition with :func:`repro.routing.verify.verify_program` — the
-        sweep executes no messages at all, so it is the cheap standing
-        correctness matrix CI runs over the whole registry.  Returns
-        ``(results, skipped, stats)`` in deterministic family-major order,
-        skips mirroring :meth:`conformance_suite`.
-        """
-        return self._collect(cell_spec(_verify_cell, schemes, families, size, seed))
-
-    # ------------------------------------------------------------------
-    def resilience_sweep(
-        self,
-        schemes: Optional[Dict[str, object]] = None,
-        families: Optional[Dict[str, PortLabeledGraph]] = None,
-        size: str = "medium",
-        seed: int = 0,
-        edge_ks: Sequence[int] = (1, 2, 4),
-        node_ks: Sequence[int] = (1, 2),
-        per_k: int = 2,
-        scenarios: Optional[Dict[str, Sequence]] = None,
-        flow=None,
-        demand_seed: int = 0,
-    ):
-        """Fault-injection fan-out: every registry cell x its seeded scenarios.
-
-        Each (scheme, family) cell carries *all* of that family's fault
-        scenarios (``scenarios`` maps family name to ``(label, FaultSet)``
-        pairs and defaults to :func:`repro.sim.registry.fault_scenarios`
-        with the given ``ks``):
-        the cell fetches its compiled program from the shared cache once
-        and applies every fault mask to it, which is what makes a warm
-        sweep run thousands of failure scenarios with
-        :attr:`ShardStats.compile_hit_rate` = 1.0 and zero scheme
-        rebuilds.  Per-scenario outcomes are never cached (only programs
-        and surviving-graph distance matrices are), so re-sweeps genuinely
-        re-execute masked programs.  ``flow`` (a demand model name or
-        matrix, see :func:`repro.analysis.flow.demand_matrix`) adds the
-        demand-weighted traffic metrics to every scenario row.  Returns
-        ``(cells, skipped, stats)`` with cells in deterministic
-        family-major, scenario order.
-        """
-        return self._collect(
-            resilience_spec(
-                schemes, families, size, seed, edge_ks, node_ks, per_k,
-                scenarios, flow, demand_seed,
-            )
-        )
-
-    # ------------------------------------------------------------------
-    def churn_sweep(
-        self,
-        schemes: Optional[Dict[str, object]] = None,
-        families: Optional[Dict[str, PortLabeledGraph]] = None,
-        size: str = "small",
-        seed: int = 0,
-        steps: int = 4,
-        flips_per_step: int = 1,
-        traces: Optional[Dict[str, Sequence]] = None,
-        verify=True,
-        flow=None,
-        demand_seed: int = 0,
-    ):
-        """Dynamic-topology fan-out: every table cell x its seeded churn traces.
-
-        Each (scheme, family) cell carries *all* of that family's churn
-        traces (``traces`` maps family name to
-        ``(label, ChurnTrace)`` pairs and defaults to
-        :func:`repro.sim.churn.churn_scenarios` over the registry
-        instance): the cell fetches its **base** compiled program from the
-        shared cache once and chains
-        :func:`~repro.routing.program.apply_delta` through every snapshot
-        — one compile, many deltas — storing each patched program back
-        through the ``.rpg`` artifact path under its own snapshot's key.
-        ``schemes`` defaults to the shortest-path table subset of the
-        registry (the programs the delta compiler patches in place; any
-        other scheme would recompile at every step).  Returns
-        ``(cells, skipped, stats)`` with per-step
-        :class:`~repro.analysis.churn.ChurnCellResult` rows in
-        deterministic family-major, trace, step order.
-        """
-        return self._collect(
-            churn_spec(
-                schemes, families, size, seed, steps, flips_per_step,
-                traces, verify, flow, demand_seed,
-            )
-        )
-
-    # ------------------------------------------------------------------
-    def flow_sweep(
-        self,
-        schemes: Optional[Dict[str, object]] = None,
-        families: Optional[Dict[str, PortLabeledGraph]] = None,
-        size: str = "medium",
-        seed: int = 0,
-        models: Sequence[str] = ("uniform", "zipf", "gravity"),
-        demand_seed: int = 0,
-        total: float = 1_000_000.0,
-    ):
-        """Traffic fan-out: every registry cell x the demand-skew models.
-
-        Each (scheme, family) cell carries all of that cell's
-        demand models: the cell fetches its compiled program from the
-        shared cache once, statically verifies it once, and routes every
-        demand matrix against that single hop-count array
-        (:func:`repro.analysis.flow.flow_cell`) — a warm sweep reruns the
-        whole demand grid with :attr:`ShardStats.compile_hit_rate` = 1.0
-        and zero scheme rebuilds.  Generic (opt-out) programs are
-        reported under ``skipped``.  Returns ``(cells, skipped, stats)``
-        with cells in deterministic family-major, demand-model order.
-        """
-        return self._collect(
-            flow_spec(schemes, families, size, seed, models, demand_seed, total)
-        )
+    def flow_sweep(self, **kwargs):
+        """The sweep of :func:`flow_spec`."""
+        return self._collect(flow_spec(**kwargs))
 
     # ------------------------------------------------------------------
     def cached_row(

@@ -13,12 +13,12 @@ and should check is the *shape*:
 * once the stretch budget reaches 3 and beyond, landmark/spanner schemes
   store far less than tables, and the gap widens with the stretch.
 
-:func:`table1_report` measures every implemented scheme on every requested
-graph (through an in-memory :class:`~repro.analysis.runner.ShardedRunner`)
-and groups the measurements by the stretch regime they land in,
-side by side with the closed-form bounds of
-:mod:`repro.memory.bounds`; :func:`format_table1` renders the rows the way
-the paper's table is laid out (one row per stretch range).
+:meth:`repro.analysis.runner.ShardedRunner.table1_report` measures every
+implemented scheme on every requested graph and groups the measurements
+(:func:`group_measurements`) by the stretch regime they land in, side by
+side with the closed-form bounds of :mod:`repro.memory.bounds`;
+:func:`format_table1` renders the rows the way the paper's table is laid
+out (one row per stretch range).
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "Table1Row",
     "measure_scheme",
     "group_measurements",
-    "table1_report",
     "format_table1",
 ]
 
@@ -135,45 +134,14 @@ def _default_schemes(seed: int = 7) -> List:
     ]
 
 
-def table1_report(
-    graphs: Sequence[Tuple[str, PortLabeledGraph]],
-    schemes: Optional[Sequence] = None,
-    reference_n: Optional[int] = None,
-    eps: float = 0.5,
-) -> List[Table1Row]:
-    """Measure the schemes on the graphs and group results by stretch regime.
-
-    Parameters
-    ----------
-    graphs:
-        ``(name, graph)`` pairs.
-    schemes:
-        Routing schemes to measure; defaults to tables, interval routing,
-        Cowen landmarks and the spanner+landmark composition.
-    reference_n:
-        The ``n`` at which the closed-form bound columns are evaluated;
-        defaults to the largest graph measured.
-
-    Runs :meth:`repro.analysis.runner.ShardedRunner.table1_report` on an
-    in-memory serial runner.  Partial schemes (e-cube, tree interval
-    routing, ...) are skipped on graphs outside their domain; simulation
-    diagnostics (lost pairs, invalid ports) propagate.
-    """
-    from repro.analysis.runner import ShardedRunner
-
-    runner = ShardedRunner(cache_dir=None, processes=1)
-    rows, _ = runner.table1_report(graphs, schemes=schemes, reference_n=reference_n, eps=eps)
-    return rows
-
-
 def group_measurements(
     measurements: Sequence[SchemeMeasurement], reference_n: int, eps: float = 0.5
 ) -> List[Table1Row]:
     """Group measurements into the Table 1 stretch-regime rows.
 
-    Shared by :func:`table1_report` and the sharded runner
-    (:meth:`repro.analysis.runner.ShardedRunner.table1_report`), whose cells
-    are measured out of process and grouped here afterwards.
+    The grouping step of
+    :meth:`repro.analysis.runner.ShardedRunner.table1_report`, whose cells
+    may be measured out of process and are grouped here afterwards.
     """
     rows: List[Table1Row] = []
     for entry in bound_formulas.table1_rows(eps=eps):

@@ -19,20 +19,28 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import os
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
+from repro.analysis.flow import DEFAULT_TOTAL, DEMAND_MODELS
 from repro.cli._output import emit, emit_error
+from repro.sim.churn import churn_scenarios
+from repro.sim.registry import fault_scenarios
 from repro.store import ProgramStore, default_store_root
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
-#: Demand models flow/resilience accept (see repro.analysis.flow.demand_matrix).
-DEMAND_MODELS = ("uniform", "zipf", "gravity")
+
+def _default(owner, name: str) -> str:
+    """``owner``'s default for parameter ``name``, rendered for help text."""
+    value = inspect.signature(owner).parameters[name].default
+    return " ".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
 def _add_store_flag(parser: argparse.ArgumentParser) -> None:
@@ -105,52 +113,54 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sweep_flags(p)
     p.add_argument(
         "--edge-k", type=int, action="append", default=None, metavar="K",
-        help="edge-failure count (repeatable; default: 1 2 4)",
+        help=f"edge-failure count (repeatable; default: {_default(fault_scenarios, 'edge_ks')})",
     )
     p.add_argument(
         "--node-k", type=int, action="append", default=None, metavar="K",
-        help="node-failure count (repeatable; default: 1 2)",
+        help=f"node-failure count (repeatable; default: {_default(fault_scenarios, 'node_ks')})",
     )
     p.add_argument(
-        "--per-k", type=int, default=2, metavar="N",
-        help="independent seeded draws per k (default: 2)",
+        "--per-k", type=int, default=None, metavar="N",
+        help=f"independent seeded draws per k (default: {_default(fault_scenarios, 'per_k')})",
     )
     p.add_argument(
         "--flow", choices=DEMAND_MODELS, default=None,
         help="add demand-weighted traffic metrics under this model",
     )
-    p.add_argument("--demand-seed", type=int, default=0, help="demand-draw seed")
+    p.add_argument("--demand-seed", type=int, default=None, help="demand-draw seed")
 
     p = sub.add_parser("churn", help="incremental-delta sweep over churn traces")
     _add_sweep_flags(p)
     p.add_argument(
-        "--steps", type=int, default=4, metavar="N",
-        help="random-churn trace length (default: 4)",
+        "--steps", type=int, default=None, metavar="N",
+        help=f"random-churn trace length (default: {_default(churn_scenarios, 'steps')})",
     )
     p.add_argument(
-        "--flips-per-step", type=int, default=1, metavar="N",
-        help="edge flips per random-churn step (default: 1)",
+        "--flips-per-step", type=int, default=None, metavar="N",
+        help="edge flips per random-churn step "
+        f"(default: {_default(churn_scenarios, 'flips_per_step')})",
     )
     p.add_argument(
         "--no-verify", action="store_true",
-        help="skip static verification of each patched program",
+        help="skip the per-step recompile and fingerprint comparison "
+        "(recompile_seconds, speedup and outcome_equal become null)",
     )
     p.add_argument(
         "--flow", choices=DEMAND_MODELS, default=None,
         help="add load-movement metrics under this demand model",
     )
-    p.add_argument("--demand-seed", type=int, default=0, help="demand-draw seed")
+    p.add_argument("--demand-seed", type=int, default=None, help="demand-draw seed")
 
     p = sub.add_parser("flow", help="traffic/flow sweep over demand models")
     _add_sweep_flags(p)
     p.add_argument(
         "--model", choices=DEMAND_MODELS, action="append", default=None,
-        help="demand model (repeatable; default: all three)",
+        help=f"demand model (repeatable; default: {' '.join(DEMAND_MODELS)})",
     )
-    p.add_argument("--demand-seed", type=int, default=0, help="demand-draw seed")
+    p.add_argument("--demand-seed", type=int, default=None, help="demand-draw seed")
     p.add_argument(
-        "--total", type=float, default=1_000_000.0,
-        help="total offered traffic per demand matrix (default: 1e6)",
+        "--total", type=float, default=None,
+        help=f"total offered traffic per demand matrix (default: {DEFAULT_TOTAL:g})",
     )
 
     p = sub.add_parser("store", help="inspect or garbage-collect the artifact store")
@@ -176,12 +186,27 @@ def _store_root(args: argparse.Namespace) -> Path:
     return default_store_root()
 
 
+#: Per-subcommand flag -> spec-builder argument.  A flag reaches the
+#: builder only when the user set it, so every default is the builder's.
+_SPEC_FLAGS = {
+    "resilience": {
+        "edge_k": "edge_ks", "node_k": "node_ks", "per_k": "per_k",
+        "flow": "flow", "demand_seed": "demand_seed",
+    },
+    "churn": {
+        "steps": "steps", "flips_per_step": "flips_per_step",
+        "flow": "flow", "demand_seed": "demand_seed",
+    },
+    "flow": {"model": "models", "demand_seed": "demand_seed", "total": "total"},
+}
+
+
 def _spec(args: argparse.Namespace):
     """The :class:`~repro.analysis.runner.SweepSpec` a sweep subcommand runs.
 
     Unset flags fall through to the spec builders' defaults (whole
-    registry, fault scenarios, churn traces, the ``tables-*`` churn
-    subset), which are also the Python API's.
+    registry, fault scenarios, churn traces, demand models, the
+    ``tables-*`` churn subset), which are also the Python API's.
     """
     from repro.analysis import runner
     from repro.sim.registry import resolve_families, resolve_schemes
@@ -191,38 +216,21 @@ def _spec(args: argparse.Namespace):
         families=resolve_families(args.family, size=args.registry, seed=args.seed),
         seed=args.seed,
     )
-    if args.command == "resilience":
-        ks = {"edge_ks": args.edge_k, "node_ks": args.node_k}
-        return runner.resilience_spec(
-            **grid,
-            **{name: value for name, value in ks.items() if value is not None},
-            per_k=args.per_k,
-            flow=args.flow,
-            demand_seed=args.demand_seed,
-        )
-    if args.command == "churn":
-        return runner.churn_spec(
-            **grid,
-            steps=args.steps,
-            flips_per_step=args.flips_per_step,
-            verify=not args.no_verify,
-            flow=args.flow,
-            demand_seed=args.demand_seed,
-        )
-    if args.command == "flow":
-        return runner.flow_spec(
-            **grid,
-            models=args.model or DEMAND_MODELS,
-            demand_seed=args.demand_seed,
-            total=args.total,
-        )
-    body = {
-        "compile": runner._compile_cell,
-        "sweep": runner._program_cell,
-        "simulate": runner._conformance_cell,
-        "verify": runner._verify_cell,
+    for flag, name in _SPEC_FLAGS.get(args.command, {}).items():
+        if getattr(args, flag) is not None:
+            grid[name] = getattr(args, flag)
+    if getattr(args, "no_verify", False):
+        grid["verify"] = False
+    builder = {
+        "compile": partial(runner.cell_spec, runner._compile_cell),
+        "sweep": partial(runner.cell_spec, runner._program_cell),
+        "simulate": partial(runner.cell_spec, runner._conformance_cell),
+        "verify": partial(runner.cell_spec, runner._verify_cell),
+        "resilience": runner.resilience_spec,
+        "churn": runner.churn_spec,
+        "flow": runner.flow_spec,
     }[args.command]
-    return runner.cell_spec(body, **grid)
+    return builder(**grid)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

@@ -25,11 +25,10 @@ fate computation of the compiled kinds: the executors
 same report (the differential suites in ``tests/test_verify.py`` and
 ``tests/test_execution.py`` pin both against per-step reference loops).
 
-Verdict codes are numerically identical to the ``PAIR_*`` outcome taxonomy
-of :mod:`repro.sim.faults`, so a report's ``outcome`` matrix can be compared
-bit-for-bit against :class:`~repro.sim.faults.FaultSimulationResult.outcome`
-(this module cannot import :mod:`repro.sim` — the dependency points the
-other way — so the equality is pinned by a test, not by sharing names).
+Verdict codes are the ``PAIR_*`` outcome taxonomy of
+:mod:`repro.sim.faults` (which aliases them), so a report's ``outcome``
+matrix compares bit-for-bit against
+:class:`~repro.sim.faults.FaultSimulationResult.outcome`.
 
 Structural corruption (an out-of-range successor, a sentinel that does not
 exist, a wrong shape) always raises :class:`ProgramVerificationError` with a
@@ -90,9 +89,8 @@ __all__ = [
 # ----------------------------------------------------------------------
 # verdict codes
 # ----------------------------------------------------------------------
-# Numerically equal to repro.sim.faults.PAIR_* on purpose: a verification
-# report's outcome matrix and a fault simulation's outcome matrix are the
-# same classification computed two ways, and tests compare them with ==.
+# repro.sim.faults.PAIR_* aliases these: a verification report's outcome
+# matrix and a fault simulation's outcome matrix are one classification.
 VERDICT_DELIVERED = 0
 VERDICT_DROPPED = 1
 VERDICT_LIVELOCKED = 2

@@ -55,8 +55,8 @@ system built around a **compile-once pipeline**:
   under the universal routing-table bound, and the Table 1 stretch regime
   the measurement lands in with its closed-form bound curves from
   :mod:`repro.memory.bounds` evaluated at the measured ``n``;
-  :func:`~repro.sim.conformance.run_conformance_suite` runs the whole
-  registry grid through :class:`repro.analysis.runner.ShardedRunner`.
+  :meth:`repro.analysis.runner.ShardedRunner.conformance_suite` runs the
+  whole registry grid.
 
 The seed's per-pair router lives in ``tests/oracles.py`` as the
 differential-testing oracle; ``tests/test_sim_conformance.py`` and
@@ -114,7 +114,6 @@ from repro.sim.conformance import (
     ConformanceReport,
     conformance_report,
     format_conformance,
-    run_conformance_suite,
 )
 from repro.sim.registry import (
     connected_instance,
@@ -161,7 +160,6 @@ __all__ = [
     "ConformanceReport",
     "conformance_report",
     "format_conformance",
-    "run_conformance_suite",
     "connected_instance",
     "fault_scenarios",
     "graph_families",

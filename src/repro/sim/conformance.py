@@ -21,8 +21,8 @@ verify exactly:
   recorded next to the measurements, making every report one executable
   cell of the table.
 
-:func:`run_conformance_suite` evaluates the full scheme x family
-cross-product of :mod:`repro.sim.registry` through the sharded runner;
+:meth:`repro.analysis.runner.ShardedRunner.conformance_suite` evaluates
+the full scheme x family cross-product of :mod:`repro.sim.registry`;
 partial schemes are recorded as skipped on graphs outside their domain.
 """
 
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,7 +45,6 @@ from repro.sim.engine import SimulationResult, simulate_all_pairs
 __all__ = [
     "ConformanceReport",
     "conformance_report",
-    "run_conformance_suite",
     "format_conformance",
 ]
 
@@ -213,32 +212,6 @@ def conformance_report(
         regime_global_upper_bits=regime_global,
         failures=tuple(failures),
     )
-
-
-def run_conformance_suite(
-    size: str = "medium",
-    seed: int = 0,
-    schemes: Optional[Dict[str, object]] = None,
-    families: Optional[Dict[str, PortLabeledGraph]] = None,
-) -> Tuple[List[ConformanceReport], List[Tuple[str, str]]]:
-    """Verify the full scheme x family cross-product of the registries.
-
-    Runs :meth:`repro.analysis.runner.ShardedRunner.conformance_suite` on
-    an in-memory serial runner.  Returns ``(reports, skipped)`` in
-    family-major order, where ``skipped`` lists the ``(scheme, family)``
-    pairs a partial scheme declined
-    (:class:`~repro.routing.model.SchemeInapplicableError`, i.e.
-    :class:`ValueError` from ``build``).  Any other exception — including
-    the simulator's own :class:`ValueError` diagnostics — propagates: it
-    is a bug, not a domain restriction.
-    """
-    from repro.analysis.runner import ShardedRunner
-
-    runner = ShardedRunner(cache_dir=None, processes=1)
-    reports, skipped, _ = runner.conformance_suite(
-        size=size, seed=seed, schemes=schemes, families=families
-    )
-    return reports, skipped
 
 
 def format_conformance(reports: Sequence[ConformanceReport]) -> str:

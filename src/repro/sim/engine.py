@@ -141,50 +141,6 @@ class SimulationResult:
     steps: int
     mode: str
 
-    @classmethod
-    def from_lengths(
-        cls,
-        lengths: np.ndarray,
-        *,
-        delivered: Optional[np.ndarray] = None,
-        misdelivered: Optional[np.ndarray] = None,
-        mode: str = "compiled",
-        steps: Optional[int] = None,
-    ) -> "SimulationResult":
-        """Wrap a caller-held hop-count matrix as a result without executing.
-
-        The lengths-sharing constructor path: the static verifier
-        (:attr:`repro.routing.verify.VerificationReport.hops`) and the flow
-        engine (:attr:`repro.analysis.flow.FlowResult.lengths`) both hold
-        exact per-pair hop counts, so a cell that already verified its
-        program can materialise the executor-shaped view from that one
-        array instead of re-running the walk.  ``lengths`` is **shared,
-        never copied** — mutating it afterwards mutates this result.
-        ``delivered`` defaults to ``lengths >= 0`` (the executor
-        convention, exact whenever the array came from an executor or
-        from a fully-delivering verification); pass explicit masks when
-        the source used the verifier's walked-prefix convention on lost
-        pairs.  ``steps`` defaults to the longest recorded route.
-        """
-        lengths = np.asarray(lengths)
-        if lengths.ndim != 2 or lengths.shape[0] != lengths.shape[1]:
-            raise ValueError(
-                f"lengths must be a square (n, n) matrix, got shape {lengths.shape}"
-            )
-        if delivered is None:
-            delivered = lengths >= 0
-        if misdelivered is None:
-            misdelivered = np.zeros(lengths.shape, dtype=bool)
-        if steps is None:
-            steps = max(int(lengths.max()), 0) if lengths.size else 0
-        return cls(
-            lengths=lengths,
-            delivered=np.asarray(delivered, dtype=bool),
-            misdelivered=np.asarray(misdelivered, dtype=bool),
-            steps=int(steps),
-            mode=mode,
-        )
-
     @property
     def n(self) -> int:
         """Number of vertices of the simulated graph."""

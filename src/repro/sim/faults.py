@@ -73,7 +73,15 @@ from repro.routing.program import (
     RoutingProgram,
     compile_or_interpret,
 )
-from repro.routing.verify import VerificationReport
+from repro.routing.verify import (
+    VERDICT_DELIVERED,
+    VERDICT_DROPPED,
+    VERDICT_INFEASIBLE,
+    VERDICT_LIVELOCKED,
+    VERDICT_MISDELIVERED,
+    VERDICT_NAMES,
+    VerificationReport,
+)
 from repro.sim.engine import _exact_max_ratio, _interpret, execute_masked_program
 
 __all__ = [
@@ -92,21 +100,16 @@ __all__ = [
     "surviving_graph",
 ]
 
-#: Pair outcome codes of :attr:`FaultSimulationResult.outcome`.
-PAIR_DELIVERED = 0
-PAIR_DROPPED = 1
-PAIR_LIVELOCKED = 2
-PAIR_MISDELIVERED = 3
-PAIR_INFEASIBLE = 4
+#: Pair outcome codes of :attr:`FaultSimulationResult.outcome`: the
+#: verifier's verdict codes under the fault taxonomy's names.
+PAIR_DELIVERED = VERDICT_DELIVERED
+PAIR_DROPPED = VERDICT_DROPPED
+PAIR_LIVELOCKED = VERDICT_LIVELOCKED
+PAIR_MISDELIVERED = VERDICT_MISDELIVERED
+PAIR_INFEASIBLE = VERDICT_INFEASIBLE
 
 #: Display names of the outcome codes, in code order.
-OUTCOME_NAMES = {
-    PAIR_DELIVERED: "delivered",
-    PAIR_DROPPED: "dropped",
-    PAIR_LIVELOCKED: "livelocked",
-    PAIR_MISDELIVERED: "misdelivered",
-    PAIR_INFEASIBLE: "infeasible",
-}
+OUTCOME_NAMES = VERDICT_NAMES
 
 
 def _normalize_edge(edge: Tuple[int, int]) -> Tuple[int, int]:
@@ -569,7 +572,6 @@ def simulate_with_faults(
         program = compile_or_interpret(rf)
     masked: Optional[RoutingProgram] = None
     report: Optional[VerificationReport] = None
-    # Verdict codes equal the PAIR_* codes (pinned by a test).
     if isinstance(program, GenericProgram):
         if rf is None:
             raise ValueError(

@@ -11,9 +11,16 @@ from repro.analysis.experiments import (
     stretch_tradeoff_experiment,
     theorem1_experiment,
 )
-from repro.analysis.table1 import format_table1, measure_scheme, table1_report
+from repro.analysis.runner import ShardedRunner
+from repro.analysis.table1 import format_table1, measure_scheme
 from repro.graphs import generators
 from repro.routing.tables import ShortestPathTableScheme
+
+
+def _table1(graphs, **kwargs):
+    """Table 1 rows measured by a serial in-memory runner."""
+    rows, _ = ShardedRunner(processes=1).table1_report(graphs, **kwargs)
+    return rows
 
 
 class TestTable1Driver:
@@ -31,7 +38,7 @@ class TestTable1Driver:
             ("grid", generators.grid_2d(3, 4)),
             ("random", generators.random_connected_graph(16, extra_edge_prob=0.15, seed=1)),
         ]
-        rows = table1_report(graphs)
+        rows = _table1(graphs)
         assert len(rows) == 6
         # Stretch-1 schemes land in the first (s = 1) row.
         stretch_one_row = rows[0]
@@ -43,22 +50,22 @@ class TestTable1Driver:
     def test_partial_schemes_are_skipped_not_fatal(self):
         from repro.routing.ecube import ECubeRoutingScheme
 
-        rows = table1_report(
+        rows = _table1(
             [("ring", generators.cycle_graph(8))],
             schemes=[ShortestPathTableScheme(), ECubeRoutingScheme()],
         )
         assert any(m.scheme == "routing-tables" for row in rows for m in row.measurements)
 
     def test_format_table1_renders_all_rows(self):
-        rows = table1_report([("grid", generators.grid_2d(3, 3))])
+        rows = _table1([("grid", generators.grid_2d(3, 3))])
         text = format_table1(rows)
         assert "stretch range" in text
         assert "s = 1" in text
         assert "routing-tables" in text
 
     def test_reference_n_defaults_to_largest_graph(self):
-        rows = table1_report([("grid", generators.grid_2d(3, 3))], reference_n=None)
-        explicit = table1_report([("grid", generators.grid_2d(3, 3))], reference_n=9)
+        rows = _table1([("grid", generators.grid_2d(3, 3))], reference_n=None)
+        explicit = _table1([("grid", generators.grid_2d(3, 3))], reference_n=9)
         assert rows[0].local_upper_bound == explicit[0].local_upper_bound
 
 

@@ -451,14 +451,12 @@ def test_patched_program_save_load_roundtrip(tmp_path):
 # sweep wiring
 # ----------------------------------------------------------------------
 def test_churn_sweep_one_compile_many_deltas(tmp_path):
-    from repro.analysis.churn import churn_sweep, format_churn
+    from repro.analysis.churn import churn_summary, format_churn
     from repro.analysis.runner import ShardedRunner
 
     runner = ShardedRunner(cache_dir=tmp_path, processes=1)
     families = {name: FAMILIES[name] for name in ("grid", "torus", "hypercube")}
-    cells, summaries, skipped, stats = churn_sweep(
-        runner=runner, families=families, seed=0, steps=3
-    )
+    cells, skipped, stats = runner.churn_sweep(families=families, seed=0, steps=3)
     assert not skipped
     assert len(cells) == len(families) * len(TABLE_SCHEMES) * 3
     assert all(c.outcome_equal for c in cells)
@@ -466,11 +464,11 @@ def test_churn_sweep_one_compile_many_deltas(tmp_path):
 
     # Warm re-sweep: every base compile is a cache hit — one compile per
     # cell ever, many deltas per program.
-    _, _, _, warm = churn_sweep(runner=runner, families=families, seed=0, steps=3)
+    _, _, warm = runner.churn_sweep(families=families, seed=0, steps=3)
     assert warm.compile_misses == 0
     assert warm.compile_hits == len(families) * len(TABLE_SCHEMES)
 
-    table = format_churn(summaries)
+    table = format_churn(churn_summary(cells))
     assert "tables-lowest-port" in table and "hypercube" in table
 
 

@@ -310,6 +310,27 @@ def test_churn_flags_and_default_scheme_subset(tmp_path, capsys):
     assert meta[-1]["command"] == "churn"
 
 
+def test_churn_verifies_by_recompiling_unless_no_verify(tmp_path, capsys):
+    # By default every step recompiles and compares fingerprints (no static
+    # proof runs); --no-verify drops that check and its three fields.
+    argv = ["churn", "--registry", "small", "--family", "cycle",
+            "--scheme", "tables-lowest-port", "--steps", "2"]
+    code, checked, _, _ = _run(capsys, argv + ["--store", str(tmp_path / "a")])
+    assert code == EXIT_OK and checked
+    for row in checked:
+        assert row["recompile_seconds"] is not None
+        assert row["speedup"] is not None
+        assert row["outcome_equal"] is True
+    code, unchecked, _, _ = _run(
+        capsys, argv + ["--store", str(tmp_path / "b"), "--no-verify"]
+    )
+    assert code == EXIT_OK and len(unchecked) == len(checked)
+    for row in unchecked:
+        assert row["recompile_seconds"] is None
+        assert row["speedup"] is None
+        assert row["outcome_equal"] is None
+
+
 def test_flow_flags(tmp_path, capsys):
     code, data, _, _ = _run(
         capsys,

@@ -21,10 +21,9 @@ Layers of guarantees over :mod:`repro.analysis.flow`:
   integer-valued, and hit the requested total.
 
 * **Integration** — ``lengths`` is the verification report's ``hops`` array
-  (shared, not copied), a report that ignores ``alive`` is refused,
-  ``SimulationResult.from_lengths`` round-trips against the executor, and
-  ``flow_sweep`` / ``resilience_sweep(flow=)`` / ``churn_sweep(flow=)``
-  run end-to-end on the small registry.
+  (shared, not copied), a report that ignores ``alive`` is refused, and
+  the runner's ``flow_sweep`` / ``resilience_sweep(flow=)`` /
+  ``churn_sweep(flow=)`` run end-to-end on the small registry.
 """
 
 from __future__ import annotations
@@ -40,13 +39,13 @@ from repro.analysis.flow import (
     demand_matrix,
     demand_models,
     flow_cell,
-    flow_sweep,
     format_flow,
     gravity_demand,
     route_demand,
     uniform_demand,
     zipf_demand,
 )
+from repro.analysis.runner import ShardedRunner
 from repro.graphs.shortest_paths import distance_matrix
 from repro.routing.program import (
     GenericProgram,
@@ -54,7 +53,6 @@ from repro.routing.program import (
     NextHopProgram,
 )
 from repro.routing.verify import VERDICT_DELIVERED, resolve_fates, verify_program
-from repro.sim import simulate_all_pairs
 from repro.sim.faults import FaultSet, apply_faults, random_fault_set, simulate_with_faults
 from repro.sim.registry import fault_scenarios, graph_families, scheme_registry
 
@@ -449,7 +447,7 @@ def test_shape_mismatch_raises(petersen):
 
 
 # ----------------------------------------------------------------------
-# integration: lengths sharing, from_lengths, and the sweeps
+# integration: lengths sharing and the sweeps
 # ----------------------------------------------------------------------
 def test_lengths_is_the_reports_hops_array(petersen):
     program = SCHEMES["tables-lowest-port"].build(petersen.copy()).compile_program()
@@ -458,21 +456,10 @@ def test_lengths_is_the_reports_hops_array(petersen):
     assert flow.lengths is report.hops  # shared, never copied
 
 
-def test_as_simulation_result_round_trips_executor(petersen):
-    rf = SCHEMES["tables-lowest-port"].build(petersen.copy())
-    program = rf.compile_program()
-    flow = route_demand(program, uniform_demand(petersen.n))
-    sim = flow.as_simulation_result()
-    executed = simulate_all_pairs(rf)
-    assert np.array_equal(sim.lengths, executed.lengths)
-    assert np.array_equal(sim.delivered, executed.delivered)
-    assert sim.lengths is flow.lengths
-
-
 def test_flow_sweep_smoke():
     schemes = {k: SCHEMES[k] for k in ("tables-lowest-port", "landmark-rewriting")}
     families = {k: FAMILIES[k] for k in ("cycle", "petersen")}
-    cells, skipped, stats = flow_sweep(
+    cells, skipped, stats = ShardedRunner(processes=1).flow_sweep(
         schemes=schemes, families=families, models=("uniform", "zipf")
     )
     assert len(cells) == 8  # 2 schemes x 2 families x 2 models
@@ -482,11 +469,12 @@ def test_flow_sweep_smoke():
 
 
 def test_resilience_sweep_flow_hook():
-    from repro.analysis.resilience import format_resilience, resilience_sweep
+    from repro.analysis.resilience import format_resilience, survival_curves
 
     schemes = {"tables-lowest-port": SCHEMES["tables-lowest-port"]}
     families = {"petersen": FAMILIES["petersen"]}
-    cells, curves, skipped, stats = resilience_sweep(
+    runner = ShardedRunner(processes=1)
+    cells, skipped, stats = runner.resilience_sweep(
         schemes=schemes,
         families=families,
         edge_ks=(1, 2),
@@ -494,17 +482,18 @@ def test_resilience_sweep_flow_hook():
         per_k=1,
         flow="zipf",
     )
+    curves = survival_curves(cells)
     assert all(c.delivered_traffic is not None for c in cells)
     assert all(0.0 <= c.delivered_traffic <= 1.0 + 1e-9 for c in cells)
     assert all(c.peak_load is not None and c.peak_load >= 0.0 for c in cells)
     assert all(curve.traffic for curve in curves)
     assert "traffic" in format_resilience(curves)
     # Without the hook the fields stay None and the column disappears.
-    cells2, curves2, _, _ = resilience_sweep(
+    cells2, _, _ = runner.resilience_sweep(
         schemes=schemes, families=families, edge_ks=(1,), node_ks=(), per_k=1
     )
     assert all(c.delivered_traffic is None for c in cells2)
-    assert "traffic" not in format_resilience(curves2)
+    assert "traffic" not in format_resilience(survival_curves(cells2))
 
 
 @pytest.mark.parametrize("scheme_name", ["tables-lowest-port", "landmark-rewriting"])
@@ -539,13 +528,14 @@ def test_resilience_flow_reuses_the_scenarios_masked_view(scheme_name):
 
 
 def test_churn_sweep_flow_hook():
-    from repro.analysis.churn import churn_sweep, format_churn
+    from repro.analysis.churn import churn_summary, format_churn
 
     schemes = {"tables-lowest-port": SCHEMES["tables-lowest-port"]}
     families = {"cycle": FAMILIES["cycle"]}
-    cells, summaries, skipped, stats = churn_sweep(
+    cells, skipped, stats = ShardedRunner(processes=1).churn_sweep(
         schemes=schemes, families=families, steps=2, flow="zipf"
     )
+    summaries = churn_summary(cells)
     measured = [c for c in cells if c.load_delta_fraction is not None]
     assert measured, "flow metrics missing from every churn step"
     assert all(c.max_congestion >= 0.0 for c in measured)

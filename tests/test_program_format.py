@@ -234,8 +234,8 @@ def test_cache_program_store_round_trips_via_rpg(tmp_path):
     program = _next_hop_program()
     key = cache.key("program", "round-trip")
     cache.store_program_entry(key, program)
-    artifact = cache.program_artifact_path(key)
-    assert artifact is not None and artifact.exists()
+    store = cache.program_store
+    assert store.object_path(store.lookup(key).object_id).exists()
 
     fresh = ExperimentCache(tmp_path)  # cold memory: must hit the .rpg
     found, loaded = fresh.load_program_entry(key)
@@ -273,8 +273,8 @@ def test_corrupt_rpg_degrades_to_a_cache_miss(tmp_path):
     program = _next_hop_program()
     key = cache.key("program", "corrupt")
     cache.store_program_entry(key, program)
-    artifact = cache.program_artifact_path(key)
-    artifact.write_bytes(b"scribbled over by a crash")
+    store = cache.program_store
+    store.object_path(store.lookup(key).object_id).write_bytes(b"scribbled over by a crash")
 
     found, _ = ExperimentCache(tmp_path).load_program_entry(key)
     assert not found  # miss, not an exception: the cell recomputes
@@ -287,7 +287,8 @@ def test_old_layout_store_object_degrades_recompiles_then_hits(tmp_path):
     program = cached_program(scheme, graph, cache)
     key = cache.program_key(graph.fingerprint(), scheme_fingerprint(scheme))
     # The object a version-2 writer left under the same address.
-    cache.program_artifact_path(key).write_bytes(_version_2_blob(program))
+    store = cache.program_store
+    store.object_path(store.lookup(key).object_id).write_bytes(_version_2_blob(program))
 
     cold = ExperimentCache(tmp_path)
     with pytest.warns(RuntimeWarning, match="format version 2"):
@@ -306,7 +307,7 @@ def test_in_memory_cache_has_no_artifact_path():
     cache = ExperimentCache(None)
     program = _next_hop_program()
     key = cache.key("program", "memory-only")
-    assert cache.program_artifact_path(key) is None
+    assert cache.program_store is None
     cache.store_program_entry(key, program)
     found, loaded = cache.load_program_entry(key)
     assert found and loaded is program

@@ -427,6 +427,68 @@ class TestPickleImportRule:
         assert findings == []
 
 
+class TestRunnerConstructionRule:
+    CONSTRUCTIONS = (
+        "runner = ShardedRunner(cache_dir=None, processes=1)\n",
+        "def f():\n    return ShardedRunner(processes=1).flow_sweep()\n",
+        "from repro.analysis import runner\nr = runner.ShardedRunner(None, 1)\n",
+        "def f(runner=None):\n    if runner is None:\n        runner = ShardedRunner()\n",
+    )
+
+    @pytest.mark.parametrize("source", CONSTRUCTIONS)
+    @pytest.mark.parametrize(
+        "rel",
+        [
+            "src/repro/analysis/resilience.py",
+            "src/repro/analysis/table1.py",
+            "src/repro/analysis/runner.py",
+            "src/repro/sim/conformance.py",
+        ],
+    )
+    def test_constructions_flagged_outside_the_cli(self, tmp_path, rel, source):
+        findings = _lint(tmp_path, rel, source)
+        assert _codes(findings) == ["REP013"]
+        assert "repro/cli" in findings[0].message
+
+    def test_the_old_serial_driver_is_flagged(self, tmp_path):
+        # The body of analysis/flow.py's flow_sweep driver.
+        src = (
+            "def flow_sweep(runner=None, **kwargs):\n"
+            "    from repro.analysis.runner import ShardedRunner\n"
+            "\n"
+            "    if runner is None:\n"
+            "        runner = ShardedRunner(cache_dir=None, processes=1)\n"
+            "    return runner.flow_sweep(**kwargs)\n"
+        )
+        findings = _lint(tmp_path, "src/repro/analysis/flow.py", src)
+        assert [(f.code, f.line) for f in findings] == [("REP013", 5)]
+
+    @pytest.mark.parametrize("source", CONSTRUCTIONS)
+    def test_the_cli_may_construct(self, tmp_path, source):
+        assert _lint(tmp_path, "src/repro/cli/main.py", source) == []
+
+    def test_tests_and_benchmarks_may_construct(self, tmp_path):
+        src = self.CONSTRUCTIONS[0]
+        assert _lint(tmp_path, "tests/test_runner.py", src) == []
+        assert _lint(tmp_path, "benchmarks/bench_x.py", src) == []
+
+    def test_other_uses_of_the_name_allowed(self, tmp_path):
+        src = (
+            "from repro.analysis.runner import ShardedRunner\n"
+            "def f(runner: ShardedRunner):\n"
+            "    assert isinstance(runner, ShardedRunner)\n"
+            "    return runner.stream(spec), ShardedRunnerFactory()\n"
+        )
+        assert _lint(tmp_path, "src/repro/analysis/churn.py", src) == []
+
+    def test_escape_comment_does_not_apply(self, tmp_path):
+        src = "r = ShardedRunner()  # repro-lint: allow-runner\n"
+        assert _codes(_lint(tmp_path, "src/repro/sim/x.py", src)) == ["REP013"]
+
+    def test_real_tree_builds_runners_only_in_the_cli(self, real_tree_findings):
+        assert [f for f in real_tree_findings if f.code == "REP013"] == []
+
+
 class TestMethodParameterRule:
     METHODS = (
         "def f(graph, method='bfs'):\n    pass\n",

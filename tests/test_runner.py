@@ -9,8 +9,8 @@ Three layers:
   store, bad records degrading to one counted miss, schema keying and gc.
 * **Sharding** — pooled grid runs (`processes=2`) reproduce serial ones
   (`processes=1`) bit for bit, skips included, and re-runs are pure cache
-  hits; the serial wrappers (`table1_report`, `run_conformance_suite`) return
-  what the runner does.  E7/E8 rows through `cached_row` equal their
+  hits; an in-memory serial runner (`ShardedRunner(processes=1)`) returns
+  what a disk-backed one does.  E7/E8 rows through `cached_row` equal their
   uncached counterparts.
 """
 
@@ -34,13 +34,17 @@ from repro.analysis.runner import (
     measure_cell,
     scheme_fingerprint,
 )
-from repro.analysis.table1 import table1_report
 from repro.graphs import generators
 from repro.routing.hierarchical import HierarchicalSpannerScheme
 from repro.routing.landmark import CowenLandmarkScheme
 from repro.routing.tables import ShortestPathTableScheme
-from repro.sim.conformance import run_conformance_suite
 from repro.store import ProgramStore
+
+
+def _in_memory_table1(graphs, **kwargs):
+    """Table 1 rows of an in-memory serial runner (no cache directory)."""
+    rows, _ = ShardedRunner(processes=1).table1_report(graphs, **kwargs)
+    return rows
 
 
 def _graphs():
@@ -211,8 +215,8 @@ class TestExperimentCache:
         program = Tables().build(graph).compile_program()
         key = cache.key("program", graph.fingerprint(), "probe-scheme")
         cache.store_program_entry(key, program)
-        artifact = cache.program_artifact_path(key)
-        artifact.write_bytes(b"not a program container")
+        store = cache.program_store
+        store.object_path(store.lookup(key).object_id).write_bytes(b"not a program container")
         fresh = ExperimentCache(tmp_path)
         with pytest.warns(RuntimeWarning, match="degraded store entry"):
             assert fresh.load_program_entry(key) == (False, None)
@@ -289,7 +293,7 @@ class TestShardedRunner:
             cache_dir=tmp_path / "serial", processes=1
         ).table1_report(graphs)
         assert serial_stats.processes == 1
-        assert _row_key(table1_report(graphs)) == _row_key(serial_rows)
+        assert _row_key(_in_memory_table1(graphs)) == _row_key(serial_rows)
         runner = ShardedRunner(cache_dir=tmp_path / "pooled", processes=2)
         rows, stats = runner.table1_report(graphs)
         assert stats.processes == 2
@@ -306,7 +310,7 @@ class TestShardedRunner:
         serial = ShardedRunner(cache_dir=tmp_path, processes=1)
         rows, stats = serial.table1_report(graphs)
         assert stats.misses == 0
-        assert _row_key(rows) == _row_key(table1_report(graphs))
+        assert _row_key(rows) == _row_key(_in_memory_table1(graphs))
 
     def test_partial_schemes_skip_not_fail(self, tmp_path):
         from repro.routing.ecube import ECubeRoutingScheme
@@ -340,7 +344,7 @@ class TestShardedRunner:
         with pytest.raises(ValueError, match="livelocked"):
             runner.table1_report(graphs, schemes=[_BounceScheme()])
         with pytest.raises(ValueError, match="livelocked"):
-            table1_report(graphs, schemes=[_BounceScheme()])
+            _in_memory_table1(graphs, schemes=[_BounceScheme()])
 
     def test_pooled_conformance_matches_serial_runner(self, tmp_path):
         from repro.routing.ecube import ECubeRoutingScheme
@@ -356,10 +360,10 @@ class TestShardedRunner:
         ).conformance_suite(schemes=schemes, families=families)
         assert serial_stats.processes == 1
         assert serial_skipped  # the partial e-cube scheme declines both graphs
-        assert run_conformance_suite(schemes=schemes, families=families) == (
-            serial_reports,
-            serial_skipped,
+        in_memory = ShardedRunner(processes=1).conformance_suite(
+            schemes=schemes, families=families
         )
+        assert in_memory[:2] == (serial_reports, serial_skipped)
         runner = ShardedRunner(cache_dir=tmp_path / "pooled", processes=2)
         reports, skipped, stats = runner.conformance_suite(
             schemes=schemes, families=families
@@ -380,7 +384,7 @@ class TestShardedRunner:
         runner = ShardedRunner(cache_dir=None, processes=4)
         rows, stats = runner.table1_report(_graphs())
         assert stats.processes == 1
-        assert _row_key(rows) == _row_key(table1_report(_graphs()))
+        assert _row_key(rows) == _row_key(_in_memory_table1(_graphs()))
         # One distance matrix per graph, not per cell.
         dist_misses = runner.cache.misses
         _, stats2 = runner.table1_report(_graphs())

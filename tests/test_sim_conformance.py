@@ -17,7 +17,7 @@ Three layers of guarantees:
   the compiled path), misdelivery is recorded per pair, invalid ports raise
   the oracle's error.
 
-* **Conformance** — :func:`repro.sim.conformance.run_conformance_suite`
+* **Conformance** — :meth:`repro.analysis.runner.ShardedRunner.conformance_suite`
   passes for every applicable scheme x family cell of the registries: all
   pairs delivered, stretch within guarantees, memory under the universal
   Table 1 ceiling (the issue's acceptance criterion).
@@ -34,6 +34,7 @@ from hypothesis import strategies as st
 
 from conftest import build_next_hop_matrix, profile_settings
 from oracles import RoutingLoopError, all_pairs_routing_lengths, route, stretch_factor
+from repro.analysis.runner import ShardedRunner
 from repro.graphs import generators
 from repro.graphs.shortest_paths import distance_matrix
 from repro.routing.model import DELIVER, DestinationBasedRoutingFunction, RoutingFunction
@@ -42,7 +43,6 @@ from repro.routing.tables import ShortestPathTableScheme
 from repro.routing.verify import resolve_fates
 from repro.sim import (
     HeaderStateExplosionError,
-    run_conformance_suite,
     simulate_all_pairs,
     simulated_routing_lengths,
     simulated_stretch_factor,
@@ -555,7 +555,7 @@ def test_simulated_stretch_factor_exact_fraction(cycle_8):
 # conformance suite (the acceptance criterion)
 # ----------------------------------------------------------------------
 def test_conformance_suite_passes_for_every_registry_cell():
-    reports, skipped = run_conformance_suite(size="small", seed=3)
+    reports, skipped, _ = ShardedRunner(processes=1).conformance_suite(size="small", seed=3)
     failures = [(r.scheme, r.family, r.failures) for r in reports if not r.ok]
     assert not failures, failures
     # Every scheme and every family is exercised at least once.

@@ -118,6 +118,14 @@ REP012  Any ``pickle`` / ``shelve`` import anywhere under ``src/repro``.
         directory holds.  Process-pool payloads still pickle implicitly,
         which imports nothing.  There is no escape comment.
 
+REP013  Any ``ShardedRunner(...)`` construction under ``src/repro`` but
+        ``repro/cli``.  Each sweep's parameters and defaults live in its
+        spec builder, and ``ShardedRunner``'s sweep methods forward to
+        it; a module-level driver that builds its own serial runner is a
+        second surface restating those defaults.  Library callers pass
+        a runner in, or build ``ShardedRunner(processes=1)`` themselves.
+        There is no escape comment.
+
 Pure stdlib (``ast`` + ``tokenize``): runs anywhere CPython runs, no
 installs.  Exit status 1 when any finding is emitted, 0 on a clean tree.
 """
@@ -175,6 +183,10 @@ NETWORKX_SCOPE = ("src/repro",)
 #: REP012 scope: the whole runtime package, and the modules it rejects.
 PICKLE_SCOPE = ("src/repro",)
 PICKLE_MODULES = ("pickle", "shelve")
+
+#: REP013 scope, and the package in it allowed to construct a runner.
+RUNNER_SCOPE = ("src/repro",)
+RUNNER_OWNER = "src/repro/cli"
 
 #: REP008 scope: the whole runtime package.
 METHOD_SCOPE = ("src/repro",)
@@ -565,6 +577,23 @@ def check_pickle_imports(path: Path, tree: ast.Module, source: str) -> Iterator[
             )
 
 
+def check_runner_constructions(path: Path, tree: ast.Module, source: str) -> Iterator[Finding]:
+    """REP013: ``ShardedRunner(...)`` built outside the CLI package."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "ShardedRunner":
+            yield Finding(
+                path,
+                node.lineno,
+                "REP013",
+                "ShardedRunner constructed outside repro/cli: take a runner from "
+                "the caller instead of wrapping its sweep methods in a serial driver",
+            )
+
+
 def check_method_parameters(path: Path, tree: ast.Module, source: str) -> Iterator[Finding]:
     """REP008: function parameters named ``method`` in the runtime package."""
     for node in ast.walk(tree):
@@ -670,6 +699,8 @@ def lint_file(path: Path, root: Path = ROOT) -> List[Finding]:
         findings.extend(check_networkx_imports(path, tree, source))
     if _in_scope(path, PICKLE_SCOPE, root):
         findings.extend(check_pickle_imports(path, tree, source))
+    if _in_scope(path, RUNNER_SCOPE, root) and not _in_scope(path, (RUNNER_OWNER,), root):
+        findings.extend(check_runner_constructions(path, tree, source))
     if _in_scope(path, METHOD_SCOPE, root):
         findings.extend(check_method_parameters(path, tree, source))
     if _in_scope(path, EXPLOSION_SCOPE, root) and not _in_scope(path, (EXPLOSION_OWNER,), root):
@@ -693,6 +724,7 @@ def lint_tree(root: Path = ROOT) -> List[Finding]:
         SCIPY_SCOPE,
         NETWORKX_SCOPE,
         PICKLE_SCOPE,
+        RUNNER_SCOPE,
         METHOD_SCOPE,
         EXPLOSION_SCOPE,
         BITS_SCOPE,
