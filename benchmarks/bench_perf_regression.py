@@ -875,13 +875,13 @@ def test_verify_speedup_vs_simulate_n1024(benchmark):
     # engine's generic per-message interpreter by at least 5x on the
     # n = 1024 hypercube table program — and must stay at least as fast
     # as the compiled executor on the same artifact, which resolves the
-    # same fates and additionally shapes them into a SimulationResult.
+    # same fates and wraps them into a SimulationResult.
     graph = generators.hypercube(CHURN_FLIP_DIM)
     scheme = ShortestPathTableScheme(tie_break="lowest_port")
     rf = scheme.build(graph.copy())
     program = compile_scheme_program(scheme, graph)
     generic, generic_s = _time(_generic, rf)
-    compiled, compiled_s = _time(simulate_all_pairs, program)
+    compiled, compiled_s = _time(execute_program, program)
 
     def _run():
         return verify_program(program)

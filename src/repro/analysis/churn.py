@@ -161,7 +161,7 @@ def churn_cell(
             raise ValueError(
                 f"trace {trace_label!r} was not generated over the cell graph"
             )
-        program = cached_program(scheme, graph, cache)
+        program, _ = cached_program(scheme, graph, cache)
         prev_flow = None
         if flow is not None and not isinstance(program, GenericProgram):
             from repro.analysis.flow import demand_matrix, route_demand

@@ -609,9 +609,9 @@ def flow_cell(
     lengths-sharing economy the sweep is built around.
     Generic programs decline the cell (nothing to aggregate over).
     """
-    from repro.analysis.runner import _cached_program_with_rf
+    from repro.analysis.runner import cached_program
 
-    program, _ = _cached_program_with_rf(scheme, graph, cache)
+    program, _ = cached_program(scheme, graph, cache)
     if isinstance(program, GenericProgram):
         raise SchemeInapplicableError(
             "generic programs carry no transition arrays to aggregate demand over"

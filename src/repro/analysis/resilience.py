@@ -136,9 +136,9 @@ def resilience_cell(
     program's peak arc load.  Generic programs skip the flow metrics
     (``None`` fields) since they carry no transition arrays to mask.
     """
-    from repro.analysis.runner import _cached_program_with_rf
+    from repro.analysis.runner import cached_program
 
-    program, rf = _cached_program_with_rf(scheme, graph, cache)
+    program, rf = cached_program(scheme, graph, cache)
     demand = None
     if flow is not None and not isinstance(program, GenericProgram):
         from repro.analysis.flow import demand_matrix

@@ -78,7 +78,7 @@ from repro.analysis.flow import DEFAULT_TOTAL, DEMAND_MODELS, flow_cell
 from repro.analysis.table1 import (
     SchemeMeasurement,
     Table1Row,
-    _default_schemes,
+    default_schemes,
     group_measurements,
     measure_scheme,
 )
@@ -394,8 +394,10 @@ def cached_program(
     graph: PortLabeledGraph,
     cache: ExperimentCache,
     rf: Optional[RoutingFunction] = None,
-) -> RoutingProgram:
-    """The compiled :class:`~repro.routing.program.RoutingProgram` of a cell.
+    verify: bool = False,
+) -> Tuple[RoutingProgram, Optional[RoutingFunction]]:
+    """The compiled :class:`~repro.routing.program.RoutingProgram` of a cell,
+    with any routing function built for it.
 
     Cached under ``(graph fingerprint, scheme fingerprint)`` as a raw
     ``.rpg`` object: a warm lookup maps it and hands back zero-copy array
@@ -405,28 +407,16 @@ def cached_program(
     broken ``can_vectorize`` promise caches the explicit
     :class:`~repro.routing.program.GenericProgram` opt-out.  Unreadable
     cached bytes degrade to recompilation, like every other store entry.
-    """
-    program, _ = _cached_program_with_rf(scheme, graph, cache, rf=rf)
-    return program
 
-
-def _cached_program_with_rf(
-    scheme,
-    graph: PortLabeledGraph,
-    cache: ExperimentCache,
-    rf: Optional[RoutingFunction] = None,
-    verify: bool = False,
-) -> Tuple[RoutingProgram, Optional[RoutingFunction]]:
-    """:func:`cached_program`, also returning any routing function it built.
-
-    A cache miss has to build the scheme in order to lower it; callers that
-    need the live function afterwards (memory profiles) reuse that build
-    instead of paying a second one.  Whenever the program is generic the
-    live function is always returned — built on a cache hit too, since
-    nothing executes a generic program without it; otherwise it is
-    ``None`` on cache hits.  ``verify=True`` routes
-    the lookup through the cache's static integrity gate: a disk artifact
-    that fails verification is treated as a miss and recompiled over.
+    Returns ``(program, rf)``.  A cache miss has to build the scheme in
+    order to lower it; callers that need the live function afterwards
+    (memory profiles) reuse that build instead of paying a second one.
+    Whenever the program is generic the live function is always returned
+    — built on a cache hit too, since nothing executes a generic program
+    without it; otherwise it is ``None`` on cache hits.  ``verify=True``
+    routes the lookup through the cache's static integrity gate: a disk
+    artifact that fails verification is treated as a miss and recompiled
+    over.
     """
     graph_fp = graph.fingerprint()
     scheme_fp = scheme_fingerprint(scheme)
@@ -486,7 +476,7 @@ def measure_cell(
             rf = scheme.build(build_copy)
         except ValueError as exc:
             raise SchemeInapplicableError(str(exc)) from exc
-        program = cached_program(scheme, graph, cache, rf=rf)
+        program, _ = cached_program(scheme, graph, cache, rf=rf)
         return measure_scheme(
             scheme, build_copy, graph_name=graph_name, dist=dist, program=program, rf=rf
         )
@@ -518,7 +508,7 @@ def _conformance_cell(
 
     def compute():
         dist = distance_matrix(graph)
-        program, rf = _cached_program_with_rf(scheme, graph, cache)
+        program, rf = cached_program(scheme, graph, cache)
         return conformance_report(
             scheme, graph, family=family, dist=dist, label=label, program=program, rf=rf
         )
@@ -547,7 +537,7 @@ def _compile_cell(
     store without executing or verifying anything, so an operator can warm
     a store ahead of a fleet of sweeps.
     """
-    program = cached_program(scheme, graph, cache)
+    program, _ = cached_program(scheme, graph, cache)
     object_id = program.fingerprint()
     store = cache.program_store
     path = store.object_path(object_id) if store is not None else None
@@ -579,7 +569,7 @@ def _program_cell(
     """
     from repro.sim.engine import execute_program
 
-    program, rf = _cached_program_with_rf(scheme, graph, cache)
+    program, rf = cached_program(scheme, graph, cache)
     result = execute_program(program, rf=rf)
     return ProgramCellResult(
         scheme=label,
@@ -610,7 +600,7 @@ def _verify_cell(
     registry.  Generic programs are reported unverified instead of
     simulated.
     """
-    program, _ = _cached_program_with_rf(scheme, graph, cache, verify=True)
+    program, _ = cached_program(scheme, graph, cache, verify=True)
     if isinstance(program, GenericProgram):
         return VerifyCellResult(
             scheme=label,
@@ -732,6 +722,15 @@ def cell_spec(
     )
 
 
+def _refuse_ignored_draws(name: str, given, draws: Mapping[str, object]) -> None:
+    """Raise when explicit scenarios would silently discard draw arguments."""
+    if given is not None and draws:
+        raise ValueError(
+            f"{name}= and {', '.join(f'{k}=' for k in sorted(draws))} are exclusive: "
+            f"the draw arguments only shape scenarios drawn when {name}= is absent"
+        )
+
+
 def resilience_spec(
     schemes: Optional[Dict[str, object]] = None,
     families: Optional[Dict[str, PortLabeledGraph]] = None,
@@ -748,8 +747,9 @@ def resilience_spec(
     scenarios: ``scenarios`` maps family name to ``(label, FaultSet)``
     pairs, else :func:`repro.sim.registry.fault_scenarios` draws them, with
     ``draws`` (``edge_ks``, ``node_ks``, ``per_k``) overriding its
-    defaults.  The cell fetches its compiled program from the shared cache
-    once and applies every fault mask to it, which is what makes a warm
+    defaults; passing both raises :class:`ValueError`.  The cell fetches
+    its compiled program from the shared cache once and applies every
+    fault mask to it, which is what makes a warm
     sweep run thousands of failure scenarios with
     :attr:`ShardStats.compile_hit_rate` = 1.0 and zero scheme rebuilds.
     Per-scenario outcomes are never cached (only programs are; surviving
@@ -762,6 +762,8 @@ def resilience_spec(
     """
     from repro.analysis.resilience import resilience_cell
     from repro.sim.registry import fault_scenarios
+
+    _refuse_ignored_draws("scenarios", scenarios, draws)
 
     def per_family(name, graph):
         if scenarios is not None:
@@ -791,8 +793,9 @@ def churn_spec(
     traces: ``traces`` maps family name to ``(label, ChurnTrace)`` pairs,
     else :func:`repro.sim.churn.churn_scenarios` draws them over the
     registry instance, with ``draws`` (``steps``, ``flips_per_step``)
-    overriding its defaults.  The cell fetches its **base** compiled
-    program from the shared cache once and chains
+    overriding its defaults; passing both raises :class:`ValueError`.  The
+    cell fetches its **base** compiled program from the shared cache once
+    and chains
     :func:`~repro.routing.program.apply_delta` through every snapshot —
     one compile, many deltas — storing each patched program back through
     the ``.rpg`` artifact path under its own snapshot's key.  ``verify``
@@ -808,6 +811,7 @@ def churn_spec(
     from repro.sim.churn import churn_scenarios
     from repro.sim.registry import scheme_registry
 
+    _refuse_ignored_draws("traces", traces, draws)
     if schemes is None:
         schemes = {
             name: scheme
@@ -991,7 +995,7 @@ class ShardedRunner:
         run's :class:`ShardStats`.
         """
         if schemes is None:
-            schemes = _default_schemes()
+            schemes = default_schemes()
         labelled = tuple((getattr(s, "name", type(s).__name__), s) for s in schemes)
         measurements, _, stats = self._collect(SweepSpec(_table1_cell, labelled, tuple(graphs)))
         if reference_n is None:

@@ -37,6 +37,7 @@ __all__ = [
     "SchemeInapplicableError",
     "SchemeMeasurement",
     "Table1Row",
+    "default_schemes",
     "measure_scheme",
     "group_measurements",
     "format_table1",
@@ -120,7 +121,9 @@ def measure_scheme(
     )
 
 
-def _default_schemes(seed: int = 7) -> List:
+def default_schemes(seed: int = 7) -> List:
+    """The Table 1 report's default schemes: tables, interval routing, Cowen
+    landmarks and the spanner+landmark composition."""
     from repro.routing.hierarchical import HierarchicalSpannerScheme
     from repro.routing.interval import IntervalRoutingScheme
     from repro.routing.landmark import CowenLandmarkScheme

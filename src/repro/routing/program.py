@@ -128,10 +128,10 @@ DROPPED = -3
 #: array of the IR and its executors: the per-state hops of
 #: :func:`resolve_functional` (the walk provably cycles),
 #: ``HeaderStateProgram.initial``'s diagonal (no message is sent to
-#: oneself), the length matrices of
-#: :class:`repro.sim.engine.SimulationResult` /
-#: :class:`repro.sim.engine.MaskedExecution` (undelivered pairs), and the
-#: per-pair hops of :class:`repro.routing.verify.VerificationReport`.
+#: oneself), the per-pair hops of
+#: :class:`repro.routing.verify.VerificationReport` (livelocked and
+#: infeasible pairs), and the length matrix of
+#: :class:`repro.sim.engine.SimulationResult` (undelivered pairs).
 #: Distinct from the graph layer's
 #: :data:`repro.graphs.shortest_paths.UNREACHABLE` (same value, different
 #: axis: that one marks *distances* on disconnected pairs).

@@ -21,14 +21,17 @@ memory and ``O(states · log(path length))`` work, instead of an
 closed-form :class:`VerificationReport` per program, and it is the only
 fate computation of the compiled kinds: the executors
 :func:`repro.sim.engine.execute_program` /
-:func:`repro.sim.engine.execute_masked_program` are adapters over the
-same report (the differential suites in ``tests/test_verify.py`` and
-``tests/test_execution.py`` pin both against per-step reference loops).
+:func:`repro.sim.engine.execute_masked_program` return the same report
+wrapped with a step count (the differential suites in
+``tests/test_verify.py`` and ``tests/test_execution.py`` pin both against
+per-step reference loops).  The engine's per-message interpreter answers
+generic programs with a report of the same shape, so the report is the
+one per-pair record of the package.
 
 Verdict codes are the ``PAIR_*`` outcome taxonomy of
-:mod:`repro.sim.faults` (which aliases them), so a report's ``outcome``
-matrix compares bit-for-bit against
-:class:`~repro.sim.faults.FaultSimulationResult.outcome`.
+:mod:`repro.sim.faults` (which aliases them), so
+:class:`~repro.sim.faults.FaultSimulationResult.outcome` is a report's
+``outcome`` matrix.
 
 Structural corruption (an out-of-range successor, a sentinel that does not
 exist, a wrong shape) always raises :class:`ProgramVerificationError` with a
@@ -79,6 +82,7 @@ __all__ = [
     "VERDICT_MISDELIVERED",
     "VERDICT_INFEASIBLE",
     "VERDICT_NAMES",
+    "LOST_VERDICTS",
     "ProgramVerificationError",
     "VerificationReport",
     "resolve_fates",
@@ -105,6 +109,9 @@ VERDICT_NAMES: Dict[int, str] = {
     VERDICT_INFEASIBLE: "infeasible",
 }
 
+#: The verdicts of a feasible pair whose message never arrived.
+LOST_VERDICTS = (VERDICT_DROPPED, VERDICT_LIVELOCKED, VERDICT_MISDELIVERED)
+
 
 class ProgramVerificationError(ValueError):
     """A compiled program failed static verification.
@@ -116,19 +123,14 @@ class ProgramVerificationError(ValueError):
     """
 
 
-def _exact_max_ratio(lengths: np.ndarray, dists: np.ndarray) -> Fraction:
-    """Exact maximum of ``lengths / dists`` as a :class:`Fraction`.
+def _exact_max_ratio(lengths: np.ndarray, dists: np.ndarray, ratios: np.ndarray) -> Fraction:
+    """Exact maximum of ``lengths / dists`` (``ratios``) as a :class:`Fraction`.
 
-    The one stretch kernel of the verifier,
-    :meth:`repro.sim.engine.SimulationResult.max_stretch` and
-    :meth:`repro.sim.faults.FaultSimulationResult.max_stretch`: the float
-    argmax is sharpened by re-comparing, as true rationals, every pair
-    within one representable step of the float maximum.  Empty input
-    returns ``1``.
+    The one stretch kernel, called only by :meth:`VerificationReport.stretch`
+    with at least one pair: the float argmax is sharpened by re-comparing,
+    as true rationals, every pair within one representable step of the
+    float maximum.
     """
-    if not lengths.size:
-        return Fraction(1)
-    ratios = lengths / dists
     best = float(ratios.max())
     near = ratios >= np.nextafter(best, 0.0)
     # Deduplicate the tied (length, dist) pairs before touching Fraction:
@@ -148,21 +150,31 @@ def _exact_max_ratio(lengths: np.ndarray, dists: np.ndarray) -> Fraction:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Closed-form classification of every ordered pair of a program.
+    """The fate of every ordered pair of a program: the one per-pair record.
+
+    Both executors produce it — :func:`resolve_fates` in closed form for
+    the compiled kinds, the per-message interpreter of
+    :mod:`repro.sim.engine` for generic programs — and every pair matrix,
+    pair list, count and stretch of the simulation records
+    (:class:`~repro.sim.engine.SimulationResult`,
+    :class:`~repro.sim.faults.FaultSimulationResult`) is read off it.
 
     Attributes
     ----------
     kind:
-        The verified program's kind (``"next-hop"`` or ``"header-state"``).
+        The program's kind (``"next-hop"``, ``"header-state"``, or
+        ``"generic"`` for the interpreter's report).
     n:
         Number of vertices.
     num_states:
         Size of the analyzed functional graph: ``n * n`` flat
         (destination, node) states for a next-hop program, the interned
-        state count for a header-state program.
+        state count for a header-state program, ``0`` on the interpreter's
+        report.
     masked:
         Whether the program carries :data:`DROPPED` sentinels (i.e. is a
-        fault-masked view, see :func:`repro.sim.faults.apply_faults`).
+        fault-masked view, see :func:`repro.sim.faults.apply_faults`); on
+        the interpreter's report, whether a fault scenario was applied.
     outcome:
         ``(n, n)`` int8 matrix of verdict codes: ``outcome[x, y]`` is the
         proven fate of the message ``x -> y``.  The diagonal — and, when an
@@ -171,7 +183,7 @@ class VerificationReport:
     hops:
         ``(n, n)`` int64 matrix of exact hop counts: the full route length
         for delivered pairs and the walked prefix for misdelivered/dropped
-        pairs (the masked executor's ``lengths`` convention);
+        pairs (:attr:`repro.sim.faults.FaultSimulationResult.lengths`);
         :data:`NO_ROUTE` for livelocked and infeasible pairs; ``0`` on the
         alive diagonal.
     state_hops:
@@ -179,9 +191,10 @@ class VerificationReport:
         from the resolver: transitions until the state's walk stops
         (``0`` at a stopping state), :data:`NO_ROUTE` where it cycles.
         States are destination-major ``d * n + c`` for a next-hop program
-        and the interned state ids for a header-state program.  Unlike
-        ``hops`` it ignores ``alive`` (it describes states, not pairs); the
-        flow accumulator layers its subtree sums by it.
+        and the interned state ids for a header-state program; empty on
+        the interpreter's report.  Unlike ``hops`` it ignores ``alive`` (it
+        describes states, not pairs); the flow accumulator layers its
+        subtree sums by it.
     issues:
         Semantic oddities found by well-formedness analysis (empty on a
         healthy artifact); see :func:`verify_structure`.
@@ -227,31 +240,21 @@ class VerificationReport:
         return int(finite.max()) if finite.size else 0
 
     def counts(self) -> Dict[str, int]:
-        """Pair tally per verdict name (diagonal included under infeasible)."""
-        return {
+        """Pair tally per verdict name over the ``n(n-1)`` off-diagonal pairs."""
+        counts = {
             name: int((self.outcome == code).sum())
             for code, name in VERDICT_NAMES.items()
         }
+        # Every producer marks the diagonal infeasible; it is no pair.
+        counts["infeasible"] -= self.n
+        return counts
 
-    def _pairs(self, code: int) -> List[Tuple[int, int]]:
-        xs, ys = np.nonzero(self.outcome == code)
+    def pairs(self, *codes: int) -> List[Tuple[int, int]]:
+        """Ordered off-diagonal pairs whose verdict is one of ``codes``, sorted."""
+        mask = np.isin(self.outcome, codes)
+        np.fill_diagonal(mask, False)
+        xs, ys = np.nonzero(mask)
         return [(int(x), int(y)) for x, y in zip(xs, ys)]
-
-    def delivered_pairs(self) -> List[Tuple[int, int]]:
-        """Ordered pairs proven to deliver, sorted."""
-        return self._pairs(VERDICT_DELIVERED)
-
-    def livelocked_pairs(self) -> List[Tuple[int, int]]:
-        """Ordered pairs proven to forward forever, sorted."""
-        return self._pairs(VERDICT_LIVELOCKED)
-
-    def misdelivered_pairs(self) -> List[Tuple[int, int]]:
-        """Ordered pairs proven to deliver at the wrong node, sorted."""
-        return self._pairs(VERDICT_MISDELIVERED)
-
-    def dropped_pairs(self) -> List[Tuple[int, int]]:
-        """Ordered pairs proven to die at a masked transition, sorted."""
-        return self._pairs(VERDICT_DROPPED)
 
     def require_all_delivered(self) -> np.ndarray:
         """Length matrix of a fully-delivering program, raising otherwise.
@@ -263,17 +266,13 @@ class VerificationReport:
         """
         if not self.all_delivered:
             counts = self.counts()
-            xs, ys = np.nonzero(
-                (self.outcome != VERDICT_DELIVERED)
-                & (self.outcome != VERDICT_INFEASIBLE)
-            )
+            x, y = self.pairs(*LOST_VERDICTS)[0]
             raise ProgramVerificationError(
                 f"not every pair is proven to deliver: "
                 f"{counts['misdelivered']} misdelivered, "
                 f"{counts['livelocked']} livelocked, "
-                f"{counts['dropped']} dropped; first lost pair "
-                f"{int(xs[0])} -> {int(ys[0])} "
-                f"({VERDICT_NAMES[int(self.outcome[xs[0], ys[0]])]})"
+                f"{counts['dropped']} dropped; first lost pair {x} -> {y} "
+                f"({VERDICT_NAMES[int(self.outcome[x, y])]})"
             )
         lengths = self.hops.copy()
         lengths[np.arange(self.n), np.arange(self.n)] = np.where(
@@ -293,9 +292,10 @@ class VerificationReport:
         np.fill_diagonal(mask, False)
         if not mask.any():
             return Fraction(1), 1.0
-        lengths = self.hops[mask].astype(np.int64)
-        dists = dist[mask].astype(np.int64)
-        return _exact_max_ratio(lengths, dists), float((lengths / dists).mean())
+        lengths = self.hops[mask]
+        dists = dist[mask].astype(np.int64, copy=False)
+        ratios = lengths / dists
+        return _exact_max_ratio(lengths, dists, ratios), float(ratios.mean())
 
 
 # ----------------------------------------------------------------------

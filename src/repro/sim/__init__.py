@@ -20,8 +20,12 @@ system built around a **compile-once pipeline**:
   (``"compiled"`` next-hop, ``"header-compiled"`` header-state) resolve
   every pair's fate in closed form through
   :func:`repro.routing.verify.resolve_fates`, and ``"generic"`` programs
-  run the package's one per-message interpreter, with or without a fault
-  scenario.  Livelock detection is exact on both compiled kinds
+  run the package's one per-message interpreter,
+  :func:`~repro.sim.engine.interpret`, with or without a fault scenario.
+  Either way the answer is one
+  :class:`~repro.routing.verify.VerificationReport` per execution, which
+  :class:`~repro.sim.engine.SimulationResult` and
+  :class:`~repro.sim.faults.FaultSimulationResult` wrap.  Livelock detection is exact on both compiled kinds
   (functional-graph arguments) and budget-based (a fixed ``4 * n`` steps)
   on the generic path.  Every executor compiles a live routing function
   through the one compile-or-interpret step,
@@ -87,12 +91,11 @@ from repro.sim.churn import (
 )
 from repro.sim.engine import (
     MISDELIVER,
-    MaskedExecution,
     SimulationResult,
     execute_masked_program,
     execute_program,
+    interpret,
     simulate_all_pairs,
-    simulated_routing_lengths,
     simulated_stretch_factor,
 )
 from repro.sim.faults import (
@@ -138,7 +141,6 @@ __all__ = [
     "GenericProgram",
     "HeaderStateExplosionError",
     "HeaderStateProgram",
-    "MaskedExecution",
     "NextHopProgram",
     "RoutingProgram",
     "SimulationResult",
@@ -147,13 +149,13 @@ __all__ = [
     "churn_scenarios",
     "execute_masked_program",
     "execute_program",
+    "interpret",
     "leo_grid_trace",
     "program_from_bytes",
     "random_churn_trace",
     "random_fault_set",
     "simulate_all_pairs",
     "simulate_with_faults",
-    "simulated_routing_lengths",
     "simulated_stretch_factor",
     "surviving_distance_matrix",
     "surviving_graph",

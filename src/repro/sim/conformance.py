@@ -145,13 +145,13 @@ def conformance_report(
         program = compile_or_interpret(rf)
     result: SimulationResult = simulate_all_pairs(rf, program=program)
 
-    undelivered = 0 if result.all_delivered else len(result.undelivered_pairs())
+    counts = result.report.counts()
+    undelivered = counts["misdelivered"] + counts["livelocked"]
     failures: List[str] = []
     if undelivered:
         failures.append(
             f"{undelivered} pair(s) undelivered "
-            f"({len(result.misdelivered_pairs())} misdelivered, "
-            f"{len(result.livelocked_pairs())} livelocked)"
+            f"({counts['misdelivered']} misdelivered, {counts['livelocked']} livelocked)"
         )
         stretch = Fraction(0)
     else:

@@ -21,18 +21,23 @@ Forwarding one message at a time through Python-level ``P``/``H`` calls
   an exhausted hop budget.  ``SimulationResult.steps`` is read off the
   fates as the number of synchronous steps a per-step executor would run.
 * :class:`~repro.routing.program.GenericProgram` (mode ``"generic"``) — the
-  explicit opt-out: the one per-message interpreter of the package
-  advances every in-flight message one hop per step but evaluates
-  ``P``/``H`` per message, decision for decision like the per-pair oracle.
-  It is the only execution path of generic schemes, the reference every
-  compiled path is tested against, and the only one with a hop budget
-  (:data:`HOP_BUDGET_FACTOR` ``* n`` steps, then a livelock).  Given an
-  alive mask and failed edges it applies the fault model too
+  explicit opt-out: the one per-message interpreter of the package,
+  :func:`interpret`, advances every in-flight message one hop per step but
+  evaluates ``P``/``H`` per message, decision for decision like the
+  per-pair oracle, and returns the same verdict codes and exact hops as a
+  :class:`~repro.routing.verify.VerificationReport` of kind
+  ``"generic"``.  It is the only execution path of generic schemes, the
+  reference every compiled path is tested against, and the only one with
+  a hop budget (:data:`HOP_BUDGET_FACTOR` ``* n`` steps, then a livelock).
+  Given an alive mask and failed edges it applies the fault model too
   (:func:`repro.sim.faults.simulate_with_faults`).
 
-:func:`simulate_all_pairs` accepts either a live routing function (lowered
-on the fly, or executed against a pre-compiled ``program=`` artifact) or a
-:class:`~repro.routing.program.RoutingProgram` directly — the form the
+Every executor answers with one record, a :class:`SimulationResult`: the
+fate report plus the step count and mode; its matrices and pair lists are
+read off the report.  :func:`simulate_all_pairs` routes a live routing
+function (lowered on the fly, or executed against a pre-compiled
+``program=`` artifact); :func:`execute_program` executes a
+:class:`~repro.routing.program.RoutingProgram` alone — the form the
 sharded runner ships across worker processes as cached bytes.
 
 Misdelivery (``P`` returning :data:`~repro.routing.model.DELIVER` at the
@@ -53,6 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import AbstractSet, Hashable, List, Optional, Tuple
 
 import numpy as np
@@ -71,25 +77,24 @@ from repro.routing.program import (
     compile_or_interpret,
 )
 from repro.routing.verify import (
+    LOST_VERDICTS,
     VERDICT_DELIVERED,
     VERDICT_DROPPED,
     VERDICT_INFEASIBLE,
     VERDICT_LIVELOCKED,
     VERDICT_MISDELIVERED,
     VerificationReport,
-    _exact_max_ratio,
     resolve_fates,
 )
 
 __all__ = [
     "HOP_BUDGET_FACTOR",
     "MISDELIVER",
-    "MaskedExecution",
     "SimulationResult",
     "execute_masked_program",
     "execute_program",
+    "interpret",
     "simulate_all_pairs",
-    "simulated_routing_lengths",
     "simulated_stretch_factor",
 ]
 
@@ -111,67 +116,87 @@ HOP_BUDGET_FACTOR = 4
 class SimulationResult:
     """Outcome of routing all ordered pairs of a graph at once.
 
+    A thin record around the one per-pair record, the executor's
+    :class:`~repro.routing.verify.VerificationReport`: every matrix and
+    pair list below is read off its ``outcome`` verdicts and exact
+    ``hops``.
+
     Attributes
     ----------
-    lengths:
-        ``lengths[x, y]`` is the number of hops of the simulated route from
-        ``x`` to ``y``; ``0`` on the diagonal and ``-1`` for pairs whose
-        message was misdelivered or livelocked.
-    delivered:
-        ``delivered[x, y]`` is whether the message from ``x`` arrived at
-        ``y``; the diagonal is ``True``.
-    misdelivered:
-        ``misdelivered[x, y]`` is whether the scheme returned ``DELIVER``
-        at a node other than ``y`` — recorded identically on every
-        simulation path, so a lost pair is always classifiable as either a
-        misdelivery (``misdelivered``) or a livelock (undelivered and not
-        misdelivered).
+    report:
+        The fate of every pair (kind ``"generic"`` on the interpreter's
+        path).
     steps:
         Number of synchronous steps a per-step execution runs for (the
         longest delivered route, or the hop budget if something
         livelocked); compiled programs read it off their resolved fates.
     mode:
         ``"compiled"`` (next-hop program), ``"header-compiled"``
-        (header-state program) or ``"generic"`` (per-message interpreter).
+        (header-state program) or ``"generic"`` (per-message interpreter),
+        suffixed ``"-masked"`` by :func:`execute_masked_program`.
     """
 
-    lengths: np.ndarray
-    delivered: np.ndarray
-    misdelivered: np.ndarray
+    report: VerificationReport
     steps: int
     mode: str
 
     @property
     def n(self) -> int:
         """Number of vertices of the simulated graph."""
-        return self.lengths.shape[0]
+        return self.report.n
+
+    @cached_property
+    def delivered(self) -> np.ndarray:
+        """``delivered[x, y]``: the message from ``x`` arrived at ``y``.
+
+        The diagonal is ``True`` at every alive vertex (every vertex of an
+        unmasked execution).
+        """
+        delivered = self.report.outcome == VERDICT_DELIVERED
+        np.fill_diagonal(delivered, self.report.hops.diagonal() == 0)
+        return delivered
+
+    @cached_property
+    def misdelivered(self) -> np.ndarray:
+        """``misdelivered[x, y]``: ``DELIVER`` at a node other than ``y``.
+
+        Recorded identically on every path, so a lost pair is always
+        classifiable as a misdelivery or a livelock (or, masked, a drop).
+        """
+        return self.report.outcome == VERDICT_MISDELIVERED
+
+    @cached_property
+    def lengths(self) -> np.ndarray:
+        """Hops of the route from ``x`` to ``y``: ``0`` on the alive diagonal,
+        ``-1`` for every pair whose message did not arrive."""
+        hops = self.report.hops
+        # Lost pairs carry -1 here, not their walked prefix.
+        return hops if self.all_delivered else np.where(self.delivered, hops, NO_ROUTE)
 
     @property
     def all_delivered(self) -> bool:
-        """Whether every ordered pair was delivered at its destination."""
-        return bool(self.delivered.all())
+        """Whether every simulated pair was delivered at its destination."""
+        return self.report.all_delivered
 
     def undelivered_pairs(self) -> List[Tuple[int, int]]:
-        """Ordered pairs whose message never arrived, sorted."""
-        xs, ys = np.nonzero(~self.delivered)
-        return [(int(x), int(y)) for x, y in zip(xs, ys)]
+        """Simulated pairs whose message never arrived, sorted."""
+        return self.report.pairs(*LOST_VERDICTS)
 
     def misdelivered_pairs(self) -> List[Tuple[int, int]]:
         """Ordered pairs whose message was delivered at the wrong node, sorted."""
-        xs, ys = np.nonzero(self.misdelivered)
-        return [(int(x), int(y)) for x, y in zip(xs, ys)]
+        return self.report.pairs(VERDICT_MISDELIVERED)
 
     def livelocked_pairs(self) -> List[Tuple[int, int]]:
-        """Ordered pairs whose message never stopped (lost but not misdelivered)."""
-        xs, ys = np.nonzero(~self.delivered & ~self.misdelivered)
-        return [(int(x), int(y)) for x, y in zip(xs, ys)]
+        """Ordered pairs whose message never stopped, sorted."""
+        return self.report.pairs(VERDICT_LIVELOCKED)
 
     def _loss_summary(self) -> str:
         lost = self.undelivered_pairs()
         x, y = lost[0]
+        counts = self.report.counts()
         return (
-            f"{len(lost)} pair(s) lost ({int(self.misdelivered.sum())} misdelivered, "
-            f"{len(self.livelocked_pairs())} livelocked); first lost pair {x} -> {y}"
+            f"{len(lost)} pair(s) lost ({counts['misdelivered']} misdelivered, "
+            f"{counts['livelocked']} livelocked); first lost pair {x} -> {y}"
         )
 
     def require_all_delivered(self) -> np.ndarray:
@@ -205,29 +230,22 @@ class SimulationResult:
                 "sentinels of lost pairs cannot enter a stretch ratio — call "
                 "require_all_delivered() or handle undelivered_pairs() first"
             )
-        n = self.n
-        if n < 2:
+        if self.n < 2:
             return Fraction(1)
         if dist is None:
             if graph is None:
                 raise ValueError("max_stretch needs either dist or graph")
             dist = distance_matrix(graph)
-        off = _offdiag_mask(n)
-        if (dist[off] == UNREACHABLE).any():
+        unreachable = dist == UNREACHABLE
+        np.fill_diagonal(unreachable, False)
+        if unreachable.any():
             raise ValueError("stretch is undefined on disconnected graphs")
-        return _exact_max_ratio(self.lengths[off], dist[off])
+        return self.report.stretch(dist)[0]
 
 
 # ----------------------------------------------------------------------
-# executors: adapters over the one fate resolver
+# executors: the fate resolver and the per-message interpreter
 # ----------------------------------------------------------------------
-def _offdiag_mask(n: int) -> np.ndarray:
-    """The off-diagonal boolean mask, allocated once per call."""
-    mask = np.ones((n, n), dtype=bool)
-    np.fill_diagonal(mask, False)
-    return mask
-
-
 def _steps(report: VerificationReport) -> int:
     """Synchronous steps a per-step executor runs before every pair retires.
 
@@ -252,11 +270,17 @@ def _steps(report: VerificationReport) -> int:
     return last + 1 if stopped.any() else 0
 
 
-def _interpret(
+def _simulation(report: VerificationReport, steps: int, masked: bool) -> SimulationResult:
+    """The one converter: a report and its step count as a :class:`SimulationResult`."""
+    mode = _KIND_MODES[report.kind]
+    return SimulationResult(report, steps, mode + "-masked" if masked else mode)
+
+
+def interpret(
     rf: RoutingFunction,
     alive: Optional[np.ndarray] = None,
     failed_edges: AbstractSet[Tuple[int, int]] = frozenset(),
-) -> Tuple[np.ndarray, np.ndarray, int]:
+) -> Tuple[VerificationReport, int]:
     """Route every ordered pair of alive vertices through the live ``P``/``H``.
 
     The package's one per-message interpreter: every in-flight message
@@ -267,12 +291,14 @@ def _interpret(
     the fault, and a hop into a failed node or across a failed edge drops
     the message where it stands, the blocked hop uncounted.
 
-    Returns ``(outcome, hops, steps)``: the ``(n, n)`` int8 ``VERDICT_*``
-    code of every pair (:data:`~repro.routing.verify.VERDICT_INFEASIBLE`
-    on the diagonal and for failed endpoints; a message still in flight
-    after ``HOP_BUDGET_FACTOR * n`` steps is livelocked), the int64 hops
-    walked before the message stopped (``-1`` for livelocked and
-    infeasible pairs, ``0`` on the alive diagonal), and the number of
+    Returns ``(report, steps)``: a
+    :class:`~repro.routing.verify.VerificationReport` of kind
+    ``"generic"`` (empty ``state_hops``) — its ``outcome`` holds
+    :data:`~repro.routing.verify.VERDICT_INFEASIBLE` on the diagonal and
+    for failed endpoints, and a message still in flight after
+    ``HOP_BUDGET_FACTOR * n`` steps is livelocked; its ``hops`` are the
+    hops walked before the message stopped (``-1`` for livelocked and
+    infeasible pairs, ``0`` on the alive diagonal) — and the number of
     steps run.  An invalid port raises :class:`ValueError`.
     """
     graph = rf.graph
@@ -328,46 +354,22 @@ def _interpret(
                 continue
             survivors.append((source, dest, nxt, next_header(node, header)))
         flights = survivors
-    return outcome, hops, steps
-
-
-# ----------------------------------------------------------------------
-# masked execution (fault injection)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class MaskedExecution:
-    """Raw outcome matrices of executing a *masked* program over alive pairs.
-
-    The engine-level half of the fault-injection subsystem
-    (:mod:`repro.sim.faults` owns the fault model and the outcome
-    taxonomy): a masked program carries :data:`~repro.routing.program.DROPPED`
-    sentinels in its transition arrays, and :func:`execute_masked_program`
-    classifies every simulated pair as delivered, misdelivered (``DELIVER``
-    at the wrong node), or **dropped at a fault** (the walk attempted a
-    masked transition).  Pairs in none of the three matrices are the
-    provable livelocks.  ``lengths`` counts the hops actually taken —
-    including for dropped and misdelivered pairs, where it measures the
-    path walked *before* the message stopped — and is ``-1`` only for
-    livelocked pairs (their walk is infinite).  Pairs outside the alive
-    universe (a failed source or destination) appear in no matrix and
-    carry length ``-1``; the diagonal of ``delivered`` is ``True`` exactly
-    at alive vertices.  ``report`` is the fate report the matrices were
-    read off, kept so traffic can be routed over the same resolution.
-    """
-
-    delivered: np.ndarray
-    misdelivered: np.ndarray
-    dropped: np.ndarray
-    lengths: np.ndarray
-    steps: int
-    mode: str
-    report: Optional[VerificationReport] = None
+    report = VerificationReport(
+        kind=KIND_GENERIC,
+        n=n,
+        num_states=0,
+        masked=faulty,
+        outcome=outcome,
+        hops=hops,
+        state_hops=np.zeros(0, dtype=np.int64),
+    )
+    return report, steps
 
 
 def execute_masked_program(
     program: RoutingProgram,
     alive: Optional[np.ndarray] = None,
-) -> MaskedExecution:
+) -> SimulationResult:
     """Execute a masked program over all ordered pairs of alive vertices.
 
     ``alive`` is the boolean survival mask of the fault scenario
@@ -375,7 +377,11 @@ def execute_masked_program(
     simulated.  The program is expected to carry
     :data:`~repro.routing.program.DROPPED` sentinels where
     :func:`repro.sim.faults.apply_faults` masked a transition — an unmasked
-    program works too and simply never drops anything.  Generic programs
+    program works too and simply never drops anything.  The result's
+    report classifies every simulated pair as delivered, misdelivered,
+    **dropped at a fault** (the walk attempted a masked transition) or
+    livelocked, with the walked prefix of every stopped pair in its
+    ``hops``; its mode carries the ``"-masked"`` suffix.  Generic programs
     have no transition arrays to mask; fault-inject them through the
     per-message interpreter (:func:`repro.sim.faults.simulate_with_faults`
     with the live routing function).
@@ -388,53 +394,7 @@ def execute_masked_program(
     if not isinstance(program, RoutingProgram):
         raise TypeError(f"not a RoutingProgram: {type(program).__name__}")
     report = resolve_fates(program, alive)
-    outcome = report.outcome
-    delivered = outcome == VERDICT_DELIVERED
-    np.fill_diagonal(delivered, True if alive is None else np.asarray(alive, dtype=bool))
-    return MaskedExecution(
-        delivered=delivered,
-        misdelivered=outcome == VERDICT_MISDELIVERED,
-        dropped=outcome == VERDICT_DROPPED,
-        lengths=report.hops,
-        steps=_steps(report),
-        mode=_KIND_MODES[program.kind] + "-masked",
-        report=report,
-    )
-
-
-def _execute_compiled(program: RoutingProgram) -> SimulationResult:
-    """The fates of an unmasked compiled program as a :class:`SimulationResult`."""
-    report = resolve_fates(program)
-    if report.masked:
-        raise ValueError(
-            f"this {program.kind} program carries fault masks (DROPPED "
-            "entries); execute it with repro.sim.engine.execute_masked_program"
-        )
-    delivered = report.outcome == VERDICT_DELIVERED
-    np.fill_diagonal(delivered, True)
-    # Lost pairs carry -1 here, not their walked prefix.
-    lengths = report.hops if delivered.all() else np.where(delivered, report.hops, NO_ROUTE)
-    return SimulationResult(
-        lengths=lengths,
-        delivered=delivered,
-        misdelivered=report.outcome == VERDICT_MISDELIVERED,
-        steps=_steps(report),
-        mode=_KIND_MODES[program.kind],
-    )
-
-
-def _execute_generic(rf: RoutingFunction) -> SimulationResult:
-    """The interpreter's verdicts on every pair as a :class:`SimulationResult`."""
-    outcome, hops, steps = _interpret(rf)
-    delivered = outcome == VERDICT_DELIVERED
-    np.fill_diagonal(delivered, True)
-    return SimulationResult(
-        lengths=np.where(delivered, hops, NO_ROUTE),
-        delivered=delivered,
-        misdelivered=outcome == VERDICT_MISDELIVERED,
-        steps=steps,
-        mode=_KIND_MODES[KIND_GENERIC],
-    )
+    return _simulation(report, _steps(report), masked=True)
 
 
 def execute_program(
@@ -462,10 +422,16 @@ def execute_program(
                 "a generic program is an opt-out marker: executing it needs the "
                 "live routing function (pass rf=...)"
             )
-        return _execute_generic(rf)
+        return _simulation(*interpret(rf), masked=False)
     if not isinstance(program, RoutingProgram):
         raise TypeError(f"not a RoutingProgram: {type(program).__name__}")
-    return _execute_compiled(program)
+    report = resolve_fates(program)
+    if report.masked:
+        raise ValueError(
+            f"this {program.kind} program carries fault masks (DROPPED "
+            "entries); execute it with repro.sim.engine.execute_masked_program"
+        )
+    return _simulation(report, _steps(report), masked=False)
 
 
 def simulate_all_pairs(
@@ -477,32 +443,19 @@ def simulate_all_pairs(
     Parameters
     ----------
     rf:
-        A :class:`~repro.routing.model.RoutingFunction` — or a pre-compiled
-        :class:`~repro.routing.program.RoutingProgram` directly (a generic
-        program cannot be executed this way; pass the routing function and
-        the program separately).
+        The :class:`~repro.routing.model.RoutingFunction` to route.
     program:
         A pre-compiled program for ``rf`` (e.g. from the sharded runner's
         program cache): the engine executes it instead of lowering the
         scheme again.  Without one, the routing function is lowered by
         :func:`~repro.routing.program.compile_or_interpret`: to the program
         kind it declares (``rf.program_kind()``), or to the generic
-        interpreter when a header-state enumeration explodes.
+        interpreter when a header-state enumeration explodes.  A program
+        alone goes to :func:`execute_program`.
     """
-    if isinstance(rf, RoutingProgram):
-        if program is not None:
-            raise ValueError("pass the program either positionally or as program=, not both")
-        program, rf = rf, None
     if program is None:
-        if rf is None:
-            raise ValueError("simulate_all_pairs needs a routing function or a program")
         program = compile_or_interpret(rf)
     return execute_program(program, rf=rf)
-
-
-def simulated_routing_lengths(rf: RoutingFunction) -> np.ndarray:
-    """The ``d_R(x, y)`` matrix of every ordered pair; raises if one is lost."""
-    return simulate_all_pairs(rf).require_all_delivered()
 
 
 def simulated_stretch_factor(

@@ -58,6 +58,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -82,7 +83,7 @@ from repro.routing.verify import (
     VERDICT_NAMES,
     VerificationReport,
 )
-from repro.sim.engine import _exact_max_ratio, _interpret, execute_masked_program
+from repro.sim.engine import execute_masked_program, interpret
 
 __all__ = [
     "PAIR_DELIVERED",
@@ -400,16 +401,21 @@ def apply_faults(
 class FaultSimulationResult:
     """Classified outcome of routing all feasible pairs under a fault scenario.
 
+    A thin record around the execution's
+    :class:`~repro.routing.verify.VerificationReport` plus the scenario:
+    every pair matrix, pair list, count and stretch is read off the
+    report.
+
     Attributes
     ----------
-    outcome:
-        ``(n, n)`` int8 matrix of pair outcome codes (:data:`PAIR_DELIVERED`
-        … :data:`PAIR_INFEASIBLE`); the diagonal and every pair with a
-        failed endpoint hold :data:`PAIR_INFEASIBLE`.
-    lengths:
-        Hops actually taken per pair: the route length for delivered pairs,
-        the walked prefix for dropped/misdelivered pairs, ``-1`` for
-        livelocked and infeasible pairs (``0`` on the alive diagonal).
+    report:
+        The fate of every pair, resolved with the scenario's ``alive``
+        mask (kind ``"generic"`` on the interpreter's path).
+    steps:
+        Synchronous steps the simulation ran for.
+    mode:
+        ``"compiled-masked"``, ``"header-compiled-masked"`` or
+        ``"generic-masked"`` (the per-message interpreter).
     alive:
         Boolean survival mask over the vertices.
     faults:
@@ -418,50 +424,49 @@ class FaultSimulationResult:
         Shortest-path distances recomputed on the surviving graph
         (:func:`surviving_distance_matrix`) — the stretch-inflation
         baseline.
-    steps:
-        Synchronous steps the simulation ran for.
-    mode:
-        ``"compiled-masked"``, ``"header-compiled-masked"`` or
-        ``"generic-masked"`` (the per-message interpreter).
-    program / report:
-        On the compiled path, the masked program view that was executed
-        and its fate report (resolved with the scenario's ``alive`` mask),
+    program:
+        On the compiled path, the masked program view that was executed,
         so a caller can route traffic through the same scenario —
         ``route_demand(result.program, demand, report=result.report)`` —
         without masking or resolving it again.  ``None`` on the
         interpreter's path.
     """
 
-    outcome: np.ndarray
-    lengths: np.ndarray
+    report: VerificationReport
+    steps: int
+    mode: str
     alive: np.ndarray
     faults: FaultSet
     dist: np.ndarray
-    steps: int
-    mode: str
     program: Optional[RoutingProgram] = None
-    report: Optional[VerificationReport] = None
 
     @property
     def n(self) -> int:
         """Number of vertices of the simulated graph."""
-        return self.outcome.shape[0]
+        return self.report.n
+
+    @property
+    def outcome(self) -> np.ndarray:
+        """``(n, n)`` int8 pair outcome codes (:data:`PAIR_DELIVERED` …
+        :data:`PAIR_INFEASIBLE`); the diagonal and every pair with a failed
+        endpoint hold :data:`PAIR_INFEASIBLE`."""
+        return self.report.outcome
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """Hops actually taken per pair: the route length for delivered
+        pairs, the walked prefix for dropped/misdelivered pairs, ``-1`` for
+        livelocked and infeasible pairs (``0`` on the alive diagonal)."""
+        return self.report.hops
 
     # ------------------------------------------------------------------
     def counts(self) -> Dict[str, int]:
         """Pair counts per outcome name (off-diagonal pairs only)."""
-        off = ~np.eye(self.n, dtype=bool)
-        return {
-            name: int((self.outcome[off] == code).sum())
-            for code, name in OUTCOME_NAMES.items()
-        }
+        return self.report.counts()
 
     def pairs(self, code: int) -> List[Tuple[int, int]]:
         """Ordered off-diagonal pairs classified with ``code``, sorted."""
-        mask = self.outcome == code
-        np.fill_diagonal(mask, False)
-        xs, ys = np.nonzero(mask)
-        return [(int(x), int(y)) for x, y in zip(xs, ys)]
+        return self.report.pairs(code)
 
     @property
     def feasible_count(self) -> int:
@@ -493,17 +498,9 @@ class FaultSimulationResult:
         return self.delivered_count / routable if routable else 1.0
 
     # ------------------------------------------------------------------
-    def _delivered_ratios(self) -> Tuple[np.ndarray, np.ndarray]:
-        mask = self.outcome == PAIR_DELIVERED
-        np.fill_diagonal(mask, False)
-        lengths = self.lengths[mask]
-        dists = self.dist[mask]
-        if (dists <= 0).any():
-            raise AssertionError(
-                "delivered pair with non-positive surviving distance: the "
-                "delivered route is a surviving path, so this cannot happen"
-            )
-        return lengths, dists
+    @cached_property
+    def _stretch(self) -> Tuple[Fraction, float]:
+        return self.report.stretch(self.dist)
 
     def max_stretch(self) -> Fraction:
         """Exact worst stretch of the delivered routes vs surviving distances.
@@ -512,19 +509,15 @@ class FaultSimulationResult:
         in the surviving graph (every hop they took was unmasked), so the
         ratio is always defined and at least 1.
         """
-        lengths, dists = self._delivered_ratios()
-        return _exact_max_ratio(lengths, dists)
+        return self._stretch[0]
 
     def mean_stretch(self) -> float:
         """Mean stretch of the delivered routes vs surviving distances."""
-        lengths, dists = self._delivered_ratios()
-        if not lengths.size:
-            return 1.0
-        return float((lengths / dists).mean())
+        return self._stretch[1]
 
 
 def simulate_with_faults(
-    rf: RoutingFunction,
+    rf: Optional[RoutingFunction],
     faults: FaultSet,
     program: Optional[RoutingProgram] = None,
     graph: Optional[PortLabeledGraph] = None,
@@ -535,10 +528,9 @@ def simulate_with_faults(
     Parameters
     ----------
     rf:
-        A live :class:`~repro.routing.model.RoutingFunction` — or a
-        pre-compiled :class:`~repro.routing.program.RoutingProgram` directly
-        (then ``graph`` is required for fault validation and surviving
-        distances; a generic program cannot be executed this way).
+        The live :class:`~repro.routing.model.RoutingFunction`; may be
+        ``None`` when ``program`` is a compiled program and ``graph`` is
+        given.
     faults:
         The :class:`FaultSet` to apply (validated against the graph).
     program:
@@ -555,10 +547,6 @@ def simulate_with_faults(
         Pre-computed surviving distances (sweep drivers cache them per
         ``(graph, faults)``); computed on demand otherwise.
     """
-    if isinstance(rf, RoutingProgram):
-        if program is not None:
-            raise ValueError("pass the program either positionally or as program=, not both")
-        program, rf = rf, None
     if rf is None and program is None:
         raise ValueError("simulate_with_faults needs a routing function or a program")
     if graph is None:
@@ -571,32 +559,27 @@ def simulate_with_faults(
     if program is None:
         program = compile_or_interpret(rf)
     masked: Optional[RoutingProgram] = None
-    report: Optional[VerificationReport] = None
     if isinstance(program, GenericProgram):
         if rf is None:
             raise ValueError(
                 "a generic program is an opt-out marker: fault-injecting it "
                 "needs the live routing function (pass rf=...)"
             )
-        outcome, lengths, steps = _interpret(rf, alive, frozenset(faults.edges))
+        report, steps = interpret(rf, alive, frozenset(faults.edges))
         mode = "generic-masked"
     else:
         masked = apply_faults(program, graph, faults)
         execution = execute_masked_program(masked, alive=alive)
-        outcome = execution.report.outcome
-        lengths, steps, mode = execution.lengths, execution.steps, execution.mode
-        report = execution.report
+        report, steps, mode = execution.report, execution.steps, execution.mode
 
     if dist is None:
         dist = surviving_distance_matrix(graph, faults)
     return FaultSimulationResult(
-        outcome=outcome,
-        lengths=lengths,
+        report=report,
+        steps=steps,
+        mode=mode,
         alive=alive,
         faults=faults,
         dist=dist,
-        steps=steps,
-        mode=mode,
         program=masked,
-        report=report,
     )

@@ -377,17 +377,44 @@ def _offdiag(n):
     return ~np.eye(n, dtype=bool)
 
 
+def _fates(alive, delivered, misdelivered, dropped, lengths, steps):
+    """An oracle's stop matrices as ``(outcome, hops, steps)``.
+
+    ``outcome`` holds the verdict codes of
+    :class:`repro.routing.verify.VerificationReport`: simulated pairs in no
+    stop matrix walked forever, and the diagonal and every pair with a dead
+    endpoint are infeasible.  ``hops`` is ``lengths``: the walked hops of
+    every stopped pair, ``-1`` elsewhere but on the alive diagonal.
+    """
+    from repro.routing.verify import (
+        VERDICT_DELIVERED,
+        VERDICT_DROPPED,
+        VERDICT_INFEASIBLE,
+        VERDICT_LIVELOCKED,
+        VERDICT_MISDELIVERED,
+    )
+
+    n = alive.shape[0]
+    universe = _offdiag(n) & alive[:, None] & alive[None, :]
+    outcome = np.full((n, n), VERDICT_INFEASIBLE, dtype=np.int8)
+    outcome[universe] = VERDICT_LIVELOCKED
+    outcome[delivered & universe] = VERDICT_DELIVERED
+    outcome[dropped] = VERDICT_DROPPED
+    outcome[misdelivered] = VERDICT_MISDELIVERED
+    return outcome, lengths, steps
+
+
 def _next_hop_dense(program):
     """Per-step next-hop loop: ``n`` steps, a livelock never retires."""
     from repro.routing.program import MISDELIVER, NO_ROUTE
-    from repro.sim.engine import SimulationResult
 
     n = program.n
     lengths = np.zeros((n, n), dtype=np.int64)
     delivered = np.eye(n, dtype=bool)
     misdelivered = np.zeros((n, n), dtype=bool)
+    alive = np.ones(n, dtype=bool)
     if n < 2:
-        return SimulationResult(lengths, delivered, misdelivered, steps=0, mode="compiled")
+        return _fates(alive, delivered, misdelivered, misdelivered, lengths, 0)
     next_node = program.next_node.astype(np.int64)
     # A non-absorbing destination forwards messages past itself.
     absorbing = next_node[np.arange(n), np.arange(n)] == np.arange(n)
@@ -408,8 +435,8 @@ def _next_hop_dense(program):
             delivered[src[home], dst[home]] = True
             keep = ~home
             src, dst, cur = src[keep], dst[keep], cur[keep]
-    lengths[~delivered] = NO_ROUTE
-    return SimulationResult(lengths, delivered, misdelivered, steps=steps, mode="compiled")
+    lengths[src, dst] = NO_ROUTE  # survivors of the budget livelock
+    return _fates(alive, delivered, misdelivered, np.zeros_like(delivered), lengths, steps)
 
 
 def _header_state_budget(program, cur):
@@ -427,15 +454,14 @@ def _header_state_budget(program, cur):
 def _header_state_dense(program):
     """Per-step header-state loop, budgeted by the peel."""
     from repro.routing.program import NO_ROUTE
-    from repro.sim.engine import SimulationResult
 
     n = program.n
     lengths = np.zeros((n, n), dtype=np.int64)
     delivered = np.eye(n, dtype=bool)
     misdelivered = np.zeros((n, n), dtype=bool)
-    mode = "header-compiled"
+    alive = np.ones(n, dtype=bool)
     if n < 2:
-        return SimulationResult(lengths, delivered, misdelivered, steps=0, mode=mode)
+        return _fates(alive, delivered, misdelivered, misdelivered, lengths, 0)
     src, dst = np.nonzero(_offdiag(n))
     cur = program.initial[src, dst].astype(np.int64)
     budget = _header_state_budget(program, cur)
@@ -455,8 +481,8 @@ def _header_state_dense(program):
                 break
         lengths[src, dst] += 1
         cur = program.succ[cur].astype(np.int64)
-    lengths[~delivered] = NO_ROUTE
-    return SimulationResult(lengths, delivered, misdelivered, steps=steps, mode=mode)
+    lengths[src, dst] = NO_ROUTE  # survivors of the budget livelock
+    return _fates(alive, delivered, misdelivered, np.zeros_like(delivered), lengths, steps)
 
 
 def _masked_frames(n, alive):
@@ -478,7 +504,6 @@ def _masked_frames(n, alive):
 def _next_hop_masked_dense(program, alive):
     """Per-step masked next-hop loop: stops are detected before the hop."""
     from repro.routing.program import DROPPED, MISDELIVER, NO_ROUTE
-    from repro.sim.engine import MaskedExecution
 
     n = program.n
     lengths, delivered, misdelivered, dropped, src, dst = _masked_frames(n, alive)
@@ -507,15 +532,12 @@ def _next_hop_masked_dense(program, alive):
             keep = ~home
             src, dst, cur = src[keep], dst[keep], cur[keep]
     lengths[src, dst] = NO_ROUTE  # survivors of the budget livelock
-    return MaskedExecution(
-        delivered, misdelivered, dropped, lengths, steps=steps, mode="compiled-masked"
-    )
+    return _fates(alive, delivered, misdelivered, dropped, lengths, steps)
 
 
 def _header_state_masked_dense(program, alive):
     """Per-step masked header-state loop: deliver, then a DROPPED successor."""
     from repro.routing.program import DROPPED, NO_ROUTE
-    from repro.sim.engine import MaskedExecution
 
     n = program.n
     lengths, delivered, misdelivered, dropped, src, dst = _masked_frames(n, alive)
@@ -547,13 +569,14 @@ def _header_state_masked_dense(program, alive):
         cur = nxt
         lengths[src, dst] += 1
     lengths[src, dst] = NO_ROUTE  # survivors of the budget livelock
-    return MaskedExecution(
-        delivered, misdelivered, dropped, lengths, steps=steps, mode="header-compiled-masked"
-    )
+    return _fates(alive, delivered, misdelivered, dropped, lengths, steps)
 
 
 def execute_dense(program):
-    """Per-step reference of :func:`repro.sim.engine.execute_program`."""
+    """Per-step reference of :func:`repro.sim.engine.execute_program`.
+
+    Returns ``(outcome, hops, steps)``: the fates its report must hold.
+    """
     from repro.routing.program import NextHopProgram
 
     if isinstance(program, NextHopProgram):
@@ -562,7 +585,10 @@ def execute_dense(program):
 
 
 def execute_masked_dense(program, alive=None):
-    """Per-step reference of :func:`repro.sim.engine.execute_masked_program`."""
+    """Per-step reference of :func:`repro.sim.engine.execute_masked_program`.
+
+    Returns ``(outcome, hops, steps)``: the fates its report must hold.
+    """
     from repro.routing.program import NextHopProgram
 
     alive = np.ones(program.n, dtype=bool) if alive is None else np.asarray(alive, dtype=bool)

@@ -386,9 +386,8 @@ def test_delta_on_masked_program_equals_mask_after_recompile(tie_break, kind):
         _assert_programs_identical(result.program, masked_fresh)
         a = execute_masked_program(result.program, faults.alive_mask(step.graph.n))
         b = execute_masked_program(masked_fresh, faults.alive_mask(step.graph.n))
-        assert np.array_equal(a.delivered, b.delivered)
-        assert np.array_equal(a.dropped, b.dropped)
-        assert np.array_equal(a.lengths, b.lengths)
+        assert np.array_equal(a.report.outcome, b.report.outcome)
+        assert np.array_equal(a.report.hops, b.report.hops)
         program = result.program
         dist = result.dist_after
     assert (program.next_node == DROPPED).any()  # the mask survived the chain

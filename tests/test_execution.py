@@ -3,11 +3,13 @@
 :func:`repro.sim.engine.execute_program` and
 :func:`repro.sim.engine.execute_masked_program` answer every pair's fate in
 closed form through :func:`repro.routing.verify.resolve_fates`.  Every test
-here pins them field for field — ``lengths``, ``delivered``,
-``misdelivered``, ``dropped``, ``steps`` and ``mode`` — against the
-per-step loops of ``tests/conftest.py`` (:func:`conftest.execute_dense`,
-:func:`conftest.execute_masked_dense`), which advance every in-flight
-message one hop per step: over the registry, under fault masks, on
+here pins the result's report (``outcome`` verdicts and exact ``hops``),
+``steps`` and ``mode`` — and the ``lengths`` / ``delivered`` /
+``misdelivered`` views read off the report — against the ``(outcome,
+hops, steps)`` of the per-step loops of ``tests/conftest.py``
+(:func:`conftest.execute_dense`, :func:`conftest.execute_masked_dense`),
+which advance every in-flight message one hop per step: over the
+registry, under fault masks, on
 livelocks, misdelivery and drop sentinels, non-absorbing destinations,
 degenerate sizes and empty alive universes, and over random programs.
 """
@@ -54,9 +56,6 @@ from repro.routing.verify import (
 from repro.sim.engine import execute_masked_program, execute_program
 from repro.sim.faults import (
     PAIR_DELIVERED,
-    PAIR_DROPPED,
-    PAIR_INFEASIBLE,
-    PAIR_LIVELOCKED,
     PAIR_MISDELIVERED,
     FaultSet,
     apply_faults,
@@ -80,17 +79,36 @@ def _next_hop_programs():
         yield name, graph, program
 
 
-def _assert_same_result(a, b):
-    assert np.array_equal(a.lengths, b.lengths)
-    assert np.array_equal(a.delivered, b.delivered)
-    assert np.array_equal(a.misdelivered, b.misdelivered)
-    assert a.steps == b.steps
-    assert a.mode == b.mode
+_MODES = {"next-hop": "compiled", "header-state": "header-compiled"}
 
 
-def _assert_same_masked(a, b):
-    _assert_same_result(a, b)
-    assert np.array_equal(a.dropped, b.dropped)
+def _assert_same_fates(result, oracle, mode):
+    """``result`` holds the oracle's ``(outcome, hops, steps)`` and ``mode``."""
+    outcome, hops, steps = oracle
+    assert np.array_equal(result.report.outcome, outcome)
+    assert np.array_equal(result.report.hops, hops)
+    assert (result.steps, result.mode) == (steps, mode)
+    # The views: the alive diagonal delivers, lost pairs have length -1.
+    delivered = outcome == PAIR_DELIVERED
+    np.fill_diagonal(delivered, hops.diagonal() == 0)
+    assert np.array_equal(result.delivered, delivered)
+    assert np.array_equal(result.misdelivered, outcome == PAIR_MISDELIVERED)
+    assert np.array_equal(result.lengths, np.where(delivered, hops, -1))
+
+
+def _assert_plain_matches(program):
+    """``execute_program(program)`` equals :func:`conftest.execute_dense`."""
+    result = execute_program(program)
+    _assert_same_fates(result, execute_dense(program), _MODES[program.kind])
+    return result
+
+
+def _assert_masked_matches(program, alive=None):
+    """``execute_masked_program`` equals :func:`conftest.execute_masked_dense`."""
+    result = execute_masked_program(program, alive)
+    oracle = execute_masked_dense(program, alive)
+    _assert_same_fates(result, oracle, _MODES[program.kind] + "-masked")
+    return result
 
 
 def _has_drops(program):
@@ -104,10 +122,8 @@ def _assert_matches_oracle(program, alive=None):
         with pytest.raises(ValueError, match="masked"):
             execute_program(program)
     else:
-        _assert_same_result(execute_program(program), execute_dense(program))
-    _assert_same_masked(
-        execute_masked_program(program, alive), execute_masked_dense(program, alive)
-    )
+        _assert_plain_matches(program)
+    _assert_masked_matches(program, alive)
 
 
 def _without_drops(program):
@@ -118,19 +134,6 @@ def _without_drops(program):
         )
     succ = np.where(program.succ == DROPPED, np.arange(program.num_states), program.succ)
     return program.with_transitions(succ=succ)
-
-
-def _pair_outcome(execution, alive):
-    """The ``PAIR_*`` matrix of a masked execution's stop matrices."""
-    n = execution.lengths.shape[0]
-    off = ~np.eye(n, dtype=bool)
-    outcome = np.full((n, n), PAIR_INFEASIBLE, dtype=np.int8)
-    # Simulated pairs in none of the three stop matrices walked forever.
-    outcome[alive[:, None] & alive[None, :] & off] = PAIR_LIVELOCKED
-    outcome[execution.delivered & off] = PAIR_DELIVERED
-    outcome[execution.dropped] = PAIR_DROPPED
-    outcome[execution.misdelivered] = PAIR_MISDELIVERED
-    return outcome
 
 
 # ----------------------------------------------------------------------
@@ -148,16 +151,15 @@ def test_registry_matches_dense_oracle(size):
                 continue
             if program.kind == "generic":
                 continue
-            _assert_same_result(execute_program(program), execute_dense(program))
+            _assert_plain_matches(program)
             for _, faults in scenarios:
                 masked = apply_faults(program, graph, faults)
                 alive = faults.alive_mask(graph.n)
-                oracle = execute_masked_dense(masked, alive)
-                _assert_same_masked(execute_masked_program(masked, alive), oracle)
-                result = simulate_with_faults(program, faults, graph=graph)
-                assert np.array_equal(result.lengths, oracle.lengths), (label, family)
-                assert np.array_equal(result.outcome, _pair_outcome(oracle, alive))
-                assert (result.steps, result.mode) == (oracle.steps, oracle.mode)
+                execution = _assert_masked_matches(masked, alive)
+                result = simulate_with_faults(None, faults, program=program, graph=graph)
+                assert np.array_equal(result.lengths, execution.report.hops), (label, family)
+                assert np.array_equal(result.outcome, execution.report.outcome)
+                assert (result.steps, result.mode) == (execution.steps, execution.mode)
             checked += 1
     assert checked > 50
 
@@ -273,14 +275,14 @@ def test_masked_execution_rejects_a_wrong_alive_shape():
     "name,graph,program", list(_next_hop_programs()), ids=lambda v: v if isinstance(v, str) else ""
 )
 def test_next_hop_matches_dense(name, graph, program):
-    _assert_same_result(execute_program(program), execute_dense(program))
+    _assert_plain_matches(program)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_header_state_matches_dense(seed):
     graph = generators.random_connected_graph(16, extra_edge_prob=0.2, seed=seed)
     program = CowenLandmarkScheme(seed=seed, rewriting=True).build(graph).compile_program()
-    _assert_same_result(execute_program(program), execute_dense(program))
+    _assert_plain_matches(program)
 
 
 @pytest.mark.parametrize("kind,k", [("edge", 3), ("node", 2)])
@@ -290,9 +292,7 @@ def test_masked_next_hop_matches_dense_under_faults(kind, k):
     faults = random_fault_set(graph, k, kind=kind, seed=9)
     masked = apply_faults(program, graph, faults)
     alive = faults.alive_mask(graph.n)
-    _assert_same_masked(
-        execute_masked_program(masked, alive), execute_masked_dense(masked, alive)
-    )
+    _assert_masked_matches(masked, alive)
 
 
 @pytest.mark.parametrize("kind,k", [("edge", 3), ("node", 2)])
@@ -302,9 +302,7 @@ def test_masked_header_state_matches_dense_under_faults(kind, k):
     faults = random_fault_set(graph, k, kind=kind, seed=2)
     masked = apply_faults(program, graph, faults)
     alive = faults.alive_mask(graph.n)
-    _assert_same_masked(
-        execute_masked_program(masked, alive), execute_masked_dense(masked, alive)
-    )
+    _assert_masked_matches(masked, alive)
 
 
 def test_livelock_ring_agrees_and_exhausts_budget():
@@ -315,8 +313,7 @@ def test_livelock_ring_agrees_and_exhausts_budget():
     for cur in range(n):
         table[cur, :] = (cur + 1) % n
     program = NextHopProgram(next_node=table)
-    result = execute_program(program)
-    _assert_same_result(result, execute_dense(program))
+    result = _assert_plain_matches(program)
     assert result.steps == n
     offdiag = ~np.eye(n, dtype=bool)
     assert (result.lengths[offdiag] == -1).all()
@@ -330,11 +327,10 @@ def test_misdelivery_sentinels_agree():
     table[2, 5] = MISDELIVER
     table[3, 0] = MISDELIVER
     bad = NextHopProgram(next_node=table)
-    result = execute_program(bad)
-    _assert_same_result(result, execute_dense(bad))
+    result = _assert_plain_matches(bad)
     assert result.misdelivered.any()
     assert (result.lengths[result.misdelivered] == -1).all()
-    _assert_same_masked(execute_masked_program(bad), execute_masked_dense(bad))
+    _assert_masked_matches(bad)
 
 
 def test_non_absorbing_destinations_pass_messages_through():
@@ -346,11 +342,10 @@ def test_non_absorbing_destinations_pass_messages_through():
     table[2, 2] = 3
     bad = NextHopProgram(next_node=table)
     assert verify_structure(bad)  # a semantic issue, not a structural error
-    result = execute_program(bad)
-    _assert_same_result(result, execute_dense(bad))
+    result = _assert_plain_matches(bad)
     assert not result.delivered[[0, 1, 3, 4, 5], 2].any()
     assert result.steps == graph.n
-    _assert_same_masked(execute_masked_program(bad), execute_masked_dense(bad))
+    _assert_masked_matches(bad)
 
 
 @pytest.mark.parametrize("kind", ["next-hop", "header-state"])
@@ -368,16 +363,15 @@ def test_unmasked_dropped_program_is_rejected(kind):
         masked = program.with_transitions(succ=succ)
     with pytest.raises(ValueError, match="masked"):
         execute_program(masked)
-    _assert_same_masked(execute_masked_program(masked), execute_masked_dense(masked))
+    _assert_masked_matches(masked)
 
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_degenerate_sizes_agree(n):
     program = NextHopProgram(next_node=np.zeros((n, n), dtype=np.int16))
-    result = execute_program(program)
-    _assert_same_result(result, execute_dense(program))
+    result = _assert_plain_matches(program)
     assert result.steps == 0
-    _assert_same_masked(execute_masked_program(program), execute_masked_dense(program))
+    _assert_masked_matches(program)
 
 
 def test_all_dead_and_single_survivor_masks():
@@ -387,8 +381,7 @@ def test_all_dead_and_single_survivor_masks():
     n = graph.n
     for program in (next_hop, header_state):
         for alive in (np.zeros(n, dtype=bool), np.eye(1, n, 4, dtype=bool)[0]):
-            result = execute_masked_program(program, alive)
-            _assert_same_masked(result, execute_masked_dense(program, alive))
+            result = _assert_masked_matches(program, alive)
             assert result.steps == 0  # no alive pair is ever simulated
 
 

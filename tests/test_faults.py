@@ -395,7 +395,7 @@ def test_generic_programs_cannot_be_masked_directly():
     with pytest.raises(ValueError, match="generic"):
         execute_masked_program(program)
     with pytest.raises(ValueError, match="live routing function"):
-        simulate_with_faults(program, FaultSet.empty(), graph=graph)
+        simulate_with_faults(None, FaultSet.empty(), program=program, graph=graph)
     with pytest.raises(ValueError, match="routing function or a program"):
         simulate_with_faults(None, FaultSet.empty(), graph=graph)
 
@@ -411,7 +411,7 @@ def test_masked_programs_are_rejected_by_the_plain_executors():
     with pytest.raises(ValueError, match="execute_masked_program"):
         execute_program(masked)
     with pytest.raises(ValueError, match="execute_masked_program"):
-        sim(masked)
+        sim(rf, program=masked)
 
     from repro.routing.ecube import MaskECubeRoutingScheme
 

@@ -515,7 +515,7 @@ def test_resilience_flow_reuses_the_scenarios_masked_view(scheme_name):
     dm = demand_matrix("zipf", graph.n, seed=0, dist=distance_matrix(graph))
     assert len(rows) == len(scenarios)
     for row, (_, faults) in zip(rows, scenarios):
-        result = simulate_with_faults(program, faults, graph=graph)
+        result = simulate_with_faults(None, faults, program=program, graph=graph)
         alive = faults.alive_mask(graph.n)
         masked = apply_faults(program, graph, faults)
         assert result.program.to_bytes() == masked.to_bytes()

@@ -284,7 +284,7 @@ def test_old_layout_store_object_degrades_recompiles_then_hits(tmp_path):
     scheme = CowenLandmarkScheme(seed=5, rewriting=True)
     graph = generators.random_connected_graph(14, extra_edge_prob=0.2, seed=5)
     cache = ExperimentCache(tmp_path)
-    program = cached_program(scheme, graph, cache)
+    program, _ = cached_program(scheme, graph, cache)
     key = cache.program_key(graph.fingerprint(), scheme_fingerprint(scheme))
     # The object a version-2 writer left under the same address.
     store = cache.program_store
@@ -292,13 +292,13 @@ def test_old_layout_store_object_degrades_recompiles_then_hits(tmp_path):
 
     cold = ExperimentCache(tmp_path)
     with pytest.warns(RuntimeWarning, match="format version 2"):
-        again = cached_program(scheme, graph, cold)
+        again, _ = cached_program(scheme, graph, cold)
     assert cold.degraded_entries == 1
     assert (cold.program_hits, cold.program_misses) == (0, 1)
     assert again.fingerprint() == program.fingerprint()
 
     warm = ExperimentCache(tmp_path)
-    loaded = cached_program(scheme, graph, warm)
+    loaded, _ = cached_program(scheme, graph, warm)
     assert (warm.program_hits, warm.program_misses, warm.degraded_entries) == (1, 0, 0)
     assert loaded.to_bytes() == program.to_bytes()
 

@@ -116,8 +116,7 @@ def test_program_execution_matches_generic_and_legacy(scheme_name, family_name):
     assert clone.fingerprint() == program.fingerprint()
     _results_equal(execute_program(clone), compiled)
 
-    # simulate_all_pairs accepts the pre-compiled artifact directly.
-    _results_equal(simulate_all_pairs(program), compiled)
+    # simulate_all_pairs executes a pre-compiled program= artifact as is.
     _results_equal(simulate_all_pairs(rf, program=program), compiled)
 
 
@@ -208,9 +207,6 @@ def test_generic_program_round_trips_and_requires_live_function():
     assert clone.fingerprint() == program.fingerprint()
     with pytest.raises(ValueError, match="live routing function"):
         execute_program(clone)
-    # And through the simulator entry point too.
-    with pytest.raises(ValueError, match="live routing function"):
-        simulate_all_pairs(clone)
     # With the live function it runs the generic interpreter.
     rf = ShortestPathTableScheme().build(generators.cycle_graph(9))
     result = simulate_all_pairs(rf, program=clone)
@@ -413,10 +409,10 @@ def test_program_bytes_are_shared_across_cache_instances(tmp_path):
     graph = FAMILIES["grid"].copy()
     scheme = ShortestPathTableScheme()
     first = ExperimentCache(tmp_path)
-    program = cached_program(scheme, graph, first)
+    program, _ = cached_program(scheme, graph, first)
     assert (first.program_hits, first.program_misses) == (0, 1)
     second = ExperimentCache(tmp_path)
-    again = cached_program(scheme, graph, second)
+    again, _ = cached_program(scheme, graph, second)
     assert (second.program_hits, second.program_misses) == (1, 0)
     assert again.fingerprint() == program.fingerprint()
     _results_equal(execute_program(again), execute_program(program))

@@ -489,6 +489,58 @@ class TestRunnerConstructionRule:
         assert [f for f in real_tree_findings if f.code == "REP013"] == []
 
 
+class TestPrivateImportRule:
+    #: The six imports the rule was written against, one per line.
+    PRIVATE_IMPORTS = (
+        "from repro.routing.verify import _exact_max_ratio\n",
+        "from repro.sim.engine import _exact_max_ratio, execute_masked_program\n",
+        "from repro.sim.engine import _interpret\n",
+        "def f():\n    from repro.analysis.runner import _cached_program_with_rf\n",
+        "from repro.analysis.table1 import (\n    SchemeMeasurement,\n    _default_schemes,\n)\n",
+        "from repro import _private as public\n",
+    )
+
+    @pytest.mark.parametrize("source", PRIVATE_IMPORTS)
+    @pytest.mark.parametrize(
+        "rel", ["src/repro/sim/faults.py", "src/repro/analysis/flow.py", "src/repro/cli/main.py"]
+    )
+    def test_private_names_flagged_everywhere_in_the_package(self, tmp_path, rel, source):
+        findings = _lint(tmp_path, rel, source)
+        assert _codes(findings) == ["REP014"]
+        assert "public name" in findings[0].message
+
+    def test_one_finding_per_private_name(self, tmp_path):
+        src = "from repro.sim.engine import _exact_max_ratio, _interpret, interpret\n"
+        findings = _lint(tmp_path, "src/repro/sim/faults.py", src)
+        assert [(f.code, f.line) for f in findings] == [("REP014", 1), ("REP014", 1)]
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "from repro.sim.engine import interpret, execute_masked_program\n",
+            "from repro.cli._output import emit\n",
+            "from repro import __version__\n",
+            "from repro.memory.requirement import address_bits as _address_bits\n",
+            "from numpy import _NoValue\n",
+            "import repro.sim.engine\n",
+        ],
+    )
+    def test_public_names_allowed(self, tmp_path, source):
+        assert _lint(tmp_path, "src/repro/analysis/runner.py", source) == []
+
+    def test_tests_and_benchmarks_may_import_private_names(self, tmp_path):
+        src = self.PRIVATE_IMPORTS[0]
+        assert _lint(tmp_path, "tests/test_verify.py", src) == []
+        assert _lint(tmp_path, "benchmarks/bench_x.py", src) == []
+
+    def test_escape_comment_does_not_apply(self, tmp_path):
+        src = "from repro.sim.engine import _interpret  # repro-lint: allow-private\n"
+        assert _codes(_lint(tmp_path, "src/repro/sim/x.py", src)) == ["REP014"]
+
+    def test_real_tree_imports_no_private_names(self, real_tree_findings):
+        assert [f for f in real_tree_findings if f.code == "REP014"] == []
+
+
 class TestMethodParameterRule:
     METHODS = (
         "def f(graph, method='bfs'):\n    pass\n",

@@ -31,10 +31,14 @@ from repro.analysis.experiments import (
 from repro.analysis.runner import (
     ExperimentCache,
     ShardedRunner,
+    churn_spec,
     measure_cell,
+    resilience_spec,
     scheme_fingerprint,
 )
 from repro.graphs import generators
+from repro.sim.churn import churn_scenarios
+from repro.sim.registry import fault_scenarios
 from repro.routing.hierarchical import HierarchicalSpannerScheme
 from repro.routing.landmark import CowenLandmarkScheme
 from repro.routing.tables import ShortestPathTableScheme
@@ -409,6 +413,29 @@ class TestShardedRunner:
         runner.table1_report(_graphs())
         text = runner.stats().describe()
         assert "hits" in text and "%" in text
+
+
+# ----------------------------------------------------------------------
+# spec builders: explicit scenarios never swallow draw arguments
+# ----------------------------------------------------------------------
+class TestSpecBuilders:
+    def test_resilience_spec_refuses_draws_beside_scenarios(self):
+        graph = generators.grid_2d(3, 4)
+        scenarios = {"grid": fault_scenarios(graph, seed=0, edge_ks=(1,), node_ks=(), per_k=1)}
+        with pytest.raises(ValueError, match=r"scenarios=.*edge_ks=, per_k="):
+            resilience_spec(
+                families={"grid": graph}, scenarios=scenarios, per_k=9, edge_ks=(7,)
+            )
+        # Either argument alone is a valid spec.
+        assert resilience_spec(families={"grid": graph}, scenarios=scenarios).cells()
+        assert resilience_spec(families={"grid": graph}, per_k=1, edge_ks=(1,)).cells()
+
+    def test_churn_spec_refuses_draws_beside_traces(self):
+        graph = generators.grid_2d(3, 4)
+        traces = {"grid": churn_scenarios(graph, seed=0, steps=1)}
+        with pytest.raises(ValueError, match=r"traces=.*steps="):
+            churn_spec(families={"grid": graph}, traces=traces, steps=3)
+        assert churn_spec(families={"grid": graph}, traces=traces).cells()
 
 
 # ----------------------------------------------------------------------

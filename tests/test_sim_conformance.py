@@ -44,7 +44,6 @@ from repro.routing.verify import resolve_fates
 from repro.sim import (
     HeaderStateExplosionError,
     simulate_all_pairs,
-    simulated_routing_lengths,
     simulated_stretch_factor,
 )
 from repro.sim.registry import connected_instance, graph_families, scheme_registry
@@ -305,7 +304,7 @@ def test_livelock_detected_within_n_steps():
     with pytest.raises(ValueError):
         result.require_all_delivered()
     with pytest.raises(ValueError):
-        simulated_routing_lengths(_BounceFunction(graph))
+        simulate_all_pairs(_BounceFunction(graph)).require_all_delivered()
 
 
 def test_livelock_matches_legacy_loop_error():

@@ -271,17 +271,17 @@ class TestReportAPI:
 
     def test_counts_partition_all_pairs(self, table_report):
         graph, report, _ = table_report
-        assert sum(report.counts().values()) == graph.n * graph.n
+        assert sum(report.counts().values()) == graph.n * (graph.n - 1)
         assert report.counts()["delivered"] == graph.n * (graph.n - 1)
-        assert report.counts()["infeasible"] == graph.n
+        assert report.counts()["infeasible"] == 0
 
     def test_ok_and_all_delivered(self, table_report):
         _, report, _ = table_report
         assert report.ok
         assert report.all_delivered
-        assert report.livelocked_pairs() == []
-        assert report.misdelivered_pairs() == []
-        assert report.dropped_pairs() == []
+        assert report.pairs(VERDICT_LIVELOCKED) == []
+        assert report.pairs(VERDICT_MISDELIVERED) == []
+        assert report.pairs(VERDICT_DROPPED) == []
 
     def test_require_all_delivered_returns_lengths(self, table_report):
         graph, report, dist = table_report

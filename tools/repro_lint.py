@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific AST lint for the routing/sim core.
 
-Twelve rules guard invariants that generic linters cannot see, all scoped
+Fourteen rules guard invariants that generic linters cannot see, all scoped
 to the modules where the invariant lives:
 
 REP001  Raw ``-2`` / ``-3`` integer literals anywhere in ``repro.sim`` or
@@ -126,6 +126,14 @@ REP013  Any ``ShardedRunner(...)`` construction under ``src/repro`` but
         a runner in, or build ``ShardedRunner(processes=1)`` themselves.
         There is no escape comment.
 
+REP014  ``from repro... import _name`` anywhere under ``src/repro``.  A
+        private name (a kernel, an interpreter, a helper) stays behind the
+        module that owns it: a second module importing it is how a
+        private kernel gains callers its owner cannot see and a copied
+        helper grows beside it.  Give the name a public spelling, or
+        move the caller into the owning module.  There is no escape
+        comment.
+
 Pure stdlib (``ast`` + ``tokenize``): runs anywhere CPython runs, no
 installs.  Exit status 1 when any finding is emitted, 0 on a clean tree.
 """
@@ -187,6 +195,9 @@ PICKLE_MODULES = ("pickle", "shelve")
 #: REP013 scope, and the package in it allowed to construct a runner.
 RUNNER_SCOPE = ("src/repro",)
 RUNNER_OWNER = "src/repro/cli"
+
+#: REP014 scope: the whole runtime package.
+PRIVATE_SCOPE = ("src/repro",)
 
 #: REP008 scope: the whole runtime package.
 METHOD_SCOPE = ("src/repro",)
@@ -594,6 +605,25 @@ def check_runner_constructions(path: Path, tree: ast.Module, source: str) -> Ite
             )
 
 
+def check_private_imports(path: Path, tree: ast.Module, source: str) -> Iterator[Finding]:
+    """REP014: private names imported from another ``repro`` module."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ImportFrom) and node.module and not node.level):
+            continue
+        if not _is_module(node.module, ("repro",)):
+            continue
+        for alias in node.names:
+            name = alias.name
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                yield Finding(
+                    path,
+                    node.lineno,
+                    "REP014",
+                    f"private name {name} imported from {node.module}: give it a "
+                    "public name, or move the caller into its owning module",
+                )
+
+
 def check_method_parameters(path: Path, tree: ast.Module, source: str) -> Iterator[Finding]:
     """REP008: function parameters named ``method`` in the runtime package."""
     for node in ast.walk(tree):
@@ -701,6 +731,8 @@ def lint_file(path: Path, root: Path = ROOT) -> List[Finding]:
         findings.extend(check_pickle_imports(path, tree, source))
     if _in_scope(path, RUNNER_SCOPE, root) and not _in_scope(path, (RUNNER_OWNER,), root):
         findings.extend(check_runner_constructions(path, tree, source))
+    if _in_scope(path, PRIVATE_SCOPE, root):
+        findings.extend(check_private_imports(path, tree, source))
     if _in_scope(path, METHOD_SCOPE, root):
         findings.extend(check_method_parameters(path, tree, source))
     if _in_scope(path, EXPLOSION_SCOPE, root) and not _in_scope(path, (EXPLOSION_OWNER,), root):
@@ -725,6 +757,7 @@ def lint_tree(root: Path = ROOT) -> List[Finding]:
         NETWORKX_SCOPE,
         PICKLE_SCOPE,
         RUNNER_SCOPE,
+        PRIVATE_SCOPE,
         METHOD_SCOPE,
         EXPLOSION_SCOPE,
         BITS_SCOPE,
