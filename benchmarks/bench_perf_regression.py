@@ -33,7 +33,11 @@ Two jobs:
   the ``landmark-rewriting`` header-state program, and the e-cube program
   under a k = 2 edge fault — each checked by exact conservation (total
   arc load equals the demand-weighted hop sum); a warm-cache
-  ``flow_sweep`` smoke covers three medium families.
+  ``flow_sweep`` smoke covers three medium families, and
+  ``test_flow_cell_three_models_n256`` pins one n = 256 hypercube table
+  cell routing all three demand models through one ``FlowPlan``.
+  ``test_churn_static_proof_n1024`` pins the churn flip above with its
+  static soundness proof (``apply_delta(..., static_check=True)``).
   ``test_next_hop_execute_n4096`` pins ``execute_program`` on the n = 4096
   hypercube e-cube program and checks its closed form: every pair is
   delivered in ``popcount(src ^ dst)`` hops.
@@ -93,7 +97,13 @@ from oracles import (
     enumerated_forced_first_arcs,
     product_walk_canonical_matrices,
 )
-from repro.analysis.flow import route_demand, uniform_demand
+from repro.analysis.flow import (
+    DEMAND_MODELS,
+    demand_matrix,
+    flow_cell,
+    route_demand,
+    uniform_demand,
+)
 from repro.analysis.runner import ShardedRunner
 from repro.constraints.builder import build_constraint_graph
 from repro.constraints.enumeration import enumerate_canonical_matrices
@@ -200,6 +210,10 @@ CHURN_FLIP_DIM = 10
 #: executes cached program bytes and spends its time in the subtree-sum
 #: accumulators only.
 FLOW_SWEEP_FAMILIES = ("grid", "torus", "random-sparse")
+
+#: The hypercube dimension of the three-model flow-cell pin (n = 256, the
+#: size of the benchmark's large grid).
+FLOW_CELL_DIM = 8
 
 #: The k = 2 edge fault of the masked flow pin (two hypercube edges).
 FLOW_MASKED_EDGES = ((0, 1), (2, 6))
@@ -709,6 +723,16 @@ def test_program_mmap_load_n4096(benchmark, tmp_path):
     assert np.array_equal(loaded.next_node, prog.next_node)
 
 
+def _churn_flip_case():
+    """The single-edge removal on the n = 1024 hypercube of the churn pins."""
+    graph = generators.hypercube(CHURN_FLIP_DIM)
+    scheme = ShortestPathTableScheme(tie_break="lowest_port")
+    program = compile_scheme_program(scheme, graph)
+    after = graph.copy()
+    after.remove_edge(0, 1)
+    return program, graph, after, scheme, distance_matrix(graph)
+
+
 @pytest.mark.benchmark(group="perf-regression")
 def test_churn_delta_speedup_vs_recompile_n1024(benchmark):
     # The churn acceptance pin: patching a compiled table program after a
@@ -719,12 +743,7 @@ def test_churn_delta_speedup_vs_recompile_n1024(benchmark):
     # ``dist_before`` is passed in, matching the chained-delta steady state
     # of ``ShardedRunner.churn_sweep`` (each delta threads the previous
     # snapshot's distance matrix forward).
-    graph = generators.hypercube(CHURN_FLIP_DIM)
-    scheme = ShortestPathTableScheme(tie_break="lowest_port")
-    program = compile_scheme_program(scheme, graph)
-    dist = distance_matrix(graph)
-    after = graph.copy()
-    after.remove_edge(0, 1)
+    program, graph, after, scheme, dist = _churn_flip_case()
     fresh, recompile_s = _time(compile_scheme_program, scheme, after)
 
     def _run():
@@ -1001,6 +1020,69 @@ def test_flow_masked_n1024(benchmark):
     _pin_flow(benchmark, "flow_masked_n1024", program, alive)
 
 
+def _flow_cell_case():
+    """The n = 256 hypercube table cell of the three-model flow pin."""
+    from repro.analysis.runner import ExperimentCache
+
+    graph = generators.hypercube(FLOW_CELL_DIM)
+    scheme = ShortestPathTableScheme(tie_break="lowest_port")
+    cache = ExperimentCache(None)
+    flow_cell(scheme, graph, "hypercube", "tables-lowest-port", DEMAND_MODELS, cache)  # warm
+    return graph, scheme, cache
+
+
+def _flow_cell_three_models(graph, scheme, cache):
+    return flow_cell(scheme, graph, "hypercube", "tables-lowest-port", DEMAND_MODELS, cache)
+
+
+@pytest.mark.benchmark(group="perf-regression")
+def test_flow_cell_three_models_n256(benchmark):
+    # The multi-model flow pin: one warm n = 256 hypercube table cell routes
+    # all three demand models through one FlowPlan (the state layout is
+    # built once per cell, each model pays only the per-layer bincounts).
+    graph, scheme, cache = _flow_cell_case()
+
+    def _run():
+        return _flow_cell_three_models(graph, scheme, cache)
+
+    rows = benchmark.pedantic(_run, rounds=BEST_OF, iterations=1)
+    cell_s = benchmark.stats.stats.min
+    _check_budget("flow_cell_three_models_n256", cell_s)
+    print_rows(
+        "Flow cell: three demand models through one plan (n=256 hypercube tables)",
+        [{"case": f"models={len(rows)} n={graph.n}", "cell_s": cell_s}],
+    )
+    # The plan's routes equal one fresh route_demand per model.
+    program = compile_scheme_program(scheme, graph)
+    dist = distance_matrix(graph)
+    for row, model in zip(rows, DEMAND_MODELS):
+        fresh = route_demand(program, demand_matrix(model, graph.n, dist=dist))
+        assert row.demand_model == model
+        assert row.max_congestion == fresh.max_congestion
+        assert row.allocated_throughput == fresh.allocated_throughput()
+        assert row.delivered_fraction == 1.0
+
+
+@pytest.mark.benchmark(group="perf-regression")
+def test_churn_static_proof_n1024(benchmark):
+    # The static-proof churn pin: the churn_delta_flip_n1024 delta with its
+    # soundness proof (verify_structure + the one-hop descent check).
+    program, graph, after, scheme, dist = _churn_flip_case()
+
+    def _run():
+        return apply_delta(program, graph, after, scheme, dist_before=dist, static_check=True)
+
+    result = benchmark.pedantic(_run, rounds=BEST_OF, iterations=1)
+    proof_s = benchmark.stats.stats.min
+    _check_budget("churn_static_proof_n1024", proof_s)
+    print_rows(
+        "Churn delta + static proof (n=1024 hypercube, single-edge removal)",
+        [{"case": f"dim={CHURN_FLIP_DIM} n={graph.n} flip=remove(0,1)", "proof_s": proof_s}],
+    )
+    assert result.mode == DELTA_PATCHED
+    assert result.program.fingerprint() == compile_scheme_program(scheme, after).fingerprint()
+
+
 @pytest.mark.benchmark(group="perf-regression")
 def test_flow_sweep_warm_cache_smoke(benchmark, tmp_path):
     # The flow-sweep smoke: a warm sweep routes every demand skew against
@@ -1160,12 +1242,7 @@ def _measure_pinned_paths() -> dict:
         save_program(prog, rpg)
         _, mmap_s = _time(load_program, rpg)
 
-    churn_graph = generators.hypercube(CHURN_FLIP_DIM)
-    churn_scheme = ShortestPathTableScheme(tie_break="lowest_port")
-    churn_prog = compile_scheme_program(churn_scheme, churn_graph)
-    churn_dist = distance_matrix(churn_graph)
-    churn_after = churn_graph.copy()
-    churn_after.remove_edge(0, 1)
+    churn_prog, churn_graph, churn_after, churn_scheme, churn_dist = _churn_flip_case()
     _, churn_s = _time(
         apply_delta,
         churn_prog,
@@ -1173,6 +1250,10 @@ def _measure_pinned_paths() -> dict:
         churn_after,
         churn_scheme,
         dist_before=churn_dist,
+    )
+    _, churn_proof_s = _time(
+        apply_delta, churn_prog, churn_graph, churn_after, churn_scheme,
+        dist_before=churn_dist, static_check=True,
     )
     _, verify_s = _time(verify_program, churn_prog)
     _, memory_s = _time(program_memory_profile, churn_prog, churn_graph)
@@ -1199,6 +1280,7 @@ def _measure_pinned_paths() -> dict:
         schemes, families = _flow_sweep_grid()
         runner.flow_sweep(schemes=schemes, families=families)  # populate
         _, flow_sweep_s = _time(runner.flow_sweep, schemes=schemes, families=families)
+    _, flow_cell_s = _time(_flow_cell_three_models, *_flow_cell_case())
 
     return {
         "enumerate_3_4_3": enum_s,
@@ -1217,6 +1299,8 @@ def _measure_pinned_paths() -> dict:
         "verify_vs_simulate_n1024": verify_s,
         **flow_s,
         "flow_sweep_warm_medium": flow_sweep_s,
+        "flow_cell_three_models_n256": flow_cell_s,
+        "churn_static_proof_n1024": churn_proof_s,
         "program_memory_profile_n1024": memory_s,
     }
 

@@ -52,6 +52,7 @@ from repro.analysis.resilience import (
 from repro.analysis.flow import (
     DemandMatrix,
     FlowCellResult,
+    FlowPlan,
     FlowResult,
     demand_matrix,
     demand_models,
@@ -88,6 +89,7 @@ __all__ = [
     "survival_curves",
     "DemandMatrix",
     "FlowCellResult",
+    "FlowPlan",
     "FlowResult",
     "demand_matrix",
     "demand_models",

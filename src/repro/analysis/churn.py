@@ -138,8 +138,9 @@ def churn_cell(
     from scratch and compares fingerprints (the dynamic differential whose
     recompile wall-time also feeds ``speedup``); ``"static"`` instead asks
     :func:`~repro.routing.program.apply_delta` for its static soundness
-    proof (``static_check=True`` — the verifier shows every feasible pair
-    delivers at exact distance, no recompile ever built), recording
+    proof (``static_check=True`` — a one-hop descent check shows every
+    feasible pair delivers at exact distance, no recompile ever built and
+    no fate resolved), recording
     ``outcome_equal=True`` on proof success with no timing comparison;
     ``False`` skips checking entirely.
 

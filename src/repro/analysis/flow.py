@@ -31,19 +31,24 @@ pointer-doubling :func:`~repro.routing.program.resolve_functional`).
 Injecting each delivered pair's demand at its start state and ordering
 the states by depth turns load accumulation into layer-by-layer
 **subtree sums**: each layer pushes its accumulated demand one hop down
-with a single ``np.add.at``, and one final ``np.bincount`` over arc codes ``u * n + v``
-converts the per-state sums into arc loads.  Total scatter volume is one
-write per state instead of one per pair-hop (``O(n^2 * avg hops)``).
-Fault-masked views need nothing extra: a state whose walk ends at a
-``DROPPED`` successor is on no delivered route, so it carries zero weight.
-This is RouteFlow's parent/children ``Path`` load sum, vectorised.
+with one ``np.bincount`` over its contiguous slice of layer-local
+successor ranks, and one final ``np.bincount`` over arc codes
+``u * n + v`` converts the per-state sums into arc loads.  Total scatter
+volume is one write per state instead of one per pair-hop
+(``O(n^2 * avg hops)``).  The depth order, the local ranks, the arc codes
+and the start ranks do not depend on the demand: a :class:`FlowPlan`
+holds them for one (program, report) cell, so a cell routing several
+demand models lays its states out once.  Fault-masked views need nothing
+extra: a state whose walk ends at a ``DROPPED`` successor is on no
+delivered route, so it carries zero weight.  This is RouteFlow's
+parent/children ``Path`` load sum, vectorised.
 
 The accumulator is **exact** on integer-valued demand (which the
 generators always emit): every partial sum is an integer far below
-``2**53``, so float64 addition is associative here and the subtree sums,
-a per-hop frontier walk and a brute-force per-pair path walk agree byte
-for byte — ``tests/test_flow.py`` pins this differentially against both
-walks (kept as oracles in ``tests/``).
+``2**53``, so float64 addition is associative here and the per-layer
+bincounts, a per-hop frontier walk and a brute-force per-pair path walk
+agree byte for byte — ``tests/test_flow.py`` pins this differentially
+against both walks (kept as oracles in ``tests/``).
 
 Minimal example — route a uniform demand matrix through a compiled
 shortest-path program and read off congestion:
@@ -63,6 +68,7 @@ shortest-path program and read off congestion:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -90,6 +96,7 @@ __all__ = [
     "DEMAND_MODELS",
     "DemandMatrix",
     "FlowCellResult",
+    "FlowPlan",
     "FlowResult",
     "demand_matrix",
     "demand_models",
@@ -384,109 +391,163 @@ class FlowResult:
 # ----------------------------------------------------------------------
 # the subtree-sum accumulator
 # ----------------------------------------------------------------------
-def _state_graph(
-    program: RoutingProgram, routed: np.ndarray, delivered: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The program's functional state graph, with the demand injected.
+_GENERIC_REFUSAL = (
+    "a generic program has no transition arrays to aggregate demand over; "
+    "compile the scheme to a next-hop or header-state program"
+)
 
-    Returns ``(acc, succ, arc, start)``: per-state injected demand (each
-    delivered pair's ``routed`` demand at its start state), each state's
-    successor, the directed-arc code ``u * n + v`` of its outgoing hop, and
-    the ``(n, n)`` start state of every pair (meaningful where
-    ``delivered``).  A next-hop program has the flat destination-major
-    states ``d * n + c`` (pair ``(s, d)`` starts at ``d * n + s``, so
-    injection is a transpose); a header-state program has its interned
-    states (pair ``(s, d)`` starts at ``initial[s, d]``).  Sentinel
-    successors clip to state / node 0: such states are on no delivered
-    route, so the fabricated codes only ever carry zero weight.
+
+def _as_demand(demand: Union[DemandMatrix, np.ndarray], n: int) -> DemandMatrix:
+    """The demand as a validated ``(n, n)`` :class:`DemandMatrix`."""
+    dm = (
+        demand
+        if isinstance(demand, DemandMatrix)
+        else DemandMatrix(
+            demand=np.asarray(demand, dtype=np.float64), model="custom", seed=None
+        )
+    )
+    if dm.demand.shape != (n, n):
+        raise ValueError(
+            f"demand matrix shape {dm.demand.shape} does not match the "
+            f"program's n={n}"
+        )
+    if not (np.isfinite(dm.demand).all() and dm.demand.min() >= 0):
+        raise ValueError("demand must be finite and nonnegative")
+    return dm
+
+
+class FlowPlan:
+    """The demand-independent half of routing demand through one program.
+
+    Built from a compiled program and its
+    :class:`~repro.routing.verify.VerificationReport`, a plan lays the
+    program's functional state graph out once: the states in stable depth
+    order (``report.state_hops + 1``, so layer 0 holds the states whose
+    walk cycles and layer 1 the stopping states) with the layer bounds,
+    each state's successor as a rank local to the layer one hop shallower,
+    the directed-arc code ``u * n + v`` of each state's outgoing hop in
+    that same order, and each pair's start rank.  A
+    next-hop program's states are the flat destination-major ``d * n + c``
+    (pair ``(s, d)`` starts at ``d * n + s``); a header-state program's
+    are its interned states (pair ``(s, d)`` starts at ``initial[s, d]``,
+    and pairs may share one).  Sentinel successors clip to state / node 0:
+    such states are on no delivered route, so the fabricated codes only
+    ever carry zero weight.
+
+    :meth:`route` then costs a handful of contiguous passes per demand
+    matrix, so a cell routing several demand models pays for the layout
+    once.  The layout is built on the first :meth:`route` and lives as
+    long as the plan; nothing is cached on the program or the report.
+    Index arrays are ``np.intp``: ``np.bincount`` and fancy indexing
+    convert a narrower index to it on every call, so the plan converts
+    once.  Depths fit int16 whenever the longest stopping walk does, which
+    keeps the stable sort narrow at every realistic size.
     """
-    n = program.n
-    if isinstance(program, NextHopProgram):
-        idx_t = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
-        nxt = np.maximum(program.next_node.T, 0).astype(idx_t)
-        rows = np.arange(n, dtype=idx_t)[:, None]
-        cols = np.arange(n, dtype=idx_t)[None, :]
-        succ = (rows * n + nxt).ravel()  # same-destination next state
-        arc = (cols * n + nxt).ravel()  # directed edge (cur, nxt)
-        acc = np.ascontiguousarray(routed.T).ravel()  # acc[d * n + c] = routed[c, d]
-        return acc, succ, arc, np.arange(n * n, dtype=idx_t).reshape(n, n).T
-    assert isinstance(program, HeaderStateProgram)
-    size = max(n * n, program.num_states)
-    idx_t = np.int32 if size <= np.iinfo(np.int32).max else np.int64
-    succ = np.maximum(program.succ, 0).astype(idx_t)
-    node_of = program.node_of.astype(idx_t)
-    start = np.where(delivered, program.initial, 0).astype(idx_t)
-    acc = np.bincount(start.ravel(), weights=routed.ravel(), minlength=program.num_states)
-    return acc, succ, node_of * n + node_of[succ], start
 
+    def __init__(self, program: RoutingProgram, report: VerificationReport) -> None:
+        if isinstance(program, GenericProgram):
+            raise ValueError(_GENERIC_REFUSAL)
+        if report.n != program.n:
+            raise ValueError(f"report is over n={report.n}, program has n={program.n}")
+        self.program = program
+        self.report = report
 
-def _subtree_loads(
-    program: RoutingProgram,
-    routed: np.ndarray,
-    delivered: np.ndarray,
-    state_hops: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Accumulate loads as layered subtree sums over the state graph.
+    @cached_property
+    def _layout(self) -> Tuple[List[int], np.ndarray, np.ndarray, np.ndarray]:
+        """``(bounds, local, arc, start)`` in stable depth order."""
+        program, state_hops = self.program, self.report.state_hops
+        n = program.n
+        top = int(state_hops.max()) + 1
+        sort_t = np.int16 if top <= np.iinfo(np.int16).max else np.int64
+        depth = (state_hops + 1).astype(sort_t)  # NO_ROUTE (-1) lands in layer 0
+        order = np.argsort(depth, kind="stable")
+        bounds = np.searchsorted(depth[order], np.arange(max(top, 1) + 2)).tolist()
+        rank = np.empty(state_hops.size, dtype=np.intp)
+        rank[order] = np.arange(state_hops.size, dtype=np.intp)
+        if isinstance(program, NextHopProgram):
+            node = np.tile(np.arange(n, dtype=np.intp), n)[order]
+            nxt = np.ascontiguousarray(program.next_node.T).ravel()[order].astype(np.intp)
+            np.maximum(nxt, 0, out=nxt)
+            succ = order - node + nxt  # same destination, next node
+            arc = node * n + nxt
+            start = np.ascontiguousarray(rank.reshape(n, n).T)
+        else:
+            assert isinstance(program, HeaderStateProgram)
+            node_of = program.node_of.astype(np.intp)
+            succ = np.maximum(program.succ, 0).astype(np.intp)[order]
+            node = node_of[order]
+            arc = node * n + node_of[succ]
+            delivered = self.report.outcome == VERDICT_DELIVERED
+            start = rank[np.where(delivered, program.initial, 0)]
+        local = rank[succ]
+        for layer in range(2, len(bounds) - 1):
+            local[bounds[layer] : bounds[layer + 1]] -= bounds[layer - 1]
+        return bounds, local, arc, start
 
-    The demand arrives injected at each delivered pair's start state
-    (:func:`_state_graph`).  States are bucketed by their resolved
-    ``state_hops + 1``: bucket 0 collects the states whose walk cycles,
-    bucket 1 the stopping states, and no subset gather is ever needed,
-    since a state off every delivered route carries zero weight.
-    Processing layers deepest first pushes each state's accumulated
-    demand one hop down with a single ``np.add.at`` per layer (a
-    successor is exactly one layer shallower, so its own push happens
-    only after every predecessor's arrived).  After the pushes,
-    ``acc[state]`` is the full demand passing through the state — the
-    load on its outgoing arc — so one ``np.bincount`` over arc codes
-    materialises every arc load, node loads are a sum of ``acc`` per
-    node, and a second ascending pass propagates the per-path bottleneck
-    (max arc load en route) from the stopping states upwards.  Stopping
-    states accumulate the arrived traffic; they are zeroed after the
-    node sums so arrival mass never loads an arc.
+    def route(self, demand: Union[DemandMatrix, np.ndarray]) -> FlowResult:
+        """Push one demand matrix through the plan's program.
 
-    Index codes fit int32 whenever ``n * n`` and the state count do, and
-    depths fit int16 whenever the longest stopping walk does, which keeps
-    the argsort and the gathers in narrow integers at every realistic
-    size.
-    """
-    n = program.n
-    if not state_hops.size:  # a header-state program over n = 1 has no states
-        return np.zeros((n, n)), np.zeros(n), np.zeros((n, n))
-    acc, succ, arc, start = _state_graph(program, routed, delivered)
-    top = int(state_hops.max()) + 1
-    sort_t = np.int16 if top <= np.iinfo(np.int16).max else np.int64
-    depth = (state_hops + 1).astype(sort_t)  # NO_ROUTE (-1) lands in bucket 0
-    order = np.argsort(depth, kind="stable")
-    succ_o = succ[order]
-    arc_o = arc[order]
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(depth, minlength=2))))
-    for layer in range(len(bounds) - 2, 1, -1):
-        lo, hi = int(bounds[layer]), int(bounds[layer + 1])
-        if lo < hi:
-            np.add.at(acc, succ_o[lo:hi], acc[order[lo:hi]])
-    if isinstance(program, NextHopProgram):
-        node_load = acc.reshape(n, n).sum(axis=0)
-    else:
-        node_load = np.bincount(program.node_of, weights=acc, minlength=n)
-    acc[order[: bounds[2]]] = 0.0  # arrived traffic, or a state off every route
-    edge_load = np.bincount(arc, weights=acc, minlength=n * n)
-    bottleneck = np.zeros(acc.size, dtype=np.float64)
-    for layer in range(2, len(bounds) - 1):
-        lo, hi = int(bounds[layer]), int(bounds[layer + 1])
-        if lo < hi:
-            bottleneck[order[lo:hi]] = np.maximum(
-                edge_load[arc_o[lo:hi]], bottleneck[succ_o[lo:hi]]
-            )
-    path_max = np.where(delivered, bottleneck[start], 0.0)
-    return edge_load.reshape(n, n), node_load, path_max
+        Each delivered pair's demand is injected at its start state.
+        Processing layers deepest first, each layer's accumulated demand
+        moves one hop down with one ``np.bincount`` over its contiguous
+        slice of local successor ranks, added into the slice of the layer
+        above (a successor is exactly one layer shallower, so its own push
+        happens only after every predecessor's arrived).  After the pushes
+        a state's accumulator is the full demand passing through it — the
+        load on its outgoing arc — so, once the stopping states' arrived
+        traffic is zeroed, one ``np.bincount`` over arc codes materialises
+        every arc load, and a second ascending pass propagates the
+        per-path bottleneck (max arc load en route) from the stopping
+        states upwards.  A node's load is the traffic leaving it (its arc
+        loads' row sum) plus the traffic delivered to it (its demand
+        column over delivered pairs): a delivered walk stops only at its
+        destination.
+        """
+        program, report = self.program, self.report
+        n = program.n
+        dm = _as_demand(demand, n)
+        delivered = report.outcome == VERDICT_DELIVERED
+        routed = np.where(delivered, dm.demand, 0.0)
+        if not report.state_hops.size:  # a header-state program over n = 1 has no states
+            edge_load, node_load, path_max = np.zeros((n, n)), np.zeros(n), np.zeros((n, n))
+        else:
+            bounds, local, arc, start = self._layout
+            acc = np.bincount(start.ravel(), weights=routed.ravel(), minlength=local.size)
+            for layer in range(len(bounds) - 2, 1, -1):
+                prev, lo, hi = bounds[layer - 1], bounds[layer], bounds[layer + 1]
+                acc[prev:lo] += np.bincount(local[lo:hi], weights=acc[lo:hi], minlength=lo - prev)
+            acc[: bounds[2]] = 0.0  # arrived traffic, or a state off every route
+            edge_load = np.bincount(arc, weights=acc, minlength=n * n).reshape(n, n)
+            node_load = edge_load.sum(axis=1) + routed.sum(axis=0)
+            bottleneck = np.zeros(acc.size, dtype=np.float64)
+            for layer in range(2, len(bounds) - 1):
+                prev, lo, hi = bounds[layer - 1], bounds[layer], bounds[layer + 1]
+                bottleneck[lo:hi] = np.maximum(
+                    edge_load.ravel()[arc[lo:hi]], bottleneck[prev:lo][local[lo:hi]]
+                )
+            path_max = np.where(delivered, bottleneck[start], 0.0)
+        feasible = report.outcome != VERDICT_INFEASIBLE
+        return FlowResult(
+            kind=program.kind,
+            n=n,
+            mode="subtree",
+            model=dm.model,
+            offered_demand=float(np.sum(dm.demand, where=feasible)),
+            delivered_demand=float(routed.sum()),
+            demand=dm.demand,
+            delivered=delivered,
+            lengths=report.hops,
+            edge_load=edge_load,
+            node_load=node_load,
+            path_max_load=path_max,
+        )
 
 
 # ----------------------------------------------------------------------
 # entry point
 # ----------------------------------------------------------------------
 def route_demand(
-    program: RoutingProgram,
+    program: Union[RoutingProgram, FlowPlan],
     demand: Union[DemandMatrix, np.ndarray],
     *,
     alive: Optional[np.ndarray] = None,
@@ -505,34 +566,22 @@ def route_demand(
     dead-endpoint demand would count as offered — and raises
     :class:`ValueError` if it does not.  Every next-hop and header-state
     program, fault-masked or not, goes through the one subtree-sum
-    accumulator, layered by the report's per-state hop counts.  Generic
-    programs carry no transition arrays to aggregate over and raise.
+    accumulator: this builds a :class:`FlowPlan` and routes it once.
+    ``program`` may instead be a :class:`FlowPlan` already built for the
+    cell (it carries its own report, so ``alive`` / ``report`` must then
+    be omitted): a cell routing several demand matrices shares one plan.
+    Generic programs carry no transition arrays to aggregate over and
+    raise.
     """
+    if isinstance(program, FlowPlan):
+        if alive is not None or report is not None:
+            raise ValueError("a FlowPlan carries its own report: drop alive= / report=")
+        return program.route(demand)
     if isinstance(program, GenericProgram):
-        raise ValueError(
-            "a generic program has no transition arrays to aggregate demand "
-            "over; compile the scheme to a next-hop or header-state program"
-        )
-    dm = (
-        demand
-        if isinstance(demand, DemandMatrix)
-        else DemandMatrix(
-            demand=np.asarray(demand, dtype=np.float64), model="custom", seed=None
-        )
-    )
-    n = program.n
-    if dm.demand.shape != (n, n):
-        raise ValueError(
-            f"demand matrix shape {dm.demand.shape} does not match the "
-            f"program's n={n}"
-        )
-    if not np.isfinite(dm.demand).all() or (dm.demand < 0).any():
-        raise ValueError("demand must be finite and nonnegative")
+        raise ValueError(_GENERIC_REFUSAL)
     if report is None:
         report = resolve_fates(program, alive)
-    elif report.n != n:
-        raise ValueError(f"report is over n={report.n}, program has n={n}")
-    elif alive is not None:
+    elif alive is not None and report.n == program.n:
         dead = ~np.asarray(alive, dtype=bool)
         if not (
             (report.outcome[dead, :] == VERDICT_INFEASIBLE).all()
@@ -543,26 +592,7 @@ def route_demand(
                 "resolve it with the same alive mask (resolve_fates(program, "
                 "alive)) or drop one of report= / alive="
             )
-    delivered = report.outcome == VERDICT_DELIVERED
-    routed = np.where(delivered, dm.demand, 0.0)
-    edge_load, node_load, path_max = _subtree_loads(
-        program, routed, delivered, report.state_hops
-    )
-    feasible = report.outcome != VERDICT_INFEASIBLE
-    return FlowResult(
-        kind=program.kind,
-        n=n,
-        mode="subtree",
-        model=dm.model,
-        offered_demand=float(np.where(feasible, dm.demand, 0.0).sum()),
-        delivered_demand=float(routed.sum()),
-        demand=dm.demand,
-        delivered=delivered,
-        lengths=report.hops,
-        edge_load=edge_load,
-        node_load=node_load,
-        path_max_load=path_max,
-    )
+    return FlowPlan(program, report).route(demand)
 
 
 # ----------------------------------------------------------------------
@@ -616,12 +646,12 @@ def flow_cell(
         raise SchemeInapplicableError(
             "generic programs carry no transition arrays to aggregate demand over"
         )
-    report = resolve_fates(program)
+    plan = FlowPlan(program, resolve_fates(program))
     dist = distance_matrix(graph)
     rows: List[FlowCellResult] = []
     for name in models:
         dm = demand_matrix(name, graph.n, total=total, seed=demand_seed, dist=dist)
-        flow = route_demand(program, dm, report=report)
+        flow = route_demand(plan, dm)
         rows.append(
             FlowCellResult(
                 scheme=label,

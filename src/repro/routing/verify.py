@@ -127,25 +127,27 @@ def _exact_max_ratio(lengths: np.ndarray, dists: np.ndarray, ratios: np.ndarray)
     """Exact maximum of ``lengths / dists`` (``ratios``) as a :class:`Fraction`.
 
     The one stretch kernel, called only by :meth:`VerificationReport.stretch`
-    with at least one pair: the float argmax is sharpened by re-comparing,
-    as true rationals, every pair within one representable step of the
-    float maximum.
+    with at least one pair.  The exact maximum lies within one
+    representable step of the float maximum, so only that near set is
+    searched: its float argmax is the first candidate, and while any near
+    pair beats the candidate by integer cross-multiplication
+    (``l * d_best > l_best * d``, exact in int64 for any realistic hop
+    count) the first such pair replaces it.  Each pass is one vectorised
+    comparison over the near set and strictly raises the candidate, so
+    the loop ends at the exact maximum — on a stretch-1 program, where
+    every delivered pair ties, after a single pass.
     """
     best = float(ratios.max())
-    near = ratios >= np.nextafter(best, 0.0)
-    # Deduplicate the tied (length, dist) pairs before touching Fraction:
-    # on a stretch-1 program *every* delivered pair ties at the maximum,
-    # and a Python loop over n^2 pairs would dwarf the verification
-    # itself.  Distinct pairs are bounded by the distinct (length, dist)
-    # combinations — a handful on any regular family.
-    packed = lengths[near] * (int(dists.max()) + 1) + dists[near]
-    worst = Fraction(0)
-    base = int(dists.max()) + 1
-    for key in np.unique(packed):
-        s = Fraction(int(key) // base, int(key) % base)
-        if s > worst:
-            worst = s
-    return worst if worst > 0 else Fraction(1)
+    near = np.flatnonzero(ratios >= np.nextafter(best, 0.0))
+    near_lengths, near_dists = lengths[near], dists[near]
+    top = int(np.argmax(ratios[near]))
+    top_length, top_dist = int(near_lengths[top]), int(near_dists[top])
+    while True:
+        beats = np.flatnonzero(near_lengths * top_dist > top_length * near_dists)
+        if not beats.size:
+            break
+        top_length, top_dist = int(near_lengths[beats[0]]), int(near_dists[beats[0]])
+    return Fraction(top_length, top_dist) if top_length > 0 else Fraction(1)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,11 @@ race the two:
   in-tree :func:`repro.graphs.generators.random_regular_graph` and the
   labelling certificate of :func:`repro.graphs.properties.is_hypercube`;
   :func:`is_chordal` and :func:`is_outerplanar` check generator output,
-  and :func:`to_networkx` / :func:`from_networkx` convert graphs.
+  and :func:`to_networkx` / :func:`from_networkx` convert graphs;
+* :func:`resolved_patched_soundness` — the delta soundness proof that
+  resolves every pair's fate with a strict :func:`~repro.routing.verify.
+  verify_program` and checks delivered hop counts against the distances,
+  against the one-hop descent proof of ``apply_delta(static_check=True)``.
 """
 
 from __future__ import annotations
@@ -765,3 +769,48 @@ def is_outerplanar(graph: PortLabeledGraph) -> bool:
     g.add_edges_from((n, v) for v in range(n))
     planar, _ = nx.check_planarity(g)
     return bool(planar)
+
+
+# ----------------------------------------------------------------------
+# delta soundness
+# ----------------------------------------------------------------------
+def resolved_patched_soundness(patched, dist_after: np.ndarray, faults=None) -> None:
+    """Prove a delta-patched table program sound by resolving every fate.
+
+    Every feasible pair must deliver in exactly ``dist_after`` hops, or,
+    under ``faults``, drop at a masked transition; a strict
+    :func:`~repro.routing.verify.verify_program` raises on structural and
+    semantic issues first.  Raises
+    :class:`~repro.routing.verify.ProgramVerificationError` naming the
+    first offending pair.
+    """
+    from repro.routing.verify import (
+        VERDICT_DELIVERED,
+        VERDICT_DROPPED,
+        VERDICT_INFEASIBLE,
+        VERDICT_NAMES,
+        ProgramVerificationError,
+        verify_program,
+    )
+
+    alive = faults.alive_mask(patched.n) if faults is not None else None
+    report = verify_program(patched, alive=alive, strict=True)
+    allowed = [VERDICT_DELIVERED, VERDICT_INFEASIBLE]
+    if faults is not None:
+        allowed.append(VERDICT_DROPPED)
+    bad = ~np.isin(report.outcome, allowed)
+    wrong_hops = (report.outcome == VERDICT_DELIVERED) & (report.hops != dist_after)
+    for mask, what in ((bad, "fate"), (wrong_hops, "hops")):
+        if mask.any():
+            xs, ys = np.nonzero(mask)
+            x, y = int(xs[0]), int(ys[0])
+            detail = (
+                VERDICT_NAMES[int(report.outcome[x, y])]
+                if what == "fate"
+                else f"delivered in {int(report.hops[x, y])} hops at distance "
+                f"{int(dist_after[x, y])}"
+            )
+            raise ProgramVerificationError(
+                f"delta-patched program failed the resolved soundness proof: "
+                f"pair {x} -> {y} is {detail}"
+            )

@@ -11,7 +11,9 @@ Layers of guarantees over :mod:`repro.analysis.flow`:
   precisely so this equality is exact — see the module docstring of
   ``flow.py``.  Hypothesis extends the equality to random graphs, random
   fault sets and random integer demand matrices, scaled by
-  ``REPRO_HYP_PROFILE``.
+  ``REPRO_HYP_PROFILE``.  One :class:`~repro.analysis.flow.FlowPlan`
+  routed over several demand matrices equals a fresh ``route_demand`` per
+  matrix, byte for byte, from n = 1 up.
 
 * **Conservation** — total arc load equals demand-weighted route length,
   node load equals arc load plus one origination visit per message, and
@@ -28,6 +30,8 @@ Layers of guarantees over :mod:`repro.analysis.flow`:
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -36,6 +40,7 @@ from hypothesis import strategies as st
 from repro.analysis.flow import (
     DEMAND_MODELS,
     DemandMatrix,
+    FlowPlan,
     demand_matrix,
     demand_models,
     flow_cell,
@@ -438,6 +443,69 @@ def test_single_vertex_program_routes_nothing(scheme_name):
     for array in (flow.edge_load, flow.node_load, flow.path_max_load):
         assert array.dtype == np.float64 and not array.any()
     assert flow.delivered_fraction == 1.0
+
+
+def _assert_results_byte_equal(got, want):
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, field.name
+            assert a.tobytes() == b.tobytes(), field.name
+        else:
+            assert a == b, field.name
+
+
+def _plan_reuse_cases():
+    """(label, program, alive, demands): every shape a plan must serve."""
+    from repro.graphs.digraph import PortLabeledGraph
+    from repro.graphs.generators import path_graph
+
+    cases = []
+    for scheme_name, family in (
+        ("tables-lowest-port", "random-sparse"),
+        ("landmark-rewriting", "random-dense"),  # pairs share start states
+    ):
+        graph = FAMILIES[family]
+        program = SCHEMES[scheme_name].build(graph.copy()).compile_program()
+        demands = list(demand_models(graph.n, total=50_000.0, seed=3,
+                                     dist=distance_matrix(graph)).values())
+        cases.append((f"{scheme_name}-{family}", program, None, demands))
+        for label, faults in fault_scenarios(graph, seed=4, edge_ks=(2,), node_ks=(1,), per_k=1):
+            masked = apply_faults(program, graph, faults)
+            cases.append((f"{scheme_name}-{family}-{label}", masked, faults.alive_mask(graph.n), demands))
+    for scheme_name in ("tables-lowest-port", "landmark-rewriting"):
+        pair = SCHEMES[scheme_name].build(path_graph(2)).compile_program()
+        cases.append((f"{scheme_name}-n2", pair, None, list(demand_models(2, total=10.0).values())))
+        single = SCHEMES[scheme_name].build(PortLabeledGraph(1)).compile_program()
+        cases.append((f"{scheme_name}-n1", single, None, [np.zeros((1, 1))] * 3))
+    return cases
+
+
+PLAN_CASES = _plan_reuse_cases()
+
+
+@pytest.mark.parametrize(
+    "label,program,alive,demands", PLAN_CASES, ids=[c[0] for c in PLAN_CASES]
+)
+def test_plan_reuse_is_byte_equal_to_fresh_routes(label, program, alive, demands):
+    # One plan routed over every demand matrix == one fresh route_demand
+    # per matrix, array for array and byte for byte.
+    report = resolve_fates(program, alive)
+    plan = FlowPlan(program, report)
+    for demand in demands:
+        reused = plan.route(demand)
+        _assert_results_byte_equal(reused, route_demand(program, demand, alive=alive))
+        _assert_results_byte_equal(route_demand(plan, demand), reused)
+    if program.n == 1:
+        for array in (reused.edge_load, reused.node_load, reused.path_max_load):
+            assert array.dtype == np.float64 and not array.any()
+
+
+def test_plan_refuses_a_second_report(petersen):
+    program = SCHEMES["tables-lowest-port"].build(petersen.copy()).compile_program()
+    plan = FlowPlan(program, resolve_fates(program))
+    with pytest.raises(ValueError, match="carries its own report"):
+        route_demand(plan, uniform_demand(petersen.n), report=plan.report)
 
 
 def test_shape_mismatch_raises(petersen):

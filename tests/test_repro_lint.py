@@ -145,7 +145,26 @@ class TestPairLoopRule:
         src = "for pair in pairs:\n    acc[pair] += 1\n"
         findings = _lint(tmp_path, self.FLOW, src)
         assert _codes(findings) == ["REP004"]
+        assert "np.bincount" in findings[0].message
+        assert "np.add.at" not in findings[0].message
+
+    def test_ufunc_at_scatter_flagged(self, tmp_path):
+        src = (
+            "import numpy as np\n"
+            "np.add.at(acc, succ, weights)\n"
+            "numpy.maximum.at(peak, succ, load)  # repro-lint: allow-pair-loop\n"
+        )
+        findings = _lint(tmp_path, self.FLOW, src)
+        assert _codes(findings) == ["REP004", "REP004"]
         assert "np.add.at" in findings[0].message
+        assert "np.bincount" in findings[0].message
+        assert "np.maximum.at" in findings[1].message
+
+    def test_bincount_and_at_outside_flow_allowed(self, tmp_path):
+        flow = "import numpy as np\nacc[:4] += np.bincount(local, weights=acc[4:], minlength=4)\n"
+        assert _lint(tmp_path, self.FLOW, flow) == []
+        other = "import numpy as np\nnp.add.at(acc, succ, weights)\n"
+        assert _lint(tmp_path, "src/repro/sim/engine.py", other) == []
 
     def test_comprehension_over_demand_flagged(self, tmp_path):
         src = "total = sum(w for w in demand_rows)\n"

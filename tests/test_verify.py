@@ -5,12 +5,14 @@ Four layers of guarantees over :mod:`repro.routing.verify`:
 * **Differential** — for every registry scheme x graph family whose program
   compiles (next-hop or header-state), the verifier's closed-form pair
   classification, hop counts and exact stretch equal what the executors
-  observe: the
-  unmasked simulator (:func:`repro.sim.engine.simulate_all_pairs`), the
-  masked fault executor (:func:`repro.sim.faults.simulate_with_faults`,
-  outcome **and** lengths bit-for-bit), and delta-patched programs under
-  churn.  Hypothesis extends the same equality to random graphs for both
-  program kinds.
+  observe: the per-message interpreter
+  (:func:`repro.sim.engine.interpret`, with the exact stretch recomputed
+  pair by pair), the masked fault executor
+  (:func:`repro.sim.faults.simulate_with_faults`, outcome **and** lengths
+  bit-for-bit), and delta-patched programs under churn.  Hypothesis
+  extends the equality to random graphs for both program kinds, and races
+  the one-hop descent proof of ``apply_delta(static_check=True)`` against
+  the fate-resolving proof of ``tests/oracles.py`` on corrupted patches.
 
 * **Mutation negatives** — corrupted artifacts (out-of-range successors, a
   stray ``-1``, broken absorbing destinations, injected cycles, stale
@@ -34,19 +36,23 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, event, given
 from hypothesis import strategies as st
 
+from conftest import churn_traces, profile_settings
+from oracles import resolved_patched_soundness
 from repro.graphs import generators
 from repro.graphs.shortest_paths import distance_matrix
 from repro.routing.hierarchical import HierarchicalSpannerScheme
 from repro.routing.landmark import CowenLandmarkScheme
 from repro.routing.program import (
+    DROPPED,
     MISDELIVER,
     NO_ROUTE,
     GenericProgram,
     HeaderStateProgram,
     NextHopProgram,
+    _assert_patched_sound,
     apply_delta,
     compile_scheme_program,
     program_from_bytes,
@@ -64,6 +70,7 @@ from repro.routing.verify import (
 )
 from repro.sim import simulate_all_pairs
 from repro.sim.churn import churn_scenarios
+from repro.sim.engine import interpret
 from repro.sim.faults import (
     PAIR_DELIVERED,
     PAIR_DROPPED,
@@ -71,6 +78,7 @@ from repro.sim.faults import (
     PAIR_LIVELOCKED,
     PAIR_MISDELIVERED,
     apply_faults,
+    random_fault_set,
     simulate_with_faults,
 )
 from repro.sim.registry import fault_scenarios, graph_families, scheme_registry
@@ -120,31 +128,40 @@ def test_verdict_codes_equal_pair_codes():
 # ----------------------------------------------------------------------
 # differential: verifier == executor
 # ----------------------------------------------------------------------
+def _per_pair_max_stretch(hops, dist, delivered) -> Fraction:
+    """Exact worst stretch, one Fraction per distinct (hops, distance) pair."""
+    mask = delivered & (dist > 0)
+    pairs = set(zip(hops[mask].tolist(), dist[mask].tolist()))
+    return max((Fraction(h, d) for h, d in pairs), default=Fraction(1))
+
+
 def test_differential_unmasked_full_registry():
-    """verify(program) == simulate_all_pairs(program) on every cell."""
+    """verify(program) == the per-message interpreter on every cell.
+
+    The interpreter walks the live routing function one message at a time
+    and never reads the compiled arrays, and the exact worst stretch is
+    recomputed pair by pair here, so neither side of the race shares a
+    kernel with the verifier.
+    """
     cells = 0
     kinds = set()
     stretched = 0
     for scheme_name, family_name, graph, rf, program in _compiled_cells():
-        sim = simulate_all_pairs(rf, program=program)
+        interpreted, _ = interpret(rf)
         dist = distance_matrix(graph)
         report = verify_program(program, dist=dist)
         label = f"{scheme_name} x {family_name}"
         assert report.issues == (), label
-        np.testing.assert_array_equal(
-            report.outcome, _expected_outcome(sim, graph.n), err_msg=label
-        )
-        # The unmasked executor records -1 for lost pairs (walked prefixes
-        # are a masked-path concept); delivered pairs and the diagonal must
-        # agree exactly.
+        np.testing.assert_array_equal(report.outcome, interpreted.outcome, err_msg=label)
         delivered = report.outcome == VERDICT_DELIVERED
         np.testing.assert_array_equal(
-            report.hops[delivered], sim.lengths[delivered], err_msg=label
+            report.hops[delivered], interpreted.hops[delivered], err_msg=label
         )
         assert (report.hops.diagonal() == 0).all(), label
-        if sim.all_delivered:
-            assert report.max_stretch == sim.max_stretch(dist=dist), label
-            stretched += report.max_stretch > 1
+        assert report.max_stretch == _per_pair_max_stretch(
+            interpreted.hops, dist, delivered
+        ), label
+        stretched += report.max_stretch > 1
         kinds.add(program.kind)
         cells += 1
     # The registry must keep exercising both compiled kinds on a healthy
@@ -588,6 +605,76 @@ class TestApplyDeltaStaticCheck:
                     raise
                 break  # scheme refused the mutated snapshot
             prog, dist = result.program, result.dist_after
+
+
+CORRUPTIONS = ("neighbour", "two-cycle", "misdeliver", "dropped", "diagonal")
+
+
+def _proof_accepts(proof, program, dist_after, faults) -> bool:
+    try:
+        proof(program, dist_after, faults)
+    except ProgramVerificationError:
+        return False
+    return True
+
+
+@profile_settings(base_examples=60)
+@given(data=st.data())
+def test_descent_proof_races_the_resolved_proof(data):
+    """One-hop descent proof vs the fate-resolving proof on corrupted patches.
+
+    A patched (or fault-masked patched) table program gets one corrupted
+    entry: a neighbour, a 2-cycle with a neighbour, ``MISDELIVER``,
+    ``DROPPED`` (a fault only when a mask is drawn) or a non-absorbing
+    diagonal.  Unmasked, both proofs must agree.  Under a mask the descent
+    proof is stricter by design: it never accepts what the resolved proof
+    refuses, and it refuses more only for a node hop off every shortest
+    path whose pair the resolved proof sees dropped.
+    """
+    trace = data.draw(churn_traces(max_steps=1))
+    before, step = next(iter(trace.transitions()))
+    graph = step.graph
+    scheme = SCHEMES["tables-lowest-port"]
+    result = apply_delta(compile_scheme_program(scheme, before), before, graph, scheme)
+    dist = result.dist_after if result.dist_after is not None else distance_matrix(graph)
+    program, faults = result.program, None
+    if data.draw(st.booleans(), label="masked"):
+        k = data.draw(st.integers(min_value=1, max_value=min(2, graph.num_edges)))
+        seed = data.draw(st.integers(min_value=0, max_value=10**6))
+        faults = random_fault_set(graph, k, kind="edge", seed=seed)
+        program = apply_faults(program, graph, faults)
+    n = graph.n
+    nn = np.array(program.next_node, copy=True)
+    kind = data.draw(st.sampled_from(CORRUPTIONS), label="corruption")
+    d = data.draw(st.integers(min_value=0, max_value=n - 1), label="dest")
+    x = data.draw(st.sampled_from([v for v in range(n) if v != d]), label="node")
+    if kind == "neighbour":
+        nn[x, d] = data.draw(st.sampled_from(graph.neighbors(x)), label="neighbour")
+    elif kind == "two-cycle":
+        # x's successor hands the message straight back to x.
+        succ = int(nn[x, d])
+        assume(succ >= 0 and succ != d)
+        nn[succ, d] = x
+        x = succ
+    elif kind == "misdeliver":
+        nn[x, d] = MISDELIVER
+    elif kind == "dropped":
+        nn[x, d] = DROPPED
+    else:
+        x = d
+        nn[d, d] = data.draw(st.sampled_from(graph.neighbors(d)), label="neighbour")
+    corrupt = program.with_next_node(nn)
+    new = _proof_accepts(_assert_patched_sound, corrupt, dist, faults)
+    old = _proof_accepts(resolved_patched_soundness, corrupt, dist, faults)
+    event(f"{kind}, {'masked' if faults is not None else 'unmasked'}: descent {new}, resolved {old}")
+    if faults is None or new == old:
+        assert new == old, (kind, x, d)
+        return
+    assert old and not new, "the descent proof accepted what the resolved proof refused"
+    v = int(nn[x, d])
+    assert v >= 0 and dist[v, d] != dist[x, d] - 1, (kind, x, d, v)
+    alive = faults.alive_mask(n)
+    assert verify_program(corrupt, alive=alive).outcome[x, d] == VERDICT_DROPPED
 
 
 class TestSweepsAndConformance:

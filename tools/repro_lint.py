@@ -31,8 +31,8 @@ REP003  Nondeterminism in the compile/verify modules
         fingerprints, and the static soundness proofs all assume it.
         There is no escape comment for this rule on purpose.
 
-REP004  Python-level loops over per-pair arrays in the flow module
-        (``analysis/flow.py``).  The whole point of the demand-matrix
+REP004  Python-level loops over per-pair arrays, and ``np.<ufunc>.at``
+        scatters, in the flow module (``analysis/flow.py``).  The whole point of the demand-matrix
         representation is that "millions of messages" stays a float
         array; a ``for`` loop (or comprehension) whose iterable names a
         pair/demand/load array — directly, through ``.tolist()`` /
@@ -48,7 +48,13 @@ REP004  Python-level loops over per-pair arrays in the flow module
         state graph has exact depths, so the module's loops are bounded
         ``range`` loops over depth layers.  The escape comment does not
         apply to ``while`` loops; the walk lives on as a test oracle
-        (``tests/conftest.py``), outside the rule's scope.
+        (``tests/conftest.py``), outside the rule's scope.  Unbuffered
+        ufunc scatters (``np.add.at``, ``np.maximum.at``, any
+        ``np.<ufunc>.at``) are flagged too, also without an escape: the
+        accumulator pushes each depth layer with one ``np.bincount`` over
+        a contiguous slice of layer-local successor ranks, which is exact
+        on integer demand and several times cheaper than an ``.at``
+        scatter through a gather.
 
 REP005  Bare ``print`` calls in the CLI package (``repro/cli``).  The
         ``repro`` command's stdout is a machine-readable JSONL stream —
@@ -454,12 +460,37 @@ def _pair_iterable(node: ast.AST) -> str | None:
     return None
 
 
+def _ufunc_at_name(node: ast.AST) -> str | None:
+    """The ufunc's name when ``node`` calls ``np.<ufunc>.at``, else ``None``."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+        return None
+    func = node.func
+    if (
+        func.attr == "at"
+        and isinstance(func.value, ast.Attribute)
+        and isinstance(func.value.value, ast.Name)
+        and func.value.value.id in ("np", "numpy")
+    ):
+        return func.value.attr
+    return None
+
+
 def check_pair_loops(path: Path, tree: ast.Module, source: str) -> Iterator[Finding]:
-    """REP004: per-pair loops and per-hop ``while`` walkers in the flow module."""
+    """REP004: per-pair loops, per-hop ``while`` walkers and ``.at`` scatters in the flow module."""
     escaped = _escaped_lines(source, "allow-pair-loop")
     loops: List[tuple] = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.While):
+        ufunc = _ufunc_at_name(node)
+        if ufunc is not None:
+            yield Finding(
+                path,
+                node.lineno,
+                "REP004",
+                f"np.{ufunc}.at scatter in the flow module: push each depth "
+                "layer with one np.bincount over its contiguous slice of "
+                "layer-local successor ranks instead",
+            )
+        elif isinstance(node, ast.While):
             yield Finding(
                 path,
                 node.lineno,
@@ -485,7 +516,7 @@ def check_pair_loops(path: Path, tree: ast.Module, source: str) -> Iterator[Find
                 lineno,
                 "REP004",
                 f"python loop over per-pair array {name!r}: accumulate with "
-                "vectorised scatters (np.add.at / np.bincount) instead "
+                "a vectorised np.bincount instead "
                 "(or '# repro-lint: allow-pair-loop' with a reason)",
             )
 
