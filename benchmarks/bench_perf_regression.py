@@ -37,7 +37,12 @@ Two jobs:
   ``test_flow_cell_three_models_n256`` pins one n = 256 hypercube table
   cell routing all three demand models through one ``FlowPlan``.
   ``test_churn_static_proof_n1024`` pins the churn flip above with its
-  static soundness proof (``apply_delta(..., static_check=True)``).
+  static soundness proof (``apply_delta(..., static_check=True)``), and
+  ``test_churn_delta_add_n1024`` pins the proven delta of an antipodal
+  edge addition on the same hypercube (the largest dirty set a churn
+  addition draws there, ~14 % of the entries), byte-equal to a fresh
+  compile.  ``test_resilience_cell_flow_n256`` pins one warm n = 256
+  hypercube table cell with one edge-fault scenario and uniform flow.
   ``test_next_hop_execute_n4096`` pins ``execute_program`` on the n = 4096
   hypercube e-cube program and checks its closed form: every pair is
   delivered in ``popcount(src ^ dst)`` hops.
@@ -104,6 +109,7 @@ from repro.analysis.flow import (
     route_demand,
     uniform_demand,
 )
+from repro.analysis.resilience import resilience_cell
 from repro.analysis.runner import ShardedRunner
 from repro.constraints.builder import build_constraint_graph
 from repro.constraints.enumeration import enumerate_canonical_matrices
@@ -217,6 +223,13 @@ FLOW_CELL_DIM = 8
 
 #: The k = 2 edge fault of the masked flow pin (two hypercube edges).
 FLOW_MASKED_EDGES = ((0, 1), (2, 6))
+
+#: The antipodal chord of the churn-addition pin on the n = 1024 hypercube:
+#: it shortens the most distances of any single added edge there.
+CHURN_ADD_EDGE = (0, (1 << CHURN_FLIP_DIM) - 1)
+
+#: The one seeded edge fault of the resilience-cell pin (n = 256 hypercube).
+RESILIENCE_CELL_EDGES = ((0, 1), (2, 6))
 
 
 def _hypercube_ecube_program(dim: int = N4096_DIM) -> NextHopProgram:
@@ -1083,6 +1096,90 @@ def test_churn_static_proof_n1024(benchmark):
     assert result.program.fingerprint() == compile_scheme_program(scheme, after).fingerprint()
 
 
+def _churn_add_case():
+    """The antipodal edge addition on the n = 1024 hypercube."""
+    graph = generators.hypercube(CHURN_FLIP_DIM)
+    scheme = ShortestPathTableScheme(tie_break="lowest_port")
+    program = compile_scheme_program(scheme, graph)
+    after = graph.copy()
+    after.add_edge(*CHURN_ADD_EDGE)
+    return program, graph, after, scheme, distance_matrix(graph)
+
+
+@pytest.mark.benchmark(group="perf-regression")
+def test_churn_delta_add_n1024(benchmark):
+    # The churn-addition pin: the antipodal chord dirties ~14 % of the
+    # entries, each patched through the dirty-entry tie-break, and the
+    # static proof runs on the patched program.
+    program, graph, after, scheme, dist = _churn_add_case()
+
+    def _run():
+        return apply_delta(program, graph, after, scheme, dist_before=dist, static_check=True)
+
+    result = benchmark.pedantic(_run, rounds=BEST_OF, iterations=1)
+    add_s = benchmark.stats.stats.min
+    _check_budget("churn_delta_add_n1024", add_s)
+    print_rows(
+        "Churn delta + static proof (n=1024 hypercube, antipodal edge addition)",
+        [
+            {
+                "case": f"dim={CHURN_FLIP_DIM} n={graph.n} flip=add{CHURN_ADD_EDGE}",
+                "dirty_fraction": result.dirty_fraction,
+                "delta_s": add_s,
+            }
+        ],
+    )
+    assert result.mode == DELTA_PATCHED
+    fresh = compile_scheme_program(scheme, after)
+    assert result.program.to_bytes() == fresh.to_bytes()
+    assert result.program.fingerprint() == fresh.fingerprint()
+
+
+def _resilience_cell_case():
+    """A warm n = 256 hypercube table cell with one edge-fault scenario."""
+    from repro.analysis.runner import ExperimentCache
+
+    graph = generators.hypercube(FLOW_CELL_DIM)
+    scheme = ShortestPathTableScheme(tie_break="lowest_port")
+    scenarios = [("edge-k2", FaultSet.from_edges(RESILIENCE_CELL_EDGES))]
+    cache = ExperimentCache(None)
+    _resilience_cell_flow(graph, scheme, scenarios, cache)  # warm
+    return graph, scheme, scenarios, cache
+
+
+def _resilience_cell_flow(graph, scheme, scenarios, cache):
+    return resilience_cell(
+        scheme, graph, "hypercube", "tables-lowest-port", scenarios, cache, flow="uniform"
+    )
+
+
+@pytest.mark.benchmark(group="perf-regression")
+def test_resilience_cell_flow_n256(benchmark):
+    # The resilience-with-flow pin: one masked execution, its exact
+    # stretch, and one uniform-demand route over the masked view.
+    graph, scheme, scenarios, cache = _resilience_cell_case()
+
+    def _run():
+        return _resilience_cell_flow(graph, scheme, scenarios, cache)
+
+    rows = benchmark.pedantic(_run, rounds=BEST_OF, iterations=1)
+    cell_s = benchmark.stats.stats.min
+    _check_budget("resilience_cell_flow_n256", cell_s)
+    print_rows(
+        "Resilience cell with uniform flow (n=256 hypercube tables, k=2 edge fault)",
+        [{"case": f"scenarios={len(rows)} n={graph.n}", "cell_s": cell_s}],
+    )
+    (row,) = rows
+    faults = scenarios[0][1]
+    program = apply_faults(compile_scheme_program(scheme, graph), graph, faults)
+    fresh = route_demand(
+        program, uniform_demand(graph.n), alive=faults.alive_mask(graph.n)
+    )
+    assert row.peak_load == fresh.max_congestion
+    assert row.delivered_traffic == fresh.delivered_demand / fresh.offered_demand
+    assert row.routable == graph.n * (graph.n - 1)
+
+
 @pytest.mark.benchmark(group="perf-regression")
 def test_flow_sweep_warm_cache_smoke(benchmark, tmp_path):
     # The flow-sweep smoke: a warm sweep routes every demand skew against
@@ -1281,6 +1378,12 @@ def _measure_pinned_paths() -> dict:
         runner.flow_sweep(schemes=schemes, families=families)  # populate
         _, flow_sweep_s = _time(runner.flow_sweep, schemes=schemes, families=families)
     _, flow_cell_s = _time(_flow_cell_three_models, *_flow_cell_case())
+    add_prog, add_graph, add_after, add_scheme, add_dist = _churn_add_case()
+    _, churn_add_s = _time(
+        apply_delta, add_prog, add_graph, add_after, add_scheme,
+        dist_before=add_dist, static_check=True,
+    )
+    _, resilience_cell_s = _time(_resilience_cell_flow, *_resilience_cell_case())
 
     return {
         "enumerate_3_4_3": enum_s,
@@ -1302,6 +1405,8 @@ def _measure_pinned_paths() -> dict:
         "flow_cell_three_models_n256": flow_cell_s,
         "churn_static_proof_n1024": churn_proof_s,
         "program_memory_profile_n1024": memory_s,
+        "churn_delta_add_n1024": churn_add_s,
+        "resilience_cell_flow_n256": resilience_cell_s,
     }
 
 

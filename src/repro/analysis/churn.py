@@ -33,7 +33,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.graphs.digraph import PortLabeledGraph
-from repro.graphs.shortest_paths import distance_matrix
 from repro.routing.model import SchemeInapplicableError
 from repro.routing.program import (
     DELTA_PATCHED,
@@ -145,10 +144,12 @@ def churn_cell(
     ``False`` skips checking entirely.
 
     ``flow`` attaches per-step traffic metrics: a demand model name or
-    matrix (resolved once per cell — churn traces flip edges, never nodes,
-    so the pair population is fixed) is routed through the base program and
-    through every step's patched program, recording the patched program's
-    peak arc load and the fraction of traffic the patch moved between arcs.
+    matrix (a named model is generated once per base graph snapshot by
+    :func:`repro.analysis.flow.graph_demand` — churn traces flip edges,
+    never nodes, so the pair population is fixed) is routed through the
+    base program and through every step's patched program, recording the
+    patched program's peak arc load and the fraction of traffic the patch
+    moved between arcs.
     Generic programs skip the flow metrics (``None`` fields).
     """
     from repro.analysis.runner import cached_program, scheme_fingerprint
@@ -165,15 +166,10 @@ def churn_cell(
         program, _ = cached_program(scheme, graph, cache)
         prev_flow = None
         if flow is not None and not isinstance(program, GenericProgram):
-            from repro.analysis.flow import demand_matrix, route_demand
+            from repro.analysis.flow import graph_demand, route_demand
 
             if demand is None:
-                demand = demand_matrix(
-                    flow,
-                    graph.n,
-                    seed=demand_seed,
-                    dist=distance_matrix(graph),
-                )
+                demand = graph_demand(graph, flow, seed=demand_seed)
             prev_flow = route_demand(program, demand)
         dist = None
         for index, (before, step) in enumerate(trace.transitions()):

@@ -67,7 +67,7 @@ shortest-path program and read off congestion:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -102,6 +102,7 @@ __all__ = [
     "demand_models",
     "flow_cell",
     "format_flow",
+    "graph_demand",
     "gravity_demand",
     "route_demand",
     "uniform_demand",
@@ -235,10 +236,11 @@ def demand_matrix(
 ) -> DemandMatrix:
     """Resolve a demand spec — a model name, a matrix, or a raw array.
 
-    The hook surface of the sweeps: ``flow="zipf"`` on the runner's
-    resilience and churn sweeps pass the spec through here once per cell, so a string buys a
-    seeded generated matrix at the cell's own ``n`` while precomputed
-    matrices pass straight through (shape-checked).
+    The hook surface of the sweeps: a string buys a seeded generated
+    matrix at the cell's own ``n`` while precomputed matrices pass
+    straight through (shape-checked).  Sweep cells call it through
+    :func:`graph_demand`, which generates a named model once per graph
+    snapshot.
     """
     if isinstance(model, DemandMatrix):
         if model.n != n:
@@ -256,6 +258,37 @@ def demand_matrix(
         f"unknown demand model {model!r}: expected one of {DEMAND_MODELS}, "
         "a DemandMatrix, or a raw (n, n) array"
     )
+
+
+def graph_demand(
+    graph: "PortLabeledGraph",
+    model: Union[str, DemandMatrix, np.ndarray],
+    *,
+    total: float = DEFAULT_TOTAL,
+    seed: int = 0,
+) -> DemandMatrix:
+    """:func:`demand_matrix` over ``graph``, generated once per graph snapshot.
+
+    A named model's matrix is memoised on
+    :attr:`~repro.graphs.digraph.PortLabeledGraph.derived`, keyed by
+    ``(model, total, seed)``, its integer counts in the narrowest unsigned
+    dtype that holds them exactly; every read returns a fresh float64
+    :class:`DemandMatrix`.  Gravity reads the graph's distances, so a
+    mutated copy gets its own matrix.  A :class:`DemandMatrix` or a raw
+    array passes through :func:`demand_matrix` unmemoised.
+    """
+    if not isinstance(model, str):
+        return demand_matrix(model, graph.n, total=total, seed=seed)
+    memo = graph.derived.demands
+    key = (model, total, seed)
+    if key not in memo:
+        dist = distance_matrix(graph) if model == "gravity" else None
+        dm = demand_matrix(model, graph.n, total=total, seed=seed, dist=dist)
+        dtype = np.min_scalar_type(int(dm.demand.max()))
+        counts = dm.demand.astype(dtype) if dtype.kind == "u" else dm.demand
+        memo[key] = (counts, dm.seed)
+    counts, dm_seed = memo[key]
+    return DemandMatrix(demand=counts.astype(np.float64), model=model, seed=dm_seed)
 
 
 def demand_models(
@@ -304,13 +337,10 @@ class FlowResult:
         ``(n, n)`` float64; ``edge_load[u, v]`` is the demand crossing
         the directed arc ``u -> v`` (undirected edges carry one entry
         per direction).
-    node_load:
-        ``(n,)`` float64; demand originated at, forwarded through, or
-        delivered to each vertex.
-    path_max_load:
-        ``(n, n)`` float64; the most-loaded arc on each delivered pair's
-        route (0 where undelivered) — the per-flow bottleneck the
-        LRSIM-style allocation divides interface capacity by.
+    plan:
+        The :class:`FlowPlan` that routed the demand (an init-only
+        argument, not a field): :attr:`node_load` and
+        :attr:`path_max_load` are computed from it on first read.
     """
 
     kind: str
@@ -323,8 +353,34 @@ class FlowResult:
     delivered: np.ndarray
     lengths: np.ndarray
     edge_load: np.ndarray
-    node_load: np.ndarray
-    path_max_load: np.ndarray
+    plan: InitVar["FlowPlan"]
+
+    def __post_init__(self, plan: "FlowPlan") -> None:
+        object.__setattr__(self, "_plan", plan)
+
+    @cached_property
+    def node_load(self) -> np.ndarray:
+        """``(n,)`` float64; demand originated at, forwarded through, or
+        delivered to each vertex.
+
+        Computed on first read: the traffic leaving a node (its arc loads'
+        row sum) plus the traffic delivered to it (its demand column over
+        delivered pairs) — a delivered walk stops only at its destination.
+        """
+        routed = np.where(self.delivered, self.demand, 0.0)
+        return self.edge_load.sum(axis=1) + routed.sum(axis=0)
+
+    @cached_property
+    def path_max_load(self) -> np.ndarray:
+        """``(n, n)`` float64; the most-loaded arc on each delivered pair's
+        route (0 where undelivered) — the per-flow bottleneck the
+        LRSIM-style allocation divides interface capacity by.
+
+        Computed on first read (:meth:`FlowPlan.bottlenecks`); only
+        :meth:`allocated_throughput` reads it.
+        """
+        plan: FlowPlan = getattr(self, "_plan")
+        return plan.bottlenecks(self.edge_load, self.delivered)
 
     # ------------------------------------------------------------------
     @property
@@ -437,7 +493,9 @@ class FlowPlan:
     :meth:`route` then costs a handful of contiguous passes per demand
     matrix, so a cell routing several demand models pays for the layout
     once.  The layout is built on the first :meth:`route` and lives as
-    long as the plan; nothing is cached on the program or the report.
+    long as the plan, which every :class:`FlowResult` it routed holds for
+    its on-first-read loads; nothing is cached on the program or the
+    report.
     Index arrays are ``np.intp``: ``np.bincount`` and fancy indexing
     convert a narrower index to it on every call, so the plan converts
     once.  Depths fit int16 whenever the longest stopping walk does, which
@@ -454,29 +512,43 @@ class FlowPlan:
 
     @cached_property
     def _layout(self) -> Tuple[List[int], np.ndarray, np.ndarray, np.ndarray]:
-        """``(bounds, local, arc, start)`` in stable depth order."""
+        """``(bounds, local, arc, start)`` in stable depth order.
+
+        Built in place where it can be, and each scratch array is dropped
+        as soon as it is spent: the layout is the peak allocation of a
+        route, several ``n * n`` index arrays at once.
+        """
         program, state_hops = self.program, self.report.state_hops
         n = program.n
         top = int(state_hops.max()) + 1
         sort_t = np.int16 if top <= np.iinfo(np.int16).max else np.int64
-        depth = (state_hops + 1).astype(sort_t)  # NO_ROUTE (-1) lands in layer 0
+        depth = state_hops.astype(sort_t)
+        depth += 1  # NO_ROUTE (-1) lands in layer 0
         order = np.argsort(depth, kind="stable")
         bounds = np.searchsorted(depth[order], np.arange(max(top, 1) + 2)).tolist()
+        del depth
         rank = np.empty(state_hops.size, dtype=np.intp)
         rank[order] = np.arange(state_hops.size, dtype=np.intp)
         if isinstance(program, NextHopProgram):
-            node = np.tile(np.arange(n, dtype=np.intp), n)[order]
             nxt = np.ascontiguousarray(program.next_node.T).ravel()[order].astype(np.intp)
             np.maximum(nxt, 0, out=nxt)
-            succ = order - node + nxt  # same destination, next node
-            arc = node * n + nxt
+            arc = np.tile(np.arange(n, dtype=np.intp), n)[order]  # each state's node
+            succ = order  # same destination, next node: order - node + nxt
+            succ -= arc
+            succ += nxt
+            arc *= n
+            arc += nxt
+            del nxt
             start = np.ascontiguousarray(rank.reshape(n, n).T)
         else:
             assert isinstance(program, HeaderStateProgram)
             node_of = program.node_of.astype(np.intp)
             succ = np.maximum(program.succ, 0).astype(np.intp)[order]
-            node = node_of[order]
-            arc = node * n + node_of[succ]
+            arc = node_of[order]
+            del order
+            arc *= n
+            arc += node_of[succ]
+            del node_of
             delivered = self.report.outcome == VERDICT_DELIVERED
             start = rank[np.where(delivered, program.initial, 0)]
         local = rank[succ]
@@ -496,12 +568,9 @@ class FlowPlan:
         a state's accumulator is the full demand passing through it — the
         load on its outgoing arc — so, once the stopping states' arrived
         traffic is zeroed, one ``np.bincount`` over arc codes materialises
-        every arc load, and a second ascending pass propagates the
-        per-path bottleneck (max arc load en route) from the stopping
-        states upwards.  A node's load is the traffic leaving it (its arc
-        loads' row sum) plus the traffic delivered to it (its demand
-        column over delivered pairs): a delivered walk stops only at its
-        destination.
+        every arc load.  Node loads and per-path bottlenecks are left to
+        the result's first read (:attr:`FlowResult.node_load`,
+        :meth:`bottlenecks`).
         """
         program, report = self.program, self.report
         n = program.n
@@ -509,7 +578,7 @@ class FlowPlan:
         delivered = report.outcome == VERDICT_DELIVERED
         routed = np.where(delivered, dm.demand, 0.0)
         if not report.state_hops.size:  # a header-state program over n = 1 has no states
-            edge_load, node_load, path_max = np.zeros((n, n)), np.zeros(n), np.zeros((n, n))
+            edge_load = np.zeros((n, n))
         else:
             bounds, local, arc, start = self._layout
             acc = np.bincount(start.ravel(), weights=routed.ravel(), minlength=local.size)
@@ -518,14 +587,6 @@ class FlowPlan:
                 acc[prev:lo] += np.bincount(local[lo:hi], weights=acc[lo:hi], minlength=lo - prev)
             acc[: bounds[2]] = 0.0  # arrived traffic, or a state off every route
             edge_load = np.bincount(arc, weights=acc, minlength=n * n).reshape(n, n)
-            node_load = edge_load.sum(axis=1) + routed.sum(axis=0)
-            bottleneck = np.zeros(acc.size, dtype=np.float64)
-            for layer in range(2, len(bounds) - 1):
-                prev, lo, hi = bounds[layer - 1], bounds[layer], bounds[layer + 1]
-                bottleneck[lo:hi] = np.maximum(
-                    edge_load.ravel()[arc[lo:hi]], bottleneck[prev:lo][local[lo:hi]]
-                )
-            path_max = np.where(delivered, bottleneck[start], 0.0)
         feasible = report.outcome != VERDICT_INFEASIBLE
         return FlowResult(
             kind=program.kind,
@@ -538,9 +599,29 @@ class FlowPlan:
             delivered=delivered,
             lengths=report.hops,
             edge_load=edge_load,
-            node_load=node_load,
-            path_max_load=path_max,
+            plan=self,
         )
+
+    def bottlenecks(self, edge_load: np.ndarray, delivered: np.ndarray) -> np.ndarray:
+        """Per-pair path bottleneck (max arc load en route) under ``edge_load``.
+
+        The arc loads are gathered once in plan order; one ascending pass
+        then takes each layer's maximum with its successors' bottlenecks
+        in place, from the stopping states upwards.  ``delivered`` masks
+        the pairs whose bottleneck is read (0 elsewhere).
+        """
+        n = self.program.n
+        if not self.report.state_hops.size:
+            return np.zeros((n, n))
+        bounds, local, arc, start = self._layout
+        bottleneck = edge_load.ravel()[arc]
+        bottleneck[: bounds[2]] = 0.0  # a stopping or cycling state has no hop ahead
+        for layer in range(2, len(bounds) - 1):
+            prev, lo, hi = bounds[layer - 1], bounds[layer], bounds[layer + 1]
+            np.maximum(
+                bottleneck[lo:hi], bottleneck[prev:lo][local[lo:hi]], out=bottleneck[lo:hi]
+            )
+        return np.where(delivered, bottleneck[start], 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -636,7 +717,9 @@ def flow_cell(
     structurally corrupt program raises
     :class:`~repro.routing.verify.ProgramVerificationError`), and routes
     every demand skew against that single hop-count array — the
-    lengths-sharing economy the sweep is built around.
+    lengths-sharing economy the sweep is built around.  Each demand
+    matrix comes from :func:`graph_demand`, generated once per graph
+    snapshot and shared by every scheme of the family.
     Generic programs decline the cell (nothing to aggregate over).
     """
     from repro.analysis.runner import cached_program
@@ -647,10 +730,9 @@ def flow_cell(
             "generic programs carry no transition arrays to aggregate demand over"
         )
     plan = FlowPlan(program, resolve_fates(program))
-    dist = distance_matrix(graph)
     rows: List[FlowCellResult] = []
     for name in models:
-        dm = demand_matrix(name, graph.n, total=total, seed=demand_seed, dist=dist)
+        dm = graph_demand(graph, name, total=total, seed=demand_seed)
         flow = route_demand(plan, dm)
         rows.append(
             FlowCellResult(

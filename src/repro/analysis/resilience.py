@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.graphs.digraph import PortLabeledGraph
-from repro.graphs.shortest_paths import UNREACHABLE, distance_matrix
+from repro.graphs.shortest_paths import UNREACHABLE
 from repro.routing.program import GenericProgram
 from repro.sim.faults import (
     FaultSet,
@@ -129,8 +129,9 @@ def resilience_cell(
     back with them.
 
     ``flow`` attaches traffic metrics: a demand model name or matrix
-    (resolved once per cell through
-    :func:`repro.analysis.flow.demand_matrix`) is routed through every
+    (a named model is generated once per graph snapshot by
+    :func:`repro.analysis.flow.graph_demand`, so every scheme of a family
+    and the flow sweep share it) is routed through every
     scenario's masked program, recording the demand-weighted
     delivered-traffic fraction of the routable pairs and the masked
     program's peak arc load.  Generic programs skip the flow metrics
@@ -141,14 +142,9 @@ def resilience_cell(
     program, rf = cached_program(scheme, graph, cache)
     demand = None
     if flow is not None and not isinstance(program, GenericProgram):
-        from repro.analysis.flow import demand_matrix
+        from repro.analysis.flow import graph_demand
 
-        demand = demand_matrix(
-            flow,
-            graph.n,
-            seed=demand_seed,
-            dist=distance_matrix(graph),
-        )
+        demand = graph_demand(graph, flow, seed=demand_seed)
     rows: List[ResilienceCellResult] = []
     off_diag = ~np.eye(graph.n, dtype=bool)
     for scenario_label, faults in scenarios:
@@ -163,22 +159,7 @@ def resilience_cell(
         delivered_traffic = None
         peak_load = None
         if demand is not None:
-            from repro.analysis.flow import route_demand
-
-            # The compiled path already masked and resolved this scenario:
-            # route over that view and its fate report.
-            flow_result = route_demand(result.program, demand, report=result.report)
-            # Same denominator policy as survival_rate: only the traffic of
-            # pairs the surviving topology can still connect counts.
-            routable_demand = float(
-                demand.demand[(dist != UNREACHABLE) & off_diag].sum()
-            )
-            delivered_traffic = (
-                flow_result.delivered_demand / routable_demand
-                if routable_demand
-                else 1.0
-            )
-            peak_load = flow_result.max_congestion
+            delivered_traffic, peak_load = _traffic(result, demand, dist, off_diag)
         rows.append(
             ResilienceCellResult(
                 scheme=label,
@@ -202,6 +183,26 @@ def resilience_cell(
             )
         )
     return rows
+
+
+def _traffic(result, demand, dist: np.ndarray, off_diag: np.ndarray) -> Tuple[float, float]:
+    """``(delivered_traffic, peak_load)`` of one scenario's masked view.
+
+    The compiled path already masked and resolved the scenario: the demand
+    is routed over that view and its fate report.  The flow result (and
+    the plan it holds for its on-first-read loads) dies here, before the
+    cell's next allocation.
+    """
+    from repro.analysis.flow import route_demand
+
+    flow_result = route_demand(result.program, demand, report=result.report)
+    # Same denominator policy as survival_rate: only the traffic of pairs
+    # the surviving topology can still connect counts.
+    routable_demand = float(demand.demand[(dist != UNREACHABLE) & off_diag].sum())
+    delivered_traffic = (
+        flow_result.delivered_demand / routable_demand if routable_demand else 1.0
+    )
+    return delivered_traffic, flow_result.max_congestion
 
 
 def survival_curves(cells: Sequence[ResilienceCellResult]) -> List[ResilienceCurve]:

@@ -755,7 +755,8 @@ def resilience_spec(
     Per-scenario outcomes are never cached (only programs are; surviving
     distances are memoised on each family graph), so re-sweeps genuinely
     re-execute masked programs.  ``flow`` (a demand model name or matrix,
-    see :func:`repro.analysis.flow.demand_matrix`) adds the
+    see :func:`repro.analysis.flow.graph_demand`: a named model is
+    generated once per family graph, not once per cell) adds the
     demand-weighted traffic metrics to every scenario row.  Cells come in
     deterministic family-major, scenario order;
     :func:`repro.analysis.resilience.survival_curves` aggregates them.

@@ -60,14 +60,17 @@ class DerivedState:
       (:func:`repro.routing.tables.shortest_path_ports`);
     * ``spanners`` — stretch -> greedy spanner
       (:func:`repro.routing.spanner.greedy_spanner`), itself a graph with
-      its own derived state.
+      its own derived state;
+    * ``demands`` — ``(model, total, seed)`` -> a named demand model's
+      integer message counts, in their narrowest unsigned dtype, and the
+      matrix's seed (:func:`repro.analysis.flow.graph_demand`).
 
     Shared by a graph and its unmutated copies; a mutation, port
     relabellings included, gives the mutated graph a fresh, empty holder.
     Readers hand out copies, never the memoised objects themselves.
     """
 
-    __slots__ = ("distances", "surviving", "fingerprint", "ports", "spanners")
+    __slots__ = ("distances", "surviving", "fingerprint", "ports", "spanners", "demands")
 
     def __init__(self) -> None:
         self.distances: Optional[np.ndarray] = None
@@ -75,6 +78,7 @@ class DerivedState:
         self.fingerprint: Optional[str] = None
         self.ports: Dict[str, np.ndarray] = {}
         self.spanners: Dict[float, "PortLabeledGraph"] = {}
+        self.demands: Dict[Tuple[str, float, int], Tuple[np.ndarray, Optional[int]]] = {}
 
 
 class PortLabeledGraph:

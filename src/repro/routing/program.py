@@ -1123,7 +1123,8 @@ def _assert_patched_sound(
     no simulation and no fate resolution:
 
     * :func:`~repro.routing.verify.verify_structure` — its range checks
-      and its semantic issues (a non-absorbing destination, say) raise;
+      and its semantic issues (a non-absorbing alive destination, say)
+      raise; a dead destination's masked diagonal is exempt;
     * one vectorised **one-hop descent** check over the ``n * n`` entries:
       every feasible off-diagonal ``(x, d)`` holds a node ``v`` with
       ``dist_after[v, d] == dist_after[x, d] - 1`` or, under ``faults``,
@@ -1141,13 +1142,14 @@ def _assert_patched_sound(
     """
     from repro.routing.verify import ProgramVerificationError, verify_structure
 
-    issues = verify_structure(patched)
+    n = patched.n
+    alive = faults.alive_mask(n) if faults is not None else None
+    issues = verify_structure(patched, alive=alive)
     if issues:
         raise ProgramVerificationError(
             "delta-patched program failed the static soundness proof: "
             + "; ".join(issues)
         )
-    n = patched.n
     nxt = patched.next_node
     dests = np.arange(n)
     # dist_after[v, d] of every entry's successor v, one flat gather (in
@@ -1159,9 +1161,8 @@ def _assert_patched_sound(
     after_hop = np.take(dist_after, flat)
     after_hop += 1
     ok = (after_hop == dist_after) & (nxt >= 0)
-    if faults is not None:
+    if alive is not None:
         ok |= nxt == DROPPED
-        alive = faults.alive_mask(n)
         ok |= ~alive[:, None] | ~alive[None, :]
     ok[dests, dests] = True
     if not ok.all():

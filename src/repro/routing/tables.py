@@ -60,31 +60,39 @@ def shortest_path_ports(
     unsigned dtype that holds the graph's ports, and every call returns a
     fresh int64 copy.
 
-    One vectorised pass per row: among the port-ordered neighbours
-    ``nbrs`` of ``x`` the shortest-path ones satisfy
-    ``dist[nbrs, dest] == dist[x, dest] - 1``, and the rule is an
+    A fresh build makes one vectorised pass per row: among the
+    port-ordered neighbours ``nbrs`` of ``x`` the shortest-path ones
+    satisfy ``dist[nbrs, dest] == dist[x, dest] - 1``, and the rule is an
     argmax/argmin over that boolean matrix (``O(deg(x) * n)`` scratch).
+    A ``dirty`` mask is evaluated per dirty entry instead, so a patch
+    costs its entries' degrees, not its rows' ``deg(x) * n``: one
+    vectorised step per port rank ``k`` tests the rank-``k`` neighbour of
+    every entry whose vertex has one, ``lowest_port`` keeping the first
+    hit, ``highest_port`` the last and ``lowest_neighbor`` the hit with
+    the smallest label — the row pass's answer, entry for entry.
     """
     check_tie_break(tie_break)
     if dist is None:
         dist = distance_matrix(graph)
+    if dirty is not None:
+        return _dirty_entry_ports(graph, tie_break, dist, dirty)
     derived = graph.derived
-    if dirty is not None or dist is not derived.distances:
-        return _shortest_path_ports(graph, tie_break, dist, dirty)
+    if dist is not derived.distances:
+        return _shortest_path_ports(graph, tie_break, dist)
     if tie_break not in derived.ports:
-        ports = _shortest_path_ports(graph, tie_break, dist, None)
+        ports = _shortest_path_ports(graph, tie_break, dist)
         derived.ports[tie_break] = ports.astype(np.min_scalar_type(int(ports.max(initial=0))))
     return derived.ports[tie_break].astype(np.int64)
 
 
 def _shortest_path_ports(
-    graph: PortLabeledGraph, tie_break: TieBreak, dist: np.ndarray, dirty: Optional[np.ndarray]
+    graph: PortLabeledGraph, tie_break: TieBreak, dist: np.ndarray
 ) -> np.ndarray:
     n = graph.n
     ports = np.zeros((n, n), dtype=np.int64)
     indptr, indices = graph.adjacency_arrays()
-    for x in range(n) if dirty is None else np.flatnonzero(dirty.any(axis=1)):
-        dests = np.nonzero((dist[x] > 0) if dirty is None else (dist[x] > 0) & dirty[x])[0]
+    for x in range(n):
+        dests = np.nonzero(dist[x] > 0)[0]
         if not dests.size:
             continue
         nbrs = indices[indptr[x] : indptr[x + 1]]  # port order: port k+1 = nbrs[k]
@@ -96,6 +104,60 @@ def _shortest_path_ports(
         else:
             pick = np.where(on_shortest, nbrs[:, None], n).argmin(axis=0)
         ports[x, dests] = pick[dests] + 1
+    return ports
+
+
+def _dirty_entry_ports(
+    graph: PortLabeledGraph, tie_break: TieBreak, dist: np.ndarray, dirty: np.ndarray
+) -> np.ndarray:
+    """The tie-break evaluated per dirty entry, one vectorised step per port rank.
+
+    Entries are ordered by descending degree, so the entries owning a port
+    of rank ``k`` are a prefix.  A port-ordered rule walks the ranks from
+    its own end and retires an entry at its first hit; ``lowest_neighbor``
+    visits every rank and keeps the hit with the smallest label.  An
+    entry with no hit keeps the whole-row argmax/argmin's answer.
+    """
+    n = graph.n
+    ports = np.zeros((n, n), dtype=np.int64)
+    xs, ds = np.nonzero(dirty)
+    want = dist[xs, ds] - 1
+    routed = want >= 0  # the diagonal and unreachable destinations stay 0
+    if not routed.all():
+        xs, ds, want = xs[routed], ds[routed], want[routed]
+    if not xs.size:
+        return ports
+    indptr, indices = graph.adjacency_arrays()
+    deg = np.diff(indptr)[xs]
+    by_deg = np.argsort(-deg, kind="stable")
+    xs, ds, deg, want = xs[by_deg], ds[by_deg], deg[by_deg], want[by_deg]
+    first = indptr[xs]
+    ranks = np.searchsorted(-deg, -np.arange(int(deg[0])), side="left")  # entries with deg > k
+    if tie_break == "lowest_neighbor":
+        pick = np.zeros(xs.size, dtype=np.int64)
+        best = np.full(xs.size, n, dtype=np.int64)
+        for k, count in enumerate(ranks.tolist()):
+            nbr = indices[first[:count] + k]
+            hit = (np.take(dist, nbr * n + ds[:count]) == want[:count]) & (nbr < best[:count])
+            best[:count][hit] = nbr[hit]
+            pick[:count][hit] = k
+    else:
+        # The rule's own end: port index 0, or deg - 1 walking down.  It is
+        # also the row pass's answer for an entry with no hit.
+        step = -1 if tie_break == "highest_port" else 1
+        end = deg - 1 if step < 0 else np.zeros_like(deg)
+        pick = end.copy()
+        open_ = np.arange(xs.size)
+        for k, count in enumerate(ranks.tolist()):
+            open_ = open_[: np.searchsorted(open_, count)]
+            port = end[open_] + step * k
+            nbr = indices[first[open_] + port]
+            hit = np.take(dist, nbr * n + ds[open_]) == want[open_]
+            pick[open_[hit]] = port[hit]
+            open_ = open_[~hit]
+            if not open_.size:
+                break
+    ports[xs, ds] = pick + 1
     return ports
 
 

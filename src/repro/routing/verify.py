@@ -332,12 +332,15 @@ def _check_next_hop_ranges(program: NextHopProgram) -> None:
         )
 
 
-def _next_hop_issues(program: NextHopProgram) -> List[str]:
+def _next_hop_issues(program: NextHopProgram, alive: Optional[np.ndarray]) -> List[str]:
     nn = program.next_node
     n = nn.shape[0]
     issues: List[str] = []
     diag = nn.diagonal()
-    non_absorbing = np.nonzero(diag != np.arange(n))[0]
+    bad = diag != np.arange(n)
+    if alive is not None:
+        bad &= np.asarray(alive, dtype=bool)  # a fault mask drops a dead vertex's whole row, its diagonal too
+    non_absorbing = np.nonzero(bad)[0]
     if non_absorbing.size:
         d = int(non_absorbing[0])
         issues.append(
@@ -430,14 +433,16 @@ def _check_ranges(program: RoutingProgram) -> None:
         )
 
 
-def _semantic_issues(program: RoutingProgram) -> List[str]:
+def _semantic_issues(program: RoutingProgram, alive: Optional[np.ndarray] = None) -> List[str]:
     if isinstance(program, NextHopProgram):
-        return _next_hop_issues(program)
+        return _next_hop_issues(program, alive)
     assert isinstance(program, HeaderStateProgram)
     return _header_state_issues(program)
 
 
-def verify_structure(program: RoutingProgram) -> List[str]:
+def verify_structure(
+    program: RoutingProgram, *, alive: Optional[np.ndarray] = None
+) -> List[str]:
     """Well-formedness analysis of a compiled program's arrays.
 
     Raises :class:`ProgramVerificationError` on structural corruption (wrong
@@ -445,10 +450,12 @@ def verify_structure(program: RoutingProgram) -> List[str]:
     entries — including a stray ``-1``, which is never a valid transition).
     Returns the list of *semantic* issues: conditions the executors handle
     deterministically but that no healthy compile produces (non-absorbing
-    destinations, a non-``-1`` initial diagonal).
+    destinations, a non-``-1`` initial diagonal).  ``alive`` (the fault
+    model's survivor mask) exempts dead destinations from the absorbing
+    check: masking a dead vertex drops its whole row, its diagonal too.
     """
     _check_ranges(program)
-    return _semantic_issues(program)
+    return _semantic_issues(program, alive)
 
 
 # ----------------------------------------------------------------------
@@ -623,7 +630,8 @@ def verify_program(
     additionally populates the report's exact max/mean stretch; ``alive``
     (a boolean vertex mask, the fault model's survivor set) marks
     dead-endpoint pairs :data:`VERDICT_INFEASIBLE` exactly like
-    :func:`repro.sim.faults.simulate_with_faults`.
+    :func:`repro.sim.faults.simulate_with_faults`, and exempts dead
+    destinations from the absorbing check.
 
     Structural corruption always raises :class:`ProgramVerificationError`;
     with ``strict=True`` the semantic issues raise too instead of being
@@ -631,7 +639,7 @@ def verify_program(
     verifiable and always raise.
     """
     report = resolve_fates(program, alive)
-    issues = _semantic_issues(program)
+    issues = _semantic_issues(program, alive)
     if strict and issues:
         raise ProgramVerificationError(
             f"program failed strict verification with {len(issues)} "

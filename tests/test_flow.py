@@ -45,12 +45,14 @@ from repro.analysis.flow import (
     demand_models,
     flow_cell,
     format_flow,
+    graph_demand,
     gravity_demand,
     route_demand,
     uniform_demand,
     zipf_demand,
 )
 from repro.analysis.runner import ShardedRunner
+from repro.graphs import generators
 from repro.graphs.shortest_paths import distance_matrix
 from repro.routing.program import (
     GenericProgram,
@@ -402,6 +404,130 @@ def test_tiny_totals_degrade_to_one_message_per_pair():
     dm = uniform_demand(40, total=1.0)
     off = ~np.eye(40, dtype=bool)
     assert np.all(dm.demand[off] == 1.0)
+
+
+# ----------------------------------------------------------------------
+# the per-graph demand memo
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("model", DEMAND_MODELS)
+@pytest.mark.parametrize("total", [1_000_000.0, 5_000.0, 1.0])
+def test_graph_demand_is_byte_equal_to_demand_matrix(model, total):
+    graph = generators.torus_2d(5, 6)
+    want = demand_matrix(model, graph.n, total=total, seed=3, dist=distance_matrix(graph))
+    for _ in range(2):  # the miss, then a hit
+        got = graph_demand(graph, model, total=total, seed=3)
+        assert got.demand.dtype == np.float64 and got.demand.tobytes() == want.demand.tobytes()
+        assert (got.model, got.seed) == (want.model, want.seed)
+    counts, _ = graph.derived.demands[(model, total, 3)]
+    assert counts.dtype == np.min_scalar_type(int(want.demand.max()))
+    assert counts.dtype.kind == "u"
+
+
+@pytest.mark.parametrize("total", [1_000_000.0, 1e30])  # 1e30: counts past uint64 stay float64
+def test_graph_demand_readers_get_fresh_matrices(grid_4x4, total):
+    first = graph_demand(grid_4x4, "zipf", total=total, seed=2)
+    expected = first.demand.copy()
+    first.demand[:] = 7.0
+    again = graph_demand(grid_4x4, "zipf", total=total, seed=2)
+    assert again.demand is not first.demand
+    assert np.array_equal(again.demand, expected)
+    copy_read = graph_demand(grid_4x4.copy(), "zipf", total=total, seed=2)
+    assert copy_read.demand.tobytes() == expected.tobytes()
+
+
+def test_graph_demand_keys_on_model_total_and_seed(grid_4x4):
+    graph_demand(grid_4x4, "zipf", seed=2)
+    graph_demand(grid_4x4, "zipf", seed=3)
+    graph_demand(grid_4x4, "zipf", total=10.0, seed=2)
+    graph_demand(grid_4x4, "uniform")
+    assert set(grid_4x4.derived.demands) == {
+        ("zipf", 1_000_000.0, 2), ("zipf", 1_000_000.0, 3), ("zipf", 10.0, 2),
+        ("uniform", 1_000_000.0, 0),
+    }
+
+
+def test_a_mutated_copy_gets_its_own_gravity_matrix():
+    graph = generators.cycle_graph(12)
+    before = graph_demand(graph, "gravity", seed=1)
+    chorded = graph.copy()
+    chorded.add_edge(0, 6)  # gravity reads the distances, which the chord moves
+    after = graph_demand(chorded, "gravity", seed=1)
+    want = demand_matrix("gravity", 12, seed=1, dist=distance_matrix(chorded))
+    assert after.demand.tobytes() == want.demand.tobytes()
+    assert not np.array_equal(after.demand, before.demand)
+    assert graph_demand(graph, "gravity", seed=1).demand.tobytes() == before.demand.tobytes()
+
+
+def test_matrices_pass_through_unmemoised(grid_4x4):
+    dm = zipf_demand(grid_4x4.n, seed=5)
+    assert graph_demand(grid_4x4, dm) is dm
+    raw = graph_demand(grid_4x4, np.ones((16, 16)))
+    assert raw.model == "custom"
+    with pytest.raises(ValueError, match="unknown demand model"):
+        graph_demand(grid_4x4, "poisson")
+    assert grid_4x4.derived.demands == {}
+
+
+def test_sweeps_generate_each_matrix_once_per_graph(monkeypatch):
+    import repro.analysis.flow as flow_module
+
+    calls = []
+    real = flow_module.demand_matrix
+
+    def counting(model, *args, **kwargs):
+        calls.append(model)
+        return real(model, *args, **kwargs)
+
+    monkeypatch.setattr(flow_module, "demand_matrix", counting)
+    schemes = {k: SCHEMES[k] for k in ("tables-lowest-port", "tables-highest-port", "landmark-rewriting")}
+    # Fresh graphs: a registry instance may carry other tests' memos.
+    families = {"hypercube": generators.hypercube(4), "grid": generators.grid_2d(3, 4)}
+    runner = ShardedRunner(processes=1)
+    runner.flow_sweep(schemes=schemes, families=families, models=DEMAND_MODELS)
+    assert sorted(calls) == sorted(DEMAND_MODELS * len(families))
+    runner.resilience_sweep(schemes=schemes, families=families, flow="uniform", per_k=1)
+    assert len(calls) == len(DEMAND_MODELS) * len(families)  # flow's uniform matrix, reused
+
+
+# ----------------------------------------------------------------------
+# node loads and bottlenecks on first read
+# ----------------------------------------------------------------------
+def _eager_node_and_bottleneck(plan, flow):
+    """Node loads and per-path bottlenecks as an eager route computed them:
+    row sums plus delivered arrivals, and one ascending max pass with a
+    fresh gather per layer."""
+    bounds, local, arc, start = plan._layout
+    routed = np.where(flow.delivered, flow.demand, 0.0)
+    node_load = flow.edge_load.sum(axis=1) + routed.sum(axis=0)
+    bottleneck = np.zeros(local.size, dtype=np.float64)
+    for layer in range(2, len(bounds) - 1):
+        prev, lo, hi = bounds[layer - 1], bounds[layer], bounds[layer + 1]
+        bottleneck[lo:hi] = np.maximum(
+            flow.edge_load.ravel()[arc[lo:hi]], bottleneck[prev:lo][local[lo:hi]]
+        )
+    return node_load, np.where(flow.delivered, bottleneck[start], 0.0)
+
+
+@pytest.mark.parametrize("scheme_name,family,graph,program", SUBSET, ids=SUBSET_IDS)
+@pytest.mark.parametrize("masked", [False, True], ids=["intact", "masked"])
+def test_lazy_loads_equal_the_eager_pass(scheme_name, family, graph, program, masked):
+    alive = None
+    if masked:
+        faults = fault_scenarios(graph, seed=4, edge_ks=(), node_ks=(1,), per_k=1)[0][1]
+        program, alive = apply_faults(program, graph, faults), faults.alive_mask(graph.n)
+    plan = FlowPlan(program, resolve_fates(program, alive))
+    for model in DEMAND_MODELS:
+        flow = route_demand(plan, graph_demand(graph, model, total=50_000.0, seed=1))
+        assert "node_load" not in vars(flow) and "path_max_load" not in vars(flow)
+        node_load, path_max = _eager_node_and_bottleneck(plan, flow)
+        if model == "zipf":  # either read order
+            assert flow.path_max_load.tobytes() == path_max.tobytes()
+        assert flow.node_load.tobytes() == node_load.tobytes()
+        assert flow.path_max_load.tobytes() == path_max.tobytes()
+        assert flow.path_max_load is flow.path_max_load  # computed once
+        _, walk_node, walk_path_max = walk_loads(program, flow.demand, plan.report)
+        assert np.array_equal(flow.node_load, walk_node)
+        assert np.array_equal(flow.path_max_load, walk_path_max)
 
 
 # ----------------------------------------------------------------------

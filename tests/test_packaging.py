@@ -142,6 +142,7 @@ def test_bench_trajectory_workflow_is_scheduled_and_records_runs():
     # The nightly run is where the hypothesis-driven suites go deep.
     assert "REPRO_HYP_PROFILE: dev" in text
     assert "tests/test_churn.py" in text
+    assert "tests/test_tables.py" in text  # the dirty-entry patch race
 
 
 def test_bench_baseline_pins_the_resilience_sweep():

@@ -6,13 +6,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.graphs import generators
 from repro.graphs.digraph import PortLabeledGraph
 from repro.graphs.shortest_paths import distance_matrix
-from conftest import build_next_hop_matrix
+from conftest import build_next_hop_matrix, profile_settings
 from oracles import all_pairs_routing_lengths, stretch_factor
 from repro.routing.tables import ShortestPathTableScheme, shortest_path_ports
+from repro.sim.registry import graph_families
 
 
 def next_hop_matrix(graph, tie_break="lowest_port", dist=None):
@@ -201,3 +204,75 @@ class TestTieBreakDeterminism:
         assert next_hop_matrix(g, tie_break="lowest_neighbor")[0, 2] == 1
         assert next_hop_matrix(g, tie_break="lowest_port")[0, 2] == 1
         assert next_hop_matrix(g, tie_break="highest_port")[0, 2] == 3
+
+
+# ----------------------------------------------------------------------
+# the dirty-entry path raced against the whole-row build
+# ----------------------------------------------------------------------
+REGISTRY_GRAPHS = {
+    f"{size}/{name}": graph
+    for size in ("small", "medium")
+    for name, graph in graph_families(size=size, seed=0).items()
+}
+
+MASK_KINDS = ("empty", "entry", "entries", "rows", "all", "diagonal", "random")
+
+
+@st.composite
+def dirty_masks(draw, n):
+    """A boolean ``(n, n)`` dirty mask of one of :data:`MASK_KINDS`."""
+    kind = draw(st.sampled_from(MASK_KINDS), label="mask")
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    mask = np.zeros((n, n), dtype=bool)
+    if kind == "entry":
+        mask[draw(vertex), draw(vertex)] = True
+    elif kind == "entries":
+        for x, d in draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=12)):
+            mask[x, d] = True
+    elif kind == "rows":
+        mask[draw(st.lists(vertex, min_size=1, max_size=4))] = True
+    elif kind == "all":
+        mask[:] = True
+    elif kind in ("diagonal", "random"):
+        seed = draw(st.integers(min_value=0, max_value=10**6))
+        mask = np.random.default_rng(seed).random((n, n)) < 0.2
+        if kind == "diagonal":
+            np.fill_diagonal(mask, True)
+    return mask
+
+
+def _shuffled_ports(graph, seed):
+    """A copy of ``graph`` with every vertex's ports permuted at random."""
+    rng = np.random.default_rng(seed)
+    shuffled = graph.copy()
+    for x in shuffled.vertices():
+        ports = list(range(1, shuffled.degree(x) + 1))
+        shuffled.relabel_ports(x, dict(zip(ports, (int(p) for p in rng.permutation(ports)))))
+    return shuffled
+
+
+@profile_settings(base_examples=80)
+@given(data=st.data())
+def test_dirty_entries_race_the_whole_row_build(data):
+    # The entry-wise patch path must give every masked entry the port of
+    # the fresh whole-row build, and leave the rest (the diagonal included) 0.
+    graph = REGISTRY_GRAPHS[data.draw(st.sampled_from(sorted(REGISTRY_GRAPHS)), label="graph")]
+    if data.draw(st.booleans(), label="shuffle ports"):
+        graph = _shuffled_ports(graph, data.draw(st.integers(min_value=0, max_value=10**6)))
+    tie_break = data.draw(st.sampled_from(TIE_BREAKS), label="tie_break")
+    mask = data.draw(dirty_masks(graph.n))
+    dist = distance_matrix(graph)
+    full = shortest_path_ports(graph, tie_break)
+    patched = shortest_path_ports(graph, tie_break, dist, dirty=mask)
+    assert patched.dtype == np.int64
+    assert np.array_equal(patched, np.where(mask & (dist > 0), full, 0))
+
+
+@pytest.mark.parametrize("rule", TIE_BREAKS)
+def test_dirty_entries_skip_unreachable_destinations(rule):
+    graph = PortLabeledGraph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)])
+    dist = distance_matrix(graph)
+    everything = np.ones((graph.n, graph.n), dtype=bool)
+    patched = shortest_path_ports(graph, rule, dist, dirty=everything)
+    assert np.array_equal(patched, shortest_path_ports(graph, rule))
+    assert not patched[:3, 3:].any() and not patched[3:, :3].any()

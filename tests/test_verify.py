@@ -77,6 +77,7 @@ from repro.sim.faults import (
     PAIR_INFEASIBLE,
     PAIR_LIVELOCKED,
     PAIR_MISDELIVERED,
+    FaultSet,
     apply_faults,
     random_fault_set,
     simulate_with_faults,
@@ -605,6 +606,50 @@ class TestApplyDeltaStaticCheck:
                     raise
                 break  # scheme refused the mutated snapshot
             prog, dist = result.program, result.dist_after
+
+    @pytest.mark.parametrize("family", ["random-dense", "grid", "petersen"])
+    def test_node_masked_delta_chain_passes_the_proof(self, family):
+        # A dead vertex's whole row is masked, its own diagonal included:
+        # the proof must not read that as a non-absorbing destination.
+        graph = FAMILIES[family]
+        scheme = SCHEMES["tables-lowest-port"]
+        program = compile_scheme_program(scheme, graph)
+        (_, trace) = churn_scenarios(graph, seed=3, steps=3)[0]
+        patched = 0
+        for dead in range(0, graph.n, max(1, graph.n // 4)):
+            faults = FaultSet.from_nodes([dead])
+            prog, dist = apply_faults(program, graph, faults), None
+            for before, step in trace.transitions():
+                result = apply_delta(
+                    prog, before, step.graph, scheme,
+                    dist_before=dist, faults=faults, static_check=True,
+                )
+                fresh = apply_faults(compile_scheme_program(scheme, step.graph), step.graph, faults)
+                assert result.program.fingerprint() == fresh.fingerprint()
+                if result.dist_after is not None:  # the fate-resolving proof agrees
+                    resolved_patched_soundness(result.program, result.dist_after, faults)
+                patched += result.mode == "patched"
+                prog, dist = result.program, result.dist_after
+        assert patched >= 1
+
+    def test_node_masked_proof_still_refuses_a_non_absorbing_alive_destination(self):
+        graph = FAMILIES["random-dense"]
+        scheme = SCHEMES["tables-lowest-port"]
+        (_, trace) = churn_scenarios(graph, seed=3, steps=1)[0]
+        before, step = next(iter(trace.transitions()))
+        faults = FaultSet.from_nodes([3])
+        masked = apply_faults(compile_scheme_program(scheme, before), before, faults)
+        result = apply_delta(masked, before, step.graph, scheme, faults=faults)
+        assert result.mode == "patched"
+        alive = faults.alive_mask(graph.n)
+        d = next(v for v in range(graph.n) if alive[v] and v != 3)
+        nn = np.array(result.program.next_node, copy=True)
+        nn[d, d] = next(v for v in step.graph.neighbors(d) if alive[v])
+        corrupt = result.program.with_next_node(nn)
+        with pytest.raises(ProgramVerificationError, match="not absorbing"):
+            _assert_patched_sound(corrupt, result.dist_after, faults)
+        assert verify_structure(result.program, alive=alive) == []
+        assert verify_structure(result.program)  # unexempted, the dead diagonal shows
 
 
 CORRUPTIONS = ("neighbour", "two-cycle", "misdeliver", "dropped", "diagonal")
