@@ -528,7 +528,7 @@ def test_simulator_speedup_vs_legacy(benchmark):
             }
         ],
     )
-    assert np.array_equal(result.require_all_delivered(), legacy)
+    assert np.array_equal(result.report.require_all_delivered(), legacy)
     floor = 10.0 / SPEEDUP_MARGIN
     assert speedup >= floor, f"simulator speedup {speedup:.1f}x below the {floor:.0f}x floor"
 
@@ -982,7 +982,7 @@ def _pin_flow(benchmark, key, program, alive):
     dm = uniform_demand(program.n)
 
     def _run():
-        return route_demand(program, dm, alive=alive, report=report)
+        return route_demand(program, dm, report=report)
 
     flow = benchmark.pedantic(_run, rounds=3, iterations=1)
     flow_s = benchmark.stats.stats.min
@@ -1173,7 +1173,7 @@ def test_resilience_cell_flow_n256(benchmark):
     faults = scenarios[0][1]
     program = apply_faults(compile_scheme_program(scheme, graph), graph, faults)
     fresh = route_demand(
-        program, uniform_demand(graph.n), alive=faults.alive_mask(graph.n)
+        program, uniform_demand(graph.n), report=resolve_fates(program, faults.alive_mask(graph.n))
     )
     assert row.peak_load == fresh.max_congestion
     assert row.delivered_traffic == fresh.delivered_demand / fresh.offered_demand
@@ -1368,10 +1368,8 @@ def _measure_pinned_paths() -> dict:
     for key, (flow_prog, flow_alive) in _flow_cases().items():
         flow_report = resolve_fates(flow_prog, flow_alive)
         flow_dm = uniform_demand(flow_prog.n)
-        route_demand(flow_prog, flow_dm, alive=flow_alive, report=flow_report)  # warm
-        _, flow_s[key] = _time(
-            route_demand, flow_prog, flow_dm, alive=flow_alive, report=flow_report
-        )
+        route_demand(flow_prog, flow_dm, report=flow_report)  # warm
+        _, flow_s[key] = _time(route_demand, flow_prog, flow_dm, report=flow_report)
     with tempfile.TemporaryDirectory() as sweep_dir:
         runner = ShardedRunner(cache_dir=sweep_dir, processes=1)
         schemes, families = _flow_sweep_grid()

@@ -631,7 +631,6 @@ def route_demand(
     program: Union[RoutingProgram, FlowPlan],
     demand: Union[DemandMatrix, np.ndarray],
     *,
-    alive: Optional[np.ndarray] = None,
     report: Optional[VerificationReport] = None,
 ) -> FlowResult:
     """Push a demand matrix through a compiled program.
@@ -640,39 +639,26 @@ def route_demand(
     :func:`~repro.routing.verify.resolve_fates` /
     :func:`~repro.routing.verify.verify_program` result so a cell computes
     its hop-count array once and shares it between flow and verification
-    (the returned
-    :attr:`FlowResult.lengths` is that array); when omitted it is computed
-    here with ``alive`` forwarded.  A report passed together with ``alive``
-    must already mark every dead-endpoint pair infeasible — otherwise
-    dead-endpoint demand would count as offered — and raises
-    :class:`ValueError` if it does not.  Every next-hop and header-state
-    program, fault-masked or not, goes through the one subtree-sum
-    accumulator: this builds a :class:`FlowPlan` and routes it once.
-    ``program`` may instead be a :class:`FlowPlan` already built for the
-    cell (it carries its own report, so ``alive`` / ``report`` must then
-    be omitted): a cell routing several demand matrices shares one plan.
-    Generic programs carry no transition arrays to aggregate over and
-    raise.
+    (the returned :attr:`FlowResult.lengths` is that array); when omitted
+    it is ``resolve_fates(program)``.  Under a fault scenario pass
+    ``report=resolve_fates(program, alive)``: the report's infeasible
+    pairs are what keeps dead-endpoint demand from counting as offered.
+    Every next-hop and header-state program, fault-masked or not, goes
+    through the one subtree-sum accumulator: this builds a
+    :class:`FlowPlan` and routes it once.  ``program`` may instead be a
+    :class:`FlowPlan` already built for the cell (it carries its own
+    report, so ``report`` must then be omitted): a cell routing several
+    demand matrices shares one plan.  Generic programs carry no
+    transition arrays to aggregate over and raise.
     """
     if isinstance(program, FlowPlan):
-        if alive is not None or report is not None:
-            raise ValueError("a FlowPlan carries its own report: drop alive= / report=")
+        if report is not None:
+            raise ValueError("a FlowPlan carries its own report: drop report=")
         return program.route(demand)
     if isinstance(program, GenericProgram):
         raise ValueError(_GENERIC_REFUSAL)
     if report is None:
-        report = resolve_fates(program, alive)
-    elif alive is not None and report.n == program.n:
-        dead = ~np.asarray(alive, dtype=bool)
-        if not (
-            (report.outcome[dead, :] == VERDICT_INFEASIBLE).all()
-            and (report.outcome[:, dead] == VERDICT_INFEASIBLE).all()
-        ):
-            raise ValueError(
-                "the report does not mark every dead-endpoint pair infeasible: "
-                "resolve it with the same alive mask (resolve_fates(program, "
-                "alive)) or drop one of report= / alive="
-            )
+        report = resolve_fates(program)
     return FlowPlan(program, report).route(demand)
 
 

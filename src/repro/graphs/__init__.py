@@ -29,7 +29,6 @@ sampler, live in ``tests/oracles.py``.
 
 from repro.graphs.digraph import Arc, DerivedState, PortLabeledGraph
 from repro.graphs.shortest_paths import (
-    all_pairs_distances,
     all_shortest_paths,
     bfs_distances,
     bfs_parents,
@@ -48,7 +47,6 @@ __all__ = [
     "Arc",
     "DerivedState",
     "PortLabeledGraph",
-    "all_pairs_distances",
     "all_shortest_paths",
     "bfs_distances",
     "bfs_parents",

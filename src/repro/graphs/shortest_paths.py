@@ -63,7 +63,6 @@ __all__ = [
     "bfs_parents",
     "bfs_rows",
     "distance_matrix",
-    "all_pairs_distances",
     "eccentricities",
     "shortest_path",
     "all_shortest_paths",
@@ -185,11 +184,6 @@ def distance_matrix(graph: PortLabeledGraph) -> np.ndarray:
         derived.distances = bfs_rows(*graph.adjacency_arrays(), graph.n)
         derived.distances.flags.writeable = False
     return derived.distances
-
-
-#: Old name of :func:`distance_matrix`, the one documented entry point for
-#: all-pairs distances; kept as a true alias so existing imports keep working.
-all_pairs_distances = distance_matrix
 
 
 def eccentricities(graph: PortLabeledGraph, dist: Optional[np.ndarray] = None) -> np.ndarray:

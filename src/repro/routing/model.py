@@ -151,16 +151,15 @@ class RoutingFunction(abc.ABC):
             return "header-state"
         return "generic"
 
-    def compile_program(self, max_states: Optional[int] = None) -> "RoutingProgram":
+    def compile_program(self) -> "RoutingProgram":
         """Lower this routing function to its :class:`~repro.routing.program.RoutingProgram`.
 
-        Dispatches on :meth:`program_kind`; ``max_states`` caps the
-        header-state enumeration (see
-        :func:`repro.routing.program.lower_header_state`).
+        Dispatches on :meth:`program_kind` (see
+        :func:`repro.routing.program.lower`).
         """
         from repro.routing.program import lower
 
-        return lower(self, max_states=max_states)
+        return lower(self)
 
     def next_node_matrix(self) -> Optional[np.ndarray]:
         """Vectorised next-node matrix of the next-hop lowering, if the class has one.
@@ -395,7 +394,7 @@ class BaseRoutingScheme:
         """Return a routing function for ``graph`` (subclass responsibility)."""
         raise NotImplementedError
 
-    def compile_program(self, graph: PortLabeledGraph, max_states: Optional[int] = None) -> "RoutingProgram":
+    def compile_program(self, graph: PortLabeledGraph) -> "RoutingProgram":
         """Lower this scheme on ``graph`` to a serializable routing program.
 
         A ``build`` refusal on an inapplicable graph is re-raised as
@@ -404,7 +403,7 @@ class BaseRoutingScheme:
         """
         from repro.routing.program import compile_scheme_program
 
-        return compile_scheme_program(self, graph, max_states=max_states)
+        return compile_scheme_program(self, graph)
 
 
 @runtime_checkable

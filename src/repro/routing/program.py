@@ -50,7 +50,7 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -64,9 +64,6 @@ from repro.routing.model import (
     RoutingScheme,
     SchemeInapplicableError,
 )
-
-if TYPE_CHECKING:  # circular at runtime: repro.sim imports this module
-    from repro.sim.faults import FaultSet
 
 __all__ = [
     "DELTA_PATCHED",
@@ -617,20 +614,22 @@ def resolve_functional(
 # ----------------------------------------------------------------------
 # lowering
 # ----------------------------------------------------------------------
-def lower(rf: RoutingFunction, max_states: Optional[int] = None) -> RoutingProgram:
+def lower(rf: RoutingFunction) -> RoutingProgram:
     """Lower ``rf`` to the program kind it declares via ``program_kind()``.
 
     This is the dispatcher behind
     :meth:`repro.routing.model.RoutingFunction.compile_program`.  A
     header-state lowering whose ``can_vectorize`` promise breaks raises
-    :class:`HeaderStateExplosionError`; :func:`compile_or_interpret` turns
-    it into the :class:`GenericProgram` opt-out.
+    :class:`HeaderStateExplosionError` at the default state cap;
+    :func:`compile_or_interpret` turns it into the :class:`GenericProgram`
+    opt-out.  A caller choosing its own cap calls
+    :func:`lower_header_state` directly.
     """
     kind = rf.program_kind()
     if kind == KIND_NEXT_HOP:
         return lower_next_hop(rf)
     if kind == KIND_HEADER_STATE:
-        return lower_header_state(rf, max_states=max_states)
+        return lower_header_state(rf)
     if kind == KIND_GENERIC:
         return GenericProgram(num_vertices=rf.graph.n)
     raise ValueError(f"{type(rf).__name__}.program_kind() returned unknown kind {kind!r}")
@@ -652,9 +651,7 @@ def compile_or_interpret(rf: RoutingFunction) -> RoutingProgram:
         return GenericProgram(num_vertices=rf.graph.n)
 
 
-def compile_scheme_program(
-    scheme: RoutingScheme, graph: PortLabeledGraph, max_states: Optional[int] = None
-) -> RoutingProgram:
+def compile_scheme_program(scheme: RoutingScheme, graph: PortLabeledGraph) -> RoutingProgram:
     """Build ``scheme`` on a copy of ``graph`` and lower the result.
 
     The scheme-level entry point of the compile-once pipeline: the graph is
@@ -667,7 +664,7 @@ def compile_scheme_program(
         rf = scheme.build(graph.copy())
     except ValueError as exc:
         raise SchemeInapplicableError(str(exc)) from exc
-    return rf.compile_program(max_states=max_states)
+    return rf.compile_program()
 
 
 def next_nodes_of_ports(graph: PortLabeledGraph, ports: np.ndarray) -> np.ndarray:
@@ -955,8 +952,7 @@ class DeltaResult:
         The program valid for ``graph_after`` — patched in place of the
         dirty entries or freshly recompiled, but in either case
         fingerprint/dtype/byte-layout identical to
-        ``compile_scheme_program(scheme, graph_after)`` (masked with the
-        same faults when ``faults`` was passed).
+        ``compile_scheme_program(scheme, graph_after)``.
     mode:
         One of :data:`DELTA_UNCHANGED` / :data:`DELTA_PATCHED` /
         :data:`DELTA_RECOMPILED`.
@@ -1111,31 +1107,23 @@ def _port_dirty_vertices(
     return dirty
 
 
-def _assert_patched_sound(
-    patched: "NextHopProgram", dist_after: np.ndarray, faults: "Optional[FaultSet]"
-) -> None:
+def _assert_patched_sound(patched: "NextHopProgram", dist_after: np.ndarray) -> None:
     """Statically prove a delta-patched table program correct (or raise).
 
     The soundness contract of a shortest-path table program over
-    ``graph_after``: every feasible pair delivers in exactly the true
-    distance, and under a fault mask the only other possible fate is a
-    drop at a masked transition.  Proven in two steps, with no recompile,
-    no simulation and no fate resolution:
+    ``graph_after``: every off-diagonal pair delivers in exactly the true
+    distance.  Proven in two steps, with no recompile, no simulation and
+    no fate resolution:
 
     * :func:`~repro.routing.verify.verify_structure` — its range checks
-      and its semantic issues (a non-absorbing alive destination, say)
-      raise; a dead destination's masked diagonal is exempt;
+      and its semantic issues (a non-absorbing destination, say) raise;
     * one vectorised **one-hop descent** check over the ``n * n`` entries:
-      every feasible off-diagonal ``(x, d)`` holds a node ``v`` with
-      ``dist_after[v, d] == dist_after[x, d] - 1`` or, under ``faults``,
-      :data:`DROPPED`.
+      every off-diagonal ``(x, d)`` holds a node ``v`` with
+      ``dist_after[v, d] == dist_after[x, d] - 1``.
 
     By induction on the distance, every walk then takes only
-    shortest-path hops: it delivers at the absorbing destination after
-    exactly ``dist_after`` hops, or drops at a mask.  Under a mask the
-    check is stricter than the contract: a hop off every shortest path
-    is refused even when the walk it starts ends in a drop, which no
-    masked fresh compile contains.  A violation raises
+    shortest-path hops and delivers at the absorbing destination after
+    exactly ``dist_after`` hops.  A violation raises
     :class:`~repro.routing.verify.ProgramVerificationError` naming the
     first offending pair.  Deferred import: :mod:`repro.routing.verify`
     imports this module.
@@ -1143,8 +1131,7 @@ def _assert_patched_sound(
     from repro.routing.verify import ProgramVerificationError, verify_structure
 
     n = patched.n
-    alive = faults.alive_mask(n) if faults is not None else None
-    issues = verify_structure(patched, alive=alive)
+    issues = verify_structure(patched)
     if issues:
         raise ProgramVerificationError(
             "delta-patched program failed the static soundness proof: "
@@ -1161,9 +1148,6 @@ def _assert_patched_sound(
     after_hop = np.take(dist_after, flat)
     after_hop += 1
     ok = (after_hop == dist_after) & (nxt >= 0)
-    if alive is not None:
-        ok |= nxt == DROPPED
-        ok |= ~alive[:, None] | ~alive[None, :]
     ok[dests, dests] = True
     if not ok.all():
         xs, ds = np.nonzero(~ok)
@@ -1180,8 +1164,7 @@ def _assert_patched_sound(
         raise ProgramVerificationError(
             f"delta-patched program failed the static soundness proof: pair "
             f"{x} -> {d}: {detail} (a shortest-path table program must move "
-            f"every feasible pair one hop closer to its destination"
-            + (" or drop it at a fault)" if faults is not None else ")")
+            f"every pair one hop closer to its destination)"
         )
 
 
@@ -1193,20 +1176,24 @@ def apply_delta(
     *,
     dirty_threshold: float = 0.5,
     dist_before: Optional[np.ndarray] = None,
-    faults: "Optional[FaultSet]" = None,
     static_check: bool = False,
 ) -> DeltaResult:
     """Update a compiled program across a topology change without recompiling.
 
-    ``program`` must be ``compile_scheme_program(scheme, graph_before)`` —
-    or, when ``faults`` is passed, that program masked with the *same*
-    fault set (``apply_faults(..., graph_before, faults)``); the result is
-    then masked too, so deltas compose with the fault-injection workload
-    without ever unmasking.  Returns a :class:`DeltaResult` whose program
+    ``program`` must be ``compile_scheme_program(scheme, graph_before)``.
+    Returns a :class:`DeltaResult` whose program
     is **indistinguishable from a fresh compile at** ``graph_after`` —
     same arrays, same domain dtypes, same byte layout, same
     :meth:`~RoutingProgram.fingerprint` (the differential contract
     ``tests/test_churn.py`` pins across the registry grid).
+
+    Deltas compose with the fault model without a flag of their own:
+    ``apply_faults(apply_delta(P, ...).program, graph_after, faults)``
+    equals ``apply_faults(compile_scheme_program(scheme, graph_after),
+    graph_after, faults)``, also when ``P`` is itself a masked program.
+    Masking is value-based and idempotent: an entry equal to a fresh
+    compile's masks identically, a ``DROPPED`` entry stays ``DROPPED``,
+    and every patched entry is a fresh compile's.
 
     The incremental fast path covers shortest-path table schemes lowered
     to :class:`NextHopProgram` (every tie-break rule).  The dirty set is
@@ -1222,7 +1209,7 @@ def apply_delta(
 
     Only dirty entries are recomputed, by the very primitive a fresh build
     uses (:func:`repro.routing.tables.shortest_path_ports` with the dirty
-    mask); distances themselves are maintained by
+    coordinates); distances themselves are maintained by
     :func:`incremental_distance_matrix`.  Everything else — other schemes,
     header-state/generic programs, vertex-count changes, dirty sets above
     ``dirty_threshold`` (a fraction of the off-diagonal entries), or a
@@ -1234,13 +1221,13 @@ def apply_delta(
     ``static_check=True`` proves the *patched* program sound before
     returning it, without a byte-comparison against a throwaway recompile
     and without resolving a single fate: a shortest-path table program
-    must deliver every feasible pair in exactly ``dist_after`` hops — and
-    under ``faults`` the only other permitted fate is a drop at a masked
-    transition (tables can neither misdeliver nor livelock).  The proof is
+    must deliver every pair in exactly ``dist_after`` hops (tables can
+    neither misdeliver nor livelock).  The proof is
     :func:`~repro.routing.verify.verify_structure` plus a one-hop descent
-    check over the ``n * n`` entries (every feasible entry moves one hop
-    closer to its destination, or drops at a fault), which implies that
-    contract by induction on the distance.  A violation
+    check over the ``n * n`` entries (every off-diagonal entry moves one
+    hop closer to its destination), which implies that contract by
+    induction on the distance; a masked ``program`` fails it, so prove
+    the unmasked chain and mask afterwards.  A violation
     raises :class:`~repro.routing.verify.ProgramVerificationError` naming
     the first offending pair; the recompile/unchanged paths return fresh or
     untouched compiles and are not re-proven.
@@ -1254,13 +1241,8 @@ def apply_delta(
         )
 
     def _recompiled() -> DeltaResult:
-        fresh = compile_scheme_program(scheme, graph_after)
-        if faults is not None:
-            from repro.sim.faults import apply_faults
-
-            fresh = apply_faults(fresh, graph_after, faults)
         return DeltaResult(
-            program=fresh,
+            program=compile_scheme_program(scheme, graph_after),
             mode=DELTA_RECOMPILED,
             dirty_entries=-1,
             dirty_destinations=-1,
@@ -1324,22 +1306,14 @@ def apply_delta(
         return _recompiled()
     dirty_destinations = int(dirty.any(axis=0).sum())
 
-    ports = shortest_path_ports(graph_after, scheme.tie_break, dist_after, dirty=dirty)
     xs, dests = np.nonzero(dirty)
+    ports = shortest_path_ports(graph_after, scheme.tie_break, dist_after, dirty=(xs, dests))
     next_node = np.array(program.next_node, copy=True)  # mmap views are read-only
-    next_node[xs, dests] = indices[indptr[xs] + ports[xs, dests] - 1]
+    next_node[xs, dests] = indices[indptr[xs] + ports - 1]
 
     patched = program.with_next_node(next_node)
-    if faults is not None:
-        # Masking is value-based and idempotent: unmasked entries equal to a
-        # fresh compile mask identically, already-DROPPED entries stay
-        # DROPPED, and freshly patched entries get masked here — so this is
-        # exactly mask-after-recompile without the recompile.
-        from repro.sim.faults import apply_faults
-
-        patched = apply_faults(patched, graph_after, faults)
     if static_check:
-        _assert_patched_sound(patched, dist_after, faults)
+        _assert_patched_sound(patched, dist_after)
     return DeltaResult(
         program=patched,
         mode=DELTA_PATCHED,

@@ -15,7 +15,7 @@ benefits from the ``lowest_port`` rule on ring-like graphs).
 
 from __future__ import annotations
 
-from typing import Literal, Optional, get_args
+from typing import Literal, Optional, Tuple, get_args
 
 import numpy as np
 
@@ -41,17 +41,19 @@ def shortest_path_ports(
     graph: PortLabeledGraph,
     tie_break: TieBreak = "lowest_port",
     dist: Optional[np.ndarray] = None,
-    dirty: Optional[np.ndarray] = None,
+    dirty: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> np.ndarray:
     """Port matrix ``ports[x, dest]`` of one shortest-path routing.
 
     ``ports[x, dest]`` is the port at ``x`` of the shortest-path neighbour
     towards ``dest`` picked by ``tie_break`` (lowest port, highest port or
     lowest neighbour label); the diagonal and unreachable destinations hold
-    ``0`` (:data:`~repro.routing.model.DELIVER`).  With a boolean ``dirty``
-    mask only the masked entries are computed (the rest stay ``0``): the
-    patch step of :func:`repro.routing.program.apply_delta`, of which a
-    fresh build is the all-dirty case.
+    ``0`` (:data:`~repro.routing.model.DELIVER`).  Given ``dirty``, the
+    coordinate arrays ``(xs, dests)`` of some entries, only those entries
+    are computed and returned, as a 1-D int64 array aligned with the
+    coordinates (``ports[xs, dests]`` of the full matrix): the patch step
+    of :func:`repro.routing.program.apply_delta`, of which a fresh build
+    is the all-dirty case.
 
     Without ``dirty``, and with no ``dist`` or the graph's own memoised
     distances, the matrix is derived once per graph snapshot and
@@ -64,7 +66,7 @@ def shortest_path_ports(
     port-ordered neighbours ``nbrs`` of ``x`` the shortest-path ones
     satisfy ``dist[nbrs, dest] == dist[x, dest] - 1``, and the rule is an
     argmax/argmin over that boolean matrix (``O(deg(x) * n)`` scratch).
-    A ``dirty`` mask is evaluated per dirty entry instead, so a patch
+    Dirty coordinates are evaluated per entry instead, so a patch
     costs its entries' degrees, not its rows' ``deg(x) * n``: one
     vectorised step per port rank ``k`` tests the rank-``k`` neighbour of
     every entry whose vertex has one, ``lowest_port`` keeping the first
@@ -108,7 +110,10 @@ def _shortest_path_ports(
 
 
 def _dirty_entry_ports(
-    graph: PortLabeledGraph, tie_break: TieBreak, dist: np.ndarray, dirty: np.ndarray
+    graph: PortLabeledGraph,
+    tie_break: TieBreak,
+    dist: np.ndarray,
+    dirty: Tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """The tie-break evaluated per dirty entry, one vectorised step per port rank.
 
@@ -119,18 +124,17 @@ def _dirty_entry_ports(
     entry with no hit keeps the whole-row argmax/argmin's answer.
     """
     n = graph.n
-    ports = np.zeros((n, n), dtype=np.int64)
-    xs, ds = np.nonzero(dirty)
+    xs, ds = dirty
+    ports = np.zeros(xs.size, dtype=np.int64)
     want = dist[xs, ds] - 1
-    routed = want >= 0  # the diagonal and unreachable destinations stay 0
-    if not routed.all():
-        xs, ds, want = xs[routed], ds[routed], want[routed]
-    if not xs.size:
+    entries = np.flatnonzero(want >= 0)  # the diagonal and unreachable destinations stay 0
+    if not entries.size:
         return ports
     indptr, indices = graph.adjacency_arrays()
-    deg = np.diff(indptr)[xs]
+    deg = np.diff(indptr)[xs[entries]]
     by_deg = np.argsort(-deg, kind="stable")
-    xs, ds, deg, want = xs[by_deg], ds[by_deg], deg[by_deg], want[by_deg]
+    entries, deg = entries[by_deg], deg[by_deg]
+    xs, ds, want = xs[entries], ds[entries], want[entries]
     first = indptr[xs]
     ranks = np.searchsorted(-deg, -np.arange(int(deg[0])), side="left")  # entries with deg > k
     if tie_break == "lowest_neighbor":
@@ -157,7 +161,7 @@ def _dirty_entry_ports(
             open_ = open_[~hit]
             if not open_.size:
                 break
-    ports[xs, ds] = pick + 1
+    ports[entries] = pick + 1
     return ports
 
 

@@ -28,8 +28,8 @@ per-step reference loops).  The engine's per-message interpreter answers
 generic programs with a report of the same shape, so the report is the
 one per-pair record of the package.
 
-Verdict codes are the ``PAIR_*`` outcome taxonomy of
-:mod:`repro.sim.faults` (which aliases them), so
+Verdict codes are the outcome taxonomy of the fault model too
+(:mod:`repro.sim.faults`), so
 :class:`~repro.sim.faults.FaultSimulationResult.outcome` is a report's
 ``outcome`` matrix.
 
@@ -37,8 +37,9 @@ Structural corruption (an out-of-range successor, a sentinel that does not
 exist, a wrong shape) always raises :class:`ProgramVerificationError` with a
 diagnostic naming the first offending entry.  *Semantic* oddities that the
 executors handle deterministically — a non-absorbing destination, a
-non-``-1`` initial diagonal — are collected as ``issues`` on the report and
-only raise under ``strict=True`` (the cache integrity gate's mode).  A
+non-``-1`` initial diagonal — are collected as ``issues`` on the report;
+:func:`verify_structure` returns them without resolving a fate (the store's
+integrity gate, and the delta proof, which raises on any).  A
 program stores transitions only, so verification resolves each functional
 graph exactly once.
 
@@ -54,6 +55,9 @@ executing a single message:
 True
 >>> int(report.max_finite_hops)
 4
+>>> from repro.graphs.shortest_paths import distance_matrix
+>>> report.stretch(distance_matrix(path_graph(5)))[0]
+Fraction(1, 1)
 """
 
 from __future__ import annotations
@@ -93,8 +97,8 @@ __all__ = [
 # ----------------------------------------------------------------------
 # verdict codes
 # ----------------------------------------------------------------------
-# repro.sim.faults.PAIR_* aliases these: a verification report's outcome
-# matrix and a fault simulation's outcome matrix are one classification.
+# A verification report's outcome matrix and a fault simulation's outcome
+# matrix are one classification.
 VERDICT_DELIVERED = 0
 VERDICT_DROPPED = 1
 VERDICT_LIVELOCKED = 2
@@ -116,9 +120,11 @@ LOST_VERDICTS = (VERDICT_DROPPED, VERDICT_LIVELOCKED, VERDICT_MISDELIVERED)
 class ProgramVerificationError(ValueError):
     """A compiled program failed static verification.
 
-    Raised for structural corruption always, and for semantic issues (see
-    :class:`VerificationReport.issues`) under ``strict=True``.  Subclasses
-    :class:`ValueError` so cache-integrity callers can treat a corrupt
+    Raised for structural corruption always; for a semantic issue (see
+    :class:`VerificationReport.issues`) only by the callers that treat one
+    as fatal — the store's integrity gate and the static delta proof;
+    and for a lost pair by :meth:`VerificationReport.require_all_delivered`.
+    Subclasses :class:`ValueError` so cache-integrity callers can treat a corrupt
     artifact and an unparseable one uniformly.
     """
 
@@ -199,11 +205,8 @@ class VerificationReport:
         subtree sums by it.
     issues:
         Semantic oddities found by well-formedness analysis (empty on a
-        healthy artifact); see :func:`verify_structure`.
-    max_stretch / mean_stretch:
-        Exact worst and average stretch of the delivered off-diagonal
-        pairs, populated when a distance matrix was supplied to
-        :func:`verify_program` (``None`` otherwise).
+        healthy artifact, and on :func:`resolve_fates`' report); see
+        :func:`verify_structure`.  Exact stretch is :meth:`stretch`.
     """
 
     kind: str
@@ -214,8 +217,6 @@ class VerificationReport:
     hops: np.ndarray
     state_hops: np.ndarray
     issues: Tuple[str, ...] = ()
-    max_stretch: Optional[Fraction] = None
-    mean_stretch: Optional[float] = None
 
     # ------------------------------------------------------------------
     @property
@@ -261,10 +262,10 @@ class VerificationReport:
     def require_all_delivered(self) -> np.ndarray:
         """Length matrix of a fully-delivering program, raising otherwise.
 
-        The static analogue of
-        :meth:`repro.sim.engine.SimulationResult.require_all_delivered`:
-        returns an ``(n, n)`` int64 matrix with exact route lengths, ``0``
-        on the diagonal and :data:`NO_ROUTE` on infeasible pairs.
+        The fail-fast view of every executor's report (a simulation's is
+        ``result.report``): returns an ``(n, n)`` int64 matrix with exact
+        route lengths, ``0`` on the diagonal and :data:`NO_ROUTE` on
+        infeasible pairs.
         """
         if not self.all_delivered:
             counts = self.counts()
@@ -440,9 +441,7 @@ def _semantic_issues(program: RoutingProgram, alive: Optional[np.ndarray] = None
     return _header_state_issues(program)
 
 
-def verify_structure(
-    program: RoutingProgram, *, alive: Optional[np.ndarray] = None
-) -> List[str]:
+def verify_structure(program: RoutingProgram) -> List[str]:
     """Well-formedness analysis of a compiled program's arrays.
 
     Raises :class:`ProgramVerificationError` on structural corruption (wrong
@@ -450,12 +449,13 @@ def verify_structure(
     entries — including a stray ``-1``, which is never a valid transition).
     Returns the list of *semantic* issues: conditions the executors handle
     deterministically but that no healthy compile produces (non-absorbing
-    destinations, a non-``-1`` initial diagonal).  ``alive`` (the fault
-    model's survivor mask) exempts dead destinations from the absorbing
-    check: masking a dead vertex drops its whole row, its diagonal too.
+    destinations, a non-``-1`` initial diagonal).  Every destination must
+    absorb; a fault-masked program whose dead vertex's diagonal is
+    dropped goes through :func:`verify_program` with the scenario's
+    ``alive`` mask, which exempts dead destinations.
     """
     _check_ranges(program)
-    return _semantic_issues(program, alive)
+    return _semantic_issues(program)
 
 
 # ----------------------------------------------------------------------
@@ -615,40 +615,23 @@ def resolve_fates(
 # entry point
 # ----------------------------------------------------------------------
 def verify_program(
-    program: RoutingProgram,
-    *,
-    dist: Optional[np.ndarray] = None,
-    alive: Optional[np.ndarray] = None,
-    strict: bool = False,
+    program: RoutingProgram, *, alive: Optional[np.ndarray] = None
 ) -> VerificationReport:
     """Statically verify a compiled routing program.
 
     Proves the exact fate (verdict + hop count) of every ordered pair by
     functional-graph analysis (:func:`resolve_fates`) — no message is ever
     executed — and adds the semantic-issue scan of
-    :func:`verify_structure`.  ``dist`` (the true distance matrix)
-    additionally populates the report's exact max/mean stretch; ``alive``
-    (a boolean vertex mask, the fault model's survivor set) marks
+    :func:`verify_structure` as the report's ``issues``.  ``alive`` (a
+    boolean vertex mask, the fault model's survivor set) marks
     dead-endpoint pairs :data:`VERDICT_INFEASIBLE` exactly like
     :func:`repro.sim.faults.simulate_with_faults`, and exempts dead
-    destinations from the absorbing check.
+    destinations from the absorbing check.  Exact stretch is
+    ``report.stretch(dist)``.
 
     Structural corruption always raises :class:`ProgramVerificationError`;
-    with ``strict=True`` the semantic issues raise too instead of being
-    returned on the report.  Generic programs are not statically
+    semantic issues never do.  Generic programs are not statically
     verifiable and always raise.
     """
     report = resolve_fates(program, alive)
-    issues = _semantic_issues(program, alive)
-    if strict and issues:
-        raise ProgramVerificationError(
-            f"program failed strict verification with {len(issues)} "
-            f"issue(s): " + "; ".join(issues)
-        )
-    report = replace(report, issues=tuple(issues))
-    if dist is not None:
-        max_stretch, mean_stretch = report.stretch(np.asarray(dist))
-        report = replace(
-            report, max_stretch=max_stretch, mean_stretch=mean_stretch
-        )
-    return report
+    return replace(report, issues=tuple(_semantic_issues(program, alive)))

@@ -99,12 +99,6 @@ from repro.sim.engine import (
     simulated_stretch_factor,
 )
 from repro.sim.faults import (
-    OUTCOME_NAMES,
-    PAIR_DELIVERED,
-    PAIR_DROPPED,
-    PAIR_INFEASIBLE,
-    PAIR_LIVELOCKED,
-    PAIR_MISDELIVERED,
     FaultSet,
     FaultSimulationResult,
     apply_faults,
@@ -127,12 +121,6 @@ from repro.sim.registry import (
 
 __all__ = [
     "MISDELIVER",
-    "OUTCOME_NAMES",
-    "PAIR_DELIVERED",
-    "PAIR_DROPPED",
-    "PAIR_INFEASIBLE",
-    "PAIR_LIVELOCKED",
-    "PAIR_MISDELIVERED",
     "ChurnStep",
     "ChurnTrace",
     "DeltaResult",

@@ -44,7 +44,7 @@ Misdelivery (``P`` returning :data:`~repro.routing.model.DELIVER` at the
 wrong node) is recorded per pair — distinctly from livelocks — in
 :attr:`SimulationResult.misdelivered` on every path rather than raised, so
 conformance layers can report *which* pairs a broken scheme loses and *how*;
-:meth:`SimulationResult.require_all_delivered` is the fail-fast view.  A
+``result.report.require_all_delivered()`` is the fail-fast view.  A
 structurally corrupt program (an out-of-range transition) raises
 :class:`~repro.routing.verify.ProgramVerificationError` instead of
 producing outcomes.
@@ -199,18 +199,6 @@ class SimulationResult:
             f"{counts['livelocked']} livelocked); first lost pair {x} -> {y}"
         )
 
-    def require_all_delivered(self) -> np.ndarray:
-        """Return the length matrix, raising if any pair was lost.
-
-        The fail-fast view for callers that expect every pair delivered.
-        """
-        if not self.all_delivered:
-            raise ValueError(
-                f"not every message was delivered: {self._loss_summary()}; "
-                "inspect misdelivered_pairs() / livelocked_pairs()"
-            )
-        return self.lengths
-
     # ------------------------------------------------------------------
     def max_stretch(self, dist: Optional[np.ndarray] = None, graph: Optional[PortLabeledGraph] = None) -> Fraction:
         """Exact worst-case stretch of the delivered routes as a fraction.
@@ -221,14 +209,14 @@ class SimulationResult:
         when a pair is undelivered: lost pairs carry the ``-1`` length
         sentinel, which must never leak into a ratio or be silently skipped
         — callers wanting a fail-fast matrix should go through
-        :meth:`require_all_delivered`, callers expecting losses should
+        ``report.require_all_delivered()``, callers expecting losses should
         filter :meth:`undelivered_pairs` first.
         """
         if not self.all_delivered:
             raise ValueError(
                 f"max_stretch is undefined: {self._loss_summary()}; the -1 length "
                 "sentinels of lost pairs cannot enter a stretch ratio — call "
-                "require_all_delivered() or handle undelivered_pairs() first"
+                "report.require_all_delivered() or handle undelivered_pairs() first"
             )
         if self.n < 2:
             return Fraction(1)

@@ -30,16 +30,17 @@ applied to an otherwise unchanged graph:
 Pair outcome taxonomy
 ---------------------
 Every ordered pair lands in exactly one class, recorded in
-:attr:`FaultSimulationResult.outcome`:
+:attr:`FaultSimulationResult.outcome` as a verdict code of
+:mod:`repro.routing.verify`:
 
-* :data:`PAIR_DELIVERED` — arrived at its destination; ``lengths`` holds the
-  route length, and the route is *identical* to the fault-free route (an
-  oblivious scheme is never rerouted, only truncated);
-* :data:`PAIR_DROPPED` — died attempting a masked transition;
-* :data:`PAIR_LIVELOCKED` — forwards forever without delivering or hitting a
+* ``VERDICT_DELIVERED`` — arrived at its destination; ``lengths`` holds
+  the route length, and the route is *identical* to the fault-free route
+  (an oblivious scheme is never rerouted, only truncated);
+* ``VERDICT_DROPPED`` — died attempting a masked transition;
+* ``VERDICT_LIVELOCKED`` — forwards forever without delivering or hitting a
   fault (exact on both compiled kinds: functional-graph arguments);
-* :data:`PAIR_MISDELIVERED` — the scheme said ``DELIVER`` at the wrong node;
-* :data:`PAIR_INFEASIBLE` — a failed endpoint (or the diagonal).
+* ``VERDICT_MISDELIVERED`` — the scheme said ``DELIVER`` at the wrong node;
+* ``VERDICT_INFEASIBLE`` — a failed endpoint (or the diagonal).
 
 Stretch inflation is measured against shortest paths **recomputed on the
 surviving graph** (:func:`surviving_distance_matrix`): delivered routes were
@@ -74,24 +75,10 @@ from repro.routing.program import (
     RoutingProgram,
     compile_or_interpret,
 )
-from repro.routing.verify import (
-    VERDICT_DELIVERED,
-    VERDICT_DROPPED,
-    VERDICT_INFEASIBLE,
-    VERDICT_LIVELOCKED,
-    VERDICT_MISDELIVERED,
-    VERDICT_NAMES,
-    VerificationReport,
-)
+from repro.routing.verify import VerificationReport
 from repro.sim.engine import execute_masked_program, interpret
 
 __all__ = [
-    "PAIR_DELIVERED",
-    "PAIR_DROPPED",
-    "PAIR_INFEASIBLE",
-    "PAIR_LIVELOCKED",
-    "PAIR_MISDELIVERED",
-    "OUTCOME_NAMES",
     "FaultSet",
     "FaultSimulationResult",
     "apply_faults",
@@ -100,18 +87,6 @@ __all__ = [
     "surviving_distance_matrix",
     "surviving_graph",
 ]
-
-#: Pair outcome codes of :attr:`FaultSimulationResult.outcome`: the
-#: verifier's verdict codes under the fault taxonomy's names.
-PAIR_DELIVERED = VERDICT_DELIVERED
-PAIR_DROPPED = VERDICT_DROPPED
-PAIR_LIVELOCKED = VERDICT_LIVELOCKED
-PAIR_MISDELIVERED = VERDICT_MISDELIVERED
-PAIR_INFEASIBLE = VERDICT_INFEASIBLE
-
-#: Display names of the outcome codes, in code order.
-OUTCOME_NAMES = VERDICT_NAMES
-
 
 def _normalize_edge(edge: Tuple[int, int]) -> Tuple[int, int]:
     u, v = int(edge[0]), int(edge[1])
@@ -447,9 +422,9 @@ class FaultSimulationResult:
 
     @property
     def outcome(self) -> np.ndarray:
-        """``(n, n)`` int8 pair outcome codes (:data:`PAIR_DELIVERED` …
-        :data:`PAIR_INFEASIBLE`); the diagonal and every pair with a failed
-        endpoint hold :data:`PAIR_INFEASIBLE`."""
+        """``(n, n)`` int8 pair outcome codes (the verdict codes of
+        :mod:`repro.routing.verify`); the diagonal and every pair with a
+        failed endpoint hold ``VERDICT_INFEASIBLE``."""
         return self.report.outcome
 
     @property

@@ -154,6 +154,16 @@ class GcStats:
     legacy_removed: int = 0
 
 
+def _manifest_line(record: StoreRecord) -> bytes:
+    """The record's manifest line: its set fields as one sorted-key JSON object.
+
+    Reads the fields off the instance (no :func:`dataclasses.asdict` deep
+    copy: a row record's ``row`` is already a plain dict).
+    """
+    payload = {k: v for k, v in vars(record).items() if v is not None}
+    return (json.dumps(payload, sort_keys=True) + "\n").encode()
+
+
 def _current(record: StoreRecord) -> bool:
     """Whether ``record`` can still be looked up under :data:`CACHE_SCHEMA`."""
     if record.row is not None:
@@ -250,8 +260,7 @@ class ProgramStore:
             self._index[record.key] = record
 
     def _append(self, record: StoreRecord) -> None:
-        payload = {k: v for k, v in asdict(record).items() if v is not None}
-        line = (json.dumps(payload, sort_keys=True) + "\n").encode()
+        line = _manifest_line(record)
         self.root.mkdir(parents=True, exist_ok=True)
         fd = os.open(self.manifest_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
         try:
@@ -378,8 +387,8 @@ class ProgramStore:
         checks the object's bytes against its content address and
         checks the decoded program's structure and treats every semantic
         issue as fatal (:func:`~repro.routing.verify.verify_structure`,
-        which rejects what a strict ``verify_program`` would, without
-        resolving fates);
+        which rejects every program a ``verify_program`` report would
+        flag, without resolving fates);
         corruption at either level degrades to a miss (warned and counted
         in :attr:`degraded`) and deletes the bad object so the next store
         rewrites it.  Hits touch the object's mtime — the recency signal
@@ -432,10 +441,7 @@ class ProgramStore:
         try:
             with os.fdopen(fd, "wb") as handle:
                 for record in kept:
-                    payload = {
-                        k: v for k, v in asdict(record).items() if v is not None
-                    }
-                    handle.write((json.dumps(payload, sort_keys=True) + "\n").encode())
+                    handle.write(_manifest_line(record))
             os.replace(tmp_name, self.manifest_path)
         except BaseException:
             try:

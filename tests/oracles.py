@@ -774,30 +774,30 @@ def is_outerplanar(graph: PortLabeledGraph) -> bool:
 # ----------------------------------------------------------------------
 # delta soundness
 # ----------------------------------------------------------------------
-def resolved_patched_soundness(patched, dist_after: np.ndarray, faults=None) -> None:
+def resolved_patched_soundness(patched, dist_after: np.ndarray) -> None:
     """Prove a delta-patched table program sound by resolving every fate.
 
-    Every feasible pair must deliver in exactly ``dist_after`` hops, or,
-    under ``faults``, drop at a masked transition; a strict
-    :func:`~repro.routing.verify.verify_program` raises on structural and
-    semantic issues first.  Raises
+    Every off-diagonal pair must deliver in exactly ``dist_after`` hops;
+    a semantic issue of :func:`~repro.routing.verify.verify_program`'s
+    report (and any structural corruption) raises first.  Raises
     :class:`~repro.routing.verify.ProgramVerificationError` naming the
     first offending pair.
     """
     from repro.routing.verify import (
         VERDICT_DELIVERED,
-        VERDICT_DROPPED,
         VERDICT_INFEASIBLE,
         VERDICT_NAMES,
         ProgramVerificationError,
         verify_program,
     )
 
-    alive = faults.alive_mask(patched.n) if faults is not None else None
-    report = verify_program(patched, alive=alive, strict=True)
+    report = verify_program(patched)
+    if report.issues:
+        raise ProgramVerificationError(
+            "delta-patched program failed the resolved soundness proof: "
+            + "; ".join(report.issues)
+        )
     allowed = [VERDICT_DELIVERED, VERDICT_INFEASIBLE]
-    if faults is not None:
-        allowed.append(VERDICT_DROPPED)
     bad = ~np.isin(report.outcome, allowed)
     wrong_hops = (report.outcome == VERDICT_DELIVERED) & (report.hops != dist_after)
     for mask, what in ((bad, "fate"), (wrong_hops, "hops")):

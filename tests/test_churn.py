@@ -12,8 +12,8 @@ ordered pair.  The suite pins that differentially:
 * under hypothesis — random valid add/remove sequences from the shared
   ``churn_traces`` strategy (conftest), including delta-chain
   associativity: applying k deltas == one recompile at the final snapshot;
-* composed with fault masks — a delta applied on top of an
-  ``apply_faults``-masked program equals mask-after-recompile;
+* composed with fault masks — ``apply_faults`` after a delta, on an
+  unmasked or an already masked program, equals mask-after-recompile;
 * through the cache — patched programs stored via
   ``ExperimentCache.store_program_entry`` round-trip the ``.rpg`` artifact
   path and never collide with the pre-churn program key.
@@ -53,7 +53,7 @@ from repro.sim.churn import (
     leo_grid_trace,
     random_churn_trace,
 )
-from repro.sim.engine import execute_masked_program, execute_program
+from repro.sim.engine import execute_program
 from repro.sim.faults import FaultSet, apply_faults, random_fault_set
 from repro.sim.registry import graph_families, scheme_registry
 
@@ -359,38 +359,58 @@ def test_delta_pure_port_relabel_is_patched():
 
 
 # ----------------------------------------------------------------------
-# composition with fault masks (delta-on-masked == mask-after-recompile)
+# composition with fault masks (mask-after-delta == mask-after-recompile)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("kind", ["node", "edge"])
-@pytest.mark.parametrize("tie_break", TIE_BREAKS)
-def test_delta_on_masked_program_equals_mask_after_recompile(tie_break, kind):
-    scheme = ShortestPathTableScheme(tie_break=tie_break)
+def _fault_cases(kind):
+    """``(trace, fault sets)`` over the LEO seam trace and three registry families."""
     trace = leo_grid_trace(4, 6, steps=4)
     if kind == "node":
-        faults = random_fault_set(trace.base, 2, kind="node", seed=13)
+        yield trace, [random_fault_set(trace.base, 2, kind="node", seed=13)]
     else:
-        # Edge faults must exist in every snapshot: pick intra-row grid
-        # links, which the seam rotation never touches.
-        faults = FaultSet.from_edges([(1, 2), (14, 15)])
-    program = apply_faults(
-        compile_scheme_program(scheme, trace.base), trace.base, faults
-    )
-    dist = None
-    for before, step in trace.transitions():
-        result = apply_delta(
-            program, before, step.graph, scheme, dist_before=dist, faults=faults
-        )
-        masked_fresh = apply_faults(
-            compile_scheme_program(scheme, step.graph), step.graph, faults
-        )
-        _assert_programs_identical(result.program, masked_fresh)
-        a = execute_masked_program(result.program, faults.alive_mask(step.graph.n))
-        b = execute_masked_program(masked_fresh, faults.alive_mask(step.graph.n))
-        assert np.array_equal(a.report.outcome, b.report.outcome)
-        assert np.array_equal(a.report.hops, b.report.hops)
-        program = result.program
-        dist = result.dist_after
-    assert (program.next_node == DROPPED).any()  # the mask survived the chain
+        # Intra-row grid links, which the seam rotation never touches.
+        yield trace, [FaultSet.from_edges([(1, 2), (14, 15)])]
+    for family in ("random-dense", "grid", "petersen"):
+        graph = FAMILIES[family]
+        (_, trace) = churn_scenarios(graph, seed=3, steps=3)[0]
+        if kind == "node":
+            yield trace, [FaultSet.from_nodes([v]) for v in range(0, graph.n, max(1, graph.n // 4))]
+        else:
+            # A fault set names real edges, so keep those every snapshot has.
+            snapshots = [step.graph for _, step in trace.transitions()]
+            kept = [e for e in graph.edges() if all(g.has_edge(*e) for g in snapshots)]
+            yield trace, [FaultSet.from_edges(kept[i : i + 2]) for i in range(0, 8, 2)]
+
+
+@pytest.mark.parametrize("masked_base", [False, True], ids=["unmasked", "masked"])
+@pytest.mark.parametrize("kind", ["node", "edge"])
+@pytest.mark.parametrize("tie_break", TIE_BREAKS)
+def test_masking_a_delta_equals_masking_a_fresh_compile(tie_break, kind, masked_base):
+    # apply_faults(apply_delta(P, ...).program, g_after, F) is the masked
+    # fresh compile at g_after, whether the chain carries P unmasked or
+    # already masked: masking is value-based and idempotent, so deltas need
+    # no fault option of their own.
+    scheme = ShortestPathTableScheme(tie_break=tie_break)
+    modes = set()
+    for trace, fault_sets in _fault_cases(kind):
+        for faults in fault_sets:
+            program, dist = compile_scheme_program(scheme, trace.base), None
+            if masked_base:
+                program = apply_faults(program, trace.base, faults)
+            for before, step in trace.transitions():
+                result = apply_delta(
+                    program, before, step.graph, scheme,
+                    dist_before=dist, static_check=not masked_base,
+                )
+                masked = apply_faults(result.program, step.graph, faults)
+                masked_fresh = apply_faults(
+                    compile_scheme_program(scheme, step.graph), step.graph, faults
+                )
+                _assert_programs_identical(masked, masked_fresh)
+                assert (masked.next_node == DROPPED).any()
+                modes.add(result.mode)
+                program = masked if masked_base else result.program
+                dist = result.dist_after
+    assert DELTA_PATCHED in modes
 
 
 # ----------------------------------------------------------------------

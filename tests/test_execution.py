@@ -48,6 +48,8 @@ from repro.routing.program import (
 )
 from repro.routing.tables import ShortestPathTableScheme
 from repro.routing.verify import (
+    VERDICT_DELIVERED,
+    VERDICT_MISDELIVERED,
     ProgramVerificationError,
     resolve_fates,
     verify_program,
@@ -55,8 +57,6 @@ from repro.routing.verify import (
 )
 from repro.sim.engine import execute_masked_program, execute_program
 from repro.sim.faults import (
-    PAIR_DELIVERED,
-    PAIR_MISDELIVERED,
     FaultSet,
     apply_faults,
     random_fault_set,
@@ -89,10 +89,10 @@ def _assert_same_fates(result, oracle, mode):
     assert np.array_equal(result.report.hops, hops)
     assert (result.steps, result.mode) == (steps, mode)
     # The views: the alive diagonal delivers, lost pairs have length -1.
-    delivered = outcome == PAIR_DELIVERED
+    delivered = outcome == VERDICT_DELIVERED
     np.fill_diagonal(delivered, hops.diagonal() == 0)
     assert np.array_equal(result.delivered, delivered)
-    assert np.array_equal(result.misdelivered, outcome == PAIR_MISDELIVERED)
+    assert np.array_equal(result.misdelivered, outcome == VERDICT_MISDELIVERED)
     assert np.array_equal(result.lengths, np.where(delivered, hops, -1))
 
 

@@ -41,14 +41,16 @@ from repro.graphs.shortest_paths import UNREACHABLE, distance_matrix
 from repro.routing.model import DELIVER, DestinationBasedRoutingFunction, RoutingFunction
 from repro.routing.program import DROPPED, GenericProgram, resolve_functional
 from repro.routing.tables import ShortestPathTableScheme
+from repro.routing.verify import (
+    VERDICT_DELIVERED,
+    VERDICT_DROPPED,
+    VERDICT_INFEASIBLE,
+    VERDICT_LIVELOCKED,
+    VERDICT_MISDELIVERED,
+)
 from repro.sim import simulate_all_pairs
 from repro.sim.engine import execute_masked_program
 from repro.sim.faults import (
-    PAIR_DELIVERED,
-    PAIR_DROPPED,
-    PAIR_INFEASIBLE,
-    PAIR_LIVELOCKED,
-    PAIR_MISDELIVERED,
     FaultSet,
     apply_faults,
     random_fault_set,
@@ -114,7 +116,7 @@ def test_masked_execution_matches_reference(scheme_name, family_name):
         _fault_results_equal(auto, reference)
 
         off = ~np.eye(graph.n, dtype=bool)
-        delivered = (auto.outcome == PAIR_DELIVERED) & off
+        delivered = (auto.outcome == VERDICT_DELIVERED) & off
         # Oblivious fault routing never reroutes: a delivered pair walked
         # exactly its fault-free route.
         assert np.array_equal(auto.lengths[delivered], fault_free.lengths[delivered]), label
@@ -153,7 +155,7 @@ def test_fresh_rebuild_on_survivor_is_ground_truth(family_name):
         # still delivers.
         masked = simulate_with_faults(rf, faults, program=program, graph=graph, dist=surviving_dist)
         off = ~np.eye(graph.n, dtype=bool)
-        delivered = (masked.outcome == PAIR_DELIVERED) & off
+        delivered = (masked.outcome == VERDICT_DELIVERED) & off
         assert (masked.lengths[delivered] >= surviving_dist[delivered]).all(), label
 
 
@@ -203,10 +205,10 @@ class _TTLRewritingFunction(RoutingFunction):
 
 def _assert_k0_matches_fault_free(result, baseline, n):
     off = ~np.eye(n, dtype=bool)
-    assert (result.outcome[off] == PAIR_DELIVERED)[baseline.delivered[off]].all()
-    assert np.array_equal((result.outcome == PAIR_MISDELIVERED), baseline.misdelivered)
-    assert not (result.outcome[off] == PAIR_DROPPED).any()
-    assert not (result.outcome[off] == PAIR_INFEASIBLE).any()
+    assert (result.outcome[off] == VERDICT_DELIVERED)[baseline.delivered[off]].all()
+    assert np.array_equal((result.outcome == VERDICT_MISDELIVERED), baseline.misdelivered)
+    assert not (result.outcome[off] == VERDICT_DROPPED).any()
+    assert not (result.outcome[off] == VERDICT_INFEASIBLE).any()
     assert np.array_equal(result.lengths[off], baseline.lengths[off])
     assert result.alive.all()
     assert result.survival_rate == (1.0 if baseline.all_delivered else pytest.approx(
@@ -275,12 +277,12 @@ def test_bridge_failure_drops_exactly_the_crossing_pairs():
     for x in range(6):
         for y in range(6):
             if x == y:
-                assert result.outcome[x, y] == PAIR_INFEASIBLE
+                assert result.outcome[x, y] == VERDICT_INFEASIBLE
             elif (x in left) == (y in left):
-                assert result.outcome[x, y] == PAIR_DELIVERED
+                assert result.outcome[x, y] == VERDICT_DELIVERED
                 assert result.lengths[x, y] == abs(x - y)
             else:
-                assert result.outcome[x, y] == PAIR_DROPPED
+                assert result.outcome[x, y] == VERDICT_DROPPED
                 # The walked prefix ends at the bridge endpoint.
                 assert result.lengths[x, y] == (2 - x if x in left else x - 3)
     # All surviving-component pairs delivered: survival (vs routable) is 1.
@@ -295,8 +297,8 @@ def test_failed_endpoints_are_infeasible_not_failures():
     graph = generators.cycle_graph(6)
     rf = ShortestPathTableScheme().build(graph)
     result = simulate_with_faults(rf, FaultSet.from_nodes([0]))
-    assert (result.outcome[0, :] == PAIR_INFEASIBLE).all()
-    assert (result.outcome[:, 0] == PAIR_INFEASIBLE).all()
+    assert (result.outcome[0, :] == VERDICT_INFEASIBLE).all()
+    assert (result.outcome[:, 0] == VERDICT_INFEASIBLE).all()
     assert not result.alive[0]
     assert result.feasible_count == 20
     # The broken cycle is a path: everything alive is still connected, but
@@ -330,11 +332,11 @@ def test_livelock_under_faults_is_classified_not_dropped():
     reference = simulate_with_faults(rf, faults, program=GenericProgram(num_vertices=graph.n))
     _fault_results_equal(auto, reference)
     for src in (1, 2, 3):
-        assert auto.outcome[src, 0] == PAIR_LIVELOCKED
+        assert auto.outcome[src, 0] == VERDICT_LIVELOCKED
         assert auto.lengths[src, 0] == -1
     # 0 -> 1 takes the direct (failed) edge: dropped at the fault, zero
     # hops walked.
-    assert auto.outcome[0, 1] == PAIR_DROPPED
+    assert auto.outcome[0, 1] == VERDICT_DROPPED
     assert auto.lengths[0, 1] == 0
 
 
@@ -351,7 +353,7 @@ def test_misdelivery_is_preserved_under_masking():
     rf = _EagerFunction(graph)
     result = simulate_with_faults(rf, FaultSet.from_edges([(0, 1)]))
     off = ~np.eye(5, dtype=bool)
-    assert (result.outcome[off] == PAIR_MISDELIVERED).all()
+    assert (result.outcome[off] == VERDICT_MISDELIVERED).all()
     assert result.counts()["misdelivered"] == 20
 
 

@@ -203,7 +203,7 @@ def test_fault_masked_loads_match_brute_force(scheme_name, family, graph, progra
         alive = faults.alive_mask(graph.n)
         report = verify_program(masked, alive=alive)
         dm = zipf_demand(graph.n, total=10_000.0, seed=13)
-        flow = route_demand(masked, dm, alive=alive, report=report)
+        flow = route_demand(masked, dm, report=report)
         _assert_flow_equals_oracle(flow, masked, dm, report)
 
 
@@ -275,8 +275,8 @@ def test_masked_next_hop_matches_oracle_under_random_faults(data):
     masked = apply_faults(program, graph, faults)
     alive = faults.alive_mask(graph.n)
     dm = _draw_demand(data, graph.n)
-    flow = route_demand(masked, dm, alive=alive)
     report = verify_program(masked, alive=alive)
+    flow = route_demand(masked, dm, report=report)
     _assert_flow_equals_oracle(flow, masked, dm, report)
 
 
@@ -290,8 +290,8 @@ def test_masked_header_state_matches_oracle_under_random_faults(data):
     masked = apply_faults(program, graph, faults)
     alive = faults.alive_mask(graph.n)
     dm = _draw_demand(data, graph.n)
-    flow = route_demand(masked, dm, alive=alive)
     report = verify_program(masked, alive=alive)
+    flow = route_demand(masked, dm, report=report)
     _assert_flow_equals_oracle(flow, masked, dm, report)
 
 
@@ -539,24 +539,22 @@ def test_generic_program_raises(petersen):
         route_demand(program, uniform_demand(petersen.n))
 
 
-def test_report_ignoring_alive_is_refused(petersen):
-    # A report resolved without the scenario's alive mask counts
-    # dead-endpoint demand as offered (9000 vs 7200 here); passing it next
-    # to alive= used to be accepted silently.
+def test_the_alive_report_keeps_dead_endpoint_demand_off_the_books(petersen):
+    # Dead-endpoint demand is excluded by the report's infeasible pairs:
+    # resolved with the scenario's alive mask, 7200 of the 9000 offered
+    # units remain; resolved without it, all 9000 count.
     program = SCHEMES["tables-lowest-port"].build(petersen.copy()).compile_program()
     faults = FaultSet.from_nodes([3])
     masked = apply_faults(program, petersen, faults)
     alive = faults.alive_mask(petersen.n)
     dm = uniform_demand(petersen.n, total=9_000.0)
-    expected = route_demand(masked, dm, alive=alive)
+    expected = route_demand(masked, dm, report=resolve_fates(masked, alive))
     assert expected.offered_demand == 7_200.0
-    with pytest.raises(ValueError, match="dead-endpoint"):
-        route_demand(masked, dm, alive=alive, report=verify_program(masked))
-    for report in (verify_program(masked, alive=alive), resolve_fates(masked, alive)):
-        flow = route_demand(masked, dm, alive=alive, report=report)
-        assert flow.offered_demand == expected.offered_demand
-        assert flow.delivered_fraction == expected.delivered_fraction
-        assert np.array_equal(flow.edge_load, expected.edge_load)
+    assert route_demand(masked, dm).offered_demand == 9_000.0
+    flow = route_demand(masked, dm, report=verify_program(masked, alive=alive))
+    assert flow.offered_demand == expected.offered_demand
+    assert flow.delivered_fraction == expected.delivered_fraction
+    assert np.array_equal(flow.edge_load, expected.edge_load)
 
 
 @pytest.mark.parametrize("scheme_name", ["tables-lowest-port", "landmark-rewriting"])
@@ -620,7 +618,8 @@ def test_plan_reuse_is_byte_equal_to_fresh_routes(label, program, alive, demands
     plan = FlowPlan(program, report)
     for demand in demands:
         reused = plan.route(demand)
-        _assert_results_byte_equal(reused, route_demand(program, demand, alive=alive))
+        fresh = route_demand(program, demand, report=resolve_fates(program, alive))
+        _assert_results_byte_equal(reused, fresh)
         _assert_results_byte_equal(route_demand(plan, demand), reused)
     if program.n == 1:
         for array in (reused.edge_load, reused.node_load, reused.path_max_load):
@@ -714,7 +713,7 @@ def test_resilience_flow_reuses_the_scenarios_masked_view(scheme_name):
         masked = apply_faults(program, graph, faults)
         assert result.program.to_bytes() == masked.to_bytes()
         assert np.array_equal(result.report.outcome, resolve_fates(masked, alive).outcome)
-        flow = route_demand(masked, dm, alive=alive)
+        flow = route_demand(masked, dm, report=resolve_fates(masked, alive))
         routable = (result.dist != UNREACHABLE) & ~np.eye(graph.n, dtype=bool)
         routable_demand = float(dm.demand[routable].sum())
         assert row.delivered_traffic == flow.delivered_demand / routable_demand

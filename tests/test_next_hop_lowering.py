@@ -6,7 +6,7 @@ the tests:
 * :func:`repro.routing.tables.shortest_path_ports` (every table, landmark
   and interval build, and the patch step of ``apply_delta``) against the
   per-entry Python loop :func:`conftest.build_next_hop_matrix`, for all
-  three tie-breaks, full and dirty-masked, on the small and medium
+  three tie-breaks, full and at dirty coordinates, on the small and medium
   registry families and on hypothesis graphs;
 * each class-owned ``next_node_matrix`` lowering against the per-pair
   ``P`` loop of the live routing function.
@@ -81,9 +81,9 @@ def _assert_primitive_matches_oracle(graph, tie_break, seed):
     full = shortest_path_ports(graph, tie_break=tie_break)
     assert full.dtype == expected.dtype
     assert full.tobytes() == expected.tobytes()
-    dirty = np.random.default_rng(seed).random((graph.n, graph.n)) < 0.3
-    masked = shortest_path_ports(graph, tie_break, distance_matrix(graph), dirty=dirty)
-    assert masked.tobytes() == np.where(dirty, expected, 0).tobytes()
+    xs, ds = np.nonzero(np.random.default_rng(seed).random((graph.n, graph.n)) < 0.3)
+    patched = shortest_path_ports(graph, tie_break, distance_matrix(graph), dirty=(xs, ds))
+    assert patched.tobytes() == expected[xs, ds].tobytes()
 
 
 # ----------------------------------------------------------------------

@@ -361,8 +361,8 @@ class _CountingScheme:
         _CountingScheme.builds.append(self.name)
         return self._inner.build(graph)
 
-    def compile_program(self, graph, max_states=None):
-        return compile_scheme_program(self, graph, max_states=max_states)
+    def compile_program(self, graph):
+        return compile_scheme_program(self, graph)
 
 
 def test_warm_program_sweep_executes_cached_bytes_without_rebuilding(tmp_path):

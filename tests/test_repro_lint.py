@@ -560,6 +560,70 @@ class TestPrivateImportRule:
         assert [f for f in real_tree_findings if f.code == "REP014"] == []
 
 
+class TestLayerImportRule:
+    #: Upward imports, top-level, deferred and type-only alike.
+    UPWARD_IMPORTS = (
+        "from repro.sim.faults import apply_faults\n",
+        "from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    from repro.sim.faults import FaultSet\n",
+        "def f():\n    from repro.sim.faults import apply_faults\n",
+        "import repro.analysis.flow\n",
+        "from repro.store import ProgramStore\n",
+        "from repro.cli._output import emit\n",
+        "from repro import sim\n",
+    )
+
+    @pytest.mark.parametrize("source", UPWARD_IMPORTS)
+    @pytest.mark.parametrize(
+        "rel",
+        ["src/repro/routing/program.py", "src/repro/routing/tables.py", "src/repro/graphs/digraph.py"],
+    )
+    def test_upward_imports_flagged_in_graphs_and_routing(self, tmp_path, rel, source):
+        findings = [f for f in _lint(tmp_path, rel, source) if f.code != "REP014"]
+        assert _codes(findings) == ["REP015"]
+        assert "compose the calls at the caller" in findings[0].message
+
+    def test_parent_program_module_sites_flagged(self, tmp_path):
+        # The shape of the three sites apply_delta(faults=) needed.
+        src = (
+            "from typing import TYPE_CHECKING\n"
+            "if TYPE_CHECKING:\n"
+            "    from repro.sim.faults import FaultSet\n"
+            "def apply_delta(faults=None):\n"
+            "    def _recompiled():\n"
+            "        from repro.sim.faults import apply_faults\n"
+            "    from repro.sim.faults import apply_faults\n"
+        )
+        findings = _lint(tmp_path, "src/repro/routing/program.py", src)
+        assert sorted((f.code, f.line) for f in findings) == [
+            ("REP015", 3), ("REP015", 6), ("REP015", 7)
+        ]
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "from repro.graphs.digraph import PortLabeledGraph\n",
+            "from repro.routing.model import DELIVER\n",
+            "from repro.memory.coder import table_coder_bits\n",
+            "import repro.simulator\n",
+            "from repro.storage import x\n",
+        ],
+    )
+    def test_lower_layers_allowed(self, tmp_path, source):
+        assert _lint(tmp_path, "src/repro/routing/program.py", source) == []
+
+    def test_consumers_may_import_routing_and_sim(self, tmp_path):
+        src = "from repro.sim.faults import apply_faults\n"
+        for rel in ("src/repro/sim/churn.py", "src/repro/analysis/flow.py", "src/repro/store.py"):
+            assert _lint(tmp_path, rel, src) == []
+
+    def test_escape_comment_does_not_apply(self, tmp_path):
+        src = "from repro.sim.faults import apply_faults  # repro-lint: allow-layer\n"
+        assert _codes(_lint(tmp_path, "src/repro/routing/x.py", src)) == ["REP015"]
+
+    def test_real_tree_routing_imports_no_consumer(self, real_tree_findings):
+        assert [f for f in real_tree_findings if f.code == "REP015"] == []
+
+
 class TestMethodParameterRule:
     METHODS = (
         "def f(graph, method='bfs'):\n    pass\n",

@@ -302,9 +302,9 @@ def test_livelock_detected_within_n_steps():
     assert result.steps <= graph.n
     assert (result.lengths[~result.delivered] == -1).all()
     with pytest.raises(ValueError):
-        result.require_all_delivered()
+        result.report.require_all_delivered()
     with pytest.raises(ValueError):
-        simulate_all_pairs(_BounceFunction(graph)).require_all_delivered()
+        simulate_all_pairs(_BounceFunction(graph)).report.require_all_delivered()
 
 
 def test_livelock_matches_legacy_loop_error():
@@ -390,7 +390,7 @@ def test_max_stretch_raises_clear_error_on_undelivered_pairs():
 
     # require_all_delivered distinguishes the two loss modes too.
     with pytest.raises(ValueError, match="livelocked"):
-        livelocked.require_all_delivered()
+        livelocked.report.require_all_delivered()
 
 
 def test_invalid_port_raises_like_legacy():

@@ -17,15 +17,17 @@ Four layers:
   in ``degraded``, and degrade to misses; a content-address mismatch on
   load raises before any payload is trusted.  The ``verify=True`` gate
   (``verify_structure``, any issue fatal) degrades exactly the corrupted programs
-  that the full strict ``verify_program`` rejects.
+  that the full ``verify_program`` rejects (or reports an issue for).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -281,6 +283,38 @@ def test_gc_compacts_superseded_manifest_appends(tmp_path):
     assert store.get("same-key", verify=True)[0]
 
 
+def _asdict_manifest_line(record):
+    """The manifest line as first encoded: ``asdict`` minus the unset fields."""
+    payload = {k: v for k, v in dataclasses.asdict(record).items() if v is not None}
+    return (json.dumps(payload, sort_keys=True) + "\n").encode()
+
+
+@dataclasses.dataclass(frozen=True)
+class _Row:
+    scheme: str
+    n: int
+    stretch: float
+    note: Optional[str] = None
+
+
+def test_manifest_bytes_equal_the_asdict_encoding(tmp_path):
+    # store_bytes counts the manifest, so appends and gc rewrites keep the
+    # exact bytes of the original encoding (a row's own None fields stay).
+    store = ProgramStore(tmp_path)
+    appended = [
+        store.put("prog", _program(), graph_fp="g", scheme_fp="s"),
+        store.put_verdict("verdict", "graph too dense"),
+        store.put_row("row", "table1", _Row("tables", 10, 1.5), graph_fp="g"),
+        store.put("prog", _program(seed=3)),
+    ]
+    expected = b"".join(_asdict_manifest_line(r) for r in appended)
+    assert store.manifest_path.read_bytes() == expected
+    store.gc()
+    expected = b"".join(_asdict_manifest_line(r) for r in store.records())
+    assert len(store.records()) == 3
+    assert store.manifest_path.read_bytes() == expected
+
+
 def test_gc_reclaims_records_of_a_superseded_cache_schema(tmp_path, monkeypatch):
     import repro.store
     from repro.analysis.runner import ShardedRunner
@@ -446,12 +480,12 @@ def _gate_corpus():
 
 
 def _full_gate_rejects(path, object_id):
-    """The gate as it was: content address, then the full strict verifier."""
+    """The gate as it was: content address, then the full verifier, any issue fatal."""
     try:
-        verify_program(load_program(path, expected_fingerprint=object_id), strict=True)
+        report = verify_program(load_program(path, expected_fingerprint=object_id))
     except (OSError, ValueError, ProgramVerificationError):
         return True
-    return False
+    return bool(report.issues)
 
 
 def test_verify_gate_rejects_exactly_what_the_full_strict_verifier_rejects(tmp_path):

@@ -54,10 +54,9 @@ class TestPortMatrixMemo:
     def test_dirty_and_foreign_distances_stay_unmemoised(self):
         graph = generators.torus_2d(4, 4)
         dist = distance_matrix(graph)
-        dirty = np.zeros((graph.n, graph.n), dtype=bool)
-        dirty[0, 5] = True
-        masked = shortest_path_ports(graph, "lowest_port", dist, dirty=dirty)
-        assert np.count_nonzero(masked) == 1
+        entries = (np.array([0]), np.array([5]))
+        patched = shortest_path_ports(graph, "lowest_port", dist, dirty=entries)
+        assert patched.shape == (1,) and patched[0] > 0
         shortest_path_ports(graph, "lowest_port", np.array(dist))
         assert graph.derived.ports == {}
         shortest_path_ports(graph, "lowest_port", dist)  # the graph's own: memoised
@@ -195,7 +194,7 @@ class TestTieBreakDeterminism:
         assert np.array_equal(lower_next_hop(rf_a).next_node, lower_next_hop(rf_b).next_node)
         # ...and the batched and per-pair simulations of either coincide.
         result = simulate_all_pairs(rf_a)
-        assert np.array_equal(result.require_all_delivered(), all_pairs_routing_lengths(rf_b))
+        assert np.array_equal(result.report.require_all_delivered(), all_pairs_routing_lengths(rf_b))
 
     def test_rules_pick_documented_neighbors(self):
         # On C4, 0 -> 2 has the two tied neighbours 1 (port 1) and 3 (port 2)
@@ -254,8 +253,9 @@ def _shuffled_ports(graph, seed):
 @profile_settings(base_examples=80)
 @given(data=st.data())
 def test_dirty_entries_race_the_whole_row_build(data):
-    # The entry-wise patch path must give every masked entry the port of
-    # the fresh whole-row build, and leave the rest (the diagonal included) 0.
+    # The entry-wise patch path must give every dirty entry the port of
+    # the fresh whole-row build, in the order the coordinates list them
+    # (0 on the diagonal and at unreachable destinations).
     graph = REGISTRY_GRAPHS[data.draw(st.sampled_from(sorted(REGISTRY_GRAPHS)), label="graph")]
     if data.draw(st.booleans(), label="shuffle ports"):
         graph = _shuffled_ports(graph, data.draw(st.integers(min_value=0, max_value=10**6)))
@@ -263,16 +263,19 @@ def test_dirty_entries_race_the_whole_row_build(data):
     mask = data.draw(dirty_masks(graph.n))
     dist = distance_matrix(graph)
     full = shortest_path_ports(graph, tie_break)
-    patched = shortest_path_ports(graph, tie_break, dist, dirty=mask)
-    assert patched.dtype == np.int64
-    assert np.array_equal(patched, np.where(mask & (dist > 0), full, 0))
+    xs, ds = np.nonzero(mask)
+    if data.draw(st.booleans(), label="reverse order"):
+        xs, ds = xs[::-1], ds[::-1]
+    patched = shortest_path_ports(graph, tie_break, dist, dirty=(xs, ds))
+    assert patched.dtype == np.int64 and patched.shape == xs.shape
+    assert np.array_equal(patched, np.where(dist[xs, ds] > 0, full[xs, ds], 0))
 
 
 @pytest.mark.parametrize("rule", TIE_BREAKS)
 def test_dirty_entries_skip_unreachable_destinations(rule):
     graph = PortLabeledGraph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)])
     dist = distance_matrix(graph)
-    everything = np.ones((graph.n, graph.n), dtype=bool)
-    patched = shortest_path_ports(graph, rule, dist, dirty=everything)
+    xs, ds = np.nonzero(np.ones((graph.n, graph.n), dtype=bool))
+    patched = shortest_path_ports(graph, rule, dist, dirty=(xs, ds)).reshape(graph.n, graph.n)
     assert np.array_equal(patched, shortest_path_ports(graph, rule))
     assert not patched[:3, 3:].any() and not patched[3:, :3].any()

@@ -1,6 +1,6 @@
 """The static program verifier: differential, mutation, and integration suites.
 
-Four layers of guarantees over :mod:`repro.routing.verify`:
+Three layers of guarantees over :mod:`repro.routing.verify`:
 
 * **Differential** — for every registry scheme x graph family whose program
   compiles (next-hop or header-state), the verifier's closed-form pair
@@ -18,10 +18,6 @@ Four layers of guarantees over :mod:`repro.routing.verify`:
   stray ``-1``, broken absorbing destinations, injected cycles, stale
   analysis fields, truncated ``.rpg`` sections) produce the *precise*
   diagnostic each corruption deserves, never a wrong-but-plausible report.
-
-* **Taxonomy pins** — the verdict codes are numerically equal to the
-  ``PAIR_*`` codes of :mod:`repro.sim.faults` (compared by value: the
-  verifier must not import the simulator).
 
 * **Integration** — the cache's ``verify=True`` integrity gate rejects
   within-framing corruption, ``apply_delta(static_check=True)`` raises on
@@ -72,14 +68,8 @@ from repro.sim import simulate_all_pairs
 from repro.sim.churn import churn_scenarios
 from repro.sim.engine import interpret
 from repro.sim.faults import (
-    PAIR_DELIVERED,
-    PAIR_DROPPED,
-    PAIR_INFEASIBLE,
-    PAIR_LIVELOCKED,
-    PAIR_MISDELIVERED,
     FaultSet,
     apply_faults,
-    random_fault_set,
     simulate_with_faults,
 )
 from repro.sim.registry import fault_scenarios, graph_families, scheme_registry
@@ -113,20 +103,6 @@ def _expected_outcome(sim, n: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# taxonomy pin
-# ----------------------------------------------------------------------
-def test_verdict_codes_equal_pair_codes():
-    # Value equality, not name sharing: repro.routing must not import
-    # repro.sim, so this test is the only thing holding the two taxonomies
-    # together.
-    assert VERDICT_DELIVERED == PAIR_DELIVERED
-    assert VERDICT_DROPPED == PAIR_DROPPED
-    assert VERDICT_LIVELOCKED == PAIR_LIVELOCKED
-    assert VERDICT_MISDELIVERED == PAIR_MISDELIVERED
-    assert VERDICT_INFEASIBLE == PAIR_INFEASIBLE
-
-
-# ----------------------------------------------------------------------
 # differential: verifier == executor
 # ----------------------------------------------------------------------
 def _per_pair_max_stretch(hops, dist, delivered) -> Fraction:
@@ -150,7 +126,8 @@ def test_differential_unmasked_full_registry():
     for scheme_name, family_name, graph, rf, program in _compiled_cells():
         interpreted, _ = interpret(rf)
         dist = distance_matrix(graph)
-        report = verify_program(program, dist=dist)
+        report = verify_program(program)
+        max_stretch, _ = report.stretch(dist)
         label = f"{scheme_name} x {family_name}"
         assert report.issues == (), label
         np.testing.assert_array_equal(report.outcome, interpreted.outcome, err_msg=label)
@@ -159,10 +136,10 @@ def test_differential_unmasked_full_registry():
             report.hops[delivered], interpreted.hops[delivered], err_msg=label
         )
         assert (report.hops.diagonal() == 0).all(), label
-        assert report.max_stretch == _per_pair_max_stretch(
+        assert max_stretch == _per_pair_max_stretch(
             interpreted.hops, dist, delivered
         ), label
-        stretched += report.max_stretch > 1
+        stretched += max_stretch > 1
         kinds.add(program.kind)
         cells += 1
     # The registry must keep exercising both compiled kinds on a healthy
@@ -210,7 +187,7 @@ def test_differential_delta_patched_programs():
                 prog, d, g = result.program, result.dist_after, step.graph
                 rf = scheme.build(g.copy())
                 sim = simulate_all_pairs(rf, program=prog)
-                report = verify_program(prog, dist=d)
+                report = verify_program(prog)
                 np.testing.assert_array_equal(
                     report.outcome,
                     _expected_outcome(sim, g.n),
@@ -220,7 +197,7 @@ def test_differential_delta_patched_programs():
                 # A table program routes shortest paths: hops == distance.
                 delivered = report.outcome == VERDICT_DELIVERED
                 np.testing.assert_array_equal(report.hops[delivered], d[delivered])
-                assert report.max_stretch == Fraction(1)
+                assert report.stretch(d)[0] == Fraction(1)
                 checked += 1
     assert checked >= 6, checked
 
@@ -285,7 +262,7 @@ class TestReportAPI:
         graph = FAMILIES["grid"]
         program = compile_scheme_program(ShortestPathTableScheme(), graph)
         dist = distance_matrix(graph)
-        return graph, verify_program(program, dist=dist), dist
+        return graph, verify_program(program), dist
 
     def test_counts_partition_all_pairs(self, table_report):
         graph, report, _ = table_report
@@ -307,9 +284,10 @@ class TestReportAPI:
         np.testing.assert_array_equal(lengths, dist)
 
     def test_exact_stretch_of_shortest_path_tables(self, table_report):
-        _, report, _ = table_report
-        assert report.max_stretch == Fraction(1)
-        assert report.mean_stretch == pytest.approx(1.0)
+        _, report, dist = table_report
+        max_stretch, mean_stretch = report.stretch(dist)
+        assert max_stretch == Fraction(1)
+        assert mean_stretch == pytest.approx(1.0)
 
     def test_max_finite_hops_is_diameter_for_tables(self, table_report):
         _, report, dist = table_report
@@ -321,9 +299,9 @@ class TestReportAPI:
         rf = scheme.build(graph.copy())
         program = rf.compile_program()
         dist = distance_matrix(graph)
-        report = verify_program(program, dist=dist)
+        report = verify_program(program)
         sim = simulate_all_pairs(rf, program=program)
-        assert report.max_stretch == sim.max_stretch(dist=dist)
+        assert report.stretch(dist)[0] == sim.max_stretch(dist=dist)
 
     def test_require_all_delivered_names_first_lost_pair(self):
         graph = FAMILIES["path"]
@@ -373,11 +351,10 @@ class TestNextHopMutations:
         issues = verify_structure(bad)
         assert len(issues) == 1
         assert f"next_node[{d}, {d}] = {neighbor}" in issues[0]
-        # Classifiable, not fatal: default mode reports, strict raises.
+        # Classifiable, not fatal: the report carries the scan's issue.
         report = verify_program(bad)
         assert report.issues == tuple(issues)
-        with pytest.raises(ProgramVerificationError, match="not absorbing"):
-            verify_program(bad, strict=True)
+        assert "not absorbing" in issues[0]
         # And the classification still matches the executor, which routes
         # messages *through* a non-absorbing destination.
         rf = ShortestPathTableScheme().build(FAMILIES["grid"].copy())
@@ -586,78 +563,31 @@ class TestApplyDeltaStaticCheck:
                     assert verify_program(result.program).all_delivered
         assert raised >= 1
 
-    def test_masked_delta_chain_passes_the_proof(self):
-        graph = FAMILIES["random-dense"]
-        scheme = SCHEMES["tables-lowest-port"]
-        program = compile_scheme_program(scheme, graph)
-        scenarios = fault_scenarios(graph, seed=2, edge_ks=(1,), node_ks=(), per_k=1)
-        _, faults = scenarios[0]
-        masked = apply_faults(program, graph, faults)
-        (_, trace) = churn_scenarios(graph, seed=3, steps=2)[0]
-        prog, dist = masked, None
-        for before, step in trace.transitions():
-            try:
-                result = apply_delta(
-                    prog, before, step.graph, scheme,
-                    dist_before=dist, faults=faults, static_check=True,
-                )
-            except ValueError as exc:
-                if isinstance(exc, ProgramVerificationError):
-                    raise
-                break  # scheme refused the mutated snapshot
-            prog, dist = result.program, result.dist_after
-
-    @pytest.mark.parametrize("family", ["random-dense", "grid", "petersen"])
-    def test_node_masked_delta_chain_passes_the_proof(self, family):
-        # A dead vertex's whole row is masked, its own diagonal included:
-        # the proof must not read that as a non-absorbing destination.
-        graph = FAMILIES[family]
-        scheme = SCHEMES["tables-lowest-port"]
-        program = compile_scheme_program(scheme, graph)
-        (_, trace) = churn_scenarios(graph, seed=3, steps=3)[0]
-        patched = 0
-        for dead in range(0, graph.n, max(1, graph.n // 4)):
-            faults = FaultSet.from_nodes([dead])
-            prog, dist = apply_faults(program, graph, faults), None
-            for before, step in trace.transitions():
-                result = apply_delta(
-                    prog, before, step.graph, scheme,
-                    dist_before=dist, faults=faults, static_check=True,
-                )
-                fresh = apply_faults(compile_scheme_program(scheme, step.graph), step.graph, faults)
-                assert result.program.fingerprint() == fresh.fingerprint()
-                if result.dist_after is not None:  # the fate-resolving proof agrees
-                    resolved_patched_soundness(result.program, result.dist_after, faults)
-                patched += result.mode == "patched"
-                prog, dist = result.program, result.dist_after
-        assert patched >= 1
-
-    def test_node_masked_proof_still_refuses_a_non_absorbing_alive_destination(self):
+    def test_node_masked_report_still_flags_a_non_absorbing_alive_destination(self):
         graph = FAMILIES["random-dense"]
         scheme = SCHEMES["tables-lowest-port"]
         (_, trace) = churn_scenarios(graph, seed=3, steps=1)[0]
         before, step = next(iter(trace.transitions()))
         faults = FaultSet.from_nodes([3])
-        masked = apply_faults(compile_scheme_program(scheme, before), before, faults)
-        result = apply_delta(masked, before, step.graph, scheme, faults=faults)
+        result = apply_delta(compile_scheme_program(scheme, before), before, step.graph, scheme)
         assert result.mode == "patched"
+        masked = apply_faults(result.program, step.graph, faults)
         alive = faults.alive_mask(graph.n)
+        assert verify_program(masked, alive=alive).issues == ()
+        assert verify_structure(masked)  # unexempted, the dead diagonal shows
         d = next(v for v in range(graph.n) if alive[v] and v != 3)
-        nn = np.array(result.program.next_node, copy=True)
+        nn = np.array(masked.next_node, copy=True)
         nn[d, d] = next(v for v in step.graph.neighbors(d) if alive[v])
-        corrupt = result.program.with_next_node(nn)
-        with pytest.raises(ProgramVerificationError, match="not absorbing"):
-            _assert_patched_sound(corrupt, result.dist_after, faults)
-        assert verify_structure(result.program, alive=alive) == []
-        assert verify_structure(result.program)  # unexempted, the dead diagonal shows
+        issues = verify_program(masked.with_next_node(nn), alive=alive).issues
+        assert len(issues) == 1 and f"next_node[{d}, {d}]" in issues[0]
 
 
 CORRUPTIONS = ("neighbour", "two-cycle", "misdeliver", "dropped", "diagonal")
 
 
-def _proof_accepts(proof, program, dist_after, faults) -> bool:
+def _proof_accepts(proof, program, dist_after) -> bool:
     try:
-        proof(program, dist_after, faults)
+        proof(program, dist_after)
     except ProgramVerificationError:
         return False
     return True
@@ -668,13 +598,9 @@ def _proof_accepts(proof, program, dist_after, faults) -> bool:
 def test_descent_proof_races_the_resolved_proof(data):
     """One-hop descent proof vs the fate-resolving proof on corrupted patches.
 
-    A patched (or fault-masked patched) table program gets one corrupted
-    entry: a neighbour, a 2-cycle with a neighbour, ``MISDELIVER``,
-    ``DROPPED`` (a fault only when a mask is drawn) or a non-absorbing
-    diagonal.  Unmasked, both proofs must agree.  Under a mask the descent
-    proof is stricter by design: it never accepts what the resolved proof
-    refuses, and it refuses more only for a node hop off every shortest
-    path whose pair the resolved proof sees dropped.
+    A patched table program gets one corrupted entry: a neighbour, a
+    2-cycle with a neighbour, ``MISDELIVER``, ``DROPPED`` or a
+    non-absorbing diagonal.  Both proofs must agree.
     """
     trace = data.draw(churn_traces(max_steps=1))
     before, step = next(iter(trace.transitions()))
@@ -682,12 +608,7 @@ def test_descent_proof_races_the_resolved_proof(data):
     scheme = SCHEMES["tables-lowest-port"]
     result = apply_delta(compile_scheme_program(scheme, before), before, graph, scheme)
     dist = result.dist_after if result.dist_after is not None else distance_matrix(graph)
-    program, faults = result.program, None
-    if data.draw(st.booleans(), label="masked"):
-        k = data.draw(st.integers(min_value=1, max_value=min(2, graph.num_edges)))
-        seed = data.draw(st.integers(min_value=0, max_value=10**6))
-        faults = random_fault_set(graph, k, kind="edge", seed=seed)
-        program = apply_faults(program, graph, faults)
+    program = result.program
     n = graph.n
     nn = np.array(program.next_node, copy=True)
     kind = data.draw(st.sampled_from(CORRUPTIONS), label="corruption")
@@ -709,17 +630,10 @@ def test_descent_proof_races_the_resolved_proof(data):
         x = d
         nn[d, d] = data.draw(st.sampled_from(graph.neighbors(d)), label="neighbour")
     corrupt = program.with_next_node(nn)
-    new = _proof_accepts(_assert_patched_sound, corrupt, dist, faults)
-    old = _proof_accepts(resolved_patched_soundness, corrupt, dist, faults)
-    event(f"{kind}, {'masked' if faults is not None else 'unmasked'}: descent {new}, resolved {old}")
-    if faults is None or new == old:
-        assert new == old, (kind, x, d)
-        return
-    assert old and not new, "the descent proof accepted what the resolved proof refused"
-    v = int(nn[x, d])
-    assert v >= 0 and dist[v, d] != dist[x, d] - 1, (kind, x, d, v)
-    alive = faults.alive_mask(n)
-    assert verify_program(corrupt, alive=alive).outcome[x, d] == VERDICT_DROPPED
+    new = _proof_accepts(_assert_patched_sound, corrupt, dist)
+    old = _proof_accepts(resolved_patched_soundness, corrupt, dist)
+    event(f"{kind}: descent {new}, resolved {old}")
+    assert new == old, (kind, x, d)
 
 
 class TestSweepsAndConformance:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific AST lint for the routing/sim core.
 
-Fourteen rules guard invariants that generic linters cannot see, all scoped
+Fifteen rules guard invariants that generic linters cannot see, all scoped
 to the modules where the invariant lives:
 
 REP001  Raw ``-2`` / ``-3`` integer literals anywhere in ``repro.sim`` or
@@ -140,6 +140,16 @@ REP014  ``from repro... import _name`` anywhere under ``src/repro``.  A
         move the caller into the owning module.  There is no escape
         comment.
 
+REP015  Any ``repro.sim``, ``repro.analysis``, ``repro.store`` or
+        ``repro.cli`` import under ``src/repro/graphs`` and
+        ``src/repro/routing``, ``TYPE_CHECKING`` blocks and function-local
+        imports included.  Graphs and routing programs are the layers the
+        simulator, the sweeps, the store and the CLI consume; an upward
+        import is a question the consumer answers (masking a patched
+        program, say) leaking into the compiler, behind a deferred import
+        that hides the cycle.  Compose the two calls at the caller
+        instead.  There is no escape comment.
+
 Pure stdlib (``ast`` + ``tokenize``): runs anywhere CPython runs, no
 installs.  Exit status 1 when any finding is emitted, 0 on a clean tree.
 """
@@ -204,6 +214,10 @@ RUNNER_OWNER = "src/repro/cli"
 
 #: REP014 scope: the whole runtime package.
 PRIVATE_SCOPE = ("src/repro",)
+
+#: REP015 scope, and the consumer packages it may not import.
+LAYER_SCOPE = ("src/repro/graphs", "src/repro/routing")
+CONSUMER_MODULES = ("repro.sim", "repro.analysis", "repro.store", "repro.cli")
 
 #: REP008 scope: the whole runtime package.
 METHOD_SCOPE = ("src/repro",)
@@ -655,6 +669,21 @@ def check_private_imports(path: Path, tree: ast.Module, source: str) -> Iterator
                 )
 
 
+def check_layer_imports(path: Path, tree: ast.Module, source: str) -> Iterator[Finding]:
+    """REP015: graphs/routing importing a package that consumes them."""
+    for node, names in _imported_names(tree):
+        name = next((name for name in names if _is_module(name, CONSUMER_MODULES)), None)
+        if name is not None:
+            yield Finding(
+                path,
+                node.lineno,
+                "REP015",
+                f"{name} imported under graphs/ or routing/: those layers are "
+                "consumed by sim, analysis, store and cli, never the reverse; "
+                "compose the calls at the caller",
+            )
+
+
 def check_method_parameters(path: Path, tree: ast.Module, source: str) -> Iterator[Finding]:
     """REP008: function parameters named ``method`` in the runtime package."""
     for node in ast.walk(tree):
@@ -764,6 +793,8 @@ def lint_file(path: Path, root: Path = ROOT) -> List[Finding]:
         findings.extend(check_runner_constructions(path, tree, source))
     if _in_scope(path, PRIVATE_SCOPE, root):
         findings.extend(check_private_imports(path, tree, source))
+    if _in_scope(path, LAYER_SCOPE, root):
+        findings.extend(check_layer_imports(path, tree, source))
     if _in_scope(path, METHOD_SCOPE, root):
         findings.extend(check_method_parameters(path, tree, source))
     if _in_scope(path, EXPLOSION_SCOPE, root) and not _in_scope(path, (EXPLOSION_OWNER,), root):
@@ -789,6 +820,7 @@ def lint_tree(root: Path = ROOT) -> List[Finding]:
         PICKLE_SCOPE,
         RUNNER_SCOPE,
         PRIVATE_SCOPE,
+        LAYER_SCOPE,
         METHOD_SCOPE,
         EXPLOSION_SCOPE,
         BITS_SCOPE,
