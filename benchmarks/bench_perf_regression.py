@@ -57,6 +57,8 @@ Two jobs:
   ``test_header_state_compile_n1024`` pins a cold ``landmark-rewriting``
   compile on the same hypercube (about 1.1M header states) and prints its
   build / closure split.
+  ``test_cold_medium_sweep`` pins ``repro sweep --registry medium --jobs 1``
+  run in-process into an empty store, best-of-3, end to end.
   ``test_program_memory_profile_n1024`` pins the closed-form per-router
   memory of the n = 1024 hypercube table program, and
   ``test_memory_profile_speedup_vs_oracle_n256`` races
@@ -1214,6 +1216,44 @@ def test_flow_sweep_warm_cache_smoke(benchmark, tmp_path):
     assert stats.compile_hit_rate >= hit_rate_floor
 
 
+def _cold_medium_sweep(store: Path) -> dict:
+    """``repro sweep --registry medium --jobs 1`` into ``store``, in-process.
+
+    Returns the summary row; the data rows go to a buffer, as a CLI's
+    stdout would.
+    """
+    import contextlib
+    import io
+
+    from repro.cli.main import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["sweep", "--registry", "medium", "--jobs", "1", "--store", str(store)])
+    assert code == 0
+    *_, summary = (json.loads(line) for line in out.getvalue().splitlines())
+    return summary
+
+
+@pytest.mark.benchmark(group="perf-regression")
+def test_cold_medium_sweep(benchmark, tmp_path):
+    # The end-to-end cold pin: a first sweep of the medium registry into an
+    # empty store pays its builds, its lowering and one write per object.
+    # Every round gets a store of its own, so every round is cold.
+    stores = (tmp_path / f"store{i}" for i in range(BEST_OF))
+    summary = benchmark.pedantic(
+        _cold_medium_sweep, setup=lambda: ((next(stores),), {}), rounds=BEST_OF, iterations=1
+    )
+    cold_s = benchmark.stats.stats.min
+    _check_budget("cold_medium_sweep", cold_s)
+    print_rows(
+        "Cold medium sweep (repro sweep --registry medium --jobs 1, empty store)",
+        [{"case": f"{summary['cells']} cells ({summary['skipped']} skipped)", "cold_s": cold_s}],
+    )
+    assert summary["compile_hits"] == 0 and summary["compile_misses"] == 300
+    assert summary["degraded"] == 0
+
+
 @pytest.mark.benchmark(group="perf-regression")
 def test_program_memory_profile_n1024(benchmark):
     # The memory pin: every router's closed-form table-coder lengths on the
@@ -1382,6 +1422,10 @@ def _measure_pinned_paths() -> dict:
         dist_before=add_dist, static_check=True,
     )
     _, resilience_cell_s = _time(_resilience_cell_flow, *_resilience_cell_case())
+    with tempfile.TemporaryDirectory() as sweep_dir:
+        cold_sweeps = [
+            _time(_cold_medium_sweep, Path(sweep_dir) / f"store{i}")[1] for i in range(BEST_OF)
+        ]
 
     return {
         "enumerate_3_4_3": enum_s,
@@ -1405,6 +1449,7 @@ def _measure_pinned_paths() -> dict:
         "program_memory_profile_n1024": memory_s,
         "churn_delta_add_n1024": churn_add_s,
         "resilience_cell_flow_n256": resilience_cell_s,
+        "cold_medium_sweep": min(cold_sweeps),
     }
 
 

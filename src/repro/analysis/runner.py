@@ -538,10 +538,15 @@ def _compile_cell(
     a store ahead of a fleet of sweeps.
     """
     program, _ = cached_program(scheme, graph, cache)
-    object_id = program.fingerprint()
+    # The manifest record the lookup or put just indexed names the object
+    # and its size: no re-serialisation, no stat.
     store = cache.program_store
-    path = store.object_path(object_id) if store is not None else None
-    nbytes = path.stat().st_size if path is not None and path.exists() else 0
+    key = cache.program_key(graph.fingerprint(), scheme_fingerprint(scheme))
+    record = store.lookup(key) if store is not None else None
+    if record is not None and record.object_id is not None:
+        object_id, nbytes = record.object_id, record.nbytes
+    else:
+        object_id, nbytes = program.fingerprint(), 0
     return CompileCellResult(
         scheme=label,
         family=family,

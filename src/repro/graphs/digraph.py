@@ -179,11 +179,17 @@ class PortLabeledGraph:
         return self._n - 1
 
     def copy(self) -> "PortLabeledGraph":
-        """Deep copy preserving the port labelling, sharing :attr:`derived`."""
-        g = PortLabeledGraph(self._n)
-        for u in range(self._n):
-            g._port_of[u] = dict(self._port_of[u])
-            g._neighbor_at[u] = dict(self._neighbor_at[u])
+        """Deep copy preserving the port labelling.
+
+        The copy shares :attr:`derived` and the read-only
+        :meth:`adjacency_arrays` of this snapshot; a mutation of either
+        graph drops both from that graph only.
+        """
+        g = PortLabeledGraph(0)
+        g._n = self._n
+        g._port_of = [dict(d) for d in self._port_of]
+        g._neighbor_at = [dict(d) for d in self._neighbor_at]
+        g._adj_arrays = self.adjacency_arrays()
         g._derived = self._derived
         return g
 
@@ -252,7 +258,7 @@ class PortLabeledGraph:
     # cached adjacency
     # ------------------------------------------------------------------
     def _invalidate_adjacency(self) -> None:
-        """Drop the caches; every mutator calls it (copies keep the old holder)."""
+        """Drop the caches; every mutator calls it (copies keep the old ones)."""
         self._adj_arrays = None
         self._derived = DerivedState()
 
@@ -266,10 +272,10 @@ class PortLabeledGraph:
 
         ``indices[indptr[u]:indptr[u + 1]]`` lists the neighbours of ``u``
         sorted by output port, so the ``k``-th entry of the slice is the
-        neighbour behind port ``k + 1``.  The arrays are built once and
-        reused until the graph is mutated (edge/vertex insertion or port
-        relabelling); callers must treat them as read-only.  Every BFS of
-        :mod:`repro.graphs.shortest_paths` runs on them.
+        neighbour behind port ``k + 1``.  The arrays are built once, shared
+        with unmutated copies and reused until the graph is mutated
+        (edge/vertex insertion or port relabelling); they are read-only.
+        Every BFS of :mod:`repro.graphs.shortest_paths` runs on them.
         """
         if self._adj_arrays is None:
             degrees = np.fromiter(
@@ -284,6 +290,8 @@ class PortLabeledGraph:
                 for p in sorted(nbrs):
                     indices[pos] = nbrs[p]
                     pos += 1
+            indptr.flags.writeable = False
+            indices.flags.writeable = False
             self._adj_arrays = (indptr, indices)
         return self._adj_arrays
 

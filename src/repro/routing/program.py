@@ -44,6 +44,7 @@ The engine performs no capability sniffing of its own.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import mmap
 import os
@@ -94,6 +95,7 @@ __all__ = [
     "resolve_functional",
     "save_program",
     "transition_dtype",
+    "write_atomic",
 ]
 
 # ----------------------------------------------------------------------
@@ -487,23 +489,53 @@ def program_from_bytes(blob: Union[bytes, bytearray, memoryview]) -> RoutingProg
     raise ValueError(f"unknown RoutingProgram kind code {code}")
 
 
+def write_atomic(path: Union[str, os.PathLike[str]], blob: bytes) -> None:
+    """Write ``blob`` to ``path`` atomically: a temp file, then ``os.replace``.
+
+    The one writer of program files (:func:`save_program` and
+    :meth:`repro.store.ProgramStore.put`), so a concurrent
+    :func:`load_program` never observes a half-written artifact.  The
+    temp file sits beside ``path``; a missing directory is created on the
+    ``FileNotFoundError`` of the first open and the open retried once.  A
+    failing write raises and leaves neither the temp file nor ``path``.
+    """
+    directory, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+    try:
+        fd = os.open(tmp, flags, 0o666)
+    except FileNotFoundError:
+        os.makedirs(directory, exist_ok=True)
+        fd = os.open(tmp, flags, 0o666)
+    try:
+        try:
+            view = memoryview(blob)
+            while view:
+                written = os.write(fd, view)
+                if written <= 0:
+                    raise OSError(errno.EIO, "program write made no progress", tmp)
+                view = view[written:]
+        finally:
+            os.close(fd)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 def save_program(program: RoutingProgram, path: Union[str, Path]) -> Path:
     """Write ``program`` to ``path`` in the (mmap-able) program format.
 
-    The write is atomic (temp file + ``os.replace`` in the same directory),
-    so a concurrent :func:`load_program` never observes a half-written
-    artifact — the contract the sharded runner's program store relies on.
+    The write is atomic (:func:`write_atomic`: temp file + ``os.replace``
+    in the same directory), so a concurrent :func:`load_program` never
+    observes a half-written artifact — the contract the sharded runner's
+    program store relies on.
     """
-    path = Path(path)
-    blob = program.to_bytes()
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    tmp.parent.mkdir(parents=True, exist_ok=True)
-    try:
-        tmp.write_bytes(blob)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-    return path
+    write_atomic(path, program.to_bytes())
+    return Path(path)
 
 
 def load_program(

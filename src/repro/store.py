@@ -7,15 +7,20 @@ manifest, no eviction, and no cross-run identity.  This module is the
 promotion of that cache into a real registry:
 
 * **Objects are content-addressed.**  A program's bytes live exactly once at
-  ``objects/<fp[:2]>/<fp>.rpg`` where ``fp`` is the program's own
-  :meth:`~repro.routing.program.RoutingProgram.fingerprint` — the sha256 of
-  its canonical ``to_bytes`` form.  Two cache keys whose compiles produce the
-  same program (a churn delta patched back to a previously-seen snapshot, two
-  scheme configs lowering identically) share one object; writing an object
-  that already exists is a no-op.  Writes are atomic
-  (:func:`~repro.routing.program.save_program`: temp file + ``os.replace``),
-  so concurrent writers — even two processes storing the same fingerprint —
-  can never produce a torn object.
+  ``objects/<fp[:2]>/<fp>.rpg`` where ``fp`` is the sha256 of the bytes
+  written — the program's canonical ``to_bytes`` form, serialised once per
+  put, so ``fp`` equals its
+  :meth:`~repro.routing.program.RoutingProgram.fingerprint`.  Two cache keys
+  whose compiles produce the same program (a churn delta patched back to a
+  previously-seen snapshot, two scheme configs lowering identically) share
+  one object; writing an object that already exists is a no-op.  Writes are
+  atomic (:func:`~repro.routing.program.write_atomic`, the writer
+  :func:`~repro.routing.program.save_program` uses too: temp file +
+  ``os.replace``), so concurrent writers — even two processes storing the
+  same fingerprint — can never produce a torn object.  The root and each
+  fan-out directory are created by the first write that finds them
+  missing (the ``FileNotFoundError`` of its open, retried once), so a
+  store makes each once, and again only if it vanished, not on every put.
 
 * **Keys live in a JSONL manifest.**  ``manifest.jsonl`` is an append-only
   log of one JSON object per line mapping a lookup key (the runner's
@@ -27,7 +32,11 @@ promotion of that cache into a real registry:
   rebuilt into the caller's frozen dataclass on a hit.  Appends are single
   ``O_APPEND`` writes (atomic for manifest-sized lines on POSIX) and
   readers tail the file incrementally, so shard workers pick up each
-  other's entries mid-sweep without rescanning.
+  other's entries mid-sweep without rescanning.  A store does not re-read
+  its own appends: a line that lands exactly where its last read ended
+  joins its index directly, and a line preceded by other writers' lines
+  folds them in first, in file order.  A lookup miss re-tails the manifest
+  only when it has grown past what was read.
   The latest record for a key wins.  A corrupt or truncated line degrades to
   a skipped record with a :class:`RuntimeWarning` naming the file and line —
   never an exception, never a silent global miss; so does a row record
@@ -60,6 +69,7 @@ and mmap program loading all read and write through this module.  See
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -73,7 +83,7 @@ from repro.routing.program import (
     GenericProgram,
     RoutingProgram,
     load_program,
-    save_program,
+    write_atomic,
 )
 from repro.routing.verify import ProgramVerificationError, verify_structure
 
@@ -154,6 +164,14 @@ class GcStats:
     legacy_removed: int = 0
 
 
+#: Field names of :class:`StoreRecord`: a manifest line's other keys are a
+#: newer writer's extensions and are dropped on read.
+_RECORD_FIELDS = frozenset(f.name for f in fields(StoreRecord))
+
+#: Flags of a manifest append: one ``O_APPEND`` write per record.
+_APPEND_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_APPEND
+
+
 def _manifest_line(record: StoreRecord) -> bytes:
     """The record's manifest line: its set fields as one sorted-key JSON object.
 
@@ -194,25 +212,33 @@ class ProgramStore:
         #: Corrupt entries (objects or manifest lines) degraded to misses.
         self.degraded = 0
         self._index: Dict[str, StoreRecord] = {}
+        #: Manifest bytes folded into the index: every line before it is read.
         self._offset = 0
+        # Hot-path paths as strings, built once.
+        self._root = os.fspath(self.root)
+        self._manifest = os.path.join(self._root, "manifest.jsonl")
+        self._objects = os.path.join(self._root, "objects")
 
     # -- layout ----------------------------------------------------------
     @property
     def objects_root(self) -> Path:
         """Directory holding the content-addressed ``.rpg`` objects."""
-        return self.root / "objects"
+        return Path(self._objects)
 
     @property
     def manifest_path(self) -> Path:
         """The append-only JSONL key manifest."""
-        return self.root / "manifest.jsonl"
+        return Path(self._manifest)
 
     def object_path(self, object_id: str) -> Path:
         """On-disk path of the object with content fingerprint ``object_id``."""
-        return self.objects_root / object_id[:2] / f"{object_id}.rpg"
+        return Path(self._object_file(object_id))
+
+    def _object_file(self, object_id: str) -> str:
+        return f"{self._objects}{os.sep}{object_id[:2]}{os.sep}{object_id}.rpg"
 
     # -- manifest --------------------------------------------------------
-    def _degrade(self, path: Path, detail: object) -> None:
+    def _degrade(self, path: Union[str, Path], detail: object) -> None:
         self.degraded += 1
         warnings.warn(
             f"degraded store entry at {path}: {detail}; treating as a miss",
@@ -223,21 +249,24 @@ class ProgramStore:
     def _refresh(self) -> None:
         """Fold manifest lines appended since the last read into the index.
 
-        Only complete (newline-terminated) lines are consumed: a line still
-        being appended by a concurrent writer stays unread until its
-        terminator lands, so the tail is re-examined on the next refresh
-        instead of being misparsed once.
+        The manifest is opened only when it has grown past the bytes
+        already read (this store's own appends advance that mark as they
+        land).  Only complete (newline-terminated) lines are consumed: a
+        line still being appended by a concurrent writer stays unread until
+        its terminator lands, so the tail is re-examined on the next
+        refresh instead of being misparsed once.
         """
+        manifest = self._manifest
         try:
-            with self.manifest_path.open("rb") as handle:
+            if os.stat(manifest).st_size <= self._offset:
+                return
+            with open(manifest, "rb") as handle:
                 handle.seek(self._offset)
                 chunk = handle.read()
         except FileNotFoundError:
             return
         except OSError as exc:
-            self._degrade(self.manifest_path, exc)
-            return
-        if not chunk:
+            self._degrade(manifest, exc)
             return
         complete, _, partial = chunk.rpartition(b"\n")
         if not complete and partial:
@@ -250,30 +279,56 @@ class ProgramStore:
                 raw = json.loads(line)
                 if not isinstance(raw, dict):
                     raise TypeError("manifest line is not an object")
-                known = {f.name for f in fields(StoreRecord)}
-                record = StoreRecord(**{k: v for k, v in raw.items() if k in known})
+                record = StoreRecord(**{k: v for k, v in raw.items() if k in _RECORD_FIELDS})
                 if not isinstance(record.key, str):
                     raise TypeError("manifest record key must be a string")
             except (TypeError, ValueError) as exc:
-                self._degrade(self.manifest_path, f"unreadable line ({exc!r})")
+                self._degrade(manifest, f"unreadable line ({exc!r})")
                 continue
             self._index[record.key] = record
 
     def _append(self, record: StoreRecord) -> None:
+        """Append ``record``'s line in one ``O_APPEND`` write.
+
+        When the line landed exactly at the read mark, nothing foreign lies
+        before it: the mark moves past it and the record joins the index
+        without the manifest being read back.  Otherwise other writers'
+        lines precede it, and a refresh folds them and this line in, in
+        file order (the latest record for a key wins; keys keep their
+        first-seen order).  A missing root is created on the open's
+        ``FileNotFoundError``.
+        """
         line = _manifest_line(record)
-        self.root.mkdir(parents=True, exist_ok=True)
-        fd = os.open(self.manifest_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
         try:
-            os.write(fd, line)
+            fd = os.open(self._manifest, _APPEND_FLAGS, 0o644)
+        except FileNotFoundError:
+            os.makedirs(self._root, exist_ok=True)
+            fd = os.open(self._manifest, _APPEND_FLAGS, 0o644)
+        try:
+            written = os.write(fd, line)
+            end = os.lseek(fd, 0, os.SEEK_CUR)
         finally:
             os.close(fd)
-        self._index[record.key] = record
+        if written != len(line):
+            raise OSError(errno.EIO, "short manifest append", self._manifest)
+        start = end - written
+        if start == self._offset:
+            self._offset = end
+            self._index[record.key] = record
+            return
+        if start < self._offset:
+            # The manifest was recreated (or rewritten shorter) since the
+            # last read: what was read no longer describes it.
+            self._index.clear()
+            self._offset = 0
+        self._refresh()
 
     def lookup(self, key: str) -> Optional[StoreRecord]:
         """The latest manifest record for ``key``, or ``None``.
 
         Misses re-tail the manifest first, so entries appended by other
-        processes since the last read are always visible.
+        processes since the last read are always visible; a miss on a
+        manifest that has not grown past the last read opens nothing.
         """
         record = self._index.get(key)
         if record is None:
@@ -296,21 +351,28 @@ class ProgramStore:
     ) -> StoreRecord:
         """Store ``program`` under ``key``; returns the manifest record.
 
-        The object write is skipped when the content address already exists
-        (content-addressing makes re-stores and concurrent same-fingerprint
-        stores idempotent); the manifest append happens either way so the
-        key binding is recorded.
+        The program is serialised once: the object id is the sha256 of
+        those bytes and ``nbytes`` their length.  The object write is
+        skipped when the content address already exists (content-addressing
+        makes re-stores and concurrent same-fingerprint stores idempotent;
+        ``nbytes`` is then the existing file's size); the manifest append
+        happens either way so the key binding is recorded.  A failing
+        object write raises and appends nothing.
         """
-        object_id = program.fingerprint()
-        path = self.object_path(object_id)
-        if not path.exists():
-            save_program(program, path)
+        blob = program.to_bytes()
+        object_id = hashlib.sha256(blob).hexdigest()
+        path = self._object_file(object_id)
+        try:
+            nbytes = os.stat(path).st_size
+        except FileNotFoundError:
+            write_atomic(path, blob)
+            nbytes = len(blob)
         record = StoreRecord(
             key=key,
             object_id=object_id,
             kind=program.kind,
             n=program.n,
-            nbytes=path.stat().st_size,
+            nbytes=nbytes,
             graph=graph_fp,
             scheme=scheme_fp,
         )
@@ -400,7 +462,7 @@ class ProgramStore:
         if record.verdict is not None:
             return True, (record.verdict, record.reason or "")
         assert record.object_id is not None
-        path = self.object_path(record.object_id)
+        path = self._object_file(record.object_id)
         try:
             program = load_program(
                 path, expected_fingerprint=record.object_id if verify else None
@@ -410,7 +472,7 @@ class ProgramStore:
             return False, None
         except (OSError, ValueError) as exc:
             self._degrade(path, exc)
-            path.unlink(missing_ok=True)
+            Path(path).unlink(missing_ok=True)
             return False, None
         if verify and not isinstance(program, GenericProgram):
             try:
@@ -419,7 +481,7 @@ class ProgramStore:
                     raise ProgramVerificationError("; ".join(issues))
             except ProgramVerificationError as exc:
                 self._degrade(path, exc)
-                path.unlink(missing_ok=True)
+                Path(path).unlink(missing_ok=True)
                 return False, None
         try:
             os.utime(path)

@@ -206,3 +206,68 @@ class TestCopyEqualityConversion:
     def test_arc_reversed_endpoints(self):
         arc = Arc(2, 5, 1)
         assert arc.reversed_endpoints() == (5, 2)
+
+
+def _csr(g):
+    """``(indptr, indices)`` of ``g`` rebuilt from its port maps, as lists."""
+    indptr, indices = [0], []
+    for u in g.vertices():
+        indices.extend(g.neighbors(u))
+        indptr.append(len(indices))
+    return indptr, indices
+
+
+#: Every mutator, applied to the graph built by ``_labelled``.
+_MUTATIONS = {
+    "add_edge": lambda g: g.add_edge(1, 4),
+    "remove_edge": lambda g: g.remove_edge(0, 1),
+    "add_vertex": lambda g: g.add_vertex(),
+    "set_port_labeling": lambda g: g.set_port_labeling(0, {1: 1, 2: 2, 3: 3}),
+    "relabel_ports": lambda g: g.relabel_ports(0, {1: 2, 2: 1, 3: 3}),
+    "sort_ports_by_neighbor": lambda g: g.sort_ports_by_neighbor(),
+}
+
+
+def _labelled():
+    # Insertion order leaves vertex 0 with the non-canonical ports 3, 1, 2.
+    return PortLabeledGraph(5, [(0, 3), (0, 1), (0, 2), (1, 2), (3, 4)])
+
+
+class TestAdjacencySharing:
+    def test_copy_returns_the_same_read_only_arrays(self):
+        g = _labelled()
+        arrays = g.adjacency_arrays()
+        h = g.copy()
+        assert h.adjacency_arrays() is arrays
+        assert all(a.flags.writeable is False for a in arrays)
+        with pytest.raises(ValueError):
+            h.adjacency_arrays()[1][0] = 0
+        # A copy of a graph that never built them builds them once, for both.
+        fresh = _labelled()
+        assert fresh.copy().adjacency_arrays() is fresh.adjacency_arrays()
+
+    @pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
+    def test_mutating_a_copy_rebuilds_only_its_arrays(self, mutation):
+        g = _labelled()
+        source = g.adjacency_arrays()
+        before = [a.tobytes() for a in source]
+        h = g.copy()
+        _MUTATIONS[mutation](h)
+        indptr, indices = h.adjacency_arrays()
+        assert indptr is not source[0] and indices is not source[1]
+        assert (indptr.tolist(), indices.tolist()) == _csr(h)
+        assert not indptr.flags.writeable and not indices.flags.writeable
+        assert g.adjacency_arrays() is source
+        assert [a.tobytes() for a in source] == before
+        assert (source[0].tolist(), source[1].tolist()) == _csr(g)
+
+    def test_pickling_drops_the_shared_arrays(self):
+        import pickle
+
+        g = _labelled()
+        h = g.copy()
+        clone = pickle.loads(pickle.dumps(h))
+        assert clone._adj_arrays is None
+        indptr, indices = clone.adjacency_arrays()
+        assert (indptr.tolist(), indices.tolist()) == _csr(g)
+        assert indices is not g.adjacency_arrays()[1]

@@ -307,7 +307,7 @@ def test_adjacency_cache_rejected_relabeling_keeps_cache_valid():
     assert graph.adjacency_arrays() is arrays
 
 
-def test_copy_does_not_share_adjacency_cache():
+def test_mutating_a_copy_keeps_the_source_adjacency_cache():
     graph = generators.cycle_graph(6)
     original_arrays = graph.adjacency_arrays()
     clone = graph.copy()

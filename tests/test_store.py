@@ -4,11 +4,14 @@ Four layers:
 
 * **Round trips** — programs and verdicts survive ``put``/``get``, across
   store instances (cross-run persistence), and two keys whose compiles
-  produce the same program share one content-addressed object.
+  produce the same program share one content-addressed object.  A put
+  serialises once, recreates removed directories, and a failed object
+  write leaves no trace.
 * **Concurrency** — two processes storing the same fingerprint never tear
   an object, and a reader tails manifest lines appended by another store
   instance mid-run; partially-written manifest lines stay unread instead
-  of misparsing once.
+  of misparsing once.  Interleaved writers agree on file order, and a
+  store never reads back its own appends.
 * **Eviction** — ``gc`` removes orphans, respects a ``max_bytes`` bound in
   LRU order, never leaves a manifest record pointing at a deleted object
   (the closure invariant), and every survivor still passes a strict
@@ -23,8 +26,11 @@ Four layers:
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
+import multiprocessing
 import os
+import shutil
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
@@ -38,6 +44,7 @@ from repro.routing.program import (
     DROPPED,
     MISDELIVER,
     HeaderStateProgram,
+    NextHopProgram,
     RoutingProgram,
     load_program,
 )
@@ -62,6 +69,17 @@ def _put_from_subprocess(payload):
     store = ProgramStore(root)
     record = store.put(key, _program(n=n, seed=seed))
     return record.object_id
+
+
+def _append_from_subprocess(payload):
+    """Top-level worker: interleave puts and verdicts; return what it sees."""
+    root, writer, count = payload
+    store = ProgramStore(root)
+    program = _program(n=9, seed=writer)
+    for i in range(count):
+        store.put(f"program-{writer}-{i}", program)
+        store.put_verdict(f"verdict-{writer}-{i}", f"refused by writer {writer}")
+    return store.records()
 
 
 # ----------------------------------------------------------------------
@@ -162,6 +180,77 @@ def test_store_persists_across_instances(tmp_path):
     assert info["degraded"] == 0
 
 
+def test_put_serialises_a_program_once(tmp_path, monkeypatch):
+    program = _program()
+    expected = program.to_bytes()
+    serialised = []
+    original = NextHopProgram.to_bytes
+
+    def counting(self):
+        serialised.append(self)
+        return original(self)
+
+    monkeypatch.setattr(NextHopProgram, "to_bytes", counting)
+    store = ProgramStore(tmp_path)
+    record = store.put("cell", program)
+    assert len(serialised) == 1
+    again = store.put("again", program)  # the object exists: bytes only hashed
+    assert len(serialised) == 2
+    monkeypatch.undo()
+    # The address is the sha256 of the written bytes; nbytes their length.
+    path = store.object_path(record.object_id)
+    assert path.read_bytes() == expected
+    assert record.object_id == again.object_id == program.fingerprint()
+    assert record.nbytes == again.nbytes == len(expected) == path.stat().st_size
+
+
+def test_removed_fan_out_and_root_are_recreated(tmp_path):
+    root = tmp_path / "store"
+    store = ProgramStore(root)
+    first = store.put("a", _program(seed=1))
+    shutil.rmtree(store.object_path(first.object_id).parent)
+    store.put("a-again", _program(seed=1))  # same object, its fan-out is gone
+    assert store.get("a-again", verify=True)[0]
+    shutil.rmtree(root)
+    third = store.put("b", _program(n=12, seed=3))
+    assert store.get("b", verify=True)[0]
+    # The recreated manifest holds only what was appended after the removal.
+    assert store.records() == ProgramStore(root).records() == [third]
+    assert store.degraded == 0
+
+
+@pytest.mark.parametrize("short", [False, True], ids=["failing", "short"])
+def test_failed_object_write_leaves_nothing_behind(tmp_path, monkeypatch, short):
+    store = ProgramStore(tmp_path)
+    store.put("before", _program(seed=1))
+    manifest = store.manifest_path.read_bytes()
+    offset = store._offset
+    real_write = os.write
+    calls = []
+
+    def disk_full(fd, data):
+        calls.append(len(data))
+        if short and len(calls) == 1:
+            return real_write(fd, bytes(data[: len(data) // 2]))
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    program = _program(n=12, seed=4)
+    monkeypatch.setattr(os, "write", disk_full)
+    with pytest.raises(OSError) as failure:
+        store.put("after", program)
+    monkeypatch.undo()
+    assert failure.value.errno == errno.ENOSPC
+    assert len(calls) == 1 + short
+    assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+    assert not store.object_path(program.fingerprint()).exists()
+    assert store.manifest_path.read_bytes() == manifest
+    assert store._offset == offset
+    assert store.lookup("after") is None
+    # The store still works once the disk has room again.
+    assert store.put("after", program).nbytes == len(program.to_bytes())
+    assert store.get("after", verify=True)[0]
+
+
 # ----------------------------------------------------------------------
 # concurrency
 # ----------------------------------------------------------------------
@@ -202,6 +291,63 @@ def test_partial_manifest_line_is_not_misparsed(tmp_path):
     with open(store.manifest_path, "ab") as handle:
         handle.write(b"}\n")
     assert reader.lookup("torn") is not None
+
+
+def test_interleaved_instances_keep_file_order(tmp_path):
+    a = ProgramStore(tmp_path)
+    b = ProgramStore(tmp_path)
+    a.put("k1", _program(seed=1))
+    b.put("k2", _program(n=11, seed=2))
+    a.put("k3", _program(n=12, seed=3))
+    assert a.lookup("k2") is not None
+    fresh = ProgramStore(tmp_path)
+    assert [r.key for r in fresh.records()] == ["k1", "k2", "k3"]
+    assert a.records() == fresh.records()
+    # The latest record in file order wins, whichever instance wrote it.
+    b.put("k1", _program(n=13, seed=4))
+    a.put("k3", _program(n=14, seed=5))
+    assert a.records() == b.records() == ProgramStore(tmp_path).records()
+
+
+def test_concurrent_appenders_each_see_a_prefix_of_file_order(tmp_path):
+    # More writers than cores: appends interleave, so most puts land behind
+    # other writers' lines and fold them in before their own.
+    writers, count = 4, 25
+    payloads = [(str(tmp_path), writer, count) for writer in range(writers)]
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=writers, mp_context=context) as pool:
+        futures = [pool.submit(_append_from_subprocess, p) for p in payloads]
+        seen = [future.result(timeout=120) for future in futures]
+    fresh = ProgramStore(tmp_path).records()
+    assert len(fresh) == writers * count * 2
+    for writer, records in enumerate(seen):
+        # A writer's index is the manifest up to its last read, in file order.
+        assert records == fresh[: len(records)]
+        assert {f"program-{writer}-{i}" for i in range(count)} <= {r.key for r in records}
+
+
+def test_a_miss_without_manifest_growth_does_not_open_it(tmp_path, monkeypatch):
+    import repro.store
+
+    store = ProgramStore(tmp_path)
+    store.put("own", _program())
+    other = ProgramStore(tmp_path)
+    assert other.lookup("own") is not None  # caught up: its puts read nothing
+    opened = []
+
+    def spying_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(repro.store, "open", spying_open, raising=False)
+    assert store.lookup("absent") is None
+    assert store.get("absent") == (False, None)
+    assert store.lookup("own") is not None  # its own append, never read back
+    assert opened == []
+    other.put("foreign", _program(seed=5))
+    assert opened == []
+    assert store.lookup("foreign") is not None  # growth: the miss re-tails
+    assert len(opened) == 1
 
 
 # ----------------------------------------------------------------------
