@@ -54,6 +54,11 @@ Two jobs:
   ``test_interval_build_n1024`` pins a cold universal interval build on
   the same hypercube, prints its share of the cold single-cell compile and
   checks the program against the per-(node, port) dict build.
+  ``test_shortest_path_ports_n1024`` pins the fresh shortest-path port
+  matrix (all three tie-breaks) on the same hypercube and the seeded
+  n = 1024 random graph, checks every matrix against the per-row loop of
+  ``tests/oracles.py`` and prints the lowest-port build's share of the
+  cold table compile.
   ``test_header_state_compile_n1024`` pins a cold ``landmark-rewriting``
   compile on the same hypercube (about 1.1M header states) and prints its
   build / closure split.
@@ -103,6 +108,7 @@ from oracles import (
     coded_program_memory_profile,
     enumerated_forced_first_arcs,
     product_walk_canonical_matrices,
+    row_loop_shortest_path_ports,
 )
 from repro.analysis.flow import (
     DEMAND_MODELS,
@@ -135,7 +141,7 @@ from repro.routing.program import (
     save_program,
     transition_dtype,
 )
-from repro.routing.tables import ShortestPathTableScheme, shortest_path_ports
+from repro.routing.tables import TIE_BREAKS, ShortestPathTableScheme, shortest_path_ports
 from repro.routing.verify import resolve_fates, verify_program
 from repro.sim.engine import execute_program, simulate_all_pairs
 from repro.sim.faults import (
@@ -232,6 +238,10 @@ CHURN_ADD_EDGE = (0, (1 << CHURN_FLIP_DIM) - 1)
 
 #: The one seeded edge fault of the resilience-cell pin (n = 256 hypercube).
 RESILIENCE_CELL_EDGES = ((0, 1), (2, 6))
+
+#: The seeded n = 1024 random graph of the port-matrix pin (beside Q10):
+#: degrees 2..~25, so its rank walk is long and lopsided.
+PORTS_RANDOM_CASE = dict(n=1024, extra_edge_prob=0.01, seed=7)
 
 
 def _hypercube_ecube_program(dim: int = N4096_DIM) -> NextHopProgram:
@@ -866,6 +876,63 @@ def test_interval_build_n1024(benchmark):
     assert lower_next_hop(rf).to_bytes() == program.to_bytes()
 
 
+def _ports_cases():
+    """Q10 and the seeded n = 1024 random graph, each with a foreign copy
+    of its distances (a copy is never memoised, so every call builds).
+    """
+    graphs = {
+        f"hypercube dim={CHURN_FLIP_DIM}": generators.hypercube(CHURN_FLIP_DIM),
+        "random n={n} p={extra_edge_prob} seed={seed}".format(**PORTS_RANDOM_CASE): (
+            generators.random_connected_graph(**PORTS_RANDOM_CASE)
+        ),
+    }
+    return {name: (graph, np.array(distance_matrix(graph))) for name, graph in graphs.items()}
+
+
+def _build_all_ports(cases):
+    """``(case, rule) -> (ports, seconds)`` for every case and tie-break."""
+    return {
+        (name, rule): _time(shortest_path_ports, graph, rule, dist)
+        for name, (graph, dist) in cases.items()
+        for rule in TIE_BREAKS
+    }
+
+
+@pytest.mark.benchmark(group="perf-regression")
+def test_shortest_path_ports_n1024(benchmark):
+    # The port-matrix pin: the fresh rank-wise build, every tie-break, on
+    # the n = 1024 hypercube and random graph, best of 3.  Every matrix must
+    # equal the per-row loop's; the row names the lowest-port hypercube
+    # build's share of a cold table compile (test_table_compile_n1024).
+    cases = _ports_cases()
+    runs = []
+    benchmark.pedantic(lambda: runs.append(_build_all_ports(cases)), rounds=BEST_OF, iterations=1)
+    ports_s = benchmark.stats.stats.min
+    _check_budget("shortest_path_ports_n1024", ports_s)
+    _, compile_s = _time(
+        compile_scheme_program,
+        ShortestPathTableScheme(tie_break="lowest_port"),
+        generators.hypercube(CHURN_FLIP_DIM),
+    )
+    compiled = (next(iter(cases)), "lowest_port")  # what the compile pin builds
+    rows = []
+    for (name, rule), (ports, _) in runs[-1].items():
+        graph, dist = cases[name]
+        oracle, oracle_s = _time(row_loop_shortest_path_ports, graph, rule, dist)
+        assert np.array_equal(ports, oracle), (name, rule)
+        best_s = min(run[name, rule][1] for run in runs)
+        share = best_s / compile_s if (name, rule) == compiled else ""
+        rows.append(
+            {
+                "case": f"{name} {rule}",
+                "ports_ms": best_s * 1e3,
+                "row_loop_ms": oracle_s * 1e3,
+                "compile_share": share,
+            }
+        )
+    print_rows("Fresh shortest-path port matrices (n=1024, rank-wise vs per-row loop)", rows)
+
+
 @pytest.mark.benchmark(group="perf-regression")
 def test_header_state_compile_n1024(benchmark):
     # The header-state compile pin: a cold compile of the two-phase
@@ -1398,6 +1465,7 @@ def _measure_pinned_paths() -> dict:
         compile_scheme_program, churn_scheme, generators.hypercube(CHURN_FLIP_DIM)
     )
     _, interval_build_s = _time(IntervalRoutingScheme().build, generators.hypercube(CHURN_FLIP_DIM))
+    _, ports_s = _time(_build_all_ports, _ports_cases())
     _, header_compile_s = _time(
         compile_scheme_program,
         scheme_registry(seed=0)["landmark-rewriting"],
@@ -1440,6 +1508,7 @@ def _measure_pinned_paths() -> dict:
         "churn_delta_flip_n1024": churn_s,
         "table_compile_n1024": table_compile_s,
         "interval_build_n1024": interval_build_s,
+        "shortest_path_ports_n1024": ports_s,
         "header_state_compile_n1024": header_compile_s,
         "verify_vs_simulate_n1024": verify_s,
         **flow_s,

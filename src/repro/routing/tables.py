@@ -11,6 +11,12 @@ The scheme is parameterised by the tie-breaking rule used when several
 shortest paths exist, because different rules produce tables of different
 compressibility (e.g. the interval coder of :mod:`repro.memory.coder`
 benefits from the ``lowest_port`` rule on ring-like graphs).
+
+The port matrix is built rank by rank, not row by row: one vectorised
+step per port-preference rank compares whole rows of a narrow (usually
+int8) copy of the distances, so a fresh matrix costs a handful of array
+operations per port rank and block of rows, not a Python-level pass per
+row.
 """
 
 from __future__ import annotations
@@ -60,18 +66,24 @@ def shortest_path_ports(
     tie-break: it is memoised on
     :attr:`~repro.graphs.digraph.PortLabeledGraph.derived` in the narrowest
     unsigned dtype that holds the graph's ports, and every call returns a
-    fresh int64 copy.
+    fresh int64 copy.  ``dist`` must be ``graph``'s distance matrix (the
+    memoised one or a copy).
 
-    A fresh build makes one vectorised pass per row: among the
-    port-ordered neighbours ``nbrs`` of ``x`` the shortest-path ones
-    satisfy ``dist[nbrs, dest] == dist[x, dest] - 1``, and the rule is an
-    argmax/argmin over that boolean matrix (``O(deg(x) * n)`` scratch).
+    A fresh build makes one vectorised step per port rank over a narrow
+    copy of the distances (the narrowest signed dtype holding
+    ``UNREACHABLE - 1`` and the diameter).  Each rule orders a row's ports
+    by preference (port order, reversed port order, or neighbour label);
+    rows sorted by descending degree make the rows owning a rank-``k``
+    preference a prefix, and step ``k`` compares their rank-``k``
+    neighbours' whole distance rows with ``dist[x] - 1``, keeping each
+    destination's first hit.  Rows go in blocks of about
+    ``_BLOCK_ENTRIES / n``, so the per-rank scratch stays bounded.
     Dirty coordinates are evaluated per entry instead, so a patch
     costs its entries' degrees, not its rows' ``deg(x) * n``: one
     vectorised step per port rank ``k`` tests the rank-``k`` neighbour of
     every entry whose vertex has one, ``lowest_port`` keeping the first
     hit, ``highest_port`` the last and ``lowest_neighbor`` the hit with
-    the smallest label — the row pass's answer, entry for entry.
+    the smallest label — the fresh build's answer, entry for entry.
     """
     check_tie_break(tie_break)
     if dist is None:
@@ -80,32 +92,50 @@ def shortest_path_ports(
         return _dirty_entry_ports(graph, tie_break, dist, dirty)
     derived = graph.derived
     if dist is not derived.distances:
-        return _shortest_path_ports(graph, tie_break, dist)
-    if tie_break not in derived.ports:
-        ports = _shortest_path_ports(graph, tie_break, dist)
-        derived.ports[tie_break] = ports.astype(np.min_scalar_type(int(ports.max(initial=0))))
-    return derived.ports[tie_break].astype(np.int64)
+        return _shortest_path_ports(graph, tie_break, dist).astype(np.int64)
+    ports = derived.ports.get(tie_break)
+    if ports is None:
+        ports = derived.ports[tie_break] = _shortest_path_ports(graph, tie_break, dist)
+    return ports.astype(np.int64)
+
+
+#: Rows per fresh-build block times ``n``: bounds each per-rank scratch
+#: array (a gather, its comparison and its gain) to about this many bytes.
+_BLOCK_ENTRIES = 1 << 18
 
 
 def _shortest_path_ports(
     graph: PortLabeledGraph, tie_break: TieBreak, dist: np.ndarray
 ) -> np.ndarray:
+    """The whole port matrix, in the narrowest unsigned dtype of the ports."""
     n = graph.n
-    ports = np.zeros((n, n), dtype=np.int64)
     indptr, indices = graph.adjacency_arrays()
-    for x in range(n):
-        dests = np.nonzero(dist[x] > 0)[0]
-        if not dests.size:
-            continue
-        nbrs = indices[indptr[x] : indptr[x + 1]]  # port order: port k+1 = nbrs[k]
-        on_shortest = dist[nbrs] == dist[x] - 1  # whole rows: cheaper than a gather
-        if tie_break == "lowest_port":
-            pick = on_shortest.argmax(axis=0)
-        elif tie_break == "highest_port":
-            pick = nbrs.size - 1 - on_shortest[::-1].argmax(axis=0)
-        else:
-            pick = np.where(on_shortest, nbrs[:, None], n).argmin(axis=0)
-        ports[x, dests] = pick[dests] + 1
+    deg = np.diff(indptr)
+    ports = np.zeros((n, n), dtype=np.min_scalar_type(int(deg.max(initial=0))))
+    narrow = dist.astype(np.min_scalar_type(-int(dist.max(initial=0)) - 1))
+    # Every row's CSR slots in the rule's order of preference.
+    slot_row = np.repeat(np.arange(n), deg)
+    port = np.arange(1, indices.size + 1) - indptr[slot_row]
+    key = {"lowest_port": port, "highest_port": -port, "lowest_neighbor": indices}[tie_break]
+    pref = np.lexsort((key, slot_row))
+    pref_nbr, pref_port = indices[pref], port[pref].astype(ports.dtype)
+    by_deg = np.argsort(-deg, kind="stable")
+    block = max(1, _BLOCK_ENTRIES // max(n, 1))
+    for start in range(0, n, block):
+        rows = by_deg[start : start + block]
+        width = int(deg[rows[0]])
+        if not width:
+            break  # the remaining rows are isolated vertices: no port to pick
+        want = narrow[rows] - 1
+        best = np.zeros((rows.size, n), dtype=ports.dtype)
+        owners = np.searchsorted(-deg[rows], -np.arange(width), side="left")  # deg > k
+        first = indptr[rows]
+        for k, count in enumerate(owners.tolist()):
+            slots = first[:count] + k
+            hit = narrow[pref_nbr[slots]] == want[:count]
+            hit &= best[:count] == 0
+            best[:count] += hit.view(np.uint8) * pref_port[slots, None]
+        ports[rows] = best
     return ports
 
 
@@ -121,7 +151,8 @@ def _dirty_entry_ports(
     of rank ``k`` are a prefix.  A port-ordered rule walks the ranks from
     its own end and retires an entry at its first hit; ``lowest_neighbor``
     visits every rank and keeps the hit with the smallest label.  An
-    entry with no hit keeps the whole-row argmax/argmin's answer.
+    entry with no hit (none has one on the graph's own distances) keeps
+    the rule's own end.
     """
     n = graph.n
     xs, ds = dirty
@@ -146,8 +177,7 @@ def _dirty_entry_ports(
             best[:count][hit] = nbr[hit]
             pick[:count][hit] = k
     else:
-        # The rule's own end: port index 0, or deg - 1 walking down.  It is
-        # also the row pass's answer for an entry with no hit.
+        # The rule's own end: port index 0, or deg - 1 walking down.
         step = -1 if tie_break == "highest_port" else 1
         end = deg - 1 if step < 0 else np.zeros_like(deg)
         pick = end.copy()

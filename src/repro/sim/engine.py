@@ -295,7 +295,9 @@ def interpret(
         alive = np.ones(n, dtype=bool)
     universe = alive[:, None] & alive[None, :]
     np.fill_diagonal(universe, False)
-    outcome = np.where(universe, VERDICT_LIVELOCKED, VERDICT_INFEASIBLE).astype(np.int8)
+    outcome = np.where(universe, VERDICT_LIVELOCKED, VERDICT_INFEASIBLE).astype(
+        np.int8  # repro-lint: allow-dtype (verdict codes)
+    )
     hops = np.full((n, n), NO_ROUTE, dtype=np.int64)
     np.fill_diagonal(hops, np.where(alive, 0, NO_ROUTE))
     faulty = bool(failed_edges) or not alive.all()

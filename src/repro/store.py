@@ -214,6 +214,8 @@ class ProgramStore:
         self._index: Dict[str, StoreRecord] = {}
         #: Manifest bytes folded into the index: every line before it is read.
         self._offset = 0
+        #: ``(st_dev, st_ino)`` of the manifest file those bytes came from.
+        self._identity: Optional[Tuple[int, int]] = None
         # Hot-path paths as strings, built once.
         self._root = os.fspath(self.root)
         self._manifest = os.path.join(self._root, "manifest.jsonl")
@@ -251,16 +253,27 @@ class ProgramStore:
 
         The manifest is opened only when it has grown past the bytes
         already read (this store's own appends advance that mark as they
-        land).  Only complete (newline-terminated) lines are consumed: a
+        land) or is no longer the file they were read from.  A manifest
+        that another instance's :meth:`gc` replaced (a new ``(st_dev,
+        st_ino)``), or that shrank below the mark, no longer describes the
+        index: the index is dropped and the manifest re-read from its
+        start.  Only complete (newline-terminated) lines are consumed: a
         line still being appended by a concurrent writer stays unread until
         its terminator lands, so the tail is re-examined on the next
         refresh instead of being misparsed once.
         """
         manifest = self._manifest
         try:
-            if os.stat(manifest).st_size <= self._offset:
+            stat = os.stat(manifest)
+            if (stat.st_dev, stat.st_ino) == self._identity and stat.st_size == self._offset:
                 return
             with open(manifest, "rb") as handle:
+                stat = os.fstat(handle.fileno())
+                identity = (stat.st_dev, stat.st_ino)
+                if identity != self._identity or stat.st_size < self._offset:
+                    self._index.clear()
+                    self._offset = 0
+                    self._identity = identity
                 handle.seek(self._offset)
                 chunk = handle.read()
         except FileNotFoundError:
@@ -290,11 +303,12 @@ class ProgramStore:
     def _append(self, record: StoreRecord) -> None:
         """Append ``record``'s line in one ``O_APPEND`` write.
 
-        When the line landed exactly at the read mark, nothing foreign lies
-        before it: the mark moves past it and the record joins the index
-        without the manifest being read back.  Otherwise other writers'
-        lines precede it, and a refresh folds them and this line in, in
-        file order (the latest record for a key wins; keys keep their
+        When the line landed exactly at the read mark of the file already
+        read, nothing foreign lies before it: the mark moves past it and
+        the record joins the index without the manifest being read back.
+        Otherwise other writers' lines precede it (or the manifest was
+        replaced or recreated), and a refresh folds them and this line in,
+        in file order (the latest record for a key wins; keys keep their
         first-seen order).  A missing root is created on the open's
         ``FileNotFoundError``.
         """
@@ -307,20 +321,19 @@ class ProgramStore:
         try:
             written = os.write(fd, line)
             end = os.lseek(fd, 0, os.SEEK_CUR)
+            stat = os.fstat(fd)
         finally:
             os.close(fd)
         if written != len(line):
             raise OSError(errno.EIO, "short manifest append", self._manifest)
         start = end - written
-        if start == self._offset:
+        if (stat.st_dev, stat.st_ino) == self._identity and start == self._offset:
             self._offset = end
             self._index[record.key] = record
             return
         if start < self._offset:
-            # The manifest was recreated (or rewritten shorter) since the
-            # last read: what was read no longer describes it.
-            self._index.clear()
-            self._offset = 0
+            # Rewritten shorter in place: what was read no longer describes it.
+            self._identity = None
         self._refresh()
 
     def lookup(self, key: str) -> Optional[StoreRecord]:
@@ -504,6 +517,8 @@ class ProgramStore:
             with os.fdopen(fd, "wb") as handle:
                 for record in kept:
                     handle.write(_manifest_line(record))
+                handle.flush()
+                stat = os.fstat(fd)
             os.replace(tmp_name, self.manifest_path)
         except BaseException:
             try:
@@ -512,7 +527,8 @@ class ProgramStore:
                 pass
             raise
         self._index = {record.key: record for record in kept}
-        self._offset = self.manifest_path.stat().st_size
+        self._offset = stat.st_size
+        self._identity = (stat.st_dev, stat.st_ino)
 
     def gc(self, max_bytes: Optional[int] = None) -> GcStats:
         """Collect garbage; optionally evict LRU objects down to ``max_bytes``.

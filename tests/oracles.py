@@ -38,7 +38,11 @@ race the two:
 * :func:`resolved_patched_soundness` — the delta soundness proof that
   resolves every pair's fate with a strict :func:`~repro.routing.verify.
   verify_program` and checks delivered hop counts against the distances,
-  against the one-hop descent proof of ``apply_delta(static_check=True)``.
+  against the one-hop descent proof of ``apply_delta(static_check=True)``;
+* :func:`row_loop_shortest_path_ports` — the shortest-path port matrix
+  built one row at a time (an argmax/argmin over each row's
+  ``deg(x) x n`` shortest-path mask), against the rank-wise build of
+  :func:`repro.routing.tables.shortest_path_ports`.
 """
 
 from __future__ import annotations
@@ -769,6 +773,42 @@ def is_outerplanar(graph: PortLabeledGraph) -> bool:
     g.add_edges_from((n, v) for v in range(n))
     planar, _ = nx.check_planarity(g)
     return bool(planar)
+
+
+# ----------------------------------------------------------------------
+# shortest-path port matrix
+# ----------------------------------------------------------------------
+def row_loop_shortest_path_ports(
+    graph: PortLabeledGraph, tie_break: str = "lowest_port", dist: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """``ports[x, dest]`` of one shortest-path routing, one row at a time.
+
+    Among the port-ordered neighbours ``nbrs`` of ``x`` the shortest-path
+    ones satisfy ``dist[nbrs, dest] == dist[x, dest] - 1``; the rule is an
+    argmax (``lowest_port``), a reversed argmax (``highest_port``) or an
+    argmin over the neighbour labels (``lowest_neighbor``) of that boolean
+    ``(deg(x), n)`` matrix.  The diagonal and unreachable destinations
+    hold 0; the result is int64.
+    """
+    if dist is None:
+        dist = distance_matrix(graph)
+    n = graph.n
+    ports = np.zeros((n, n), dtype=np.int64)
+    indptr, indices = graph.adjacency_arrays()
+    for x in range(n):
+        dests = np.nonzero(dist[x] > 0)[0]
+        if not dests.size:
+            continue
+        nbrs = indices[indptr[x] : indptr[x + 1]]  # port order: port k+1 = nbrs[k]
+        on_shortest = dist[nbrs] == dist[x] - 1
+        if tie_break == "lowest_port":
+            pick = on_shortest.argmax(axis=0)
+        elif tie_break == "highest_port":
+            pick = nbrs.size - 1 - on_shortest[::-1].argmax(axis=0)
+        else:
+            pick = np.where(on_shortest, nbrs[:, None], n).argmin(axis=0)
+        ports[x, dests] = pick[dests] + 1
+    return ports
 
 
 # ----------------------------------------------------------------------

@@ -92,9 +92,31 @@ class TestDtypeRule:
         src = "import numpy as np\nz = np.zeros(4, dtype=np.int32)\n"
         assert _codes(_lint(tmp_path, "src/repro/sim/engine.py", src)) == ["REP002"]
 
-    def test_wide_and_tiny_dtypes_allowed(self, tmp_path):
-        src = "import numpy as np\na = np.zeros(4, dtype=np.int64)\nb = np.zeros(4, dtype=np.int8)\n"
+    def test_np_int8_flagged_in_faults(self, tmp_path):
+        src = "import numpy as np\nd = dist.astype(np.int8)\n"
+        assert _codes(_lint(tmp_path, "src/repro/sim/faults.py", src)) == ["REP002"]
+
+    def test_wide_and_unsigned_dtypes_allowed(self, tmp_path):
+        src = "import numpy as np\na = np.zeros(4, dtype=np.int64)\nb = hit.view(np.uint8)\n"
         assert _lint(tmp_path, "src/repro/sim/faults.py", src) == []
+
+    def test_bare_widths_flagged_in_the_port_tables(self, tmp_path):
+        src = (
+            "import numpy as np\n"
+            "narrow = dist.astype(np.int8)\n"
+            "ports = np.zeros((n, n), dtype=np.int16)\n"
+        )
+        findings = _lint(tmp_path, "src/repro/routing/tables.py", src)
+        assert _codes(findings) == ["REP002", "REP002"]
+        assert "min_scalar_type" in findings[0].message
+
+    def test_domain_widths_allowed_in_the_port_tables(self, tmp_path):
+        src = (
+            "import numpy as np\n"
+            "narrow = dist.astype(np.min_scalar_type(-diameter - 1))\n"
+            "ports = np.zeros((n, n), dtype=np.min_scalar_type(top))\n"
+        )
+        assert _lint(tmp_path, "src/repro/routing/tables.py", src) == []
 
     def test_escape_comment(self, tmp_path):
         src = "import numpy as np\nidx = idx.astype(np.int32)  # repro-lint: allow-dtype (ids)\n"

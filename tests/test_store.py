@@ -10,8 +10,9 @@ Four layers:
 * **Concurrency** — two processes storing the same fingerprint never tear
   an object, and a reader tails manifest lines appended by another store
   instance mid-run; partially-written manifest lines stay unread instead
-  of misparsing once.  Interleaved writers agree on file order, and a
-  store never reads back its own appends.
+  of misparsing once.  Interleaved writers agree on file order, a
+  store never reads back its own appends, and a reader re-reads a
+  manifest that another instance's ``gc`` replaced or that shrank.
 * **Eviction** — ``gc`` removes orphans, respects a ``max_bytes`` bound in
   LRU order, never leaves a manifest record pointing at a deleted object
   (the closure invariant), and every survivor still passes a strict
@@ -348,6 +349,34 @@ def test_a_miss_without_manifest_growth_does_not_open_it(tmp_path, monkeypatch):
     assert opened == []
     assert store.lookup("foreign") is not None  # growth: the miss re-tails
     assert len(opened) == 1
+
+
+def test_a_reader_re_reads_a_manifest_another_instance_gc_replaced(tmp_path):
+    # A's read mark is a byte offset into the manifest file it read.  B's
+    # gc replaces that file with a compacted one, which C then grows back
+    # to about the mark: A must notice the new file, not resume mid-line.
+    a = ProgramStore(tmp_path)
+    for i in range(6):
+        a.put(f"a-{i % 2}", _program(seed=i % 2))  # six lines, two live records
+    assert ProgramStore(tmp_path).gc().records_kept == 2
+    c = ProgramStore(tmp_path)
+    for i in range(4):
+        c.put(f"c-{i}", _program(seed=2 + i))
+    assert a.lookup("c-0") is not None
+    assert a.degraded == 0
+    assert a.records() == ProgramStore(tmp_path).records()
+
+
+def test_a_reader_re_reads_a_manifest_shrunk_in_place(tmp_path):
+    a = ProgramStore(tmp_path)
+    for i in range(3):
+        a.put(f"k-{i}", _program(seed=i))
+    first = a.manifest_path.read_bytes().split(b"\n")[0] + b"\n"
+    with open(a.manifest_path, "r+b") as handle:  # same file, shorter
+        handle.truncate(len(first))
+    assert a.lookup("absent") is None
+    assert [r.key for r in a.records()] == ["k-0"]
+    assert a.degraded == 0
 
 
 # ----------------------------------------------------------------------

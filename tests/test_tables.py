@@ -13,7 +13,7 @@ from repro.graphs import generators
 from repro.graphs.digraph import PortLabeledGraph
 from repro.graphs.shortest_paths import distance_matrix
 from conftest import build_next_hop_matrix, profile_settings
-from oracles import all_pairs_routing_lengths, stretch_factor
+from oracles import all_pairs_routing_lengths, row_loop_shortest_path_ports, stretch_factor
 from repro.routing.tables import ShortestPathTableScheme, shortest_path_ports
 from repro.sim.registry import graph_families
 
@@ -279,3 +279,51 @@ def test_dirty_entries_skip_unreachable_destinations(rule):
     patched = shortest_path_ports(graph, rule, dist, dirty=(xs, ds)).reshape(graph.n, graph.n)
     assert np.array_equal(patched, shortest_path_ports(graph, rule))
     assert not patched[:3, 3:].any() and not patched[3:, :3].any()
+
+
+# ----------------------------------------------------------------------
+# the rank-wise build raced against the per-row loop
+# ----------------------------------------------------------------------
+@st.composite
+def port_race_graphs(draw):
+    """A registry graph, a small arbitrary graph, a long path or a big star."""
+    kind = draw(st.sampled_from(("registry", "arbitrary", "path", "star")), label="kind")
+    if kind == "registry":
+        graph = REGISTRY_GRAPHS[draw(st.sampled_from(sorted(REGISTRY_GRAPHS)), label="graph")]
+    elif kind == "arbitrary":
+        # n = 0 and n = 1, disconnected graphs and isolated vertices.
+        n = draw(st.integers(min_value=0, max_value=9), label="n")
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        graph = PortLabeledGraph(n, [pair for pair, kept in zip(pairs, keep) if kept])
+    elif kind == "path":
+        # Diameter 127 still fits the int8 distance copy; 128 and up need int16.
+        graph = generators.path_graph(draw(st.integers(min_value=128, max_value=160), label="n"))
+    else:
+        # A centre of degree >= 128: ports past int8, and past uint8 from 256.
+        graph = generators.star_graph(draw(st.integers(min_value=129, max_value=300), label="n"))
+    if draw(st.booleans(), label="shuffle ports"):
+        graph = _shuffled_ports(graph, draw(st.integers(min_value=0, max_value=10**6)))
+    return graph
+
+
+@profile_settings(base_examples=80)
+@given(data=st.data())
+def test_rank_wise_build_races_the_row_loop(data):
+    # The fresh build must equal the per-row argmax/argmin oracle entry for
+    # entry, on the graph's own distances (the memoised path, whose memo is
+    # the narrowest unsigned port dtype) and on foreign copies of them (the
+    # unmemoised path).
+    graph = data.draw(port_race_graphs())
+    tie_break = data.draw(st.sampled_from(TIE_BREAKS), label="tie_break")
+    foreign = data.draw(st.sampled_from((None, np.int64, np.int32, np.int16)), label="foreign")
+    dist = distance_matrix(graph)
+    expected = row_loop_shortest_path_ports(graph, tie_break, dist)
+    if foreign is None:
+        ports = shortest_path_ports(graph, tie_break)
+        memo = graph.derived.ports[tie_break]
+        assert memo.dtype == np.min_scalar_type(int(expected.max(initial=0)))
+    else:
+        ports = shortest_path_ports(graph, tie_break, dist.astype(foreign))
+    assert ports.dtype == np.int64 and ports.shape == (graph.n, graph.n)
+    assert np.array_equal(ports, expected)

@@ -13,15 +13,18 @@ REP001  Raw ``-2`` / ``-3`` integer literals anywhere in ``repro.sim`` or
         ``DROPPED = -3`` in ``program.py``) is exempt; anything else
         needs ``# repro-lint: allow-sentinel`` with a reason.
 
-REP002  Bare narrow integer dtype literals (``np.int16`` / ``np.int32``)
-        in the modules that build or decode transition arrays
-        (``routing/program.py``, ``sim/engine.py``, ``sim/faults.py``).
-        Transition-array dtypes must come from
-        :func:`repro.routing.program.transition_dtype` so a program's
-        width tracks its domain; a hard-coded width either wastes memory
-        or overflows.  Escape with ``# repro-lint: allow-dtype`` where a
-        fixed width is the point (the ``transition_dtype`` ladder itself,
-        the fate resolver's int32 state ids).
+REP002  Bare narrow integer dtype literals (``np.int8`` / ``np.int16`` /
+        ``np.int32``) in the modules that build or decode transition
+        arrays or narrow their inputs (``routing/program.py``,
+        ``routing/tables.py``, ``sim/engine.py``, ``sim/faults.py``).
+        Widths must come from the domain —
+        :func:`repro.routing.program.transition_dtype` for transition
+        arrays, ``np.min_scalar_type`` of the extreme value for narrow
+        distance and port copies — so an array's width tracks what it
+        holds; a hard-coded width either wastes memory or overflows.
+        Escape with ``# repro-lint: allow-dtype`` where a fixed width is
+        the point (the ``transition_dtype`` ladder itself, the fate
+        resolver's int32 state ids, the engine's int8 verdict codes).
 
 REP003  Nondeterminism in the compile/verify modules
         (``routing/program.py``, ``routing/verify.py``): ``import
@@ -171,15 +174,17 @@ SENTINEL_SCOPE = ("src/repro/sim", "src/repro/routing")
 #: Names whose top-level definition is the one legitimate raw literal.
 SENTINEL_NAMES = {"MISDELIVER": -2, "DROPPED": -3}
 
-#: REP002 scope: modules that construct or decode transition arrays.
+#: REP002 scope: modules that construct or decode transition arrays, or
+#: narrow distances and ports to their domain.
 DTYPE_SCOPE = (
     "src/repro/routing/program.py",
+    "src/repro/routing/tables.py",
     "src/repro/sim/engine.py",
     "src/repro/sim/faults.py",
 )
 
-#: Narrow widths that must come from ``transition_dtype`` in that scope.
-NARROW_DTYPES = {"int16", "int32"}
+#: Narrow widths that must come from the domain in that scope.
+NARROW_DTYPES = {"int8", "int16", "int32"}
 
 #: REP003 scope: modules whose output must be a pure function of input.
 DETERMINISM_SCOPE = (
@@ -327,7 +332,7 @@ def check_sentinels(path: Path, tree: ast.Module, source: str) -> Iterator[Findi
 
 
 def check_dtypes(path: Path, tree: ast.Module, source: str) -> Iterator[Finding]:
-    """REP002: bare np.int16/np.int32 where transition_dtype is required."""
+    """REP002: bare np.int8/np.int16/np.int32 where a domain width is required."""
     escaped = _escaped_lines(source, "allow-dtype")
     for node in ast.walk(tree):
         if not (
@@ -343,8 +348,9 @@ def check_dtypes(path: Path, tree: ast.Module, source: str) -> Iterator[Finding]
             path,
             node.lineno,
             "REP002",
-            f"bare np.{node.attr} in a transition-array module: size the "
-            "dtype with transition_dtype(num_values) "
+            f"bare np.{node.attr} in a narrow-array module: size the dtype "
+            "from its domain, transition_dtype(num_values) or "
+            "np.min_scalar_type(extreme) "
             "(or '# repro-lint: allow-dtype' where a fixed width is the point)",
         )
 
