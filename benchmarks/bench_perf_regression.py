@@ -64,6 +64,10 @@ Two jobs:
   build / closure split.
   ``test_cold_medium_sweep`` pins ``repro sweep --registry medium --jobs 1``
   run in-process into an empty store, best-of-3, end to end.
+  ``test_warm_sweep_page_faults_n256`` pins warm verify, flow and
+  resilience sweeps over a reduced n = 256 grid, run in a fresh
+  interpreter against a store another one compiled, and bounds their
+  minor page faults per cell.
   ``test_program_memory_profile_n1024`` pins the closed-form per-router
   memory of the n = 1024 hypercube table program, and
   ``test_memory_profile_speedup_vs_oracle_n256`` races
@@ -91,6 +95,7 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import subprocess
 import sys
 import time
 from datetime import datetime, timezone
@@ -1321,6 +1326,121 @@ def test_cold_medium_sweep(benchmark, tmp_path):
     assert summary["degraded"] == 0
 
 
+#: The reduced n = 256 grid of the warm-sweep page-fault pin: two of the
+#: large grid's families x three schemes (next-hop tables, a header-state
+#: program and interval tables).
+WARM_SWEEP_SCHEMES = ("tables-lowest-port", "landmark-rewriting", "interval")
+
+#: Minor page faults a warm n = 256 consume cell may take on average over
+#: the pin's sweeps.  A process whose allocator hands each cell's freed
+#: ``n * n`` scratch back to the kernel re-faults it in the next cell:
+#: 8.7-8.9K faults over the 18 cells (480-500 per cell; a second identical
+#: round still takes 2.8K).  With the sweep heap policy the sweeps measured
+#: 2.6-2.7K (144-153 per cell), nearly all of it the heap's one-time growth
+#: and the first read of each mapped program (a second round takes 96 in
+#: all).
+WARM_SWEEP_FAULTS_PER_CELL = 250
+
+#: The body of both subprocesses of :func:`_warm_sweep_n256`: ``compile``
+#: fills the store, ``consume`` runs the warm sweeps in a fresh
+#: interpreter and reports their minor faults (``ru_minflt``) and wall
+#: time, counted after the imports and the runner's construction.
+_WARM_SWEEP_CHILD = """
+import json, resource, sys, time
+from repro.analysis.runner import ShardedRunner
+from repro.graphs import generators
+from repro.sim.registry import scheme_registry
+
+store, mode, names = sys.argv[1], sys.argv[2], sys.argv[3].split(",")
+registry = scheme_registry(seed=0)
+schemes = {name: registry[name] for name in names}
+families = {"hypercube": generators.hypercube(8), "torus": generators.torus_2d(16, 16)}
+runner = ShardedRunner(store, processes=1)
+if mode == "compile":
+    programs, skipped, _ = runner.program_sweep(schemes=schemes, families=families)
+    print(json.dumps({"cells": len(programs), "skipped": len(skipped)}))
+    sys.exit(0)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+start = time.perf_counter()
+verified, v_skipped, v_stats = runner.verify_sweep(schemes=schemes, families=families)
+flows, f_skipped, f_stats = runner.flow_sweep(
+    schemes=schemes, families=families, models=("uniform", "zipf", "gravity")
+)
+scenarios, r_skipped, r_stats = runner.resilience_sweep(
+    schemes=schemes, families=families, flow="uniform", edge_ks=(2,), node_ks=(), per_k=1
+)
+seconds = time.perf_counter() - start
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+print(json.dumps({
+    "faults": faults,
+    "seconds": seconds,
+    "cells": len(verified) + sum(
+        len({(row.scheme, row.family) for row in rows}) for rows in (flows, scenarios)
+    ),
+    "skipped": len(v_skipped) + len(f_skipped) + len(r_skipped),
+    "compile_misses": v_stats.compile_misses + f_stats.compile_misses + r_stats.compile_misses,
+    "all_delivered": all(cell.all_delivered for cell in verified),
+}))
+"""
+
+
+def _warm_sweep_child(store: Path, mode: str) -> dict:
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0")
+    done = subprocess.run(
+        [sys.executable, "-c", _WARM_SWEEP_CHILD, str(store), mode, ",".join(WARM_SWEEP_SCHEMES)],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def _warm_sweep_n256(store: Path) -> dict:
+    """Compile the reduced n = 256 grid into ``store`` in one interpreter,
+    then run its warm verify, flow and resilience sweeps in a fresh one."""
+    compiled = _warm_sweep_child(store, "compile")
+    assert compiled == {"cells": 2 * len(WARM_SWEEP_SCHEMES), "skipped": 0}
+    return _warm_sweep_child(store, "consume")
+
+
+@pytest.mark.benchmark(group="perf-regression")
+def test_warm_sweep_page_faults_n256(benchmark, tmp_path):
+    # The warm end-to-end pin: verify, flow (three models) and resilience
+    # sweeps over compiled n = 256 programs, in an interpreter that did not
+    # compile them.  Its minor page faults show whether consecutive cells
+    # reuse one resident heap or fault their scratch in afresh.
+    stores = (tmp_path / f"store{i}" for i in range(BEST_OF))
+    sweeps = []
+
+    def _run(store):
+        sweeps.append(_warm_sweep_n256(store))
+
+    benchmark.pedantic(_run, setup=lambda: ((next(stores),), {}), rounds=BEST_OF, iterations=1)
+    best = min(sweeps, key=lambda sweep: sweep["seconds"])
+    cells = best["cells"]
+    _check_budget("warm_sweep_n256", best["seconds"])
+    print_rows(
+        "Warm n = 256 sweeps (verify, flow x 3 models, resilience) in a fresh interpreter",
+        [
+            {
+                "case": f"{cells} cells",
+                "sweep_s": sweep["seconds"],
+                "s_per_cell": sweep["seconds"] / cells,
+                "minor_faults": sweep["faults"],
+                "faults_per_cell": sweep["faults"] / cells,
+            }
+            for sweep in sweeps
+        ],
+    )
+    assert cells == 3 * 2 * len(WARM_SWEEP_SCHEMES)
+    assert best["compile_misses"] == 0 and best["skipped"] == 0 and best["all_delivered"]
+    fewest = min(sweep["faults"] for sweep in sweeps)
+    assert fewest / cells <= WARM_SWEEP_FAULTS_PER_CELL, (
+        f"{fewest / cells:.0f} minor faults per warm cell, over the "
+        f"{WARM_SWEEP_FAULTS_PER_CELL} bound: the sweep process returns its scratch "
+        "to the kernel between cells"
+    )
+
+
 @pytest.mark.benchmark(group="perf-regression")
 def test_program_memory_profile_n1024(benchmark):
     # The memory pin: every router's closed-form table-coder lengths on the
@@ -1494,6 +1614,8 @@ def _measure_pinned_paths() -> dict:
         cold_sweeps = [
             _time(_cold_medium_sweep, Path(sweep_dir) / f"store{i}")[1] for i in range(BEST_OF)
         ]
+    with tempfile.TemporaryDirectory() as sweep_dir:
+        warm_sweep = _warm_sweep_n256(Path(sweep_dir))
 
     return {
         "enumerate_3_4_3": enum_s,
@@ -1519,6 +1641,7 @@ def _measure_pinned_paths() -> dict:
         "churn_delta_add_n1024": churn_add_s,
         "resilience_cell_flow_n256": resilience_cell_s,
         "cold_medium_sweep": min(cold_sweeps),
+        "warm_sweep_n256": warm_sweep["seconds"],
     }
 
 

@@ -328,11 +328,13 @@ class FlowResult:
         only** — a dropped message's walked prefix does not occupy
         capacity in this model, so a state off every delivered route
         carries no weight in the subtree sums.
-    demand / delivered / lengths:
-        The routed demand matrix, the delivered-pair mask, and the exact
-        per-pair hop counts.  ``lengths`` **is** the verification
-        report's ``hops`` array (shared, never copied): flow and verify
-        consume one hop-count array per (program, mask) cell.
+    demand / delivered / routed / lengths:
+        The routed demand matrix, the delivered-pair mask, the demand over
+        delivered pairs (``0.0`` elsewhere) that the route injected, and
+        the exact per-pair hop counts.  ``delivered`` is the plan's mask,
+        shared by every result it routes, and ``lengths`` **is** the
+        verification report's ``hops`` array (shared, never copied): flow
+        and verify consume one hop-count array per (program, mask) cell.
     edge_load:
         ``(n, n)`` float64; ``edge_load[u, v]`` is the demand crossing
         the directed arc ``u -> v`` (undirected edges carry one entry
@@ -351,6 +353,7 @@ class FlowResult:
     delivered_demand: float
     demand: np.ndarray
     delivered: np.ndarray
+    routed: np.ndarray
     lengths: np.ndarray
     edge_load: np.ndarray
     plan: InitVar["FlowPlan"]
@@ -367,8 +370,7 @@ class FlowResult:
         row sum) plus the traffic delivered to it (its demand column over
         delivered pairs) — a delivered walk stops only at its destination.
         """
-        routed = np.where(self.delivered, self.demand, 0.0)
-        return self.edge_load.sum(axis=1) + routed.sum(axis=0)
+        return self.edge_load.sum(axis=1) + self.routed.sum(axis=0)
 
     @cached_property
     def path_max_load(self) -> np.ndarray:
@@ -404,8 +406,7 @@ class FlowResult:
         """Demand-weighted mean route length of the delivered traffic."""
         if self.delivered_demand <= 0.0:
             return 0.0
-        routed = np.where(self.delivered, self.demand, 0.0)
-        return float((routed * self.lengths).sum() / self.delivered_demand)
+        return float((self.routed * self.lengths).sum() / self.delivered_demand)
 
     # ------------------------------------------------------------------
     def uniform_scale(self, capacity: float = 1.0) -> float:
@@ -498,8 +499,13 @@ class FlowPlan:
     report.
     Index arrays are ``np.intp``: ``np.bincount`` and fancy indexing
     convert a narrower index to it on every call, so the plan converts
-    once.  Depths fit int16 whenever the longest stopping walk does, which
-    keeps the stable sort narrow at every realistic size.
+    once.  The depth key is sorted in the narrowest unsigned dtype that
+    holds the deepest layer (``np.min_scalar_type``: one byte below 255
+    hops), the layer bounds are the running sum of its ``np.bincount``,
+    and a next-hop state's node is its flat id modulo ``n``.  The
+    delivered and feasible pair masks are computed once per plan, and
+    each :class:`FlowResult` holds the demand its route injected
+    (:attr:`FlowResult.routed`), so its loads never re-mask the demand.
     """
 
     def __init__(self, program: RoutingProgram, report: VerificationReport) -> None:
@@ -521,18 +527,17 @@ class FlowPlan:
         program, state_hops = self.program, self.report.state_hops
         n = program.n
         top = int(state_hops.max()) + 1
-        sort_t = np.int16 if top <= np.iinfo(np.int16).max else np.int64
-        depth = state_hops.astype(sort_t)
-        depth += 1  # NO_ROUTE (-1) lands in layer 0
+        depth = state_hops.astype(np.min_scalar_type(top))
+        depth += 1  # NO_ROUTE (-1) wraps to layer 0
         order = np.argsort(depth, kind="stable")
-        bounds = np.searchsorted(depth[order], np.arange(max(top, 1) + 2)).tolist()
+        bounds = [0, *np.cumsum(np.bincount(depth, minlength=max(top, 1) + 1)).tolist()]
         del depth
         rank = np.empty(state_hops.size, dtype=np.intp)
         rank[order] = np.arange(state_hops.size, dtype=np.intp)
         if isinstance(program, NextHopProgram):
             nxt = np.ascontiguousarray(program.next_node.T).ravel()[order].astype(np.intp)
             np.maximum(nxt, 0, out=nxt)
-            arc = np.tile(np.arange(n, dtype=np.intp), n)[order]  # each state's node
+            arc = order % n  # each state's node
             succ = order  # same destination, next node: order - node + nxt
             succ -= arc
             succ += nxt
@@ -549,12 +554,21 @@ class FlowPlan:
             arc *= n
             arc += node_of[succ]
             del node_of
-            delivered = self.report.outcome == VERDICT_DELIVERED
-            start = rank[np.where(delivered, program.initial, 0)]
+            start = rank[np.where(self._delivered, program.initial, 0)]
         local = rank[succ]
         for layer in range(2, len(bounds) - 1):
             local[bounds[layer] : bounds[layer + 1]] -= bounds[layer - 1]
         return bounds, local, arc, start
+
+    @cached_property
+    def _delivered(self) -> np.ndarray:
+        """``(n, n)`` bool; the pairs the report proves delivered."""
+        return self.report.outcome == VERDICT_DELIVERED
+
+    @cached_property
+    def _feasible(self) -> np.ndarray:
+        """``(n, n)`` bool; the pairs whose demand counts as offered."""
+        return self.report.outcome != VERDICT_INFEASIBLE
 
     def route(self, demand: Union[DemandMatrix, np.ndarray]) -> FlowResult:
         """Push one demand matrix through the plan's program.
@@ -575,7 +589,7 @@ class FlowPlan:
         program, report = self.program, self.report
         n = program.n
         dm = _as_demand(demand, n)
-        delivered = report.outcome == VERDICT_DELIVERED
+        delivered = self._delivered
         routed = np.where(delivered, dm.demand, 0.0)
         if not report.state_hops.size:  # a header-state program over n = 1 has no states
             edge_load = np.zeros((n, n))
@@ -587,16 +601,16 @@ class FlowPlan:
                 acc[prev:lo] += np.bincount(local[lo:hi], weights=acc[lo:hi], minlength=lo - prev)
             acc[: bounds[2]] = 0.0  # arrived traffic, or a state off every route
             edge_load = np.bincount(arc, weights=acc, minlength=n * n).reshape(n, n)
-        feasible = report.outcome != VERDICT_INFEASIBLE
         return FlowResult(
             kind=program.kind,
             n=n,
             mode="subtree",
             model=dm.model,
-            offered_demand=float(np.sum(dm.demand, where=feasible)),
+            offered_demand=float(np.sum(dm.demand, where=self._feasible)),
             delivered_demand=float(routed.sum()),
             demand=dm.demand,
             delivered=delivered,
+            routed=routed,
             lengths=report.hops,
             edge_load=edge_load,
             plan=self,

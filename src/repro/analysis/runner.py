@@ -59,6 +59,7 @@ restriction.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -894,6 +895,39 @@ def _run_cell(
     return CellOutcome(label, family, status, rows, reason, *deltas)
 
 
+#: glibc ``mallopt`` parameters, and the values the sweep heap policy pins
+#: them at: the ceilings glibc's own dynamic thresholds reach after a 32 MiB
+#: block is freed (the mmap threshold may not exceed it on 64-bit hosts).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+_TRIM_THRESHOLD_BYTES = 64 << 20
+
+
+def _steady_heap() -> bool:
+    """Keep a sweep process's freed scratch in its heap; ``True`` if pinned.
+
+    Every warm consume cell allocates a handful of ``n * n`` arrays.  Under
+    glibc's default dynamic thresholds each cell hands its freed scratch
+    back to the kernel and the next cell faults it in again, page by page.
+    Pinning ``M_MMAP_THRESHOLD`` at 32 MiB and ``M_TRIM_THRESHOLD`` at
+    64 MiB keeps those arrays on the heap and the heap's top resident.
+    Setting either alone switches glibc's dynamic adjustment off for both,
+    so the policy sets both or neither: the mmap threshold first (the one
+    glibc may refuse), the trim threshold only once that succeeded.  A
+    process without glibc's ``mallopt`` keeps its allocator's defaults.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES) != 1:
+        return False
+    return mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES) == 1
+
+
 #: One cache instance per (pool worker process, directory): cells executed
 #: by the same worker share loaded programs and rows in memory instead of
 #: re-reading the store per cell.  Only :func:`_pool_worker` reads it;
@@ -916,7 +950,9 @@ class ShardedRunner:
     Every sweep is a :class:`SweepSpec` consumed by one generator,
     :meth:`stream`, which yields a :class:`CellOutcome` per cell in
     family-major order; the sweep methods collect that stream and the
-    ``repro`` CLI emits it row by row.
+    ``repro`` CLI emits it row by row.  Building a runner, and starting
+    each of its pool workers, applies the sweep heap policy
+    (:func:`_steady_heap`), so consecutive cells reuse one resident heap.
 
     Parameters
     ----------
@@ -941,6 +977,7 @@ class ShardedRunner:
         self.processes = max(1, int(processes))
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.cache = ExperimentCache(self.cache_dir)
+        _steady_heap()  # serial cells run in this process; pool workers pin their own
 
     # ------------------------------------------------------------------
     def _pooled(self, spec: SweepSpec) -> bool:
@@ -964,7 +1001,7 @@ class ShardedRunner:
                 yield _run_cell(self.cache, spec.body, *cell)
             return
         payloads = [(str(self.cache_dir), spec.body) + cell for cell in cells]
-        with ProcessPoolExecutor(max_workers=self.processes) as pool:
+        with ProcessPoolExecutor(max_workers=self.processes, initializer=_steady_heap) as pool:
             yield from pool.map(_pool_worker, payloads, chunksize=1)
 
     def _collect(self, spec: SweepSpec) -> Tuple[list, List[Tuple[str, str]], ShardStats]:

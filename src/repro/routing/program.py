@@ -91,6 +91,7 @@ __all__ = [
     "lower_header_state",
     "lower_next_hop",
     "next_nodes_of_ports",
+    "number_new_keys",
     "program_from_bytes",
     "resolve_functional",
     "save_program",
@@ -605,12 +606,15 @@ def resolve_functional(
     every round idempotent on resolved states, so the rounds run over the
     full state vector — two ``np.take`` gathers each, no compaction and no
     scatter — for ``O(states · log(limit))`` work with an early exit once
-    every walk has stopped.
+    every walk has stopped.  Set-up is one pass per array: the stops are
+    written through their flat indices, the off-program fix runs only when
+    a negative successor survives them, and the first early-exit check
+    comes after the first round (a round on an input whose every walk
+    stops within a hop leaves it as it is).
     """
     num_states = succ.shape[0]
     if limit is None:
         limit = num_states
-    terminal = np.asarray(terminal, dtype=bool)
     # int32 state ids halve the gather traffic of the hot loop; resolved
     # steps are bounded by limit and an unresolved state's accumulator by
     # 2 * limit, so the 2**30 guard keeps even the transient values exact.
@@ -619,17 +623,19 @@ def resolve_functional(
         if num_states <= 2**30 and limit <= 2**30
         else np.int64
     )
-    idx = np.arange(num_states, dtype=compute_dtype)
+    terminal = np.asarray(terminal, dtype=bool)
+    stops = np.flatnonzero(terminal)
     target = succ.astype(compute_dtype, copy=True)
-    target[terminal] = idx[terminal]
-    off_program = target < 0
-    if off_program.any():
-        target[off_program] = idx[off_program]
-    steps = (~terminal).astype(compute_dtype)
-    resolved = np.take(terminal, target)
+    target[stops] = stops
+    if num_states and target.min() < 0:
+        off_program = np.flatnonzero(target < 0)
+        target[off_program] = off_program
+    steps = np.ones(num_states, dtype=compute_dtype)
+    steps[stops] = 0
+    resolved = None
     span = 1
     rounds = 0
-    while span <= limit and not resolved.all():
+    while span <= limit:
         steps += np.take(steps, target)
         target = np.take(target, target)
         span *= 2
@@ -637,8 +643,12 @@ def resolve_functional(
         # The resolved gather exists only to exit early; every other round
         # (and on the provable-cycle bound) keeps it exact where it
         # matters while halving the bookkeeping gathers.
-        if rounds % 2 == 0 or span > limit:
+        if rounds % 2 == 1 or span > limit:
             resolved = np.take(terminal, target)
+            if resolved.all():
+                break
+    if resolved is None:  # limit < 1: no round ran
+        resolved = np.take(terminal, target)
     hops = np.where(resolved, steps, steps.dtype.type(NO_ROUTE))
     return target, hops
 
@@ -831,6 +841,33 @@ def _step_until_error(
     return ports, next_ids, error
 
 
+def number_new_keys(
+    state_of: np.ndarray, keys: np.ndarray, count: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """State ids of ``keys`` and the keys it numbered, in id order.
+
+    ``state_of`` is the dense int64 key table of a header-state closure
+    (``-1``: not yet discovered) and must cover every key.  Each key not in
+    it yet becomes a state numbered from ``count`` in first-occurrence
+    order — the numbering a FIFO worklist interning keys one by one would
+    give — and is recorded in ``state_of`` in place.  The table itself
+    ranks the fresh keys: each fresh key's slot is parked above every
+    position, ``np.minimum.at`` leaves its first position there, and the
+    positions that kept their own slot are exactly the first occurrences,
+    already in order.  No sort.
+    """
+    ids = state_of[keys]
+    fresh = np.flatnonzero(ids < 0)
+    fresh_keys = keys[fresh]
+    position = np.arange(fresh.size, dtype=np.int64)
+    state_of[fresh_keys] = fresh.size
+    np.minimum.at(state_of, fresh_keys, position)
+    new_keys = fresh_keys[state_of[fresh_keys] == position]
+    state_of[new_keys] = count + np.arange(new_keys.size, dtype=np.int64)
+    ids[fresh] = state_of[fresh_keys]
+    return ids, new_keys
+
+
 def lower_header_state(
     rf: RoutingFunction, max_states: Optional[int] = None
 ) -> HeaderStateProgram:
@@ -840,8 +877,9 @@ def lower_header_state(
     ``(y, x)`` order, the closure under
     ``(node, h) -> (neighbour at P(node, h), H(node, h))`` is explored one
     level at a time: each level's states go through one vectorised step,
-    and its new successors are numbered in first-occurrence order (one
-    ``np.unique`` per level).  This is exactly the numbering of a FIFO
+    and its new successors are numbered in first-occurrence order
+    (:func:`number_new_keys`, one ``np.minimum.at`` per level over the
+    dense key table).  This is exactly the numbering of a FIFO
     worklist that interns states one by one.  The step comes from the
     class (:meth:`~repro.routing.model.RoutingFunction.header_transitions`)
     or, for a class without one, from an adapter calling ``I``/``P``/``H``
@@ -877,25 +915,12 @@ def lower_header_state(
     state_of = np.full(n * len(alphabet), -1, dtype=np.int64)
 
     def discover(keys: np.ndarray, count: int) -> Tuple[np.ndarray, np.ndarray]:
-        """State ids of ``keys`` (new states numbered from ``count`` in
-        first-occurrence order) and the new keys in id order."""
         nonlocal state_of
         if keys.size and keys.max() >= state_of.size:
             grown = np.full(max(2 * state_of.size, int(keys.max()) + 1), -1, dtype=np.int64)
             grown[: state_of.size] = state_of
             state_of = grown
-        ids = state_of[keys]
-        fresh = np.flatnonzero(ids < 0)
-        new_keys, first, inverse = np.unique(
-            keys[fresh], return_index=True, return_inverse=True
-        )
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        ids[fresh] = count + rank[inverse]
-        new_keys = new_keys[order]
-        state_of[new_keys] = count + np.arange(new_keys.size)
-        return ids, new_keys
+        return number_new_keys(state_of, keys, count)
 
     off = ~np.eye(n, dtype=bool)
     # (dest, src) order: row dest of the transposed header ids, column src.

@@ -495,9 +495,6 @@ def _resolve_next_hop(
     # gather traffic of the resolution loop.
     idx_dtype = np.int32 if n * n <= 2**30 else np.int64
     nt = nn.T.astype(idx_dtype, order="C")  # one fused strided cast
-    is_mis = nt == MISDELIVER
-    is_drop = nt == DROPPED
-    masked = bool(is_drop.any())
     diag = np.arange(n)
     absorbing = nn[diag, diag] == diag
     # Terminal flat states:
@@ -506,18 +503,27 @@ def _resolve_next_hop(
     # * any (d, c) whose successor is a sentinel — the message stops AT c
     #   before taking the hop (misdeliver/drop = walked prefix length).
     # A non-absorbing (d, d) is NOT terminal: messages pass through it.
-    terminal = is_mis | is_drop
+    # Sentinels are negative, so a program without one (every unmasked
+    # shortest-path table) skips both sentinel masks.
+    term_class = np.full(n * n, VERDICT_LIVELOCKED, dtype=np.int8)
+    if nn.min() < 0:
+        is_mis = nt == MISDELIVER
+        is_drop = nt == DROPPED
+        masked = bool(is_drop.any())
+        terminal = is_mis | is_drop
+        # Classify each terminal once, then read every pair's verdict off
+        # its walk's target: an unresolved walk's target is some
+        # non-terminal state, whose class is the LIVELOCKED default — so
+        # one gather covers the proven livelocks too.
+        term_class[np.flatnonzero(is_mis)] = VERDICT_MISDELIVERED
+        term_class[np.flatnonzero(is_drop)] = VERDICT_DROPPED
+        del is_mis, is_drop
+    else:
+        masked = False
+        terminal = np.zeros((n, n), dtype=bool)
     terminal[diag, diag] |= absorbing
     nt += (diag.astype(idx_dtype) * idx_dtype(n))[:, None]
-    term = terminal.ravel()
-    target, hops_flat = resolve_functional(nt.ravel(), term, limit=n)
-    # Classify each terminal once, then read every pair's verdict off its
-    # walk's target: an unresolved walk's target is some non-terminal
-    # state, whose class is the LIVELOCKED default — so one gather covers
-    # the proven livelocks too.
-    term_class = np.full(n * n, VERDICT_LIVELOCKED, dtype=np.int8)
-    term_class[np.flatnonzero(is_mis)] = VERDICT_MISDELIVERED
-    term_class[np.flatnonzero(is_drop)] = VERDICT_DROPPED
+    target, hops_flat = resolve_functional(nt.ravel(), terminal.ravel(), limit=n)
     dd = diag[absorbing]
     term_class[dd * n + dd] = VERDICT_DELIVERED
     outcome_flat = np.take(term_class, target)

@@ -42,7 +42,11 @@ race the two:
 * :func:`row_loop_shortest_path_ports` — the shortest-path port matrix
   built one row at a time (an argmax/argmin over each row's
   ``deg(x) x n`` shortest-path mask), against the rank-wise build of
-  :func:`repro.routing.tables.shortest_path_ports`.
+  :func:`repro.routing.tables.shortest_path_ports`;
+* :func:`unique_number_new_keys` — a header-state closure level's fresh
+  keys numbered through a sort (``np.unique`` with first indices and an
+  inverse, an ``argsort`` and a rank scatter), against the sort-free
+  :func:`repro.routing.program.number_new_keys`.
 """
 
 from __future__ import annotations
@@ -809,6 +813,30 @@ def row_loop_shortest_path_ports(
             pick = np.where(on_shortest, nbrs[:, None], n).argmin(axis=0)
         ports[x, dests] = pick[dests] + 1
     return ports
+
+
+# ----------------------------------------------------------------------
+# header-state discovery
+# ----------------------------------------------------------------------
+def unique_number_new_keys(
+    state_of: np.ndarray, keys: np.ndarray, count: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """State ids of ``keys`` and the keys it numbered, through a sort.
+
+    The same contract as :func:`repro.routing.program.number_new_keys`:
+    keys not yet in the dense table ``state_of`` (``-1``) are numbered from
+    ``count`` in first-occurrence order, and recorded in place.
+    """
+    ids = state_of[keys]
+    fresh = np.flatnonzero(ids < 0)
+    new_keys, first, inverse = np.unique(keys[fresh], return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    ids[fresh] = count + rank[inverse]
+    new_keys = new_keys[order]
+    state_of[new_keys] = count + np.arange(new_keys.size)
+    return ids, new_keys
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import _corpus, connected_graphs, lower_header_state_per_state, profile_settings
+from oracles import unique_number_new_keys
 from repro.graphs import generators
 from repro.routing.ecube import MaskECubeRoutingFunction, MaskECubeRoutingScheme
 from repro.routing.hierarchical import (
@@ -27,7 +28,7 @@ from repro.routing.hierarchical import (
 )
 from repro.routing.landmark import CowenLandmarkScheme, RewritingLandmarkRoutingFunction
 from repro.routing.model import DELIVER, RoutingFunction
-from repro.routing.program import HeaderStateExplosionError, lower_header_state
+from repro.routing.program import HeaderStateExplosionError, lower_header_state, number_new_keys
 from repro.sim.registry import scheme_registry
 
 _SETTINGS = profile_settings(25)
@@ -115,6 +116,33 @@ def test_rewriting_spanner_matches_oracle_on_hypothesis_graphs(graph, stretch, s
 def test_mask_ecube_matches_oracle_on_hypercubes(dim):
     rf = MaskECubeRoutingScheme().build(generators.hypercube(dim))
     _assert_matches_oracle(rf)
+
+
+@_SETTINGS
+@given(
+    size=st.integers(min_value=1, max_value=40),
+    known=st.lists(st.integers(min_value=0, max_value=39), max_size=20),
+    levels=st.lists(
+        st.lists(st.integers(min_value=0, max_value=39), max_size=60), min_size=1, max_size=4
+    ),
+)
+def test_sort_free_discovery_races_the_unique_numbering(size, known, levels):
+    # Level after level against one table, as the closure calls it: keys
+    # already known (some numbered before the first level), repeats inside
+    # a level, keys repeated across levels and empty levels.
+    fresh_table = np.full(size, -1, dtype=np.int64)
+    known = sorted({k % size for k in known})
+    fresh_table[known] = np.arange(len(known))
+    oracle_table = fresh_table.copy()
+    count = len(known)
+    for level in levels:
+        keys = np.array([k % size for k in level], dtype=np.int64)
+        ids, new_keys = number_new_keys(fresh_table, keys, count)
+        want_ids, want_new = unique_number_new_keys(oracle_table, keys, count)
+        assert ids.tobytes() == want_ids.tobytes()
+        assert new_keys.tobytes() == want_new.tobytes()
+        assert fresh_table.tobytes() == oracle_table.tobytes()
+        count += new_keys.size
 
 
 # ----------------------------------------------------------------------

@@ -646,6 +646,57 @@ class TestLayerImportRule:
         assert [f for f in real_tree_findings if f.code == "REP015"] == []
 
 
+
+class TestCtypesImportRule:
+    CTYPES_IMPORTS = (
+        "import ctypes\n",
+        "import ctypes.util\n",
+        "from ctypes import CDLL, c_int\n",
+        "def f():\n    import ctypes\n    return ctypes.CDLL(None)\n",
+    )
+
+    @pytest.mark.parametrize("source", CTYPES_IMPORTS)
+    @pytest.mark.parametrize(
+        "rel",
+        [
+            "src/repro/analysis/flow.py",
+            "src/repro/routing/program.py",
+            "src/repro/cli/main.py",
+            "src/repro/store.py",
+        ],
+    )
+    def test_ctypes_flagged_outside_the_runner(self, tmp_path, rel, source):
+        findings = _lint(tmp_path, rel, source)
+        assert _codes(findings) == ["REP016"]
+        assert "heap policy" in findings[0].message
+
+    @pytest.mark.parametrize("source", CTYPES_IMPORTS)
+    def test_runner_may_import_ctypes(self, tmp_path, source):
+        assert _lint(tmp_path, "src/repro/analysis/runner.py", source) == []
+
+    def test_tests_and_benchmarks_may_import_ctypes(self, tmp_path):
+        src = self.CTYPES_IMPORTS[0]
+        assert _lint(tmp_path, "tests/test_runner.py", src) == []
+        assert _lint(tmp_path, "benchmarks/bench_x.py", src) == []
+
+    def test_lookalike_modules_allowed(self, tmp_path):
+        src = "import ctypeslib\nfrom numpy import ctypeslib as npct\n"
+        assert _lint(tmp_path, "src/repro/sim/x.py", src) == []
+
+    def test_escape_comment_does_not_apply(self, tmp_path):
+        src = "import ctypes  # repro-lint: allow-ctypes\n"
+        assert _codes(_lint(tmp_path, "src/repro/sim/x.py", src)) == ["REP016"]
+
+    def test_real_tree_imports_ctypes_once(self, real_tree_findings):
+        assert [f for f in real_tree_findings if f.code == "REP016"] == []
+        root = repro_lint.ROOT
+        importers = [
+            path.relative_to(root).as_posix()
+            for path in sorted((root / "src/repro").rglob("*.py"))
+            if any(repro_lint._imports_of(ast.parse(path.read_text()), "ctypes"))
+        ]
+        assert importers == [repro_lint.CTYPES_OWNER]
+
 class TestMethodParameterRule:
     METHODS = (
         "def f(graph, method='bfs'):\n    pass\n",

@@ -17,6 +17,7 @@ Three layers:
 from __future__ import annotations
 
 import json
+import platform
 import warnings
 from dataclasses import dataclass
 from typing import Tuple
@@ -413,6 +414,110 @@ class TestShardedRunner:
         runner.table1_report(_graphs())
         text = runner.stats().describe()
         assert "hits" in text and "%" in text
+
+
+# ----------------------------------------------------------------------
+# the sweep heap policy: both glibc thresholds or neither
+# ----------------------------------------------------------------------
+class _RecordingLibc:
+    """A ``ctypes.CDLL(None)`` stand-in whose ``mallopt`` records each call
+    with the ``argtypes``/``restype`` declared at the time of the call."""
+
+    def __init__(self, calls, refuse=()):
+        class _Mallopt:
+            argtypes = None
+            restype = None
+
+            def __call__(self, param, value):
+                calls.append((param, value, self.argtypes, self.restype))
+                return 0 if param in refuse else 1
+
+        self.mallopt = _Mallopt()
+
+
+class TestHeapPolicy:
+    @staticmethod
+    def _install(monkeypatch, factory):
+        import ctypes
+
+        names = []
+
+        def cdll(name, *args, **kwargs):
+            names.append(name)
+            return factory()
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        return names
+
+    def test_building_a_runner_sets_both_thresholds(self, monkeypatch, tmp_path):
+        import ctypes
+
+        from repro.analysis import runner as runner_module
+
+        calls = []
+        names = self._install(monkeypatch, lambda: _RecordingLibc(calls))
+        ShardedRunner(cache_dir=tmp_path, processes=1)
+        assert names == [None]  # the running process's own symbols, no library search
+        declared = ((ctypes.c_int, ctypes.c_int), ctypes.c_int)
+        assert calls == [
+            (runner_module._M_MMAP_THRESHOLD, 32 << 20, *declared),
+            (runner_module._M_TRIM_THRESHOLD, 64 << 20, *declared),
+        ]
+
+    def test_a_refused_mmap_threshold_sets_neither(self, monkeypatch):
+        from repro.analysis import runner as runner_module
+
+        calls = []
+        self._install(
+            monkeypatch,
+            lambda: _RecordingLibc(calls, refuse=(runner_module._M_MMAP_THRESHOLD,)),
+        )
+        assert runner_module._steady_heap() is False
+        # The refused call set nothing, and the trim threshold is never set alone.
+        assert [param for param, *_ in calls] == [runner_module._M_MMAP_THRESHOLD]
+
+    @pytest.mark.parametrize("failure", ["oserror", "no-mallopt"])
+    def test_no_mallopt_is_a_no_op(self, monkeypatch, failure):
+        from repro.analysis import runner as runner_module
+
+        def libc():
+            if failure == "oserror":
+                raise OSError("no such library")
+            return object()  # a C library without mallopt
+
+        self._install(monkeypatch, libc)
+        assert runner_module._steady_heap() is False
+        runner = ShardedRunner(processes=1)
+        schemes = {"tables": ShortestPathTableScheme()}
+        families = {"grid": generators.grid_2d(3, 4)}
+        rows, skipped, stats = runner.verify_sweep(schemes=schemes, families=families)
+        assert len(rows) == 1 and not skipped and rows[0].all_delivered
+
+    def test_pool_workers_apply_the_policy(self, monkeypatch, tmp_path):
+        from repro.analysis import runner as runner_module
+
+        seen = []
+        real = runner_module.ProcessPoolExecutor
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs.get("initializer"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", recording)
+        runner = ShardedRunner(cache_dir=tmp_path, processes=2)
+        rows, _ = runner.table1_report(_graphs())
+        assert seen == [runner_module._steady_heap]
+        assert _row_key(rows) == _row_key(_in_memory_table1(_graphs()))
+
+    @pytest.mark.skipif(
+        platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
+        reason="the thresholds are glibc's",
+    )
+    def test_glibc_accepts_both_thresholds(self):
+        from repro.analysis import runner as runner_module
+
+        assert runner_module._steady_heap() is True
+
 
 
 # ----------------------------------------------------------------------

@@ -152,6 +152,13 @@ REP015  Any ``repro.sim``, ``repro.analysis``, ``repro.store`` or
         program, say) leaking into the compiler, behind a deferred import
         that hides the cycle.  Compose the two calls at the caller
         instead.  There is no escape comment.
+REP016  Any ``ctypes`` import under ``src/repro`` but
+        ``analysis/runner.py``.  The one foreign call the package makes
+        is the sweep heap policy's glibc ``mallopt``, applied where a
+        sweep process starts; allocator knobs set anywhere else would be
+        a second, unmeasured memory policy, and ``ctypes`` is also how
+        a compiled kernel path would slip in beside the numpy one.
+        There is no escape comment.
 
 Pure stdlib (``ast`` + ``tokenize``): runs anywhere CPython runs, no
 installs.  Exit status 1 when any finding is emitted, 0 on a clean tree.
@@ -224,6 +231,9 @@ PRIVATE_SCOPE = ("src/repro",)
 LAYER_SCOPE = ("src/repro/graphs", "src/repro/routing")
 CONSUMER_MODULES = ("repro.sim", "repro.analysis", "repro.store", "repro.cli")
 
+#: REP016 scope, and the one module in it allowed to import ctypes.
+CTYPES_SCOPE = ("src/repro",)
+CTYPES_OWNER = "src/repro/analysis/runner.py"
 #: REP008 scope: the whole runtime package.
 METHOD_SCOPE = ("src/repro",)
 
@@ -690,6 +700,18 @@ def check_layer_imports(path: Path, tree: ast.Module, source: str) -> Iterator[F
             )
 
 
+def check_ctypes_imports(path: Path, tree: ast.Module, source: str) -> Iterator[Finding]:
+    """REP016: ctypes imports outside the sweep heap policy."""
+    for node in _imports_of(tree, "ctypes"):
+        yield Finding(
+            path,
+            node.lineno,
+            "REP016",
+            "ctypes imported outside analysis/runner.py: the sweep heap policy "
+            "is the package's one foreign call",
+        )
+
+
 def check_method_parameters(path: Path, tree: ast.Module, source: str) -> Iterator[Finding]:
     """REP008: function parameters named ``method`` in the runtime package."""
     for node in ast.walk(tree):
@@ -801,6 +823,8 @@ def lint_file(path: Path, root: Path = ROOT) -> List[Finding]:
         findings.extend(check_private_imports(path, tree, source))
     if _in_scope(path, LAYER_SCOPE, root):
         findings.extend(check_layer_imports(path, tree, source))
+    if _in_scope(path, CTYPES_SCOPE, root) and not _in_scope(path, (CTYPES_OWNER,), root):
+        findings.extend(check_ctypes_imports(path, tree, source))
     if _in_scope(path, METHOD_SCOPE, root):
         findings.extend(check_method_parameters(path, tree, source))
     if _in_scope(path, EXPLOSION_SCOPE, root) and not _in_scope(path, (EXPLOSION_OWNER,), root):
@@ -827,6 +851,7 @@ def lint_tree(root: Path = ROOT) -> List[Finding]:
         RUNNER_SCOPE,
         PRIVATE_SCOPE,
         LAYER_SCOPE,
+        CTYPES_SCOPE,
         METHOD_SCOPE,
         EXPLOSION_SCOPE,
         BITS_SCOPE,
