@@ -12,11 +12,26 @@ import sys
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import pytest
+
 # The old-vs-new pins race the slow oracles of ``tests/oracles.py``.
 # Appended, not prepended, so ``conftest`` keeps resolving to this module.
 _TESTS = str(Path(__file__).resolve().parent.parent / "tests")
 if _TESTS not in sys.path:
     sys.path.append(_TESTS)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _sweep_heap_policy() -> None:
+    """Apply the sweep heap policy once per bench session.
+
+    The policy is process-wide and a ``ShardedRunner`` applies it when
+    built, so without this a pin that builds no runner would measure
+    under glibc's defaults or under the policy depending on test order.
+    """
+    from repro.analysis.runner import _steady_heap
+
+    _steady_heap()
 
 
 def print_rows(title: str, rows: Sequence[Mapping[str, object]]) -> None:

@@ -22,7 +22,6 @@ from repro.constraints.matrix import (
     are_equivalent,
     canonical_form,
     canonical_form_greedy,
-    canonical_form_reference,
     matrix_index,
     row_normal_form,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "matrix_index",
     "canonical_form",
     "canonical_form_greedy",
-    "canonical_form_reference",
     "are_equivalent",
     "normalized_rows",
     "iter_canonical_matrices",

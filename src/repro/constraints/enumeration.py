@@ -39,8 +39,8 @@ the same greedy key are *guaranteed* equivalent and only one exact
 exact keys collide are merged afterwards — the greedy key is not a class
 invariant, so distinct buckets may still canonicalise to the same class).
 The exact passes are memoised behind the bounded LRU of
-:mod:`repro.constraints.matrix` and can optionally fan out over a
-``multiprocessing`` pool (``workers=N``).
+:mod:`repro.constraints.matrix` and run in the calling process, one per new
+greedy bucket, as the walk discovers it.
 
 :func:`iter_canonical_matrices` streams representatives as they are
 discovered, following the incremental-delay framing of enumeration
@@ -55,7 +55,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -67,6 +67,7 @@ from repro.constraints.matrix import (
 from repro.memory.encoding import log2_factorial
 
 __all__ = [
+    "MAX_CELLS",
     "normalized_rows",
     "iter_canonical_matrices",
     "enumerate_canonical_matrices",
@@ -106,12 +107,17 @@ def normalized_rows(q: int, d: int) -> List[Tuple[int, ...]]:
     return rows
 
 
-def _validate_enumeration_parameters(p: int, q: int, d: int, max_cells: int) -> None:
+#: Cap on ``p * q`` that keeps the exhaustive search tractable (the
+#: row-normal space still grows like ``Bell-number(q)^p``).
+MAX_CELLS = 24
+
+
+def _validate_enumeration_parameters(p: int, q: int, d: int) -> None:
     if p < 1 or q < 1 or d < 1:
         raise ValueError("p, q and d must be positive")
-    if p * q > max_cells:
+    if p * q > MAX_CELLS:
         raise ValueError(
-            f"exhaustive enumeration limited to p*q <= {max_cells}; "
+            f"exhaustive enumeration limited to p*q <= MAX_CELLS ({MAX_CELLS}); "
             "use lemma1_lower_bound for larger parameters"
         )
 
@@ -119,13 +125,6 @@ def _validate_enumeration_parameters(p: int, q: int, d: int, max_cells: int) -> 
 def _greedy_key(combo: Tuple[Tuple[int, ...], ...]) -> Tuple[int, ...]:
     arr = np.array(combo, dtype=np.int64)
     return tuple(int(x) for x in canonical_form_greedy(arr).reshape(-1))
-
-
-def _exact_canonical_entries(combo: Tuple[Tuple[int, ...], ...]) -> Tuple[Tuple[int, ...], ...]:
-    """Exact canonical entries of one bucket representative (pool worker)."""
-    arr = np.array(combo, dtype=np.int64)
-    canon = canonical_form(arr)
-    return tuple(tuple(int(x) for x in row) for row in canon)
 
 
 def _new_greedy_buckets(
@@ -147,82 +146,39 @@ def _new_greedy_buckets(
             yield combo
 
 
-def iter_canonical_matrices(
-    p: int,
-    q: int,
-    d: int,
-    max_cells: int = 24,
-    workers: Optional[int] = None,
-    chunk_size: int = 64,
-) -> Iterator[ConstraintMatrix]:
+def iter_canonical_matrices(p: int, q: int, d: int) -> Iterator[ConstraintMatrix]:
     """Stream the canonical representatives of ``M^d_{p,q}`` as discovered.
 
     Yields each equivalence class exactly once, in discovery order of the
     orbit-pruned walk (use :func:`enumerate_canonical_matrices` for the
     sorted list).  See the module docstring for the pruning/bucketing
-    scheme.
-
-    Parameters
-    ----------
-    max_cells:
-        Cap on ``p * q`` to keep the exhaustive search tractable.
-    workers:
-        When given and > 1, the bucket-local exact canonicalisation passes
-        fan out over a ``multiprocessing`` pool of this many processes,
-        ``chunk_size * workers`` buckets at a time.  Streaming order is
-        preserved.
-    chunk_size:
-        Buckets dispatched per worker per batch (``workers`` mode only).
+    scheme; ``p * q`` is capped at :data:`MAX_CELLS`.
     """
-    _validate_enumeration_parameters(p, q, d, max_cells)
-    rows = normalized_rows(q, d)
+    _validate_enumeration_parameters(p, q, d)
     canon_seen: Set[Tuple[Tuple[int, ...], ...]] = set()
-    buckets = _new_greedy_buckets(rows, p)
-
-    if workers is not None and workers > 1:
-        import multiprocessing
-
-        batch_cap = max(1, chunk_size) * workers
-        with multiprocessing.Pool(workers) as pool:
-            while True:
-                batch = list(itertools.islice(buckets, batch_cap))
-                if not batch:
-                    break
-                for entries in pool.map(_exact_canonical_entries, batch, chunksize=chunk_size):
-                    if entries not in canon_seen:
-                        canon_seen.add(entries)
-                        yield ConstraintMatrix.from_entries(entries)
-        return
-
-    for combo in buckets:
-        entries = _exact_canonical_entries(combo)
+    for combo in _new_greedy_buckets(normalized_rows(q, d), p):
+        canon = canonical_form(np.array(combo, dtype=np.int64))
+        entries = tuple(tuple(int(x) for x in row) for row in canon)
         if entries not in canon_seen:
             canon_seen.add(entries)
             yield ConstraintMatrix.from_entries(entries)
 
 
-def enumerate_canonical_matrices(
-    p: int, q: int, d: int, max_cells: int = 24, workers: Optional[int] = None
-) -> List[ConstraintMatrix]:
+def enumerate_canonical_matrices(p: int, q: int, d: int) -> List[ConstraintMatrix]:
     """Enumerate the canonical representatives of ``M^d_{p,q}``, sorted.
 
     Returns the distinct canonical representatives sorted by their flattened
     entry sequence — the same set (and order) as the seed's exhaustive walk,
     via the orbit-pruned engine of :func:`iter_canonical_matrices`.
-
-    ``max_cells`` caps ``p * q`` to keep the exhaustive search tractable
-    (the row-normal space still grows like ``Bell-number(q)^p``);
-    ``workers`` optionally fans the exact canonicalisation passes out over a
-    process pool.
     """
-    representatives = list(iter_canonical_matrices(p, q, d, max_cells=max_cells, workers=workers))
+    representatives = list(iter_canonical_matrices(p, q, d))
     representatives.sort(key=lambda m: m.entries)
     return representatives
 
 
-def count_equivalence_classes(p: int, q: int, d: int, max_cells: int = 24) -> int:
+def count_equivalence_classes(p: int, q: int, d: int) -> int:
     """Exact ``|M^d_{p,q}|`` by exhaustive enumeration (small parameters only)."""
-    return sum(1 for _ in iter_canonical_matrices(p, q, d, max_cells=max_cells))
+    return sum(1 for _ in iter_canonical_matrices(p, q, d))
 
 
 def lemma1_lower_bound(p: int, q: int, d: int) -> Fraction:

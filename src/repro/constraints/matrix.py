@@ -21,7 +21,10 @@ This module implements the matrix object, the paper's row-normal form, the
 equivalence relation, the index and exact canonicalisation (exhaustive over
 row/column permutations, with per-row value relabelling resolved greedily —
 optimal for the lexicographic order used here), plus a fast greedy
-canonicalisation heuristic used by the ablation benchmark.
+canonicalisation heuristic used by the ablation benchmark and by Theorem 1's
+reconstruction beyond the exact limit.  One constant, :data:`EXACT_LIMIT`,
+caps both dimensions of every exact canonicalisation, and with it the
+Definition 2 equality and hashing of :class:`ConstraintMatrix`.
 
 Performance notes
 -----------------
@@ -33,15 +36,15 @@ integer row codes — no Python-level loop over permutations.  Results are
 memoised behind a bounded LRU keyed on the flattened entries, so repeated
 canonicalisation of the same matrix (the enumeration's bucket passes, the
 instance-level :meth:`ConstraintMatrix.canonical` cache, equality tests) is
-a dictionary lookup.  The seed's permutation-loop implementation survives as
-:func:`canonical_form_reference` and the test-suite checks the two agree
+a dictionary lookup.  At the limit the candidate tensor holds
+``8! * 8 * 8`` (about 2.6 million) cells.  The seed's permutation-loop
+implementation is the test oracle (``tests/oracles.py``), which must agree
 bit-for-bit.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple
@@ -52,8 +55,8 @@ __all__ = [
     "ConstraintMatrix",
     "row_normal_form",
     "matrix_index",
+    "EXACT_LIMIT",
     "canonical_form",
-    "canonical_form_reference",
     "canonical_form_greedy",
     "are_equivalent",
     "clear_canonicalisation_cache",
@@ -121,11 +124,16 @@ def _flatten_key(arr: np.ndarray) -> Tuple[int, ...]:
     return tuple(int(x) for x in arr.reshape(-1))
 
 
-def _check_exhaustive_limit(p: int, q: int, max_exhaustive: int) -> None:
-    if max(p, q) > max_exhaustive:
+#: Largest dimension (``max(p, q)``) exact canonicalisation accepts: the
+#: search visits ``q!`` column orders, so one more column multiplies it by 9.
+EXACT_LIMIT = 8
+
+
+def _check_exact_limit(p: int, q: int) -> None:
+    if max(p, q) > EXACT_LIMIT:
         raise ValueError(
-            f"exact canonicalisation is limited to dimensions <= {max_exhaustive}; "
-            "use canonical_form_greedy for larger matrices"
+            f"exact canonicalisation is limited to dimensions <= EXACT_LIMIT "
+            f"({EXACT_LIMIT}), got {p}x{q}; use canonical_form_greedy for larger matrices"
         )
 
 
@@ -190,77 +198,37 @@ def _canonical_form_vectorised(arr: np.ndarray) -> np.ndarray:
     return normalised[best][row_orders[best]]
 
 
-#: Candidate-tensor cell budget (``q! * p * q``) above which the batched
-#: search would allocate hundreds of MB; beyond it the O(p * q)-memory
-#: permutation loop of :func:`canonical_form_reference` takes over.
-_VECTORISED_CELL_BUDGET = 8_000_000
-
-
 @lru_cache(maxsize=1 << 16)
 def _canonical_form_cached(key: Tuple[int, ...], p: int, q: int) -> Tuple[Tuple[int, ...], ...]:
-    arr = np.array(key, dtype=np.int64).reshape(p, q)
-    if math.factorial(q) * p * q <= _VECTORISED_CELL_BUDGET:
-        canon = _canonical_form_vectorised(arr)
-    else:
-        canon = canonical_form_reference(arr, max_exhaustive=max(p, q))
+    canon = _canonical_form_vectorised(np.array(key, dtype=np.int64).reshape(p, q))
     return tuple(tuple(int(x) for x in row) for row in canon)
 
 
-def canonical_form(entries: MatrixLike, max_exhaustive: int = 8) -> np.ndarray:
+def canonical_form(entries: MatrixLike) -> np.ndarray:
     """Exact canonical representative of the equivalence class of ``entries``.
 
     Minimises the flattened row-major entry sequence lexicographically over
     all row permutations, column permutations and per-row value
     relabellings.  For a fixed row and column order the optimal value
     relabelling is :func:`row_normal_form`, so the search space is
-    ``p! * q!``; ``max_exhaustive`` caps ``max(p, q)`` (raising
+    ``p! * q!``; :data:`EXACT_LIMIT` caps ``max(p, q)`` (raising
     :class:`ValueError` beyond it) to keep the exact search tractable — use
     :func:`canonical_form_greedy` for larger matrices.
 
     The search is vectorised (one batched numpy pass over all ``q!`` column
     orders, row order resolved by sorting integer row codes) and memoised
     behind a bounded LRU keyed on the flattened entries; see the module
-    docstring.  :func:`canonical_form_reference` is the plain-loop
-    reference implementation.
+    docstring.
     """
     arr = _as_array(entries)
     p, q = arr.shape
-    _check_exhaustive_limit(p, q, max_exhaustive)
+    _check_exact_limit(p, q)
     return np.array(_canonical_form_cached(_flatten_key(arr), p, q), dtype=np.int64)
 
 
 def clear_canonicalisation_cache() -> None:
     """Empty the canonical-form LRU (cold-start timing in the benchmarks)."""
     _canonical_form_cached.cache_clear()
-
-
-def canonical_form_reference(entries: MatrixLike, max_exhaustive: int = 8) -> np.ndarray:
-    """Reference (unvectorised, unmemoised) implementation of :func:`canonical_form`.
-
-    Kept for cross-checking the batched implementation and for the
-    old-vs-new timing columns of the benchmarks; produces bit-for-bit the
-    same representative.
-    """
-    arr = _as_array(entries)
-    p, q = arr.shape
-    _check_exhaustive_limit(p, q, max_exhaustive)
-    best: Optional[np.ndarray] = None
-    best_key: Optional[Tuple[int, ...]] = None
-    for col_perm in itertools.permutations(range(q)):
-        permuted_cols = arr[:, col_perm]
-        # Normalise every row once for this column order, then choose the row
-        # order minimising the flattened sequence: sorting the normalised rows
-        # lexicographically is optimal because rows are independent blocks of
-        # the row-major flattening.
-        normalised = row_normal_form(permuted_cols)
-        row_order = sorted(range(p), key=lambda i: tuple(normalised[i]))
-        candidate = normalised[row_order, :]
-        key = _flatten_key(candidate)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = candidate
-    assert best is not None
-    return best
 
 
 def canonical_form_greedy(entries: MatrixLike) -> np.ndarray:
@@ -280,21 +248,13 @@ def canonical_form_greedy(entries: MatrixLike) -> np.ndarray:
     return arr[row_order, :]
 
 
-def are_equivalent(first: MatrixLike, second: MatrixLike, max_exhaustive: int = 8) -> bool:
+def are_equivalent(first: MatrixLike, second: MatrixLike) -> bool:
     """Whether two matrices are equivalent under Definition 2 (exact test)."""
     a = _as_array(first)
     b = _as_array(second)
     if a.shape != b.shape:
         return False
-    return np.array_equal(
-        canonical_form(a, max_exhaustive=max_exhaustive),
-        canonical_form(b, max_exhaustive=max_exhaustive),
-    )
-
-
-#: Dimension cap below which equality/hashing may canonicalise exactly.
-#: Matches the default ``max_exhaustive`` of :func:`canonical_form`.
-_EXACT_EQ_LIMIT = 8
+    return np.array_equal(canonical_form(a), canonical_form(b))
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,7 +270,7 @@ class ConstraintMatrix:
     two matrices compare equal iff they are equivalent under Definition 2,
     and ``hash`` is derived from the same canonical key, so equivalent
     matrices collapse in sets and dictionaries.  For matrices beyond the
-    exact-canonicalisation limit (``max(p, q) > 8``, where Definition 2
+    exact-canonicalisation limit (``max(p, q) > EXACT_LIMIT``, where Definition 2
     equality is intractable) both operations fall back to structural entry
     comparison — consistently, since equal shapes always take the same
     branch.  Use ``a.entries == b.entries`` for explicit structural
@@ -385,33 +345,28 @@ class ConstraintMatrix:
         """Row-normal form of this matrix."""
         return ConstraintMatrix.from_entries(row_normal_form(self.to_array()))
 
-    def canonical(self, exact: bool = True, max_exhaustive: int = 8) -> "ConstraintMatrix":
-        """Canonical representative of this matrix's equivalence class.
+    def canonical(self) -> "ConstraintMatrix":
+        """Exact canonical representative of this matrix's equivalence class.
 
-        The exact representative is computed once and cached on the (frozen)
-        instance; subsequent calls return the cached object.  The
-        ``max_exhaustive`` limit is enforced on every call, cached or not,
-        so behaviour never depends on call history.
+        Computed once and cached on the (frozen) instance; subsequent calls
+        return the cached object.  Raises :class:`ValueError` beyond
+        :data:`EXACT_LIMIT`.
         """
-        if exact:
-            _check_exhaustive_limit(self.p, self.q, max_exhaustive)
-            cached: Optional["ConstraintMatrix"] = getattr(self, "_canonical_cache", None)
-            if cached is None:
-                arr = canonical_form(self.to_array(), max_exhaustive=max_exhaustive)
-                cached = ConstraintMatrix.from_entries(arr)
-                # A canonical representative is its own canonical form.
-                object.__setattr__(cached, "_canonical_cache", cached)
-                object.__setattr__(self, "_canonical_cache", cached)
-            return cached
-        return ConstraintMatrix.from_entries(canonical_form_greedy(self.to_array()))
+        cached: Optional["ConstraintMatrix"] = getattr(self, "_canonical_cache", None)
+        if cached is None:
+            cached = ConstraintMatrix.from_entries(canonical_form(self.to_array()))
+            # A canonical representative is its own canonical form.
+            object.__setattr__(cached, "_canonical_cache", cached)
+            object.__setattr__(self, "_canonical_cache", cached)
+        return cached
 
     @property
     def canonical_key(self) -> Tuple[Tuple[int, int], Tuple[int, ...]]:
         """Hashable class invariant: ``(shape, flattened canonical entries)``.
 
         Two matrices have the same key iff they are equivalent under
-        Definition 2.  Requires exact canonicalisation, so the usual
-        ``max(p, q) <= 8`` limit applies.
+        Definition 2.  Requires exact canonicalisation, so
+        :data:`EXACT_LIMIT` applies.
         """
         key = getattr(self, "_canonical_key_cache", None)
         if key is None:
@@ -427,12 +382,12 @@ class ConstraintMatrix:
             return True
         if self.shape != other.shape:
             return False
-        if max(self.shape) > _EXACT_EQ_LIMIT:
+        if max(self.shape) > EXACT_LIMIT:
             return False  # structural fallback: intractable to canonicalise
         return self.canonical_key == other.canonical_key
 
     def __hash__(self) -> int:
-        if max(self.shape) > _EXACT_EQ_LIMIT:
+        if max(self.shape) > EXACT_LIMIT:
             return hash(self.entries)
         return hash(self.canonical_key)
 
@@ -440,9 +395,9 @@ class ConstraintMatrix:
         """The (monotone) index of the matrix; see :func:`matrix_index`."""
         return matrix_index(self.to_array(), base=base)
 
-    def is_equivalent_to(self, other: "ConstraintMatrix", max_exhaustive: int = 8) -> bool:
+    def is_equivalent_to(self, other: "ConstraintMatrix") -> bool:
         """Exact equivalence test against another matrix."""
-        return are_equivalent(self.to_array(), other.to_array(), max_exhaustive=max_exhaustive)
+        return are_equivalent(self.to_array(), other.to_array())
 
     # ------------------------------------------------------------------
     def permuted(

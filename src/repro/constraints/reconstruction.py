@@ -26,12 +26,12 @@ the canonical matrix from it and from nothing else.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.constraints.builder import ConstraintGraph
-from repro.constraints.matrix import ConstraintMatrix
+from repro.constraints.matrix import EXACT_LIMIT, ConstraintMatrix, canonical_form_greedy
 from repro.memory.encoding import BitReader, BitWriter, fixed_width
 from repro.routing.model import RoutingFunction
 from repro.sim.engine import simulate_all_pairs
@@ -86,9 +86,7 @@ def query_constrained_ports(
     )
 
 
-def reconstruct_matrix(
-    witness: ReconstructionWitness, exact: Optional[bool] = None
-) -> ConstraintMatrix:
+def reconstruct_matrix(witness: ReconstructionWitness) -> ConstraintMatrix:
     """Rebuild the canonical constraint matrix from the witness alone.
 
     The raw port answers form a matrix equivalent (in the Definition 2
@@ -97,15 +95,19 @@ def reconstruct_matrix(
     equivalence quotients out — so canonicalising recovers the canonical
     representative of ``M``.
 
-    ``exact=None`` (default) uses the exact canonicalisation when the matrix
-    is small enough (both dimensions at most 8) and the fast greedy
-    canonicalisation otherwise; the same choice must be applied to the
-    reference matrix when comparing.
+    Within :data:`~repro.constraints.matrix.EXACT_LIMIT` the representative
+    is the exact canonical form; beyond it, the fast greedy
+    canonicalisation; :func:`verify_reconstruction` applies the same choice
+    to the reference matrix.
     """
-    raw = ConstraintMatrix.from_entries(witness.ports)
-    if exact is None:
-        exact = max(raw.shape) <= 8
-    return raw.canonical(exact=exact)
+    return _representative(ConstraintMatrix.from_entries(witness.ports))
+
+
+def _representative(matrix: ConstraintMatrix) -> ConstraintMatrix:
+    """Exact canonical form within ``EXACT_LIMIT``, greedy beyond it."""
+    if max(matrix.shape) <= EXACT_LIMIT:
+        return matrix.canonical()
+    return ConstraintMatrix.from_entries(canonical_form_greedy(matrix.to_array()))
 
 
 def encode_witness(witness: ReconstructionWitness) -> List[int]:
@@ -175,6 +177,5 @@ def verify_reconstruction(
         delivered = simulate_all_pairs(rf).delivered
         if not delivered[np.ix_(cg.constrained, cg.targets)].all():
             return False
-    exact = max(cg.matrix.shape) <= 8
-    reconstructed = reconstruct_matrix(round_tripped, exact=exact)
-    return reconstructed.entries == cg.matrix.canonical(exact=exact).entries
+    reconstructed = reconstruct_matrix(round_tripped)
+    return reconstructed.entries == _representative(cg.matrix).entries

@@ -993,10 +993,14 @@ def lower_header_state(
 #: returned as-is; ``patched`` — only the dirty ``(node, dest)`` entries
 #: were recomputed; ``recompiled`` — the delta fell back to a full
 #: :func:`compile_scheme_program` (non-incremental scheme/program kind, a
-#: vertex-count change, or a dirty set above the threshold).
+#: vertex-count change, or a dirty set above :data:`DIRTY_THRESHOLD`).
 DELTA_UNCHANGED = "unchanged"
 DELTA_PATCHED = "patched"
 DELTA_RECOMPILED = "recompiled"
+
+#: Fraction of the off-diagonal entries above which a delta's dirty set
+#: falls back to a full recompile instead of a patch.
+DIRTY_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -1231,7 +1235,6 @@ def apply_delta(
     graph_after: PortLabeledGraph,
     scheme: RoutingScheme,
     *,
-    dirty_threshold: float = 0.5,
     dist_before: Optional[np.ndarray] = None,
     static_check: bool = False,
 ) -> DeltaResult:
@@ -1269,7 +1272,7 @@ def apply_delta(
     coordinates); distances themselves are maintained by
     :func:`incremental_distance_matrix`.  Everything else — other schemes,
     header-state/generic programs, vertex-count changes, dirty sets above
-    ``dirty_threshold`` (a fraction of the off-diagonal entries), or a
+    :data:`DIRTY_THRESHOLD` (a fraction of the off-diagonal entries), or a
     disconnecting change — falls back to a full recompile with identical
     semantics (a disconnected ``graph_after`` raises
     :class:`~repro.routing.model.SchemeInapplicableError` exactly like
@@ -1359,7 +1362,7 @@ def apply_delta(
 
     dirty_entries = int(dirty.sum())
     total = n * (n - 1)
-    if total and dirty_entries > dirty_threshold * total:
+    if total and dirty_entries > DIRTY_THRESHOLD * total:
         return _recompiled()
     dirty_destinations = int(dirty.any(axis=0).sum())
 

@@ -12,11 +12,12 @@ shortest paths exist, because different rules produce tables of different
 compressibility (e.g. the interval coder of :mod:`repro.memory.coder`
 benefits from the ``lowest_port`` rule on ring-like graphs).
 
-The port matrix is built rank by rank, not row by row: one vectorised
-step per port-preference rank compares whole rows of a narrow (usually
-int8) copy of the distances, so a fresh matrix costs a handful of array
-operations per port rank and block of rows, not a Python-level pass per
-row.
+Each rule is stated once, as an order of preference over every router's
+neighbours, and a port is the first shortest-path neighbour in that order.
+Two shapes read it, each the faster on its own workload: a fresh matrix is
+built rank by rank, one vectorised step per preference rank over whole
+rows of a narrow (usually int8) copy of the distances, and a delta's dirty
+coordinates are evaluated per entry, one step per rank.
 """
 
 from __future__ import annotations
@@ -69,21 +70,17 @@ def shortest_path_ports(
     fresh int64 copy.  ``dist`` must be ``graph``'s distance matrix (the
     memoised one or a copy).
 
-    A fresh build makes one vectorised step per port rank over a narrow
-    copy of the distances (the narrowest signed dtype holding
-    ``UNREACHABLE - 1`` and the diameter).  Each rule orders a row's ports
-    by preference (port order, reversed port order, or neighbour label);
-    rows sorted by descending degree make the rows owning a rank-``k``
-    preference a prefix, and step ``k`` compares their rank-``k``
-    neighbours' whole distance rows with ``dist[x] - 1``, keeping each
-    destination's first hit.  Rows go in blocks of about
-    ``_BLOCK_ENTRIES / n``, so the per-rank scratch stays bounded.
-    Dirty coordinates are evaluated per entry instead, so a patch
-    costs its entries' degrees, not its rows' ``deg(x) * n``: one
-    vectorised step per port rank ``k`` tests the rank-``k`` neighbour of
-    every entry whose vertex has one, ``lowest_port`` keeping the first
-    hit, ``highest_port`` the last and ``lowest_neighbor`` the hit with
-    the smallest label — the fresh build's answer, entry for entry.
+    Both shapes keep each destination's first shortest-path neighbour in
+    the rule's order of preference (an entry with none, impossible on the
+    graph's own distances, answers ``0``).  A fresh build makes one
+    vectorised step per preference rank over a narrow copy of the
+    distances (the narrowest signed dtype holding ``UNREACHABLE - 1`` and
+    the diameter): rows sorted by descending degree make the rows owning
+    a rank-``k`` preference a prefix, and step ``k`` compares their
+    rank-``k`` neighbours' whole distance rows with ``dist[x] - 1``.  Rows
+    go in blocks of about ``_BLOCK_ENTRIES / n``, so the per-rank scratch
+    stays bounded.  Dirty coordinates are evaluated per entry instead, so
+    a patch costs its entries' degrees, not its rows' ``deg(x) * n``.
     """
     check_tie_break(tie_break)
     if dist is None:
@@ -104,21 +101,38 @@ def shortest_path_ports(
 _BLOCK_ENTRIES = 1 << 18
 
 
+def _preference_order(
+    graph: PortLabeledGraph, tie_break: TieBreak
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every row's neighbours and their ports in the rule's order of preference.
+
+    The one statement of the tie-break rules, laid out like the CSR
+    adjacency: slot ``indptr[x] + k`` holds the rank-``k`` preference of
+    ``x``.  ``lowest_port`` is the CSR order itself, ``highest_port``
+    reverses each row, ``lowest_neighbor`` sorts each row by label.
+    """
+    indptr, indices = graph.adjacency_arrays()
+    deg = np.diff(indptr)
+    row_start = np.repeat(indptr[:-1], deg)
+    slot = np.arange(indices.size)
+    if tie_break == "highest_port":
+        slot = 2 * row_start + np.repeat(deg, deg) - 1 - slot
+    elif tie_break == "lowest_neighbor":
+        slot = np.lexsort((indices, row_start))
+    return indices[slot], slot - row_start + 1
+
+
 def _shortest_path_ports(
     graph: PortLabeledGraph, tie_break: TieBreak, dist: np.ndarray
 ) -> np.ndarray:
     """The whole port matrix, in the narrowest unsigned dtype of the ports."""
     n = graph.n
-    indptr, indices = graph.adjacency_arrays()
+    indptr = graph.adjacency_arrays()[0]
     deg = np.diff(indptr)
     ports = np.zeros((n, n), dtype=np.min_scalar_type(int(deg.max(initial=0))))
     narrow = dist.astype(np.min_scalar_type(-int(dist.max(initial=0)) - 1))
-    # Every row's CSR slots in the rule's order of preference.
-    slot_row = np.repeat(np.arange(n), deg)
-    port = np.arange(1, indices.size + 1) - indptr[slot_row]
-    key = {"lowest_port": port, "highest_port": -port, "lowest_neighbor": indices}[tie_break]
-    pref = np.lexsort((key, slot_row))
-    pref_nbr, pref_port = indices[pref], port[pref].astype(ports.dtype)
+    pref_nbr, pref_port = _preference_order(graph, tie_break)
+    pref_port = pref_port.astype(ports.dtype)
     by_deg = np.argsort(-deg, kind="stable")
     block = max(1, _BLOCK_ENTRIES // max(n, 1))
     for start in range(0, n, block):
@@ -147,12 +161,9 @@ def _dirty_entry_ports(
 ) -> np.ndarray:
     """The tie-break evaluated per dirty entry, one vectorised step per port rank.
 
-    Entries are ordered by descending degree, so the entries owning a port
-    of rank ``k`` are a prefix.  A port-ordered rule walks the ranks from
-    its own end and retires an entry at its first hit; ``lowest_neighbor``
-    visits every rank and keeps the hit with the smallest label.  An
-    entry with no hit (none has one on the graph's own distances) keeps
-    the rule's own end.
+    Entries are ordered by descending degree, so the entries owning a
+    preference of rank ``k`` are a prefix.  Step ``k`` tests the rank-``k``
+    neighbour of every entry still open and retires the entries it hits.
     """
     n = graph.n
     xs, ds = dirty
@@ -161,37 +172,25 @@ def _dirty_entry_ports(
     entries = np.flatnonzero(want >= 0)  # the diagonal and unreachable destinations stay 0
     if not entries.size:
         return ports
-    indptr, indices = graph.adjacency_arrays()
+    indptr = graph.adjacency_arrays()[0]
     deg = np.diff(indptr)[xs[entries]]
     by_deg = np.argsort(-deg, kind="stable")
     entries, deg = entries[by_deg], deg[by_deg]
     xs, ds, want = xs[entries], ds[entries], want[entries]
     first = indptr[xs]
     ranks = np.searchsorted(-deg, -np.arange(int(deg[0])), side="left")  # entries with deg > k
-    if tie_break == "lowest_neighbor":
-        pick = np.zeros(xs.size, dtype=np.int64)
-        best = np.full(xs.size, n, dtype=np.int64)
-        for k, count in enumerate(ranks.tolist()):
-            nbr = indices[first[:count] + k]
-            hit = (np.take(dist, nbr * n + ds[:count]) == want[:count]) & (nbr < best[:count])
-            best[:count][hit] = nbr[hit]
-            pick[:count][hit] = k
-    else:
-        # The rule's own end: port index 0, or deg - 1 walking down.
-        step = -1 if tie_break == "highest_port" else 1
-        end = deg - 1 if step < 0 else np.zeros_like(deg)
-        pick = end.copy()
-        open_ = np.arange(xs.size)
-        for k, count in enumerate(ranks.tolist()):
-            open_ = open_[: np.searchsorted(open_, count)]
-            port = end[open_] + step * k
-            nbr = indices[first[open_] + port]
-            hit = np.take(dist, nbr * n + ds[open_]) == want[open_]
-            pick[open_[hit]] = port[hit]
-            open_ = open_[~hit]
-            if not open_.size:
-                break
-    ports[entries] = pick + 1
+    pref_nbr, pref_port = _preference_order(graph, tie_break)
+    pick = np.zeros(xs.size, dtype=np.int64)
+    open_ = np.arange(xs.size)
+    for k, count in enumerate(ranks.tolist()):
+        open_ = open_[: np.searchsorted(open_, count)]
+        slots = first[open_] + k
+        hit = np.take(dist, pref_nbr[slots] * n + ds[open_]) == want[open_]
+        pick[open_[hit]] = pref_port[slots[hit]]
+        open_ = open_[~hit]
+        if not open_.size:
+            break
+    ports[entries] = pick
     return ports
 
 

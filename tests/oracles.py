@@ -14,6 +14,9 @@ race the two:
   path, against the BFS first-arc oracle of
   :func:`repro.graphs.shortest_paths.first_arcs_of_near_shortest_paths`
   and :func:`repro.constraints.verifier.forced_first_arcs`;
+* :func:`canonical_form_reference` — the exact canonical form by a
+  Python loop over every column order, against the batched, memoised
+  :func:`repro.constraints.matrix.canonical_form`;
 * :func:`product_walk_canonical_matrices` — canonicalise every
   ``p``-tuple of row-normal rows, against the orbit-pruned
   :func:`repro.constraints.enumeration.enumerate_canonical_matrices`;
@@ -60,7 +63,14 @@ from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tupl
 import numpy as np
 
 from repro.constraints.enumeration import _validate_enumeration_parameters, normalized_rows
-from repro.constraints.matrix import ConstraintMatrix, canonical_form_reference
+from repro.constraints.matrix import (
+    ConstraintMatrix,
+    MatrixLike,
+    _as_array,
+    _check_exact_limit,
+    _flatten_key,
+    row_normal_form,
+)
 from repro.graphs.digraph import Arc, PortLabeledGraph
 from repro.graphs.shortest_paths import (
     UNREACHABLE,
@@ -299,16 +309,42 @@ def enumerated_forced_first_arcs(
 # ----------------------------------------------------------------------
 # matrix enumeration
 # ----------------------------------------------------------------------
-def product_walk_canonical_matrices(
-    p: int, q: int, d: int, max_cells: int = 24
-) -> List[ConstraintMatrix]:
+def canonical_form_reference(entries: MatrixLike) -> np.ndarray:
+    """Exact canonical form by a plain loop over every column order.
+
+    Unvectorised and unmemoised; produces bit-for-bit the representative
+    of :func:`~repro.constraints.matrix.canonical_form`, under the same
+    :data:`~repro.constraints.matrix.EXACT_LIMIT`.
+    """
+    arr = _as_array(entries)
+    p, q = arr.shape
+    _check_exact_limit(p, q)
+    best: Optional[np.ndarray] = None
+    best_key: Optional[Tuple[int, ...]] = None
+    for col_perm in itertools.permutations(range(q)):
+        # Normalise every row once for this column order, then choose the row
+        # order minimising the flattened sequence: sorting the normalised rows
+        # lexicographically is optimal because rows are independent blocks of
+        # the row-major flattening.
+        normalised = row_normal_form(arr[:, col_perm])
+        row_order = sorted(range(p), key=lambda i: tuple(normalised[i]))
+        candidate = normalised[row_order, :]
+        key = _flatten_key(candidate)
+        if best_key is None or key < best_key:
+            best_key = key
+            best = candidate
+    assert best is not None
+    return best
+
+
+def product_walk_canonical_matrices(p: int, q: int, d: int) -> List[ConstraintMatrix]:
     """Canonical representatives of ``M^d_{p,q}`` by the exhaustive product walk.
 
     Canonicalises every ``p``-tuple of row-normal rows with the
-    unmemoised :func:`~repro.constraints.matrix.canonical_form_reference`
-    and returns the distinct representatives sorted by their entries.
+    unmemoised :func:`canonical_form_reference` and returns the distinct
+    representatives sorted by their entries.
     """
-    _validate_enumeration_parameters(p, q, d, max_cells)
+    _validate_enumeration_parameters(p, q, d)
     seen: Set[Tuple[int, ...]] = set()
     representatives: List[ConstraintMatrix] = []
     for combo in itertools.product(normalized_rows(q, d), repeat=p):

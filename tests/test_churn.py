@@ -34,6 +34,7 @@ from conftest import churn_traces, profile_settings
 from repro.graphs import generators
 from repro.graphs.properties import is_connected
 from repro.graphs.shortest_paths import distance_matrix
+from repro.routing import program as program_module
 from repro.routing.model import SchemeInapplicableError
 from repro.routing.program import (
     DELTA_PATCHED,
@@ -202,7 +203,7 @@ def test_delta_matches_recompile_on_leo_trace(tie_break):
         )
 
 
-def test_delta_accounting_is_change_proportional():
+def test_delta_accounting_is_change_proportional(monkeypatch):
     # A single seam flip on a 6x8 torus dirties a minority of the entries
     # and reconverges in one relaxation round.
     scheme = ShortestPathTableScheme(tie_break="lowest_port")
@@ -219,7 +220,8 @@ def test_delta_accounting_is_change_proportional():
     after = base.copy()
     after.add_edge(0, 28)  # rows 3 apart, cols 4 apart: distance 7 -> 1
     program = compile_scheme_program(scheme, base)
-    result = apply_delta(program, base, after, scheme, dirty_threshold=1.0)
+    monkeypatch.setattr(program_module, "DIRTY_THRESHOLD", 1.0)
+    result = apply_delta(program, base, after, scheme)
     assert result.mode == DELTA_PATCHED
     assert result.reconverge_rounds >= 1
     assert result.recomputed_columns == 0
@@ -276,12 +278,13 @@ def test_delta_unchanged_returns_input_program():
     assert result.dirty_entries == 0
 
 
-def test_delta_threshold_falls_back_to_recompile():
+def test_delta_threshold_falls_back_to_recompile(monkeypatch):
     scheme = ShortestPathTableScheme(tie_break="lowest_port")
     trace = random_churn_trace(FAMILIES["grid"], steps=1, seed=2)
     program = compile_scheme_program(scheme, trace.base)
     before, step = next(trace.transitions())
-    result = apply_delta(program, before, step.graph, scheme, dirty_threshold=0.0)
+    monkeypatch.setattr(program_module, "DIRTY_THRESHOLD", 0.0)
+    result = apply_delta(program, before, step.graph, scheme)
     assert result.mode == DELTA_RECOMPILED
     _assert_programs_identical(
         result.program, compile_scheme_program(scheme, step.graph)

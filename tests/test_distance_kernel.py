@@ -34,6 +34,7 @@ from repro.routing.program import (
     compile_scheme_program,
     incremental_distance_matrix,
 )
+from repro.routing import program as program_module
 from repro.routing.tables import ShortestPathTableScheme
 from repro.sim.faults import surviving_distance_matrix
 from repro.sim.registry import fault_scenarios, graph_families
@@ -199,7 +200,9 @@ def test_hypothesis_delta_dirty_mask_matches_sparse_product(graph, tie_break, se
     program = compile_scheme_program(scheme, trace.base)
     for before, step in trace.transitions():
         after = step.graph
-        result = apply_delta(program, before, after, scheme, dirty_threshold=1.0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(program_module, "DIRTY_THRESHOLD", 1.0)
+            result = apply_delta(program, before, after, scheme)
         program = result.program
         if before == after:
             continue

@@ -24,6 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    canonical_form_reference,
     enumerated_first_arcs,
     enumerated_forced_first_arcs,
     product_walk_canonical_matrices,
@@ -34,9 +35,10 @@ from repro.constraints.enumeration import (
     normalized_rows,
 )
 from repro.constraints.matrix import (
+    EXACT_LIMIT,
     ConstraintMatrix,
+    are_equivalent,
     canonical_form,
-    canonical_form_reference,
 )
 from repro.constraints.verifier import forced_first_arcs
 from repro.constraints.builder import build_constraint_graph
@@ -52,9 +54,6 @@ from repro.graphs.shortest_paths import (
 _SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 STRETCHES = (1.0, 1.25, 1.5, 2.0)
-
-#: Dimension cap of exact canonicalisation (matrix.canonical_form default).
-_EXACT_LIMIT = 8
 
 #: Above this many legacy candidates (``|rows|^p * q!``) the seed walk is
 #: too slow to run in a unit test; the streaming-vs-sorted consistency
@@ -144,7 +143,7 @@ def test_near_shortest_budget_open_and_closed():
 def _satellite_cases():
     for p in range(1, 13):
         for q in range(1, 13):
-            if p * q > 12 or max(p, q) > _EXACT_LIMIT:
+            if p * q > 12 or max(p, q) > EXACT_LIMIT:
                 continue
             for d in range(1, 4):
                 yield p, q, d
@@ -196,20 +195,15 @@ def test_streaming_enumerator_is_lazy():
     assert first.entries == first.canonical().entries
 
 
-def test_workers_fanout_matches_serial():
-    serial = enumerate_canonical_matrices(2, 3, 3)
-    fanned = enumerate_canonical_matrices(2, 3, 3, workers=2)
-    assert [m.entries for m in fanned] == [m.entries for m in serial]
-
-
 def test_vectorised_canonical_matches_reference():
+    # Random matrices up to 7x7 against the per-column-order loop.
     rng = np.random.default_rng(11)
     for _ in range(150):
-        p = int(rng.integers(1, 6))
-        q = int(rng.integers(1, 7))
-        d = int(rng.integers(1, 7))
+        p = int(rng.integers(1, 8))
+        q = int(rng.integers(1, 8))
+        d = int(rng.integers(1, 8))
         arr = rng.integers(1, d + 1, size=(p, q))
-        assert np.array_equal(canonical_form(arr), canonical_form_reference(arr))
+        assert np.array_equal(canonical_form(arr), canonical_form_reference(arr)), arr
 
 
 # ----------------------------------------------------------------------
@@ -370,26 +364,18 @@ def test_structural_fallback_beyond_exact_limit():
         assert big != shuffled
 
 
-def test_canonical_respects_limit_even_when_cached():
-    matrix = ConstraintMatrix.random(5, 5, 3, seed=4)
-    matrix.canonical()  # populates the instance cache
-    with pytest.raises(ValueError):
-        matrix.canonical(max_exhaustive=4)  # limit enforced despite the cache
-
-
-def test_canonical_form_beyond_vectorisation_budget(monkeypatch):
-    # Large q (e.g. 9, a 362880 * p * 9 candidate tensor) must divert to the
-    # O(p*q)-memory loop fallback.  Exercise the branch cheaply by shrinking
-    # the budget so small inputs take it, and check it agrees bit-for-bit.
-    from repro.constraints import matrix as matrix_module
-
-    monkeypatch.setattr(matrix_module, "_VECTORISED_CELL_BUDGET", 0)
-    matrix_module.clear_canonicalisation_cache()
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        arr = rng.integers(1, 4, size=(int(rng.integers(1, 5)), int(rng.integers(1, 6))))
-        assert np.array_equal(canonical_form(arr), canonical_form_reference(arr))
-    matrix_module.clear_canonicalisation_cache()  # drop fallback-built entries
+@pytest.mark.parametrize("shape", [(EXACT_LIMIT + 1, 2), (2, EXACT_LIMIT + 1)])
+def test_exact_canonicalisation_beyond_the_limit_raises(shape):
+    matrix = ConstraintMatrix.random(*shape, 3, seed=4)
+    arr = matrix.to_array()
+    for attempt in (
+        lambda: canonical_form(arr),
+        lambda: are_equivalent(arr, arr),
+        matrix.canonical,
+        lambda: canonical_form_reference(arr),
+    ):
+        with pytest.raises(ValueError, match=rf"EXACT_LIMIT \({EXACT_LIMIT}\)"):
+            attempt()
 
 
 def test_canonical_key_is_class_invariant():

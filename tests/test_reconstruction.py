@@ -6,7 +6,7 @@ import pytest
 
 from repro.constraints.builder import build_constraint_graph
 from repro.constraints.lower_bound import worst_case_network
-from repro.constraints.matrix import ConstraintMatrix
+from repro.constraints.matrix import EXACT_LIMIT, ConstraintMatrix, canonical_form_greedy
 from repro.constraints.reconstruction import (
     decode_witness,
     encode_witness,
@@ -109,10 +109,11 @@ class TestReconstruction:
         with pytest.raises(ValueError):
             verify_reconstruction(cg, rf)
 
-    def test_exact_flag_override(self):
-        m = ConstraintMatrix.random(3, 4, 2, seed=10)
+    def test_beyond_the_exact_limit_reconstructs_the_greedy_representative(self):
+        m = ConstraintMatrix.random(2, EXACT_LIMIT + 1, 2, seed=10)
         cg = build_constraint_graph(m)
         rf = ShortestPathTableScheme().build(cg.graph)
         witness = query_constrained_ports(rf, cg.constrained, cg.targets)
-        greedy = reconstruct_matrix(witness, exact=False)
-        assert greedy.shape == cg.matrix.shape
+        greedy = canonical_form_greedy(witness.ports)
+        assert reconstruct_matrix(witness).entries == ConstraintMatrix.from_entries(greedy).entries
+        assert verify_reconstruction(cg, rf)

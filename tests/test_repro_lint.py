@@ -303,7 +303,14 @@ class TestPoolImportRule:
 
     @pytest.mark.parametrize("source", POOLS)
     @pytest.mark.parametrize(
-        "rel", ["src/repro/cli/main.py", "src/repro/sim/x.py", "src/repro/analysis/flow.py"]
+        "rel",
+        [
+            "src/repro/cli/main.py",
+            "src/repro/sim/x.py",
+            "src/repro/analysis/flow.py",
+            "src/repro/constraints/enumeration.py",
+            "src/repro/store.py",
+        ],
     )
     def test_pool_imports_flagged_outside_the_dispatcher(self, tmp_path, rel, source):
         findings = _lint(tmp_path, rel, source)
@@ -315,9 +322,9 @@ class TestPoolImportRule:
         assert _lint(tmp_path, "src/repro/analysis/runner.py", source) == []
 
     def test_out_of_scope_modules_ignored(self, tmp_path):
-        # The enumeration pool in repro.constraints is not a grid sweep.
+        # Tests and tools outside the runtime package may run their own pools.
         src = "import multiprocessing\n"
-        assert _lint(tmp_path, "src/repro/constraints/enumeration.py", src) == []
+        assert _lint(tmp_path, "tests/test_store.py", src) == []
         assert _lint(tmp_path, "tools/x.py", src) == []
 
     def test_lookalike_names_allowed(self, tmp_path):

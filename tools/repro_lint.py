@@ -66,14 +66,13 @@ REP005  Bare ``print`` calls in the CLI package (``repro/cli``).  The
         line can never corrupt a consumer's parse.  Escape with
         ``# repro-lint: allow-print`` and a reason.
 
-REP006  Process pools outside the sweep dispatcher.  In
-        ``repro/analysis``, ``repro/cli`` and ``repro/sim`` only
-        ``analysis/runner.py`` may import ``concurrent.futures`` or
-        ``multiprocessing``: every grid sweep goes through
-        :meth:`repro.analysis.runner.ShardedRunner.stream`, so failure
-        isolation, timings and ordering live in one place instead of a
-        second hand-rolled pool.  There is no escape comment: a new pool
-        belongs in the dispatcher.
+REP006  Process pools outside the sweep dispatcher.  Anywhere under
+        ``src/repro`` only ``analysis/runner.py`` may import
+        ``concurrent.futures`` or ``multiprocessing``: every grid sweep
+        goes through :meth:`repro.analysis.runner.ShardedRunner.stream`,
+        so failure isolation, timings and ordering live in one place
+        instead of a second hand-rolled pool.  There is no escape
+        comment: a new pool belongs in the dispatcher.
 
 REP007  Any ``scipy`` import anywhere under ``src/repro``.  Distances
         come from the bit-parallel BFS of
@@ -205,8 +204,9 @@ FLOW_SCOPE = ("src/repro/analysis/flow.py",)
 #: REP005 scope: all CLI output must flow through the JSONL writer.
 CLI_SCOPE = ("src/repro/cli",)
 
-#: REP006 scope, and the one module in it allowed to own a process pool.
-POOL_SCOPE = ("src/repro/analysis", "src/repro/cli", "src/repro/sim")
+#: REP006 scope: the whole runtime package, and the one module in it
+#: allowed to own a process pool.
+POOL_SCOPE = ("src/repro",)
 POOL_OWNER = "src/repro/analysis/runner.py"
 POOL_MODULES = ("concurrent.futures", "multiprocessing")
 
